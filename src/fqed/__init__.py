@@ -7,18 +7,18 @@ from .modes import (CutoffSequence, ModeGrid, ParameterError, build_grid,
                     direction_weights, polarization_frame)
 from .fock import (FockBasis, ResourceError, enumerate_basis, ladder,
                    linear_field, weighted_number_sum)
-from .hamiltonian import (ModelParams, ScaleOperators, assemble_field,
-                          assemble_h_fiber, assemble_displaced_hamiltonian,
+from .hamiltonian import (ModelParams, assemble_field, assemble_h_fiber,
+                          assemble_displaced_hamiltonian,
                           assemble_intermediate_hamiltonian,
                           assemble_slice_interaction, delta_k_interaction,
                           dispersion_gradient_ops, field_momentum_ops,
-                          frame_energy_offset, scale_operators,
-                          slice_marginal_ops, slice_scalar_shift)
+                          frame_energy_offset, slice_marginal_ops,
+                          slice_scalar_shift)
 from .spectral import (Contour, ContourError, GroundStateRecord,
                        ResolventSolver, SolverError, contour_project,
-                       contour_project_checked, dense_spectrum, ground_state,
-                       idempotence_defect, neumann_project, resolvent_apply,
-                       resolvent_sandwich)
+                       contour_project_checked, contour_sum, dense_spectrum,
+                       ground_state, idempotence_defect, neumann_project,
+                       resolvent_apply, resolvent_sandwich)
 from .bogoliubov import (DisplacementField, center_operators,
                          combined_displacement, displaced_momentum_ops,
                          displacement_coeffs, weyl_apply,

@@ -31,7 +31,8 @@ from .hamiltonian import (ModelParams, assemble_h_fiber,
                           field_momentum_ops)
 from .modes import ModeGrid, ParameterError
 from .spectral import (Contour, ContourError, ResolventSolver,
-                       contour_project_checked, ground_state)
+                       check_node_count, contour_project_checked,
+                       ground_state)
 
 
 class CascadeError(RuntimeError):
@@ -134,6 +135,9 @@ class SolverOptions:
     mass_route: str = "displaced"
     fd_grad_step: float = 1e-3
     fd_curv_step: float = 5e-3
+
+    def __post_init__(self):
+        check_node_count(self.contour_nodes, "contour_nodes")
 
     def make_solver(self, op) -> ResolventSolver:
         return ResolventSolver(op, dense_limit=self.dense_limit,

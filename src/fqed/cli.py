@@ -65,7 +65,6 @@ _DEFAULTS = {
     "krylov_max": "1200",
     "allow_invalid": "false",
     "mass_route": "displaced",
-    "fd_gradient": "true",
     "alphas": "",
     "P_list": "",
     "out_dir": ".",
@@ -84,14 +83,22 @@ def _parse_bool(text: str, where: str) -> bool:
     raise ConfigError(f"{where}: expected a boolean, got {text!r}")
 
 
-def _parse_triple(text: str, where: str) -> np.ndarray:
-    parts = text.replace(",", " ").split()
-    if len(parts) != 3:
-        raise ConfigError(f"{where}: expected 3 numbers, got {text!r}")
+def _parse_numbers(text: str, where: str) -> list[float]:
+    """Whitespace-separated finite numbers."""
     try:
-        return np.array([float(x) for x in parts])
+        numbers = [float(x) for x in text.split()]
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if not np.all(np.isfinite(numbers)):
+        raise ConfigError(f"{where}: expected finite numbers, got {text!r}")
+    return numbers
+
+
+def _parse_triple(text: str, where: str) -> np.ndarray:
+    parts = _parse_numbers(text.replace(",", " "), where)
+    if len(parts) != 3:
+        raise ConfigError(f"{where}: expected 3 numbers, got {text!r}")
+    return np.array(parts)
 
 
 @dataclass
@@ -128,7 +135,10 @@ def parse_config(path) -> RunConfig:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    text = raw.decode("utf-8")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
 
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -164,9 +174,13 @@ def parse_config(path) -> RunConfig:
         txt = get(key)
         where = f"{path}:{lines.get(key, '?')}: key {key!r}"
         try:
-            return cast(txt)
+            value = cast(txt)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
+        if not np.isfinite(value):
+            raise ConfigError(
+                f"{where}: expected a finite number, got {txt!r}")
+        return value
 
     try:
         params = ModelParams(
@@ -180,23 +194,27 @@ def parse_config(path) -> RunConfig:
     except ParameterError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    opts = SolverOptions(
-        ground_tol=num("ground_tol"),
-        dense_eig_cutoff=num("dense_eig_cutoff", int),
-        dense_limit=num("dense_limit", int),
-        contour_nodes=num("contour_nodes", int),
-        defect_tol=num("defect_tol"),
-        max_nodes=num("max_nodes", int),
-        krylov_tol=num("krylov_tol"),
-        krylov_max=num("krylov_max", int),
-        allow_invalid=_parse_bool(get("allow_invalid"), "allow_invalid"),
-        mass_route=get("mass_route"),
-    )
+    try:
+        opts = SolverOptions(
+            ground_tol=num("ground_tol"),
+            dense_eig_cutoff=num("dense_eig_cutoff", int),
+            dense_limit=num("dense_limit", int),
+            contour_nodes=num("contour_nodes", int),
+            defect_tol=num("defect_tol"),
+            max_nodes=num("max_nodes", int),
+            krylov_tol=num("krylov_tol"),
+            krylov_max=num("krylov_max", int),
+            allow_invalid=_parse_bool(get("allow_invalid"), "allow_invalid"),
+            mass_route=get("mass_route"),
+        )
+    except ParameterError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if opts.mass_route not in ("displaced", "direct", "fd"):
         raise ConfigError(
             f"{path}: mass_route must be displaced, direct, or fd")
 
-    alphas = [float(x) for x in get("alphas").split()]
+    alphas = _parse_numbers(get("alphas"),
+                            f"{path}:{lines.get('alphas', '?')}: key 'alphas'")
     p_list = [_parse_triple(t, f"{path}: key 'P_list'")
               for t in get("P_list").split(";") if t.strip()]
 

@@ -319,30 +319,3 @@ def delta_k_interaction(params: ModelParams, grid: ModeGrid, basis: FockBasis,
                 for i in range(3))
     square = sum(l @ l for l in li)
     return _symmetrize(0.5 * cross + 0.5 * square)
-
-
-@dataclass
-class ScaleOperators:
-    """Bundle of the scale-j operators reused across probes."""
-
-    j: int
-    h: sp.csr_matrix
-    hf_delta: sp.csr_matrix
-    a: list[sp.csr_matrix]
-    pf: list[sp.csr_matrix]
-    beta: list[sp.csr_matrix]
-
-
-def scale_operators(params: ModelParams, grid: ModeGrid, basis: FockBasis,
-                    j: int, grad_energy: np.ndarray) -> ScaleOperators:
-    g = np.asarray(grad_energy, dtype=float)
-    pf_diag = photon_momentum_diag(grid, basis)
-    return ScaleOperators(
-        j=j,
-        h=assemble_h_fiber(params, grid, basis, j),
-        hf_delta=sp.diags(number_diagonal(
-            basis, grid.knorm * direction_weights(grid, g))).tocsr(),
-        a=assemble_field(grid, basis, range(j)),
-        pf=[sp.diags(pf_diag[i]).tocsr() for i in range(3)],
-        beta=field_momentum_ops(params, grid, basis, j),
-    )

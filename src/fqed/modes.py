@@ -64,19 +64,6 @@ class CutoffSequence:
         return self.lambda_uv * self.epsilon ** np.arange(self.n_scales + 1)
 
 
-@dataclass(frozen=True)
-class PhotonMode:
-    """One discrete transverse photon mode."""
-
-    k: np.ndarray
-    knorm: float
-    khat: np.ndarray
-    shell: int
-    weight: float
-    lam: int
-    eps_vec: np.ndarray
-
-
 def polarization_frame(khat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic transverse frame (eps1, eps2) with eps1 x eps2 = khat.
 
@@ -150,15 +137,6 @@ class ModeGrid:
     @property
     def n_modes(self) -> int:
         return len(self.knorm)
-
-    def modes(self) -> list[PhotonMode]:
-        return [
-            PhotonMode(self.k[m].copy(), float(self.knorm[m]),
-                       self.khat[m].copy(), int(self.shell[m]),
-                       float(self.weight[m]), int(self.lam[m]),
-                       self.eps_vec[m].copy())
-            for m in range(self.n_modes)
-        ]
 
     def shell_mask(self, shells) -> np.ndarray:
         """Boolean mask selecting modes whose shell index is in ``shells``."""

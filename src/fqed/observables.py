@@ -34,7 +34,8 @@ from .hamiltonian import (ModelParams, assemble_displaced_hamiltonian,
                           assemble_h_fiber, dispersion_gradient_ops,
                           field_momentum_ops, slice_marginal_coeffs)
 from .modes import ModeGrid, ParameterError
-from .spectral import Contour, ResolventSolver, dense_spectrum
+from .spectral import (Contour, ResolventSolver, contour_sum, dense_spectrum,
+                       resolvent_sandwich)
 
 
 def momentum_axis(p: np.ndarray) -> int:
@@ -118,77 +119,23 @@ def dispersion_curvature_fd(params: ModelParams, grid: ModeGrid,
             + 16 * energy(-step) - energy(-2 * step)) / (12 * step ** 2)
 
 
-def _route_contour(params: ModelParams, j: int, gap: float,
-                   nodes: int) -> Contour:
+def _route_contour(params: ModelParams, j: int, energy: float, gap: float,
+                   opts: SolverOptions,
+                   contour: Contour | None = None) -> Contour:
     """Contour for at-scale curvature routes: centered on the ground energy.
 
-    Radius defaults to half the minus-fraction of the running cutoff; when
-    the measured sector gap is known and larger, 0.45 * gap is used instead
-    for better conditioning (any radius inside the gap encloses only the
-    ground state and yields the same integral).
+    A given contour keeps its radius and node count.  Otherwise the radius
+    defaults to half the minus-fraction of the running cutoff; when the
+    measured sector gap is known and larger, 0.45 * gap is used instead for
+    better conditioning (any radius inside the gap encloses only the ground
+    state and yields the same integral).
     """
+    if contour is not None:
+        return Contour(energy, contour.radius, contour.nodes)
     radius = 0.5 * params.rho_minus * params.cutoffs.sigma(j)
     if np.isfinite(gap) and gap > 0.0:
         radius = max(radius, 0.45 * gap)
-    return Contour(0.0, radius, nodes)
-
-
-def _curvature_quadrature(op, energy: float, vec: np.ndarray, middle,
-                          contour: Contour, solver: ResolventSolver,
-                          scalar: float, reduced: bool):
-    """Shared node loop for the curvature routes and the cross-term probe.
-
-    Returns (sandwich, reduced_value_integral, cross_term).  ``reduced``
-    replaces the inner resolvent applications by the eigenvector identity
-    R(z) vec = vec / (E - z), valid to the recorded eigen-residual; the
-    dense path always solves both resolvents honestly.
-    """
-    target = middle @ vec
-    pts = contour.points
-    wts = contour.projector_weights
-    m = contour.nodes
-    acc_sand = np.zeros(len(vec), dtype=complex)    # oint R middle R vec
-    acc_q2 = np.zeros(len(vec), dtype=complex)      # oint R R vec
-    red = 0.0 + 0.0j                                # reduced-form integral
-
-    def one_node(q: int, factor: float):
-        nonlocal red
-        z = pts[q]
-        g = solver.solve(z, target)
-        if reduced:
-            a = vec / (energy - z)
-            y = g / (energy - z)
-            r2 = vec / (energy - z) ** 2
-        else:
-            a = solver.solve(z, vec)
-            y = solver.solve(z, middle @ a)
-            r2 = solver.solve(z, a)
-        acc_sand_part = wts[q] * y
-        acc_q2_part = wts[q] * r2
-        # reduced single-resolvent form: (1/pi i) oint dzbar h(zbar)/(E-zbar)
-        # with h bilinear; the conjugate contour retraces the same circle.
-        red_part = 2.0 * wts[q] * (target @ g) / (energy - z)
-        if factor == 2.0:
-            acc_sand[:] += 2.0 * acc_sand_part.real
-            acc_q2[:] += 2.0 * acc_q2_part.real
-            red += 2.0 * red_part.real
-        else:
-            acc_sand[:] += acc_sand_part
-            acc_q2[:] += acc_q2_part
-            red += red_part
-
-    one_node(0, 1.0)
-    one_node(m // 2, 1.0)
-    for q in range(1, m // 2):
-        one_node(q, 2.0)
-
-    sandwich = float(np.real(np.conj(acc_sand) @ target))
-    # cross terms of the expanded square: scalar^2 <Q2 v, v> minus the two
-    # mixed scalar/middle combinations; all vanish for an exact eigenpair.
-    cross = (scalar ** 2 * np.real(np.conj(acc_q2) @ vec)
-             - scalar * np.real(np.conj(acc_q2) @ target)
-             - scalar * np.real(np.conj(acc_sand) @ vec))
-    return sandwich, -float(np.real(red)), float(-2.0 * cross)
+    return Contour(energy, radius, opts.route_nodes)
 
 
 def dispersion_curvature_direct(params: ModelParams, grid: ModeGrid,
@@ -214,13 +161,9 @@ def dispersion_curvature_direct(params: ModelParams, grid: ModeGrid,
     axis = momentum_axis(params.p_total)
     h = assemble_h_fiber(params, grid, basis, j) if h_op is None else h_op
     x_op = dispersion_gradient_ops(params, grid, basis, j)[axis]
-    cont = contour or _route_contour(params, j, gap, opts.route_nodes)
-    cont = Contour(energy, cont.radius, cont.nodes)
+    cont = _route_contour(params, j, energy, gap, opts, contour)
     solver = solver or opts.make_solver(h)
-    reduced = not solver.dense
-    s, _, _ = _curvature_quadrature(h, energy, psi, x_op, cont, solver,
-                                    0.0, reduced)
-    return 1.0 - 2.0 * s
+    return 1.0 - 2.0 * resolvent_sandwich(h, cont, x_op, psi, solver)
 
 
 @dataclass
@@ -315,15 +258,23 @@ def dispersion_curvature_displaced(params: ModelParams, grid: ModeGrid,
             f"centering violated: <phi, Gamma phi> = {frame.orth} "
             f"exceeds {orth_tol:.1e}")
     phi = frame.phi / np.linalg.norm(frame.phi)
-    axis = momentum_axis(params.p_total)
-    cont = contour or _route_contour(params, j, frame.gap, opts.route_nodes)
-    cont = Contour(frame.energy, cont.radius, cont.nodes)
+    gamma = frame.gamma_ops[momentum_axis(params.p_total)]
+    energy = frame.energy
+    cont = _route_contour(params, j, energy, frame.gap, opts, contour)
     solver = opts.make_solver(frame.k_op)
-    reduced = not solver.dense
-    s, red_integral, _ = _curvature_quadrature(
-        frame.k_op, frame.energy, phi, frame.gamma_ops[axis], cont, solver,
-        0.0, reduced)
-    return 1.0 - 2.0 * s, 1.0 + red_integral
+    target = gamma @ phi
+
+    def node(z):
+        # R Gamma R phi, then the reduced integrand <Gamma R Gamma phi, phi>
+        # over (E - z); a Krylov solver takes R phi = phi / (E - z)
+        g = solver.solve(z, target)
+        y = solver.solve(z, gamma @ solver.solve(z, phi)) if solver.dense \
+            else g / (energy - z)
+        return np.append(y, (target @ g) / (energy - z))
+
+    acc = contour_sum(cont, node)
+    sandwich = float(np.real(np.conj(acc[:-1]) @ target))
+    return 1.0 - 2.0 * sandwich, 1.0 - 2.0 * float(acc[-1].real)
 
 
 def cross_term_probe(params: ModelParams, grid: ModeGrid, basis: FockBasis,
@@ -339,14 +290,29 @@ def cross_term_probe(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     """
     opts = opts or SolverOptions()
     phi = frame.phi / np.linalg.norm(frame.phi)
-    axis = momentum_axis(params.p_total)
-    cont = contour or _route_contour(params, j, frame.gap, opts.route_nodes)
-    cont = Contour(frame.energy, cont.radius, cont.nodes)
+    gamma = frame.gamma_ops[momentum_axis(params.p_total)]
+    energy = frame.energy
+    cont = _route_contour(params, j, energy, frame.gap, opts, contour)
     solver = opts.make_solver(frame.k_op)
-    _, _, cross = _curvature_quadrature(
-        frame.k_op, frame.energy, phi, frame.gamma_ops[axis], cont, solver,
-        float(grad_component), reduced=not solver.dense)
-    return abs(cross)
+    target = gamma @ phi
+
+    def node(z):
+        # rows R Gamma R phi and R R phi; a Krylov solver takes
+        # R phi = phi / (E - z)
+        if not solver.dense:
+            return np.array([solver.solve(z, target) / (energy - z),
+                             phi / (energy - z) ** 2])
+        a = solver.solve(z, phi)
+        return np.array([solver.solve(z, gamma @ a), solver.solve(z, a)])
+
+    sand, q2 = contour_sum(cont, node)
+    # cross terms of the expanded square: scalar^2 <Q2 v, v> minus the two
+    # mixed scalar/middle combinations; all vanish for an exact eigenpair.
+    scalar = float(grad_component)
+    cross = (scalar ** 2 * np.real(np.conj(q2) @ phi)
+             - scalar * np.real(np.conj(q2) @ target)
+             - scalar * np.real(np.conj(sand) @ phi))
+    return float(abs(2.0 * cross))
 
 
 @dataclass

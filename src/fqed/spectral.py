@@ -10,12 +10,14 @@ the ground-state projector is
 
 over a clockwise circle enclosing only the ground energy; with nodes
 z_q = c + r exp(i theta_q) listed counterclockwise this becomes the weighted
-sum P v = -(r/M) sum_q exp(i theta_q) (H - z_q)^{-1} v.
+sum P v = -(r/M) sum_q exp(i theta_q) (H - z_q)^{-1} v.  Every contour
+integral in the package is this sum, evaluated by ``contour_sum`` on the
+upper half circle.
 
 Shifted solves reduce the symmetric operator to tridiagonal form once
 (below the dense limit) so each contour node costs two dense matrix-vector
-products plus an O(n) tridiagonal solve; above the limit a sparse complex
-LU is factored per node.
+products plus an O(n) tridiagonal solve; above the limit one Lanczos space
+per right-hand side serves every node.
 """
 
 from __future__ import annotations
@@ -55,6 +57,12 @@ DENSE_LIMIT = 4000
 DENSE_EIG_CUTOFF = 600
 
 
+def check_node_count(nodes: int, name: str = "contour nodes"):
+    """The trapezoid rule's node count must be even and at least 8."""
+    if nodes < 8 or nodes % 2:
+        raise ParameterError(f"{name} must be even and >= 8, got {nodes}")
+
+
 @dataclass(frozen=True)
 class Contour:
     """Circle in the complex energy plane with trapezoidal nodes."""
@@ -62,14 +70,11 @@ class Contour:
     center: float
     radius: float
     nodes: int = 64
-    rule: str = "trapezoid-circle"
 
     def __post_init__(self):
         if self.radius <= 0.0:
             raise ParameterError(f"contour radius must be > 0, {self.radius}")
-        if self.nodes < 8 or self.nodes % 2:
-            raise ParameterError(
-                f"contour nodes must be even and >= 8, got {self.nodes}")
+        check_node_count(self.nodes)
 
     @property
     def points(self) -> np.ndarray:
@@ -83,7 +88,7 @@ class Contour:
         return -(self.radius / self.nodes) * np.exp(1j * theta)
 
     def with_nodes(self, nodes: int) -> "Contour":
-        return Contour(self.center, self.radius, nodes, self.rule)
+        return Contour(self.center, self.radius, nodes)
 
 
 @dataclass
@@ -309,29 +314,33 @@ def resolvent_apply(op, z: complex, v: np.ndarray, tol: float = 1e-8,
     return x
 
 
+def contour_sum(contour: Contour, node):
+    """Trapezoid sum  sum_q c_q node(z_q)  over the whole circle.
+
+    ``node`` must be conjugate-symmetric, node(conj z) = conj(node(z)), as
+    every resolvent integrand of a real symmetric operator on real data is.
+    Only the upper half circle is evaluated: the two real-axis nodes count
+    once and the others twice through their real part.  ``node`` may return
+    a scalar or an array; the result is complex with the same shape.
+    """
+    points = contour.points
+    weights = contour.projector_weights
+    half = contour.nodes // 2
+    acc = weights[0] * node(points[0]) + weights[half] * node(points[half])
+    for q in range(1, half):
+        acc += 2.0 * (weights[q] * node(points[q])).real
+    return acc
+
+
 def contour_project(op, contour: Contour, v: np.ndarray,
                     solver: ResolventSolver | None = None) -> np.ndarray:
     """Spectral projection of v onto the eigenspace inside the contour.
 
-    Real symmetric operators with real v exploit conjugate-symmetric nodes,
-    solving only the upper half circle.
+    ``op`` is real symmetric and ``v`` real, so the projection is real.
     """
     solver = solver or ResolventSolver(op)
-    weights = contour.projector_weights
-    points = contour.points
-    m = contour.nodes
-    real_case = not (np.iscomplexobj(v) or
-                     (sp.issparse(op) and np.iscomplexobj(op.dtype.type(0))))
-    if real_case:
-        acc = weights[0] * solver.solve(points[0], v)
-        acc += weights[m // 2] * solver.solve(points[m // 2], v)
-        for q in range(1, m // 2):
-            acc += 2.0 * (weights[q] * solver.solve(points[q], v)).real
-        return np.ascontiguousarray(acc.real)
-    acc = np.zeros(len(v), dtype=complex)
-    for q in range(m):
-        acc += weights[q] * solver.solve(points[q], v)
-    return acc
+    acc = contour_sum(contour, lambda z: solver.solve(z, v))
+    return np.ascontiguousarray(acc.real)
 
 
 def idempotence_defect(op, contour: Contour, v: np.ndarray,
@@ -384,23 +393,14 @@ def neumann_project(op_prev, delta_h, contour: Contour, v: np.ndarray,
     (partial sum, per-term norms).
     """
     solver = solver or ResolventSolver(op_prev)
-    weights = contour.projector_weights
-    points = contour.points
-    m = contour.nodes
-    terms = np.zeros((n_terms + 1, len(v)))
 
-    def accumulate(q: int, factor: float):
-        y = solver.solve(points[q], np.asarray(v))
-        terms[0] += factor * (weights[q] * y).real
-        for n in range(1, n_terms + 1):
-            y = solver.solve(points[q], -(delta_h @ y))
-            terms[n] += factor * (weights[q] * y).real
+    def node(z):
+        ys = [solver.solve(z, np.asarray(v))]
+        for _ in range(n_terms):
+            ys.append(solver.solve(z, -(delta_h @ ys[-1])))
+        return np.array(ys)
 
-    accumulate(0, 1.0)
-    accumulate(m // 2, 1.0)
-    for q in range(1, m // 2):
-        accumulate(q, 2.0)
-
+    terms = np.ascontiguousarray(contour_sum(contour, node).real)
     norms = np.linalg.norm(terms, axis=1)
     tail = norms[norms > 0]
     if len(tail) > 2 and tail[-1] >= tail[-2]:
@@ -416,22 +416,20 @@ def resolvent_sandwich(op, contour: Contour, middle, psi: np.ndarray,
 
     For a normalized eigenvector psi of ``op`` enclosed alone by the
     contour, S equals sum_{m != 0} |<m| middle |0>|^2 / (E_m - E_0), the
-    reduced-resolvent sum of second-order perturbation theory.
+    reduced-resolvent sum of second-order perturbation theory.  A dense
+    solver applies both resolvents; a Krylov solver replaces the inner one
+    by the eigenvector identity R(z) psi = psi / (E - z), one solve per
+    node, which requires the contour to be centered on psi's eigenvalue E.
     """
     solver = solver or ResolventSolver(op)
-    weights = contour.projector_weights
-    points = contour.points
-    m = contour.nodes
     target = middle @ psi
-
-    def node_vec(q):
-        x = solver.solve(points[q], np.asarray(psi))
-        return solver.solve(points[q], middle @ x)
-
-    acc = weights[0] * node_vec(0) + weights[m // 2] * node_vec(m // 2)
-    for q in range(1, m // 2):
-        acc += 2.0 * (weights[q] * node_vec(q)).real
-    return float(np.real(np.conj(acc) @ target))
+    if solver.dense:
+        def node(z):
+            return solver.solve(z, middle @ solver.solve(z, np.asarray(psi)))
+    else:
+        def node(z):
+            return solver.solve(z, target) / (contour.center - z)
+    return float(np.real(np.conj(contour_sum(contour, node)) @ target))
 
 
 def enclosed_count(op, contour: Contour,

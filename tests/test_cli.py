@@ -85,6 +85,29 @@ def test_missing_key_exits_2(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+GOOD_BYTES = GOOD_CONFIG.encode()
+
+
+@pytest.mark.parametrize("data, key", [
+    (GOOD_BYTES.replace(b"alphas = 1e-4 1e-3", b"alphas = 1e-3 abc"),
+     "alphas"),
+    (GOOD_BYTES + b"# caf\xe9\n", "UTF-8"),
+    (GOOD_BYTES + b"contour_nodes = 63\n", "contour_nodes"),
+    (GOOD_BYTES.replace(b"alpha = 1e-3", b"alpha = nan"), "'alpha'"),
+    (GOOD_BYTES.replace(b"P = 0.1 0 0", b"P = inf 0 0"), "'P'"),
+    (GOOD_BYTES + b"fd_gradient = false\n", "fd_gradient"),
+], ids=["non-numeric-alphas", "non-utf8", "odd-contour-nodes", "nan-alpha",
+        "infinite-momentum", "removed-fd-gradient-key"])
+def test_bad_config_exits_2_at_parse_time(tmp_path, capsys, data, key):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(data)
+    assert main(["cascade", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_dump(tmp_path, capsys):
     path = write_config(tmp_path, GOOD_CONFIG)
     out = tmp_path / "out"

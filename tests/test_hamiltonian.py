@@ -9,7 +9,7 @@ from fqed.hamiltonian import (ModelParams, assemble_displaced_hamiltonian,
                               assemble_intermediate_hamiltonian,
                               assemble_slice_interaction, delta_k_interaction,
                               dispersion_gradient_ops, field_momentum_ops,
-                              frame_energy_offset, scale_operators,
+                              frame_energy_offset, photon_momentum_diag,
                               slice_marginal_ops, slice_scalar_shift)
 from fqed.modes import build_grid, direction_weights
 from fqed.spectral import dense_spectrum
@@ -162,7 +162,7 @@ def test_displaced_free_form_at_scale0(small_setup):
     g = params.p_total.copy()
     k_op, offset = assemble_displaced_hamiltonian(
         params, grid, basis, 0, g, np.zeros(3))
-    pf = scale_operators(params, grid, basis, 0, g).pf
+    pf = [sp.diags(row) for row in photon_momentum_diag(grid, basis)]
     delta = direction_weights(grid, g)
     number = sp.diags(number_diagonal(basis, grid.knorm * delta))
     p2 = params.p_total @ params.p_total / 2.0

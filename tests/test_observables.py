@@ -16,7 +16,7 @@ from fqed.observables import (cross_term_probe, dispersion_curvature_direct,
                               momentum_axis, pull_through_probe,
                               pull_through_summary, resolvent_bound_probes,
                               scan_csv, soft_photon_probe)
-from fqed.spectral import dense_spectrum
+from fqed.spectral import ResolventSolver, dense_spectrum
 
 
 def make_box(alpha, p, n_scales=2, eps=0.25, n_max=2):
@@ -285,3 +285,36 @@ def test_curvature_momentum_quotients_reported():
     assert len(ps) == 3 and len(quotients) == 2
     assert np.all(np.isfinite(quotients))
     assert np.all(curvs < 1.0)   # coupling softens the dispersion
+
+
+def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
+    # dense solver, 16 nodes: 9 node evaluations on the upper half circle
+    params, grid, basis = tiny_setup
+    opts = SolverOptions(route_nodes=16)
+    energy, psi, gap = sector_ground(params, grid, basis, 1, opts)
+    grad = energy_gradient_fh(psi, params, grid, basis, 1)
+    frame = displaced_frame_ground(params, grid, basis, 1, grad, opts)
+    calls = []
+    solve = ResolventSolver.solve
+
+    def counted(self, z, b):
+        calls.append(self.dense)
+        return solve(self, z, b)
+
+    monkeypatch.setattr(ResolventSolver, "solve", counted)
+    routes = {
+        "direct": lambda: dispersion_curvature_direct(
+            params, grid, basis, 1, psi=psi, energy=energy, gap=gap,
+            opts=opts),
+        "displaced": lambda: dispersion_curvature_displaced(
+            params, grid, basis, 1, frame=frame, opts=opts),
+        "cross": lambda: cross_term_probe(params, grid, basis, 1, frame,
+                                          grad[0], opts),
+    }
+    counts = {}
+    for name, route in routes.items():
+        calls.clear()
+        route()
+        assert all(calls)
+        counts[name] = len(calls)
+    assert counts == {"direct": 18, "displaced": 27, "cross": 27}
