@@ -7,13 +7,12 @@ from .modes import (CutoffSequence, ModeGrid, ParameterError, build_grid,
                     direction_weights, polarization_frame)
 from .fock import (FockBasis, ResourceError, enumerate_basis, ladder,
                    linear_field, weighted_number_sum)
-from .hamiltonian import (ModelParams, assemble_field, assemble_h_fiber,
+from .hamiltonian import (FiberFamily, FrameFamily, ModelParams,
+                          assemble_field, assemble_h_fiber,
                           assemble_displaced_hamiltonian,
                           assemble_intermediate_hamiltonian,
                           assemble_slice_interaction, delta_k_interaction,
-                          dispersion_gradient_ops, field_momentum_ops,
-                          frame_energy_offset, slice_marginal_ops,
-                          slice_scalar_shift)
+                          slice_marginal_ops)
 from .spectral import (Contour, ContourError, GroundStateRecord,
                        ResolventSolver, SolverError, contour_project,
                        contour_project_checked, contour_sum, dense_spectrum,

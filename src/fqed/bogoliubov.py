@@ -134,18 +134,19 @@ def combined_displacement(grad_new: np.ndarray, grad_old: np.ndarray,
         shells=tuple(shells))
 
 
-def weyl_vacuum_expectation(params, grid: ModeGrid, j: int,
+def weyl_vacuum_expectation(params, grid: ModeGrid, shells,
                             grad_energy: np.ndarray) -> np.ndarray:
     """Vacuum expectation of the conjugated field momentum, a 3-vector.
 
     <W beta W*>_vacuum = sum_m k_m f_m^2
                          + 2 sqrt(alpha) sum_m sqrt(w_m/|k_m|) eps_m f_m,
 
-    summed over the active shells.  Together with the ground-state
-    expectation of the displaced momentum observable this reconstructs
-    P - grad E (the Feynman-Hellmann chain).
+    summed over ``shells``.  Over the active shells range(j), together with
+    the ground-state expectation of the displaced momentum observable, this
+    reconstructs P - grad E (the Feynman-Hellmann chain); over the single
+    slice shell it is the scalar shift of the frame bridge.
     """
-    f = displacement_coeffs(grad_energy, grid, range(j),
+    f = displacement_coeffs(grad_energy, grid, shells,
                             params.alpha).amplitudes
     coupling = np.sqrt(grid.weight / grid.knorm)
     root = np.sqrt(params.alpha)
@@ -156,25 +157,24 @@ def weyl_vacuum_expectation(params, grid: ModeGrid, j: int,
     ])
 
 
-def displaced_momentum_ops(params, grid: ModeGrid, basis: FockBasis, j: int,
-                           grad_energy: np.ndarray) -> list[sp.csr_matrix]:
+def displaced_momentum_ops(family, grad_energy: np.ndarray
+                           ) -> list[sp.csr_matrix]:
     """Closed form of the conjugated, vacuum-centered field momentum Pi.
 
     Conjugation shifts each active ladder operator by its displacement
     amplitude, and the resulting c-number cancels against the subtracted
     vacuum expectation:
 
-        Pi_i = beta_i - sum_{m active} k_m^i f_m (create_m + annihilate_m).
+        Pi_i = beta_i - sum_{m active} k_m^i f_m (create_m + annihilate_m),
 
-    The vacuum expectation of every Pi_i vanishes identically.
+    with beta taken from the scale's ``hamiltonian.FiberFamily``.  The vacuum
+    expectation of every Pi_i vanishes identically.
     """
-    from .hamiltonian import field_momentum_ops
-
-    f = displacement_coeffs(grad_energy, grid, range(j),
-                            params.alpha).amplitudes
-    beta = field_momentum_ops(params, grid, basis, j)
-    return [(beta[i] - linear_field(basis, grid.k[:, i] * f)).tocsr()
-            for i in range(3)]
+    grid = family.grid
+    f = displacement_coeffs(grad_energy, grid, range(family.j),
+                            family.params.alpha).amplitudes
+    return [(beta - linear_field(family.basis, grid.k[:, i] * f)).tocsr()
+            for i, beta in enumerate(family.beta)]
 
 
 def center_operators(pi_ops: list[sp.spmatrix],

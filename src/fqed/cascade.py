@@ -26,9 +26,8 @@ import numpy as np
 from .bogoliubov import (center_operators, combined_displacement,
                          displaced_momentum_ops, weyl_apply)
 from .fock import FockBasis
-from .hamiltonian import (ModelParams, assemble_h_fiber,
-                          assemble_intermediate_hamiltonian,
-                          field_momentum_ops)
+from .hamiltonian import (FiberFamily, ModelParams,
+                          assemble_intermediate_hamiltonian)
 from .modes import ModeGrid, ParameterError
 from .spectral import (Contour, ContourError, ResolventSolver,
                        check_node_count, contour_project_checked,
@@ -138,6 +137,17 @@ class SolverOptions:
 
     def __post_init__(self):
         check_node_count(self.contour_nodes, "contour_nodes")
+        if self.max_nodes < self.contour_nodes:
+            raise ParameterError(f"max_nodes {self.max_nodes} is below "
+                                 f"contour_nodes {self.contour_nodes}")
+        for name in ("ground_tol", "defect_tol", "krylov_tol", "krylov_max",
+                     "dense_limit", "dense_eig_cutoff"):
+            if not getattr(self, name) > 0:
+                raise ParameterError(
+                    f"{name} must be > 0, got {getattr(self, name)}")
+        if self.mass_route not in ("displaced", "direct", "fd"):
+            raise ParameterError("mass_route must be displaced, direct, or "
+                                 f"fd, got {self.mass_route!r}")
 
     def make_solver(self, op) -> ResolventSolver:
         return ResolventSolver(op, dense_limit=self.dense_limit,
@@ -190,7 +200,8 @@ def sector_ground(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     Returns (energy, full-basis vector, sector gap).
     """
     opts = opts or SolverOptions()
-    h = assemble_h_fiber(params, grid, basis, j, p=p) if h_op is None else h_op
+    h = h_op if h_op is not None else FiberFamily(params, grid, basis, j).h(
+        params.p_total if p is None else p)
     idx = basis.sector_indices(grid, j)
     vec = np.zeros(basis.size)
     if len(idx) == 1:
@@ -242,13 +253,14 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     state = CascadeState(params=params, grid=grid, basis=basis, report=report)
     p = params.p_total
 
-    e0, psi0, _ = sector_ground(params, grid, basis, 0, opts)
-    beta0 = field_momentum_ops(params, grid, basis, 0)
-    grad0 = np.array([p[i] - psi0 @ (beta0[i] @ psi0) for i in range(3)])
+    # one family per scale, released when the next step replaces it
+    family = FiberFamily(params, grid, basis, 0)
+    h0 = family.h(p)
+    e0, psi0, _ = sector_ground(params, grid, basis, 0, opts, h_op=h0)
+    grad0 = family.gradient(psi0, p)
     phi0 = basis.vacuum()
-    pi0 = displaced_momentum_ops(params, grid, basis, 0, grad0)
+    pi0 = displaced_momentum_ops(family, grad0)
     _, shift0 = center_operators(pi0, phi0)
-    h0 = assemble_h_fiber(params, grid, basis, 0)
     state.records.append(ScaleRecord(
         j=0, sigma=cut.sigma(0), energy=e0, grad_energy=grad0,
         gap_sector=np.nan,
@@ -261,10 +273,10 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis,
 
     for j in range(params.n_scales):
         prev = state.records[j]
+        family = FiberFamily(params, grid, basis, j + 1)
         try:
             k_hat, _ = assemble_intermediate_hamiltonian(
-                params, grid, basis, j + 1, prev.grad_energy,
-                prev.gamma_shift)
+                family, prev.grad_energy, prev.gamma_shift)
             contour = Contour(prev.energy, params.mu * cut.sigma(j + 1),
                               opts.contour_nodes)
             solver = opts.make_solver(k_hat)
@@ -274,14 +286,13 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis,
         except ContourError as exc:
             raise CascadeError(f"scale {j + 1}: {exc}") from exc
 
-        h_next = assemble_h_fiber(params, grid, basis, j + 1)
+        h_next = family.h(p)
         energy, psi, gap_sector = sector_ground(
             params, grid, basis, j + 1, opts, h_op=h_next)
         if gap_sector < 1e-12:
             raise CascadeError(
                 f"scale {j + 1}: degenerate ground state, gap {gap_sector}")
-        beta = field_momentum_ops(params, grid, basis, j + 1)
-        grad = np.array([p[i] - psi @ (beta[i] @ psi) for i in range(3)])
+        grad = family.gradient(psi, p)
 
         bridge = combined_displacement(grad, prev.grad_energy, grid,
                                        range(j + 1), params.alpha)
@@ -291,7 +302,7 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis,
         except ArithmeticError as exc:
             raise CascadeError(f"scale {j + 1}: {exc}") from exc
 
-        pi = displaced_momentum_ops(params, grid, basis, j + 1, grad)
+        pi = displaced_momentum_ops(family, grad)
         _, shift = center_operators(pi, phi)
         nrm2 = float(phi @ phi)
         orth = np.array([(phi @ (pi[i] @ phi)) / nrm2 - shift[i]

@@ -31,7 +31,9 @@ from .cascade import (CascadeError, SolverOptions, convergence_report,
 from .fock import FockBasis, ResourceError, enumerate_basis
 from .hamiltonian import ModelParams
 from .modes import ModeGrid, ParameterError, build_grid
-from .observables import (cross_term_probe, displaced_frame_ground,
+from .observables import (cross_term_probe, dispersion_curvature_direct,
+                          dispersion_curvature_displaced,
+                          dispersion_curvature_fd, displaced_frame_ground,
                           energy_lipschitz_probe, mass_scan,
                           pull_through_summary, resolvent_bound_probes,
                           scan_csv, scan_tail_summary, soft_photon_probe)
@@ -209,9 +211,6 @@ def parse_config(path) -> RunConfig:
         )
     except ParameterError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if opts.mass_route not in ("displaced", "direct", "fd"):
-        raise ConfigError(
-            f"{path}: mass_route must be displaced, direct, or fd")
 
     alphas = _parse_numbers(get("alphas"),
                             f"{path}:{lines.get('alphas', '?')}: key 'alphas'")
@@ -331,6 +330,28 @@ _SUITES = ("identities", "gaps", "softphoton", "pullthrough", "calpha",
            "bounds", "all")
 
 
+def _route_values(cfg: RunConfig, grid, basis, rec):
+    """Curvature routes (direct, displaced, reduced, FD) and the cross term
+    at one scale; the displaced route and the cross term share one frame
+    solver, released on return."""
+    params, opts = cfg.params, cfg.opts
+    d2h = dispersion_curvature_direct(
+        params, grid, basis, rec.j, psi=rec.psi, energy=rec.energy,
+        gap=rec.gap_sector, opts=opts)
+    frame = displaced_frame_ground(params, grid, basis, rec.j,
+                                   rec.grad_energy, opts,
+                                   gamma_start=rec.gamma_shift)
+    solver = opts.make_solver(frame.k_op)
+    d2k, d2kr = dispersion_curvature_displaced(
+        params, grid, basis, rec.j, frame=frame, opts=opts, solver=solver)
+    d2f = dispersion_curvature_fd(params, grid, basis, rec.j, opts=opts)
+    axis_grad = rec.grad_energy[np.argmax(np.abs(params.p_total))] \
+        if np.any(params.p_total) else rec.grad_energy[0]
+    cross = cross_term_probe(params, grid, basis, rec.j, frame, axis_grad,
+                             opts, solver=solver)
+    return d2h, d2k, d2kr, d2f, cross
+
+
 def _verify_lines(cfg: RunConfig, suite: str):
     """Yield (hard, name, passed, detail) tuples for the selected suite."""
     grid = cfg.build_grid()
@@ -344,24 +365,8 @@ def _verify_lines(cfg: RunConfig, suite: str):
             orth = float(np.max(np.abs(rec.gamma_orth)))
             yield (True, f"gamma-orthogonality j={rec.j}", orth <= 1e-10,
                    f"max |<phi,Gamma phi>| = {orth:.2e} (tol 1e-10)")
-        from .observables import (dispersion_curvature_direct,
-                                  dispersion_curvature_fd)
         for rec in state.records:
-            d2h = dispersion_curvature_direct(
-                params, grid, basis, rec.j, psi=rec.psi, energy=rec.energy,
-                gap=rec.gap_sector, opts=cfg.opts)
-            frame = displaced_frame_ground(params, grid, basis, rec.j,
-                                           rec.grad_energy, cfg.opts,
-                                           gamma_start=rec.gamma_shift)
-            from .observables import dispersion_curvature_displaced
-            d2k, d2kr = dispersion_curvature_displaced(
-                params, grid, basis, rec.j, frame=frame, opts=cfg.opts)
-            d2f = dispersion_curvature_fd(params, grid, basis, rec.j,
-                                          opts=cfg.opts)
-            axis_grad = rec.grad_energy[np.argmax(np.abs(params.p_total))] \
-                if np.any(params.p_total) else rec.grad_energy[0]
-            cross = cross_term_probe(params, grid, basis, rec.j, frame,
-                                     axis_grad, cfg.opts)
+            d2h, d2k, d2kr, d2f, cross = _route_values(cfg, grid, basis, rec)
             yield (True, f"route H vs K j={rec.j}", abs(d2h - d2k) <= 1e-5,
                    f"|{d2h:.8f} - {d2k:.8f}| = {abs(d2h - d2k):.2e} "
                    "(tol 1e-5)")

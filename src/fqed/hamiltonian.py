@@ -31,10 +31,13 @@ vectors (see bogoliubov.weyl_apply).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
+from .bogoliubov import (displaced_momentum_ops, displacement_coeffs,
+                         weyl_vacuum_expectation)
 from .fock import FockBasis, linear_field, number_diagonal
 from .modes import CutoffSequence, ModeGrid, ParameterError, direction_weights
 
@@ -94,49 +97,97 @@ def assemble_field(grid: ModeGrid, basis: FockBasis,
     return [linear_field(basis, c * grid.eps_vec[:, i]) for i in range(3)]
 
 
-def photon_momentum_diag(grid: ModeGrid, basis: FockBasis) -> np.ndarray:
-    """Diagonals of the photon momentum components Pf_i, shape (3, size)."""
-    return np.stack([number_diagonal(basis, grid.k[:, i]) for i in range(3)])
-
-
-def field_momentum_ops(params: ModelParams, grid: ModeGrid, basis: FockBasis,
-                       j: int) -> list[sp.csr_matrix]:
-    """beta_i = Pf_i - sqrt(alpha) A_i with the scale-j interaction support."""
-    pf = photon_momentum_diag(grid, basis)
-    a = assemble_field(grid, basis, range(j))
-    root = np.sqrt(params.alpha)
-    return [(sp.diags(pf[i]) - root * a[i]).tocsr() for i in range(3)]
-
-
-def dispersion_gradient_ops(params: ModelParams, grid: ModeGrid,
-                            basis: FockBasis, j: int,
-                            p=None) -> list[sp.csr_matrix]:
-    """Momentum derivatives of the fiber Hamiltonian, P_i - beta_i."""
-    p = params.p_total if p is None else np.asarray(p, dtype=float)
-    beta = field_momentum_ops(params, grid, basis, j)
-    eye = sp.identity(basis.size, format="csr")
-    return [(p[i] * eye - beta[i]).tocsr() for i in range(3)]
-
-
 def _symmetrize(op: sp.spmatrix) -> sp.csr_matrix:
     return (0.5 * (op + op.T)).tocsr()
 
 
+class FiberFamily:
+    """The scale-j fiber Hamiltonians at every total momentum P:
+
+        H(P) = H(0) + |P|^2/2 - P . beta,      dH/dP_i = P_i - beta_i,
+
+    with beta_i = Pf_i - sqrt(alpha) A_i (interaction on shells 0..j-1).
+    All pieces are exactly symmetric, so every H(P) is too.
+    """
+
+    def __init__(self, params: ModelParams, grid: ModeGrid,
+                 basis: FockBasis, j: int):
+        if j > params.n_scales:
+            raise ParameterError(
+                f"scale {j} exceeds n_scales={params.n_scales}")
+        if basis.n_modes != grid.n_modes:
+            raise ParameterError("basis and grid mode counts differ")
+        self.params, self.grid, self.basis, self.j = params, grid, basis, j
+        a = assemble_field(grid, basis, range(j))
+        self.beta = [(sp.diags(number_diagonal(basis, grid.k[:, i]))
+                      - np.sqrt(params.alpha) * a[i]).tocsr()
+                     for i in range(3)]
+        self.eye = sp.identity(basis.size, format="csr")
+        self.hf = sp.diags(number_diagonal(basis, grid.knorm))
+
+    @cached_property
+    def h0(self) -> sp.csr_matrix:
+        # built on first use: a cascade step needs beta for its bridge
+        # operator before it needs any H(P)
+        return _symmetrize(0.5 * sum(b @ b for b in self.beta) + self.hf)
+
+    def h(self, p) -> sp.csr_matrix:
+        return _linear_update(self.h0, self.beta, p, self.eye)
+
+    def x(self, p) -> list[sp.csr_matrix]:
+        p = np.asarray(p, dtype=float)
+        return [(p[i] * self.eye - self.beta[i]).tocsr() for i in range(3)]
+
+    def gradient(self, psi: np.ndarray, p) -> np.ndarray:
+        """P - <beta>_psi: the energy gradient of an eigenvector of H(P)."""
+        psi = np.asarray(psi, dtype=float)
+        nrm2 = float(psi @ psi)
+        if nrm2 <= 0.0:
+            raise ParameterError("gradient of an empty state")
+        p = np.asarray(p, dtype=float)
+        return np.array([p[i] - psi @ (self.beta[i] @ psi) / nrm2
+                         for i in range(3)])
+
+    def frame(self, grad_energy: np.ndarray, p=None) -> "FrameFamily":
+        """Displaced-frame Hamiltonians for the gradient g at momentum P."""
+        k0, offset, pi = _frame_product_form(self, grad_energy, np.zeros(3), p)
+        return FrameFamily(pi, k0, offset, self.eye)
+
+
+@dataclass(frozen=True)
+class FrameFamily:
+    """Displaced-frame Hamiltonians at one scale, gradient and momentum:
+
+        K(gamma) = K(0) - gamma . Pi + |gamma|^2/2.
+    """
+
+    pi: list = field(repr=False)
+    k0: sp.csr_matrix = field(repr=False)
+    offset: float
+    eye: sp.csr_matrix = field(repr=False)
+
+    def k(self, gamma_shift) -> sp.csr_matrix:
+        return _linear_update(self.k0, self.pi, gamma_shift, self.eye)
+
+
+def _linear_update(op0, ops, v, eye) -> sp.csr_matrix:
+    """op0 + |v|^2/2 - v . ops: (1/2) sum_i (ops_i - v_i)^2 + rest, from
+    its value op0 at v = 0."""
+    v = np.asarray(v, dtype=float).reshape(3)
+    out = op0 + (0.5 * float(v @ v)) * eye
+    for i in np.flatnonzero(v):
+        out = out - v[i] * ops[i]
+    return out.tocsr()
+
+
 def assemble_h_fiber(params: ModelParams, grid: ModeGrid, basis: FockBasis,
                      j: int, p=None) -> sp.csr_matrix:
-    """Fiber Hamiltonian at scale j (interaction on shells 0..j-1).
-
-    At j = 0 the interaction support is empty and the operator is diagonal
-    with ground energy |P|^2/2 on the vacuum.
-    """
-    if j > params.n_scales:
-        raise ParameterError(f"scale {j} exceeds n_scales={params.n_scales}")
-    if basis.n_modes != grid.n_modes:
-        raise ParameterError("basis and grid mode counts differ")
-    grad = dispersion_gradient_ops(params, grid, basis, j, p=p)
-    hf = sp.diags(number_diagonal(basis, grid.knorm))
-    h = 0.5 * sum(m @ m for m in grad) + hf
-    return _symmetrize(h)
+    """Fiber Hamiltonian at scale j in product form, the reference for
+    ``FiberFamily.h``."""
+    family = FiberFamily(params, grid, basis, j)
+    p = params.p_total if p is None else np.asarray(p, dtype=float)
+    grad = [(p[i] * family.eye - family.beta[i]).tocsr() for i in range(3)]
+    return _symmetrize(0.5 * sum(m @ m for m in grad) + family.hf)
 
 
 def assemble_slice_interaction(params: ModelParams, grid: ModeGrid,
@@ -148,7 +199,7 @@ def assemble_slice_interaction(params: ModelParams, grid: ModeGrid,
     """
     if j + 1 > params.n_scales:
         raise ParameterError(f"slice {j}->{j + 1} exceeds the cutoff sequence")
-    x = dispersion_gradient_ops(params, grid, basis, j)
+    x = FiberFamily(params, grid, basis, j).x(params.p_total)
     a = assemble_field(grid, basis, [j])
     root = np.sqrt(params.alpha)
     cross = sum(x[i] @ a[i] + a[i] @ x[i] for i in range(3))
@@ -156,23 +207,24 @@ def assemble_slice_interaction(params: ModelParams, grid: ModeGrid,
     return _symmetrize(0.5 * root * cross + 0.5 * params.alpha * square)
 
 
-def frame_energy_offset(params: ModelParams, grid: ModeGrid, j: int,
-                        grad_energy: np.ndarray, p=None) -> float:
-    """Scalar offset of the displaced-frame Hamiltonian at scale j.
-
-    |P|^2/2 - |P - g|^2/2 - sum_active |k| delta f^2, with f the Weyl
-    displacement amplitudes; the mode sum matches the operator assembly
-    exactly, keeping the canonical form self-consistent at the discrete
-    level.
-    """
-    from .bogoliubov import displacement_coeffs
-
+def _frame_product_form(family: FiberFamily, grad_energy: np.ndarray,
+                        gamma_shift, p):
+    """(K, offset, Pi) of the frame in product form.  The offset
+    |P|^2/2 - |P - g|^2/2 - sum_active |k| delta f^2 takes the Weyl
+    amplitudes f of Pi, keeping the canonical form self-consistent."""
+    params, grid, eye = family.params, family.grid, family.eye
     p = params.p_total if p is None else np.asarray(p, dtype=float)
     g = np.asarray(grad_energy, dtype=float)
-    f = displacement_coeffs(g, grid, range(j), params.alpha).amplitudes
+    pi = displaced_momentum_ops(family, g)
     delta = direction_weights(grid, g)
-    return float(p @ p / 2.0 - (p - g) @ (p - g) / 2.0
-                 - np.sum(grid.knorm * delta * f ** 2))
+    f = displacement_coeffs(g, grid, range(family.j), params.alpha).amplitudes
+    offset = float(p @ p / 2.0 - (p - g) @ (p - g) / 2.0
+                   - np.sum(grid.knorm * delta * f ** 2))
+    number = sp.diags(number_diagonal(family.basis, grid.knorm * delta))
+    gamma_shift = np.asarray(gamma_shift, dtype=float).reshape(3)
+    gam = [pi[i] - gamma_shift[i] * eye for i in range(3)]
+    k_op = 0.5 * sum(gi @ gi for gi in gam) + number + offset * eye
+    return _symmetrize(k_op), offset, pi
 
 
 def assemble_displaced_hamiltonian(
@@ -182,30 +234,12 @@ def assemble_displaced_hamiltonian(
     """Canonical-form Hamiltonian K at scale j, plus its scalar offset.
 
     K = (1/2) sum_i (Pi_i - gamma_shift_i)^2 + sum_m |k_m| delta_m n_m
-        + offset,
-
-    built in closed form from the displaced momentum observable Pi.  The
-    caller chooses ``gamma_shift``; with the ground-state expectation of Pi
-    the quadratic part becomes the mean-zero operator Gamma.
+        + offset in product form, the reference for ``FrameFamily.k``; with
+    the ground-state expectation of Pi as shift, Pi - shift is Gamma.
     """
-    from .bogoliubov import displaced_momentum_ops
-
-    g = np.asarray(grad_energy, dtype=float)
-    if np.linalg.norm(g) >= 1.0:
-        raise ParameterError(
-            f"|grad E| = {np.linalg.norm(g)} >= 1: dispersion factor "
-            "may vanish")
-    gamma_shift = np.asarray(gamma_shift, dtype=float).reshape(3)
-    pi = displaced_momentum_ops(params, grid, basis, j, g)
-    eye = sp.identity(basis.size, format="csr")
-    gam = [pi[i] - gamma_shift[i] * eye for i in range(3)]
-    delta = direction_weights(grid, g)
-    if np.any(delta <= 0.0):
-        raise ParameterError("dispersion factor vanished on a grid mode")
-    number = sp.diags(number_diagonal(basis, grid.knorm * delta))
-    offset = frame_energy_offset(params, grid, j, g, p=p)
-    k_op = 0.5 * sum(gi @ gi for gi in gam) + number + offset * eye
-    return _symmetrize(k_op), offset
+    k_op, offset, _ = _frame_product_form(
+        FiberFamily(params, grid, basis, j), grad_energy, gamma_shift, p)
+    return k_op, offset
 
 
 def slice_marginal_coeffs(params: ModelParams, grid: ModeGrid,
@@ -220,8 +254,6 @@ def slice_marginal_coeffs(params: ModelParams, grid: ModeGrid,
 
     where f are the displacement amplitudes evaluated with ``grad_energy``.
     """
-    from .bogoliubov import displacement_coeffs
-
     g = np.asarray(grad_energy, dtype=float)
     mask = grid.shell == slice_shell
     c = _coupling_coeff(grid, mask)
@@ -239,63 +271,29 @@ def slice_marginal_ops(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     return [linear_field(basis, coeffs[i]) for i in range(3)]
 
 
-def slice_scalar_shift(params: ModelParams, grid: ModeGrid, slice_shell: int,
-                       grad_energy: np.ndarray) -> np.ndarray:
-    """C-number vector accompanying the slice operators in the frame bridge.
-
-    I_i = sum_{m in slice} k_m^i f_m^2
-          + 2 sqrt(alpha) sum_{m in slice} sqrt(w_m/|k_m|) eps_m^i f_m.
-    """
-    from .bogoliubov import displacement_coeffs
-
-    g = np.asarray(grad_energy, dtype=float)
-    mask = grid.shell == slice_shell
-    c = _coupling_coeff(grid, mask)
-    f = displacement_coeffs(g, grid, [slice_shell], params.alpha).amplitudes
-    root = np.sqrt(params.alpha)
-    return np.array([
-        np.sum(grid.k[:, i] * f ** 2) + 2.0 * root
-        * np.sum(c * grid.eps_vec[:, i] * f)
-        for i in range(3)
-    ])
-
-
 def assemble_intermediate_hamiltonian(
-        params: ModelParams, grid: ModeGrid, basis: FockBasis, j: int,
-        grad_energy_prev: np.ndarray, gamma_shift_prev: np.ndarray,
+        family: FiberFamily, grad_energy_prev: np.ndarray,
+        gamma_shift_prev: np.ndarray,
         p=None) -> tuple[sp.csr_matrix, float]:
-    """Scale-j Hamiltonian seen through the scale-(j-1) displacement.
+    """Scale-j Hamiltonian (j = ``family.j``) seen through the scale-(j-1)
+    displacement.
 
     Khat(j) = (1/2) sum_i (Gamma_i + L_i + I_i)^2
               + sum_m |k_m| delta^(j-1)_m n_m + offset_hat,
 
-    where Gamma, the slice operators L and the scalar shift I are all
-    evaluated with the previous scale's gradient.  At alpha = 0 every slice
-    term vanishes and Khat(j) equals K(j-1) entrywise.
+    with Gamma, the slice operators L and the scalar shift I evaluated with
+    the previous gradient g.  Gamma + L is the scale-j Pi(g) less the
+    previous shift, so Khat(j) is the scale-j frame operator at gradient g
+    and shift gamma_prev - I, assembled in product form: one shift per
+    gradient leaves nothing for a linear update to reuse.
     """
-    from .bogoliubov import displaced_momentum_ops, displacement_coeffs
-
-    if j < 1:
+    if family.j < 1:
         raise ParameterError("intermediate frame needs j >= 1")
-    g = np.asarray(grad_energy_prev, dtype=float)
-    gamma_shift_prev = np.asarray(gamma_shift_prev, dtype=float).reshape(3)
-    p = params.p_total if p is None else np.asarray(p, dtype=float)
-
-    pi_prev = displaced_momentum_ops(params, grid, basis, j - 1, g)
-    eye = sp.identity(basis.size, format="csr")
-    lam = slice_marginal_ops(params, grid, basis, j - 1, g)
-    ivec = slice_scalar_shift(params, grid, j - 1, g)
-
-    delta = direction_weights(grid, g)
-    f_hat = displacement_coeffs(g, grid, range(j), params.alpha).amplitudes
-    offset = float(p @ p / 2.0 - (p - g) @ (p - g) / 2.0
-                   - np.sum(grid.knorm * delta * f_hat ** 2))
-
-    total = [pi_prev[i] - gamma_shift_prev[i] * eye + lam[i] + ivec[i] * eye
-             for i in range(3)]
-    number = sp.diags(number_diagonal(basis, grid.knorm * delta))
-    k_hat = 0.5 * sum(t @ t for t in total) + number + offset * eye
-    return _symmetrize(k_hat), offset
+    ivec = weyl_vacuum_expectation(family.params, family.grid,
+                                   [family.j - 1], grad_energy_prev)
+    k_hat, offset, _ = _frame_product_form(
+        family, grad_energy_prev, np.asarray(gamma_shift_prev) - ivec, p)
+    return k_hat, offset
 
 
 def delta_k_interaction(params: ModelParams, grid: ModeGrid, basis: FockBasis,
@@ -312,7 +310,7 @@ def delta_k_interaction(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     """
     g = np.asarray(grad_energy_prev, dtype=float)
     lam = slice_marginal_ops(params, grid, basis, j - 1, g)
-    ivec = slice_scalar_shift(params, grid, j - 1, g)
+    ivec = weyl_vacuum_expectation(params, grid, [j - 1], g)
     eye = sp.identity(basis.size, format="csr")
     li = [lam[i] + ivec[i] * eye for i in range(3)]
     cross = sum(gamma_prev_ops[i] @ li[i] + li[i] @ gamma_prev_ops[i]

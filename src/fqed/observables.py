@@ -25,14 +25,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .bogoliubov import (center_operators, displaced_momentum_ops,
-                         weyl_vacuum_expectation)
+from .bogoliubov import center_operators, weyl_vacuum_expectation
 from .cascade import (CascadeError, CascadeState, SolverOptions,
                       run_cascade, sector_ground)
 from .fock import FockBasis, creation_sum, ladder
-from .hamiltonian import (ModelParams, assemble_displaced_hamiltonian,
-                          assemble_h_fiber, dispersion_gradient_ops,
-                          field_momentum_ops, slice_marginal_coeffs)
+from .hamiltonian import FiberFamily, ModelParams, slice_marginal_coeffs
 from .modes import ModeGrid, ParameterError
 from .spectral import (Contour, ResolventSolver, contour_sum, dense_spectrum,
                        resolvent_sandwich)
@@ -56,6 +53,13 @@ def momentum_axis(p: np.ndarray) -> int:
     return int(nz[0])
 
 
+def _ground_energy(family: FiberFamily, opts: SolverOptions, p) -> float:
+    """Sector ground energy of the family's H(p)."""
+    e, _, _ = sector_ground(family.params, family.grid, family.basis,
+                            family.j, opts, p=p, h_op=family.h(p))
+    return e
+
+
 def energy_gradient_fh(psi: np.ndarray, params: ModelParams, grid: ModeGrid,
                        basis: FockBasis, j: int, p=None,
                        residual_tol: float | None = None) -> np.ndarray:
@@ -66,20 +70,17 @@ def energy_gradient_fh(psi: np.ndarray, params: ModelParams, grid: ModeGrid,
     product per component.
     """
     p = params.p_total if p is None else np.asarray(p, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    nrm2 = float(psi @ psi)
-    if nrm2 <= 0.0:
-        raise ParameterError("gradient of an empty state")
+    family = FiberFamily(params, grid, basis, j)
+    grad = family.gradient(psi, p)   # rejects an empty state
     if residual_tol is not None:
-        h = assemble_h_fiber(params, grid, basis, j, p=p)
-        e = psi @ (h @ psi) / nrm2
-        res = np.linalg.norm(h @ psi - e * psi) / np.sqrt(nrm2)
+        h = family.h(p)
+        phi = np.asarray(psi, dtype=float) / np.linalg.norm(psi)
+        res = np.linalg.norm(h @ phi - (phi @ (h @ phi)) * phi)
         if res > residual_tol:
             raise ParameterError(
                 f"stale input: eigen-residual {res:.2e} above "
                 f"{residual_tol:.1e}")
-    beta = field_momentum_ops(params, grid, basis, j)
-    return np.array([p[i] - psi @ (beta[i] @ psi) / nrm2 for i in range(3)])
+    return grad
 
 
 def energy_gradient_fd(params: ModelParams, grid: ModeGrid, basis: FockBasis,
@@ -87,14 +88,14 @@ def energy_gradient_fd(params: ModelParams, grid: ModeGrid, basis: FockBasis,
                        opts: SolverOptions | None = None) -> np.ndarray:
     """Central-difference gradient; each energy is a fresh sector solve."""
     opts = opts or SolverOptions()
+    family = FiberFamily(params, grid, basis, j)
     p = params.p_total if p is None else np.asarray(p, dtype=float)
     out = np.zeros(3)
     for i in range(3):
         dp = np.zeros(3)
         dp[i] = step
-        e_plus, _, _ = sector_ground(params, grid, basis, j, opts, p=p + dp)
-        e_minus, _, _ = sector_ground(params, grid, basis, j, opts, p=p - dp)
-        out[i] = (e_plus - e_minus) / (2.0 * step)
+        out[i] = (_ground_energy(family, opts, p + dp)
+                  - _ground_energy(family, opts, p - dp)) / (2.0 * step)
     return out
 
 
@@ -104,18 +105,16 @@ def dispersion_curvature_fd(params: ModelParams, grid: ModeGrid,
                             opts: SolverOptions | None = None) -> float:
     """5-point second derivative of E along the momentum axis."""
     opts = opts or SolverOptions()
+    family = FiberFamily(params, grid, basis, j)
     p = params.p_total if p is None else np.asarray(p, dtype=float)
     axis = momentum_axis(p)
     unit = np.zeros(3)
     unit[axis] = 1.0
 
     def energy(t: float) -> float:
-        e, _, _ = sector_ground(params, grid, basis, j, opts,
-                                p=p + t * unit)
-        return e
+        return _ground_energy(family, opts, p + t * unit)
 
-    e0, _, _ = sector_ground(params, grid, basis, j, opts, p=p)
-    return (-energy(2 * step) + 16 * energy(step) - 30 * e0
+    return (-energy(2 * step) + 16 * energy(step) - 30 * energy(0.0)
             + 16 * energy(-step) - energy(-2 * step)) / (12 * step ** 2)
 
 
@@ -144,7 +143,7 @@ def dispersion_curvature_direct(params: ModelParams, grid: ModeGrid,
                                 energy: float | None = None,
                                 gap: float = np.nan,
                                 opts: SolverOptions | None = None,
-                                h_op=None, contour: Contour | None = None,
+                                contour: Contour | None = None,
                                 solver: ResolventSolver | None = None) -> float:
     """Curvature from the direct resolvent route in the bare frame.
 
@@ -154,13 +153,14 @@ def dispersion_curvature_direct(params: ModelParams, grid: ModeGrid,
     the displaced-frame route.
     """
     opts = opts or SolverOptions()
+    family = FiberFamily(params, grid, basis, j)
+    h = family.h(params.p_total)
     if psi is None or energy is None:
         energy, psi, gap = sector_ground(params, grid, basis, j, opts,
-                                         h_op=h_op)
+                                         h_op=h)
     psi = psi / np.linalg.norm(psi)
     axis = momentum_axis(params.p_total)
-    h = assemble_h_fiber(params, grid, basis, j) if h_op is None else h_op
-    x_op = dispersion_gradient_ops(params, grid, basis, j)[axis]
+    x_op = family.x(params.p_total)[axis]
     cont = _route_contour(params, j, energy, gap, opts, contour)
     solver = solver or opts.make_solver(h)
     return 1.0 - 2.0 * resolvent_sandwich(h, cont, x_op, psi, solver)
@@ -178,11 +178,9 @@ class DisplacedFrame:
     j: int
     grad_energy: np.ndarray
     k_op: sp.csr_matrix = field(repr=False)
-    offset: float = 0.0
     energy: float = np.nan
     gap: float = np.nan
     phi: np.ndarray = field(default=None, repr=False)
-    pi_ops: list = field(default=None, repr=False)
     gamma_ops: list = field(default=None, repr=False)
     gamma_shift: np.ndarray = field(default_factory=lambda: np.zeros(3))
     orth: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -200,22 +198,21 @@ def displaced_frame_ground(params: ModelParams, grid: ModeGrid,
     alternate (ground state of K(shift)) and (shift = expectation of the
     displaced momentum observable) until the shift is stationary.  The
     iteration contracts fast because the frame operator depends on the
-    shift only quadratically.
+    shift only quadratically; each step is a linear update of K.
     """
     opts = opts or SolverOptions()
     g = np.asarray(grad_energy, dtype=float)
-    pi = displaced_momentum_ops(params, grid, basis, j, g)
+    frame_ops = FiberFamily(params, grid, basis, j).frame(g, params.p_total)
     if gamma_start is None:
         gamma = params.p_total - g - weyl_vacuum_expectation(
-            params, grid, j, g)
+            params, grid, range(j), g)
     else:
         gamma = np.asarray(gamma_start, dtype=float).copy()
     for _ in range(max_polish):
-        k_op, offset = assemble_displaced_hamiltonian(
-            params, grid, basis, j, g, gamma)
+        k_op = frame_ops.k(gamma)
         energy, phi, gap = sector_ground(params, grid, basis, j, opts,
                                          h_op=k_op)
-        new = np.array([phi @ (pi[i] @ phi) for i in range(3)])
+        new = np.array([phi @ (frame_ops.pi[i] @ phi) for i in range(3)])
         move = float(np.max(np.abs(new - gamma)))
         gamma = new
         if move < 1e-13:
@@ -223,11 +220,11 @@ def displaced_frame_ground(params: ModelParams, grid: ModeGrid,
     # centering on the solved ground state is exact by construction; the
     # residual shift drift below the fixed-point tolerance only moves the
     # operator's scalar part
-    gamma_ops, shift = center_operators(pi, phi)
+    gamma_ops, shift = center_operators(frame_ops.pi, phi)
     orth = np.array([(phi @ (gamma_ops[i] @ phi)) / (phi @ phi)
                      for i in range(3)])
-    return DisplacedFrame(j=j, grad_energy=g, k_op=k_op, offset=offset,
-                          energy=energy, gap=gap, phi=phi, pi_ops=pi,
+    return DisplacedFrame(j=j, grad_energy=g, k_op=k_op,
+                          energy=energy, gap=gap, phi=phi,
                           gamma_ops=gamma_ops, gamma_shift=shift, orth=orth)
 
 
@@ -237,7 +234,8 @@ def dispersion_curvature_displaced(params: ModelParams, grid: ModeGrid,
                                    frame: DisplacedFrame | None = None,
                                    opts: SolverOptions | None = None,
                                    orth_tol: float = 1e-10,
-                                   contour: Contour | None = None):
+                                   contour: Contour | None = None,
+                                   solver: ResolventSolver | None = None):
     """Curvature from the displaced-frame route, both forms.
 
     Evaluates 1 - 2 <oint R Gamma R phi, Gamma phi> with the centered
@@ -261,7 +259,7 @@ def dispersion_curvature_displaced(params: ModelParams, grid: ModeGrid,
     gamma = frame.gamma_ops[momentum_axis(params.p_total)]
     energy = frame.energy
     cont = _route_contour(params, j, energy, frame.gap, opts, contour)
-    solver = opts.make_solver(frame.k_op)
+    solver = solver or opts.make_solver(frame.k_op)
     target = gamma @ phi
 
     def node(z):
@@ -281,7 +279,8 @@ def cross_term_probe(params: ModelParams, grid: ModeGrid, basis: FockBasis,
                      j: int, frame: DisplacedFrame,
                      grad_component: float,
                      opts: SolverOptions | None = None,
-                     contour: Contour | None = None) -> float:
+                     contour: Contour | None = None,
+                     solver: ResolventSolver | None = None) -> float:
     """Explicit mixed contour term of the displaced-route expansion.
 
     Assembles the scalar-scalar and scalar-observable pieces that the
@@ -293,7 +292,7 @@ def cross_term_probe(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     gamma = frame.gamma_ops[momentum_axis(params.p_total)]
     energy = frame.energy
     cont = _route_contour(params, j, energy, frame.gap, opts, contour)
-    solver = opts.make_solver(frame.k_op)
+    solver = solver or opts.make_solver(frame.k_op)
     target = gamma @ phi
 
     def node(z):
@@ -479,20 +478,31 @@ def soft_photon_probe(psi: np.ndarray, params: ModelParams, grid: ModeGrid,
                             empirical_c=c_emp)
 
 
-def _pull_through_pair(psi, energy, params, grid, basis, j, m,
-                       opts: SolverOptions):
-    k_vec = grid.k[m]
-    knorm = float(grid.knorm[m])
-    ann, _ = ladder(basis, int(m))
-    lhs = ann @ psi
-    h_shift = assemble_h_fiber(params, grid, basis, j,
-                               p=params.p_total - k_vec)
-    x_ops = dispersion_gradient_ops(params, grid, basis, j)
-    w = sum(grid.eps_vec[m, i] * (x_ops[i] @ psi) for i in range(3))
-    solver = opts.make_solver(h_shift)
-    x = solver.solve(energy - knorm, w)
-    rhs = -np.sqrt(params.alpha * grid.weight[m] / knorm) * np.real(x)
-    return lhs, rhs
+def _momentum_groups(grid: ModeGrid, modes) -> list[list[int]]:
+    """Modes grouped by photon momentum k (its polarizations), in order."""
+    groups: dict = {}
+    for m in modes:
+        groups.setdefault(tuple(np.round(grid.k[m], 12)), []).append(int(m))
+    return list(groups.values())
+
+
+def _pull_through_pairs(psi, energy, family: FiberFamily, modes,
+                        opts: SolverOptions) -> dict:
+    """{mode: (b_m psi, right-hand side)}, with one shifted solver for
+    H(P - k) per distinct photon momentum k."""
+    params, grid = family.params, family.grid
+    x_psi = [x @ psi for x in family.x(params.p_total)]
+    pairs = {}
+    for group in _momentum_groups(grid, modes):
+        knorm = float(grid.knorm[group[0]])
+        solver = opts.make_solver(family.h(params.p_total - grid.k[group[0]]))
+        for m in group:
+            w = sum(grid.eps_vec[m, i] * x_psi[i] for i in range(3))
+            x = solver.solve(energy - knorm, w)
+            coupling = np.sqrt(params.alpha * grid.weight[m] / knorm)
+            pairs[m] = (ladder(family.basis, m)[0] @ psi,
+                        -coupling * np.real(x))
+    return pairs
 
 
 def pull_through_probe(psi: np.ndarray, energy: float, params: ModelParams,
@@ -509,8 +519,9 @@ def pull_through_probe(psi: np.ndarray, energy: float, params: ModelParams,
     opts = opts or SolverOptions()
     if grid.shell[m] >= j:
         raise ParameterError(f"mode {m} is inactive at scale {j}")
-    lhs, rhs = _pull_through_pair(psi, energy, params, grid, basis, j, m,
-                                  opts)
+    lhs, rhs = _pull_through_pairs(psi, energy,
+                                   FiberFamily(params, grid, basis, j), [m],
+                                   opts)[m]
     ln = np.linalg.norm(lhs)
     if ln == 0.0:
         return 0.0 if np.linalg.norm(rhs) == 0.0 else np.inf
@@ -529,15 +540,17 @@ def pull_through_summary(params: ModelParams, grid: ModeGrid,
     through 0/0 ratios.
     """
     opts = opts or SolverOptions()
+    family = FiberFamily(params, grid, basis, j)
     if psi is None or energy is None:
-        energy, psi, _ = sector_ground(params, grid, basis, j, opts)
+        energy, psi, _ = sector_ground(params, grid, basis, j, opts,
+                                       h_op=family.h(params.p_total))
     active = np.nonzero(grid.shell < j)[0]
+    pairs = _pull_through_pairs(psi, energy, family, active, opts)
     diff2 = 0.0
     lhs2 = 0.0
     per_mode = np.zeros(len(active))
     for i, m in enumerate(active):
-        lhs, rhs = _pull_through_pair(psi, energy, params, grid, basis, j,
-                                      int(m), opts)
+        lhs, rhs = pairs[m]
         d2 = float(np.linalg.norm(lhs - rhs) ** 2)
         l2 = float(np.linalg.norm(lhs) ** 2)
         diff2 += d2
@@ -557,16 +570,12 @@ def energy_lipschitz_probe(params: ModelParams, grid: ModeGrid,
     the coupling vanishes.  Returns (constant, table of (|k|, ratio)).
     """
     opts = opts or SolverOptions()
-    e0, _, _ = sector_ground(params, grid, basis, j, opts)
-    seen = set()
+    family = FiberFamily(params, grid, basis, j)
+    e0 = _ground_energy(family, opts, params.p_total)
     table = []
-    for m in range(grid.n_modes):
-        key = tuple(np.round(grid.k[m], 12))
-        if key in seen:
-            continue
-        seen.add(key)
-        ek, _, _ = sector_ground(params, grid, basis, j, opts,
-                                 p=params.p_total - grid.k[m])
+    for group in _momentum_groups(grid, range(grid.n_modes)):
+        m = group[0]
+        ek = _ground_energy(family, opts, params.p_total - grid.k[m])
         table.append((float(grid.knorm[m]), float((e0 - ek)
                                                   / grid.knorm[m])))
     const = max(r for _, r in table)
@@ -664,13 +673,10 @@ def resolvent_bound_probes(state: CascadeState, delta: float = 0.2,
             thq.append(np.nan), thr0.append(np.nan)
             continue
 
-        k_op, _ = assemble_displaced_hamiltonian(
-            params, grid, basis, rec.j, rec.grad_energy, rec.gamma_shift)
-        vals, vecs = dense_spectrum(k_op, dense_limit)
-        pi = displaced_momentum_ops(params, grid, basis, rec.j,
-                                    rec.grad_energy)
-        eye = sp.identity(basis.size, format="csr")
-        gamma_ax = pi[axis] - rec.gamma_shift[axis] * eye
+        family = FiberFamily(params, grid, basis, rec.j)
+        frame_ops = family.frame(rec.grad_energy, params.p_total)
+        vals, vecs = dense_spectrum(frame_ops.k(rec.gamma_shift), dense_limit)
+        gamma_ax = frame_ops.pi[axis] - rec.gamma_shift[axis] * family.eye
         w3 = gamma_ax @ rec.phi
         lam_coeff = slice_marginal_coeffs(params, grid, rec.j,
                                           rec.grad_energy) \

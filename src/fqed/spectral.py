@@ -344,12 +344,10 @@ def contour_project(op, contour: Contour, v: np.ndarray,
 
 
 def idempotence_defect(op, contour: Contour, v: np.ndarray,
-                       solver: ResolventSolver | None = None,
-                       projected: np.ndarray | None = None) -> float:
+                       solver: ResolventSolver | None = None) -> float:
     """Relative defect ||P(Pv) - Pv|| / ||Pv|| of the quadrature projector."""
     solver = solver or ResolventSolver(op)
-    pv = contour_project(op, contour, v, solver) \
-        if projected is None else projected
+    pv = contour_project(op, contour, v, solver)
     nrm = np.linalg.norm(pv)
     if nrm == 0.0:
         return 0.0
@@ -366,13 +364,25 @@ def contour_project_checked(op, contour: Contour, v: np.ndarray,
     Returns (projected vector, nodes used, defect).  Raises ContourError if
     the defect cannot be brought below tolerance, which signals an enclosure
     problem (the circle cuts through spectrum or encloses extra states on
-    the sector of v).
+    the sector of v).  When re-projection keeps less than half of Pv, the
+    contour encloses none of v's spectrum and only quadrature leakage was
+    projected; more nodes only shrink that leakage, so this raises at once.
     """
     solver = solver or ResolventSolver(op)
     current = contour
     while True:
         pv = contour_project(op, current, v, solver)
-        defect = idempotence_defect(op, current, v, solver, projected=pv)
+        nrm = np.linalg.norm(pv)
+        if nrm == 0.0:
+            return pv, current.nodes, 0.0
+        ppv = contour_project(op, current, pv, solver)
+        kept = float(np.linalg.norm(ppv) / nrm)
+        if kept < 0.5:
+            raise ContourError(
+                "contour encloses none of the vector's spectrum: "
+                f"re-projection keeps {kept:.2e} of the projected norm at "
+                f"{current.nodes} nodes")
+        defect = float(np.linalg.norm(ppv - pv) / nrm)
         if defect <= defect_tol:
             return pv, current.nodes, defect
         if current.nodes * 2 > max_nodes:

@@ -8,7 +8,7 @@ from fqed.bogoliubov import (center_operators, combined_displacement,
                              displacement_generator, weyl_apply,
                              weyl_vacuum_expectation)
 from fqed.fock import enumerate_basis
-from fqed.hamiltonian import ModelParams, field_momentum_ops
+from fqed.hamiltonian import FiberFamily, ModelParams
 from fqed.modes import ParameterError
 
 
@@ -144,15 +144,16 @@ def test_combined_displacement_composition(small_setup):
 
 def test_pi_reduces_to_field_momentum_at_zero_gradient(small_setup):
     params, grid, basis = small_setup
-    pi = displaced_momentum_ops(params, grid, basis, 2, np.zeros(3))
-    beta = field_momentum_ops(params, grid, basis, 2)
+    family = FiberFamily(params, grid, basis, 2)
+    pi = displaced_momentum_ops(family, np.zeros(3))
+    beta = family.beta
     for i in range(3):
         assert abs(pi[i] - beta[i]).max() == 0.0
 
 
 def test_pi_vacuum_expectation_vanishes(small_setup):
     params, grid, basis = small_setup
-    pi = displaced_momentum_ops(params, grid, basis, 2,
+    pi = displaced_momentum_ops(FiberFamily(params, grid, basis, 2),
                                 np.array([0.1, 0.05, 0.0]))
     v = basis.vacuum()
     for i in range(3):
@@ -165,8 +166,9 @@ def test_pi_matches_numerical_conjugation_oracle(tiny_setup):
     g = np.array([0.12, 0.0, 0.04])
     field = displacement_coeffs(g, grid, range(1), params.alpha)
     w = sla.expm(displacement_generator(field, basis).toarray())
-    beta = field_momentum_ops(params, grid, basis, 1)
-    pi = displaced_momentum_ops(params, grid, basis, 1, g)
+    family = FiberFamily(params, grid, basis, 1)
+    beta = family.beta
+    pi = displaced_momentum_ops(family, g)
     vac = basis.vacuum()
     fmax = np.abs(field.amplitudes).max()
     one_photon = basis.totals == 1
@@ -183,19 +185,20 @@ def test_pi_matches_numerical_conjugation_oracle(tiny_setup):
 
 def test_center_operators_examples(small_setup):
     params, grid, basis = small_setup
-    pi0 = displaced_momentum_ops(params, grid, basis, 0, params.p_total)
+    pi0 = displaced_momentum_ops(FiberFamily(params, grid, basis, 0),
+                                 params.p_total)
     gamma, shift = center_operators(pi0, basis.vacuum())
     assert np.allclose(shift, 0.0, atol=1e-15)
-    pf = field_momentum_ops(
+    pf = FiberFamily(
         ModelParams(alpha=0.0, epsilon=params.epsilon,
                     n_scales=params.n_scales, p_total=params.p_total),
-        grid, basis, 0)
+        grid, basis, 0).beta
     for i in range(3):
         assert abs(gamma[i] - pf[i]).max() == 0.0
 
     rng = np.random.default_rng(4)
     phi = rng.standard_normal(basis.size)
-    pi = displaced_momentum_ops(params, grid, basis, 2,
+    pi = displaced_momentum_ops(FiberFamily(params, grid, basis, 2),
                                 np.array([0.08, 0.0, 0.0]))
     gamma, shift = center_operators(pi, phi)
     for i in range(3):
@@ -204,7 +207,8 @@ def test_center_operators_examples(small_setup):
 
 def test_center_operators_rejects_zero_vector(small_setup):
     params, grid, basis = small_setup
-    pi = displaced_momentum_ops(params, grid, basis, 1, np.zeros(3))
+    pi = displaced_momentum_ops(FiberFamily(params, grid, basis, 1),
+                                np.zeros(3))
     with pytest.raises(ParameterError):
         center_operators(pi, np.zeros(basis.size))
 
@@ -212,7 +216,7 @@ def test_center_operators_rejects_zero_vector(small_setup):
 def test_weyl_vacuum_expectation_closed_form(small_setup):
     params, grid, basis = small_setup
     g = np.array([0.1, 0.02, 0.0])
-    expect = weyl_vacuum_expectation(params, grid, 2, g)
+    expect = weyl_vacuum_expectation(params, grid, range(2), g)
     f = displacement_coeffs(g, grid, range(2), params.alpha).amplitudes
     coup = np.sqrt(grid.weight / grid.knorm)
     manual = np.array([
@@ -223,7 +227,7 @@ def test_weyl_vacuum_expectation_closed_form(small_setup):
     # direct dense oracle on the tiny basis
     field = displacement_coeffs(g, grid, range(2), params.alpha)
     w = sla.expm(displacement_generator(field, basis).toarray())
-    beta = field_momentum_ops(params, grid, basis, 2)
+    beta = FiberFamily(params, grid, basis, 2).beta
     vac = basis.vacuum()
     dense = np.array([vac @ (w @ beta[i].toarray() @ w.T) @ vac
                       for i in range(3)])

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from fqed.bogoliubov import weyl_vacuum_expectation
-from fqed.cascade import (SolverOptions, convergence_report, read_vector_file,
+from fqed.cascade import (CascadeError, SolverOptions, convergence_report,
+                          read_vector_file,
                           run_cascade, trace_csv, validate_params,
                           write_vector_file)
-from fqed.hamiltonian import (ModelParams, assemble_displaced_hamiltonian,
+from fqed.hamiltonian import (FiberFamily, ModelParams,
+                              assemble_displaced_hamiltonian,
                               assemble_intermediate_hamiltonian,
                               delta_k_interaction)
 from fqed.modes import ParameterError
@@ -121,7 +123,7 @@ def test_cascade_shift_matches_closed_chain(cascade_state):
     params, grid, basis, state = cascade_state
     for rec in state.records[1:]:
         chain = params.p_total - rec.grad_energy - weyl_vacuum_expectation(
-            params, grid, rec.j, rec.grad_energy)
+            params, grid, range(rec.j), rec.grad_energy)
         assert np.max(np.abs(rec.gamma_shift - chain)) < 1e-6
 
 
@@ -143,11 +145,13 @@ def test_displaced_projection_paths_agree(small_setup):
     k_prev, off_prev = assemble_displaced_hamiltonian(
         params, grid, basis, 1, rec.grad_energy, rec.gamma_shift)
     k_hat, off_hat = assemble_intermediate_hamiltonian(
-        params, grid, basis, 2, rec.grad_energy, rec.gamma_shift)
+        FiberFamily(params, grid, basis, 2), rec.grad_energy,
+        rec.gamma_shift)
     contour = Contour(rec.energy, params.mu * params.cutoffs.sigma(2), 64)
     from fqed.bogoliubov import displaced_momentum_ops
     import scipy.sparse as sp
-    pi = displaced_momentum_ops(params, grid, basis, 1, rec.grad_energy)
+    pi = displaced_momentum_ops(FiberFamily(params, grid, basis, 1),
+                                rec.grad_energy)
     eye = sp.identity(basis.size, format="csr")
     gam = [pi[i] - rec.gamma_shift[i] * eye for i in range(3)]
     dk = delta_k_interaction(params, grid, basis, 2, gam, rec.grad_energy)
@@ -224,3 +228,24 @@ def test_vector_sidecar_roundtrip(tmp_path):
         bad = tmp_path / "bad.fqed"
         bad.write_bytes(b"NOPE" + data[4:])
         read_vector_file(bad)
+
+
+def test_cascade_stops_at_first_level_on_empty_enclosure(tiny_setup,
+                                                         monkeypatch):
+    # the tiny box's step contour encloses none of the running vector's
+    # spectrum: re-projection keeps 2e-4 of Pv, which more nodes cannot
+    # change, so the cascade stops after the first node level
+    import fqed.spectral as spectral
+
+    params, grid, basis = tiny_setup
+    calls = []
+    project = spectral.contour_project
+
+    def counted(op, contour, v, solver=None):
+        calls.append(contour.nodes)
+        return project(op, contour, v, solver)
+
+    monkeypatch.setattr(spectral, "contour_project", counted)
+    with pytest.raises(CascadeError, match="encloses none"):
+        run_cascade(params, grid, basis, SolverOptions(allow_invalid=True))
+    assert calls == [64, 64]

@@ -96,8 +96,21 @@ GOOD_BYTES = GOOD_CONFIG.encode()
     (GOOD_BYTES.replace(b"alpha = 1e-3", b"alpha = nan"), "'alpha'"),
     (GOOD_BYTES.replace(b"P = 0.1 0 0", b"P = inf 0 0"), "'P'"),
     (GOOD_BYTES + b"fd_gradient = false\n", "fd_gradient"),
+    (GOOD_BYTES + b"max_nodes = 16\n", "max_nodes"),
+    (GOOD_BYTES + b"contour_nodes = 1000000\n", "max_nodes"),
+    (GOOD_BYTES + b"ground_tol = 0\n", "ground_tol"),
+    (GOOD_BYTES + b"defect_tol = -1\n", "defect_tol"),
+    (GOOD_BYTES + b"krylov_tol = -1e-10\n", "krylov_tol"),
+    (GOOD_BYTES + b"krylov_max = 0\n", "krylov_max"),
+    (GOOD_BYTES + b"dense_limit = -5\n", "dense_limit"),
+    (GOOD_BYTES + b"dense_eig_cutoff = 0\n", "dense_eig_cutoff"),
+    (GOOD_BYTES + b"mass_route = bogus\n", "mass_route"),
 ], ids=["non-numeric-alphas", "non-utf8", "odd-contour-nodes", "nan-alpha",
-        "infinite-momentum", "removed-fd-gradient-key"])
+        "infinite-momentum", "removed-fd-gradient-key",
+        "max-nodes-below-contour-nodes", "huge-contour-nodes",
+        "zero-ground-tol", "negative-defect-tol", "negative-krylov-tol",
+        "zero-krylov-max", "negative-dense-limit", "zero-dense-eig-cutoff",
+        "unknown-mass-route"])
 def test_bad_config_exits_2_at_parse_time(tmp_path, capsys, data, key):
     path = tmp_path / "bad.cfg"
     path.write_bytes(data)
@@ -170,3 +183,21 @@ def test_verify_identities_free_theory(tmp_path, capsys):
     path = write_config(tmp_path, text)
     assert main(["verify", "--config", path, "--suite", "identities"]) == 0
     assert "0 hard failures" in capsys.readouterr().out
+
+
+def test_verify_builds_each_frame_solver_once(tmp_path, monkeypatch):
+    # the displaced route and the cross-term probe share their frame's
+    # solver: one per cascade step plus one H and one K solver per scale
+    from fqed.spectral import ResolventSolver
+
+    inits = []
+    init = ResolventSolver.__init__
+
+    def counted(self, op, **kwargs):
+        inits.append(op.shape)
+        init(self, op, **kwargs)
+
+    monkeypatch.setattr(ResolventSolver, "__init__", counted)
+    path = write_config(tmp_path, GOOD_CONFIG)
+    assert main(["verify", "--config", path, "--suite", "identities"]) == 0
+    assert len(inits) == 2 + 2 * 3

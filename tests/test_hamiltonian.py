@@ -1,16 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import custom_grid
 from fqed.bogoliubov import displacement_coeffs, weyl_vacuum_expectation
 from fqed.fock import enumerate_basis
-from fqed.hamiltonian import (ModelParams, assemble_displaced_hamiltonian,
+from fqed.hamiltonian import (FiberFamily, ModelParams,
+                              assemble_displaced_hamiltonian,
                               assemble_field, assemble_h_fiber,
                               assemble_intermediate_hamiltonian,
                               assemble_slice_interaction, delta_k_interaction,
-                              dispersion_gradient_ops, field_momentum_ops,
-                              frame_energy_offset, photon_momentum_diag,
-                              slice_marginal_ops, slice_scalar_shift)
+                              slice_marginal_ops)
 from fqed.modes import build_grid, direction_weights
 from fqed.spectral import dense_spectrum
 
@@ -162,7 +165,7 @@ def test_displaced_free_form_at_scale0(small_setup):
     g = params.p_total.copy()
     k_op, offset = assemble_displaced_hamiltonian(
         params, grid, basis, 0, g, np.zeros(3))
-    pf = [sp.diags(row) for row in photon_momentum_diag(grid, basis)]
+    pf = [sp.diags(number_diagonal(basis, grid.k[:, i])) for i in range(3)]
     delta = direction_weights(grid, g)
     number = sp.diags(number_diagonal(basis, grid.knorm * delta))
     p2 = params.p_total @ params.p_total / 2.0
@@ -183,11 +186,11 @@ def test_displaced_ground_energy_matches_bare_frame():
     h = assemble_h_fiber(params, grid, basis, 1)
     vals_h, vecs_h = dense_spectrum(h)
     psi = vecs_h[:, 0]
-    beta = field_momentum_ops(params, grid, basis, 1)
+    beta = FiberFamily(params, grid, basis, 1).beta
     grad = np.array([params.p_total[i] - psi @ (beta[i] @ psi)
                      for i in range(3)])
     gamma = params.p_total - grad - weyl_vacuum_expectation(
-        params, grid, 1, grad)
+        params, grid, range(1), grad)
     k_op, _ = assemble_displaced_hamiltonian(params, grid, basis, 1, grad,
                                              gamma)
     vals_k, _ = dense_spectrum(k_op)
@@ -202,8 +205,8 @@ def test_intermediate_equals_displaced_at_free_coupling(small_setup):
     gamma = np.array([0.01, 0.0, 0.0])
     k_prev, _ = assemble_displaced_hamiltonian(free, grid, basis, 1, g,
                                                gamma)
-    k_hat, _ = assemble_intermediate_hamiltonian(free, grid, basis, 2, g,
-                                                 gamma)
+    k_hat, _ = assemble_intermediate_hamiltonian(
+        FiberFamily(free, grid, basis, 2), g, gamma)
     assert np.abs(k_hat - k_prev).max() < 1e-14
 
 
@@ -217,9 +220,9 @@ def test_frame_bridge_identity(small_setup):
     k_prev, off_prev = assemble_displaced_hamiltonian(
         params, grid, basis, 1, g, gamma)
     k_hat, off_hat = assemble_intermediate_hamiltonian(
-        params, grid, basis, 2, g, gamma)
+        FiberFamily(params, grid, basis, 2), g, gamma)
     pi = __import__("fqed.bogoliubov", fromlist=["displaced_momentum_ops"]) \
-        .displaced_momentum_ops(params, grid, basis, 1, g)
+        .displaced_momentum_ops(FiberFamily(params, grid, basis, 1), g)
     eye = sp.identity(basis.size, format="csr")
     gamma_ops = [pi[i] - gamma[i] * eye for i in range(3)]
     dk = delta_k_interaction(params, grid, basis, 2, gamma_ops, g)
@@ -243,12 +246,15 @@ def test_gradient_bridge_identity(small_setup):
     p = params.p_total
 
     # chain-consistent centering scalars
-    gamma_prev = p - g_prev - weyl_vacuum_expectation(params, grid, j - 1,
-                                                      g_prev)
-    gamma_new = p - g_new - weyl_vacuum_expectation(params, grid, j, g_new)
+    gamma_prev = p - g_prev - weyl_vacuum_expectation(
+        params, grid, range(j - 1), g_prev)
+    gamma_new = p - g_new - weyl_vacuum_expectation(params, grid, range(j),
+                                                    g_new)
 
-    pi_prev = displaced_momentum_ops(params, grid, basis, j - 1, g_prev)
-    pi_new = displaced_momentum_ops(params, grid, basis, j, g_new)
+    pi_prev = displaced_momentum_ops(FiberFamily(params, grid, basis, j - 1),
+                                     g_prev)
+    pi_new = displaced_momentum_ops(FiberFamily(params, grid, basis, j),
+                                    g_new)
     eye = sp.identity(basis.size, format="csr")
 
     # left side: conjugate Pi(j) by the bridge displacement in closed form;
@@ -268,7 +274,7 @@ def test_gradient_bridge_identity(small_setup):
         lhs.append(conj - gamma_new[i] * eye)
 
     lam = slice_marginal_ops(params, grid, basis, j - 1, g_prev)
-    ivec = slice_scalar_shift(params, grid, j - 1, g_prev)
+    ivec = weyl_vacuum_expectation(params, grid, [j - 1], g_prev)
     rhs = [pi_prev[i] - gamma_prev[i] * eye
            + (g_new[i] - g_prev[i]) * eye + lam[i] + ivec[i] * eye
            for i in range(3)]
@@ -276,10 +282,12 @@ def test_gradient_bridge_identity(small_setup):
         assert abs(lhs[i] - rhs[i]).max() < 1e-12
 
 
-def test_slice_scalar_shift_explicit_sum(small_setup):
+def test_weyl_vacuum_expectation_on_slice_shell(small_setup):
+    # the frame bridge's scalar shift is the vacuum expectation summed over
+    # the slice shell alone
     params, grid, basis = small_setup
     g = np.array([0.1, 0.0, 0.0])
-    ivec = slice_scalar_shift(params, grid, 1, g)
+    ivec = weyl_vacuum_expectation(params, grid, [1], g)
     f = displacement_coeffs(g, grid, [1], params.alpha).amplitudes
     coup = np.sqrt(grid.weight / grid.knorm)
     expected = np.array([
@@ -292,7 +300,7 @@ def test_slice_scalar_shift_explicit_sum(small_setup):
 def test_frame_energy_offset_consistency(small_setup):
     params, grid, basis = small_setup
     g = np.array([0.1, 0.02, 0.0])
-    off = frame_energy_offset(params, grid, 2, g)
+    off = FiberFamily(params, grid, basis, 2).frame(g).offset
     f = displacement_coeffs(g, grid, range(2), params.alpha).amplitudes
     delta = direction_weights(grid, g)
     p = params.p_total
@@ -313,11 +321,63 @@ def test_assembled_operators_are_symmetric(small_setup):
     assert vals[0] > -1e-12   # nonnegative up to rounding
 
 
-def test_dispersion_gradient_ops_vacuum_expectation(small_setup):
+def test_family_x_vacuum_expectation(small_setup):
     params, grid, basis = small_setup
-    x = dispersion_gradient_ops(params, grid, basis, 1)
+    x = FiberFamily(params, grid, basis, 1).x(params.p_total)
     v = basis.vacuum()
     for i in range(3):
         # photon momentum annihilates the vacuum; the field part is
         # off-diagonal, so only the scalar survives
         assert v @ (x[i] @ v) == pytest.approx(params.p_total[i], abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# exact identities of the operator families on random (alpha, P, j)
+# ---------------------------------------------------------------------------
+
+ALPHAS = st.floats(0.0, 1e-2)
+# each component below 0.19 keeps |P| < 1/3
+MOMENTA = st.tuples(*[st.floats(-0.19, 0.19)] * 3).map(np.array)
+GRADIENTS = st.tuples(*[st.floats(-0.28, 0.28)] * 3).map(np.array)
+SHIFTS = st.tuples(*[st.floats(-0.1, 0.1)] * 3).map(np.array)
+
+
+def tiny_family(tiny_setup, alpha, j):
+    params, grid, basis = tiny_setup
+    params = dataclasses.replace(params, alpha=alpha)
+    return params, FiberFamily(params, grid, basis, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ALPHAS, MOMENTA, st.integers(0, 1))
+def test_family_h_equals_product_form(tiny_setup, alpha, p, j):
+    # H(0) + |P|^2/2 - P . beta == sym((1/2) sum_i (P_i - beta_i)^2 + Hf)
+    params, family = tiny_family(tiny_setup, alpha, j)
+    ref = assemble_h_fiber(params, family.grid, family.basis, j, p=p)
+    assert abs(family.h(p) - ref).max() <= 1e-14
+
+
+@settings(max_examples=15, deadline=None)
+@given(ALPHAS, MOMENTA, st.integers(0, 1))
+def test_family_gradient_matches_finite_differences(tiny_setup, alpha, p, j):
+    from fqed.cascade import sector_ground
+    from fqed.observables import energy_gradient_fd
+
+    params, family = tiny_family(tiny_setup, alpha, j)
+    grid, basis = family.grid, family.basis
+    _, psi, _ = sector_ground(params, grid, basis, j, p=p, h_op=family.h(p))
+    fd = energy_gradient_fd(params, grid, basis, j, p=p)
+    assert np.abs(family.gradient(psi, p) - fd).max() <= 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(ALPHAS, MOMENTA, st.integers(0, 1), GRADIENTS, SHIFTS)
+def test_frame_family_k_equals_product_form(tiny_setup, alpha, p, j, g,
+                                            gamma):
+    # K(0) - gamma . Pi + |gamma|^2/2 == the assembled canonical form
+    params, family = tiny_family(tiny_setup, alpha, j)
+    frame = family.frame(g, p)
+    ref, offset = assemble_displaced_hamiltonian(
+        params, family.grid, family.basis, j, g, gamma, p=p)
+    assert frame.offset == offset
+    assert abs(frame.k(gamma) - ref).max() <= 1e-14

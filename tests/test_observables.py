@@ -318,3 +318,28 @@ def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
         assert all(calls)
         counts[name] = len(calls)
     assert counts == {"direct": 18, "displaced": 27, "cross": 27}
+
+
+def test_pull_through_one_solver_per_photon_momentum(tiny_setup,
+                                                     monkeypatch):
+    # the two polarizations of each k share one H(P - k) solver, and the
+    # per-mode residuals match the single-mode probe
+    params, grid, basis = tiny_setup
+    energy, psi, _ = sector_ground(params, grid, basis, 1)
+    inits = []
+    init = ResolventSolver.__init__
+
+    def counted(self, op, **kwargs):
+        inits.append(op.shape)
+        init(self, op, **kwargs)
+
+    monkeypatch.setattr(ResolventSolver, "__init__", counted)
+    _, per_mode = pull_through_summary(params, grid, basis, 1, psi=psi,
+                                       energy=energy)
+    active = np.nonzero(grid.shell < 1)[0]
+    assert len(inits) == len({tuple(grid.k[m]) for m in active}) \
+        == len(active) // 2
+    for i, m in enumerate(active):
+        single = pull_through_probe(psi, energy, params, grid, basis, 1,
+                                    int(m))
+        assert per_mode[i] == pytest.approx(single, rel=1e-12, abs=1e-300)

@@ -7,7 +7,8 @@ from fqed.fock import enumerate_basis, weighted_number_sum
 from fqed.hamiltonian import ModelParams, assemble_h_fiber, \
     assemble_slice_interaction
 from fqed.modes import ParameterError
-from fqed.spectral import (ConditioningError, Contour, ResolventSolver,
+from fqed.spectral import (ConditioningError, Contour, ContourError,
+                           ResolventSolver,
                            contour_project, contour_project_checked,
                            dense_spectrum, enclosed_count, ground_state,
                            idempotence_defect, neumann_project,
@@ -159,7 +160,7 @@ def test_contour_project_checked_doubles_nodes():
 def test_contour_project_checked_raises_on_enclosure_failure():
     op = sp.diags([0.0, 1e-9, 5.0]).tocsr()   # two states inside any circle
     v = np.array([1.0, 1.0, 0.3])
-    with pytest.raises(Exception):
+    with pytest.raises(ContourError):
         # projector onto a 2-dim eigenspace is idempotent, so use a circle
         # that CUTS the spectrum instead
         contour_project_checked(op, Contour(0.5, 0.5 + 1e-12, 16), v,
