@@ -6,6 +6,8 @@ the curvature at a few couplings: the deviation from the bare mass grows
 linearly in the coupling, the headline physics of the laboratory.
 """
 
+import dataclasses
+
 import numpy as np
 
 from fqed.cascade import SolverOptions, sector_ground
@@ -27,7 +29,7 @@ e_origin, _, _ = sector_ground(base, grid, basis, j, opts,
                                p=np.zeros(3))
 print("   P        E(P) - E(0)     dE/dP (expectation)")
 for pmag in np.linspace(0.0, 0.3, 7):
-    params = base.with_momentum([pmag, 0.0, 0.0])
+    params = dataclasses.replace(base, p_total=[pmag, 0.0, 0.0])
     e, psi, _ = sector_ground(params, grid, basis, j, opts)
     grad = energy_gradient_fh(psi, params, grid, basis, j)
     print(f"  {pmag:.2f}   {e - e_origin:+.8f}    {grad[0]:+.6f}")

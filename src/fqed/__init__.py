@@ -17,7 +17,7 @@ from .spectral import (Contour, ContourError, GroundStateRecord,
                        ResolventSolver, SolverError, contour_project,
                        contour_project_checked, contour_sum, dense_spectrum,
                        ground_state, idempotence_defect, neumann_project,
-                       resolvent_apply, resolvent_sandwich)
+                       resolvent_sandwich)
 from .bogoliubov import (DisplacementField, center_operators,
                          combined_displacement, displaced_momentum_ops,
                          displacement_coeffs, weyl_apply,

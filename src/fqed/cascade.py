@@ -128,12 +128,8 @@ class SolverOptions:
     max_nodes: int = 512
     krylov_tol: float = 1e-10
     krylov_max: int = 1200
-    weyl_defect_bound: float = 1e-6
     allow_invalid: bool = False
-    route_nodes: int = 64
     mass_route: str = "displaced"
-    fd_grad_step: float = 1e-3
-    fd_curv_step: float = 5e-3
 
     def __post_init__(self):
         check_node_count(self.contour_nodes, "contour_nodes")
@@ -145,6 +141,10 @@ class SolverOptions:
             if not getattr(self, name) > 0:
                 raise ParameterError(
                     f"{name} must be > 0, got {getattr(self, name)}")
+        if self.dense_eig_cutoff > self.dense_limit:
+            raise ParameterError(
+                f"dense_eig_cutoff {self.dense_eig_cutoff} is above "
+                f"dense_limit {self.dense_limit}")
         if self.mass_route not in ("displaced", "direct", "fd"):
             raise ParameterError("mass_route must be displaced, direct, or "
                                  f"fd, got {self.mass_route!r}")
@@ -297,8 +297,7 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis,
         bridge = combined_displacement(grad, prev.grad_energy, grid,
                                        range(j + 1), params.alpha)
         try:
-            phi, wdefect = weyl_apply(bridge, basis, phi_hat,
-                                      defect_bound=opts.weyl_defect_bound)
+            phi, wdefect = weyl_apply(bridge, basis, phi_hat)
         except ArithmeticError as exc:
             raise CascadeError(f"scale {j + 1}: {exc}") from exc
 

@@ -6,9 +6,10 @@ and ``;`` between momentum triples.  Outputs are CSV tables with a trailing
 metadata comment block (config hash and package version), plus a
 gnuplot-compatible script for the effective-mass scan.  All numeric paths
 are deterministic, so rerunning a command on the same config reproduces
-byte-identical files at any thread count.
+byte-identical files.
 
-Subcommands: validate, cascade, mass-scan, verify, grid-dump.
+Subcommands: validate, cascade, mass-scan, verify, grid-dump.  Each takes
+--config and --out; verify also takes --suite and --strict.
 Exit codes: 0 ok, 1 assertion or constraint failure, 2 usage error,
 3 numerical failure.
 """
@@ -16,7 +17,6 @@ Exit codes: 0 ok, 1 assertion or constraint failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures as cf
 import hashlib
 import sys
 from dataclasses import dataclass, field
@@ -31,12 +31,10 @@ from .cascade import (CascadeError, SolverOptions, convergence_report,
 from .fock import FockBasis, ResourceError, enumerate_basis
 from .hamiltonian import ModelParams
 from .modes import ModeGrid, ParameterError, build_grid
-from .observables import (cross_term_probe, dispersion_curvature_direct,
-                          dispersion_curvature_displaced,
-                          dispersion_curvature_fd, displaced_frame_ground,
-                          energy_lipschitz_probe, mass_scan,
-                          pull_through_summary, resolvent_bound_probes,
-                          scan_csv, scan_tail_summary, soft_photon_probe)
+from .observables import (cross_term_probe, energy_lipschitz_probe,
+                          mass_scan, momentum_axis, pull_through_summary,
+                          resolvent_bound_probes, scale_routes, scan_csv,
+                          scan_tail_summary, soft_photon_probe)
 from .spectral import ConditioningError, ContourError, SolverError
 
 
@@ -277,10 +275,6 @@ def cmd_cascade(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _scan_one(cfg: RunConfig, grid, basis, alpha, p):
-    return mass_scan(cfg.params, grid, basis, [alpha], [p], cfg.opts)[0]
-
-
 def cmd_mass_scan(cfg: RunConfig, args) -> int:
     if not cfg.alphas:
         print("usage error: config key 'alphas' is empty", file=sys.stderr)
@@ -290,15 +284,8 @@ def cmd_mass_scan(cfg: RunConfig, args) -> int:
         return 2
     grid = cfg.build_grid()
     basis = cfg.build_basis(grid)
-    jobs = [(a, p) for a in cfg.alphas for p in cfg.p_list]
-    if args.threads > 1:
-        with cf.ThreadPoolExecutor(max_workers=args.threads) as pool:
-            futures = [pool.submit(_scan_one, cfg, grid, basis, a, p)
-                       for a, p in jobs]
-            chunks = [f.result() for f in futures]
-    else:
-        chunks = [_scan_one(cfg, grid, basis, a, p) for a, p in jobs]
-    rows = [r for chunk in chunks for r in chunk]
+    rows, _ = mass_scan(cfg.params, grid, basis, cfg.alphas, cfg.p_list,
+                        cfg.opts)
 
     path = _out_path(cfg, args, "scan.csv")
     tail = scan_tail_summary(rows, delta=cfg.delta)
@@ -330,28 +317,6 @@ _SUITES = ("identities", "gaps", "softphoton", "pullthrough", "calpha",
            "bounds", "all")
 
 
-def _route_values(cfg: RunConfig, grid, basis, rec):
-    """Curvature routes (direct, displaced, reduced, FD) and the cross term
-    at one scale; the displaced route and the cross term share one frame
-    solver, released on return."""
-    params, opts = cfg.params, cfg.opts
-    d2h = dispersion_curvature_direct(
-        params, grid, basis, rec.j, psi=rec.psi, energy=rec.energy,
-        gap=rec.gap_sector, opts=opts)
-    frame = displaced_frame_ground(params, grid, basis, rec.j,
-                                   rec.grad_energy, opts,
-                                   gamma_start=rec.gamma_shift)
-    solver = opts.make_solver(frame.k_op)
-    d2k, d2kr = dispersion_curvature_displaced(
-        params, grid, basis, rec.j, frame=frame, opts=opts, solver=solver)
-    d2f = dispersion_curvature_fd(params, grid, basis, rec.j, opts=opts)
-    axis_grad = rec.grad_energy[np.argmax(np.abs(params.p_total))] \
-        if np.any(params.p_total) else rec.grad_energy[0]
-    cross = cross_term_probe(params, grid, basis, rec.j, frame, axis_grad,
-                             opts, solver=solver)
-    return d2h, d2k, d2kr, d2f, cross
-
-
 def _verify_lines(cfg: RunConfig, suite: str):
     """Yield (hard, name, passed, detail) tuples for the selected suite."""
     grid = cfg.build_grid()
@@ -365,8 +330,14 @@ def _verify_lines(cfg: RunConfig, suite: str):
             orth = float(np.max(np.abs(rec.gamma_orth)))
             yield (True, f"gamma-orthogonality j={rec.j}", orth <= 1e-10,
                    f"max |<phi,Gamma phi>| = {orth:.2e} (tol 1e-10)")
+        axis = momentum_axis(params.p_total)
         for rec in state.records:
-            d2h, d2k, d2kr, d2f, cross = _route_values(cfg, grid, basis, rec)
+            d2f, d2h, frame, solver, (d2k, d2kr) = scale_routes(
+                params, grid, basis, rec, cfg.opts)
+            cross = cross_term_probe(params, grid, basis, rec.j, frame,
+                                     rec.grad_energy[axis], cfg.opts,
+                                     solver=solver)
+            del frame, solver   # not held across the next scale's routes
             yield (True, f"route H vs K j={rec.j}", abs(d2h - d2k) <= 1e-5,
                    f"|{d2h:.8f} - {d2k:.8f}| = {abs(d2h - d2k):.2e} "
                    "(tol 1e-5)")
@@ -416,9 +387,7 @@ def _verify_lines(cfg: RunConfig, suite: str):
                f"C = {c_emp:.4f} (free-theory limit 1/3)")
 
     if suite in ("bounds", "all"):
-        rep = resolvent_bound_probes(state, delta=cfg.delta,
-                                     dense_limit=cfg.opts.dense_limit,
-                                     opts=cfg.opts)
+        rep = resolvent_bound_probes(state, delta=cfg.delta, opts=cfg.opts)
         if rep.skipped:
             yield (False, "resolvent bounds", True, rep.skipped)
         else:
@@ -464,9 +433,9 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--strict", action="store_true")
-        sp.add_argument("--suite", default="all")
+        if fn is cmd_verify:
+            sp.add_argument("--suite", default="all")
+            sp.add_argument("--strict", action="store_true")
         sp.set_defaults(func=fn)
     args = parser.parse_args(argv)
 

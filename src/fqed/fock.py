@@ -208,13 +208,3 @@ def symmetry_defect(op: sp.spmatrix) -> float:
     """Largest entrywise asymmetry |A - A.T|; 0 for exactly symmetric ops."""
     d = (op - op.T).tocoo()
     return float(np.max(np.abs(d.data))) if d.nnz else 0.0
-
-
-def dump_operator_coo(op: sp.spmatrix) -> str:
-    """Coordinate-format text dump (row col value per line) for debugging."""
-    coo = op.tocoo()
-    lines = [f"% {coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
-    order = np.lexsort((coo.col, coo.row))
-    lines += [f"{coo.row[i]} {coo.col[i]} {float(coo.data[i])!r}"
-              for i in order]
-    return "\n".join(lines) + "\n"

@@ -30,7 +30,7 @@ vectors (see bogoliubov.weyl_apply).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -73,9 +73,6 @@ class ModelParams:
     @property
     def cutoffs(self) -> CutoffSequence:
         return CutoffSequence(self.lambda_uv, self.epsilon, self.n_scales)
-
-    def with_momentum(self, p) -> "ModelParams":
-        return replace(self, p_total=np.asarray(p, dtype=float))
 
 
 def _coupling_coeff(grid: ModeGrid, mask: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ soft-photon / pull-through / energy-slope / resolvent-bound probes.
 
 The three curvature routes are
   * finite differences of the ground energy over the total momentum
-    (5-point stencil, fresh solves),
+    (5-point stencil of fresh solves; the center may be the cascade's),
   * the direct resolvent route: 1 - 2 <Y psi, X psi> with X the momentum
     derivative of the fiber Hamiltonian and Y the clockwise contour
     integral of R X R around the ground energy,
@@ -26,13 +26,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bogoliubov import center_operators, weyl_vacuum_expectation
-from .cascade import (CascadeError, CascadeState, SolverOptions,
+from .cascade import (CascadeError, CascadeState, ScaleRecord, SolverOptions,
                       run_cascade, sector_ground)
 from .fock import FockBasis, creation_sum, ladder
 from .hamiltonian import FiberFamily, ModelParams, slice_marginal_coeffs
 from .modes import ModeGrid, ParameterError
 from .spectral import (Contour, ResolventSolver, contour_sum, dense_spectrum,
                        resolvent_sandwich)
+
+#: Trapezoid nodes of the at-scale curvature-route contours.
+ROUTE_NODES = 64
 
 
 def momentum_axis(p: np.ndarray) -> int:
@@ -102,8 +105,13 @@ def energy_gradient_fd(params: ModelParams, grid: ModeGrid, basis: FockBasis,
 def dispersion_curvature_fd(params: ModelParams, grid: ModeGrid,
                             basis: FockBasis, j: int, step: float = 5e-3,
                             p=None,
-                            opts: SolverOptions | None = None) -> float:
-    """5-point second derivative of E along the momentum axis."""
+                            opts: SolverOptions | None = None,
+                            center: float | None = None) -> float:
+    """5-point second derivative of E along the momentum axis.
+
+    ``center``, when given, is the already known E(p) (the cascade's
+    energy), so only the four off-center points are solved.
+    """
     opts = opts or SolverOptions()
     family = FiberFamily(params, grid, basis, j)
     p = params.p_total if p is None else np.asarray(p, dtype=float)
@@ -114,27 +122,25 @@ def dispersion_curvature_fd(params: ModelParams, grid: ModeGrid,
     def energy(t: float) -> float:
         return _ground_energy(family, opts, p + t * unit)
 
-    return (-energy(2 * step) + 16 * energy(step) - 30 * energy(0.0)
+    if center is None:
+        center = energy(0.0)
+    return (-energy(2 * step) + 16 * energy(step) - 30 * center
             + 16 * energy(-step) - energy(-2 * step)) / (12 * step ** 2)
 
 
-def _route_contour(params: ModelParams, j: int, energy: float, gap: float,
-                   opts: SolverOptions,
-                   contour: Contour | None = None) -> Contour:
+def _route_contour(params: ModelParams, j: int, energy: float,
+                   gap: float) -> Contour:
     """Contour for at-scale curvature routes: centered on the ground energy.
 
-    A given contour keeps its radius and node count.  Otherwise the radius
-    defaults to half the minus-fraction of the running cutoff; when the
-    measured sector gap is known and larger, 0.45 * gap is used instead for
-    better conditioning (any radius inside the gap encloses only the ground
-    state and yields the same integral).
+    The radius defaults to half the minus-fraction of the running cutoff;
+    when the measured sector gap is known and larger, 0.45 * gap is used
+    instead for better conditioning (any radius inside the gap encloses only
+    the ground state and yields the same integral).
     """
-    if contour is not None:
-        return Contour(energy, contour.radius, contour.nodes)
     radius = 0.5 * params.rho_minus * params.cutoffs.sigma(j)
     if np.isfinite(gap) and gap > 0.0:
         radius = max(radius, 0.45 * gap)
-    return Contour(energy, radius, opts.route_nodes)
+    return Contour(energy, radius, ROUTE_NODES)
 
 
 def dispersion_curvature_direct(params: ModelParams, grid: ModeGrid,
@@ -142,9 +148,7 @@ def dispersion_curvature_direct(params: ModelParams, grid: ModeGrid,
                                 psi: np.ndarray | None = None,
                                 energy: float | None = None,
                                 gap: float = np.nan,
-                                opts: SolverOptions | None = None,
-                                contour: Contour | None = None,
-                                solver: ResolventSolver | None = None) -> float:
+                                opts: SolverOptions | None = None) -> float:
     """Curvature from the direct resolvent route in the bare frame.
 
     1 - 2 <oint_cw R [dH/dP] R psi dz / 2 pi i, [dH/dP] psi> at the
@@ -161,9 +165,9 @@ def dispersion_curvature_direct(params: ModelParams, grid: ModeGrid,
     psi = psi / np.linalg.norm(psi)
     axis = momentum_axis(params.p_total)
     x_op = family.x(params.p_total)[axis]
-    cont = _route_contour(params, j, energy, gap, opts, contour)
-    solver = solver or opts.make_solver(h)
-    return 1.0 - 2.0 * resolvent_sandwich(h, cont, x_op, psi, solver)
+    cont = _route_contour(params, j, energy, gap)
+    return 1.0 - 2.0 * resolvent_sandwich(h, cont, x_op, psi,
+                                          opts.make_solver(h))
 
 
 @dataclass
@@ -190,15 +194,16 @@ def displaced_frame_ground(params: ModelParams, grid: ModeGrid,
                            basis: FockBasis, j: int,
                            grad_energy: np.ndarray,
                            opts: SolverOptions | None = None,
-                           gamma_start: np.ndarray | None = None,
-                           max_polish: int = 5) -> DisplacedFrame:
+                           gamma_start: np.ndarray | None = None
+                           ) -> DisplacedFrame:
     """Assemble the canonical frame and polish the shift to self-consistency.
 
     Starting from the closed-form chain value P - grad E - <W beta W*>_vac,
     alternate (ground state of K(shift)) and (shift = expectation of the
     displaced momentum observable) until the shift is stationary.  The
     iteration contracts fast because the frame operator depends on the
-    shift only quadratically; each step is a linear update of K.
+    shift only quadratically; each step is a linear update of K, and at
+    most five are taken.
     """
     opts = opts or SolverOptions()
     g = np.asarray(grad_energy, dtype=float)
@@ -208,7 +213,7 @@ def displaced_frame_ground(params: ModelParams, grid: ModeGrid,
             params, grid, range(j), g)
     else:
         gamma = np.asarray(gamma_start, dtype=float).copy()
-    for _ in range(max_polish):
+    for _ in range(5):
         k_op = frame_ops.k(gamma)
         energy, phi, gap = sector_ground(params, grid, basis, j, opts,
                                          h_op=k_op)
@@ -233,8 +238,6 @@ def dispersion_curvature_displaced(params: ModelParams, grid: ModeGrid,
                                    grad_energy: np.ndarray | None = None,
                                    frame: DisplacedFrame | None = None,
                                    opts: SolverOptions | None = None,
-                                   orth_tol: float = 1e-10,
-                                   contour: Contour | None = None,
                                    solver: ResolventSolver | None = None):
     """Curvature from the displaced-frame route, both forms.
 
@@ -251,14 +254,14 @@ def dispersion_curvature_displaced(params: ModelParams, grid: ModeGrid,
             raise ParameterError("need a gradient or a prebuilt frame")
         frame = displaced_frame_ground(params, grid, basis, j, grad_energy,
                                        opts)
-    if float(np.max(np.abs(frame.orth))) > orth_tol:
+    if float(np.max(np.abs(frame.orth))) > 1e-10:
         raise ParameterError(
             f"centering violated: <phi, Gamma phi> = {frame.orth} "
-            f"exceeds {orth_tol:.1e}")
+            "exceeds 1.0e-10")
     phi = frame.phi / np.linalg.norm(frame.phi)
     gamma = frame.gamma_ops[momentum_axis(params.p_total)]
     energy = frame.energy
-    cont = _route_contour(params, j, energy, frame.gap, opts, contour)
+    cont = _route_contour(params, j, energy, frame.gap)
     solver = solver or opts.make_solver(frame.k_op)
     target = gamma @ phi
 
@@ -279,7 +282,6 @@ def cross_term_probe(params: ModelParams, grid: ModeGrid, basis: FockBasis,
                      j: int, frame: DisplacedFrame,
                      grad_component: float,
                      opts: SolverOptions | None = None,
-                     contour: Contour | None = None,
                      solver: ResolventSolver | None = None) -> float:
     """Explicit mixed contour term of the displaced-route expansion.
 
@@ -291,7 +293,7 @@ def cross_term_probe(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     phi = frame.phi / np.linalg.norm(frame.phi)
     gamma = frame.gamma_ops[momentum_axis(params.p_total)]
     energy = frame.energy
-    cont = _route_contour(params, j, energy, frame.gap, opts, contour)
+    cont = _route_contour(params, j, energy, frame.gap)
     solver = solver or opts.make_solver(frame.k_op)
     target = gamma @ phi
 
@@ -312,6 +314,31 @@ def cross_term_probe(params: ModelParams, grid: ModeGrid, basis: FockBasis,
              - scalar * np.real(np.conj(q2) @ target)
              - scalar * np.real(np.conj(sand) @ phi))
     return float(abs(2.0 * cross))
+
+
+def scale_routes(params: ModelParams, grid: ModeGrid, basis: FockBasis,
+                 rec: ScaleRecord, opts: SolverOptions):
+    """The three curvature routes at one cascade scale.
+
+    Returns (FD curvature, direct route, displaced frame, the frame's
+    solver, (double form, reduced form) of the displaced route).  The FD
+    stencil takes its center from the cascade energy; the frame polish
+    starts from the cascade's centering shift.  The frame and its solver
+    are returned for the cross-term probe; drop them once done, since a
+    Krylov solver holds one Lanczos space per right-hand side.
+    """
+    d2_fd = dispersion_curvature_fd(params, grid, basis, rec.j, opts=opts,
+                                    center=rec.energy)
+    d2_direct = dispersion_curvature_direct(
+        params, grid, basis, rec.j, psi=rec.psi, energy=rec.energy,
+        gap=rec.gap_sector, opts=opts)
+    frame = displaced_frame_ground(params, grid, basis, rec.j,
+                                   rec.grad_energy, opts,
+                                   gamma_start=rec.gamma_shift)
+    solver = opts.make_solver(frame.k_op)
+    displaced = dispersion_curvature_displaced(
+        params, grid, basis, rec.j, frame=frame, opts=opts, solver=solver)
+    return d2_fd, d2_direct, frame, solver, displaced
 
 
 @dataclass
@@ -391,23 +418,13 @@ def mass_scan(params_template: ModelParams, grid: ModeGrid, basis: FockBasis,
                                   sigma=rec.sigma, p=p, energy=rec.energy,
                                   grad_fh=rec.grad_energy)
                 try:
-                    row.d2_fd = dispersion_curvature_fd(
-                        params, grid, basis, rec.j, step=opts.fd_curv_step,
-                        opts=opts)
-                    row.d2_direct = dispersion_curvature_direct(
-                        params, grid, basis, rec.j, psi=rec.psi,
-                        energy=rec.energy, gap=rec.gap_sector, opts=opts)
-                    frame = displaced_frame_ground(
-                        params, grid, basis, rec.j, rec.grad_energy, opts,
-                        gamma_start=rec.gamma_shift)
-                    row.d2_displaced, row.d2_displaced_reduced = \
-                        dispersion_curvature_displaced(
-                            params, grid, basis, rec.j, frame=frame,
-                            opts=opts)
+                    (row.d2_fd, row.d2_direct, frame, solver,
+                     (row.d2_displaced, row.d2_displaced_reduced)) = \
+                        scale_routes(params, grid, basis, rec, opts)
+                    del frame, solver   # not held during the FD gradient
                     if fd_gradient:
                         row.grad_fd = energy_gradient_fd(
-                            params, grid, basis, rec.j,
-                            step=opts.fd_grad_step, opts=opts)
+                            params, grid, basis, rec.j, opts=opts)
                     chosen = {"displaced": row.d2_displaced,
                               "direct": row.d2_direct,
                               "fd": row.d2_fd}[opts.mass_route]
@@ -637,7 +654,6 @@ class BoundsReport:
 
 
 def resolvent_bound_probes(state: CascadeState, delta: float = 0.2,
-                           dense_limit: int = 4000,
                            opts: SolverOptions | None = None) -> BoundsReport:
     """Measure the bound family relating resolvent expectations.
 
@@ -665,17 +681,18 @@ def resolvent_bound_probes(state: CascadeState, delta: float = 0.2,
             c1.append(np.nan)
             c2.append(np.nan)
 
-        if basis.size > dense_limit:
+        if basis.size > opts.dense_limit:
             skipped = (f"dimension {basis.size} above dense limit "
-                       f"{dense_limit}; absolute-value resolvents need the "
-                       "full eigendecomposition")
+                       f"{opts.dense_limit}; absolute-value resolvents need "
+                       "the full eigendecomposition")
             c3.append(np.nan), c4.append(np.nan), c5.append(np.nan)
             thq.append(np.nan), thr0.append(np.nan)
             continue
 
         family = FiberFamily(params, grid, basis, rec.j)
         frame_ops = family.frame(rec.grad_energy, params.p_total)
-        vals, vecs = dense_spectrum(frame_ops.k(rec.gamma_shift), dense_limit)
+        vals, vecs = dense_spectrum(frame_ops.k(rec.gamma_shift),
+                                    opts.dense_limit)
         gamma_ax = frame_ops.pi[axis] - rec.gamma_shift[axis] * family.eye
         w3 = gamma_ax @ rec.phi
         lam_coeff = slice_marginal_coeffs(params, grid, rec.j,

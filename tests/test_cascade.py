@@ -230,6 +230,22 @@ def test_vector_sidecar_roundtrip(tmp_path):
         read_vector_file(bad)
 
 
+def test_cascade_refuses_degenerate_ground_state(small_setup, monkeypatch):
+    import fqed.cascade as cascade
+
+    sector_ground = cascade.sector_ground
+
+    def closed_gap(*args, **kwargs):
+        energy, vec, _ = sector_ground(*args, **kwargs)
+        return energy, vec, 0.0
+
+    monkeypatch.setattr(cascade, "sector_ground", closed_gap)
+    params, grid, basis = small_setup
+    with pytest.raises(CascadeError,
+                       match="scale 1: degenerate ground state, gap 0.0"):
+        run_cascade(params, grid, basis)
+
+
 def test_cascade_stops_at_first_level_on_empty_enclosure(tiny_setup,
                                                          monkeypatch):
     # the tiny box's step contour encloses none of the running vector's

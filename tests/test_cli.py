@@ -104,13 +104,14 @@ GOOD_BYTES = GOOD_CONFIG.encode()
     (GOOD_BYTES + b"krylov_max = 0\n", "krylov_max"),
     (GOOD_BYTES + b"dense_limit = -5\n", "dense_limit"),
     (GOOD_BYTES + b"dense_eig_cutoff = 0\n", "dense_eig_cutoff"),
+    (GOOD_BYTES + b"dense_eig_cutoff = 10000\n", "dense_limit"),
     (GOOD_BYTES + b"mass_route = bogus\n", "mass_route"),
 ], ids=["non-numeric-alphas", "non-utf8", "odd-contour-nodes", "nan-alpha",
         "infinite-momentum", "removed-fd-gradient-key",
         "max-nodes-below-contour-nodes", "huge-contour-nodes",
         "zero-ground-tol", "negative-defect-tol", "negative-krylov-tol",
         "zero-krylov-max", "negative-dense-limit", "zero-dense-eig-cutoff",
-        "unknown-mass-route"])
+        "dense-eig-cutoff-above-dense-limit", "unknown-mass-route"])
 def test_bad_config_exits_2_at_parse_time(tmp_path, capsys, data, key):
     path = tmp_path / "bad.cfg"
     path.write_bytes(data)
@@ -134,8 +135,7 @@ def test_cascade_outputs_and_determinism(tmp_path):
     path = write_config(tmp_path, GOOD_CONFIG + "dump_vectors = true\n")
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["cascade", "--config", path, "--out", str(out1)]) == 0
-    assert main(["cascade", "--config", path, "--out", str(out2),
-                 "--threads", "4"]) == 0
+    assert main(["cascade", "--config", path, "--out", str(out2)]) == 0
     b1 = (out1 / "trace.csv").read_bytes()
     b2 = (out2 / "trace.csv").read_bytes()
     assert b1 == b2
@@ -144,17 +144,45 @@ def test_cascade_outputs_and_determinism(tmp_path):
         (out2 / "phi_002.fqed").read_bytes()
 
 
-def test_mass_scan_outputs_and_thread_independence(tmp_path):
+def test_mass_scan_outputs_and_rerun_identity(tmp_path):
     cfg_text = GOOD_CONFIG.replace("J = 2", "J = 1")
     path = write_config(tmp_path, cfg_text)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     assert main(["mass-scan", "--config", path, "--out", str(out1)]) == 0
-    assert main(["mass-scan", "--config", path, "--out", str(out2),
-                 "--threads", "2"]) == 0
+    assert main(["mass-scan", "--config", path, "--out", str(out2)]) == 0
     assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
     text = (out1 / "scan.csv").read_text()
     assert text.startswith("alpha,j,sigma,Px,Py,Pz,E,gE_FH_x")
     assert (out1 / "scan.gp").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mass-scan", "--threads", "2"],
+    ["cascade", "--suite", "all"],
+], ids=["threads-on-mass-scan", "suite-on-cascade"])
+def test_subcommand_rejects_flags_it_does_not_take(tmp_path, capsys, argv):
+    path = write_config(tmp_path, GOOD_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", path, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_weyl_norm_loss_exits_3(tmp_path, capsys, monkeypatch):
+    # a transport that loses norm trips the Weyl defect guard, which the
+    # cascade reports as a numerical failure
+    import fqed.bogoliubov as bogoliubov
+
+    expm_apply = bogoliubov._expm_apply
+    monkeypatch.setattr(bogoliubov, "_expm_apply",
+                        lambda gen, v: 0.5 * expm_apply(gen, v))
+    path = write_config(tmp_path, GOOD_CONFIG)
+    assert main(["cascade", "--config", path,
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: scale 1:")
+    assert "Weyl transport lost norm" in err
 
 
 def test_mass_scan_empty_momentum_list_is_usage_error(tmp_path, capsys):

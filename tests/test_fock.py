@@ -174,14 +174,3 @@ def test_number_diagonal():
     assert d[basis.index_of((1, 1))] == pytest.approx(5.0)
     assert d[basis.index_of((2, 0))] == pytest.approx(4.0)
 
-
-def test_operator_coo_dump():
-    from fqed.fock import dump_operator_coo
-    basis = enumerate_basis(2, 1, 1)
-    _, cre = ladder(basis, 0)
-    text = dump_operator_coo(cre)
-    lines = text.strip().splitlines()
-    assert lines[0] == "% 3 3 1"
-    row, col, val = lines[1].split()
-    assert (int(row), int(col)) == (1, 0)
-    assert float(val) == 1.0

@@ -262,7 +262,8 @@ def test_bounds_probe_reports():
 def test_bounds_probe_skips_above_dense_limit():
     params, grid, basis = make_box(1e-3, [0.1, 0.0, 0.0])
     state = run_cascade(params, grid, basis)
-    rep = resolvent_bound_probes(state, dense_limit=10)
+    rep = resolvent_bound_probes(
+        state, opts=SolverOptions(dense_limit=10, dense_eig_cutoff=10))
     assert rep.skipped
 
 
@@ -289,8 +290,11 @@ def test_curvature_momentum_quotients_reported():
 
 def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
     # dense solver, 16 nodes: 9 node evaluations on the upper half circle
+    import fqed.observables as observables
+
     params, grid, basis = tiny_setup
-    opts = SolverOptions(route_nodes=16)
+    monkeypatch.setattr(observables, "ROUTE_NODES", 16)
+    opts = SolverOptions()
     energy, psi, gap = sector_ground(params, grid, basis, 1, opts)
     grad = energy_gradient_fh(psi, params, grid, basis, 1)
     frame = displaced_frame_ground(params, grid, basis, 1, grad, opts)
@@ -318,6 +322,31 @@ def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
         assert all(calls)
         counts[name] = len(calls)
     assert counts == {"direct": 18, "displaced": 27, "cross": 27}
+
+
+def test_fd_curvature_takes_its_center_from_the_cascade(small_setup,
+                                                        monkeypatch):
+    # the cascade energy is the stencil's center bit for bit, so passing it
+    # saves one sector solve and changes nothing
+    import fqed.observables as observables
+
+    params, grid, basis = small_setup
+    rec = run_cascade(params, grid, basis).records[-1]
+    calls = []
+    sector_ground_ = observables.sector_ground
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["p"])
+        return sector_ground_(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "sector_ground", counted)
+    fresh = dispersion_curvature_fd(params, grid, basis, rec.j)
+    assert len(calls) == 5
+    calls.clear()
+    reused = dispersion_curvature_fd(params, grid, basis, rec.j,
+                                     center=rec.energy)
+    assert len(calls) == 4
+    assert reused == fresh
 
 
 def test_pull_through_one_solver_per_photon_momentum(tiny_setup,

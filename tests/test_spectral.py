@@ -7,12 +7,11 @@ from fqed.fock import enumerate_basis, weighted_number_sum
 from fqed.hamiltonian import ModelParams, assemble_h_fiber, \
     assemble_slice_interaction
 from fqed.modes import ParameterError
-from fqed.spectral import (ConditioningError, Contour, ContourError,
-                           ResolventSolver,
-                           contour_project, contour_project_checked,
-                           dense_spectrum, enclosed_count, ground_state,
-                           idempotence_defect, neumann_project,
-                           resolvent_apply, resolvent_sandwich)
+from fqed.spectral import (Contour, ContourError, ResolventSolver,
+                           SolverError, contour_project,
+                           contour_project_checked, dense_spectrum,
+                           enclosed_count, ground_state, idempotence_defect,
+                           neumann_project, resolvent_sandwich)
 
 
 def seeded_symmetric(n, seed, scale=1.0, shift=0.0):
@@ -82,11 +81,45 @@ def test_ground_state_deterministic():
     assert r1.vector.tobytes() == r2.vector.tobytes()
 
 
+def _arpack_stops_with(monkeypatch, vals, vecs):
+    """Make the Lanczos solver give up with the given partial pairs."""
+    import fqed.spectral as spectral
+
+    def stopped(*args, **kwargs):
+        raise spectral.spla.ArpackNoConvergence("stopped", vals, vecs)
+
+    monkeypatch.setattr(spectral.spla, "eigsh", stopped)
+
+
+def test_ground_state_lanczos_no_pairs_raises(monkeypatch):
+    op = seeded_symmetric(40, seed=2)
+    _arpack_stops_with(monkeypatch, np.zeros(0), np.zeros((40, 0)))
+    with pytest.raises(SolverError, match="did not converge"):
+        ground_state(op, dense_cutoff=10)
+
+
+def test_ground_state_lanczos_partial_pair(monkeypatch):
+    # one converged pair comes back with an unknown gap; a pair that fails
+    # the residual check is refused
+    op = seeded_symmetric(40, seed=2)
+    vals, vecs = dense_spectrum(op)
+    _arpack_stops_with(monkeypatch, vals[:1], vecs[:, :1])
+    rec = ground_state(op, dense_cutoff=10)
+    assert rec.method == "lanczos"
+    assert rec.energy == vals[0]
+    assert np.isnan(rec.gap) and not rec.degenerate
+    assert rec.residual < 1e-12
+    _arpack_stops_with(monkeypatch, vals[:1], vecs[:, 1:2])
+    with pytest.raises(SolverError, match="residual") as exc:
+        ground_state(op, dense_cutoff=10)
+    assert exc.value.best_residual > 1e-3
+
+
 def test_resolvent_diagonal_oracle():
     d = np.array([0.0, 0.5, 2.0, 5.0])
     op = sp.diags(d).tocsr()
     v = np.array([1.0, 2.0, -1.0, 0.5])
-    x = resolvent_apply(op, -1.0, v)
+    x = ResolventSolver(op).solve(-1.0, v)
     assert np.allclose(x.real, v / (d + 1.0), atol=1e-13)
 
 
@@ -94,17 +127,10 @@ def test_resolvent_defining_property_and_dense_inverse():
     op = seeded_symmetric(80, seed=11) + sp.diags(np.linspace(0, 3, 80))
     v = np.cos(np.arange(80.0))
     z = 1.5 + 0.25j
-    x = resolvent_apply(op, z, v, tol=1e-10)
+    x = ResolventSolver(op).solve(z, v)
     assert np.linalg.norm(op @ x - z * x - v) / np.linalg.norm(v) < 1e-10
     dense = np.linalg.solve(op.toarray() - z * np.eye(80), v)
     assert np.linalg.norm(x - dense) / np.linalg.norm(dense) < 1e-10
-
-
-def test_resolvent_near_singular_shift_raises():
-    op = sp.diags([0.0, 1.0, 2.0]).tocsr()
-    with pytest.raises(ConditioningError):
-        resolvent_apply(op, 1.0 + 1e-15j, np.array([0.1, 1.0, 0.1]),
-                        dist_floor=1e-12)
 
 
 def test_krylov_path_matches_dense_path():
