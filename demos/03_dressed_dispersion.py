@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from fqed.cascade import SolverOptions, sector_ground
+from fqed.cascade import sector_ground
 from fqed.fock import enumerate_basis
 from fqed.hamiltonian import ModelParams
 from fqed.modes import build_grid
@@ -21,16 +21,14 @@ base = ModelParams(alpha=1e-3, epsilon=0.3, mu=0.15, rho_minus=0.14,
                    rho_plus=0.16, p_total=[0.1, 0.0, 0.0], n_scales=2)
 grid = build_grid(base.cutoffs, 1, "octahedral6")
 basis = enumerate_basis(grid.n_modes, 2, 2)
-opts = SolverOptions()
 j = base.n_scales
 
 print("dispersion at alpha = 1e-3 (energy relative to P = 0):")
-e_origin, _, _ = sector_ground(base, grid, basis, j, opts,
-                               p=np.zeros(3))
+e_origin, _, _ = sector_ground(base, grid, basis, j, p=np.zeros(3))
 print("   P        E(P) - E(0)     dE/dP (expectation)")
 for pmag in np.linspace(0.0, 0.3, 7):
     params = dataclasses.replace(base, p_total=[pmag, 0.0, 0.0])
-    e, psi, _ = sector_ground(params, grid, basis, j, opts)
+    e, psi, _ = sector_ground(params, grid, basis, j)
     grad = energy_gradient_fh(psi, params, grid, basis, j)
     print(f"  {pmag:.2f}   {e - e_origin:+.8f}    {grad[0]:+.6f}")
 
@@ -39,11 +37,11 @@ for alpha in (1e-4, 1e-3, 5e-3, 1e-2):
     params = ModelParams(alpha=alpha, epsilon=base.epsilon, mu=base.mu,
                          rho_minus=base.rho_minus, rho_plus=base.rho_plus,
                          p_total=[0.1, 0.0, 0.0], n_scales=base.n_scales)
-    e, psi, _ = sector_ground(params, grid, basis, j, opts)
+    e, psi, _ = sector_ground(params, grid, basis, j)
     grad = energy_gradient_fh(psi, params, grid, basis, j)
-    frame = displaced_frame_ground(params, grid, basis, j, grad, opts)
+    frame = displaced_frame_ground(params, grid, basis, j, grad)
     d2, _ = dispersion_curvature_displaced(params, grid, basis, j,
-                                           frame=frame, opts=opts)
+                                           frame=frame)
     m_r = 1.0 / d2
     print(f"  alpha = {alpha:7.0e}:  d2E = {d2:.8f}   m_r = {m_r:.8f}   "
           f"(m_r - 1)/alpha = {(m_r - 1.0) / alpha:.3f}")

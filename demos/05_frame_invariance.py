@@ -9,39 +9,25 @@ a single-resolvent reduction.  Their agreement, scale by scale, is the
 laboratory's headline identity check.
 """
 
-import numpy as np
-
-from fqed.cascade import SolverOptions, run_cascade
+from fqed.cascade import run_cascade
 from fqed.fock import enumerate_basis
 from fqed.hamiltonian import ModelParams
 from fqed.modes import build_grid
-from fqed.observables import (cross_term_probe, dispersion_curvature_direct,
-                              dispersion_curvature_displaced,
-                              dispersion_curvature_fd,
-                              displaced_frame_ground)
+from fqed.observables import cross_term_probe, scale_routes
 
 params = ModelParams(alpha=1e-3, epsilon=0.3, mu=0.15, rho_minus=0.14,
                      rho_plus=0.16, p_total=[0.2, 0.0, 0.0], n_scales=3)
 grid = build_grid(params.cutoffs, 1, "octahedral6")
 basis = enumerate_basis(grid.n_modes, 2, 2)
-opts = SolverOptions()
-state = run_cascade(params, grid, basis, opts)
+state = run_cascade(params, grid, basis)
 
 print(" j   FD route        bare route      displaced route  "
       "|bare-displ|  cross term")
 for rec in state.records:
-    d2_fd = dispersion_curvature_fd(params, grid, basis, rec.j, opts=opts)
-    d2_h = dispersion_curvature_direct(params, grid, basis, rec.j,
-                                       psi=rec.psi, energy=rec.energy,
-                                       gap=rec.gap_sector, opts=opts)
-    frame = displaced_frame_ground(params, grid, basis, rec.j,
-                                   rec.grad_energy, opts,
-                                   gamma_start=rec.gamma_shift)
-    d2_k, d2_kr = dispersion_curvature_displaced(params, grid, basis,
-                                                 rec.j, frame=frame,
-                                                 opts=opts)
+    d2_fd, d2_h, frame, solver, (d2_k, d2_kr) = scale_routes(
+        params, grid, basis, rec)
     cross = cross_term_probe(params, grid, basis, rec.j, frame,
-                             rec.grad_energy[0], opts)
+                             rec.grad_energy[0], solver=solver)
     print(f"  {rec.j}  {d2_fd:.10f}  {d2_h:.10f}  {d2_k:.10f}   "
           f"{abs(d2_h - d2_k):.2e}     {cross:.2e}")
     assert abs(d2_k - d2_kr) < 1e-8   # single-resolvent reduction

@@ -10,9 +10,7 @@ Three quantitative probes of how photons dress the electron:
     1/3 as the coupling vanishes.
 """
 
-import numpy as np
-
-from fqed.cascade import SolverOptions, run_cascade
+from fqed.cascade import run_cascade
 from fqed.fock import enumerate_basis
 from fqed.hamiltonian import ModelParams
 from fqed.modes import build_grid
@@ -23,8 +21,7 @@ params = ModelParams(alpha=1e-3, epsilon=0.3, mu=0.15, rho_minus=0.14,
                      rho_plus=0.16, p_total=[0.2, 0.0, 0.0], n_scales=3)
 grid = build_grid(params.cutoffs, 1, "octahedral6")
 basis = enumerate_basis(grid.n_modes, 2, 2)
-opts = SolverOptions()
-state = run_cascade(params, grid, basis, opts)
+state = run_cascade(params, grid, basis)
 
 print("soft-photon constants (max over modes of scaled ||b_m psi||):")
 for rec in state.records[1:]:
@@ -38,7 +35,7 @@ for n_max in (2, 3):
                         rho_plus=0.16, p_total=[0.1, 0.0, 0.0], n_scales=1)
     g1 = build_grid(small.cutoffs, 1, "octahedral6")
     b1 = enumerate_basis(g1.n_modes, n_max, n_max)
-    agg, per_mode = pull_through_summary(small, g1, b1, 1, opts=opts)
+    agg, per_mode = pull_through_summary(small, g1, b1, 1)
     print(f"  occupation cap {n_max}: residual = {agg:.4f} "
           f"(per-mode max {per_mode.max():.4f})")
 print("  the residual falls as the cap rises: it is pure truncation")
@@ -47,6 +44,6 @@ print("\nenergy-slope constant near the momentum-ball boundary:")
 for alpha in (0.0, 1e-4, 1e-3):
     probe = ModelParams(alpha=alpha, epsilon=0.3, mu=0.15, rho_minus=0.14,
                         rho_plus=0.16, p_total=[0.33, 0.0, 0.0], n_scales=3)
-    c_emp, table = energy_lipschitz_probe(probe, grid, basis, 3, opts)
+    c_emp, table = energy_lipschitz_probe(probe, grid, basis, 3)
     print(f"  alpha = {alpha:7.0e}: C = {c_emp:.5f} "
           f"(over {len(table)} momentum transfers; free limit <= 1/3)")

@@ -9,7 +9,7 @@ material behind any regularity statement for the limiting dispersion.
 
 import numpy as np
 
-from fqed.cascade import SolverOptions, sector_ground
+from fqed.cascade import sector_ground
 from fqed.fock import enumerate_basis
 from fqed.hamiltonian import ModelParams
 from fqed.modes import build_grid
@@ -18,13 +18,12 @@ from fqed.observables import curvature_momentum_quotients
 params = ModelParams(alpha=5e-3, epsilon=0.3, mu=0.15, rho_minus=0.14,
                      rho_plus=0.16, p_total=[0.2, 0.0, 0.0], n_scales=1)
 grid = build_grid(params.cutoffs, 1, "octahedral6")
-opts = SolverOptions()
 
 print("ground energy under occupation-cap refinement:")
 energies = {}
 for n_max in (1, 2, 3, 4):
     basis = enumerate_basis(grid.n_modes, n_max, n_max)
-    e, _, _ = sector_ground(params, grid, basis, 1, opts)
+    e, _, _ = sector_ground(params, grid, basis, 1)
     energies[n_max] = e
     line = f"  cap {n_max}: E = {e:.12f} ({basis.size} states)"
     if n_max > 1:
@@ -41,7 +40,7 @@ params2 = ModelParams(alpha=1e-3, epsilon=0.3, mu=0.15, rho_minus=0.14,
 grid2 = build_grid(params2.cutoffs, 1, "octahedral6")
 basis2 = enumerate_basis(grid2.n_modes, 2, 2)
 ps, curvs, quotients = curvature_momentum_quotients(
-    params2, grid2, basis2, 2, np.linspace(0.02, 0.3, 8), opts)
+    params2, grid2, basis2, 2, np.linspace(0.02, 0.3, 8))
 for i, p in enumerate(ps):
     line = f"  P = {p:.3f}: d2E = {curvs[i]:.8f}"
     if i > 0:

@@ -23,8 +23,8 @@ from .bogoliubov import (DisplacementField, center_operators,
                          displacement_coeffs, weyl_apply,
                          weyl_vacuum_expectation)
 from .cascade import (CascadeError, CascadeState, ScaleRecord,
-                      SolverOptions, convergence_report, run_cascade,
-                      sector_ground, trace_csv, validate_params)
+                      convergence_report, run_cascade, sector_ground,
+                      trace_csv, validate_params)
 from .observables import (MassScanRow, cross_term_probe,
                           dispersion_curvature_direct,
                           dispersion_curvature_displaced,

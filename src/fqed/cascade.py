@@ -29,9 +29,11 @@ from .fock import FockBasis
 from .hamiltonian import (FiberFamily, ModelParams,
                           assemble_intermediate_hamiltonian)
 from .modes import ModeGrid, ParameterError
-from .spectral import (Contour, ContourError, ResolventSolver,
-                       check_node_count, contour_project_checked,
+from .spectral import (Contour, ContourError, contour_project_checked,
                        ground_state)
+
+#: Trapezoid nodes of each step's first projection; doubled on a defect.
+CONTOUR_NODES = 64
 
 
 class CascadeError(RuntimeError):
@@ -117,45 +119,6 @@ def validate_params(params: ModelParams) -> ConstraintReport:
 
 
 @dataclass
-class SolverOptions:
-    """Numerical knobs shared by the cascade and the downstream probes."""
-
-    ground_tol: float = 1e-10
-    dense_eig_cutoff: int = 600
-    dense_limit: int = 4000
-    contour_nodes: int = 64
-    defect_tol: float = 1e-8
-    max_nodes: int = 512
-    krylov_tol: float = 1e-10
-    krylov_max: int = 1200
-    allow_invalid: bool = False
-    mass_route: str = "displaced"
-
-    def __post_init__(self):
-        check_node_count(self.contour_nodes, "contour_nodes")
-        if self.max_nodes < self.contour_nodes:
-            raise ParameterError(f"max_nodes {self.max_nodes} is below "
-                                 f"contour_nodes {self.contour_nodes}")
-        for name in ("ground_tol", "defect_tol", "krylov_tol", "krylov_max",
-                     "dense_limit", "dense_eig_cutoff"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(
-                    f"{name} must be > 0, got {getattr(self, name)}")
-        if self.dense_eig_cutoff > self.dense_limit:
-            raise ParameterError(
-                f"dense_eig_cutoff {self.dense_eig_cutoff} is above "
-                f"dense_limit {self.dense_limit}")
-        if self.mass_route not in ("displaced", "direct", "fd"):
-            raise ParameterError("mass_route must be displaced, direct, or "
-                                 f"fd, got {self.mass_route!r}")
-
-    def make_solver(self, op) -> ResolventSolver:
-        return ResolventSolver(op, dense_limit=self.dense_limit,
-                               krylov_tol=self.krylov_tol,
-                               krylov_max=self.krylov_max)
-
-
-@dataclass
 class ScaleRecord:
     """Everything the cascade knows after finishing scale j."""
 
@@ -190,8 +153,7 @@ class CascadeState:
 
 
 def sector_ground(params: ModelParams, grid: ModeGrid, basis: FockBasis,
-                  j: int, opts: SolverOptions | None = None, p=None,
-                  h_op=None):
+                  j: int, p=None, h_op=None):
     """Ground pair of the scale-j Hamiltonian on its photon-content sector.
 
     The interaction at scale j leaves modes below the cutoff untouched, so
@@ -199,7 +161,6 @@ def sector_ground(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     sector makes the spectral gap the physical one and the solve cheaper.
     Returns (energy, full-basis vector, sector gap).
     """
-    opts = opts or SolverOptions()
     h = h_op if h_op is not None else FiberFamily(params, grid, basis, j).h(
         params.p_total if p is None else p)
     idx = basis.sector_indices(grid, j)
@@ -208,33 +169,32 @@ def sector_ground(params: ModelParams, grid: ModeGrid, basis: FockBasis,
         vec[idx[0]] = 1.0
         return float(h[idx[0], idx[0]]), vec, np.nan
     sub = h[idx][:, idx]
-    rec = ground_state(sub, tol=opts.ground_tol,
-                       dense_cutoff=opts.dense_eig_cutoff)
+    rec = ground_state(sub)
     vec[idx] = rec.vector
     return rec.energy, vec, rec.gap
 
 
-def _sector_gap(h_op, basis: FockBasis, grid: ModeGrid, sector_j: int,
-                opts: SolverOptions) -> float:
+def _sector_gap(h_op, basis: FockBasis, grid: ModeGrid,
+                sector_j: int) -> float:
     idx = basis.sector_indices(grid, sector_j)
     if len(idx) < 2:
         return np.nan
-    rec = ground_state(h_op[idx][:, idx], tol=1e-9,
-                       dense_cutoff=opts.dense_eig_cutoff)
+    rec = ground_state(h_op[idx][:, idx], tol=1e-9)
     return rec.gap
 
 
-def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis,
-                opts: SolverOptions | None = None) -> CascadeState:
+def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
+                contour_nodes: int = CONTOUR_NODES,
+                allow_invalid: bool = False) -> CascadeState:
     """Drive the construction from the UV cutoff down to the final scale.
 
     Per step j -> j+1: project the running displaced-frame vector through
     the contour of radius mu * sigma_{j+1} centered at the scale-j energy
     (using the bridge Hamiltonian built from the scale-j gradient), solve
     the finer fiber Hamiltonian, evaluate its gradient, and re-dress the
-    projected vector with one combined Weyl displacement.
+    projected vector with one combined Weyl displacement.  A failed
+    parameter constraint raises unless ``allow_invalid`` is set.
     """
-    opts = opts or SolverOptions()
     cuts = params.cutoffs
     if grid.cutoffs.n_scales < params.n_scales or not np.allclose(
             grid.cutoffs.sigmas[:params.n_scales + 1],
@@ -243,7 +203,7 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis,
             "grid does not span the cascade's cutoff sequence; rebuild it "
             "from the same parameters")
     report = validate_params(params)
-    if not report.passed and not opts.allow_invalid:
+    if not report.passed and not allow_invalid:
         bad = report.first_failure()
         raise ParameterError(
             f"parameter constraint failed: {bad.name} ({bad.detail}); "
@@ -256,7 +216,7 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     # one family per scale, released when the next step replaces it
     family = FiberFamily(params, grid, basis, 0)
     h0 = family.h(p)
-    e0, psi0, _ = sector_ground(params, grid, basis, 0, opts, h_op=h0)
+    e0, psi0, _ = sector_ground(params, grid, basis, 0, h_op=h0)
     grad0 = family.gradient(psi0, p)
     phi0 = basis.vacuum()
     pi0 = displaced_momentum_ops(family, grad0)
@@ -264,7 +224,7 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     state.records.append(ScaleRecord(
         j=0, sigma=cut.sigma(0), energy=e0, grad_energy=grad0,
         gap_sector=np.nan,
-        gap_next_sector=_sector_gap(h0, basis, grid, 1, opts),
+        gap_next_sector=_sector_gap(h0, basis, grid, 1),
         psi=psi0, phi=phi0, phi_hat=phi0.copy(),
         phi_norm=1.0, phi_hat_norm=1.0, gamma_shift=shift0,
         gamma_orth=np.array([phi0 @ (pi0[i] @ phi0) - shift0[i]
@@ -278,17 +238,15 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis,
             k_hat, _ = assemble_intermediate_hamiltonian(
                 family, prev.grad_energy, prev.gamma_shift)
             contour = Contour(prev.energy, params.mu * cut.sigma(j + 1),
-                              opts.contour_nodes)
-            solver = opts.make_solver(k_hat)
+                              contour_nodes)
             phi_hat, nodes_used, defect = contour_project_checked(
-                k_hat, contour, prev.phi, solver,
-                defect_tol=opts.defect_tol, max_nodes=opts.max_nodes)
+                k_hat, contour, prev.phi)
         except ContourError as exc:
             raise CascadeError(f"scale {j + 1}: {exc}") from exc
 
         h_next = family.h(p)
         energy, psi, gap_sector = sector_ground(
-            params, grid, basis, j + 1, opts, h_op=h_next)
+            params, grid, basis, j + 1, h_op=h_next)
         if gap_sector < 1e-12:
             raise CascadeError(
                 f"scale {j + 1}: degenerate ground state, gap {gap_sector}")
@@ -306,7 +264,7 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis,
         nrm2 = float(phi @ phi)
         orth = np.array([(phi @ (pi[i] @ phi)) / nrm2 - shift[i]
                          for i in range(3)])
-        gap_next = _sector_gap(h_next, basis, grid, j + 2, opts) \
+        gap_next = _sector_gap(h_next, basis, grid, j + 2) \
             if j + 1 < params.n_scales else np.nan
 
         state.records.append(ScaleRecord(

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cascade import (CascadeError, SolverOptions, convergence_report,
+from .cascade import (CONTOUR_NODES, CascadeError, convergence_report,
                       run_cascade, trace_csv, validate_params,
                       write_vector_file)
 from .fock import FockBasis, ResourceError, enumerate_basis
@@ -35,7 +35,8 @@ from .observables import (cross_term_probe, energy_lipschitz_probe,
                           mass_scan, momentum_axis, pull_through_summary,
                           resolvent_bound_probes, scale_routes, scan_csv,
                           scan_tail_summary, soft_photon_probe)
-from .spectral import ConditioningError, ContourError, SolverError
+from .spectral import (MAX_NODES, ConditioningError, ContourError,
+                       SolverError, check_node_count)
 
 
 class ConfigError(ValueError):
@@ -55,16 +56,8 @@ _DEFAULTS = {
     "angular_set": "octahedral6",
     "n_max": "2",
     "c_max": "2",
-    "dense_limit": "4000",
-    "dense_eig_cutoff": "600",
-    "ground_tol": "1e-10",
-    "contour_nodes": "64",
-    "defect_tol": "1e-8",
-    "max_nodes": "512",
-    "krylov_tol": "1e-10",
-    "krylov_max": "1200",
+    "contour_nodes": str(CONTOUR_NODES),
     "allow_invalid": "false",
-    "mass_route": "displaced",
     "alphas": "",
     "P_list": "",
     "out_dir": ".",
@@ -103,7 +96,7 @@ def _parse_triple(text: str, where: str) -> np.ndarray:
 
 @dataclass
 class RunConfig:
-    """Validated configuration: model, grid, basis, solver, and scan."""
+    """Validated configuration: model, grid, basis, cascade, and scan."""
 
     params: ModelParams
     n_radial: int
@@ -111,7 +104,8 @@ class RunConfig:
     n_max: int
     c_max: int
     basis_limit: int
-    opts: SolverOptions
+    contour_nodes: int
+    allow_invalid: bool
     alphas: list = field(default_factory=list)
     p_list: list = field(default_factory=list)
     out_dir: str = "."
@@ -194,21 +188,14 @@ def parse_config(path) -> RunConfig:
     except ParameterError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
+    contour_nodes = num("contour_nodes", int)
     try:
-        opts = SolverOptions(
-            ground_tol=num("ground_tol"),
-            dense_eig_cutoff=num("dense_eig_cutoff", int),
-            dense_limit=num("dense_limit", int),
-            contour_nodes=num("contour_nodes", int),
-            defect_tol=num("defect_tol"),
-            max_nodes=num("max_nodes", int),
-            krylov_tol=num("krylov_tol"),
-            krylov_max=num("krylov_max", int),
-            allow_invalid=_parse_bool(get("allow_invalid"), "allow_invalid"),
-            mass_route=get("mass_route"),
-        )
+        check_node_count(contour_nodes, "contour_nodes")
     except ParameterError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if contour_nodes > MAX_NODES:
+        raise ConfigError(f"{path}: contour_nodes {contour_nodes} is above "
+                          f"max_nodes {MAX_NODES}")
 
     alphas = _parse_numbers(get("alphas"),
                             f"{path}:{lines.get('alphas', '?')}: key 'alphas'")
@@ -219,7 +206,9 @@ def parse_config(path) -> RunConfig:
         params=params, n_radial=num("n_radial", int),
         angular_set=get("angular_set"), n_max=num("n_max", int),
         c_max=num("c_max", int), basis_limit=num("basis_limit", int),
-        opts=opts, alphas=alphas, p_list=p_list, out_dir=get("out_dir"),
+        contour_nodes=contour_nodes,
+        allow_invalid=_parse_bool(get("allow_invalid"), "allow_invalid"),
+        alphas=alphas, p_list=p_list, out_dir=get("out_dir"),
         dump_vectors=_parse_bool(get("dump_vectors"), "dump_vectors"),
         delta=num("delta"), sha256=hashlib.sha256(raw).hexdigest(),
     )
@@ -258,7 +247,9 @@ def cmd_grid_dump(cfg: RunConfig, args) -> int:
 def cmd_cascade(cfg: RunConfig, args) -> int:
     grid = cfg.build_grid()
     basis = cfg.build_basis(grid)
-    state = run_cascade(cfg.params, grid, basis, cfg.opts)
+    state = run_cascade(cfg.params, grid, basis,
+                        contour_nodes=cfg.contour_nodes,
+                        allow_invalid=cfg.allow_invalid)
     path = _out_path(cfg, args, "trace.csv")
     path.write_text(trace_csv(state) + _metadata_block(cfg))
     print(f"wrote {path} ({len(state.records)} scales)")
@@ -285,7 +276,8 @@ def cmd_mass_scan(cfg: RunConfig, args) -> int:
     grid = cfg.build_grid()
     basis = cfg.build_basis(grid)
     rows, _ = mass_scan(cfg.params, grid, basis, cfg.alphas, cfg.p_list,
-                        cfg.opts)
+                        contour_nodes=cfg.contour_nodes,
+                        allow_invalid=cfg.allow_invalid)
 
     path = _out_path(cfg, args, "scan.csv")
     tail = scan_tail_summary(rows, delta=cfg.delta)
@@ -322,7 +314,9 @@ def _verify_lines(cfg: RunConfig, suite: str):
     grid = cfg.build_grid()
     basis = cfg.build_basis(grid)
     params = cfg.params
-    state = run_cascade(params, grid, basis, cfg.opts)
+    state = run_cascade(params, grid, basis,
+                        contour_nodes=cfg.contour_nodes,
+                        allow_invalid=cfg.allow_invalid)
     cut = params.cutoffs
 
     if suite in ("identities", "all"):
@@ -333,10 +327,9 @@ def _verify_lines(cfg: RunConfig, suite: str):
         axis = momentum_axis(params.p_total)
         for rec in state.records:
             d2f, d2h, frame, solver, (d2k, d2kr) = scale_routes(
-                params, grid, basis, rec, cfg.opts)
+                params, grid, basis, rec)
             cross = cross_term_probe(params, grid, basis, rec.j, frame,
-                                     rec.grad_energy[axis], cfg.opts,
-                                     solver=solver)
+                                     rec.grad_energy[axis], solver=solver)
             del frame, solver   # not held across the next scale's routes
             yield (True, f"route H vs K j={rec.j}", abs(d2h - d2k) <= 1e-5,
                    f"|{d2h:.8f} - {d2k:.8f}| = {abs(d2h - d2k):.2e} "
@@ -375,19 +368,21 @@ def _verify_lines(cfg: RunConfig, suite: str):
                    f"max/min = {ratio:.3f} (target <= 2)")
 
     if suite in ("pullthrough", "all"):
-        j = params.n_scales
-        agg, _ = pull_through_summary(params, grid, basis, j, opts=cfg.opts)
+        last = state.records[-1]
+        j = last.j
+        agg, _ = pull_through_summary(params, grid, basis, j, psi=last.psi,
+                                      energy=last.energy)
         yield (False, f"pull-through aggregate j={j}", agg <= 0.05,
                f"residual = {agg:.4f} (target <= 0.05)")
 
     if suite in ("calpha", "all"):
         c_emp, _ = energy_lipschitz_probe(params, grid, basis,
-                                          params.n_scales, cfg.opts)
+                                          params.n_scales)
         yield (False, "energy-slope constant", 0.0 <= c_emp <= 0.45,
                f"C = {c_emp:.4f} (free-theory limit 1/3)")
 
     if suite in ("bounds", "all"):
-        rep = resolvent_bound_probes(state, delta=cfg.delta, opts=cfg.opts)
+        rep = resolvent_bound_probes(state, delta=cfg.delta)
         if rep.skipped:
             yield (False, "resolvent bounds", True, rep.skipped)
         else:

@@ -26,13 +26,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bogoliubov import center_operators, weyl_vacuum_expectation
-from .cascade import (CascadeError, CascadeState, ScaleRecord, SolverOptions,
-                      run_cascade, sector_ground)
+from .cascade import (CONTOUR_NODES, CascadeError, CascadeState,
+                      ScaleRecord, run_cascade, sector_ground)
 from .fock import FockBasis, creation_sum, ladder
 from .hamiltonian import FiberFamily, ModelParams, slice_marginal_coeffs
 from .modes import ModeGrid, ParameterError
-from .spectral import (Contour, ResolventSolver, contour_sum, dense_spectrum,
-                       resolvent_sandwich)
+from .spectral import (DENSE_LIMIT, Contour, ResolventSolver, contour_sum,
+                       dense_spectrum, resolvent_sandwich)
 
 #: Trapezoid nodes of the at-scale curvature-route contours.
 ROUTE_NODES = 64
@@ -56,10 +56,10 @@ def momentum_axis(p: np.ndarray) -> int:
     return int(nz[0])
 
 
-def _ground_energy(family: FiberFamily, opts: SolverOptions, p) -> float:
+def _ground_energy(family: FiberFamily, p) -> float:
     """Sector ground energy of the family's H(p)."""
     e, _, _ = sector_ground(family.params, family.grid, family.basis,
-                            family.j, opts, p=p, h_op=family.h(p))
+                            family.j, p=p, h_op=family.h(p))
     return e
 
 
@@ -87,32 +87,27 @@ def energy_gradient_fh(psi: np.ndarray, params: ModelParams, grid: ModeGrid,
 
 
 def energy_gradient_fd(params: ModelParams, grid: ModeGrid, basis: FockBasis,
-                       j: int, step: float = 1e-3, p=None,
-                       opts: SolverOptions | None = None) -> np.ndarray:
+                       j: int, step: float = 1e-3, p=None) -> np.ndarray:
     """Central-difference gradient; each energy is a fresh sector solve."""
-    opts = opts or SolverOptions()
     family = FiberFamily(params, grid, basis, j)
     p = params.p_total if p is None else np.asarray(p, dtype=float)
     out = np.zeros(3)
     for i in range(3):
         dp = np.zeros(3)
         dp[i] = step
-        out[i] = (_ground_energy(family, opts, p + dp)
-                  - _ground_energy(family, opts, p - dp)) / (2.0 * step)
+        out[i] = (_ground_energy(family, p + dp)
+                  - _ground_energy(family, p - dp)) / (2.0 * step)
     return out
 
 
 def dispersion_curvature_fd(params: ModelParams, grid: ModeGrid,
                             basis: FockBasis, j: int, step: float = 5e-3,
-                            p=None,
-                            opts: SolverOptions | None = None,
-                            center: float | None = None) -> float:
+                            p=None, center: float | None = None) -> float:
     """5-point second derivative of E along the momentum axis.
 
     ``center``, when given, is the already known E(p) (the cascade's
     energy), so only the four off-center points are solved.
     """
-    opts = opts or SolverOptions()
     family = FiberFamily(params, grid, basis, j)
     p = params.p_total if p is None else np.asarray(p, dtype=float)
     axis = momentum_axis(p)
@@ -120,7 +115,7 @@ def dispersion_curvature_fd(params: ModelParams, grid: ModeGrid,
     unit[axis] = 1.0
 
     def energy(t: float) -> float:
-        return _ground_energy(family, opts, p + t * unit)
+        return _ground_energy(family, p + t * unit)
 
     if center is None:
         center = energy(0.0)
@@ -147,8 +142,7 @@ def dispersion_curvature_direct(params: ModelParams, grid: ModeGrid,
                                 basis: FockBasis, j: int,
                                 psi: np.ndarray | None = None,
                                 energy: float | None = None,
-                                gap: float = np.nan,
-                                opts: SolverOptions | None = None) -> float:
+                                gap: float = np.nan) -> float:
     """Curvature from the direct resolvent route in the bare frame.
 
     1 - 2 <oint_cw R [dH/dP] R psi dz / 2 pi i, [dH/dP] psi> at the
@@ -156,18 +150,15 @@ def dispersion_curvature_direct(params: ModelParams, grid: ModeGrid,
     the truncated model up to quadrature, which makes it the referee for
     the displaced-frame route.
     """
-    opts = opts or SolverOptions()
     family = FiberFamily(params, grid, basis, j)
     h = family.h(params.p_total)
     if psi is None or energy is None:
-        energy, psi, gap = sector_ground(params, grid, basis, j, opts,
-                                         h_op=h)
+        energy, psi, gap = sector_ground(params, grid, basis, j, h_op=h)
     psi = psi / np.linalg.norm(psi)
     axis = momentum_axis(params.p_total)
     x_op = family.x(params.p_total)[axis]
     cont = _route_contour(params, j, energy, gap)
-    return 1.0 - 2.0 * resolvent_sandwich(h, cont, x_op, psi,
-                                          opts.make_solver(h))
+    return 1.0 - 2.0 * resolvent_sandwich(h, cont, x_op, psi)
 
 
 @dataclass
@@ -193,7 +184,6 @@ class DisplacedFrame:
 def displaced_frame_ground(params: ModelParams, grid: ModeGrid,
                            basis: FockBasis, j: int,
                            grad_energy: np.ndarray,
-                           opts: SolverOptions | None = None,
                            gamma_start: np.ndarray | None = None
                            ) -> DisplacedFrame:
     """Assemble the canonical frame and polish the shift to self-consistency.
@@ -205,7 +195,6 @@ def displaced_frame_ground(params: ModelParams, grid: ModeGrid,
     shift only quadratically; each step is a linear update of K, and at
     most five are taken.
     """
-    opts = opts or SolverOptions()
     g = np.asarray(grad_energy, dtype=float)
     frame_ops = FiberFamily(params, grid, basis, j).frame(g, params.p_total)
     if gamma_start is None:
@@ -215,8 +204,7 @@ def displaced_frame_ground(params: ModelParams, grid: ModeGrid,
         gamma = np.asarray(gamma_start, dtype=float).copy()
     for _ in range(5):
         k_op = frame_ops.k(gamma)
-        energy, phi, gap = sector_ground(params, grid, basis, j, opts,
-                                         h_op=k_op)
+        energy, phi, gap = sector_ground(params, grid, basis, j, h_op=k_op)
         new = np.array([phi @ (frame_ops.pi[i] @ phi) for i in range(3)])
         move = float(np.max(np.abs(new - gamma)))
         gamma = new
@@ -237,7 +225,6 @@ def dispersion_curvature_displaced(params: ModelParams, grid: ModeGrid,
                                    basis: FockBasis, j: int,
                                    grad_energy: np.ndarray | None = None,
                                    frame: DisplacedFrame | None = None,
-                                   opts: SolverOptions | None = None,
                                    solver: ResolventSolver | None = None):
     """Curvature from the displaced-frame route, both forms.
 
@@ -248,12 +235,10 @@ def dispersion_curvature_displaced(params: ModelParams, grid: ModeGrid,
     centering precondition <phi, Gamma phi> = 0 is enforced before
     evaluation, since the cross terms only cancel on it.
     """
-    opts = opts or SolverOptions()
     if frame is None:
         if grad_energy is None:
             raise ParameterError("need a gradient or a prebuilt frame")
-        frame = displaced_frame_ground(params, grid, basis, j, grad_energy,
-                                       opts)
+        frame = displaced_frame_ground(params, grid, basis, j, grad_energy)
     if float(np.max(np.abs(frame.orth))) > 1e-10:
         raise ParameterError(
             f"centering violated: <phi, Gamma phi> = {frame.orth} "
@@ -262,7 +247,7 @@ def dispersion_curvature_displaced(params: ModelParams, grid: ModeGrid,
     gamma = frame.gamma_ops[momentum_axis(params.p_total)]
     energy = frame.energy
     cont = _route_contour(params, j, energy, frame.gap)
-    solver = solver or opts.make_solver(frame.k_op)
+    solver = solver or ResolventSolver(frame.k_op)
     target = gamma @ phi
 
     def node(z):
@@ -281,7 +266,6 @@ def dispersion_curvature_displaced(params: ModelParams, grid: ModeGrid,
 def cross_term_probe(params: ModelParams, grid: ModeGrid, basis: FockBasis,
                      j: int, frame: DisplacedFrame,
                      grad_component: float,
-                     opts: SolverOptions | None = None,
                      solver: ResolventSolver | None = None) -> float:
     """Explicit mixed contour term of the displaced-route expansion.
 
@@ -289,12 +273,11 @@ def cross_term_probe(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     eigenvalue equation annihilates; the returned magnitude is pure
     quadrature-plus-residual noise when phi is the frame's ground state.
     """
-    opts = opts or SolverOptions()
     phi = frame.phi / np.linalg.norm(frame.phi)
     gamma = frame.gamma_ops[momentum_axis(params.p_total)]
     energy = frame.energy
     cont = _route_contour(params, j, energy, frame.gap)
-    solver = solver or opts.make_solver(frame.k_op)
+    solver = solver or ResolventSolver(frame.k_op)
     target = gamma @ phi
 
     def node(z):
@@ -317,7 +300,7 @@ def cross_term_probe(params: ModelParams, grid: ModeGrid, basis: FockBasis,
 
 
 def scale_routes(params: ModelParams, grid: ModeGrid, basis: FockBasis,
-                 rec: ScaleRecord, opts: SolverOptions):
+                 rec: ScaleRecord):
     """The three curvature routes at one cascade scale.
 
     Returns (FD curvature, direct route, displaced frame, the frame's
@@ -327,17 +310,17 @@ def scale_routes(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     are returned for the cross-term probe; drop them once done, since a
     Krylov solver holds one Lanczos space per right-hand side.
     """
-    d2_fd = dispersion_curvature_fd(params, grid, basis, rec.j, opts=opts,
+    d2_fd = dispersion_curvature_fd(params, grid, basis, rec.j,
                                     center=rec.energy)
     d2_direct = dispersion_curvature_direct(
         params, grid, basis, rec.j, psi=rec.psi, energy=rec.energy,
-        gap=rec.gap_sector, opts=opts)
+        gap=rec.gap_sector)
     frame = displaced_frame_ground(params, grid, basis, rec.j,
-                                   rec.grad_energy, opts,
+                                   rec.grad_energy,
                                    gamma_start=rec.gamma_shift)
-    solver = opts.make_solver(frame.k_op)
+    solver = ResolventSolver(frame.k_op)
     displaced = dispersion_curvature_displaced(
-        params, grid, basis, rec.j, frame=frame, opts=opts, solver=solver)
+        params, grid, basis, rec.j, frame=frame, solver=solver)
     return d2_fd, d2_direct, frame, solver, displaced
 
 
@@ -387,15 +370,16 @@ def scan_csv(rows: list[MassScanRow]) -> str:
 
 
 def mass_scan(params_template: ModelParams, grid: ModeGrid, basis: FockBasis,
-              alphas, p_list, opts: SolverOptions | None = None,
-              route_scales=None, fd_gradient: bool = True):
+              alphas, p_list, route_scales=None, fd_gradient: bool = True,
+              contour_nodes: int = CONTOUR_NODES,
+              allow_invalid: bool = False):
     """Cascade every (alpha, P) point and emit per-scale curvature rows.
 
     Returns (rows, cascade states keyed by (alpha, P)).  Row-level failures
     are annotated and the scan continues.  The effective mass is the
-    inverse curvature of the route selected in the options.
+    inverse curvature of the displaced route.  ``contour_nodes`` and
+    ``allow_invalid`` go to ``run_cascade``.
     """
-    opts = opts or SolverOptions()
     rows: list[MassScanRow] = []
     states: dict = {}
     for alpha in alphas:
@@ -404,7 +388,9 @@ def mass_scan(params_template: ModelParams, grid: ModeGrid, basis: FockBasis,
             params = replace(params_template, alpha=float(alpha), p_total=p)
             key = (float(alpha), tuple(p))
             try:
-                state = run_cascade(params, grid, basis, opts)
+                state = run_cascade(params, grid, basis,
+                                    contour_nodes=contour_nodes,
+                                    allow_invalid=allow_invalid)
             except (CascadeError, ParameterError) as exc:
                 rows.append(MassScanRow(
                     alpha=float(alpha), j=-1, sigma=np.nan, p=p,
@@ -420,15 +406,12 @@ def mass_scan(params_template: ModelParams, grid: ModeGrid, basis: FockBasis,
                 try:
                     (row.d2_fd, row.d2_direct, frame, solver,
                      (row.d2_displaced, row.d2_displaced_reduced)) = \
-                        scale_routes(params, grid, basis, rec, opts)
+                        scale_routes(params, grid, basis, rec)
                     del frame, solver   # not held during the FD gradient
                     if fd_gradient:
                         row.grad_fd = energy_gradient_fd(
-                            params, grid, basis, rec.j, opts=opts)
-                    chosen = {"displaced": row.d2_displaced,
-                              "direct": row.d2_direct,
-                              "fd": row.d2_fd}[opts.mass_route]
-                    row.m_r = 1.0 / chosen
+                            params, grid, basis, rec.j)
+                    row.m_r = 1.0 / row.d2_displaced
                     row.delta_hk = abs(row.d2_direct - row.d2_displaced)
                     row.delta_hf = abs(row.d2_direct - row.d2_fd)
                 except (CascadeError, ParameterError, RuntimeError) as exc:
@@ -503,8 +486,7 @@ def _momentum_groups(grid: ModeGrid, modes) -> list[list[int]]:
     return list(groups.values())
 
 
-def _pull_through_pairs(psi, energy, family: FiberFamily, modes,
-                        opts: SolverOptions) -> dict:
+def _pull_through_pairs(psi, energy, family: FiberFamily, modes) -> dict:
     """{mode: (b_m psi, right-hand side)}, with one shifted solver for
     H(P - k) per distinct photon momentum k."""
     params, grid = family.params, family.grid
@@ -512,7 +494,7 @@ def _pull_through_pairs(psi, energy, family: FiberFamily, modes,
     pairs = {}
     for group in _momentum_groups(grid, modes):
         knorm = float(grid.knorm[group[0]])
-        solver = opts.make_solver(family.h(params.p_total - grid.k[group[0]]))
+        solver = ResolventSolver(family.h(params.p_total - grid.k[group[0]]))
         for m in group:
             w = sum(grid.eps_vec[m, i] * x_psi[i] for i in range(3))
             x = solver.solve(energy - knorm, w)
@@ -523,8 +505,8 @@ def _pull_through_pairs(psi, energy, family: FiberFamily, modes,
 
 
 def pull_through_probe(psi: np.ndarray, energy: float, params: ModelParams,
-                       grid: ModeGrid, basis: FockBasis, j: int, m: int,
-                       opts: SolverOptions | None = None) -> float:
+                       grid: ModeGrid, basis: FockBasis, j: int,
+                       m: int) -> float:
     """Relative defect of the pull-through identity for one active mode.
 
     b_m psi = -sqrt(alpha w_m / |k_m|) (H(P-k_m) + |k_m| - E)^{-1}
@@ -533,12 +515,11 @@ def pull_through_probe(psi: np.ndarray, energy: float, params: ModelParams,
     holds exactly in the untruncated algebra; the measured residual
     reflects occupation-cap truncation only.
     """
-    opts = opts or SolverOptions()
     if grid.shell[m] >= j:
         raise ParameterError(f"mode {m} is inactive at scale {j}")
     lhs, rhs = _pull_through_pairs(psi, energy,
-                                   FiberFamily(params, grid, basis, j), [m],
-                                   opts)[m]
+                                   FiberFamily(params, grid, basis, j),
+                                   [m])[m]
     ln = np.linalg.norm(lhs)
     if ln == 0.0:
         return 0.0 if np.linalg.norm(rhs) == 0.0 else np.inf
@@ -548,21 +529,19 @@ def pull_through_probe(psi: np.ndarray, energy: float, params: ModelParams,
 def pull_through_summary(params: ModelParams, grid: ModeGrid,
                          basis: FockBasis, j: int,
                          psi: np.ndarray | None = None,
-                         energy: float | None = None,
-                         opts: SolverOptions | None = None):
+                         energy: float | None = None):
     """Norm-aggregated pull-through residual over all active modes.
 
     Returns (aggregate, per-mode residual array); the aggregate weights
     each mode by its annihilation norm, so decoupled modes cannot dominate
     through 0/0 ratios.
     """
-    opts = opts or SolverOptions()
     family = FiberFamily(params, grid, basis, j)
     if psi is None or energy is None:
-        energy, psi, _ = sector_ground(params, grid, basis, j, opts,
+        energy, psi, _ = sector_ground(params, grid, basis, j,
                                        h_op=family.h(params.p_total))
     active = np.nonzero(grid.shell < j)[0]
-    pairs = _pull_through_pairs(psi, energy, family, active, opts)
+    pairs = _pull_through_pairs(psi, energy, family, active)
     diff2 = 0.0
     lhs2 = 0.0
     per_mode = np.zeros(len(active))
@@ -578,21 +557,19 @@ def pull_through_summary(params: ModelParams, grid: ModeGrid,
 
 
 def energy_lipschitz_probe(params: ModelParams, grid: ModeGrid,
-                           basis: FockBasis, j: int,
-                           opts: SolverOptions | None = None):
+                           basis: FockBasis, j: int):
     """Empirical slope constant sup_k (E(P) - E(P-k)) / |k| on the grid.
 
     Fresh ground solve per distinct grid momentum; the bound's constant
     tends to the free-theory value (below 1/3 inside the momentum ball) as
     the coupling vanishes.  Returns (constant, table of (|k|, ratio)).
     """
-    opts = opts or SolverOptions()
     family = FiberFamily(params, grid, basis, j)
-    e0 = _ground_energy(family, opts, params.p_total)
+    e0 = _ground_energy(family, params.p_total)
     table = []
     for group in _momentum_groups(grid, range(grid.n_modes)):
         m = group[0]
-        ek = _ground_energy(family, opts, params.p_total - grid.k[m])
+        ek = _ground_energy(family, params.p_total - grid.k[m])
         table.append((float(grid.knorm[m]), float((e0 - ek)
                                                   / grid.knorm[m])))
     const = max(r for _, r in table)
@@ -600,8 +577,7 @@ def energy_lipschitz_probe(params: ModelParams, grid: ModeGrid,
 
 
 def curvature_momentum_quotients(params: ModelParams, grid: ModeGrid,
-                                 basis: FockBasis, j: int, p_magnitudes,
-                                 opts: SolverOptions | None = None):
+                                 basis: FockBasis, j: int, p_magnitudes):
     """Difference quotients of the curvature across a momentum grid.
 
     Reported, never asserted: the limiting curvature is expected to be
@@ -609,13 +585,11 @@ def curvature_momentum_quotients(params: ModelParams, grid: ModeGrid,
     |d2E(p') - d2E(p)| / |p' - p| quotients is diagnostic output only.
     Returns (p values, curvatures, quotients).
     """
-    opts = opts or SolverOptions()
     ps = np.asarray(sorted(p_magnitudes), dtype=float)
     curvatures = []
     for pmag in ps:
         local = replace(params, p_total=np.array([pmag, 0.0, 0.0]))
-        curvatures.append(dispersion_curvature_direct(local, grid, basis, j,
-                                                      opts=opts))
+        curvatures.append(dispersion_curvature_direct(local, grid, basis, j))
     curvatures = np.array(curvatures)
     quotients = np.abs(np.diff(curvatures)) / np.diff(ps)
     return ps, curvatures, quotients
@@ -653,8 +627,8 @@ class BoundsReport:
         return buf.getvalue()
 
 
-def resolvent_bound_probes(state: CascadeState, delta: float = 0.2,
-                           opts: SolverOptions | None = None) -> BoundsReport:
+def resolvent_bound_probes(state: CascadeState,
+                           delta: float = 0.2) -> BoundsReport:
     """Measure the bound family relating resolvent expectations.
 
     Absolute-value resolvents need the full eigendecomposition of the frame
@@ -662,7 +636,6 @@ def resolvent_bound_probes(state: CascadeState, delta: float = 0.2,
     energy- and gradient-shift constants come straight from the cascade
     records.
     """
-    opts = opts or SolverOptions()
     params, grid, basis = state.params, state.grid, state.basis
     alpha, eps = params.alpha, params.epsilon
     axis = momentum_axis(params.p_total)
@@ -681,9 +654,9 @@ def resolvent_bound_probes(state: CascadeState, delta: float = 0.2,
             c1.append(np.nan)
             c2.append(np.nan)
 
-        if basis.size > opts.dense_limit:
+        if basis.size > DENSE_LIMIT:
             skipped = (f"dimension {basis.size} above dense limit "
-                       f"{opts.dense_limit}; absolute-value resolvents need "
+                       f"{DENSE_LIMIT}; absolute-value resolvents need "
                        "the full eigendecomposition")
             c3.append(np.nan), c4.append(np.nan), c5.append(np.nan)
             thq.append(np.nan), thr0.append(np.nan)
@@ -691,8 +664,7 @@ def resolvent_bound_probes(state: CascadeState, delta: float = 0.2,
 
         family = FiberFamily(params, grid, basis, rec.j)
         frame_ops = family.frame(rec.grad_energy, params.p_total)
-        vals, vecs = dense_spectrum(frame_ops.k(rec.gamma_shift),
-                                    opts.dense_limit)
+        vals, vecs = dense_spectrum(frame_ops.k(rec.gamma_shift))
         gamma_ax = frame_ops.pi[axis] - rec.gamma_shift[axis] * family.eye
         w3 = gamma_ax @ rec.phi
         lam_coeff = slice_marginal_coeffs(params, grid, rec.j,
@@ -730,5 +702,6 @@ def resolvent_bound_probes(state: CascadeState, delta: float = 0.2,
         thr0.append(bestq * np.sqrt(alpha) * eps ** (2 * rec.j * delta)
                     if alpha > 0 else 0.0)
     return BoundsReport(scales=scales, c1=c1, c2=c2, c3=c3, c4=c4, c5=c5,
-                        resolvent_sq_expectation=thq, resolvent_sq_constant=thr0, delta=delta,
+                        resolvent_sq_expectation=thq,
+                        resolvent_sq_constant=thr0, delta=delta,
                         skipped=skipped)

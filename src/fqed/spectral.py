@@ -56,6 +56,15 @@ DENSE_LIMIT = 4000
 #: Below this dimension ground states are taken from the dense oracle.
 DENSE_EIG_CUTOFF = 600
 
+#: Relative residual of a Krylov shifted solve.
+KRYLOV_TOL = 1e-10
+
+#: Largest Krylov space per right-hand side.
+KRYLOV_MAX = 1200
+
+#: Node count at which projector node doubling gives up.
+MAX_NODES = 512
+
 
 def check_node_count(nodes: int, name: str = "contour nodes"):
     """The trapezoid rule's node count must be even and at least 8."""
@@ -124,8 +133,7 @@ def _deterministic_start(n: int) -> np.ndarray:
 
 
 def ground_state(op, tol: float = 1e-10,
-                 dense_cutoff: int = DENSE_EIG_CUTOFF,
-                 maxiter: int | None = None) -> GroundStateRecord:
+                 dense_cutoff: int = DENSE_EIG_CUTOFF) -> GroundStateRecord:
     """Three lowest eigenpairs of a symmetric operator; returns the lowest.
 
     Problems up to ``dense_cutoff`` use the dense oracle directly (the
@@ -145,8 +153,7 @@ def ground_state(op, tol: float = 1e-10,
         try:
             vals, vecs = spla.eigsh(
                 opc, k=3, which="SA", v0=_deterministic_start(n),
-                tol=0, maxiter=maxiter,
-                ncv=min(n - 1, 60))
+                tol=0, ncv=min(n - 1, 60))
         except spla.ArpackNoConvergence as exc:
             if len(exc.eigenvalues) == 0:
                 raise SolverError("Lanczos did not converge") from exc
@@ -184,14 +191,14 @@ class _KrylovSpace:
 
     The same basis serves every shift z: (op - z)^{-1} b is approximated by
     V (T - z)^{-1} (||b|| e1), with the exact shifted residual available as
-    beta_k |y_k| so the space can be grown until the requested tolerance
-    holds for the shifts actually used.
+    beta_k |y_k| so the space can be grown, up to ``KRYLOV_MAX`` vectors,
+    until ``KRYLOV_TOL`` holds for the shifts actually used.
     """
 
-    def __init__(self, op, b: np.ndarray, max_dim: int, block: int = 60):
+    def __init__(self, op, b: np.ndarray, block: int = 60):
         self.op = op
         self.b0 = float(np.linalg.norm(b))
-        self.max_dim = max(1, min(max_dim, len(b)))
+        self.max_dim = max(1, min(KRYLOV_MAX, len(b)))
         self.block = block
         self.exhausted = self.b0 == 0.0
         self.steps = 0
@@ -224,7 +231,7 @@ class _KrylovSpace:
                 return
             self._basis[m + 1] = u / nb
 
-    def solve(self, z: complex, tol: float) -> np.ndarray:
+    def solve(self, z: complex) -> np.ndarray:
         if self.b0 == 0.0:
             return np.zeros(self.op.shape[0], dtype=complex)
         if self.steps == 0:
@@ -235,7 +242,7 @@ class _KrylovSpace:
             rhs[0] = self.b0
             y = _tridiag_solve(self.alpha[:k], self.beta[:k - 1], z, rhs)
             res = self.beta[k - 1] * abs(y[-1])
-            converged = res <= tol * self.b0
+            converged = res <= KRYLOV_TOL * self.b0
             if converged or self.exhausted:
                 if not converged and self.beta[k - 1] > 1e-12 * self.b0:
                     raise ConditioningError(
@@ -255,12 +262,9 @@ class ResolventSolver:
     right-hand side (one space serves the whole contour).
     """
 
-    def __init__(self, op, dense_limit: int = DENSE_LIMIT,
-                 krylov_tol: float = 1e-10, krylov_max: int = 1200):
+    def __init__(self, op, dense_limit: int = DENSE_LIMIT):
         self.n = op.shape[0]
         self.dense = self.n <= dense_limit
-        self.krylov_tol = krylov_tol
-        self.krylov_max = krylov_max
         if self.dense:
             a = op.toarray() if sp.issparse(op) else np.asarray(op, float)
             # symmetric input: the Hessenberg form is tridiagonal, so keep
@@ -279,7 +283,7 @@ class ResolventSolver:
         if space is None:
             if len(self._spaces) > 12:
                 self._spaces.clear()
-            space = _KrylovSpace(self._op, b, self.krylov_max)
+            space = _KrylovSpace(self._op, b)
             self._spaces[key] = space
         return space
 
@@ -290,12 +294,11 @@ class ResolventSolver:
             x = _tridiag_solve(self._d, self._e, z, y)
             return self._q @ x
         if np.iscomplexobj(b):
-            out = self._space_for(b.real.copy()).solve(z, self.krylov_tol)
+            out = self._space_for(b.real.copy()).solve(z)
             if np.any(b.imag):
-                out = out + 1j * self._space_for(
-                    b.imag.copy()).solve(z, self.krylov_tol)
+                out = out + 1j * self._space_for(b.imag.copy()).solve(z)
             return out
-        return self._space_for(b).solve(z, self.krylov_tol)
+        return self._space_for(b).solve(z)
 
 
 def contour_sum(contour: Contour, node):
@@ -342,7 +345,7 @@ def idempotence_defect(op, contour: Contour, v: np.ndarray,
 def contour_project_checked(op, contour: Contour, v: np.ndarray,
                             solver: ResolventSolver | None = None,
                             defect_tol: float = 1e-8,
-                            max_nodes: int = 512):
+                            max_nodes: int = MAX_NODES):
     """Projection with node doubling until the idempotence defect passes.
 
     Returns (projected vector, nodes used, defect).  Raises ContourError if

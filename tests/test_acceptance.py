@@ -13,8 +13,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fqed.cascade import (SolverOptions, convergence_report, run_cascade,
-                          sector_ground, validate_params)
+from fqed.cascade import (convergence_report, run_cascade, sector_ground,
+                          validate_params)
 from fqed.cli import main as cli_main
 from fqed.fock import enumerate_basis
 from fqed.hamiltonian import (ModelParams, assemble_displaced_hamiltonian,
@@ -26,7 +26,7 @@ from fqed.observables import (cross_term_probe, dispersion_curvature_direct,
                               displaced_frame_ground, energy_gradient_fd,
                               energy_gradient_fh, energy_lipschitz_probe,
                               momentum_axis, pull_through_summary,
-                              soft_photon_probe)
+                              scale_routes, soft_photon_probe)
 from fqed.spectral import (Contour, contour_project, dense_spectrum,
                            ground_state, idempotence_defect)
 
@@ -71,22 +71,14 @@ def gap_box(alpha, p):
                        p_total=np.asarray(p, dtype=float), n_scales=4)
 
 
-def curvature_rows(params, grid, basis, opts, state):
+def curvature_rows(params, grid, basis, state):
     rows = []
     axis = momentum_axis(params.p_total)
     for rec in state.records:
-        d2_fd = dispersion_curvature_fd(params, grid, basis, rec.j,
-                                        opts=opts)
-        d2_h = dispersion_curvature_direct(
-            params, grid, basis, rec.j, psi=rec.psi, energy=rec.energy,
-            gap=rec.gap_sector, opts=opts)
-        frame = displaced_frame_ground(params, grid, basis, rec.j,
-                                       rec.grad_energy, opts,
-                                       gamma_start=rec.gamma_shift)
-        d2_k, d2_kr = dispersion_curvature_displaced(
-            params, grid, basis, rec.j, frame=frame, opts=opts)
+        d2_fd, d2_h, frame, solver, (d2_k, d2_kr) = scale_routes(
+            params, grid, basis, rec)
         cross = cross_term_probe(params, grid, basis, rec.j, frame,
-                                 rec.grad_energy[axis], opts)
+                                 rec.grad_energy[axis], solver=solver)
         rows.append(dict(alpha=params.alpha, p=float(params.p_total[axis]),
                          j=rec.j, fd=d2_fd, h=d2_h, k=d2_k, kr=d2_kr,
                          cross=cross))
@@ -119,34 +111,31 @@ def headline(boxes):
     The two smaller couplings run at occupation cap 2; the largest needs
     cap 3 for the displaced-frame truncation error to clear the tolerance.
     """
-    opts = SolverOptions()
     rows, states = [], []
     for alpha in (1e-4, 1e-3):
         for pmag in (0.05, 0.2):
             params = valid_box(alpha, [pmag, 0, 0], 3)
-            state = run_cascade(params, boxes["grid3"], boxes["basis3"],
-                                opts)
+            state = run_cascade(params, boxes["grid3"], boxes["basis3"])
             states.append(state)
             rows += curvature_rows(params, boxes["grid3"], boxes["basis3"],
-                                   opts, state)
+                                   state)
     for pmag in (0.05, 0.2):
         params = valid_box(5e-3, [pmag, 0, 0], 3)
-        state = run_cascade(params, boxes["grid3"], boxes["basis3_deep"],
-                            opts)
+        state = run_cascade(params, boxes["grid3"], boxes["basis3_deep"])
         states.append(state)
         rows += curvature_rows(params, boxes["grid3"],
-                               boxes["basis3_deep"], opts, state)
+                               boxes["basis3_deep"], state)
     return rows, states
 
 
 @pytest.fixture(scope="module")
 def gap_cascades(boxes):
-    opts = SolverOptions(allow_invalid=True)
     out = {}
     for alpha in (1e-4, 1e-3):
         params = gap_box(alpha, [0.2, 0, 0])
         out[alpha] = (params, run_cascade(params, boxes["grid4"],
-                                          boxes["basis4"], opts))
+                                          boxes["basis4"],
+                                          allow_invalid=True))
     return out
 
 
@@ -165,7 +154,6 @@ def wide_contour_box(alpha, p, n_scales=3):
 
 @pytest.fixture(scope="module")
 def mass_rows():
-    opts = SolverOptions()
     params0 = wide_contour_box(1e-3, [0.1, 0, 0])
     assert validate_params(params0).passed
     grid = build_grid(params0.cutoffs, 1, "octahedral6")
@@ -174,14 +162,14 @@ def mass_rows():
     states = {}
     for alpha in (1e-4, 1e-3, 1e-2):
         params = wide_contour_box(alpha, [0.1, 0, 0])
-        state = run_cascade(params, grid, basis, opts)
+        state = run_cascade(params, grid, basis)
         states[alpha] = state
         rec = state.records[-1]
         frame = displaced_frame_ground(params, grid, basis, rec.j,
-                                       rec.grad_energy, opts,
+                                       rec.grad_energy,
                                        gamma_start=rec.gamma_shift)
         d2_k, _ = dispersion_curvature_displaced(
-            params, grid, basis, rec.j, frame=frame, opts=opts)
+            params, grid, basis, rec.j, frame=frame)
         rows[alpha] = 1.0 / d2_k
     return rows, states
 

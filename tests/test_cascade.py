@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fqed.bogoliubov import weyl_vacuum_expectation
-from fqed.cascade import (CascadeError, SolverOptions, convergence_report,
-                          read_vector_file,
+from fqed.cascade import (CascadeError, convergence_report, read_vector_file,
                           run_cascade, trace_csv, validate_params,
                           write_vector_file)
 from fqed.hamiltonian import (FiberFamily, ModelParams,
@@ -61,8 +60,7 @@ def test_cascade_refuses_invalid_params(small_setup):
     params = box(epsilon=0.25, rho_minus=0.1)   # triple product fails
     with pytest.raises(ParameterError):
         run_cascade(params, grid, basis)
-    state = run_cascade(params, grid, basis,
-                        SolverOptions(allow_invalid=True))
+    state = run_cascade(params, grid, basis, allow_invalid=True)
     assert len(state.records) == 3
 
 
@@ -172,8 +170,7 @@ def test_convergence_report_fields(cascade_state):
     from fqed.modes import build_grid
     grid = build_grid(params3.cutoffs, 1, "octahedral6")
     basis = enumerate_basis(grid.n_modes, 2, 2)
-    state = run_cascade(params3, grid, basis, SolverOptions(
-        allow_invalid=True))
+    state = run_cascade(params3, grid, basis, allow_invalid=True)
     rep = convergence_report(state)
     assert rep.step_exponent > 0.0
     assert len(rep.scales) == 3
@@ -192,8 +189,7 @@ def test_convergence_report_free_theory():
     from fqed.modes import build_grid
     grid = build_grid(params.cutoffs, 1, "octahedral6")
     basis = enumerate_basis(grid.n_modes, 2, 2)
-    state = run_cascade(params, grid, basis,
-                        SolverOptions(allow_invalid=True))
+    state = run_cascade(params, grid, basis, allow_invalid=True)
     rep = convergence_report(state)
     assert rep.step_exponent == np.inf
 
@@ -263,5 +259,5 @@ def test_cascade_stops_at_first_level_on_empty_enclosure(tiny_setup,
 
     monkeypatch.setattr(spectral, "contour_project", counted)
     with pytest.raises(CascadeError, match="encloses none"):
-        run_cascade(params, grid, basis, SolverOptions(allow_invalid=True))
+        run_cascade(params, grid, basis, allow_invalid=True)
     assert calls == [64, 64]

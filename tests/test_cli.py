@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -104,14 +106,27 @@ GOOD_BYTES = GOOD_CONFIG.encode()
     (GOOD_BYTES + b"krylov_max = 0\n", "krylov_max"),
     (GOOD_BYTES + b"dense_limit = -5\n", "dense_limit"),
     (GOOD_BYTES + b"dense_eig_cutoff = 0\n", "dense_eig_cutoff"),
-    (GOOD_BYTES + b"dense_eig_cutoff = 10000\n", "dense_limit"),
+    (GOOD_BYTES + b"dense_eig_cutoff = 10000\n", "dense_eig_cutoff"),
     (GOOD_BYTES + b"mass_route = bogus\n", "mass_route"),
+    # solver settings are no config keys, even at their default values
+    (GOOD_BYTES + b"dense_limit = 4000\n", "dense_limit"),
+    (GOOD_BYTES + b"dense_eig_cutoff = 600\n", "dense_eig_cutoff"),
+    (GOOD_BYTES + b"ground_tol = 1e-10\n", "ground_tol"),
+    (GOOD_BYTES + b"defect_tol = 1e-8\n", "defect_tol"),
+    (GOOD_BYTES + b"max_nodes = 512\n", "max_nodes"),
+    (GOOD_BYTES + b"krylov_tol = 1e-10\n", "krylov_tol"),
+    (GOOD_BYTES + b"krylov_max = 1200\n", "krylov_max"),
+    (GOOD_BYTES + b"mass_route = displaced\n", "mass_route"),
 ], ids=["non-numeric-alphas", "non-utf8", "odd-contour-nodes", "nan-alpha",
         "infinite-momentum", "removed-fd-gradient-key",
         "max-nodes-below-contour-nodes", "huge-contour-nodes",
         "zero-ground-tol", "negative-defect-tol", "negative-krylov-tol",
         "zero-krylov-max", "negative-dense-limit", "zero-dense-eig-cutoff",
-        "dense-eig-cutoff-above-dense-limit", "unknown-mass-route"])
+        "dense-eig-cutoff-above-dense-limit", "unknown-mass-route",
+        "removed-dense-limit-key", "removed-dense-eig-cutoff-key",
+        "removed-ground-tol-key", "removed-defect-tol-key",
+        "removed-max-nodes-key", "removed-krylov-tol-key",
+        "removed-krylov-max-key", "removed-mass-route-key"])
 def test_bad_config_exits_2_at_parse_time(tmp_path, capsys, data, key):
     path = tmp_path / "bad.cfg"
     path.write_bytes(data)
@@ -120,6 +135,18 @@ def test_bad_config_exits_2_at_parse_time(tmp_path, capsys, data, key):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
     assert not (tmp_path / "out").exists()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("path", [
+    ROOT / "demos" / "desk.cfg",
+    *sorted((ROOT / "perfbench" / "configs").glob("*.cfg")),
+], ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_shipped_configs_parse(path):
+    cfg = parse_config(path)
+    assert cfg.contour_nodes == 64 and not cfg.allow_invalid
 
 
 def test_grid_dump(tmp_path, capsys):
@@ -229,3 +256,23 @@ def test_verify_builds_each_frame_solver_once(tmp_path, monkeypatch):
     path = write_config(tmp_path, GOOD_CONFIG)
     assert main(["verify", "--config", path, "--suite", "identities"]) == 0
     assert len(inits) == 2 + 2 * 3
+
+
+def test_verify_pull_through_reuses_the_cascade_ground_state(
+        tmp_path, capsys, monkeypatch):
+    # the probe runs on the final-scale ground state the cascade already
+    # holds, so no observable solves it again
+    import fqed.observables as observables
+
+    calls = []
+    sector_ground = observables.sector_ground
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return sector_ground(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "sector_ground", counted)
+    path = write_config(tmp_path, GOOD_CONFIG)
+    assert main(["verify", "--config", path, "--suite", "pullthrough"]) == 0
+    assert "pull-through aggregate j=2" in capsys.readouterr().out
+    assert calls == []

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import custom_grid
-from fqed.bogoliubov import displacement_coeffs, weyl_vacuum_expectation
+from fqed.bogoliubov import (displaced_momentum_ops, displacement_coeffs,
+                             weyl_vacuum_expectation)
 from fqed.fock import enumerate_basis
 from fqed.hamiltonian import (FiberFamily, ModelParams,
                               assemble_displaced_hamiltonian,
@@ -381,3 +382,34 @@ def test_frame_family_k_equals_product_form(tiny_setup, alpha, p, j, g,
         params, family.grid, family.basis, j, g, gamma, p=p)
     assert frame.offset == offset
     assert abs(frame.k(gamma) - ref).max() <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(ALPHAS, MOMENTA)
+def test_slice_telescoping_on_random_boxes(tiny_setup, alpha, p):
+    # H(1) == H(0) + slice(0) entrywise
+    params, grid, basis = tiny_setup
+    params = dataclasses.replace(params, alpha=alpha, p_total=p)
+    h1 = assemble_h_fiber(params, grid, basis, 1)
+    h0 = assemble_h_fiber(params, grid, basis, 0)
+    dh = assemble_slice_interaction(params, grid, basis, 0)
+    assert abs(h1 - h0 - dh).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(ALPHAS, MOMENTA, GRADIENTS, SHIFTS)
+def test_frame_bridge_on_random_boxes(tiny_setup, alpha, p, g, gamma):
+    # Khat(1) == K(0) + delta_k + (offset_hat - offset) entrywise, with the
+    # scale-0 Gamma = Pi - gamma in delta_k
+    params, grid, basis = tiny_setup
+    params = dataclasses.replace(params, alpha=alpha, p_total=p)
+    family = FiberFamily(params, grid, basis, 0)
+    k_prev, off_prev = assemble_displaced_hamiltonian(
+        params, grid, basis, 0, g, gamma)
+    k_hat, off_hat = assemble_intermediate_hamiltonian(
+        FiberFamily(params, grid, basis, 1), g, gamma)
+    pi = displaced_momentum_ops(family, g)
+    gamma_ops = [pi[i] - gamma[i] * family.eye for i in range(3)]
+    dk = delta_k_interaction(params, grid, basis, 1, gamma_ops, g)
+    bridge = k_prev + dk + (off_hat - off_prev) * family.eye
+    assert abs(k_hat - bridge).max() <= 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import custom_grid
-from fqed.cascade import SolverOptions, run_cascade, sector_ground
+from fqed.cascade import run_cascade, sector_ground
 from fqed.fock import enumerate_basis
 from fqed.hamiltonian import ModelParams, assemble_h_fiber
 from fqed.modes import ParameterError, build_grid
@@ -196,8 +196,7 @@ def test_soft_photon_single_mode_perturbative_oracle():
 def test_soft_photon_stability_across_scales():
     params, grid, basis = make_box(1e-3, [0.1, 0.0, 0.0], n_scales=3,
                                    eps=0.3)
-    state = run_cascade(params, grid, basis,
-                        SolverOptions(allow_invalid=True))
+    state = run_cascade(params, grid, basis, allow_invalid=True)
     consts = []
     for rec in state.records[1:]:
         rep = soft_photon_probe(rec.psi, params, grid, basis, rec.j)
@@ -259,11 +258,13 @@ def test_bounds_probe_reports():
     assert "C3" in rep.table()
 
 
-def test_bounds_probe_skips_above_dense_limit():
+def test_bounds_probe_skips_above_dense_limit(monkeypatch):
+    import fqed.observables as observables
+
     params, grid, basis = make_box(1e-3, [0.1, 0.0, 0.0])
     state = run_cascade(params, grid, basis)
-    rep = resolvent_bound_probes(
-        state, opts=SolverOptions(dense_limit=10, dense_eig_cutoff=10))
+    monkeypatch.setattr(observables, "DENSE_LIMIT", 10)
+    rep = resolvent_bound_probes(state)
     assert rep.skipped
 
 
@@ -294,10 +295,9 @@ def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
 
     params, grid, basis = tiny_setup
     monkeypatch.setattr(observables, "ROUTE_NODES", 16)
-    opts = SolverOptions()
-    energy, psi, gap = sector_ground(params, grid, basis, 1, opts)
+    energy, psi, gap = sector_ground(params, grid, basis, 1)
     grad = energy_gradient_fh(psi, params, grid, basis, 1)
-    frame = displaced_frame_ground(params, grid, basis, 1, grad, opts)
+    frame = displaced_frame_ground(params, grid, basis, 1, grad)
     calls = []
     solve = ResolventSolver.solve
 
@@ -308,12 +308,11 @@ def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
     monkeypatch.setattr(ResolventSolver, "solve", counted)
     routes = {
         "direct": lambda: dispersion_curvature_direct(
-            params, grid, basis, 1, psi=psi, energy=energy, gap=gap,
-            opts=opts),
+            params, grid, basis, 1, psi=psi, energy=energy, gap=gap),
         "displaced": lambda: dispersion_curvature_displaced(
-            params, grid, basis, 1, frame=frame, opts=opts),
+            params, grid, basis, 1, frame=frame),
         "cross": lambda: cross_term_probe(params, grid, basis, 1, frame,
-                                          grad[0], opts),
+                                          grad[0]),
     }
     counts = {}
     for name, route in routes.items():
