@@ -376,8 +376,9 @@ def _verify_lines(cfg: RunConfig, suite: str):
                f"residual = {agg:.4f} (target <= 0.05)")
 
     if suite in ("calpha", "all"):
-        c_emp, _ = energy_lipschitz_probe(params, grid, basis,
-                                          params.n_scales)
+        last = state.records[-1]
+        c_emp, _ = energy_lipschitz_probe(params, grid, basis, last.j,
+                                          energy=last.energy)
         yield (False, "energy-slope constant", 0.0 <= c_emp <= 0.45,
                f"C = {c_emp:.4f} (free-theory limit 1/3)")
 

@@ -248,19 +248,20 @@ def dispersion_curvature_displaced(params: ModelParams, grid: ModeGrid,
     energy = frame.energy
     cont = _route_contour(params, j, energy, frame.gap)
     solver = solver or ResolventSolver(frame.k_op)
-    target = gamma @ phi
+    target_r = solver.reduce(gamma @ phi)
+    phi_r = solver.reduce(phi) if solver.dense else None
 
     def node(z):
         # R Gamma R phi, then the reduced integrand <Gamma R Gamma phi, phi>
         # over (E - z); a Krylov solver takes R phi = phi / (E - z)
-        g = solver.solve(z, target)
-        y = solver.solve(z, gamma @ solver.solve(z, phi)) if solver.dense \
-            else g / (energy - z)
-        return np.append(y, (target @ g) / (energy - z))
+        g = solver.solve(z, target_r)
+        y = solver.solve(z, solver.apply(gamma, solver.solve(z, phi_r))) \
+            if solver.dense else g / (energy - z)
+        return y, (target_r @ g) / (energy - z)
 
-    acc = contour_sum(cont, node)
-    sandwich = float(np.real(np.conj(acc[:-1]) @ target))
-    return 1.0 - 2.0 * sandwich, 1.0 - 2.0 * float(acc[-1].real)
+    acc, reduced = contour_sum(cont, node)
+    sandwich = float(np.real(acc.conj() @ target_r))
+    return 1.0 - 2.0 * sandwich, 1.0 - 2.0 * float(reduced.real)
 
 
 def cross_term_probe(params: ModelParams, grid: ModeGrid, basis: FockBasis,
@@ -279,23 +280,28 @@ def cross_term_probe(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     cont = _route_contour(params, j, energy, frame.gap)
     solver = solver or ResolventSolver(frame.k_op)
     target = gamma @ phi
+    target_r = solver.reduce(target)
+    if solver.dense:
+        # rows R Gamma R phi and R R phi, in the solver's coordinates
+        phi_r = solver.reduce(phi)
 
-    def node(z):
-        # rows R Gamma R phi and R R phi; a Krylov solver takes
-        # R phi = phi / (E - z)
-        if not solver.dense:
-            return np.array([solver.solve(z, target) / (energy - z),
-                             phi / (energy - z) ** 2])
-        a = solver.solve(z, phi)
-        return np.array([solver.solve(z, gamma @ a), solver.solve(z, a)])
+        def node(z):
+            a = solver.solve(z, phi_r)
+            return solver.solve(z, solver.apply(gamma, a)), solver.solve(z, a)
 
-    sand, q2 = contour_sum(cont, node)
+        sand, q2 = contour_sum(cont, node)
+    else:
+        # a Krylov solver takes R phi = phi / (E - z); rows lifted to full
+        # coordinates
+        sand, q2 = contour_sum(cont, lambda z: (
+            solver.solve(z, target_r) / (energy - z), 1.0 / (energy - z) ** 2))
+        sand, q2, phi_r, target_r = solver.lift(sand), q2 * phi, phi, target
     # cross terms of the expanded square: scalar^2 <Q2 v, v> minus the two
     # mixed scalar/middle combinations; all vanish for an exact eigenpair.
     scalar = float(grad_component)
-    cross = (scalar ** 2 * np.real(np.conj(q2) @ phi)
-             - scalar * np.real(np.conj(q2) @ target)
-             - scalar * np.real(np.conj(sand) @ phi))
+    cross = (scalar ** 2 * np.real(q2.conj() @ phi_r)
+             - scalar * np.real(q2.conj() @ target_r)
+             - scalar * np.real(sand.conj() @ phi_r))
     return float(abs(2.0 * cross))
 
 
@@ -497,7 +503,7 @@ def _pull_through_pairs(psi, energy, family: FiberFamily, modes) -> dict:
         solver = ResolventSolver(family.h(params.p_total - grid.k[group[0]]))
         for m in group:
             w = sum(grid.eps_vec[m, i] * x_psi[i] for i in range(3))
-            x = solver.solve(energy - knorm, w)
+            x = solver.lift(solver.solve(energy - knorm, solver.reduce(w)))
             coupling = np.sqrt(params.alpha * grid.weight[m] / knorm)
             pairs[m] = (ladder(family.basis, m)[0] @ psi,
                         -coupling * np.real(x))
@@ -557,15 +563,18 @@ def pull_through_summary(params: ModelParams, grid: ModeGrid,
 
 
 def energy_lipschitz_probe(params: ModelParams, grid: ModeGrid,
-                           basis: FockBasis, j: int):
+                           basis: FockBasis, j: int,
+                           energy: float | None = None):
     """Empirical slope constant sup_k (E(P) - E(P-k)) / |k| on the grid.
 
-    Fresh ground solve per distinct grid momentum; the bound's constant
-    tends to the free-theory value (below 1/3 inside the momentum ball) as
-    the coupling vanishes.  Returns (constant, table of (|k|, ratio)).
+    Fresh ground solve per distinct grid momentum; the center E(P) is
+    ``energy`` when the caller holds it (the cascade's), else solved too.
+    The bound's constant tends to the free-theory value (below 1/3 inside
+    the momentum ball) as the coupling vanishes.  Returns (constant, table
+    of (|k|, ratio)).
     """
     family = FiberFamily(params, grid, basis, j)
-    e0 = _ground_energy(family, params.p_total)
+    e0 = _ground_energy(family, params.p_total) if energy is None else energy
     table = []
     for group in _momentum_groups(grid, range(grid.n_modes)):
         m = group[0]

@@ -14,10 +14,12 @@ sum P v = -(r/M) sum_q exp(i theta_q) (H - z_q)^{-1} v.  Every contour
 integral in the package is this sum, evaluated by ``contour_sum`` on the
 upper half circle.
 
-Shifted solves reduce the symmetric operator to tridiagonal form once
-(below the dense limit) so each contour node costs two dense matrix-vector
-products plus an O(n) tridiagonal solve; above the limit one Lanczos space
-per right-hand side serves every node.
+Shifted solves work in the solver's own coordinates, where the operator
+is tridiagonal: below the dense limit one Householder reduction per
+operator, above it one Lanczos space per right-hand side.  A contour node
+then costs an O(n) tridiagonal solve; an integral reduces its vector once
+and lifts its sum once, and only a middle operator between two resolvents
+moves a vector to full coordinates and back at every node.
 """
 
 from __future__ import annotations
@@ -176,18 +178,28 @@ def ground_state(op, tol: float = 1e-10,
 
 def _tridiag_solve(d: np.ndarray, e: np.ndarray, z: complex,
                    y: np.ndarray) -> np.ndarray:
+    """(T - z)^{-1} y for the symmetric tridiagonal T with diagonal ``d``
+    and complex off-diagonal ``e``."""
     if len(d) == 1:
         return y.astype(complex) / (d[0] - z)
-    dl = e.astype(complex)
-    _, _, _, x, info = lapack.zgtsv(dl.copy(), (d - z).astype(complex),
-                                    dl.copy(), y.astype(complex))
+    _, _, _, x, info = lapack.zgtsv(e, d - z, e, y)
     if info != 0:
         raise ConditioningError(f"tridiagonal solve failed: {info}")
     return x
 
 
+def _real_map(apply, y: np.ndarray) -> np.ndarray:
+    """A real linear map, given on real (n, k) column blocks, applied to a
+    real or complex vector: a complex y goes through as its real (n, 2)
+    view, so the map never meets complex data."""
+    if np.iscomplexobj(y):
+        out = apply(np.stack([y.real, y.imag], axis=1))
+        return out[:, 0] + 1j * out[:, 1]
+    return apply(y[:, None])[:, 0]
+
+
 class _KrylovSpace:
-    """Reorthogonalized Lanczos space for one right-hand side.
+    """Reorthogonalized Lanczos space for one real right-hand side.
 
     The same basis serves every shift z: (op - z)^{-1} b is approximated by
     V (T - z)^{-1} (||b|| e1), with the exact shifted residual available as
@@ -232,15 +244,15 @@ class _KrylovSpace:
             self._basis[m + 1] = u / nb
 
     def solve(self, z: complex) -> np.ndarray:
-        if self.b0 == 0.0:
-            return np.zeros(self.op.shape[0], dtype=complex)
+        """Coefficients of (op - z)^{-1} b in the basis, grown as needed."""
         if self.steps == 0:
             self._grow(min(self.block, self.max_dim))
         while True:
             k = self.steps
             rhs = np.zeros(k)
             rhs[0] = self.b0
-            y = _tridiag_solve(self.alpha[:k], self.beta[:k - 1], z, rhs)
+            y = _tridiag_solve(self.alpha[:k],
+                               self.beta[:k - 1].astype(complex), z, rhs)
             res = self.beta[k - 1] * abs(y[-1])
             converged = res <= KRYLOV_TOL * self.b0
             if converged or self.exhausted:
@@ -248,86 +260,205 @@ class _KrylovSpace:
                     raise ConditioningError(
                         f"Krylov space of size {k} left shifted residual at "
                         f"{res / self.b0:.2e}")
-                return self._basis[:k].T @ y
+                return y
             self._grow(min(k + self.block, self.max_dim))
+
+    def lift(self, c: np.ndarray) -> np.ndarray:
+        """V c with the real basis; c may be shorter than the space."""
+        basis = self._basis[:len(c)].T
+        return _real_map(lambda cols: basis @ cols, c)
+
+
+class _KrylovVector:
+    """A vector held as coefficients in Lanczos bases: sum_s V_s c_s.
+
+    ``ResolventSolver.reduce`` makes one part per real right-hand side (two
+    for a complex one), and a shifted solve keeps each part in its space.
+    Parts in one space add after zero padding: a space only grows by
+    appending basis vectors, so a shorter coefficient vector is exact in the
+    longer basis.  Contour sums therefore run on coefficients, and ``lift``
+    multiplies by each basis once.
+    """
+
+    # numpy scalars and arrays defer to the operators below
+    __array_ufunc__ = None
+
+    def __init__(self, n: int, parts: dict):
+        self.n = n
+        self.parts = parts   # {_KrylovSpace: coefficient vector}
+
+    def _map(self, fn) -> "_KrylovVector":
+        return _KrylovVector(self.n, {s: fn(c) for s, c in self.parts.items()})
+
+    def __mul__(self, scalar) -> "_KrylovVector":
+        return self._map(lambda c: c * scalar)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> "_KrylovVector":
+        return self._map(lambda c: c / scalar)
+
+    def __add__(self, other: "_KrylovVector") -> "_KrylovVector":
+        parts = dict(self.parts)
+        for space, c in other.parts.items():
+            a = parts.setdefault(space, c)
+            if a is not c:
+                if len(a) < len(c):
+                    a, c = c, a
+                a = a.astype(np.result_type(a, c))
+                a[:len(c)] += c
+                parts[space] = a
+        return _KrylovVector(self.n, parts)
+
+    @property
+    def real(self) -> "_KrylovVector":
+        return self._map(lambda c: c.real)
+
+    def conj(self) -> "_KrylovVector":
+        return self._map(np.conj)
+
+    def lift(self) -> np.ndarray:
+        return sum((s.lift(c) for s, c in self.parts.items()),
+                   np.zeros(self.n))
+
+    def __matmul__(self, other):
+        """Bilinear product, as ``@`` of 1-D arrays; taken on coefficients
+        when both vectors lie in the same single space."""
+        if isinstance(other, _KrylovVector):
+            same = other.parts.keys() == self.parts.keys()
+            if same and len(self.parts) == 1:
+                (space, a), = self.parts.items()
+                b = other.parts[space]
+                k = min(len(a), len(b))
+                return a[:k] @ b[:k]
+            other = other.lift()
+        return self.lift() @ other
 
 
 class ResolventSolver:
-    """Reusable solver for (op - z)x = b at many shifts z.
+    """Reusable solver for (op - z)x = b at many shifts z, in its own
+    coordinates.
 
-    Below the dense limit the symmetric operator is tridiagonalized once by
-    an orthogonal reduction, after which each shift costs two dense
-    matrix-vector products and an O(n) tridiagonal solve.  Above the limit,
-    shifts are handled by reorthogonalized Lanczos spaces cached per
-    right-hand side (one space serves the whole contour).
+    ``reduce(b)`` takes a vector to the solver's coordinates, ``solve(z, y)``
+    applies (op - z)^{-1} there, and ``lift(y)`` takes the result back.
+    Since each coordinate change is linear and real, a contour integral sums
+    its nodes' reduced solutions and lifts once.
+
+    Below the dense limit the symmetric operator is reduced once to
+    tridiagonal form T = Q^T op Q, keeping Q as its Householder reflectors;
+    a reduced vector is Q^T b, a shift costs one O(n) tridiagonal solve, and
+    reduce and lift are one reflector application each on the real data.
+    Above the limit, ``reduce(b)`` starts a reorthogonalized Lanczos space
+    for b (one per real part) and carries it with its coefficients ||b|| e1;
+    a shift solves the space's tridiagonal T_b, growing the space as
+    needed, and ``lift`` multiplies by its basis.  A Krylov solve takes only
+    a freshly reduced vector: the space is built for its starting vector.
     """
 
     def __init__(self, op, dense_limit: int = DENSE_LIMIT):
         self.n = op.shape[0]
         self.dense = self.n <= dense_limit
         if self.dense:
-            a = op.toarray() if sp.issparse(op) else np.asarray(op, float)
-            # symmetric input: the Hessenberg form is tridiagonal, so keep
-            # only its diagonal and subdiagonal (the rest is rounding noise)
-            h, q = sla.hessenberg(a, calc_q=True)
-            self._q = q
-            self._d = np.ascontiguousarray(np.diagonal(h)).astype(float)
-            self._e = np.ascontiguousarray(np.diagonal(h, -1)).astype(float)
+            a = op.toarray(order="F") if sp.issparse(op) else op
+            a = np.asfortranarray(a, dtype=float)
+            # symmetric input: Q T Q^T from the lower triangle, with Q kept
+            # as the reflectors below the first subdiagonal; Q = 1 (+) Q'
+            c, d, e, tau, _ = lapack.dsytrd(a, lower=1, overwrite_a=1)
+            self._refl = np.asfortranarray(c[1:, :self.n - 1])
+            self._tau = tau[:self.n - 1]
+            self._d = d
+            self._e = e.astype(complex)
         else:
             self._op = op.tocsr() if sp.issparse(op) else op
-            self._spaces: dict[bytes, _KrylovSpace] = {}
 
-    def _space_for(self, b: np.ndarray) -> _KrylovSpace:
-        key = b.tobytes()
-        space = self._spaces.get(key)
-        if space is None:
-            if len(self._spaces) > 12:
-                self._spaces.clear()
-            space = _KrylovSpace(self._op, b)
-            self._spaces[key] = space
-        return space
+    def _reflect(self, trans: str, cols: np.ndarray) -> np.ndarray:
+        """Q cols ('N') or Q^T cols ('T') for a real (n, k) block.
 
-    def solve(self, z: complex, b: np.ndarray) -> np.ndarray:
+        The minimal workspace selects LAPACK's unblocked reflector loop,
+        the faster one for the few columns a contour integral moves.
+        """
+        out = np.array(cols, dtype=float, order="F")
+        if self.n > 1:
+            out[1:], _, _ = lapack.dormqr("L", trans, self._refl, self._tau,
+                                          out[1:], out.shape[1])
+        return out
+
+    def reduce(self, b: np.ndarray):
+        """b in the solver's coordinates."""
         b = np.asarray(b)
         if self.dense:
-            y = self._q.T @ b
-            x = _tridiag_solve(self._d, self._e, z, y)
-            return self._q @ x
+            return _real_map(lambda cols: self._reflect("T", cols), b)
+        pieces = [(1.0, b.real)]
         if np.iscomplexobj(b):
-            out = self._space_for(b.real.copy()).solve(z)
-            if np.any(b.imag):
-                out = out + 1j * self._space_for(b.imag.copy()).solve(z)
-            return out
-        return self._space_for(b).solve(z)
+            pieces.append((1j, b.imag))
+        parts = {}
+        for unit, piece in pieces:
+            if np.any(piece):
+                space = _KrylovSpace(self._op, piece)
+                parts[space] = np.array([unit * space.b0])
+        return _KrylovVector(self.n, parts)
+
+    def solve(self, z: complex, y):
+        """(op - z)^{-1} applied to the reduced vector y, kept reduced."""
+        if self.dense:
+            return _tridiag_solve(self._d, self._e, z, y)
+        parts = {}
+        for space, c in y.parts.items():
+            if len(c) != 1:
+                raise ValueError("a Krylov solve takes a freshly reduced "
+                                 "vector")
+            parts[space] = space.solve(z) * (c[0] / space.b0)
+        return _KrylovVector(self.n, parts)
+
+    def lift(self, y) -> np.ndarray:
+        """The full vector of a reduced one."""
+        if self.dense:
+            return _real_map(lambda cols: self._reflect("N", cols),
+                             np.asarray(y))
+        return y.lift()
+
+    def apply(self, op, y):
+        """``op`` applied to the reduced vector y, reduced again (lift,
+        multiply, reduce): the middle operator of a double resolvent."""
+        return self.reduce(op @ self.lift(y))
 
 
 def contour_sum(contour: Contour, node):
     """Trapezoid sum  sum_q c_q node(z_q)  over the whole circle.
 
     ``node`` must be conjugate-symmetric, node(conj z) = conj(node(z)), as
-    every resolvent integrand of a real symmetric operator on real data is.
-    Only the upper half circle is evaluated: the two real-axis nodes count
-    once and the others twice through their real part.  ``node`` may return
-    a scalar or an array; the result is complex with the same shape.
+    every resolvent integrand of a real symmetric operator on real data is
+    (also in a ``ResolventSolver``'s real coordinates).  Only the upper half
+    circle is evaluated: the two real-axis nodes count once and the others
+    twice through their real part.  ``node`` may return a scalar, an array,
+    a reduced vector of a ``ResolventSolver`` or a tuple of these; the
+    result has the same form, complex.
     """
     points = contour.points
     weights = contour.projector_weights
     half = contour.nodes // 2
-    acc = weights[0] * node(points[0]) + weights[half] * node(points[half])
-    for q in range(1, half):
-        acc += 2.0 * (weights[q] * node(points[q])).real
-    return acc
+    acc = None
+    for q in [0, half, *range(1, half)]:
+        out = node(points[q])
+        terms = [weights[q] * t
+                 for t in (out if isinstance(out, tuple) else (out,))]
+        if 0 < q < half:
+            terms = [2.0 * t.real for t in terms]
+        acc = terms if acc is None else [a + t for a, t in zip(acc, terms)]
+    return tuple(acc) if isinstance(out, tuple) else acc[0]
 
 
 def contour_project(op, contour: Contour, v: np.ndarray,
                     solver: ResolventSolver | None = None) -> np.ndarray:
     """Spectral projection of v onto the eigenspace inside the contour.
 
-    ``op`` is real symmetric and ``v`` real, so the projection is real.
+    ``op`` is real symmetric and ``v`` real, so the projection is real.  The
+    nodes sum in the solver's coordinates: one reduce, one lift.
     """
     solver = solver or ResolventSolver(op)
-    acc = contour_sum(contour, lambda z: solver.solve(z, v))
-    return np.ascontiguousarray(acc.real)
+    v_r = solver.reduce(v)
+    acc = contour_sum(contour, lambda z: solver.solve(z, v_r))
+    return np.ascontiguousarray(solver.lift(acc.real))
 
 
 def idempotence_defect(op, contour: Contour, v: np.ndarray,
@@ -390,14 +521,17 @@ def neumann_project(op_prev, delta_h, contour: Contour, v: np.ndarray,
     (partial sum, per-term norms).
     """
     solver = solver or ResolventSolver(op_prev)
+    v_r = solver.reduce(v)
+    minus_dh = -delta_h
 
     def node(z):
-        ys = [solver.solve(z, np.asarray(v))]
+        ys = [solver.solve(z, v_r)]
         for _ in range(n_terms):
-            ys.append(solver.solve(z, -(delta_h @ ys[-1])))
-        return np.array(ys)
+            ys.append(solver.solve(z, solver.apply(minus_dh, ys[-1])))
+        return tuple(ys)
 
-    terms = np.ascontiguousarray(contour_sum(contour, node).real)
+    terms = np.array([solver.lift(t.real)
+                      for t in contour_sum(contour, node)])
     norms = np.linalg.norm(terms, axis=1)
     tail = norms[norms > 0]
     if len(tail) > 2 and tail[-1] >= tail[-2]:
@@ -419,14 +553,17 @@ def resolvent_sandwich(op, contour: Contour, middle, psi: np.ndarray,
     node, which requires the contour to be centered on psi's eigenvalue E.
     """
     solver = solver or ResolventSolver(op)
-    target = middle @ psi
+    target_r = solver.reduce(middle @ psi)
     if solver.dense:
+        psi_r = solver.reduce(psi)
+
         def node(z):
-            return solver.solve(z, middle @ solver.solve(z, np.asarray(psi)))
+            return solver.solve(z, solver.apply(middle,
+                                                solver.solve(z, psi_r)))
     else:
         def node(z):
-            return solver.solve(z, target) / (contour.center - z)
-    return float(np.real(np.conj(contour_sum(contour, node)) @ target))
+            return solver.solve(z, target_r) / (contour.center - z)
+    return float(np.real(contour_sum(contour, node).conj() @ target_r))
 
 
 def enclosed_count(op, contour: Contour,

@@ -276,3 +276,27 @@ def test_verify_pull_through_reuses_the_cascade_ground_state(
     assert main(["verify", "--config", path, "--suite", "pullthrough"]) == 0
     assert "pull-through aggregate j=2" in capsys.readouterr().out
     assert calls == []
+
+
+def test_verify_lipschitz_probe_reuses_the_cascade_energy(
+        tmp_path, capsys, monkeypatch):
+    # the slope probe takes E(P) from the cascade's final scale and solves
+    # only the shifted momenta P - k, once per distinct grid momentum
+    import fqed.observables as observables
+
+    calls = []
+    sector_ground = observables.sector_ground
+
+    def counted(*args, **kwargs):
+        calls.append(tuple(kwargs["p"]))
+        return sector_ground(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "sector_ground", counted)
+    path = write_config(tmp_path, GOOD_CONFIG)
+    cfg = parse_config(path)
+    assert main(["verify", "--config", path, "--suite", "calpha"]) == 0
+    assert "energy-slope constant" in capsys.readouterr().out
+    grid = cfg.build_grid()
+    momenta = {tuple(np.round(k, 12)) for k in grid.k}
+    assert len(calls) == len(set(calls)) == len(momenta)
+    assert tuple(cfg.params.p_total) not in calls

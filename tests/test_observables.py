@@ -290,7 +290,11 @@ def test_curvature_momentum_quotients_reported():
 
 
 def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
-    # dense solver, 16 nodes: 9 node evaluations on the upper half circle
+    # dense solver, 16 nodes: 9 node evaluations on the upper half circle.
+    # Each route keeps the double resolvent, but moves vectors between the
+    # solver's coordinates only around its middle operator: per node one
+    # lift and one reduce, plus one reduce each for psi (or phi) and the
+    # target, 2 * 9 + 2 = 20 reflector applications per route.
     import fqed.observables as observables
 
     params, grid, basis = tiny_setup
@@ -299,13 +303,18 @@ def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
     grad = energy_gradient_fh(psi, params, grid, basis, 1)
     frame = displaced_frame_ground(params, grid, basis, 1, grad)
     calls = []
-    solve = ResolventSolver.solve
+    moves = []
 
-    def counted(self, z, b):
-        calls.append(self.dense)
-        return solve(self, z, b)
+    def counted(name):
+        method = getattr(ResolventSolver, name)
 
-    monkeypatch.setattr(ResolventSolver, "solve", counted)
+        def wrapper(self, *args):
+            (calls if name == "solve" else moves).append(self.dense)
+            return method(self, *args)
+        monkeypatch.setattr(ResolventSolver, name, wrapper)
+
+    for name in ("solve", "reduce", "lift"):
+        counted(name)
     routes = {
         "direct": lambda: dispersion_curvature_direct(
             params, grid, basis, 1, psi=psi, energy=energy, gap=gap),
@@ -315,12 +324,35 @@ def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
                                           grad[0]),
     }
     counts = {}
+    applications = {}
     for name, route in routes.items():
         calls.clear()
+        moves.clear()
         route()
-        assert all(calls)
+        assert all(calls) and all(moves)
         counts[name] = len(calls)
+        applications[name] = len(moves)
     assert counts == {"direct": 18, "displaced": 27, "cross": 27}
+    assert applications == {"direct": 20, "displaced": 20, "cross": 20}
+
+
+def test_cross_term_probe_reads_an_off_eigenvector_phi(tiny_setup):
+    # the dense route applies both resolvents, so the probe sees how far
+    # phi is from the frame's eigenvector: moved off it by 1e-3 the probe
+    # reads far above a06's 1e-8 (with R phi = phi / (E - z) it could not)
+    params, grid, basis = tiny_setup
+    energy, psi, _ = sector_ground(params, grid, basis, 1)
+    grad = energy_gradient_fh(psi, params, grid, basis, 1)
+    frame = displaced_frame_ground(params, grid, basis, 1, grad)
+    exact = cross_term_probe(params, grid, basis, 1, frame, grad[0])
+    rng = np.random.default_rng(3)
+    kick = rng.standard_normal(len(frame.phi))
+    kick -= frame.phi * (frame.phi @ kick) / (frame.phi @ frame.phi)
+    kick *= 1e-3 * np.linalg.norm(frame.phi) / np.linalg.norm(kick)
+    moved = dataclasses.replace(frame, phi=frame.phi + kick)
+    off = cross_term_probe(params, grid, basis, 1, moved, grad[0])
+    assert exact <= 1e-8
+    assert off >= 1e-6
 
 
 def test_fd_curvature_takes_its_center_from_the_cascade(small_setup,

@@ -7,8 +7,8 @@ from fqed.fock import enumerate_basis, weighted_number_sum
 from fqed.hamiltonian import ModelParams, assemble_h_fiber, \
     assemble_slice_interaction
 from fqed.modes import ParameterError
-from fqed.spectral import (Contour, ContourError, ResolventSolver,
-                           SolverError, contour_project,
+from fqed.spectral import (DENSE_LIMIT, Contour, ContourError,
+                           ResolventSolver, SolverError, contour_project,
                            contour_project_checked, dense_spectrum,
                            enclosed_count, ground_state, idempotence_defect,
                            neumann_project, resolvent_sandwich)
@@ -18,6 +18,11 @@ def seeded_symmetric(n, seed, scale=1.0, shift=0.0):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) / np.sqrt(n)
     return sp.csr_matrix(scale * (a + a.T) / 2 + shift * np.eye(n))
+
+
+def full_solve(solver, z, b):
+    """(op - z)^{-1} b through the solver's own coordinates."""
+    return solver.lift(solver.solve(z, solver.reduce(b)))
 
 
 def test_contour_invariants():
@@ -119,7 +124,7 @@ def test_resolvent_diagonal_oracle():
     d = np.array([0.0, 0.5, 2.0, 5.0])
     op = sp.diags(d).tocsr()
     v = np.array([1.0, 2.0, -1.0, 0.5])
-    x = ResolventSolver(op).solve(-1.0, v)
+    x = full_solve(ResolventSolver(op), -1.0, v)
     assert np.allclose(x.real, v / (d + 1.0), atol=1e-13)
 
 
@@ -127,7 +132,7 @@ def test_resolvent_defining_property_and_dense_inverse():
     op = seeded_symmetric(80, seed=11) + sp.diags(np.linspace(0, 3, 80))
     v = np.cos(np.arange(80.0))
     z = 1.5 + 0.25j
-    x = ResolventSolver(op).solve(z, v)
+    x = full_solve(ResolventSolver(op), z, v)
     assert np.linalg.norm(op @ x - z * x - v) / np.linalg.norm(v) < 1e-10
     dense = np.linalg.solve(op.toarray() - z * np.eye(80), v)
     assert np.linalg.norm(x - dense) / np.linalg.norm(dense) < 1e-10
@@ -137,8 +142,8 @@ def test_krylov_path_matches_dense_path():
     op = seeded_symmetric(300, seed=5) + sp.diags(np.linspace(0.0, 4.0, 300))
     v = np.sin(np.arange(300.0))
     z = 0.3 + 0.1j
-    dense = ResolventSolver(op).solve(z, v)
-    krylov = ResolventSolver(op, dense_limit=10).solve(z, v)
+    dense = full_solve(ResolventSolver(op), z, v)
+    krylov = full_solve(ResolventSolver(op, dense_limit=10), z, v)
     assert np.linalg.norm(dense - krylov) / np.linalg.norm(dense) < 1e-8
 
 
@@ -252,3 +257,67 @@ def test_resolvent_sandwich_spectral_oracle():
     elements = vecs.T @ (x_op @ psi)
     oracle = np.sum(elements[1:] ** 2 / (vals[1:] - vals[0]))
     assert abs(s - oracle) < 1e-10 * max(1.0, abs(oracle))
+
+
+@pytest.fixture(params=["dense", "krylov"])
+def tiny_solver(request, tiny_setup):
+    """H(P) of the tiny box (dim 91) with its dense solver, or with a
+    Krylov solver forced by a dense limit below the dimension."""
+    params, grid, basis = tiny_setup
+    h = assemble_h_fiber(params, grid, basis, 1)
+    limit = DENSE_LIMIT if request.param == "dense" else 10
+    solver = ResolventSolver(h, dense_limit=limit)
+    assert solver.dense == (request.param == "dense")
+    return h, solver
+
+
+def test_lift_inverts_reduce(tiny_solver):
+    h, solver = tiny_solver
+    b = np.cos(np.arange(h.shape[0]))
+    for v in (b, b + 1j * np.sin(np.arange(h.shape[0]))):
+        assert np.max(np.abs(solver.lift(solver.reduce(v)) - v)) <= 1e-14
+
+
+def test_reduced_solve_satisfies_the_shifted_equation(tiny_solver):
+    h, solver = tiny_solver
+    vals, _ = dense_spectrum(h)
+    b = np.cos(np.arange(h.shape[0]))
+    for z in (vals[0] + 0.3j, 0.5 * (vals[0] + vals[1]),
+              vals[0] - 0.1 + 0.05j):
+        x = full_solve(solver, z, b)
+        assert np.linalg.norm(h @ x - z * x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_reduced_projector_matches_eigenprojector(tiny_solver):
+    h, solver = tiny_solver
+    vals, vecs = dense_spectrum(h)
+    contour = Contour(vals[0], 0.4 * (vals[1] - vals[0]), 64)
+    b = np.cos(np.arange(h.shape[0]))
+    projected = contour_project(h, contour, b, solver)
+    exact = vecs[:, 0] * (vecs[:, 0] @ b)
+    assert np.linalg.norm(projected - exact) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_checked_projection_moves_vectors_once_per_integral(tiny_solver,
+                                                            monkeypatch):
+    # a projection and its re-projection reduce and lift once each, at any
+    # node count
+    h, solver = tiny_solver
+    vals, _ = dense_spectrum(h)
+    b = np.cos(np.arange(h.shape[0]))
+    moves = []
+    for name in ("reduce", "lift"):
+        method = getattr(ResolventSolver, name)
+
+        def counted(self, y, _method=method, _name=name):
+            moves.append(_name)
+            return _method(self, y)
+        monkeypatch.setattr(ResolventSolver, name, counted)
+    counts = {}
+    for nodes in (16, 64):
+        moves.clear()
+        contour = Contour(vals[0], 0.1 * (vals[1] - vals[0]), nodes)
+        _, used, _ = contour_project_checked(h, contour, b, solver)
+        assert used == nodes
+        counts[nodes] = sorted(moves)
+    assert counts[16] == counts[64] == ["lift"] * 2 + ["reduce"] * 2
