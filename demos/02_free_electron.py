@@ -14,7 +14,7 @@ from fqed.hamiltonian import ModelParams
 from fqed.modes import build_grid
 from fqed.observables import (dispersion_curvature_direct,
                               dispersion_curvature_displaced,
-                              dispersion_curvature_fd)
+                              dispersion_curvature_fd, displaced_frame_ground)
 
 params = ModelParams(alpha=0.0, epsilon=0.3, mu=0.15, rho_minus=0.14,
                      rho_plus=0.16, p_total=[0.2, 0.0, 0.0], n_scales=3)
@@ -32,8 +32,8 @@ for rec in state.records:
 
 d2_fd = dispersion_curvature_fd(params, grid, basis, 3)
 d2_h = dispersion_curvature_direct(params, grid, basis, 3)
-d2_k, d2_kr = dispersion_curvature_displaced(params, grid, basis, 3,
-                                             grad_energy=params.p_total)
+frame = displaced_frame_ground(params, grid, basis, 3, params.p_total)
+d2_k, d2_kr, _ = dispersion_curvature_displaced(params, frame)
 print("\ncurvature routes at the final scale:")
 print(f"  finite differences : {d2_fd:.14f}")
 print(f"  direct resolvent   : {d2_h:.14f}")

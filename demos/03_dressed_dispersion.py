@@ -40,8 +40,7 @@ for alpha in (1e-4, 1e-3, 5e-3, 1e-2):
     e, psi, _ = sector_ground(params, grid, basis, j)
     grad = energy_gradient_fh(psi, params, grid, basis, j)
     frame = displaced_frame_ground(params, grid, basis, j, grad)
-    d2, _ = dispersion_curvature_displaced(params, grid, basis, j,
-                                           frame=frame)
+    d2, _, _ = dispersion_curvature_displaced(params, frame)
     m_r = 1.0 / d2
     print(f"  alpha = {alpha:7.0e}:  d2E = {d2:.8f}   m_r = {m_r:.8f}   "
           f"(m_r - 1)/alpha = {(m_r - 1.0) / alpha:.3f}")

@@ -96,22 +96,20 @@ def _expm_apply(gen: sp.spmatrix, v: np.ndarray, tol: float = 1e-15,
     return out
 
 
-def weyl_apply(field_: DisplacementField, basis: FockBasis, v: np.ndarray,
-               inverse: bool = False,
-               defect_bound: float = 1e-6) -> tuple[np.ndarray, float]:
+def weyl_apply(field_: DisplacementField, basis: FockBasis,
+               v: np.ndarray) -> tuple[np.ndarray, float]:
     """Transport a state vector with the Weyl displacement exp(G).
 
     Returns (W v, norm defect).  The truncated generator is exactly
     antisymmetric, so the transport is orthogonal and the reported defect
     ||v|| - ||W v|| stays at rounding level; it is still checked against
-    ``defect_bound`` as a guard on the series evaluation.
+    1e-6 as a guard on the series evaluation.  The inverse transport is
+    the displacement by the negated amplitudes.
     """
-    gen = displacement_generator(field_, basis)
-    if inverse:
-        gen = (-gen).tocsr()
-    out = _expm_apply(gen, np.asarray(v, dtype=float))
+    out = _expm_apply(displacement_generator(field_, basis),
+                      np.asarray(v, dtype=float))
     defect = float(np.linalg.norm(v) - np.linalg.norm(out))
-    if abs(defect) > defect_bound:
+    if abs(defect) > 1e-6:
         raise ArithmeticError(
             f"Weyl transport lost norm {defect:.3e}; raise the occupation "
             "caps or shrink the displacement")

@@ -31,10 +31,10 @@ from .cascade import (CONTOUR_NODES, CascadeError, convergence_report,
 from .fock import FockBasis, ResourceError, enumerate_basis
 from .hamiltonian import ModelParams
 from .modes import ModeGrid, ParameterError, build_grid
-from .observables import (cross_term_probe, energy_lipschitz_probe,
-                          mass_scan, momentum_axis, pull_through_summary,
-                          resolvent_bound_probes, scale_routes, scan_csv,
-                          scan_tail_summary, soft_photon_probe)
+from .observables import (energy_lipschitz_probe, mass_scan,
+                          pull_through_summary, resolvent_bound_probes,
+                          scale_routes, scan_csv, scan_tail_summary,
+                          soft_photon_probe)
 from .spectral import (MAX_NODES, ConditioningError, ContourError,
                        SolverError, check_node_count)
 
@@ -324,13 +324,9 @@ def _verify_lines(cfg: RunConfig, suite: str):
             orth = float(np.max(np.abs(rec.gamma_orth)))
             yield (True, f"gamma-orthogonality j={rec.j}", orth <= 1e-10,
                    f"max |<phi,Gamma phi>| = {orth:.2e} (tol 1e-10)")
-        axis = momentum_axis(params.p_total)
         for rec in state.records:
-            d2f, d2h, frame, solver, (d2k, d2kr) = scale_routes(
-                params, grid, basis, rec)
-            cross = cross_term_probe(params, grid, basis, rec.j, frame,
-                                     rec.grad_energy[axis], solver=solver)
-            del frame, solver   # not held across the next scale's routes
+            d2f, d2h, d2k, d2kr, cross = scale_routes(params, grid, basis,
+                                                      rec)
             yield (True, f"route H vs K j={rec.j}", abs(d2h - d2k) <= 1e-5,
                    f"|{d2h:.8f} - {d2k:.8f}| = {abs(d2h - d2k):.2e} "
                    "(tol 1e-5)")

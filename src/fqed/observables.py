@@ -10,11 +10,15 @@ The three curvature routes are
     integral of R X R around the ground energy,
   * the displaced route: the same quantity evaluated in the canonical
     frame with the mean-zero momentum observable replacing X, together
-    with its single-resolvent reduction.
+    with its single-resolvent reduction and the cross term (the mixed
+    scalar-times-observable contour terms the eigenvalue equation
+    annihilates), all three from one contour integral.
 
 For an exact eigenpair the first two agree to quadrature precision; the
 displaced route deviates only by basis-truncation effects, and that
-agreement is the laboratory's headline measurement.
+agreement is the laboratory's headline measurement.  ``scale_routes``
+evaluates all three routes at one cascade scale and returns their five
+numbers; ``mass-scan`` and ``verify`` both go through it.
 """
 
 from __future__ import annotations
@@ -221,100 +225,78 @@ def displaced_frame_ground(params: ModelParams, grid: ModeGrid,
                           gamma_ops=gamma_ops, gamma_shift=shift, orth=orth)
 
 
-def dispersion_curvature_displaced(params: ModelParams, grid: ModeGrid,
-                                   basis: FockBasis, j: int,
-                                   grad_energy: np.ndarray | None = None,
-                                   frame: DisplacedFrame | None = None,
-                                   solver: ResolventSolver | None = None):
-    """Curvature from the displaced-frame route, both forms.
+def dispersion_curvature_displaced(params: ModelParams,
+                                   frame: DisplacedFrame):
+    """Curvature from the displaced-frame route: both forms and the cross
+    term, from one contour integral.
 
     Evaluates 1 - 2 <oint R Gamma R phi, Gamma phi> with the centered
     momentum observable Gamma and the frame ground state phi, and the
     single-resolvent reduction 1 + (1/pi i) oint dzbar (E-zbar)^{-1}
-    <Gamma R Gamma phi, phi>; returns (double_form, reduced_form).  The
-    centering precondition <phi, Gamma phi> = 0 is enforced before
-    evaluation, since the cross terms only cancel on it.
+    <Gamma R Gamma phi, phi>.  The cross term is the magnitude of the mixed
+    contour terms of the expansion around the scalar s = grad E along the
+    axis, s^2 <R^2 phi, phi> - s <R^2 phi, Gamma phi> - s <R Gamma R phi,
+    phi>, which the eigenvalue equation annihilates: it is quadrature-plus-
+    residual noise when phi is the frame's ground state.  Returns
+    (double_form, reduced_form, cross_term).  The centering precondition
+    <phi, Gamma phi> = 0 is enforced before evaluation, since the cross
+    terms only cancel on it.
     """
-    if frame is None:
-        if grad_energy is None:
-            raise ParameterError("need a gradient or a prebuilt frame")
-        frame = displaced_frame_ground(params, grid, basis, j, grad_energy)
     if float(np.max(np.abs(frame.orth))) > 1e-10:
         raise ParameterError(
             f"centering violated: <phi, Gamma phi> = {frame.orth} "
             "exceeds 1.0e-10")
+    axis = momentum_axis(params.p_total)
     phi = frame.phi / np.linalg.norm(frame.phi)
-    gamma = frame.gamma_ops[momentum_axis(params.p_total)]
+    gamma = frame.gamma_ops[axis]
     energy = frame.energy
-    cont = _route_contour(params, j, energy, frame.gap)
-    solver = solver or ResolventSolver(frame.k_op)
-    target_r = solver.reduce(gamma @ phi)
-    phi_r = solver.reduce(phi) if solver.dense else None
-
-    def node(z):
-        # R Gamma R phi, then the reduced integrand <Gamma R Gamma phi, phi>
-        # over (E - z); a Krylov solver takes R phi = phi / (E - z)
-        g = solver.solve(z, target_r)
-        y = solver.solve(z, solver.apply(gamma, solver.solve(z, phi_r))) \
-            if solver.dense else g / (energy - z)
-        return y, (target_r @ g) / (energy - z)
-
-    acc, reduced = contour_sum(cont, node)
-    sandwich = float(np.real(acc.conj() @ target_r))
-    return 1.0 - 2.0 * sandwich, 1.0 - 2.0 * float(reduced.real)
-
-
-def cross_term_probe(params: ModelParams, grid: ModeGrid, basis: FockBasis,
-                     j: int, frame: DisplacedFrame,
-                     grad_component: float,
-                     solver: ResolventSolver | None = None) -> float:
-    """Explicit mixed contour term of the displaced-route expansion.
-
-    Assembles the scalar-scalar and scalar-observable pieces that the
-    eigenvalue equation annihilates; the returned magnitude is pure
-    quadrature-plus-residual noise when phi is the frame's ground state.
-    """
-    phi = frame.phi / np.linalg.norm(frame.phi)
-    gamma = frame.gamma_ops[momentum_axis(params.p_total)]
-    energy = frame.energy
-    cont = _route_contour(params, j, energy, frame.gap)
-    solver = solver or ResolventSolver(frame.k_op)
+    cont = _route_contour(params, frame.j, energy, frame.gap)
+    solver = ResolventSolver(frame.k_op)
     target = gamma @ phi
     target_r = solver.reduce(target)
     if solver.dense:
-        # rows R Gamma R phi and R R phi, in the solver's coordinates
         phi_r = solver.reduce(phi)
 
         def node(z):
+            # g = R Gamma phi, a = R phi, y = R Gamma a; R is complex
+            # symmetric, so <R^2 phi, phi> = a.a and <R^2 phi, Gamma phi>
+            # = g.a without a further solve
+            g = solver.solve(z, target_r)
             a = solver.solve(z, phi_r)
-            return solver.solve(z, solver.apply(gamma, a)), solver.solve(z, a)
+            y = solver.solve(z, solver.apply(gamma, a))
+            return y, (target_r @ g) / (energy - z), a @ a, g @ a
 
-        sand, q2 = contour_sum(cont, node)
+        acc, reduced, aa, ga = contour_sum(cont, node)
     else:
-        # a Krylov solver takes R phi = phi / (E - z); rows lifted to full
-        # coordinates
-        sand, q2 = contour_sum(cont, lambda z: (
-            solver.solve(z, target_r) / (energy - z), 1.0 / (energy - z) ** 2))
-        sand, q2, phi_r, target_r = solver.lift(sand), q2 * phi, phi, target
-    # cross terms of the expanded square: scalar^2 <Q2 v, v> minus the two
-    # mixed scalar/middle combinations; all vanish for an exact eigenpair.
-    scalar = float(grad_component)
-    cross = (scalar ** 2 * np.real(q2.conj() @ phi_r)
-             - scalar * np.real(q2.conj() @ target_r)
-             - scalar * np.real(sand.conj() @ phi_r))
-    return float(abs(2.0 * cross))
+        def node(z):
+            # a Krylov solver takes R phi = phi / (E - z)
+            g = solver.solve(z, target_r)
+            return (g / (energy - z), (target_r @ g) / (energy - z),
+                    1.0 / (energy - z) ** 2)
+
+        acc, reduced, q2 = contour_sum(cont, node)
+        phi_r, aa, ga = phi, q2 * (phi @ phi), q2 * (phi @ target)
+    sandwich = float(np.real(acc.conj() @ target_r))
+    scalar = float(frame.grad_energy[axis])
+    cross = (scalar ** 2 * aa.real - scalar * ga.real
+             - scalar * np.real(acc @ phi_r))
+    return (1.0 - 2.0 * sandwich, 1.0 - 2.0 * float(reduced.real),
+            float(abs(2.0 * cross)))
+
+
+def cross_term_probe(params: ModelParams, frame: DisplacedFrame) -> float:
+    """The cross term of the displaced route on ``frame``."""
+    return dispersion_curvature_displaced(params, frame)[2]
 
 
 def scale_routes(params: ModelParams, grid: ModeGrid, basis: FockBasis,
                  rec: ScaleRecord):
     """The three curvature routes at one cascade scale.
 
-    Returns (FD curvature, direct route, displaced frame, the frame's
-    solver, (double form, reduced form) of the displaced route).  The FD
-    stencil takes its center from the cascade energy; the frame polish
-    starts from the cascade's centering shift.  The frame and its solver
-    are returned for the cross-term probe; drop them once done, since a
-    Krylov solver holds one Lanczos space per right-hand side.
+    Returns (FD curvature, direct route, double form, reduced form, cross
+    term); the last three are the displaced route on the frame polished
+    from the cascade's centering shift.  The FD stencil takes its center
+    from the cascade energy.
     """
     d2_fd = dispersion_curvature_fd(params, grid, basis, rec.j,
                                     center=rec.energy)
@@ -324,10 +306,7 @@ def scale_routes(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     frame = displaced_frame_ground(params, grid, basis, rec.j,
                                    rec.grad_energy,
                                    gamma_start=rec.gamma_shift)
-    solver = ResolventSolver(frame.k_op)
-    displaced = dispersion_curvature_displaced(
-        params, grid, basis, rec.j, frame=frame, solver=solver)
-    return d2_fd, d2_direct, frame, solver, displaced
+    return (d2_fd, d2_direct, *dispersion_curvature_displaced(params, frame))
 
 
 @dataclass
@@ -376,8 +355,7 @@ def scan_csv(rows: list[MassScanRow]) -> str:
 
 
 def mass_scan(params_template: ModelParams, grid: ModeGrid, basis: FockBasis,
-              alphas, p_list, route_scales=None, fd_gradient: bool = True,
-              contour_nodes: int = CONTOUR_NODES,
+              alphas, p_list, contour_nodes: int = CONTOUR_NODES,
               allow_invalid: bool = False):
     """Cascade every (alpha, P) point and emit per-scale curvature rows.
 
@@ -404,19 +382,15 @@ def mass_scan(params_template: ModelParams, grid: ModeGrid, basis: FockBasis,
                 continue
             states[key] = state
             for rec in state.records:
-                if route_scales is not None and rec.j not in route_scales:
-                    continue
                 row = MassScanRow(alpha=float(alpha), j=rec.j,
                                   sigma=rec.sigma, p=p, energy=rec.energy,
                                   grad_fh=rec.grad_energy)
                 try:
-                    (row.d2_fd, row.d2_direct, frame, solver,
-                     (row.d2_displaced, row.d2_displaced_reduced)) = \
-                        scale_routes(params, grid, basis, rec)
-                    del frame, solver   # not held during the FD gradient
-                    if fd_gradient:
-                        row.grad_fd = energy_gradient_fd(
-                            params, grid, basis, rec.j)
+                    (row.d2_fd, row.d2_direct, row.d2_displaced,
+                     row.d2_displaced_reduced, _) = scale_routes(
+                        params, grid, basis, rec)
+                    row.grad_fd = energy_gradient_fd(params, grid, basis,
+                                                     rec.j)
                     row.m_r = 1.0 / row.d2_displaced
                     row.delta_hk = abs(row.d2_direct - row.d2_displaced)
                     row.delta_hf = abs(row.d2_direct - row.d2_fd)
@@ -510,35 +484,21 @@ def _pull_through_pairs(psi, energy, family: FiberFamily, modes) -> dict:
     return pairs
 
 
-def pull_through_probe(psi: np.ndarray, energy: float, params: ModelParams,
-                       grid: ModeGrid, basis: FockBasis, j: int,
-                       m: int) -> float:
-    """Relative defect of the pull-through identity for one active mode.
-
-    b_m psi = -sqrt(alpha w_m / |k_m|) (H(P-k_m) + |k_m| - E)^{-1}
-              (eps_m . dH/dP) psi
-
-    holds exactly in the untruncated algebra; the measured residual
-    reflects occupation-cap truncation only.
-    """
-    if grid.shell[m] >= j:
-        raise ParameterError(f"mode {m} is inactive at scale {j}")
-    lhs, rhs = _pull_through_pairs(psi, energy,
-                                   FiberFamily(params, grid, basis, j),
-                                   [m])[m]
-    ln = np.linalg.norm(lhs)
-    if ln == 0.0:
-        return 0.0 if np.linalg.norm(rhs) == 0.0 else np.inf
-    return float(np.linalg.norm(lhs - rhs) / ln)
-
-
 def pull_through_summary(params: ModelParams, grid: ModeGrid,
                          basis: FockBasis, j: int,
                          psi: np.ndarray | None = None,
                          energy: float | None = None):
     """Norm-aggregated pull-through residual over all active modes.
 
-    Returns (aggregate, per-mode residual array); the aggregate weights
+    The pull-through identity
+
+        b_m psi = -sqrt(alpha w_m / |k_m|) (H(P-k_m) + |k_m| - E)^{-1}
+                  (eps_m . dH/dP) psi
+
+    holds exactly in the untruncated algebra; the measured residual
+    reflects occupation-cap truncation only.  Returns (aggregate, per-mode
+    relative residual array); a mode with b_m psi = 0 reads 0 when its
+    right-hand side vanishes too and inf otherwise.  The aggregate weights
     each mode by its annihilation norm, so decoupled modes cannot dominate
     through 0/0 ratios.
     """
@@ -557,7 +517,8 @@ def pull_through_summary(params: ModelParams, grid: ModeGrid,
         l2 = float(np.linalg.norm(lhs) ** 2)
         diff2 += d2
         lhs2 += l2
-        per_mode[i] = np.sqrt(d2 / l2) if l2 > 0.0 else 0.0
+        per_mode[i] = np.sqrt(d2 / l2) if l2 > 0.0 else \
+            (0.0 if d2 == 0.0 else np.inf)
     aggregate = np.sqrt(diff2 / lhs2) if lhs2 > 0.0 else 0.0
     return float(aggregate), per_mode
 

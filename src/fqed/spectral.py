@@ -64,6 +64,9 @@ KRYLOV_TOL = 1e-10
 #: Largest Krylov space per right-hand side.
 KRYLOV_MAX = 1200
 
+#: Lanczos vectors added each time a Krylov space grows.
+KRYLOV_BLOCK = 60
+
 #: Node count at which projector node doubling gives up.
 MAX_NODES = 512
 
@@ -207,16 +210,16 @@ class _KrylovSpace:
     until ``KRYLOV_TOL`` holds for the shifts actually used.
     """
 
-    def __init__(self, op, b: np.ndarray, block: int = 60):
+    def __init__(self, op, b: np.ndarray):
         self.op = op
         self.b0 = float(np.linalg.norm(b))
         self.max_dim = max(1, min(KRYLOV_MAX, len(b)))
-        self.block = block
         self.exhausted = self.b0 == 0.0
         self.steps = 0
         self.alpha = np.zeros(self.max_dim)
         self.beta = np.zeros(self.max_dim)
-        self._basis = np.zeros((min(self.block + 1, self.max_dim + 1), len(b)))
+        self._basis = np.zeros((min(KRYLOV_BLOCK + 1, self.max_dim + 1),
+                                len(b)))
         if not self.exhausted:
             self._basis[0] = np.asarray(b, dtype=float) / self.b0
 
@@ -246,7 +249,7 @@ class _KrylovSpace:
     def solve(self, z: complex) -> np.ndarray:
         """Coefficients of (op - z)^{-1} b in the basis, grown as needed."""
         if self.steps == 0:
-            self._grow(min(self.block, self.max_dim))
+            self._grow(min(KRYLOV_BLOCK, self.max_dim))
         while True:
             k = self.steps
             rhs = np.zeros(k)
@@ -261,7 +264,7 @@ class _KrylovSpace:
                         f"Krylov space of size {k} left shifted residual at "
                         f"{res / self.b0:.2e}")
                 return y
-            self._grow(min(k + self.block, self.max_dim))
+            self._grow(min(k + KRYLOV_BLOCK, self.max_dim))
 
     def lift(self, c: np.ndarray) -> np.ndarray:
         """V c with the real basis; c may be shorter than the space."""

@@ -20,7 +20,7 @@ from fqed.fock import enumerate_basis
 from fqed.hamiltonian import (ModelParams, assemble_displaced_hamiltonian,
                               assemble_h_fiber, assemble_slice_interaction)
 from fqed.modes import build_grid
-from fqed.observables import (cross_term_probe, dispersion_curvature_direct,
+from fqed.observables import (dispersion_curvature_direct,
                               dispersion_curvature_displaced,
                               dispersion_curvature_fd,
                               displaced_frame_ground, energy_gradient_fd,
@@ -75,10 +75,8 @@ def curvature_rows(params, grid, basis, state):
     rows = []
     axis = momentum_axis(params.p_total)
     for rec in state.records:
-        d2_fd, d2_h, frame, solver, (d2_k, d2_kr) = scale_routes(
-            params, grid, basis, rec)
-        cross = cross_term_probe(params, grid, basis, rec.j, frame,
-                                 rec.grad_energy[axis], solver=solver)
+        d2_fd, d2_h, d2_k, d2_kr, cross = scale_routes(params, grid, basis,
+                                                       rec)
         rows.append(dict(alpha=params.alpha, p=float(params.p_total[axis]),
                          j=rec.j, fd=d2_fd, h=d2_h, k=d2_k, kr=d2_kr,
                          cross=cross))
@@ -168,8 +166,7 @@ def mass_rows():
         frame = displaced_frame_ground(params, grid, basis, rec.j,
                                        rec.grad_energy,
                                        gamma_start=rec.gamma_shift)
-        d2_k, _ = dispersion_curvature_displaced(
-            params, grid, basis, rec.j, frame=frame)
+        d2_k, _, _ = dispersion_curvature_displaced(params, frame)
         rows[alpha] = 1.0 / d2_k
     return rows, states
 
@@ -184,8 +181,8 @@ def test_a01_free_theory_exactness(boxes):
     worst_step = max(r.step_norm for r in state.records[1:])
     d2 = [dispersion_curvature_fd(params, grid, basis, 3),
           dispersion_curvature_direct(params, grid, basis, 3)]
-    d2 += list(dispersion_curvature_displaced(params, grid, basis, 3,
-                                              grad_energy=params.p_total))
+    frame = displaced_frame_ground(params, grid, basis, 3, params.p_total)
+    d2 += dispersion_curvature_displaced(params, frame)[:2]
     worst_d2 = max(abs(v - 1.0) for v in d2)
     ok = (worst_e <= TOL_FREE_ENERGY and worst_g <= TOL_FREE_ENERGY
           and worst_d2 <= TOL_FREE_CURV and worst_step <= 1e-12)

@@ -241,8 +241,9 @@ def test_verify_identities_free_theory(tmp_path, capsys):
 
 
 def test_verify_builds_each_frame_solver_once(tmp_path, monkeypatch):
-    # the displaced route and the cross-term probe share their frame's
-    # solver: one per cascade step plus one H and one K solver per scale
+    # the displaced route reads its cross term from its own integral on the
+    # frame's one solver: one per cascade step plus one H and one K solver
+    # per scale
     from fqed.spectral import ResolventSolver
 
     inits = []

@@ -1,11 +1,12 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from conftest import custom_grid
 from fqed.cascade import run_cascade, sector_ground
-from fqed.fock import enumerate_basis
+from fqed.fock import enumerate_basis, ladder
 from fqed.hamiltonian import ModelParams, assemble_h_fiber
 from fqed.modes import ParameterError, build_grid
 from fqed.observables import (cross_term_probe, dispersion_curvature_direct,
@@ -13,8 +14,8 @@ from fqed.observables import (cross_term_probe, dispersion_curvature_direct,
                               dispersion_curvature_fd, displaced_frame_ground,
                               energy_gradient_fd, energy_gradient_fh,
                               energy_lipschitz_probe, mass_scan,
-                              momentum_axis, pull_through_probe,
-                              pull_through_summary, resolvent_bound_probes,
+                              momentum_axis, pull_through_summary,
+                              resolvent_bound_probes,
                               scan_csv, soft_photon_probe)
 from fqed.spectral import ResolventSolver, dense_spectrum
 
@@ -75,8 +76,7 @@ def test_curvature_free_theory_all_routes():
     d2_h = dispersion_curvature_direct(params, grid, basis, 2)
     frame = displaced_frame_ground(params, grid, basis, 2,
                                    np.array([0.1, 0.0, 0.0]))
-    d2_k, d2_kr = dispersion_curvature_displaced(params, grid, basis, 2,
-                                                 frame=frame)
+    d2_k, d2_kr, _ = dispersion_curvature_displaced(params, frame)
     for val in (d2_fd, d2_h, d2_k, d2_kr):
         assert abs(val - 1.0) <= 1e-10
 
@@ -88,8 +88,7 @@ def test_curvature_scale0_is_unity():
     e, psi, _ = sector_ground(params, grid, basis, 0)
     grad = energy_gradient_fh(psi, params, grid, basis, 0)
     frame = displaced_frame_ground(params, grid, basis, 0, grad)
-    d2_k, d2_kr = dispersion_curvature_displaced(params, grid, basis, 0,
-                                                 frame=frame)
+    d2_k, d2_kr, _ = dispersion_curvature_displaced(params, frame)
     assert abs(d2_k - 1.0) <= 1e-10
     assert abs(d2_kr - 1.0) <= 1e-10
 
@@ -107,8 +106,7 @@ def test_three_route_agreement(coupled_frame):
     params, grid, basis, e, psi, gap, grad, frame = coupled_frame
     d2_h = dispersion_curvature_direct(params, grid, basis, 2, psi=psi,
                                        energy=e, gap=gap)
-    d2_k, d2_kr = dispersion_curvature_displaced(params, grid, basis, 2,
-                                                 frame=frame)
+    d2_k, d2_kr, _ = dispersion_curvature_displaced(params, frame)
     d2_fd = dispersion_curvature_fd(params, grid, basis, 2)
     assert abs(d2_h - d2_k) <= 1e-5
     assert abs(d2_h - d2_fd) <= 1e-4
@@ -123,7 +121,7 @@ def test_frame_self_consistency(coupled_frame):
 
 def test_cross_term_probe_vanishes(coupled_frame):
     params, grid, basis, e, psi, gap, grad, frame = coupled_frame
-    value = cross_term_probe(params, grid, basis, 2, frame, grad[0])
+    value = cross_term_probe(params, frame)
     assert value <= 1e-8
 
 
@@ -131,13 +129,13 @@ def test_displaced_route_rejects_broken_centering(coupled_frame):
     params, grid, basis, e, psi, gap, grad, frame = coupled_frame
     broken = dataclasses.replace(frame, orth=np.array([1e-3, 0.0, 0.0]))
     with pytest.raises(ParameterError):
-        dispersion_curvature_displaced(params, grid, basis, 2, frame=broken)
+        dispersion_curvature_displaced(params, broken)
 
 
 def test_mass_scan_free_row():
     params, grid, basis = make_box(0.0, [0.1, 0.0, 0.0])
     rows, states = mass_scan(params, grid, basis, [0.0],
-                             [[0.1, 0.0, 0.0]], fd_gradient=False)
+                             [[0.1, 0.0, 0.0]])
     assert len(rows) == 3
     for row in rows:
         assert row.error == ""
@@ -150,8 +148,8 @@ def test_mass_scan_free_row():
 def test_mass_scan_deviation_grows_with_coupling():
     params, grid, basis = make_box(1e-3, [0.1, 0.0, 0.0])
     rows, _ = mass_scan(params, grid, basis, [1e-4, 1e-3],
-                        [[0.1, 0.0, 0.0]], route_scales=[2],
-                        fd_gradient=False)
+                        [[0.1, 0.0, 0.0]])
+    rows = [r for r in rows if r.j == 2]
     devs = [abs(r.m_r - 1.0) for r in rows]
     assert devs[1] > devs[0] > 0.0
     for r in rows:
@@ -205,17 +203,14 @@ def test_soft_photon_stability_across_scales():
 
 
 def test_pull_through_free_theory():
+    # both sides vanish on every mode; a nonzero right-hand side against
+    # b_m psi = 0 would read inf
     params, grid, basis = make_box(0.0, [0.1, 0.0, 0.0])
     e, psi, _ = sector_ground(params, grid, basis, 1)
-    assert pull_through_probe(psi, e, params, grid, basis, 1, 0) == 0.0
-
-
-def test_pull_through_rejects_inactive_mode():
-    params, grid, basis = make_box(1e-3, [0.1, 0.0, 0.0])
-    e, psi, _ = sector_ground(params, grid, basis, 1)
-    inactive = int(np.nonzero(grid.shell == 1)[0][0])
-    with pytest.raises(ParameterError):
-        pull_through_probe(psi, e, params, grid, basis, 1, inactive)
+    agg, per_mode = pull_through_summary(params, grid, basis, 1, psi=psi,
+                                         energy=e)
+    assert len(per_mode) == np.count_nonzero(grid.shell < 1)
+    assert agg == 0.0 and np.all(per_mode == 0.0)
 
 
 def test_pull_through_residual_shrinks_with_caps():
@@ -318,10 +313,8 @@ def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
     routes = {
         "direct": lambda: dispersion_curvature_direct(
             params, grid, basis, 1, psi=psi, energy=energy, gap=gap),
-        "displaced": lambda: dispersion_curvature_displaced(
-            params, grid, basis, 1, frame=frame),
-        "cross": lambda: cross_term_probe(params, grid, basis, 1, frame,
-                                          grad[0]),
+        "displaced": lambda: dispersion_curvature_displaced(params, frame),
+        "cross": lambda: cross_term_probe(params, frame),
     }
     counts = {}
     applications = {}
@@ -344,13 +337,13 @@ def test_cross_term_probe_reads_an_off_eigenvector_phi(tiny_setup):
     energy, psi, _ = sector_ground(params, grid, basis, 1)
     grad = energy_gradient_fh(psi, params, grid, basis, 1)
     frame = displaced_frame_ground(params, grid, basis, 1, grad)
-    exact = cross_term_probe(params, grid, basis, 1, frame, grad[0])
+    exact = cross_term_probe(params, frame)
     rng = np.random.default_rng(3)
     kick = rng.standard_normal(len(frame.phi))
     kick -= frame.phi * (frame.phi @ kick) / (frame.phi @ frame.phi)
     kick *= 1e-3 * np.linalg.norm(frame.phi) / np.linalg.norm(kick)
     moved = dataclasses.replace(frame, phi=frame.phi + kick)
-    off = cross_term_probe(params, grid, basis, 1, moved, grad[0])
+    off = cross_term_probe(params, moved)
     assert exact <= 1e-8
     assert off >= 1e-6
 
@@ -382,8 +375,11 @@ def test_fd_curvature_takes_its_center_from_the_cascade(small_setup,
 
 def test_pull_through_one_solver_per_photon_momentum(tiny_setup,
                                                      monkeypatch):
-    # the two polarizations of each k share one H(P - k) solver, and the
-    # per-mode residuals match the single-mode probe
+    # the two polarizations of each k share one H(P - k) solver, and each
+    # per-mode residual matches an independent dense solve of
+    # (H(P - k) + |k| - E) x = (eps_m . dH/dP) psi, with H(P - k) in product
+    # form and dH/dP its central difference at unit step (exact, since H is
+    # quadratic in P)
     params, grid, basis = tiny_setup
     energy, psi, _ = sector_ground(params, grid, basis, 1)
     inits = []
@@ -399,7 +395,44 @@ def test_pull_through_one_solver_per_photon_momentum(tiny_setup,
     active = np.nonzero(grid.shell < 1)[0]
     assert len(inits) == len({tuple(grid.k[m]) for m in active}) \
         == len(active) // 2
+    p = params.p_total
+    dh_psi = [(assemble_h_fiber(params, grid, basis, 1, p=p + e)
+               - assemble_h_fiber(params, grid, basis, 1, p=p - e)) @ psi / 2
+              for e in np.eye(3)]
     for i, m in enumerate(active):
-        single = pull_through_probe(psi, energy, params, grid, basis, 1,
-                                    int(m))
-        assert per_mode[i] == pytest.approx(single, rel=1e-12, abs=1e-300)
+        knorm = grid.knorm[m]
+        h = assemble_h_fiber(params, grid, basis, 1, p=p - grid.k[m])
+        x = np.linalg.solve(h.toarray() + (knorm - energy) * np.eye(len(psi)),
+                            grid.eps_vec[m] @ dh_psi)
+        rhs = -np.sqrt(params.alpha * grid.weight[m] / knorm) * x
+        lhs = ladder(basis, int(m))[0] @ psi
+        expected = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
+        assert per_mode[i] == pytest.approx(expected, rel=1e-12)
+
+
+def test_displaced_route_builds_one_krylov_space(tiny_setup, monkeypatch):
+    # on the Krylov path the route reduces only Gamma phi and reads its
+    # cross term from the same integral: one Lanczos space per call, and the
+    # same three values as the dense path
+    import fqed.observables as observables
+    import fqed.spectral as spectral
+
+    params, grid, basis = tiny_setup
+    energy, psi, _ = sector_ground(params, grid, basis, 1)
+    grad = energy_gradient_fh(psi, params, grid, basis, 1)
+    frame = displaced_frame_ground(params, grid, basis, 1, grad)
+    dense = dispersion_curvature_displaced(params, frame)
+    spaces = []
+
+    class CountedSpace(spectral._KrylovSpace):
+        def __init__(self, *args):
+            spaces.append(len(args[1]))
+            super().__init__(*args)
+
+    monkeypatch.setattr(spectral, "_KrylovSpace", CountedSpace)
+    monkeypatch.setattr(observables, "ResolventSolver",
+                        functools.partial(ResolventSolver, dense_limit=10))
+    d2_k, d2_kr, cross = dispersion_curvature_displaced(params, frame)
+    assert spaces == [basis.size]
+    assert cross <= 1e-8
+    assert abs(d2_k - dense[0]) <= 1e-8 and abs(d2_kr - dense[1]) <= 1e-8
