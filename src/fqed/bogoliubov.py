@@ -175,12 +175,13 @@ def displaced_momentum_ops(family, grad_energy: np.ndarray
             for i, beta in enumerate(family.beta)]
 
 
-def center_operators(pi_ops: list[sp.spmatrix],
-                     phi: np.ndarray) -> tuple[list[sp.csr_matrix], np.ndarray]:
+def center_operators(pi_ops: list[sp.spmatrix], phi: np.ndarray
+                     ) -> tuple[list[sp.csr_matrix], np.ndarray, np.ndarray]:
     """Subtract the phi-expectation from each component of Pi.
 
-    Returns (Gamma ops, shift) with Gamma_i = Pi_i - shift_i and
-    <phi, Gamma_i phi> = 0 by construction.
+    Returns (Gamma ops, shift, orth) with Gamma_i = Pi_i - shift_i and
+    orth_i = <phi, Gamma_i phi> / <phi, phi>, measured through the Gamma
+    built here: zero up to rounding.
     """
     phi = np.asarray(phi, dtype=float)
     nrm2 = float(phi @ phi)
@@ -189,4 +190,5 @@ def center_operators(pi_ops: list[sp.spmatrix],
     shift = np.array([float(phi @ (pi @ phi)) / nrm2 for pi in pi_ops])
     eye = sp.identity(pi_ops[0].shape[0], format="csr")
     gamma = [(pi_ops[i] - shift[i] * eye).tocsr() for i in range(3)]
-    return gamma, shift
+    orth = np.array([(phi @ (g @ phi)) / nrm2 for g in gamma])
+    return gamma, shift, orth

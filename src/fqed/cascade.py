@@ -29,8 +29,8 @@ from .fock import FockBasis
 from .hamiltonian import (FiberFamily, ModelParams,
                           assemble_intermediate_hamiltonian)
 from .modes import ModeGrid, ParameterError
-from .spectral import (Contour, ContourError, contour_project_checked,
-                       ground_state)
+from .spectral import (Contour, ContourError, ResolventSolver,
+                       contour_project_checked, ground_state)
 
 #: Trapezoid nodes of each step's first projection; doubled on a defect.
 CONTOUR_NODES = 64
@@ -220,15 +220,14 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
     grad0 = family.gradient(psi0, p)
     phi0 = basis.vacuum()
     pi0 = displaced_momentum_ops(family, grad0)
-    _, shift0 = center_operators(pi0, phi0)
+    _, shift0, orth0 = center_operators(pi0, phi0)
     state.records.append(ScaleRecord(
         j=0, sigma=cut.sigma(0), energy=e0, grad_energy=grad0,
         gap_sector=np.nan,
         gap_next_sector=_sector_gap(h0, basis, grid, 1),
         psi=psi0, phi=phi0, phi_hat=phi0.copy(),
         phi_norm=1.0, phi_hat_norm=1.0, gamma_shift=shift0,
-        gamma_orth=np.array([phi0 @ (pi0[i] @ phi0) - shift0[i]
-                             for i in range(3)]),
+        gamma_orth=orth0,
     ))
 
     for j in range(params.n_scales):
@@ -240,7 +239,7 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
             contour = Contour(prev.energy, params.mu * cut.sigma(j + 1),
                               contour_nodes)
             phi_hat, nodes_used, defect = contour_project_checked(
-                k_hat, contour, prev.phi)
+                ResolventSolver(k_hat), contour, prev.phi)
         except ContourError as exc:
             raise CascadeError(f"scale {j + 1}: {exc}") from exc
 
@@ -260,10 +259,7 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
             raise CascadeError(f"scale {j + 1}: {exc}") from exc
 
         pi = displaced_momentum_ops(family, grad)
-        _, shift = center_operators(pi, phi)
-        nrm2 = float(phi @ phi)
-        orth = np.array([(phi @ (pi[i] @ phi)) / nrm2 - shift[i]
-                         for i in range(3)])
+        _, shift, orth = center_operators(pi, phi)
         gap_next = _sector_gap(h_next, basis, grid, j + 2) \
             if j + 1 < params.n_scales else np.nan
 
@@ -292,11 +288,9 @@ class ConvergenceReport:
     energy_shifts: np.ndarray
     grad_shifts: np.ndarray
     step_exponent: float
-    step_prefactor: float
     energy_exponent: float
     energy_ratio: np.ndarray
     shift_constants: np.ndarray
-    step_bound_ratio: np.ndarray
     delta: float
 
     def table(self) -> str:
@@ -315,12 +309,11 @@ class ConvergenceReport:
         return buf.getvalue()
 
 
-def _loglinear_slope(j: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+def _loglinear_slope(j: np.ndarray, y: np.ndarray) -> float:
     mask = y > 0.0
     if mask.sum() < 2:
-        return np.inf, 0.0
-    coef = np.polyfit(j[mask], np.log(y[mask]), 1)
-    return float(-coef[0]), float(np.exp(coef[1]))
+        return np.inf
+    return float(-np.polyfit(j[mask], np.log(y[mask]), 1)[0])
 
 
 def convergence_report(state: CascadeState,
@@ -339,20 +332,17 @@ def convergence_report(state: CascadeState,
     dg = np.array([r.grad_shift for r in recs])
     alpha, eps = state.params.alpha, state.params.epsilon
 
-    step_exp, step_pref = _loglinear_slope(j, steps)
-    energy_exp, _ = _loglinear_slope(j, de)
+    step_exp = _loglinear_slope(j, steps)
+    energy_exp = _loglinear_slope(j, de)
     ratio = np.full(len(de), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio[1:] = np.where(de[:-1] > 0, de[1:] / de[:-1], np.nan)
         c1 = de / (alpha * eps ** (j - 1)) if alpha > 0 \
             else np.full(len(de), np.nan)
-        bound = alpha ** 0.25 * eps ** (j * (1.0 - delta))
-        step_ratio = np.where(bound > 0, steps / bound, np.nan)
     return ConvergenceReport(
         scales=j, step_norms=steps, energy_shifts=de, grad_shifts=dg,
-        step_exponent=step_exp, step_prefactor=step_pref,
-        energy_exponent=energy_exp, energy_ratio=ratio,
-        shift_constants=c1, step_bound_ratio=step_ratio, delta=delta)
+        step_exponent=step_exp, energy_exponent=energy_exp,
+        energy_ratio=ratio, shift_constants=c1, delta=delta)
 
 
 TRACE_COLUMNS = [

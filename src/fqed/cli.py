@@ -31,7 +31,7 @@ from .cascade import (CONTOUR_NODES, CascadeError, convergence_report,
 from .fock import FockBasis, ResourceError, enumerate_basis
 from .hamiltonian import ModelParams
 from .modes import ModeGrid, ParameterError, build_grid
-from .observables import (energy_lipschitz_probe, mass_scan,
+from .observables import (SCAN_COLUMNS, energy_lipschitz_probe, mass_scan,
                           pull_through_summary, resolvent_bound_probes,
                           scale_routes, scan_csv, scan_tail_summary,
                           soft_photon_probe)
@@ -290,15 +290,18 @@ def cmd_mass_scan(cfg: RunConfig, args) -> int:
     path.write_text(scan_csv(rows) + meta)
 
     plot = _out_path(cfg, args, "scan.gp")
+    col = {name: i + 1 for i, name in enumerate(SCAN_COLUMNS)}
     plot.write_text(
         "set datafile separator ','\n"
         "set key autotitle columnhead\n"
         "set logscale x\n"
         "set xlabel 'alpha'; set ylabel 'm_r'\n"
-        f"plot 'scan.csv' using 1:17 with points title 'm_r vs alpha'\n"
+        f"plot 'scan.csv' using {col['alpha']}:{col['m_r']} with points "
+        "title 'm_r vs alpha'\n"
         "pause -1\n"
         "set xlabel 'j'; set ylabel 'd2E'\n"
-        f"plot 'scan.csv' using 2:16 with linespoints title 'd2E vs j'\n"
+        f"plot 'scan.csv' using {col['j']}:{col['d2E_K']} with linespoints "
+        "title 'd2E vs j'\n"
         "pause -1\n")
     n_err = sum(1 for r in rows if r.error)
     print(f"wrote {path} ({len(rows)} rows, {n_err} with errors) and {plot}")

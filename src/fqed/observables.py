@@ -162,7 +162,8 @@ def dispersion_curvature_direct(params: ModelParams, grid: ModeGrid,
     axis = momentum_axis(params.p_total)
     x_op = family.x(params.p_total)[axis]
     cont = _route_contour(params, j, energy, gap)
-    return 1.0 - 2.0 * resolvent_sandwich(h, cont, x_op, psi)
+    return 1.0 - 2.0 * resolvent_sandwich(ResolventSolver(h), cont, x_op,
+                                          psi)
 
 
 @dataclass
@@ -214,12 +215,11 @@ def displaced_frame_ground(params: ModelParams, grid: ModeGrid,
         gamma = new
         if move < 1e-13:
             break
-    # centering on the solved ground state is exact by construction; the
-    # residual shift drift below the fixed-point tolerance only moves the
-    # operator's scalar part
-    gamma_ops, shift = center_operators(frame_ops.pi, phi)
-    orth = np.array([(phi @ (gamma_ops[i] @ phi)) / (phi @ phi)
-                     for i in range(3)])
+    # centering on phi is exact up to rounding; k_op, whose ground state
+    # phi is, was built at the shift before the last move, and K depends on
+    # the shift through -shift . Pi, so k_op is K(shift) only to within
+    # that move (below 1e-13 unless the five-solve cap ended the loop)
+    gamma_ops, shift, orth = center_operators(frame_ops.pi, phi)
     return DisplacedFrame(j=j, grad_energy=g, k_op=k_op,
                           energy=energy, gap=gap, phi=phi,
                           gamma_ops=gamma_ops, gamma_shift=shift, orth=orth)
@@ -267,6 +267,7 @@ def dispersion_curvature_displaced(params: ModelParams,
             return y, (target_r @ g) / (energy - z), a @ a, g @ a
 
         acc, reduced, aa, ga = contour_sum(cont, node)
+        acc_phi = acc @ phi_r
     else:
         def node(z):
             # a Krylov solver takes R phi = phi / (E - z)
@@ -275,11 +276,12 @@ def dispersion_curvature_displaced(params: ModelParams,
                     1.0 / (energy - z) ** 2)
 
         acc, reduced, q2 = contour_sum(cont, node)
-        phi_r, aa, ga = phi, q2 * (phi @ phi), q2 * (phi @ target)
+        aa, ga = q2 * (phi @ phi), q2 * (phi @ target)
+        acc_phi = solver.lift(acc) @ phi
     sandwich = float(np.real(acc.conj() @ target_r))
     scalar = float(frame.grad_energy[axis])
     cross = (scalar ** 2 * aa.real - scalar * ga.real
-             - scalar * np.real(acc @ phi_r))
+             - scalar * np.real(acc_phi))
     return (1.0 - 2.0 * sandwich, 1.0 - 2.0 * float(reduced.real),
             float(abs(2.0 * cross)))
 
@@ -323,7 +325,6 @@ class MassScanRow:
     d2_fd: float = np.nan
     d2_direct: float = np.nan
     d2_displaced: float = np.nan
-    d2_displaced_reduced: float = np.nan
     m_r: float = np.nan
     delta_hk: float = np.nan
     delta_hf: float = np.nan
@@ -386,9 +387,8 @@ def mass_scan(params_template: ModelParams, grid: ModeGrid, basis: FockBasis,
                                   sigma=rec.sigma, p=p, energy=rec.energy,
                                   grad_fh=rec.grad_energy)
                 try:
-                    (row.d2_fd, row.d2_direct, row.d2_displaced,
-                     row.d2_displaced_reduced, _) = scale_routes(
-                        params, grid, basis, rec)
+                    row.d2_fd, row.d2_direct, row.d2_displaced = \
+                        scale_routes(params, grid, basis, rec)[:3]
                     row.grad_fd = energy_gradient_fd(params, grid, basis,
                                                      rec.j)
                     row.m_r = 1.0 / row.d2_displaced

@@ -14,12 +14,14 @@ sum P v = -(r/M) sum_q exp(i theta_q) (H - z_q)^{-1} v.  Every contour
 integral in the package is this sum, evaluated by ``contour_sum`` on the
 upper half circle.
 
-Shifted solves work in the solver's own coordinates, where the operator
-is tridiagonal: below the dense limit one Householder reduction per
-operator, above it one Lanczos space per right-hand side.  A contour node
-then costs an O(n) tridiagonal solve; an integral reduces its vector once
-and lifts its sum once, and only a middle operator between two resolvents
-moves a vector to full coordinates and back at every node.
+Shifted solves work in a ``ResolventSolver``'s own coordinates, where
+the operator is tridiagonal: below the dense limit one Householder
+reduction per operator, above it one Lanczos space per real right-hand
+side.  A contour node then costs an O(n) tridiagonal solve; an integral
+reduces its vector once and lifts its sum once, and only a middle operator
+between two resolvents, on the dense path, moves a vector to full
+coordinates and back at every node.  The resolvent functions take the
+solver as their first argument and act on its operator.
 """
 
 from __future__ import annotations
@@ -273,69 +275,62 @@ class _KrylovSpace:
 
 
 class _KrylovVector:
-    """A vector held as coefficients in Lanczos bases: sum_s V_s c_s.
+    """A vector held as coefficients c in one Lanczos basis V: V c.
 
-    ``ResolventSolver.reduce`` makes one part per real right-hand side (two
-    for a complex one), and a shifted solve keeps each part in its space.
-    Parts in one space add after zero padding: a space only grows by
-    appending basis vectors, so a shorter coefficient vector is exact in the
-    longer basis.  Contour sums therefore run on coefficients, and ``lift``
-    multiplies by each basis once.
+    ``ResolventSolver.reduce`` starts one space per real right-hand side,
+    and a shifted solve keeps its result in that space.  Two vectors of the
+    space add after zero padding: a space only grows by appending basis
+    vectors, so a shorter coefficient vector is exact in the longer basis.
+    Contour sums therefore run on coefficients, and ``lift`` multiplies by
+    the basis once.
     """
 
     # numpy scalars and arrays defer to the operators below
     __array_ufunc__ = None
 
-    def __init__(self, n: int, parts: dict):
-        self.n = n
-        self.parts = parts   # {_KrylovSpace: coefficient vector}
+    def __init__(self, space: _KrylovSpace, coeffs: np.ndarray):
+        self.space = space
+        self.coeffs = coeffs
 
-    def _map(self, fn) -> "_KrylovVector":
-        return _KrylovVector(self.n, {s: fn(c) for s, c in self.parts.items()})
+    def _with(self, coeffs) -> "_KrylovVector":
+        return _KrylovVector(self.space, coeffs)
+
+    def _pair(self, other: "_KrylovVector"):
+        if other.space is not self.space:
+            raise ValueError("reduced vectors of different Krylov spaces")
+        return self.coeffs, other.coeffs
 
     def __mul__(self, scalar) -> "_KrylovVector":
-        return self._map(lambda c: c * scalar)
+        return self._with(self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "_KrylovVector":
-        return self._map(lambda c: c / scalar)
+        return self._with(self.coeffs / scalar)
 
     def __add__(self, other: "_KrylovVector") -> "_KrylovVector":
-        parts = dict(self.parts)
-        for space, c in other.parts.items():
-            a = parts.setdefault(space, c)
-            if a is not c:
-                if len(a) < len(c):
-                    a, c = c, a
-                a = a.astype(np.result_type(a, c))
-                a[:len(c)] += c
-                parts[space] = a
-        return _KrylovVector(self.n, parts)
+        a, c = self._pair(other)
+        if len(a) < len(c):
+            a, c = c, a
+        a = a.astype(np.result_type(a, c))
+        a[:len(c)] += c
+        return self._with(a)
 
     @property
     def real(self) -> "_KrylovVector":
-        return self._map(lambda c: c.real)
+        return self._with(self.coeffs.real)
 
     def conj(self) -> "_KrylovVector":
-        return self._map(np.conj)
+        return self._with(np.conj(self.coeffs))
 
     def lift(self) -> np.ndarray:
-        return sum((s.lift(c) for s, c in self.parts.items()),
-                   np.zeros(self.n))
+        return self.space.lift(self.coeffs)
 
-    def __matmul__(self, other):
-        """Bilinear product, as ``@`` of 1-D arrays; taken on coefficients
-        when both vectors lie in the same single space."""
-        if isinstance(other, _KrylovVector):
-            same = other.parts.keys() == self.parts.keys()
-            if same and len(self.parts) == 1:
-                (space, a), = self.parts.items()
-                b = other.parts[space]
-                k = min(len(a), len(b))
-                return a[:k] @ b[:k]
-            other = other.lift()
-        return self.lift() @ other
+    def __matmul__(self, other: "_KrylovVector"):
+        """Bilinear product, as ``@`` of 1-D arrays, on coefficients."""
+        a, b = self._pair(other)
+        k = min(len(a), len(b))
+        return a[:k] @ b[:k]
 
 
 class ResolventSolver:
@@ -352,10 +347,11 @@ class ResolventSolver:
     a reduced vector is Q^T b, a shift costs one O(n) tridiagonal solve, and
     reduce and lift are one reflector application each on the real data.
     Above the limit, ``reduce(b)`` starts a reorthogonalized Lanczos space
-    for b (one per real part) and carries it with its coefficients ||b|| e1;
-    a shift solves the space's tridiagonal T_b, growing the space as
-    needed, and ``lift`` multiplies by its basis.  A Krylov solve takes only
-    a freshly reduced vector: the space is built for its starting vector.
+    for the real vector b and carries it with its coefficients ||b|| e1; a
+    shift solves the space's tridiagonal T_b, growing the space as needed,
+    and ``lift`` multiplies by its basis.  A Krylov solve takes only a
+    freshly reduced vector, since the space is built for its starting
+    vector, so complex data and ``apply`` need the dense path.
     """
 
     def __init__(self, op, dense_limit: int = DENSE_LIMIT):
@@ -391,27 +387,22 @@ class ResolventSolver:
         b = np.asarray(b)
         if self.dense:
             return _real_map(lambda cols: self._reflect("T", cols), b)
-        pieces = [(1.0, b.real)]
         if np.iscomplexobj(b):
-            pieces.append((1j, b.imag))
-        parts = {}
-        for unit, piece in pieces:
-            if np.any(piece):
-                space = _KrylovSpace(self._op, piece)
-                parts[space] = np.array([unit * space.b0])
-        return _KrylovVector(self.n, parts)
+            raise ValueError("a Krylov solver reduces real vectors only; "
+                             "complex data needs the dense path")
+        space = _KrylovSpace(self._op, b)
+        return _KrylovVector(space, np.array([space.b0]))
 
     def solve(self, z: complex, y):
         """(op - z)^{-1} applied to the reduced vector y, kept reduced."""
         if self.dense:
             return _tridiag_solve(self._d, self._e, z, y)
-        parts = {}
-        for space, c in y.parts.items():
-            if len(c) != 1:
-                raise ValueError("a Krylov solve takes a freshly reduced "
-                                 "vector")
-            parts[space] = space.solve(z) * (c[0] / space.b0)
-        return _KrylovVector(self.n, parts)
+        c = y.coeffs
+        if len(c) != 1:
+            raise ValueError("a Krylov solve takes a freshly reduced vector")
+        if c[0] == 0.0:
+            return y
+        return y._with(y.space.solve(z) * (c[0] / y.space.b0))
 
     def lift(self, y) -> np.ndarray:
         """The full vector of a reduced one."""
@@ -422,7 +413,9 @@ class ResolventSolver:
 
     def apply(self, op, y):
         """``op`` applied to the reduced vector y, reduced again (lift,
-        multiply, reduce): the middle operator of a double resolvent."""
+        multiply, reduce): the middle operator of a double resolvent.  Dense
+        path only: a Krylov solve returns complex data, which a Krylov
+        ``reduce`` refuses."""
         return self.reduce(op @ self.lift(y))
 
 
@@ -451,34 +444,32 @@ def contour_sum(contour: Contour, node):
     return tuple(acc) if isinstance(out, tuple) else acc[0]
 
 
-def contour_project(op, contour: Contour, v: np.ndarray,
-                    solver: ResolventSolver | None = None) -> np.ndarray:
+def contour_project(solver: ResolventSolver, contour: Contour,
+                    v: np.ndarray) -> np.ndarray:
     """Spectral projection of v onto the eigenspace inside the contour.
 
-    ``op`` is real symmetric and ``v`` real, so the projection is real.  The
-    nodes sum in the solver's coordinates: one reduce, one lift.
+    The solver's operator is real symmetric and ``v`` real, so the
+    projection is real.  The nodes sum in the solver's coordinates: one
+    reduce, one lift.
     """
-    solver = solver or ResolventSolver(op)
     v_r = solver.reduce(v)
     acc = contour_sum(contour, lambda z: solver.solve(z, v_r))
     return np.ascontiguousarray(solver.lift(acc.real))
 
 
-def idempotence_defect(op, contour: Contour, v: np.ndarray,
-                       solver: ResolventSolver | None = None) -> float:
+def idempotence_defect(solver: ResolventSolver, contour: Contour,
+                       v: np.ndarray) -> float:
     """Relative defect ||P(Pv) - Pv|| / ||Pv|| of the quadrature projector."""
-    solver = solver or ResolventSolver(op)
-    pv = contour_project(op, contour, v, solver)
+    pv = contour_project(solver, contour, v)
     nrm = np.linalg.norm(pv)
     if nrm == 0.0:
         return 0.0
-    ppv = contour_project(op, contour, pv, solver)
+    ppv = contour_project(solver, contour, pv)
     return float(np.linalg.norm(ppv - pv) / nrm)
 
 
-def contour_project_checked(op, contour: Contour, v: np.ndarray,
-                            solver: ResolventSolver | None = None,
-                            defect_tol: float = 1e-8,
+def contour_project_checked(solver: ResolventSolver, contour: Contour,
+                            v: np.ndarray, defect_tol: float = 1e-8,
                             max_nodes: int = MAX_NODES):
     """Projection with node doubling until the idempotence defect passes.
 
@@ -489,14 +480,13 @@ def contour_project_checked(op, contour: Contour, v: np.ndarray,
     contour encloses none of v's spectrum and only quadrature leakage was
     projected; more nodes only shrink that leakage, so this raises at once.
     """
-    solver = solver or ResolventSolver(op)
     current = contour
     while True:
-        pv = contour_project(op, current, v, solver)
+        pv = contour_project(solver, current, v)
         nrm = np.linalg.norm(pv)
         if nrm == 0.0:
             return pv, current.nodes, 0.0
-        ppv = contour_project(op, current, pv, solver)
+        ppv = contour_project(solver, current, pv)
         kept = float(np.linalg.norm(ppv) / nrm)
         if kept < 0.5:
             raise ContourError(
@@ -513,17 +503,17 @@ def contour_project_checked(op, contour: Contour, v: np.ndarray,
         current = current.with_nodes(current.nodes * 2)
 
 
-def neumann_project(op_prev, delta_h, contour: Contour, v: np.ndarray,
-                    n_terms: int = 6,
-                    solver: ResolventSolver | None = None):
-    """Projection of v by the perturbation series around ``op_prev``.
+def neumann_project(solver: ResolventSolver, delta_h, contour: Contour,
+                    v: np.ndarray, n_terms: int = 6):
+    """Projection of v by the perturbation series around the solver's
+    operator.
 
-    Term n applies (op_prev - z)^{-1} [ -delta_h (op_prev - z)^{-1} ]^n
-    under the contour integral; the sum converges to the direct projection
-    with the perturbed operator when the series terms decay.  Returns
-    (partial sum, per-term norms).
+    Term n applies (op - z)^{-1} [ -delta_h (op - z)^{-1} ]^n under the
+    contour integral; the sum converges to the direct projection with the
+    perturbed operator when the series terms decay.  Each term moves a
+    complex vector through ``delta_h``, so the solver must be dense.
+    Returns (partial sum, per-term norms).
     """
-    solver = solver or ResolventSolver(op_prev)
     v_r = solver.reduce(v)
     minus_dh = -delta_h
 
@@ -544,18 +534,18 @@ def neumann_project(op_prev, delta_h, contour: Contour, v: np.ndarray,
     return terms.sum(axis=0), norms
 
 
-def resolvent_sandwich(op, contour: Contour, middle, psi: np.ndarray,
-                       solver: ResolventSolver | None = None) -> float:
+def resolvent_sandwich(solver: ResolventSolver, contour: Contour, middle,
+                       psi: np.ndarray) -> float:
     """S = < (1/2pi i) oint_cw R(z) middle R(z) psi dz , middle psi >.
 
-    For a normalized eigenvector psi of ``op`` enclosed alone by the
-    contour, S equals sum_{m != 0} |<m| middle |0>|^2 / (E_m - E_0), the
-    reduced-resolvent sum of second-order perturbation theory.  A dense
-    solver applies both resolvents; a Krylov solver replaces the inner one
-    by the eigenvector identity R(z) psi = psi / (E - z), one solve per
-    node, which requires the contour to be centered on psi's eigenvalue E.
+    For a normalized eigenvector psi of the solver's operator enclosed
+    alone by the contour, S equals sum_{m != 0} |<m| middle |0>|^2 /
+    (E_m - E_0), the reduced-resolvent sum of second-order perturbation
+    theory.  A dense solver applies both resolvents; a Krylov solver
+    replaces the inner one by the eigenvector identity R(z) psi = psi /
+    (E - z), one solve per node, which requires the contour to be centered
+    on psi's eigenvalue E.
     """
-    solver = solver or ResolventSolver(op)
     target_r = solver.reduce(middle @ psi)
     if solver.dense:
         psi_r = solver.reduce(psi)
@@ -569,8 +559,7 @@ def resolvent_sandwich(op, contour: Contour, middle, psi: np.ndarray,
     return float(np.real(contour_sum(contour, node).conj() @ target_r))
 
 
-def enclosed_count(op, contour: Contour,
-                   dense_limit: int = DENSE_LIMIT) -> int:
+def enclosed_count(op, contour: Contour) -> int:
     """Number of eigenvalues strictly inside the contour (dense oracle)."""
-    vals, _ = dense_spectrum(op, dense_limit)
+    vals, _ = dense_spectrum(op)
     return int(np.sum(np.abs(vals - contour.center) < contour.radius))

@@ -27,8 +27,8 @@ from fqed.observables import (dispersion_curvature_direct,
                               energy_gradient_fh, energy_lipschitz_probe,
                               momentum_axis, pull_through_summary,
                               scale_routes, soft_photon_probe)
-from fqed.spectral import (Contour, contour_project, dense_spectrum,
-                           ground_state, idempotence_defect)
+from fqed.spectral import (Contour, ResolventSolver, contour_project,
+                           dense_spectrum, ground_state, idempotence_defect)
 
 # pinned acceptance tolerances
 TOL_FREE_ENERGY = 1e-12
@@ -231,11 +231,12 @@ def test_a03_projector_fidelity(boxes):
     for _ in range(3):
         v = rng.standard_normal(len(idx))
         v /= np.linalg.norm(v)
-        projected = contour_project(h2, contour, v)
+        projected = contour_project(ResolventSolver(h2), contour, v)
         exact = vecs[:, inside] @ (vecs[:, inside].T @ v)
         worst_action = max(worst_action,
                            float(np.linalg.norm(projected - exact)))
-        worst_idem = max(worst_idem, idempotence_defect(h2, contour, v))
+        worst_idem = max(worst_idem, idempotence_defect(
+            ResolventSolver(h2), contour, v))
     ok = worst_action <= TOL_PROJECTOR and worst_idem <= TOL_IDEMPOTENT
     report(3, ok, f"projector vs dense: action diff {worst_action:.2e} "
                   f"(tol {TOL_PROJECTOR}), idempotence {worst_idem:.2e} "
@@ -250,8 +251,9 @@ def test_a04_neumann_equals_direct(boxes):
     dh = assemble_slice_interaction(params, grid, basis, 1)
     e1, psi1, _ = sector_ground(params, grid, basis, 1, h_op=h1)
     contour = Contour(e1, params.mu * params.cutoffs.sigma(2), 64)
-    series, norms = neumann_project(h1, dh, contour, psi1, n_terms=4)
-    direct = contour_project(h1 + dh, contour, psi1)
+    series, norms = neumann_project(ResolventSolver(h1), dh, contour, psi1,
+                                    n_terms=4)
+    direct = contour_project(ResolventSolver(h1 + dh), contour, psi1)
     diff = float(np.linalg.norm(series - direct))
     ratios = norms[1:] / norms[:-1]
     ok = diff <= TOL_NEUMANN and np.all(ratios[:3] < 0.5)

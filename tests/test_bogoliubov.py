@@ -191,7 +191,7 @@ def test_center_operators_examples(small_setup):
     params, grid, basis = small_setup
     pi0 = displaced_momentum_ops(FiberFamily(params, grid, basis, 0),
                                  params.p_total)
-    gamma, shift = center_operators(pi0, basis.vacuum())
+    gamma, shift, orth = center_operators(pi0, basis.vacuum())
     assert np.allclose(shift, 0.0, atol=1e-15)
     pf = FiberFamily(
         ModelParams(alpha=0.0, epsilon=params.epsilon,
@@ -204,9 +204,10 @@ def test_center_operators_examples(small_setup):
     phi = rng.standard_normal(basis.size)
     pi = displaced_momentum_ops(FiberFamily(params, grid, basis, 2),
                                 np.array([0.08, 0.0, 0.0]))
-    gamma, shift = center_operators(pi, phi)
+    gamma, shift, orth = center_operators(pi, phi)
     for i in range(3):
-        assert abs(phi @ (gamma[i] @ phi)) / (phi @ phi) < 1e-12
+        assert orth[i] == (phi @ (gamma[i] @ phi)) / (phi @ phi)
+        assert abs(orth[i]) < 1e-12
 
 
 def test_center_operators_rejects_zero_vector(small_setup):

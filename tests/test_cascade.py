@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from fqed.bogoliubov import weyl_vacuum_expectation
+from fqed.bogoliubov import displaced_momentum_ops, weyl_vacuum_expectation
 from fqed.cascade import (CascadeError, convergence_report, read_vector_file,
                           run_cascade, trace_csv, validate_params,
                           write_vector_file)
@@ -13,7 +14,7 @@ from fqed.hamiltonian import (FiberFamily, ModelParams,
                               delta_k_interaction)
 from fqed.modes import ParameterError
 from fqed.observables import displaced_frame_ground
-from fqed.spectral import Contour, contour_project
+from fqed.spectral import Contour, ResolventSolver, contour_project
 
 
 def box(**kw):
@@ -89,6 +90,24 @@ def test_cascade_centering_holds_at_every_scale(cascade_state):
         assert np.max(np.abs(rec.gamma_orth)) <= 1e-10
 
 
+def test_cascade_measures_centering_through_gamma(cascade_state):
+    # the recorded centering is <phi, Gamma phi> / <phi, phi> read through
+    # the shifted operator itself, so it shows the rounding of the
+    # centering instead of the exact zero of <phi, Pi phi>/n - shift
+    params, grid, basis, state = cascade_state
+    eye = sp.identity(basis.size, format="csr")
+    measured = []
+    for rec in state.records:
+        pi = displaced_momentum_ops(FiberFamily(params, grid, basis, rec.j),
+                                    rec.grad_energy)
+        phi = rec.phi
+        orth = [(phi @ ((pi[i] - rec.gamma_shift[i] * eye).tocsr() @ phi))
+                / float(phi @ phi) for i in range(3)]
+        assert np.array_equal(rec.gamma_orth, orth)
+        measured += orth
+    assert np.any(np.array(measured) != 0.0)
+
+
 def test_cascade_norm_lower_bound(cascade_state):
     _, _, _, state = cascade_state
     for rec in state.records:
@@ -146,8 +165,6 @@ def test_displaced_projection_paths_agree(small_setup):
         FiberFamily(params, grid, basis, 2), rec.grad_energy,
         rec.gamma_shift)
     contour = Contour(rec.energy, params.mu * params.cutoffs.sigma(2), 64)
-    from fqed.bogoliubov import displaced_momentum_ops
-    import scipy.sparse as sp
     pi = displaced_momentum_ops(FiberFamily(params, grid, basis, 1),
                                 rec.grad_energy)
     eye = sp.identity(basis.size, format="csr")
@@ -157,8 +174,9 @@ def test_displaced_projection_paths_agree(small_setup):
     assert abs(k_hat - (k_prev + dk + (off_hat - off_prev) * eye)).max() \
         < 1e-12
     from fqed.spectral import neumann_project
-    series, norms = neumann_project(k_prev, dk, contour, rec.phi, n_terms=4)
-    direct = contour_project(k_prev + dk, contour, rec.phi)
+    series, norms = neumann_project(ResolventSolver(k_prev), dk, contour,
+                                    rec.phi, n_terms=4)
+    direct = contour_project(ResolventSolver(k_prev + dk), contour, rec.phi)
     assert np.linalg.norm(series - direct) <= 1e-6
     assert norms[3] / norms[2] < 0.5
 
@@ -253,9 +271,9 @@ def test_cascade_stops_at_first_level_on_empty_enclosure(tiny_setup,
     calls = []
     project = spectral.contour_project
 
-    def counted(op, contour, v, solver=None):
+    def counted(solver, contour, v):
         calls.append(contour.nodes)
-        return project(op, contour, v, solver)
+        return project(solver, contour, v)
 
     monkeypatch.setattr(spectral, "contour_project", counted)
     with pytest.raises(CascadeError, match="encloses none"):

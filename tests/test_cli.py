@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +181,11 @@ def test_mass_scan_outputs_and_rerun_identity(tmp_path):
     assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
     text = (out1 / "scan.csv").read_text()
     assert text.startswith("alpha,j,sigma,Px,Py,Pz,E,gE_FH_x")
-    assert (out1 / "scan.gp").exists()
+    # the plot script's columns name the intended scan.csv columns
+    header = text.splitlines()[0].split(",")
+    plots = re.findall(r"using (\d+):(\d+)", (out1 / "scan.gp").read_text())
+    assert [(header[int(x) - 1], header[int(y) - 1]) for x, y in plots] \
+        == [("alpha", "m_r"), ("j", "d2E_K")]
 
 
 @pytest.mark.parametrize("argv", [

@@ -150,7 +150,7 @@ def test_krylov_path_matches_dense_path():
 def test_contour_project_two_level():
     op = sp.diags([0.0, 1.0]).tocsr()
     v = np.array([1.0, 1.0])
-    out = contour_project(op, Contour(0.0, 0.4, 64), v)
+    out = contour_project(ResolventSolver(op), Contour(0.0, 0.4, 64), v)
     assert np.allclose(out, [1.0, 0.0], atol=1e-12)
 
 
@@ -168,10 +168,11 @@ def test_contour_projector_idempotent_and_matches_dense(small_setup):
     assert enclosed_count(sub, contour) == 1
     rng = np.random.default_rng(0)
     v = rng.standard_normal(len(idx))
-    projected = contour_project(sub, contour, v)
+    solver = ResolventSolver(sub)
+    projected = contour_project(solver, contour, v)
     exact = vecs[:, 0] * (vecs[:, 0] @ v)
     assert np.linalg.norm(projected - exact) <= 1e-8 * np.linalg.norm(v)
-    assert idempotence_defect(sub, contour, v) <= 2e-8
+    assert idempotence_defect(solver, contour, v) <= 2e-8
     assert v @ projected >= -1e-10
 
 
@@ -180,8 +181,8 @@ def test_contour_project_checked_doubles_nodes():
     op = sp.diags([0.0, 0.3, 5.0]).tocsr()
     v = np.ones(3)
     contour = Contour(0.0, 0.25, 8)
-    out, nodes, defect = contour_project_checked(op, contour, v,
-                                                 defect_tol=1e-8,
+    out, nodes, defect = contour_project_checked(ResolventSolver(op), contour,
+                                                 v, defect_tol=1e-8,
                                                  max_nodes=1024)
     assert nodes > 8
     assert defect <= 1e-8
@@ -194,7 +195,8 @@ def test_contour_project_checked_raises_on_enclosure_failure():
     with pytest.raises(ContourError):
         # projector onto a 2-dim eigenspace is idempotent, so use a circle
         # that CUTS the spectrum instead
-        contour_project_checked(op, Contour(0.5, 0.5 + 1e-12, 16), v,
+        contour_project_checked(ResolventSolver(op),
+                                Contour(0.5, 0.5 + 1e-12, 16), v,
                                 defect_tol=1e-10, max_nodes=32)
 
 
@@ -207,8 +209,9 @@ def test_neumann_zero_perturbation(small_setup):
     contour = Contour(rec.energy, 0.3 * rec.gap, 16)
     v = np.full(len(idx), 1.0 / np.sqrt(len(idx)))
     zero = sp.csr_matrix(sub.shape)
-    series, norms = neumann_project(sub, zero, contour, v, n_terms=3)
-    direct = contour_project(sub, contour, v)
+    solver = ResolventSolver(sub)
+    series, norms = neumann_project(solver, zero, contour, v, n_terms=3)
+    direct = contour_project(solver, contour, v)
     assert np.linalg.norm(series - direct) < 1e-12
     assert np.all(norms[1:] < 1e-14)
 
@@ -224,8 +227,9 @@ def test_neumann_matches_direct_projection(small_setup):
     contour = Contour(rec1.energy, params.mu * params.cutoffs.sigma(2), 64)
     psi1 = np.zeros(basis.size)
     psi1[basis.sector_indices(grid, 1)] = rec1.vector
-    series, norms = neumann_project(h1, dh, contour, psi1, n_terms=4)
-    direct = contour_project(h1 + dh, contour, psi1)
+    series, norms = neumann_project(ResolventSolver(h1), dh, contour, psi1,
+                                    n_terms=4)
+    direct = contour_project(ResolventSolver(h1 + dh), contour, psi1)
     assert np.linalg.norm(series - direct) <= 1e-6
     ratios = norms[1:] / norms[:-1]
     assert ratios[2] < 0.5
@@ -242,7 +246,7 @@ def test_neumann_warns_on_divergence():
     contour = Contour(0.0, 0.4, 16)
     v = np.array([1.0, 0.5, 0.5])
     with pytest.warns(RuntimeWarning):
-        neumann_project(op, big, contour, v, n_terms=4)
+        neumann_project(ResolventSolver(op), big, contour, v, n_terms=4)
 
 
 def test_resolvent_sandwich_spectral_oracle():
@@ -253,7 +257,7 @@ def test_resolvent_sandwich_spectral_oracle():
     x_op = sp.csr_matrix((x_dense + x_dense.T) / 2)
     psi = vecs[:, 0]
     contour = Contour(vals[0], 0.4 * (vals[1] - vals[0]), 64)
-    s = resolvent_sandwich(op, contour, x_op, psi)
+    s = resolvent_sandwich(ResolventSolver(op), contour, x_op, psi)
     elements = vecs.T @ (x_op @ psi)
     oracle = np.sum(elements[1:] ** 2 / (vals[1:] - vals[0]))
     assert abs(s - oracle) < 1e-10 * max(1.0, abs(oracle))
@@ -274,8 +278,31 @@ def tiny_solver(request, tiny_setup):
 def test_lift_inverts_reduce(tiny_solver):
     h, solver = tiny_solver
     b = np.cos(np.arange(h.shape[0]))
-    for v in (b, b + 1j * np.sin(np.arange(h.shape[0]))):
+    vectors = [b]
+    if solver.dense:
+        vectors.append(b + 1j * np.sin(np.arange(h.shape[0])))
+    for v in vectors:
         assert np.max(np.abs(solver.lift(solver.reduce(v)) - v)) <= 1e-14
+
+
+def test_krylov_solver_rejects_complex_data(tiny_setup):
+    # a Lanczos space is built for one real starting vector
+    params, grid, basis = tiny_setup
+    solver = ResolventSolver(assemble_h_fiber(params, grid, basis, 1),
+                             dense_limit=10)
+    b = np.cos(np.arange(basis.size)) + 1j * np.sin(np.arange(basis.size))
+    with pytest.raises(ValueError, match="dense path"):
+        solver.reduce(b)
+
+
+def test_neumann_project_needs_a_dense_solver(tiny_setup):
+    params, grid, basis = tiny_setup
+    h = assemble_h_fiber(params, grid, basis, 1)
+    solver = ResolventSolver(h, dense_limit=10)
+    vals, vecs = dense_spectrum(h)
+    contour = Contour(vals[0], 0.4 * (vals[1] - vals[0]), 16)
+    with pytest.raises(ValueError, match="dense path"):
+        neumann_project(solver, 1e-3 * h, contour, vecs[:, 0], n_terms=2)
 
 
 def test_reduced_solve_satisfies_the_shifted_equation(tiny_solver):
@@ -293,9 +320,10 @@ def test_reduced_projector_matches_eigenprojector(tiny_solver):
     vals, vecs = dense_spectrum(h)
     contour = Contour(vals[0], 0.4 * (vals[1] - vals[0]), 64)
     b = np.cos(np.arange(h.shape[0]))
-    projected = contour_project(h, contour, b, solver)
+    projected = contour_project(solver, contour, b)
     exact = vecs[:, 0] * (vecs[:, 0] @ b)
     assert np.linalg.norm(projected - exact) <= 1e-12 * np.linalg.norm(b)
+    assert not np.any(contour_project(solver, contour, 0.0 * b))
 
 
 def test_checked_projection_moves_vectors_once_per_integral(tiny_solver,
@@ -317,7 +345,7 @@ def test_checked_projection_moves_vectors_once_per_integral(tiny_solver,
     for nodes in (16, 64):
         moves.clear()
         contour = Contour(vals[0], 0.1 * (vals[1] - vals[0]), nodes)
-        _, used, _ = contour_project_checked(h, contour, b, solver)
+        _, used, _ = contour_project_checked(solver, contour, b)
         assert used == nodes
         counts[nodes] = sorted(moves)
     assert counts[16] == counts[64] == ["lift"] * 2 + ["reduce"] * 2
