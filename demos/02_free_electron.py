@@ -10,7 +10,7 @@ import numpy as np
 
 from fqed.cascade import run_cascade
 from fqed.fock import enumerate_basis
-from fqed.hamiltonian import ModelParams
+from fqed.hamiltonian import FiberFamily, ModelParams
 from fqed.modes import build_grid
 from fqed.observables import (dispersion_curvature_direct,
                               dispersion_curvature_displaced,
@@ -30,9 +30,10 @@ for rec in state.records:
           f"{np.linalg.norm(rec.grad_energy - params.p_total):.3e}  "
           f"{step:.3e}")
 
-d2_fd = dispersion_curvature_fd(params, grid, basis, 3)
-d2_h = dispersion_curvature_direct(params, grid, basis, 3)
-frame = displaced_frame_ground(params, grid, basis, 3, params.p_total)
+family = FiberFamily(params, grid, basis, 3)
+d2_fd = dispersion_curvature_fd(family)
+d2_h = dispersion_curvature_direct(family)
+frame = displaced_frame_ground(family, params.p_total)
 d2_k, d2_kr, _ = dispersion_curvature_displaced(params, frame)
 print("\ncurvature routes at the final scale:")
 print(f"  finite differences : {d2_fd:.14f}")

@@ -12,10 +12,10 @@ import numpy as np
 
 from fqed.cascade import sector_ground
 from fqed.fock import enumerate_basis
-from fqed.hamiltonian import ModelParams
+from fqed.hamiltonian import FiberFamily, ModelParams
 from fqed.modes import build_grid
 from fqed.observables import (dispersion_curvature_displaced,
-                              displaced_frame_ground, energy_gradient_fh)
+                              displaced_frame_ground)
 
 base = ModelParams(alpha=1e-3, epsilon=0.3, mu=0.15, rho_minus=0.14,
                    rho_plus=0.16, p_total=[0.1, 0.0, 0.0], n_scales=2)
@@ -29,7 +29,7 @@ print("   P        E(P) - E(0)     dE/dP (expectation)")
 for pmag in np.linspace(0.0, 0.3, 7):
     params = dataclasses.replace(base, p_total=[pmag, 0.0, 0.0])
     e, psi, _ = sector_ground(params, grid, basis, j)
-    grad = energy_gradient_fh(psi, params, grid, basis, j)
+    grad = FiberFamily(params, grid, basis, j).gradient(psi, params.p_total)
     print(f"  {pmag:.2f}   {e - e_origin:+.8f}    {grad[0]:+.6f}")
 
 print("\neffective mass vs coupling at P = 0.1 (curvature inverse):")
@@ -38,8 +38,9 @@ for alpha in (1e-4, 1e-3, 5e-3, 1e-2):
                          rho_minus=base.rho_minus, rho_plus=base.rho_plus,
                          p_total=[0.1, 0.0, 0.0], n_scales=base.n_scales)
     e, psi, _ = sector_ground(params, grid, basis, j)
-    grad = energy_gradient_fh(psi, params, grid, basis, j)
-    frame = displaced_frame_ground(params, grid, basis, j, grad)
+    family = FiberFamily(params, grid, basis, j)
+    grad = family.gradient(psi, params.p_total)
+    frame = displaced_frame_ground(family, grad)
     d2, _, _ = dispersion_curvature_displaced(params, frame)
     m_r = 1.0 / d2
     print(f"  alpha = {alpha:7.0e}:  d2E = {d2:.8f}   m_r = {m_r:.8f}   "

@@ -11,7 +11,7 @@ laboratory's headline identity check.
 
 from fqed.cascade import run_cascade
 from fqed.fock import enumerate_basis
-from fqed.hamiltonian import ModelParams
+from fqed.hamiltonian import FiberFamily, ModelParams
 from fqed.modes import build_grid
 from fqed.observables import scale_routes
 
@@ -24,7 +24,8 @@ state = run_cascade(params, grid, basis)
 print(" j   FD route        bare route      displaced route  "
       "|bare-displ|  cross term")
 for rec in state.records:
-    d2_fd, d2_h, d2_k, d2_kr, cross = scale_routes(params, grid, basis, rec)
+    d2_fd, d2_h, d2_k, d2_kr, cross = scale_routes(
+        FiberFamily(params, grid, basis, rec.j), rec)
     print(f"  {rec.j}  {d2_fd:.10f}  {d2_h:.10f}  {d2_k:.10f}   "
           f"{abs(d2_h - d2_k):.2e}     {cross:.2e}")
     assert abs(d2_k - d2_kr) < 1e-8   # single-resolvent reduction

@@ -12,7 +12,7 @@ Three quantitative probes of how photons dress the electron:
 
 from fqed.cascade import run_cascade
 from fqed.fock import enumerate_basis
-from fqed.hamiltonian import ModelParams
+from fqed.hamiltonian import FiberFamily, ModelParams
 from fqed.modes import build_grid
 from fqed.observables import (energy_lipschitz_probe, pull_through_summary,
                               soft_photon_probe)
@@ -35,7 +35,7 @@ for n_max in (2, 3):
                         rho_plus=0.16, p_total=[0.1, 0.0, 0.0], n_scales=1)
     g1 = build_grid(small.cutoffs, 1, "octahedral6")
     b1 = enumerate_basis(g1.n_modes, n_max, n_max)
-    agg, per_mode = pull_through_summary(small, g1, b1, 1)
+    agg, per_mode = pull_through_summary(FiberFamily(small, g1, b1, 1))
     print(f"  occupation cap {n_max}: residual = {agg:.4f} "
           f"(per-mode max {per_mode.max():.4f})")
 print("  the residual falls as the cap rises: it is pure truncation")
@@ -44,6 +44,6 @@ print("\nenergy-slope constant near the momentum-ball boundary:")
 for alpha in (0.0, 1e-4, 1e-3):
     probe = ModelParams(alpha=alpha, epsilon=0.3, mu=0.15, rho_minus=0.14,
                         rho_plus=0.16, p_total=[0.33, 0.0, 0.0], n_scales=3)
-    c_emp, table = energy_lipschitz_probe(probe, grid, basis, 3)
+    c_emp, table = energy_lipschitz_probe(FiberFamily(probe, grid, basis, 3))
     print(f"  alpha = {alpha:7.0e}: C = {c_emp:.5f} "
           f"(over {len(table)} momentum transfers; free limit <= 1/3)")

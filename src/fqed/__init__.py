@@ -29,9 +29,8 @@ from .observables import (MassScanRow, cross_term_probe,
                           dispersion_curvature_direct,
                           dispersion_curvature_displaced,
                           dispersion_curvature_fd, displaced_frame_ground,
-                          energy_gradient_fd, energy_gradient_fh,
-                          energy_lipschitz_probe, mass_scan,
-                          pull_through_summary,
+                          energy_gradient_fd, energy_lipschitz_probe,
+                          mass_scan, pull_through_summary,
                           resolvent_bound_probes, scan_csv,
                           soft_photon_probe)
 

@@ -174,15 +174,6 @@ def sector_ground(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     return rec.energy, vec, rec.gap
 
 
-def _sector_gap(h_op, basis: FockBasis, grid: ModeGrid,
-                sector_j: int) -> float:
-    idx = basis.sector_indices(grid, sector_j)
-    if len(idx) < 2:
-        return np.nan
-    rec = ground_state(h_op[idx][:, idx], tol=1e-9)
-    return rec.gap
-
-
 def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
                 contour_nodes: int = CONTOUR_NODES,
                 allow_invalid: bool = False) -> CascadeState:
@@ -195,10 +186,10 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
     projected vector with one combined Weyl displacement.  A failed
     parameter constraint raises unless ``allow_invalid`` is set.
     """
-    cuts = params.cutoffs
+    cut = params.cutoffs
     if grid.cutoffs.n_scales < params.n_scales or not np.allclose(
             grid.cutoffs.sigmas[:params.n_scales + 1],
-            cuts.sigmas, rtol=0, atol=0):
+            cut.sigmas, rtol=0, atol=0):
         raise ParameterError(
             "grid does not span the cascade's cutoff sequence; rebuild it "
             "from the same parameters")
@@ -209,7 +200,6 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
             f"parameter constraint failed: {bad.name} ({bad.detail}); "
             "set allow_invalid to run anyway")
 
-    cut = params.cutoffs
     state = CascadeState(params=params, grid=grid, basis=basis, report=report)
     p = params.p_total
 
@@ -224,7 +214,7 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
     state.records.append(ScaleRecord(
         j=0, sigma=cut.sigma(0), energy=e0, grad_energy=grad0,
         gap_sector=np.nan,
-        gap_next_sector=_sector_gap(h0, basis, grid, 1),
+        gap_next_sector=sector_ground(params, grid, basis, 1, h_op=h0)[2],
         psi=psi0, phi=phi0, phi_hat=phi0.copy(),
         phi_norm=1.0, phi_hat_norm=1.0, gamma_shift=shift0,
         gamma_orth=orth0,
@@ -260,7 +250,8 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
 
         pi = displaced_momentum_ops(family, grad)
         _, shift, orth = center_operators(pi, phi)
-        gap_next = _sector_gap(h_next, basis, grid, j + 2) \
+        gap_next = sector_ground(params, grid, basis, j + 2,
+                                 h_op=h_next)[2] \
             if j + 1 < params.n_scales else np.nan
 
         state.records.append(ScaleRecord(

@@ -29,7 +29,7 @@ from .cascade import (CONTOUR_NODES, CascadeError, convergence_report,
                       run_cascade, trace_csv, validate_params,
                       write_vector_file)
 from .fock import FockBasis, ResourceError, enumerate_basis
-from .hamiltonian import ModelParams
+from .hamiltonian import FiberFamily, ModelParams
 from .modes import ModeGrid, ParameterError, build_grid
 from .observables import (SCAN_COLUMNS, energy_lipschitz_probe, mass_scan,
                           pull_through_summary, resolvent_bound_probes,
@@ -328,8 +328,8 @@ def _verify_lines(cfg: RunConfig, suite: str):
             yield (True, f"gamma-orthogonality j={rec.j}", orth <= 1e-10,
                    f"max |<phi,Gamma phi>| = {orth:.2e} (tol 1e-10)")
         for rec in state.records:
-            d2f, d2h, d2k, d2kr, cross = scale_routes(params, grid, basis,
-                                                      rec)
+            d2f, d2h, d2k, d2kr, cross = scale_routes(
+                FiberFamily(params, grid, basis, rec.j), rec)
             yield (True, f"route H vs K j={rec.j}", abs(d2h - d2k) <= 1e-5,
                    f"|{d2h:.8f} - {d2k:.8f}| = {abs(d2h - d2k):.2e} "
                    "(tol 1e-5)")
@@ -366,23 +366,23 @@ def _verify_lines(cfg: RunConfig, suite: str):
             yield (False, "soft-photon stability", ratio <= 2.0,
                    f"max/min = {ratio:.3f} (target <= 2)")
 
+    last = state.records[-1]
+    if suite in ("pullthrough", "calpha", "all"):
+        family = FiberFamily(params, grid, basis, last.j)
+
     if suite in ("pullthrough", "all"):
-        last = state.records[-1]
-        j = last.j
-        agg, _ = pull_through_summary(params, grid, basis, j, psi=last.psi,
+        agg, _ = pull_through_summary(family, psi=last.psi,
                                       energy=last.energy)
-        yield (False, f"pull-through aggregate j={j}", agg <= 0.05,
+        yield (False, f"pull-through aggregate j={last.j}", agg <= 0.05,
                f"residual = {agg:.4f} (target <= 0.05)")
 
     if suite in ("calpha", "all"):
-        last = state.records[-1]
-        c_emp, _ = energy_lipschitz_probe(params, grid, basis, last.j,
-                                          energy=last.energy)
+        c_emp, _ = energy_lipschitz_probe(family, energy=last.energy)
         yield (False, "energy-slope constant", 0.0 <= c_emp <= 0.45,
                f"C = {c_emp:.4f} (free-theory limit 1/3)")
 
     if suite in ("bounds", "all"):
-        rep = resolvent_bound_probes(state, delta=cfg.delta)
+        rep = resolvent_bound_probes(state)
         if rep.skipped:
             yield (False, "resolvent bounds", True, rep.skipped)
         else:

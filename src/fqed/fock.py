@@ -106,7 +106,7 @@ class FockBasis:
 
     def sector_indices(self, grid: ModeGrid, j: int) -> np.ndarray:
         """States with no photons below the scale-``j`` cutoff (shells >= j)."""
-        return self.restricted_indices(grid.shell < j)
+        return self.restricted_indices(grid.active_mask(j))
 
 
 def enumerate_basis(n_modes: int, n_max: int, c_max: int,

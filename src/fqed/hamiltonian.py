@@ -145,9 +145,10 @@ class FiberFamily:
         return np.array([p[i] - psi @ (self.beta[i] @ psi) / nrm2
                          for i in range(3)])
 
-    def frame(self, grad_energy: np.ndarray, p=None) -> "FrameFamily":
-        """Displaced-frame Hamiltonians for the gradient g at momentum P."""
-        k0, offset, pi = _frame_product_form(self, grad_energy, np.zeros(3), p)
+    def frame(self, grad_energy: np.ndarray) -> "FrameFamily":
+        """Displaced-frame Hamiltonians for the gradient g at the family's
+        momentum P."""
+        k0, offset, pi = _frame_product_form(self, grad_energy, np.zeros(3))
         return FrameFamily(pi, k0, offset, self.eye)
 
 
@@ -205,12 +206,12 @@ def assemble_slice_interaction(params: ModelParams, grid: ModeGrid,
 
 
 def _frame_product_form(family: FiberFamily, grad_energy: np.ndarray,
-                        gamma_shift, p):
-    """(K, offset, Pi) of the frame in product form.  The offset
-    |P|^2/2 - |P - g|^2/2 - sum_active |k| delta f^2 takes the Weyl
-    amplitudes f of Pi, keeping the canonical form self-consistent."""
+                        gamma_shift):
+    """(K, offset, Pi) of the frame at the family's P, in product form.
+    The offset |P|^2/2 - |P - g|^2/2 - sum_active |k| delta f^2 takes the
+    Weyl amplitudes f of Pi, keeping the canonical form self-consistent."""
     params, grid, eye = family.params, family.grid, family.eye
-    p = params.p_total if p is None else np.asarray(p, dtype=float)
+    p = params.p_total
     g = np.asarray(grad_energy, dtype=float)
     pi = displaced_momentum_ops(family, g)
     delta = direction_weights(grid, g)
@@ -226,8 +227,8 @@ def _frame_product_form(family: FiberFamily, grad_energy: np.ndarray,
 
 def assemble_displaced_hamiltonian(
         params: ModelParams, grid: ModeGrid, basis: FockBasis, j: int,
-        grad_energy: np.ndarray, gamma_shift: np.ndarray,
-        p=None) -> tuple[sp.csr_matrix, float]:
+        grad_energy: np.ndarray,
+        gamma_shift: np.ndarray) -> tuple[sp.csr_matrix, float]:
     """Canonical-form Hamiltonian K at scale j, plus its scalar offset.
 
     K = (1/2) sum_i (Pi_i - gamma_shift_i)^2 + sum_m |k_m| delta_m n_m
@@ -235,7 +236,7 @@ def assemble_displaced_hamiltonian(
     the ground-state expectation of Pi as shift, Pi - shift is Gamma.
     """
     k_op, offset, _ = _frame_product_form(
-        FiberFamily(params, grid, basis, j), grad_energy, gamma_shift, p)
+        FiberFamily(params, grid, basis, j), grad_energy, gamma_shift)
     return k_op, offset
 
 
@@ -270,8 +271,7 @@ def slice_marginal_ops(params: ModelParams, grid: ModeGrid, basis: FockBasis,
 
 def assemble_intermediate_hamiltonian(
         family: FiberFamily, grad_energy_prev: np.ndarray,
-        gamma_shift_prev: np.ndarray,
-        p=None) -> tuple[sp.csr_matrix, float]:
+        gamma_shift_prev: np.ndarray) -> tuple[sp.csr_matrix, float]:
     """Scale-j Hamiltonian (j = ``family.j``) seen through the scale-(j-1)
     displacement.
 
@@ -289,7 +289,7 @@ def assemble_intermediate_hamiltonian(
     ivec = weyl_vacuum_expectation(family.params, family.grid,
                                    [family.j - 1], grad_energy_prev)
     k_hat, offset, _ = _frame_product_form(
-        family, grad_energy_prev, np.asarray(gamma_shift_prev) - ivec, p)
+        family, grad_energy_prev, np.asarray(gamma_shift_prev) - ivec)
     return k_hat, offset
 
 

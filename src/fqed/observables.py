@@ -19,6 +19,11 @@ displaced route deviates only by basis-truncation effects, and that
 agreement is the laboratory's headline measurement.  ``scale_routes``
 evaluates all three routes at one cascade scale and returns their five
 numbers; ``mass-scan`` and ``verify`` both go through it.
+
+The routes, the FD gradient and the pull-through and energy-slope probes
+take the scale's ``FiberFamily`` and evaluate it at its parameters' P, so
+one family serves every evaluation at a scale; the expectation-value
+gradient is ``FiberFamily.gradient``.
 """
 
 from __future__ import annotations
@@ -67,34 +72,12 @@ def _ground_energy(family: FiberFamily, p) -> float:
     return e
 
 
-def energy_gradient_fh(psi: np.ndarray, params: ModelParams, grid: ModeGrid,
-                       basis: FockBasis, j: int, p=None,
-                       residual_tol: float | None = None) -> np.ndarray:
-    """Ground-energy gradient from the eigenvector expectation.
-
-    grad E = P - <Pf - sqrt(alpha) A>_psi, exact for an exact eigenpair of
-    the (analytic in P) truncated operator family; one operator-vector
-    product per component.
-    """
-    p = params.p_total if p is None else np.asarray(p, dtype=float)
-    family = FiberFamily(params, grid, basis, j)
-    grad = family.gradient(psi, p)   # rejects an empty state
-    if residual_tol is not None:
-        h = family.h(p)
-        phi = np.asarray(psi, dtype=float) / np.linalg.norm(psi)
-        res = np.linalg.norm(h @ phi - (phi @ (h @ phi)) * phi)
-        if res > residual_tol:
-            raise ParameterError(
-                f"stale input: eigen-residual {res:.2e} above "
-                f"{residual_tol:.1e}")
-    return grad
-
-
-def energy_gradient_fd(params: ModelParams, grid: ModeGrid, basis: FockBasis,
-                       j: int, step: float = 1e-3, p=None) -> np.ndarray:
-    """Central-difference gradient; each energy is a fresh sector solve."""
-    family = FiberFamily(params, grid, basis, j)
-    p = params.p_total if p is None else np.asarray(p, dtype=float)
+def energy_gradient_fd(family: FiberFamily,
+                       step: float = 1e-3) -> np.ndarray:
+    """Central-difference gradient at the family's P; each energy is a
+    fresh sector solve.  ``FiberFamily.gradient`` is the expectation form
+    it checks."""
+    p = family.params.p_total
     out = np.zeros(3)
     for i in range(3):
         dp = np.zeros(3)
@@ -104,16 +87,15 @@ def energy_gradient_fd(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     return out
 
 
-def dispersion_curvature_fd(params: ModelParams, grid: ModeGrid,
-                            basis: FockBasis, j: int, step: float = 5e-3,
-                            p=None, center: float | None = None) -> float:
-    """5-point second derivative of E along the momentum axis.
+def dispersion_curvature_fd(family: FiberFamily, step: float = 5e-3,
+                            center: float | None = None) -> float:
+    """5-point second derivative of E along the momentum axis at the
+    family's P.
 
-    ``center``, when given, is the already known E(p) (the cascade's
+    ``center``, when given, is the already known E(P) (the cascade's
     energy), so only the four off-center points are solved.
     """
-    family = FiberFamily(params, grid, basis, j)
-    p = params.p_total if p is None else np.asarray(p, dtype=float)
+    p = family.params.p_total
     axis = momentum_axis(p)
     unit = np.zeros(3)
     unit[axis] = 1.0
@@ -142,26 +124,27 @@ def _route_contour(params: ModelParams, j: int, energy: float,
     return Contour(energy, radius, ROUTE_NODES)
 
 
-def dispersion_curvature_direct(params: ModelParams, grid: ModeGrid,
-                                basis: FockBasis, j: int,
+def dispersion_curvature_direct(family: FiberFamily,
                                 psi: np.ndarray | None = None,
                                 energy: float | None = None,
                                 gap: float = np.nan) -> float:
     """Curvature from the direct resolvent route in the bare frame.
 
     1 - 2 <oint_cw R [dH/dP] R psi dz / 2 pi i, [dH/dP] psi> at the
-    momentum axis, with psi the normalized scale-j ground state.  Exact for
+    family's P along its axis, with psi the normalized ground state of the
+    family's scale (solved here unless given with its energy).  Exact for
     the truncated model up to quadrature, which makes it the referee for
     the displaced-frame route.
     """
-    family = FiberFamily(params, grid, basis, j)
+    params = family.params
     h = family.h(params.p_total)
     if psi is None or energy is None:
-        energy, psi, gap = sector_ground(params, grid, basis, j, h_op=h)
+        energy, psi, gap = sector_ground(params, family.grid, family.basis,
+                                         family.j, h_op=h)
     psi = psi / np.linalg.norm(psi)
     axis = momentum_axis(params.p_total)
     x_op = family.x(params.p_total)[axis]
-    cont = _route_contour(params, j, energy, gap)
+    cont = _route_contour(params, family.j, energy, gap)
     return 1.0 - 2.0 * resolvent_sandwich(ResolventSolver(h), cont, x_op,
                                           psi)
 
@@ -186,12 +169,11 @@ class DisplacedFrame:
     orth: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
-def displaced_frame_ground(params: ModelParams, grid: ModeGrid,
-                           basis: FockBasis, j: int,
-                           grad_energy: np.ndarray,
+def displaced_frame_ground(family: FiberFamily, grad_energy: np.ndarray,
                            gamma_start: np.ndarray | None = None
                            ) -> DisplacedFrame:
-    """Assemble the canonical frame and polish the shift to self-consistency.
+    """Assemble the canonical frame of the family's scale and P, and polish
+    the shift to self-consistency.
 
     Starting from the closed-form chain value P - grad E - <W beta W*>_vac,
     alternate (ground state of K(shift)) and (shift = expectation of the
@@ -200,8 +182,9 @@ def displaced_frame_ground(params: ModelParams, grid: ModeGrid,
     shift only quadratically; each step is a linear update of K, and at
     most five are taken.
     """
+    params, grid, basis, j = family.params, family.grid, family.basis, family.j
     g = np.asarray(grad_energy, dtype=float)
-    frame_ops = FiberFamily(params, grid, basis, j).frame(g, params.p_total)
+    frame_ops = family.frame(g)
     if gamma_start is None:
         gamma = params.p_total - g - weyl_vacuum_expectation(
             params, grid, range(j), g)
@@ -291,24 +274,26 @@ def cross_term_probe(params: ModelParams, frame: DisplacedFrame) -> float:
     return dispersion_curvature_displaced(params, frame)[2]
 
 
-def scale_routes(params: ModelParams, grid: ModeGrid, basis: FockBasis,
-                 rec: ScaleRecord):
-    """The three curvature routes at one cascade scale.
+def scale_routes(family: FiberFamily, rec: ScaleRecord):
+    """The three curvature routes at one cascade scale, on that scale's
+    family.
 
     Returns (FD curvature, direct route, double form, reduced form, cross
     term); the last three are the displaced route on the frame polished
     from the cascade's centering shift.  The FD stencil takes its center
     from the cascade energy.
     """
-    d2_fd = dispersion_curvature_fd(params, grid, basis, rec.j,
-                                    center=rec.energy)
+    if family.j != rec.j:
+        raise ParameterError(
+            f"family of scale {family.j} given for the record of scale "
+            f"{rec.j}")
+    d2_fd = dispersion_curvature_fd(family, center=rec.energy)
     d2_direct = dispersion_curvature_direct(
-        params, grid, basis, rec.j, psi=rec.psi, energy=rec.energy,
-        gap=rec.gap_sector)
-    frame = displaced_frame_ground(params, grid, basis, rec.j,
-                                   rec.grad_energy,
+        family, psi=rec.psi, energy=rec.energy, gap=rec.gap_sector)
+    frame = displaced_frame_ground(family, rec.grad_energy,
                                    gamma_start=rec.gamma_shift)
-    return (d2_fd, d2_direct, *dispersion_curvature_displaced(params, frame))
+    return (d2_fd, d2_direct,
+            *dispersion_curvature_displaced(family.params, frame))
 
 
 @dataclass
@@ -362,8 +347,9 @@ def mass_scan(params_template: ModelParams, grid: ModeGrid, basis: FockBasis,
 
     Returns (rows, cascade states keyed by (alpha, P)).  Row-level failures
     are annotated and the scan continues.  The effective mass is the
-    inverse curvature of the displaced route.  ``contour_nodes`` and
-    ``allow_invalid`` go to ``run_cascade``.
+    inverse curvature of the displaced route.  Each cascade record gets
+    one ``FiberFamily``, which the three routes and the FD gradient share.
+    ``contour_nodes`` and ``allow_invalid`` go to ``run_cascade``.
     """
     rows: list[MassScanRow] = []
     states: dict = {}
@@ -387,10 +373,10 @@ def mass_scan(params_template: ModelParams, grid: ModeGrid, basis: FockBasis,
                                   sigma=rec.sigma, p=p, energy=rec.energy,
                                   grad_fh=rec.grad_energy)
                 try:
+                    family = FiberFamily(params, grid, basis, rec.j)
                     row.d2_fd, row.d2_direct, row.d2_displaced = \
-                        scale_routes(params, grid, basis, rec)[:3]
-                    row.grad_fd = energy_gradient_fd(params, grid, basis,
-                                                     rec.j)
+                        scale_routes(family, rec)[:3]
+                    row.grad_fd = energy_gradient_fd(family)
                     row.m_r = 1.0 / row.d2_displaced
                     row.delta_hk = abs(row.d2_direct - row.d2_displaced)
                     row.delta_hf = abs(row.d2_direct - row.d2_fd)
@@ -442,7 +428,7 @@ def soft_photon_probe(psi: np.ndarray, params: ModelParams, grid: ModeGrid,
     """
     psi = np.asarray(psi, dtype=float)
     psi = psi / np.linalg.norm(psi)
-    active = np.nonzero(grid.shell < j)[0]
+    active = np.nonzero(grid.active_mask(j))[0]
     b_norms = np.zeros(len(active))
     scaled = np.zeros(len(active))
     root = np.sqrt(params.alpha)
@@ -484,11 +470,11 @@ def _pull_through_pairs(psi, energy, family: FiberFamily, modes) -> dict:
     return pairs
 
 
-def pull_through_summary(params: ModelParams, grid: ModeGrid,
-                         basis: FockBasis, j: int,
+def pull_through_summary(family: FiberFamily,
                          psi: np.ndarray | None = None,
                          energy: float | None = None):
-    """Norm-aggregated pull-through residual over all active modes.
+    """Norm-aggregated pull-through residual over the active modes of the
+    family's scale, at its P.
 
     The pull-through identity
 
@@ -502,11 +488,11 @@ def pull_through_summary(params: ModelParams, grid: ModeGrid,
     each mode by its annihilation norm, so decoupled modes cannot dominate
     through 0/0 ratios.
     """
-    family = FiberFamily(params, grid, basis, j)
+    params, grid = family.params, family.grid
     if psi is None or energy is None:
-        energy, psi, _ = sector_ground(params, grid, basis, j,
+        energy, psi, _ = sector_ground(params, grid, family.basis, family.j,
                                        h_op=family.h(params.p_total))
-    active = np.nonzero(grid.shell < j)[0]
+    active = np.nonzero(grid.active_mask(family.j))[0]
     pairs = _pull_through_pairs(psi, energy, family, active)
     diff2 = 0.0
     lhs2 = 0.0
@@ -523,10 +509,9 @@ def pull_through_summary(params: ModelParams, grid: ModeGrid,
     return float(aggregate), per_mode
 
 
-def energy_lipschitz_probe(params: ModelParams, grid: ModeGrid,
-                           basis: FockBasis, j: int,
-                           energy: float | None = None):
-    """Empirical slope constant sup_k (E(P) - E(P-k)) / |k| on the grid.
+def energy_lipschitz_probe(family: FiberFamily, energy: float | None = None):
+    """Empirical slope constant sup_k (E(P) - E(P-k)) / |k| on the grid, at
+    the family's scale and P.
 
     Fresh ground solve per distinct grid momentum; the center E(P) is
     ``energy`` when the caller holds it (the cascade's), else solved too.
@@ -534,7 +519,7 @@ def energy_lipschitz_probe(params: ModelParams, grid: ModeGrid,
     the momentum ball) as the coupling vanishes.  Returns (constant, table
     of (|k|, ratio)).
     """
-    family = FiberFamily(params, grid, basis, j)
+    params, grid = family.params, family.grid
     e0 = _ground_energy(family, params.p_total) if energy is None else energy
     table = []
     for group in _momentum_groups(grid, range(grid.n_modes)):
@@ -553,13 +538,15 @@ def curvature_momentum_quotients(params: ModelParams, grid: ModeGrid,
     Reported, never asserted: the limiting curvature is expected to be
     Hoelder in P with an unspecified exponent, so the table of
     |d2E(p') - d2E(p)| / |p' - p| quotients is diagnostic output only.
-    Returns (p values, curvatures, quotients).
+    Returns (p values, curvatures, quotients); each momentum gets its own
+    family.
     """
     ps = np.asarray(sorted(p_magnitudes), dtype=float)
     curvatures = []
     for pmag in ps:
         local = replace(params, p_total=np.array([pmag, 0.0, 0.0]))
-        curvatures.append(dispersion_curvature_direct(local, grid, basis, j))
+        curvatures.append(dispersion_curvature_direct(
+            FiberFamily(local, grid, basis, j)))
     curvatures = np.array(curvatures)
     quotients = np.abs(np.diff(curvatures)) / np.diff(ps)
     return ps, curvatures, quotients
@@ -570,70 +557,34 @@ class BoundsReport:
     """Measured constants of the resolvent-expectation bound family."""
 
     scales: list
-    c1: list
-    c2: list
     c3: list
     c4: list
     c5: list
-    resolvent_sq_expectation: list
-    resolvent_sq_constant: list
-    delta: float
     skipped: str = ""
 
-    def table(self) -> str:
-        buf = io.StringIO()
-        if self.skipped:
-            buf.write(f"  [skipped: {self.skipped}]\n")
-        buf.write("  j    C1         C2'        C3         C4         C5"
-                  "         <R(z)^2 expect>  scaled const\n")
-        for i, j in enumerate(self.scales):
-            def cell(xs):
-                return f"{xs[i]:10.4g}" if i < len(xs) and \
-                    np.isfinite(xs[i]) else "     --   "
-            buf.write(f"  {j}  {cell(self.c1)} {cell(self.c2)} "
-                      f"{cell(self.c3)} {cell(self.c4)} {cell(self.c5)} "
-                      f"{cell(self.resolvent_sq_expectation)} "
-                      f"{cell(self.resolvent_sq_constant)}\n")
-        return buf.getvalue()
 
-
-def resolvent_bound_probes(state: CascadeState,
-                           delta: float = 0.2) -> BoundsReport:
+def resolvent_bound_probes(state: CascadeState) -> BoundsReport:
     """Measure the bound family relating resolvent expectations.
 
     Absolute-value resolvents need the full eigendecomposition of the frame
-    Hamiltonian, so these probes are restricted to dense-oracle sizes; the
-    energy- and gradient-shift constants come straight from the cascade
-    records.
+    Hamiltonian, so these probes are restricted to dense-oracle sizes.
     """
     params, grid, basis = state.params, state.grid, state.basis
-    alpha, eps = params.alpha, params.epsilon
     axis = momentum_axis(params.p_total)
-    cut = params.cutoffs
 
-    c1, c2, c3, c4, c5, thq, thr0, scales = [], [], [], [], [], [], [], []
+    c3, c4, c5, scales = [], [], [], []
     skipped = ""
     for rec in state.records[:-1]:
-        nxt = state.records[rec.j + 1]
         scales.append(rec.j)
-        if alpha > 0:
-            c1.append(abs(nxt.energy_shift) / (alpha * eps ** rec.j))
-            denom = nxt.step_norm + alpha ** 0.25 * eps ** (rec.j + 1)
-            c2.append(nxt.grad_shift / denom if denom > 0 else np.nan)
-        else:
-            c1.append(np.nan)
-            c2.append(np.nan)
-
         if basis.size > DENSE_LIMIT:
             skipped = (f"dimension {basis.size} above dense limit "
                        f"{DENSE_LIMIT}; absolute-value resolvents need "
                        "the full eigendecomposition")
             c3.append(np.nan), c4.append(np.nan), c5.append(np.nan)
-            thq.append(np.nan), thr0.append(np.nan)
             continue
 
         family = FiberFamily(params, grid, basis, rec.j)
-        frame_ops = family.frame(rec.grad_energy, params.p_total)
+        frame_ops = family.frame(rec.grad_energy)
         vals, vecs = dense_spectrum(frame_ops.k(rec.gamma_shift))
         gamma_ax = frame_ops.pi[axis] - rec.gamma_shift[axis] * family.eye
         w3 = gamma_ax @ rec.phi
@@ -643,9 +594,8 @@ def resolvent_bound_probes(state: CascadeState,
         w4 = creation_sum(basis, lam_coeff[axis]) @ w3 \
             if lam_coeff is not None else None
 
-        radius = params.mu * cut.sigma(rec.j + 1)
+        radius = params.mu * params.cutoffs.sigma(rec.j + 1)
         best3 = best4 = best5 = np.nan
-        bestq = 0.0
         for angle in (0.0, 0.5 * np.pi, np.pi):
             z = rec.energy + radius * np.exp(1j * angle)
             inv = 1.0 / (vals - z)
@@ -657,21 +607,13 @@ def resolvent_bound_probes(state: CascadeState,
                 plain2 = np.abs(np.sum(np.abs(wt) ** 2 * inv ** 2))
                 absval2 = np.sum(np.abs(wt) ** 2 / np.abs(vals - z) ** 2)
                 return absval / plain if plain > 0 else np.nan, \
-                    absval2 / plain2 if plain2 > 0 else np.nan, plain2
+                    absval2 / plain2 if plain2 > 0 else np.nan
 
-            r3, r5, q = ratios(w3)
+            r3, r5 = ratios(w3)
             best3, best5 = np.fmax(best3, r3), np.fmax(best5, r5)
-            bestq = max(bestq, q)
             if w4 is not None:
-                r4, _, _ = ratios(w4)
-                best4 = np.fmax(best4, r4)
+                best4 = np.fmax(best4, ratios(w4)[0])
         c3.append(float(best3))
         c4.append(float(best4))
         c5.append(float(best5))
-        thq.append(bestq)
-        thr0.append(bestq * np.sqrt(alpha) * eps ** (2 * rec.j * delta)
-                    if alpha > 0 else 0.0)
-    return BoundsReport(scales=scales, c1=c1, c2=c2, c3=c3, c4=c4, c5=c5,
-                        resolvent_sq_expectation=thq,
-                        resolvent_sq_constant=thr0, delta=delta,
-                        skipped=skipped)
+    return BoundsReport(scales=scales, c3=c3, c4=c4, c5=c5, skipped=skipped)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fqed.fock import enumerate_basis
-from fqed.hamiltonian import ModelParams
+from fqed.hamiltonian import FiberFamily, ModelParams
 from fqed.modes import CutoffSequence, ModeGrid, build_grid, \
     polarization_frame
 
@@ -25,6 +25,20 @@ def custom_grid(k_list, weights, shells, lams=None, eps_list=None,
         k=k, knorm=knorm, khat=khat,
         shell=np.array(shells, dtype=int), weight=np.array(weights),
         lam=np.array(lams, dtype=int), eps_vec=np.array(eps_list))
+
+
+@pytest.fixture
+def family_builds(monkeypatch):
+    """Scales of the ``FiberFamily`` instances built during the test."""
+    builds = []
+    init = FiberFamily.__init__
+
+    def counted(self, params, grid, basis, j):
+        builds.append(j)
+        init(self, params, grid, basis, j)
+
+    monkeypatch.setattr(FiberFamily, "__init__", counted)
+    return builds
 
 
 @pytest.fixture(scope="session")

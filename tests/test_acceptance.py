@@ -17,16 +17,17 @@ from fqed.cascade import (convergence_report, run_cascade, sector_ground,
                           validate_params)
 from fqed.cli import main as cli_main
 from fqed.fock import enumerate_basis
-from fqed.hamiltonian import (ModelParams, assemble_displaced_hamiltonian,
+from fqed.hamiltonian import (FiberFamily, ModelParams,
+                              assemble_displaced_hamiltonian,
                               assemble_h_fiber, assemble_slice_interaction)
 from fqed.modes import build_grid
 from fqed.observables import (dispersion_curvature_direct,
                               dispersion_curvature_displaced,
                               dispersion_curvature_fd,
                               displaced_frame_ground, energy_gradient_fd,
-                              energy_gradient_fh, energy_lipschitz_probe,
-                              momentum_axis, pull_through_summary,
-                              scale_routes, soft_photon_probe)
+                              energy_lipschitz_probe, momentum_axis,
+                              pull_through_summary, scale_routes,
+                              soft_photon_probe)
 from fqed.spectral import (Contour, ResolventSolver, contour_project,
                            dense_spectrum, ground_state, idempotence_defect)
 
@@ -75,8 +76,8 @@ def curvature_rows(params, grid, basis, state):
     rows = []
     axis = momentum_axis(params.p_total)
     for rec in state.records:
-        d2_fd, d2_h, d2_k, d2_kr, cross = scale_routes(params, grid, basis,
-                                                       rec)
+        d2_fd, d2_h, d2_k, d2_kr, cross = scale_routes(
+            FiberFamily(params, grid, basis, rec.j), rec)
         rows.append(dict(alpha=params.alpha, p=float(params.p_total[axis]),
                          j=rec.j, fd=d2_fd, h=d2_h, k=d2_k, kr=d2_kr,
                          cross=cross))
@@ -163,9 +164,9 @@ def mass_rows():
         state = run_cascade(params, grid, basis)
         states[alpha] = state
         rec = state.records[-1]
-        frame = displaced_frame_ground(params, grid, basis, rec.j,
-                                       rec.grad_energy,
-                                       gamma_start=rec.gamma_shift)
+        frame = displaced_frame_ground(
+            FiberFamily(params, grid, basis, rec.j), rec.grad_energy,
+            gamma_start=rec.gamma_shift)
         d2_k, _, _ = dispersion_curvature_displaced(params, frame)
         rows[alpha] = 1.0 / d2_k
     return rows, states
@@ -179,9 +180,9 @@ def test_a01_free_theory_exactness(boxes):
     worst_g = max(np.max(np.abs(r.grad_energy - params.p_total))
                   for r in state.records)
     worst_step = max(r.step_norm for r in state.records[1:])
-    d2 = [dispersion_curvature_fd(params, grid, basis, 3),
-          dispersion_curvature_direct(params, grid, basis, 3)]
-    frame = displaced_frame_ground(params, grid, basis, 3, params.p_total)
+    family = FiberFamily(params, grid, basis, 3)
+    d2 = [dispersion_curvature_fd(family), dispersion_curvature_direct(family)]
+    frame = displaced_frame_ground(family, params.p_total)
     d2 += dispersion_curvature_displaced(params, frame)[:2]
     worst_d2 = max(abs(v - 1.0) for v in d2)
     ok = (worst_e <= TOL_FREE_ENERGY and worst_g <= TOL_FREE_ENERGY
@@ -268,12 +269,11 @@ def test_a05_feynman_hellmann_order(boxes):
     for alpha, pmag in ((1e-3, 0.1), (5e-3, 0.2)):
         params = dataclasses.replace(boxes["p2"], alpha=alpha,
                                      p_total=np.array([pmag, 0, 0]))
+        family = FiberFamily(params, grid, basis, 2)
         _, psi, _ = sector_ground(params, grid, basis, 2)
-        fh = energy_gradient_fh(psi, params, grid, basis, 2)
-        d_h = np.linalg.norm(
-            energy_gradient_fd(params, grid, basis, 2, step=2e-3) - fh)
-        d_h2 = np.linalg.norm(
-            energy_gradient_fd(params, grid, basis, 2, step=1e-3) - fh)
+        fh = family.gradient(psi, params.p_total)
+        d_h = np.linalg.norm(energy_gradient_fd(family, step=2e-3) - fh)
+        d_h2 = np.linalg.norm(energy_gradient_fd(family, step=1e-3) - fh)
         ratios.append(d_h / d_h2)
     ok = all(FH_RATIO_WINDOW[0] < r < FH_RATIO_WINDOW[1] for r in ratios)
     report(5, ok, "gradient FD-vs-expectation halving ratios "
@@ -370,7 +370,8 @@ def test_a11_pull_through_residual():
         params = valid_box(5e-3, [0.1, 0, 0], 1)
         grid = build_grid(params.cutoffs, 1, "octahedral6")
         basis = enumerate_basis(grid.n_modes, n_max, n_max)
-        aggs[n_max], _ = pull_through_summary(params, grid, basis, 1)
+        aggs[n_max], _ = pull_through_summary(
+            FiberFamily(params, grid, basis, 1))
     ok = aggs[3] <= TOL_PULL_THROUGH and aggs[3] < aggs[2]
     report(11, ok, f"pull-through residual {aggs[3]:.4f} at cap 3 "
                    f"(tol {TOL_PULL_THROUGH}), decreasing from "
@@ -399,7 +400,8 @@ def test_a13_energy_slope_constant(boxes):
     values = {}
     for alpha in (0.0, 1e-4, 1e-3):
         params = valid_box(alpha, [0.33, 0, 0], 3)
-        values[alpha], _ = energy_lipschitz_probe(params, grid, basis, 3)
+        values[alpha], _ = energy_lipschitz_probe(
+            FiberFamily(params, grid, basis, 3))
     free_ok = values[0.0] <= 1.0 / 3.0 + 1e-10
     window_ok = C_ALPHA_WINDOW[0] <= values[1e-4] <= C_ALPHA_WINDOW[1]
     trend_ok = abs(values[1e-4] - values[0.0]) <= \

@@ -120,9 +120,9 @@ def test_cascade_energy_agrees_across_frames(cascade_state):
     # occupation-cap truncation
     params, grid, basis, state = cascade_state
     for rec in state.records[1:]:
-        frame = displaced_frame_ground(params, grid, basis, rec.j,
-                                       rec.grad_energy,
-                                       gamma_start=rec.gamma_shift)
+        frame = displaced_frame_ground(
+            FiberFamily(params, grid, basis, rec.j), rec.grad_energy,
+            gamma_start=rec.gamma_shift)
         assert abs(frame.energy - rec.energy) < 1e-6
 
 

@@ -264,6 +264,18 @@ def test_verify_builds_each_frame_solver_once(tmp_path, monkeypatch):
     assert len(inits) == 2 + 2 * 3
 
 
+def test_verify_identities_builds_two_families_per_record(tmp_path,
+                                                         family_builds):
+    # one in the cascade step and one for the three routes of each scale
+    from fqed.cli import _verify_lines
+
+    cfg = parse_config(write_config(tmp_path,
+                                    GOOD_CONFIG.replace("J = 2", "J = 1")))
+    lines = list(_verify_lines(cfg, "identities"))
+    assert lines and all(passed for _, _, passed, _ in lines)
+    assert sorted(family_builds) == [0, 0, 1, 1]
+
+
 def test_verify_pull_through_reuses_the_cascade_ground_state(
         tmp_path, capsys, monkeypatch):
     # the probe runs on the final-scale ground state the cascade already

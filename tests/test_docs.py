@@ -1,10 +1,12 @@
 """The documentation against the code it names, without running a demo:
 README's config-key table lists exactly the keys the parser accepts, with
-their defaults, its ``scan.csv`` header is the one the scan writes, and
-every name a demo imports from ``fqed`` exists."""
+their defaults, its ``scan.csv`` header is the one the scan writes, every
+name a demo imports from ``fqed`` exists, and every call a demo makes to
+such a name binds to its signature."""
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -43,13 +45,44 @@ def test_readme_config_table_matches_the_parser():
     assert sorted(config_table()) == sorted(expected)
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_imports_resolve(demo):
-    missing = []
-    for node in ast.walk(ast.parse(demo.read_text())):
+def fqed_imports(tree) -> dict:
+    """{local name: (module, name)} of the names a demo imports from
+    ``fqed``."""
+    names = {}
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module \
                 and node.module.split(".")[0] == "fqed":
             module = importlib.import_module(node.module)
-            missing += [f"{node.module}.{a.name}" for a in node.names
-                        if not hasattr(module, a.name)]
+            names.update({a.asname or a.name: (module, a.name)
+                          for a in node.names})
+    return names
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_imports_resolve(demo):
+    missing = [f"{module.__name__}.{name}" for module, name
+               in fqed_imports(ast.parse(demo.read_text())).values()
+               if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_calls_bind(demo):
+    # positional count and keyword names of each call to an fqed name, on
+    # the callable's signature; calls with * or ** are not checked
+    tree = ast.parse(demo.read_text())
+    names = fqed_imports(tree)
+    unbound = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in names):
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords):
+            continue
+        try:
+            inspect.signature(getattr(*names[node.func.id])).bind(
+                *node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {node.lineno}: {node.func.id}: {exc}")
+    assert unbound == []

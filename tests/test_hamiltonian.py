@@ -343,9 +343,9 @@ GRADIENTS = st.tuples(*[st.floats(-0.28, 0.28)] * 3).map(np.array)
 SHIFTS = st.tuples(*[st.floats(-0.1, 0.1)] * 3).map(np.array)
 
 
-def tiny_family(tiny_setup, alpha, j):
+def tiny_family(tiny_setup, alpha, p, j):
     params, grid, basis = tiny_setup
-    params = dataclasses.replace(params, alpha=alpha)
+    params = dataclasses.replace(params, alpha=alpha, p_total=p)
     return params, FiberFamily(params, grid, basis, j)
 
 
@@ -353,7 +353,7 @@ def tiny_family(tiny_setup, alpha, j):
 @given(ALPHAS, MOMENTA, st.integers(0, 1))
 def test_family_h_equals_product_form(tiny_setup, alpha, p, j):
     # H(0) + |P|^2/2 - P . beta == sym((1/2) sum_i (P_i - beta_i)^2 + Hf)
-    params, family = tiny_family(tiny_setup, alpha, j)
+    params, family = tiny_family(tiny_setup, alpha, p, j)
     ref = assemble_h_fiber(params, family.grid, family.basis, j, p=p)
     assert abs(family.h(p) - ref).max() <= 1e-14
 
@@ -364,10 +364,10 @@ def test_family_gradient_matches_finite_differences(tiny_setup, alpha, p, j):
     from fqed.cascade import sector_ground
     from fqed.observables import energy_gradient_fd
 
-    params, family = tiny_family(tiny_setup, alpha, j)
+    params, family = tiny_family(tiny_setup, alpha, p, j)
     grid, basis = family.grid, family.basis
     _, psi, _ = sector_ground(params, grid, basis, j, p=p, h_op=family.h(p))
-    fd = energy_gradient_fd(params, grid, basis, j, p=p)
+    fd = energy_gradient_fd(family)
     assert np.abs(family.gradient(psi, p) - fd).max() <= 1e-7
 
 
@@ -376,10 +376,10 @@ def test_family_gradient_matches_finite_differences(tiny_setup, alpha, p, j):
 def test_frame_family_k_equals_product_form(tiny_setup, alpha, p, j, g,
                                             gamma):
     # K(0) - gamma . Pi + |gamma|^2/2 == the assembled canonical form
-    params, family = tiny_family(tiny_setup, alpha, j)
-    frame = family.frame(g, p)
+    params, family = tiny_family(tiny_setup, alpha, p, j)
+    frame = family.frame(g)
     ref, offset = assemble_displaced_hamiltonian(
-        params, family.grid, family.basis, j, g, gamma, p=p)
+        params, family.grid, family.basis, j, g, gamma)
     assert frame.offset == offset
     assert abs(frame.k(gamma) - ref).max() <= 1e-14
 
