@@ -34,7 +34,7 @@ family = FiberFamily(params, grid, basis, 3)
 d2_fd = dispersion_curvature_fd(family)
 d2_h = dispersion_curvature_direct(family)
 frame = displaced_frame_ground(family, params.p_total)
-d2_k, d2_kr, _ = dispersion_curvature_displaced(params, frame)
+d2_k, d2_kr, _ = dispersion_curvature_displaced(frame)
 print("\ncurvature routes at the final scale:")
 print(f"  finite differences : {d2_fd:.14f}")
 print(f"  direct resolvent   : {d2_h:.14f}")

@@ -41,7 +41,7 @@ for alpha in (1e-4, 1e-3, 5e-3, 1e-2):
     family = FiberFamily(params, grid, basis, j)
     grad = family.gradient(psi, params.p_total)
     frame = displaced_frame_ground(family, grad)
-    d2, _, _ = dispersion_curvature_displaced(params, frame)
+    d2, _, _ = dispersion_curvature_displaced(frame)
     m_r = 1.0 / d2
     print(f"  alpha = {alpha:7.0e}:  d2E = {d2:.8f}   m_r = {m_r:.8f}   "
           f"(m_r - 1)/alpha = {(m_r - 1.0) / alpha:.3f}")

@@ -5,9 +5,9 @@ projects the current displaced-frame ground state through a resolvent
 contour around the previous energy, solves the finer fiber Hamiltonian for
 its energy and gradient, and re-dresses the projected vector with the
 single Weyl displacement that bridges the two gradients.  The per-scale
-records keep unnormalized projector outputs together with their norms, so
-the squared-norm lower bound and the step-norm decay can be read off
-directly.
+records keep the unnormalized running vector and the norms of it and of
+the projector output, so the squared-norm lower bound and the step-norm
+decay can be read off directly.
 
 Every scale also records the mean-zero momentum observable's expectation in
 the running vector (which vanishes by construction) and the measured
@@ -130,7 +130,6 @@ class ScaleRecord:
     gap_next_sector: float
     psi: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
-    phi_hat: np.ndarray = field(repr=False)
     phi_norm: float = np.nan
     phi_hat_norm: float = np.nan
     step_norm: float = np.nan
@@ -215,9 +214,8 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
         j=0, sigma=cut.sigma(0), energy=e0, grad_energy=grad0,
         gap_sector=np.nan,
         gap_next_sector=sector_ground(params, grid, basis, 1, h_op=h0)[2],
-        psi=psi0, phi=phi0, phi_hat=phi0.copy(),
-        phi_norm=1.0, phi_hat_norm=1.0, gamma_shift=shift0,
-        gamma_orth=orth0,
+        psi=psi0, phi=phi0, phi_norm=1.0, phi_hat_norm=1.0,
+        gamma_shift=shift0, gamma_orth=orth0,
     ))
 
     for j in range(params.n_scales):
@@ -257,8 +255,7 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
         state.records.append(ScaleRecord(
             j=j + 1, sigma=cut.sigma(j + 1), energy=energy, grad_energy=grad,
             gap_sector=gap_sector, gap_next_sector=gap_next,
-            psi=psi, phi=phi, phi_hat=phi_hat,
-            phi_norm=float(np.linalg.norm(phi)),
+            psi=psi, phi=phi, phi_norm=float(np.linalg.norm(phi)),
             phi_hat_norm=float(np.linalg.norm(phi_hat)),
             step_norm=float(np.linalg.norm(phi_hat - prev.phi)),
             energy_shift=prev.energy - energy,

@@ -17,6 +17,7 @@ Exit codes: 0 ok, 1 assertion or constraint failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from dataclasses import dataclass, field
@@ -35,8 +36,8 @@ from .observables import (SCAN_COLUMNS, energy_lipschitz_probe, mass_scan,
                           pull_through_summary, resolvent_bound_probes,
                           scale_routes, scan_csv, scan_tail_summary,
                           soft_photon_probe)
-from .spectral import (MAX_NODES, ConditioningError, ContourError,
-                       SolverError, check_node_count)
+from .spectral import (DENSE_LIMIT, MAX_NODES, ConditioningError,
+                       ContourError, SolverError, check_node_count)
 
 
 class ConfigError(ValueError):
@@ -313,7 +314,11 @@ _SUITES = ("identities", "gaps", "softphoton", "pullthrough", "calpha",
 
 
 def _verify_lines(cfg: RunConfig, suite: str):
-    """Yield (hard, name, passed, detail) tuples for the selected suite."""
+    """Yield (hard, name, passed, detail) tuples for the selected suite.
+
+    Each scale's ``FiberFamily`` is built once, on first use, and shared by
+    every route and probe at that scale.
+    """
     grid = cfg.build_grid()
     basis = cfg.build_basis(grid)
     params = cfg.params
@@ -321,6 +326,7 @@ def _verify_lines(cfg: RunConfig, suite: str):
                         contour_nodes=cfg.contour_nodes,
                         allow_invalid=cfg.allow_invalid)
     cut = params.cutoffs
+    family = functools.cache(lambda j: FiberFamily(params, grid, basis, j))
 
     if suite in ("identities", "all"):
         for rec in state.records:
@@ -328,8 +334,7 @@ def _verify_lines(cfg: RunConfig, suite: str):
             yield (True, f"gamma-orthogonality j={rec.j}", orth <= 1e-10,
                    f"max |<phi,Gamma phi>| = {orth:.2e} (tol 1e-10)")
         for rec in state.records:
-            d2f, d2h, d2k, d2kr, cross = scale_routes(
-                FiberFamily(params, grid, basis, rec.j), rec)
+            d2f, d2h, d2k, d2kr, cross = scale_routes(family(rec.j), rec)
             yield (True, f"route H vs K j={rec.j}", abs(d2h - d2k) <= 1e-5,
                    f"|{d2h:.8f} - {d2k:.8f}| = {abs(d2h - d2k):.2e} "
                    "(tol 1e-5)")
@@ -367,31 +372,31 @@ def _verify_lines(cfg: RunConfig, suite: str):
                    f"max/min = {ratio:.3f} (target <= 2)")
 
     last = state.records[-1]
-    if suite in ("pullthrough", "calpha", "all"):
-        family = FiberFamily(params, grid, basis, last.j)
-
     if suite in ("pullthrough", "all"):
-        agg, _ = pull_through_summary(family, psi=last.psi,
+        agg, _ = pull_through_summary(family(last.j), psi=last.psi,
                                       energy=last.energy)
         yield (False, f"pull-through aggregate j={last.j}", agg <= 0.05,
                f"residual = {agg:.4f} (target <= 0.05)")
 
     if suite in ("calpha", "all"):
-        c_emp, _ = energy_lipschitz_probe(family, energy=last.energy)
+        c_emp, _ = energy_lipschitz_probe(family(last.j),
+                                          energy=last.energy)
         yield (False, "energy-slope constant", 0.0 <= c_emp <= 0.45,
                f"C = {c_emp:.4f} (free-theory limit 1/3)")
 
     if suite in ("bounds", "all"):
-        rep = resolvent_bound_probes(state)
-        if rep.skipped:
-            yield (False, "resolvent bounds", True, rep.skipped)
+        if basis.size > DENSE_LIMIT:
+            yield (False, "resolvent bounds", True,
+                   f"dimension {basis.size} above dense limit "
+                   f"{DENSE_LIMIT}; absolute-value resolvents need the "
+                   "full eigendecomposition")
         else:
-            for i, j in enumerate(rep.scales):
-                for name, xs in (("C3", rep.c3), ("C4", rep.c4),
-                                 ("C5", rep.c5)):
-                    if np.isfinite(xs[i]):
-                        yield (False, f"bound {name} j={j}", xs[i] >= 1.0,
-                               f"{name} = {xs[i]:.4f} (>= 1)")
+            for rec in state.records[:-1]:
+                consts = resolvent_bound_probes(family(rec.j), rec)
+                for name, c in zip(("C3", "C4", "C5"), consts):
+                    if np.isfinite(c):
+                        yield (False, f"bound {name} j={rec.j}", c >= 1.0,
+                               f"{name} = {c:.4f} (>= 1)")
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:

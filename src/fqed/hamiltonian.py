@@ -280,17 +280,15 @@ def assemble_intermediate_hamiltonian(
 
     with Gamma, the slice operators L and the scalar shift I evaluated with
     the previous gradient g.  Gamma + L is the scale-j Pi(g) less the
-    previous shift, so Khat(j) is the scale-j frame operator at gradient g
-    and shift gamma_prev - I, assembled in product form: one shift per
-    gradient leaves nothing for a linear update to reuse.
+    previous shift, so Khat(j) is ``family.frame(g).k(gamma_prev - I)``.
+    Returns (Khat, offset_hat).
     """
     if family.j < 1:
         raise ParameterError("intermediate frame needs j >= 1")
     ivec = weyl_vacuum_expectation(family.params, family.grid,
                                    [family.j - 1], grad_energy_prev)
-    k_hat, offset, _ = _frame_product_form(
-        family, grad_energy_prev, np.asarray(gamma_shift_prev) - ivec)
-    return k_hat, offset
+    frame = family.frame(grad_energy_prev)
+    return frame.k(np.asarray(gamma_shift_prev) - ivec), frame.offset
 
 
 def delta_k_interaction(params: ModelParams, grid: ModeGrid, basis: FockBasis,

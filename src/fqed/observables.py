@@ -20,10 +20,11 @@ agreement is the laboratory's headline measurement.  ``scale_routes``
 evaluates all three routes at one cascade scale and returns their five
 numbers; ``mass-scan`` and ``verify`` both go through it.
 
-The routes, the FD gradient and the pull-through and energy-slope probes
-take the scale's ``FiberFamily`` and evaluate it at its parameters' P, so
-one family serves every evaluation at a scale; the expectation-value
-gradient is ``FiberFamily.gradient``.
+The routes, the FD gradient and the pull-through, energy-slope and
+resolvent-bound probes take the scale's ``FiberFamily`` and evaluate it at
+its parameters' P, so one family serves every evaluation at a scale; the
+displaced route takes the ``DisplacedFrame`` polished on the family, which
+holds it.  The expectation-value gradient is ``FiberFamily.gradient``.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bogoliubov import center_operators, weyl_vacuum_expectation
-from .cascade import (CONTOUR_NODES, CascadeError, CascadeState,
-                      ScaleRecord, run_cascade, sector_ground)
+from .cascade import (CONTOUR_NODES, CascadeError, ScaleRecord, run_cascade,
+                      sector_ground)
 from .fock import FockBasis, creation_sum, ladder
 from .hamiltonian import FiberFamily, ModelParams, slice_marginal_coeffs
 from .modes import ModeGrid, ParameterError
-from .spectral import (DENSE_LIMIT, Contour, ResolventSolver, contour_sum,
-                       dense_spectrum, resolvent_sandwich)
+from .spectral import (Contour, ResolventSolver, contour_sum, dense_spectrum,
+                       resolvent_sandwich)
 
 #: Trapezoid nodes of the at-scale curvature-route contours.
 ROUTE_NODES = 64
@@ -155,10 +156,11 @@ class DisplacedFrame:
 
     The shift is iterated to its fixed point: the frame Hamiltonian built
     from it has ``phi`` as ground state, and the centered momentum
-    observable has exactly zero expectation in ``phi``.
+    observable has exactly zero expectation in ``phi``.  ``family`` is the
+    scale's ``FiberFamily`` the frame was polished on.
     """
 
-    j: int
+    family: FiberFamily = field(repr=False)
     grad_energy: np.ndarray
     k_op: sp.csr_matrix = field(repr=False)
     energy: float = np.nan
@@ -203,15 +205,15 @@ def displaced_frame_ground(family: FiberFamily, grad_energy: np.ndarray,
     # the shift through -shift . Pi, so k_op is K(shift) only to within
     # that move (below 1e-13 unless the five-solve cap ended the loop)
     gamma_ops, shift, orth = center_operators(frame_ops.pi, phi)
-    return DisplacedFrame(j=j, grad_energy=g, k_op=k_op,
+    return DisplacedFrame(family=family, grad_energy=g, k_op=k_op,
                           energy=energy, gap=gap, phi=phi,
                           gamma_ops=gamma_ops, gamma_shift=shift, orth=orth)
 
 
-def dispersion_curvature_displaced(params: ModelParams,
-                                   frame: DisplacedFrame):
+def dispersion_curvature_displaced(frame: DisplacedFrame):
     """Curvature from the displaced-frame route: both forms and the cross
-    term, from one contour integral.
+    term, from one contour integral, at the P and scale of the frame's
+    family.
 
     Evaluates 1 - 2 <oint R Gamma R phi, Gamma phi> with the centered
     momentum observable Gamma and the frame ground state phi, and the
@@ -229,11 +231,12 @@ def dispersion_curvature_displaced(params: ModelParams,
         raise ParameterError(
             f"centering violated: <phi, Gamma phi> = {frame.orth} "
             "exceeds 1.0e-10")
+    params = frame.family.params
     axis = momentum_axis(params.p_total)
     phi = frame.phi / np.linalg.norm(frame.phi)
     gamma = frame.gamma_ops[axis]
     energy = frame.energy
-    cont = _route_contour(params, frame.j, energy, frame.gap)
+    cont = _route_contour(params, frame.family.j, energy, frame.gap)
     solver = ResolventSolver(frame.k_op)
     target = gamma @ phi
     target_r = solver.reduce(target)
@@ -269,9 +272,16 @@ def dispersion_curvature_displaced(params: ModelParams,
             float(abs(2.0 * cross)))
 
 
-def cross_term_probe(params: ModelParams, frame: DisplacedFrame) -> float:
+def cross_term_probe(frame: DisplacedFrame) -> float:
     """The cross term of the displaced route on ``frame``."""
-    return dispersion_curvature_displaced(params, frame)[2]
+    return dispersion_curvature_displaced(frame)[2]
+
+
+def _check_scale(family: FiberFamily, rec: ScaleRecord):
+    if family.j != rec.j:
+        raise ParameterError(
+            f"family of scale {family.j} given for the record of scale "
+            f"{rec.j}")
 
 
 def scale_routes(family: FiberFamily, rec: ScaleRecord):
@@ -283,17 +293,13 @@ def scale_routes(family: FiberFamily, rec: ScaleRecord):
     from the cascade's centering shift.  The FD stencil takes its center
     from the cascade energy.
     """
-    if family.j != rec.j:
-        raise ParameterError(
-            f"family of scale {family.j} given for the record of scale "
-            f"{rec.j}")
+    _check_scale(family, rec)
     d2_fd = dispersion_curvature_fd(family, center=rec.energy)
     d2_direct = dispersion_curvature_direct(
         family, psi=rec.psi, energy=rec.energy, gap=rec.gap_sector)
     frame = displaced_frame_ground(family, rec.grad_energy,
                                    gamma_start=rec.gamma_shift)
-    return (d2_fd, d2_direct,
-            *dispersion_curvature_displaced(family.params, frame))
+    return (d2_fd, d2_direct, *dispersion_curvature_displaced(frame))
 
 
 @dataclass
@@ -413,9 +419,7 @@ class SoftPhotonReport:
     """Per-mode annihilation norms scaled to the soft-photon bound shape."""
 
     mode_index: np.ndarray
-    knorm: np.ndarray
     b_norm: np.ndarray
-    scaled_constant: np.ndarray
     empirical_c: float
 
 
@@ -439,8 +443,7 @@ def soft_photon_probe(psi: np.ndarray, params: ModelParams, grid: ModeGrid,
             scaled[i] = (b_norms[i] * grid.knorm[m] ** 1.5
                          / (root * np.sqrt(grid.weight[m])))
     c_emp = float(scaled.max()) if len(scaled) else 0.0
-    return SoftPhotonReport(mode_index=active, knorm=grid.knorm[active],
-                            b_norm=b_norms, scaled_constant=scaled,
+    return SoftPhotonReport(mode_index=active, b_norm=b_norms,
                             empirical_c=c_emp)
 
 
@@ -552,68 +555,46 @@ def curvature_momentum_quotients(params: ModelParams, grid: ModeGrid,
     return ps, curvatures, quotients
 
 
-@dataclass
-class BoundsReport:
-    """Measured constants of the resolvent-expectation bound family."""
+def resolvent_bound_probes(family: FiberFamily, rec: ScaleRecord):
+    """Constants (C3, C4, C5) of the resolvent-expectation bound family at
+    one cascade scale below the last, on that scale's family.
 
-    scales: list
-    c3: list
-    c4: list
-    c5: list
-    skipped: str = ""
-
-
-def resolvent_bound_probes(state: CascadeState) -> BoundsReport:
-    """Measure the bound family relating resolvent expectations.
-
-    Absolute-value resolvents need the full eigendecomposition of the frame
-    Hamiltonian, so these probes are restricted to dense-oracle sizes.
+    Each is the largest, over three points z of the step contour, of
+    sum_n a_n / |lambda_n - z|^p over |sum_n a_n / (lambda_n - z)^p|, with
+    a_n = |<v_n, w>|^2 in the eigenpairs of the frame Hamiltonian K(shift):
+    p = 1 (C3) and p = 2 (C5) for w = Gamma phi, p = 1 (C4) for the slice
+    operator's creation part applied to Gamma phi.  As a_n >= 0, the
+    triangle inequality makes each finite constant at least 1, so a check
+    of C >= 1 cannot fail.  NaN where w vanishes, as at j = 0, where Gamma
+    annihilates the vacuum.  The eigendecomposition is dense.
     """
-    params, grid, basis = state.params, state.grid, state.basis
+    _check_scale(family, rec)
+    params = family.params
     axis = momentum_axis(params.p_total)
+    frame = family.frame(rec.grad_energy)
+    gamma_ops, shift, _ = center_operators(frame.pi, rec.phi)
+    vals, vecs = dense_spectrum(frame.k(shift))
+    w3 = gamma_ops[axis] @ rec.phi
+    lam_coeff = slice_marginal_coeffs(params, family.grid, rec.j,
+                                      rec.grad_energy)
+    w4 = creation_sum(family.basis, lam_coeff[axis]) @ w3
 
-    c3, c4, c5, scales = [], [], [], []
-    skipped = ""
-    for rec in state.records[:-1]:
-        scales.append(rec.j)
-        if basis.size > DENSE_LIMIT:
-            skipped = (f"dimension {basis.size} above dense limit "
-                       f"{DENSE_LIMIT}; absolute-value resolvents need "
-                       "the full eigendecomposition")
-            c3.append(np.nan), c4.append(np.nan), c5.append(np.nan)
-            continue
+    radius = params.mu * params.cutoffs.sigma(rec.j + 1)
+    best3 = best4 = best5 = np.nan
+    for angle in (0.0, 0.5 * np.pi, np.pi):
+        z = rec.energy + radius * np.exp(1j * angle)
+        inv = 1.0 / (vals - z)
 
-        family = FiberFamily(params, grid, basis, rec.j)
-        frame_ops = family.frame(rec.grad_energy)
-        vals, vecs = dense_spectrum(frame_ops.k(rec.gamma_shift))
-        gamma_ax = frame_ops.pi[axis] - rec.gamma_shift[axis] * family.eye
-        w3 = gamma_ax @ rec.phi
-        lam_coeff = slice_marginal_coeffs(params, grid, rec.j,
-                                          rec.grad_energy) \
-            if rec.j < params.n_scales else None
-        w4 = creation_sum(basis, lam_coeff[axis]) @ w3 \
-            if lam_coeff is not None else None
+        def ratios(w):
+            wt = vecs.T @ w
+            plain = np.abs(np.sum(np.abs(wt) ** 2 * inv))
+            absval = np.sum(np.abs(wt) ** 2 / np.abs(vals - z))
+            plain2 = np.abs(np.sum(np.abs(wt) ** 2 * inv ** 2))
+            absval2 = np.sum(np.abs(wt) ** 2 / np.abs(vals - z) ** 2)
+            return absval / plain if plain > 0 else np.nan, \
+                absval2 / plain2 if plain2 > 0 else np.nan
 
-        radius = params.mu * params.cutoffs.sigma(rec.j + 1)
-        best3 = best4 = best5 = np.nan
-        for angle in (0.0, 0.5 * np.pi, np.pi):
-            z = rec.energy + radius * np.exp(1j * angle)
-            inv = 1.0 / (vals - z)
-
-            def ratios(w):
-                wt = vecs.T @ w
-                plain = np.abs(np.sum(np.abs(wt) ** 2 * inv))
-                absval = np.sum(np.abs(wt) ** 2 / np.abs(vals - z))
-                plain2 = np.abs(np.sum(np.abs(wt) ** 2 * inv ** 2))
-                absval2 = np.sum(np.abs(wt) ** 2 / np.abs(vals - z) ** 2)
-                return absval / plain if plain > 0 else np.nan, \
-                    absval2 / plain2 if plain2 > 0 else np.nan
-
-            r3, r5 = ratios(w3)
-            best3, best5 = np.fmax(best3, r3), np.fmax(best5, r5)
-            if w4 is not None:
-                best4 = np.fmax(best4, ratios(w4)[0])
-        c3.append(float(best3))
-        c4.append(float(best4))
-        c5.append(float(best5))
-    return BoundsReport(scales=scales, c3=c3, c4=c4, c5=c5, skipped=skipped)
+        r3, r5 = ratios(w3)
+        best3, best5 = np.fmax(best3, r3), np.fmax(best5, r5)
+        best4 = np.fmax(best4, ratios(w4)[0])
+    return float(best3), float(best4), float(best5)

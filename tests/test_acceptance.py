@@ -167,7 +167,7 @@ def mass_rows():
         frame = displaced_frame_ground(
             FiberFamily(params, grid, basis, rec.j), rec.grad_energy,
             gamma_start=rec.gamma_shift)
-        d2_k, _, _ = dispersion_curvature_displaced(params, frame)
+        d2_k, _, _ = dispersion_curvature_displaced(frame)
         rows[alpha] = 1.0 / d2_k
     return rows, states
 
@@ -183,7 +183,7 @@ def test_a01_free_theory_exactness(boxes):
     family = FiberFamily(params, grid, basis, 3)
     d2 = [dispersion_curvature_fd(family), dispersion_curvature_direct(family)]
     frame = displaced_frame_ground(family, params.p_total)
-    d2 += dispersion_curvature_displaced(params, frame)[:2]
+    d2 += dispersion_curvature_displaced(frame)[:2]
     worst_d2 = max(abs(v - 1.0) for v in d2)
     ok = (worst_e <= TOL_FREE_ENERGY and worst_g <= TOL_FREE_ENERGY
           and worst_d2 <= TOL_FREE_CURV and worst_step <= 1e-12)

@@ -276,6 +276,29 @@ def test_verify_identities_builds_two_families_per_record(tmp_path,
     assert sorted(family_builds) == [0, 0, 1, 1]
 
 
+def test_verify_all_builds_two_families_per_record(tmp_path, family_builds):
+    # the routes, the last scale's probes and the bounds probes share the
+    # one family verify builds per record
+    from fqed.cli import _verify_lines
+
+    cfg = parse_config(write_config(tmp_path, GOOD_CONFIG))
+    assert list(_verify_lines(cfg, "all"))
+    assert sorted(family_builds) == [0, 0, 1, 1, 2, 2]
+
+
+def test_verify_bounds_skip_above_the_dense_limit(tmp_path, family_builds,
+                                                  monkeypatch):
+    import fqed.cli as cli
+
+    monkeypatch.setattr(cli, "DENSE_LIMIT", 10)
+    cfg = parse_config(write_config(tmp_path, GOOD_CONFIG))
+    lines = list(cli._verify_lines(cfg, "bounds"))
+    assert [(name, passed) for _, name, passed, _ in lines] \
+        == [("resolvent bounds", True)]
+    assert "above dense limit 10" in lines[0][3]
+    assert sorted(family_builds) == [0, 1, 2]   # the cascade's own
+
+
 def test_verify_pull_through_reuses_the_cascade_ground_state(
         tmp_path, capsys, monkeypatch):
     # the probe runs on the final-scale ground state the cascade already

@@ -1,8 +1,9 @@
 """The documentation against the code it names, without running a demo:
 README's config-key table lists exactly the keys the parser accepts, with
-their defaults, its ``scan.csv`` header is the one the scan writes, every
-name a demo imports from ``fqed`` exists, and every call a demo makes to
-such a name binds to its signature."""
+their defaults, its ``scan.csv`` header is the one the scan writes, its
+list of ``verify`` suites is the one the command accepts, every name a
+demo imports from ``fqed`` exists, and every call a demo makes to such a
+name binds to its signature."""
 
 import ast
 import importlib
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fqed.cli import _DEFAULTS, _REQUIRED_KEYS
+from fqed.cli import _DEFAULTS, _REQUIRED_KEYS, _SUITES
 from fqed.observables import SCAN_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,6 +36,13 @@ def test_readme_scan_header_matches_the_writer():
         stem = re.fullmatch(r"(\w+)_x\.\.z", name)
         names += [f"{stem.group(1)}_{c}" for c in "xyz"] if stem else [name]
     assert names == SCAN_COLUMNS
+
+
+def test_readme_verify_suites_match_the_cli():
+    text = (ROOT / "README.md").read_text()
+    listed = re.search(r"`verify` runs probe suites \(([^)]*)\)",
+                       text).group(1)
+    assert re.findall(r"`(\w+)`", listed) == list(_SUITES)
 
 
 def test_readme_config_table_matches_the_parser():

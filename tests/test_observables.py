@@ -67,7 +67,7 @@ def test_curvature_free_theory_all_routes():
     d2_fd = dispersion_curvature_fd(family)
     d2_h = dispersion_curvature_direct(family)
     frame = displaced_frame_ground(family, np.array([0.1, 0.0, 0.0]))
-    d2_k, d2_kr, _ = dispersion_curvature_displaced(params, frame)
+    d2_k, d2_kr, _ = dispersion_curvature_displaced(frame)
     for val in (d2_fd, d2_h, d2_k, d2_kr):
         assert abs(val - 1.0) <= 1e-10
 
@@ -80,7 +80,7 @@ def test_curvature_scale0_is_unity():
     e, psi, _ = sector_ground(params, grid, basis, 0)
     grad = family.gradient(psi, params.p_total)
     frame = displaced_frame_ground(family, grad)
-    d2_k, d2_kr, _ = dispersion_curvature_displaced(params, frame)
+    d2_k, d2_kr, _ = dispersion_curvature_displaced(frame)
     assert abs(d2_k - 1.0) <= 1e-10
     assert abs(d2_kr - 1.0) <= 1e-10
 
@@ -98,7 +98,7 @@ def coupled_frame():
 def test_three_route_agreement(coupled_frame):
     family, e, psi, gap, grad, frame = coupled_frame
     d2_h = dispersion_curvature_direct(family, psi=psi, energy=e, gap=gap)
-    d2_k, d2_kr, _ = dispersion_curvature_displaced(family.params, frame)
+    d2_k, d2_kr, _ = dispersion_curvature_displaced(frame)
     d2_fd = dispersion_curvature_fd(family)
     assert abs(d2_h - d2_k) <= 1e-5
     assert abs(d2_h - d2_fd) <= 1e-4
@@ -113,7 +113,7 @@ def test_frame_self_consistency(coupled_frame):
 
 def test_cross_term_probe_vanishes(coupled_frame):
     family, e, psi, gap, grad, frame = coupled_frame
-    value = cross_term_probe(family.params, frame)
+    value = cross_term_probe(frame)
     assert value <= 1e-8
 
 
@@ -121,7 +121,7 @@ def test_displaced_route_rejects_broken_centering(coupled_frame):
     family, e, psi, gap, grad, frame = coupled_frame
     broken = dataclasses.replace(frame, orth=np.array([1e-3, 0.0, 0.0]))
     with pytest.raises(ParameterError):
-        dispersion_curvature_displaced(family.params, broken)
+        dispersion_curvature_displaced(broken)
 
 
 def test_mass_scan_free_row():
@@ -251,25 +251,15 @@ def test_energy_slope_free_theory_analytic():
 def test_bounds_probe_reports():
     params, grid, basis = make_box(1e-3, [0.1, 0.0, 0.0])
     state = run_cascade(params, grid, basis)
-    rep = resolvent_bound_probes(state)
-    assert not rep.skipped
-    assert rep.scales == [0, 1]
+    rec0, rec1 = state.records[:2]
     # j = 0 observable annihilates the vacuum: trivially fulfilled, the
     # ratios are vacuous there
-    assert np.isnan(rep.c3[0]) and np.isnan(rep.c5[0])
-    for family in (rep.c3, rep.c4, rep.c5):
-        finite = [x for x in family if np.isfinite(x)]
-        assert finite and all(x >= 1.0 - 1e-12 for x in finite)
-
-
-def test_bounds_probe_skips_above_dense_limit(monkeypatch):
-    import fqed.observables as observables
-
-    params, grid, basis = make_box(1e-3, [0.1, 0.0, 0.0])
-    state = run_cascade(params, grid, basis)
-    monkeypatch.setattr(observables, "DENSE_LIMIT", 10)
-    rep = resolvent_bound_probes(state)
-    assert rep.skipped
+    assert all(np.isnan(c) for c in resolvent_bound_probes(
+        FiberFamily(params, grid, basis, 0), rec0))
+    consts = resolvent_bound_probes(FiberFamily(params, grid, basis, 1), rec1)
+    assert all(np.isfinite(c) and c >= 1.0 - 1e-12 for c in consts)
+    with pytest.raises(ParameterError):
+        resolvent_bound_probes(FiberFamily(params, grid, basis, 0), rec1)
 
 
 def test_rotation_spot_check():
@@ -323,8 +313,8 @@ def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
     routes = {
         "direct": lambda: dispersion_curvature_direct(
             family, psi=psi, energy=energy, gap=gap),
-        "displaced": lambda: dispersion_curvature_displaced(params, frame),
-        "cross": lambda: cross_term_probe(params, frame),
+        "displaced": lambda: dispersion_curvature_displaced(frame),
+        "cross": lambda: cross_term_probe(frame),
     }
     counts = {}
     applications = {}
@@ -348,13 +338,13 @@ def test_cross_term_probe_reads_an_off_eigenvector_phi(tiny_setup):
     energy, psi, _ = sector_ground(params, grid, basis, 1)
     frame = displaced_frame_ground(family,
                                    family.gradient(psi, params.p_total))
-    exact = cross_term_probe(params, frame)
+    exact = cross_term_probe(frame)
     rng = np.random.default_rng(3)
     kick = rng.standard_normal(len(frame.phi))
     kick -= frame.phi * (frame.phi @ kick) / (frame.phi @ frame.phi)
     kick *= 1e-3 * np.linalg.norm(frame.phi) / np.linalg.norm(kick)
     moved = dataclasses.replace(frame, phi=frame.phi + kick)
-    off = cross_term_probe(params, moved)
+    off = cross_term_probe(moved)
     assert exact <= 1e-8
     assert off >= 1e-6
 
@@ -433,7 +423,7 @@ def test_displaced_route_builds_one_krylov_space(tiny_setup, monkeypatch):
     energy, psi, _ = sector_ground(params, grid, basis, 1)
     frame = displaced_frame_ground(family,
                                    family.gradient(psi, params.p_total))
-    dense = dispersion_curvature_displaced(params, frame)
+    dense = dispersion_curvature_displaced(frame)
     spaces = []
 
     class CountedSpace(spectral._KrylovSpace):
@@ -444,7 +434,7 @@ def test_displaced_route_builds_one_krylov_space(tiny_setup, monkeypatch):
     monkeypatch.setattr(spectral, "_KrylovSpace", CountedSpace)
     monkeypatch.setattr(observables, "ResolventSolver",
                         functools.partial(ResolventSolver, dense_limit=10))
-    d2_k, d2_kr, cross = dispersion_curvature_displaced(params, frame)
+    d2_k, d2_kr, cross = dispersion_curvature_displaced(frame)
     assert spaces == [basis.size]
     assert cross <= 1e-8
     assert abs(d2_k - dense[0]) <= 1e-8 and abs(d2_kr - dense[1]) <= 1e-8
