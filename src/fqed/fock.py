@@ -44,18 +44,36 @@ def basis_size(n_modes: int, n_max: int, c_max: int) -> int:
 
 
 def _occupation_levels(n_modes: int, n_max: int, c_max: int):
-    """Yield occupation tuples graded by total, reverse-lex within a level."""
-    def compositions(total, slots):
-        if slots == 0:
-            if total == 0:
-                yield ()
-            return
-        for head in range(min(total, c_max), -1, -1):
-            for tail in compositions(total - head, slots - 1):
-                yield (head,) + tail
+    """Yield occupation tuples graded by total, reverse-lex within a level.
 
-    for total in range(n_max + 1):
-        yield from compositions(total, n_modes)
+    Within a level each tuple follows from the one before: the rightmost
+    entry with room after it gives up one quantum, and the entries after
+    it are refilled greedily from the left.  The walk is a loop, so the
+    mode count is not bounded by the interpreter's recursion limit.
+    """
+    def fill(occ, start, amount):
+        """Greedy fill from ``start``; the index of the last filled entry."""
+        while amount > 0:
+            occ[start] = min(amount, c_max)
+            amount -= occ[start]
+            start += 1
+        return start - 1
+
+    for total in range(min(n_max, n_modes * c_max) + 1):
+        occ = [0] * n_modes
+        last = fill(occ, 0, total)
+        while True:
+            yield tuple(occ)
+            rest, i = 0, last
+            while i >= 0 and (occ[i] == 0
+                              or rest >= (n_modes - 1 - i) * c_max):
+                rest += occ[i]
+                i -= 1
+            if i < 0:
+                break
+            occ[i] -= 1
+            occ[i + 1:last + 1] = [0] * (last - i)
+            last = fill(occ, i + 1, rest + 1)
 
 
 @dataclass
@@ -181,27 +199,6 @@ def linear_field(basis: FockBasis, coeff: np.ndarray) -> sp.csr_matrix:
 def number_diagonal(basis: FockBasis, fvals: np.ndarray) -> np.ndarray:
     """Diagonal of Sum_m fvals[m] * n_m over basis states."""
     return basis.occupations @ np.asarray(fvals, dtype=float)
-
-
-def weighted_number_sum(basis: FockBasis, grid: ModeGrid, f) -> sp.csr_matrix:
-    """Diagonal operator Sum_m f(k_m, lam_m) b*_m b_m.
-
-    ``f`` is either a per-mode array of length ``n_modes`` or a callable
-    mapping (k vector, polarization index) to a scalar.  No quadrature weight
-    appears here: under the discretization contract, number-type integrals
-    carry the measure inside the mode normalization.
-    """
-    if callable(f):
-        fvals = np.array([f(grid.k[m], int(grid.lam[m]))
-                          for m in range(grid.n_modes)], dtype=float)
-    else:
-        fvals = np.asarray(f, dtype=float)
-    if fvals.shape != (basis.n_modes,):
-        raise ParameterError(
-            f"expected {basis.n_modes} per-mode values, got {fvals.shape}")
-    if not np.all(np.isfinite(fvals)):
-        raise ParameterError("mode function must be finite on all modes")
-    return sp.diags(number_diagonal(basis, fvals)).tocsr()
 
 
 def symmetry_defect(op: sp.spmatrix) -> float:

@@ -225,7 +225,8 @@ def dispersion_curvature_displaced(frame: DisplacedFrame):
     residual noise when phi is the frame's ground state.  Returns
     (double_form, reduced_form, cross_term).  The centering precondition
     <phi, Gamma phi> = 0 is enforced before evaluation, since the cross
-    terms only cancel on it.
+    terms only cancel on it.  The resolvent on phi is the eigenvector
+    identity R phi = phi / (E - z), so a node solves only for Gamma phi.
     """
     if float(np.max(np.abs(frame.orth))) > 1e-10:
         raise ParameterError(
@@ -240,30 +241,16 @@ def dispersion_curvature_displaced(frame: DisplacedFrame):
     solver = ResolventSolver(frame.k_op)
     target = gamma @ phi
     target_r = solver.reduce(target)
-    if solver.dense:
-        phi_r = solver.reduce(phi)
 
-        def node(z):
-            # g = R Gamma phi, a = R phi, y = R Gamma a; R is complex
-            # symmetric, so <R^2 phi, phi> = a.a and <R^2 phi, Gamma phi>
-            # = g.a without a further solve
-            g = solver.solve(z, target_r)
-            a = solver.solve(z, phi_r)
-            y = solver.solve(z, solver.apply(gamma, a))
-            return y, (target_r @ g) / (energy - z), a @ a, g @ a
+    def node(z):
+        # R phi = phi / (E - z): one solve, of Gamma phi, per node
+        g = solver.solve(z, target_r)
+        return (g / (energy - z), (target_r @ g) / (energy - z),
+                1.0 / (energy - z) ** 2)
 
-        acc, reduced, aa, ga = contour_sum(cont, node)
-        acc_phi = acc @ phi_r
-    else:
-        def node(z):
-            # a Krylov solver takes R phi = phi / (E - z)
-            g = solver.solve(z, target_r)
-            return (g / (energy - z), (target_r @ g) / (energy - z),
-                    1.0 / (energy - z) ** 2)
-
-        acc, reduced, q2 = contour_sum(cont, node)
-        aa, ga = q2 * (phi @ phi), q2 * (phi @ target)
-        acc_phi = solver.lift(acc) @ phi
+    acc, reduced, q2 = contour_sum(cont, node)
+    aa, ga = q2 * (phi @ phi), q2 * (phi @ target)
+    acc_phi = solver.lift(acc) @ phi
     sandwich = float(np.real(acc.conj() @ target_r))
     scalar = float(frame.grad_energy[axis])
     cross = (scalar ** 2 * aa.real - scalar * ga.real

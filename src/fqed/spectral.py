@@ -14,14 +14,13 @@ sum P v = -(r/M) sum_q exp(i theta_q) (H - z_q)^{-1} v.  Every contour
 integral in the package is this sum, evaluated by ``contour_sum`` on the
 upper half circle.
 
-Shifted solves work in a ``ResolventSolver``'s own coordinates, where
-the operator is tridiagonal: below the dense limit one Householder
-reduction per operator, above it one Lanczos space per real right-hand
-side.  A contour node then costs an O(n) tridiagonal solve; an integral
-reduces its vector once and lifts its sum once, and only a middle operator
-between two resolvents, on the dense path, moves a vector to full
-coordinates and back at every node.  The resolvent functions take the
-solver as their first argument and act on its operator.
+Shifted solves work in a ``ResolventSolver``'s own coordinates, one
+Lanczos space per real right-hand side, where the operator is
+tridiagonal.  A contour node then costs a tridiagonal solve in the space;
+an integral reduces its vector once and lifts its sum once.  The resolvent
+functions take the solver as their first argument and act on its
+operator.  The dense oracles, ``dense_spectrum`` and the perturbation
+series ``neumann_project``, take the operator itself.
 """
 
 from __future__ import annotations
@@ -119,14 +118,17 @@ class GroundStateRecord:
     degenerate: bool = False
 
 
-def dense_spectrum(op, dense_limit: int = DENSE_LIMIT):
-    """Full symmetric eigendecomposition; the testing oracle."""
+def _dense(op, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
     n = op.shape[0]
     if n > dense_limit:
         raise ResourceWarning(
             f"dense oracle limited to {dense_limit}, operator is {n}")
-    dense = op.toarray() if sp.issparse(op) else np.asarray(op, dtype=float)
-    return sla.eigh(dense)
+    return op.toarray() if sp.issparse(op) else np.asarray(op, dtype=float)
+
+
+def dense_spectrum(op, dense_limit: int = DENSE_LIMIT):
+    """Full symmetric eigendecomposition; the testing oracle."""
+    return sla.eigh(_dense(op, dense_limit))
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -342,61 +344,27 @@ class ResolventSolver:
     Since each coordinate change is linear and real, a contour integral sums
     its nodes' reduced solutions and lifts once.
 
-    Below the dense limit the symmetric operator is reduced once to
-    tridiagonal form T = Q^T op Q, keeping Q as its Householder reflectors;
-    a reduced vector is Q^T b, a shift costs one O(n) tridiagonal solve, and
-    reduce and lift are one reflector application each on the real data.
-    Above the limit, ``reduce(b)`` starts a reorthogonalized Lanczos space
-    for the real vector b and carries it with its coefficients ||b|| e1; a
-    shift solves the space's tridiagonal T_b, growing the space as needed,
-    and ``lift`` multiplies by its basis.  A Krylov solve takes only a
-    freshly reduced vector, since the space is built for its starting
-    vector, so complex data and ``apply`` need the dense path.
+    ``reduce(b)`` starts a reorthogonalized Lanczos space for the real
+    vector b and carries it with its coefficients ||b|| e1; a shift solves
+    the space's tridiagonal T_b, growing the space as needed, and ``lift``
+    multiplies by its basis.  A solve takes only a freshly reduced vector,
+    since the space is built for its starting vector.
     """
 
-    def __init__(self, op, dense_limit: int = DENSE_LIMIT):
-        self.n = op.shape[0]
-        self.dense = self.n <= dense_limit
-        if self.dense:
-            a = op.toarray(order="F") if sp.issparse(op) else op
-            a = np.asfortranarray(a, dtype=float)
-            # symmetric input: Q T Q^T from the lower triangle, with Q kept
-            # as the reflectors below the first subdiagonal; Q = 1 (+) Q'
-            c, d, e, tau, _ = lapack.dsytrd(a, lower=1, overwrite_a=1)
-            self._refl = np.asfortranarray(c[1:, :self.n - 1])
-            self._tau = tau[:self.n - 1]
-            self._d = d
-            self._e = e.astype(complex)
-        else:
-            self._op = op.tocsr() if sp.issparse(op) else op
+    def __init__(self, op):
+        self._op = op.tocsr() if sp.issparse(op) else op
 
-    def _reflect(self, trans: str, cols: np.ndarray) -> np.ndarray:
-        """Q cols ('N') or Q^T cols ('T') for a real (n, k) block.
-
-        The minimal workspace selects LAPACK's unblocked reflector loop,
-        the faster one for the few columns a contour integral moves.
-        """
-        out = np.array(cols, dtype=float, order="F")
-        if self.n > 1:
-            out[1:], _, _ = lapack.dormqr("L", trans, self._refl, self._tau,
-                                          out[1:], out.shape[1])
-        return out
-
-    def reduce(self, b: np.ndarray):
+    def reduce(self, b: np.ndarray) -> _KrylovVector:
         """b in the solver's coordinates."""
         b = np.asarray(b)
-        if self.dense:
-            return _real_map(lambda cols: self._reflect("T", cols), b)
         if np.iscomplexobj(b):
-            raise ValueError("a Krylov solver reduces real vectors only; "
-                             "complex data needs the dense path")
+            raise ValueError("a ResolventSolver reduces real vectors only: "
+                             "its Lanczos space starts from one real vector")
         space = _KrylovSpace(self._op, b)
         return _KrylovVector(space, np.array([space.b0]))
 
-    def solve(self, z: complex, y):
+    def solve(self, z: complex, y: _KrylovVector) -> _KrylovVector:
         """(op - z)^{-1} applied to the reduced vector y, kept reduced."""
-        if self.dense:
-            return _tridiag_solve(self._d, self._e, z, y)
         c = y.coeffs
         if len(c) != 1:
             raise ValueError("a Krylov solve takes a freshly reduced vector")
@@ -404,19 +372,9 @@ class ResolventSolver:
             return y
         return y._with(y.space.solve(z) * (c[0] / y.space.b0))
 
-    def lift(self, y) -> np.ndarray:
+    def lift(self, y: _KrylovVector) -> np.ndarray:
         """The full vector of a reduced one."""
-        if self.dense:
-            return _real_map(lambda cols: self._reflect("N", cols),
-                             np.asarray(y))
         return y.lift()
-
-    def apply(self, op, y):
-        """``op`` applied to the reduced vector y, reduced again (lift,
-        multiply, reduce): the middle operator of a double resolvent.  Dense
-        path only: a Krylov solve returns complex data, which a Krylov
-        ``reduce`` refuses."""
-        return self.reduce(op @ self.lift(y))
 
 
 def contour_sum(contour: Contour, node):
@@ -503,28 +461,29 @@ def contour_project_checked(solver: ResolventSolver, contour: Contour,
         current = current.with_nodes(current.nodes * 2)
 
 
-def neumann_project(solver: ResolventSolver, delta_h, contour: Contour,
-                    v: np.ndarray, n_terms: int = 6):
-    """Projection of v by the perturbation series around the solver's
-    operator.
+def neumann_project(op, delta_h, contour: Contour, v: np.ndarray,
+                    n_terms: int = 6):
+    """Projection of v by the perturbation series around ``op``; a dense
+    oracle.
 
     Term n applies (op - z)^{-1} [ -delta_h (op - z)^{-1} ]^n under the
     contour integral; the sum converges to the direct projection with the
-    perturbed operator when the series terms decay.  Each term moves a
-    complex vector through ``delta_h``, so the solver must be dense.
+    perturbed operator when the series terms decay.  Each node factors
+    op - z once and takes the n_terms + 1 solves from the factors.
     Returns (partial sum, per-term norms).
     """
-    v_r = solver.reduce(v)
+    a = _dense(op)
+    eye = np.eye(len(a))
     minus_dh = -delta_h
 
     def node(z):
-        ys = [solver.solve(z, v_r)]
+        lu = sla.lu_factor(a - z * eye)
+        ys = [sla.lu_solve(lu, v)]
         for _ in range(n_terms):
-            ys.append(solver.solve(z, solver.apply(minus_dh, ys[-1])))
+            ys.append(sla.lu_solve(lu, minus_dh @ ys[-1]))
         return tuple(ys)
 
-    terms = np.array([solver.lift(t.real)
-                      for t in contour_sum(contour, node)])
+    terms = np.array([t.real for t in contour_sum(contour, node)])
     norms = np.linalg.norm(terms, axis=1)
     tail = norms[norms > 0]
     if len(tail) > 2 and tail[-1] >= tail[-2]:
@@ -541,25 +500,12 @@ def resolvent_sandwich(solver: ResolventSolver, contour: Contour, middle,
     For a normalized eigenvector psi of the solver's operator enclosed
     alone by the contour, S equals sum_{m != 0} |<m| middle |0>|^2 /
     (E_m - E_0), the reduced-resolvent sum of second-order perturbation
-    theory.  A dense solver applies both resolvents; a Krylov solver
-    replaces the inner one by the eigenvector identity R(z) psi = psi /
-    (E - z), one solve per node, which requires the contour to be centered
-    on psi's eigenvalue E.
+    theory.  The inner resolvent is the eigenvector identity R(z) psi =
+    psi / (E - z), so a node costs one solve; this requires the contour to
+    be centered on psi's eigenvalue E.
     """
     target_r = solver.reduce(middle @ psi)
-    if solver.dense:
-        psi_r = solver.reduce(psi)
 
-        def node(z):
-            return solver.solve(z, solver.apply(middle,
-                                                solver.solve(z, psi_r)))
-    else:
-        def node(z):
-            return solver.solve(z, target_r) / (contour.center - z)
+    def node(z):
+        return solver.solve(z, target_r) / (contour.center - z)
     return float(np.real(contour_sum(contour, node).conj() @ target_r))
-
-
-def enclosed_count(op, contour: Contour) -> int:
-    """Number of eigenvalues strictly inside the contour (dense oracle)."""
-    vals, _ = dense_spectrum(op)
-    return int(np.sum(np.abs(vals - contour.center) < contour.radius))

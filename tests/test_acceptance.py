@@ -252,8 +252,7 @@ def test_a04_neumann_equals_direct(boxes):
     dh = assemble_slice_interaction(params, grid, basis, 1)
     e1, psi1, _ = sector_ground(params, grid, basis, 1, h_op=h1)
     contour = Contour(e1, params.mu * params.cutoffs.sigma(2), 64)
-    series, norms = neumann_project(ResolventSolver(h1), dh, contour, psi1,
-                                    n_terms=4)
+    series, norms = neumann_project(h1, dh, contour, psi1, n_terms=4)
     direct = contour_project(ResolventSolver(h1 + dh), contour, psi1)
     diff = float(np.linalg.norm(series - direct))
     ratios = norms[1:] / norms[:-1]

@@ -174,8 +174,8 @@ def test_displaced_projection_paths_agree(small_setup):
     assert abs(k_hat - (k_prev + dk + (off_hat - off_prev) * eye)).max() \
         < 1e-12
     from fqed.spectral import neumann_project
-    series, norms = neumann_project(ResolventSolver(k_prev), dk, contour,
-                                    rec.phi, n_terms=4)
+    series, norms = neumann_project(k_prev, dk, contour, rec.phi,
+                                    n_terms=4)
     direct = contour_project(ResolventSolver(k_prev + dk), contour, rec.phi)
     assert np.linalg.norm(series - direct) <= 1e-6
     assert norms[3] / norms[2] < 0.5

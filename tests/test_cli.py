@@ -217,6 +217,22 @@ def test_weyl_norm_loss_exits_3(tmp_path, capsys, monkeypatch):
     assert "Weyl transport lost norm" in err
 
 
+def test_krylov_residual_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a Lanczos space capped below what a shifted solve needs leaves its
+    # residual above tolerance, which the cascade reports as a numerical
+    # failure
+    import fqed.spectral as spectral
+
+    monkeypatch.setattr(spectral, "KRYLOV_MAX", 3)
+    path = write_config(tmp_path, GOOD_CONFIG)
+    assert main(["cascade", "--config", path,
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "Krylov space of size 3 left shifted residual" in err
+    assert "Traceback" not in err
+
+
 def test_mass_scan_empty_momentum_list_is_usage_error(tmp_path, capsys):
     text = GOOD_CONFIG.replace("P_list = 0.1 0 0", "P_list =")
     path = write_config(tmp_path, text)
@@ -254,9 +270,9 @@ def test_verify_builds_each_frame_solver_once(tmp_path, monkeypatch):
     inits = []
     init = ResolventSolver.__init__
 
-    def counted(self, op, **kwargs):
+    def counted(self, op):
         inits.append(op.shape)
-        init(self, op, **kwargs)
+        init(self, op)
 
     monkeypatch.setattr(ResolventSolver, "__init__", counted)
     path = write_config(tmp_path, GOOD_CONFIG)

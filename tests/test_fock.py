@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fqed.fock import (ResourceError, basis_size, enumerate_basis, ladder,
-                       linear_field, number_diagonal, symmetry_defect,
-                       weighted_number_sum)
+                       linear_field, number_diagonal, symmetry_defect)
 from fqed.modes import CutoffSequence, ParameterError, build_grid
 
 
@@ -55,6 +54,25 @@ def test_graded_ordering():
     totals = basis.totals
     assert np.all(np.diff(totals) >= 0)
     assert totals[0] == 0
+
+
+def test_enumeration_order_matches_product_oracle():
+    # graded by total, reverse-lexicographic within a level
+    n_modes, n_max, c_max = 4, 3, 2
+    oracle = sorted((occ for occ in itertools.product(range(c_max + 1),
+                                                      repeat=n_modes)
+                     if sum(occ) <= n_max),
+                    key=lambda occ: (sum(occ), [-n for n in occ]))
+    basis = enumerate_basis(n_modes, n_max, c_max)
+    assert [tuple(row) for row in basis.occupations] == oracle
+
+
+def test_enumeration_of_many_modes():
+    # a recursion one level deep per mode would exceed the interpreter's
+    # recursion limit
+    basis = enumerate_basis(1200, 1, 1)
+    assert basis.size == 1201
+    assert np.array_equal(basis.occupations[1:], np.eye(1200, dtype=np.int16))
 
 
 def test_size_limit_enforced():
@@ -110,42 +128,6 @@ def test_ccr_on_uncapped_subspace():
             assert lower.nnz == 0
 
 
-def test_weighted_number_sum_examples():
-    cut = CutoffSequence(1.0, 0.25, 1)
-    grid = build_grid(cut, 1, "octahedral6")
-    basis = enumerate_basis(grid.n_modes, 2, 2)
-    hf = weighted_number_sum(basis, grid, grid.knorm)
-    v = basis.vacuum()
-    assert np.linalg.norm(hf @ v) == 0.0
-    ntot = weighted_number_sum(basis, grid, np.ones(grid.n_modes))
-    assert np.allclose(ntot.diagonal(), basis.totals, atol=0)
-    # callable form agrees with the array form
-    hf2 = weighted_number_sum(basis, grid,
-                              lambda k, lam: np.linalg.norm(k))
-    assert (hf - hf2).nnz == 0
-
-
-def test_weighted_number_sum_linearity():
-    cut = CutoffSequence(1.0, 0.25, 1)
-    grid = build_grid(cut, 1, "octahedral6")
-    basis = enumerate_basis(grid.n_modes, 2, 2)
-    f = grid.knorm
-    g = grid.k[:, 0]
-    lhs = weighted_number_sum(basis, grid, f + g)
-    rhs = weighted_number_sum(basis, grid, f) \
-        + weighted_number_sum(basis, grid, g)
-    assert abs(lhs - rhs).max() < 1e-15
-
-
-def test_weighted_number_sum_rejects_nonfinite():
-    cut = CutoffSequence(1.0, 0.25, 1)
-    grid = build_grid(cut, 1, "octahedral6")
-    basis = enumerate_basis(grid.n_modes, 1, 1)
-    bad = np.full(grid.n_modes, np.inf)
-    with pytest.raises(ParameterError):
-        weighted_number_sum(basis, grid, bad)
-
-
 def test_linear_field_symmetric_and_matches_ladders():
     basis = enumerate_basis(3, 2, 2)
     coeff = np.array([0.5, -0.25, 1.5])
@@ -173,4 +155,9 @@ def test_number_diagonal():
     d = number_diagonal(basis, np.array([2.0, 3.0]))
     assert d[basis.index_of((1, 1))] == pytest.approx(5.0)
     assert d[basis.index_of((2, 0))] == pytest.approx(4.0)
+    grid = build_grid(CutoffSequence(1.0, 0.25, 1), 1, "octahedral6")
+    basis = enumerate_basis(grid.n_modes, 2, 2)
+    assert number_diagonal(basis, grid.knorm)[0] == 0.0
+    assert np.array_equal(number_diagonal(basis, np.ones(grid.n_modes)),
+                          basis.totals)
 

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from fqed.observables import (cross_term_probe, dispersion_curvature_direct,
                               mass_scan, momentum_axis, pull_through_summary,
                               resolvent_bound_probes, scale_routes, scan_csv,
                               soft_photon_probe)
-from fqed.spectral import ResolventSolver, dense_spectrum
+from fqed.spectral import ResolventSolver, contour_sum, dense_spectrum
 
 
 def make_box(alpha, p, n_scales=2, eps=0.25, n_max=2):
@@ -284,11 +283,11 @@ def test_curvature_momentum_quotients_reported():
 
 
 def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
-    # dense solver, 16 nodes: 9 node evaluations on the upper half circle.
-    # Each route keeps the double resolvent, but moves vectors between the
-    # solver's coordinates only around its middle operator: per node one
-    # lift and one reduce, plus one reduce each for psi (or phi) and the
-    # target, 2 * 9 + 2 = 20 reflector applications per route.
+    # 16 nodes: 9 node evaluations on the upper half circle.  Each route
+    # takes R psi = psi / (E - z), so it reduces only its target and solves
+    # once per node; the direct route reads its sandwich on the reduced
+    # vector, and the displaced route lifts its integral once for the cross
+    # term.
     import fqed.observables as observables
 
     params, grid, basis = tiny_setup
@@ -304,7 +303,7 @@ def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
         method = getattr(ResolventSolver, name)
 
         def wrapper(self, *args):
-            (calls if name == "solve" else moves).append(self.dense)
+            (calls if name == "solve" else moves).append(name)
             return method(self, *args)
         monkeypatch.setattr(ResolventSolver, name, wrapper)
 
@@ -322,17 +321,19 @@ def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
         calls.clear()
         moves.clear()
         route()
-        assert all(calls) and all(moves)
         counts[name] = len(calls)
-        applications[name] = len(moves)
-    assert counts == {"direct": 18, "displaced": 27, "cross": 27}
-    assert applications == {"direct": 20, "displaced": 20, "cross": 20}
+        applications[name] = sorted(moves)
+    assert counts == {"direct": 9, "displaced": 9, "cross": 9}
+    assert applications == {"direct": ["reduce"],
+                            "displaced": ["lift", "reduce"],
+                            "cross": ["lift", "reduce"]}
 
 
 def test_cross_term_probe_reads_an_off_eigenvector_phi(tiny_setup):
-    # the dense route applies both resolvents, so the probe sees how far
-    # phi is from the frame's eigenvector: moved off it by 1e-3 the probe
-    # reads far above a06's 1e-8 (with R phi = phi / (E - z) it could not)
+    # the probe sees how far phi is from the frame's eigenvector: the route
+    # takes R phi = phi / (E - z), but its <R Gamma R phi, phi> term reads
+    # the lifted integral against phi itself, so moved off the eigenvector
+    # by 1e-3 the probe reads far above a06's 1e-8
     params, grid, basis = tiny_setup
     family = FiberFamily(params, grid, basis, 1)
     energy, psi, _ = sector_ground(params, grid, basis, 1)
@@ -386,9 +387,9 @@ def test_pull_through_one_solver_per_photon_momentum(tiny_setup,
     inits = []
     init = ResolventSolver.__init__
 
-    def counted(self, op, **kwargs):
+    def counted(self, op):
         inits.append(op.shape)
-        init(self, op, **kwargs)
+        init(self, op)
 
     monkeypatch.setattr(ResolventSolver, "__init__", counted)
     _, per_mode = pull_through_summary(FiberFamily(params, grid, basis, 1),
@@ -411,11 +412,41 @@ def test_pull_through_one_solver_per_photon_momentum(tiny_setup,
         assert per_mode[i] == pytest.approx(expected, rel=1e-12)
 
 
-def test_displaced_route_builds_one_krylov_space(tiny_setup, monkeypatch):
-    # on the Krylov path the route reduces only Gamma phi and reads its
-    # cross term from the same integral: one Lanczos space per call, and the
-    # same three values as the dense path
+def dense_displaced_route(frame):
+    """The displaced route's (double form, reduced form, cross term) with
+    both resolvents applied as dense solves at every node, assuming nothing
+    of phi."""
     import fqed.observables as observables
+
+    params = frame.family.params
+    axis = momentum_axis(params.p_total)
+    phi = frame.phi / np.linalg.norm(frame.phi)
+    gamma = frame.gamma_ops[axis]
+    target = gamma @ phi
+    energy = frame.energy
+    k = frame.k_op.toarray()
+
+    def node(z):
+        # g = R Gamma phi, a = R phi, y = R Gamma a; R is complex symmetric,
+        # so <R^2 phi, phi> = a.a and <R^2 phi, Gamma phi> = g.a
+        shifted = k - z * np.eye(len(phi))
+        g, a = np.linalg.solve(shifted, np.stack([target, phi], axis=1)).T
+        y = np.linalg.solve(shifted, gamma @ a)
+        return y, (target @ g) / (energy - z), a @ a, g @ a
+
+    contour = observables._route_contour(params, frame.family.j, energy,
+                                         frame.gap)
+    acc, reduced, aa, ga = contour_sum(contour, node)
+    s = float(frame.grad_energy[axis])
+    cross = s ** 2 * aa.real - s * ga.real - s * np.real(acc @ phi)
+    return (1.0 - 2.0 * float(np.real(acc.conj() @ target)),
+            1.0 - 2.0 * float(reduced.real), float(abs(2.0 * cross)))
+
+
+def test_displaced_route_builds_one_krylov_space(tiny_setup, monkeypatch):
+    # the route reduces only Gamma phi and reads its cross term from the
+    # same integral: one Lanczos space per call, and the same three values
+    # as the dense double resolvent
     import fqed.spectral as spectral
 
     params, grid, basis = tiny_setup
@@ -423,7 +454,7 @@ def test_displaced_route_builds_one_krylov_space(tiny_setup, monkeypatch):
     energy, psi, _ = sector_ground(params, grid, basis, 1)
     frame = displaced_frame_ground(family,
                                    family.gradient(psi, params.p_total))
-    dense = dispersion_curvature_displaced(frame)
+    dense = dense_displaced_route(frame)
     spaces = []
 
     class CountedSpace(spectral._KrylovSpace):
@@ -432,9 +463,7 @@ def test_displaced_route_builds_one_krylov_space(tiny_setup, monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(spectral, "_KrylovSpace", CountedSpace)
-    monkeypatch.setattr(observables, "ResolventSolver",
-                        functools.partial(ResolventSolver, dense_limit=10))
     d2_k, d2_kr, cross = dispersion_curvature_displaced(frame)
     assert spaces == [basis.size]
-    assert cross <= 1e-8
+    assert cross <= 1e-8 and dense[2] <= 1e-8
     assert abs(d2_k - dense[0]) <= 1e-8 and abs(d2_kr - dense[1]) <= 1e-8
