@@ -18,10 +18,9 @@ from .spectral import (Contour, ContourError, GroundStateRecord,
                        contour_project_checked, contour_sum, dense_spectrum,
                        ground_state, idempotence_defect, neumann_project,
                        resolvent_sandwich)
-from .bogoliubov import (DisplacementField, center_operators,
-                         combined_displacement, displaced_momentum_ops,
-                         displacement_coeffs, weyl_apply,
-                         weyl_vacuum_expectation)
+from .bogoliubov import (center_operators, combined_displacement,
+                         displaced_momentum_ops, displacement_coeffs,
+                         weyl_apply, weyl_vacuum_expectation)
 from .cascade import (CascadeError, CascadeState, ScaleRecord,
                       convergence_report, run_cascade, sector_ground,
                       trace_csv, validate_params)

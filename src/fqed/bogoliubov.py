@@ -18,8 +18,6 @@ directional dispersion factor.  Two pathways coexist on purpose:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -27,21 +25,10 @@ from .fock import FockBasis, creation_sum, linear_field
 from .modes import ModeGrid, ParameterError, direction_weights
 
 
-@dataclass(frozen=True)
-class DisplacementField:
-    """Per-mode real displacement amplitudes, zero outside the active shells."""
-
-    amplitudes: np.ndarray = field(repr=False)
-    shells: tuple
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
 def displacement_coeffs(grad_energy: np.ndarray, grid: ModeGrid, shells,
-                        alpha: float) -> DisplacementField:
-    """Displacement amplitudes removing the infrared dressing on ``shells``.
+                        alpha: float) -> np.ndarray:
+    """Displacement amplitudes removing the infrared dressing on ``shells``:
+    one real amplitude per mode, zero outside ``shells``.
 
     f_m = sqrt(alpha * w_m) (g . eps_m) / (|k_m|^(3/2) (1 - khat_m . g)).
     Transversality makes f vanish for modes whose wave direction is parallel
@@ -55,20 +42,17 @@ def displacement_coeffs(grad_energy: np.ndarray, grid: ModeGrid, shells,
     delta = direction_weights(grid, g)
     if np.any(delta <= 0.0):
         raise ParameterError("dispersion factor vanished on a grid mode")
-    shells = tuple(shells)
-    mask = grid.shell_mask(shells)
-    amps = np.where(
-        mask,
+    return np.where(
+        grid.shell_mask(shells),
         np.sqrt(alpha * grid.weight) * (grid.eps_vec @ g)
         / (grid.knorm ** 1.5 * delta),
         0.0)
-    return DisplacementField(amplitudes=amps, shells=shells)
 
 
-def displacement_generator(field_: DisplacementField,
+def displacement_generator(f: np.ndarray,
                            basis: FockBasis) -> sp.csr_matrix:
     """Antisymmetric generator sum_m f_m (create_m - annihilate_m)."""
-    c = creation_sum(basis, field_.amplitudes)
+    c = creation_sum(basis, f)
     return (c - c.T).tocsr()
 
 
@@ -96,17 +80,18 @@ def _expm_apply(gen: sp.spmatrix, v: np.ndarray, tol: float = 1e-15,
     return out
 
 
-def weyl_apply(field_: DisplacementField, basis: FockBasis,
+def weyl_apply(f: np.ndarray, basis: FockBasis,
                v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Transport a state vector with the Weyl displacement exp(G).
+    """Transport a state vector with the Weyl displacement exp(G) of the
+    amplitudes f.
 
     Returns (W v, norm defect).  The truncated generator is exactly
     antisymmetric, so the transport is orthogonal and the reported defect
     ||v|| - ||W v|| stays at rounding level; it is still checked against
     1e-6 as a guard on the series evaluation.  The inverse transport is
-    the displacement by the negated amplitudes.
+    the displacement by the negated amplitudes -f.
     """
-    out = _expm_apply(displacement_generator(field_, basis),
+    out = _expm_apply(displacement_generator(f, basis),
                       np.asarray(v, dtype=float))
     defect = float(np.linalg.norm(v) - np.linalg.norm(out))
     if abs(defect) > 1e-6:
@@ -118,18 +103,15 @@ def weyl_apply(field_: DisplacementField, basis: FockBasis,
 
 def combined_displacement(grad_new: np.ndarray, grad_old: np.ndarray,
                           grid: ModeGrid, shells,
-                          alpha: float) -> DisplacementField:
+                          alpha: float) -> np.ndarray:
     """Single displacement equivalent to W(grad_new) W(grad_old)^{-1}.
 
     Mode-wise generators commute, so amplitudes subtract exactly; applying
     one combined displacement instead of two halves the transport error on
     the truncated basis.
     """
-    f_new = displacement_coeffs(grad_new, grid, shells, alpha)
-    f_old = displacement_coeffs(grad_old, grid, shells, alpha)
-    return DisplacementField(
-        amplitudes=f_new.amplitudes - f_old.amplitudes,
-        shells=tuple(shells))
+    return (displacement_coeffs(grad_new, grid, shells, alpha)
+            - displacement_coeffs(grad_old, grid, shells, alpha))
 
 
 def weyl_vacuum_expectation(params, grid: ModeGrid, shells,
@@ -144,8 +126,7 @@ def weyl_vacuum_expectation(params, grid: ModeGrid, shells,
     reconstructs P - grad E (the Feynman-Hellmann chain); over the single
     slice shell it is the scalar shift of the frame bridge.
     """
-    f = displacement_coeffs(grad_energy, grid, shells,
-                            params.alpha).amplitudes
+    f = displacement_coeffs(grad_energy, grid, shells, params.alpha)
     coupling = np.sqrt(grid.weight / grid.knorm)
     root = np.sqrt(params.alpha)
     return np.array([
@@ -170,7 +151,7 @@ def displaced_momentum_ops(family, grad_energy: np.ndarray
     """
     grid = family.grid
     f = displacement_coeffs(grad_energy, grid, range(family.j),
-                            family.params.alpha).amplitudes
+                            family.params.alpha)
     return [(beta - linear_field(family.basis, grid.k[:, i] * f)).tocsr()
             for i, beta in enumerate(family.beta)]
 

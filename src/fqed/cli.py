@@ -31,7 +31,7 @@ from .cascade import (CONTOUR_NODES, CascadeError, convergence_report,
                       write_vector_file)
 from .fock import FockBasis, ResourceError, enumerate_basis
 from .hamiltonian import FiberFamily, ModelParams
-from .modes import ModeGrid, ParameterError, build_grid
+from .modes import ANGULAR_SETS, ModeGrid, ParameterError, build_grid
 from .observables import (SCAN_COLUMNS, energy_lipschitz_probe, mass_scan,
                           pull_through_summary, resolvent_bound_probes,
                           scale_routes, scan_csv, scan_tail_summary,
@@ -45,6 +45,10 @@ class ConfigError(ValueError):
 
 
 _REQUIRED_KEYS = ("alpha", "epsilon", "P", "J")
+
+#: Largest UV cutoff: build_grid's shell weights scale as Lambda**3, which
+#: must stay finite.
+_LAMBDA_MAX = float(np.cbrt(np.finfo(float).max))
 
 _DEFAULTS = {
     "Lambda": "1.0",
@@ -165,27 +169,43 @@ def parse_config(path) -> RunConfig:
     def get(key: str) -> str:
         return values[key] if key in values else _DEFAULTS[key]
 
-    def num(key: str, cast=float):
+    def where(key: str) -> str:
+        return f"{path}:{lines.get(key, '?')}: key {key!r}"
+
+    def num(key: str, cast=float, low=None):
+        """The key's finite value, at least ``low`` when given."""
         txt = get(key)
-        where = f"{path}:{lines.get(key, '?')}: key {key!r}"
         try:
             value = cast(txt)
         except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+            raise ConfigError(f"{where(key)}: {exc}") from exc
         if not np.isfinite(value):
             raise ConfigError(
-                f"{where}: expected a finite number, got {txt!r}")
+                f"{where(key)}: expected a finite number, got {txt!r}")
+        if low is not None and value < low:
+            raise ConfigError(
+                f"{where(key)}: expected a value >= {low}, got {txt!r}")
         return value
+
+    lambda_uv = num("Lambda")
+    if not 0.0 < lambda_uv < _LAMBDA_MAX:
+        raise ConfigError(
+            f"{where('Lambda')}: expected 0 < Lambda < {_LAMBDA_MAX:.4g}, "
+            f"got {get('Lambda')!r}")
+    angular_set = get("angular_set")
+    if angular_set not in ANGULAR_SETS:
+        raise ConfigError(
+            f"{where('angular_set')}: unknown angular set {angular_set!r}; "
+            f"available: {', '.join(ANGULAR_SETS)}")
 
     try:
         params = ModelParams(
-            lambda_uv=num("Lambda"), alpha=num("alpha"),
+            lambda_uv=lambda_uv, alpha=num("alpha"),
             epsilon=num("epsilon"), mu=num("mu"),
             rho_minus=num("rho_minus"), rho_plus=num("rho_plus"),
             c_alpha=num("C_alpha"), ir_floor_c=num("ir_floor_C"),
-            p_total=_parse_triple(values["P"],
-                                  f"{path}:{lines['P']}: key 'P'"),
-            n_scales=num("J", int))
+            p_total=_parse_triple(values["P"], where("P")),
+            n_scales=num("J", int, low=1))
     except ParameterError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -198,15 +218,14 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"{path}: contour_nodes {contour_nodes} is above "
                           f"max_nodes {MAX_NODES}")
 
-    alphas = _parse_numbers(get("alphas"),
-                            f"{path}:{lines.get('alphas', '?')}: key 'alphas'")
+    alphas = _parse_numbers(get("alphas"), where("alphas"))
     p_list = [_parse_triple(t, f"{path}: key 'P_list'")
               for t in get("P_list").split(";") if t.strip()]
 
     return RunConfig(
-        params=params, n_radial=num("n_radial", int),
-        angular_set=get("angular_set"), n_max=num("n_max", int),
-        c_max=num("c_max", int), basis_limit=num("basis_limit", int),
+        params=params, n_radial=num("n_radial", int, low=1),
+        angular_set=angular_set, n_max=num("n_max", int, low=0),
+        c_max=num("c_max", int, low=1), basis_limit=num("basis_limit", int),
         contour_nodes=contour_nodes,
         allow_invalid=_parse_bool(get("allow_invalid"), "allow_invalid"),
         alphas=alphas, p_list=p_list, out_dir=get("out_dir"),
@@ -276,9 +295,9 @@ def cmd_mass_scan(cfg: RunConfig, args) -> int:
         return 2
     grid = cfg.build_grid()
     basis = cfg.build_basis(grid)
-    rows, _ = mass_scan(cfg.params, grid, basis, cfg.alphas, cfg.p_list,
-                        contour_nodes=cfg.contour_nodes,
-                        allow_invalid=cfg.allow_invalid)
+    rows = mass_scan(cfg.params, grid, basis, cfg.alphas, cfg.p_list,
+                     contour_nodes=cfg.contour_nodes,
+                     allow_invalid=cfg.allow_invalid)
 
     path = _out_path(cfg, args, "scan.csv")
     tail = scan_tail_summary(rows, delta=cfg.delta)

@@ -215,7 +215,7 @@ def _frame_product_form(family: FiberFamily, grad_energy: np.ndarray,
     g = np.asarray(grad_energy, dtype=float)
     pi = displaced_momentum_ops(family, g)
     delta = direction_weights(grid, g)
-    f = displacement_coeffs(g, grid, range(family.j), params.alpha).amplitudes
+    f = displacement_coeffs(g, grid, range(family.j), params.alpha)
     offset = float(p @ p / 2.0 - (p - g) @ (p - g) / 2.0
                    - np.sum(grid.knorm * delta * f ** 2))
     number = sp.diags(number_diagonal(family.basis, grid.knorm * delta))
@@ -255,7 +255,7 @@ def slice_marginal_coeffs(params: ModelParams, grid: ModeGrid,
     g = np.asarray(grad_energy, dtype=float)
     mask = grid.shell == slice_shell
     c = _coupling_coeff(grid, mask)
-    f = displacement_coeffs(g, grid, [slice_shell], params.alpha).amplitudes
+    f = displacement_coeffs(g, grid, [slice_shell], params.alpha)
     root = np.sqrt(params.alpha)
     return np.stack([-root * c * grid.eps_vec[:, i] - grid.k[:, i] * f
                      for i in range(3)])

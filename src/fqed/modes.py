@@ -28,6 +28,9 @@ _POLE_SWITCH = 1e-6
 #: Golden ratio, used by the icosahedral angular set.
 _PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
+#: Names of the built-in angular point sets.
+ANGULAR_SETS = ("octahedral6", "icosahedral12")
+
 
 class ParameterError(ValueError):
     """Invalid model or discretization parameter."""
@@ -110,7 +113,7 @@ def _angular_points(name: str) -> tuple[np.ndarray, np.ndarray]:
     else:
         raise ParameterError(
             f"unknown angular set {name!r}; "
-            "available: octahedral6, icosahedral12")
+            f"available: {', '.join(ANGULAR_SETS)}")
     weights = np.full(len(pts), 4.0 * np.pi / len(pts))
     return pts, weights
 

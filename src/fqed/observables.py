@@ -227,6 +227,9 @@ def dispersion_curvature_displaced(frame: DisplacedFrame):
     <phi, Gamma phi> = 0 is enforced before evaluation, since the cross
     terms only cancel on it.  The resolvent on phi is the eigenvector
     identity R phi = phi / (E - z), so a node solves only for Gamma phi.
+    With it the double form reads coefficient 0 of the same contour sum
+    that the reduced form accumulates: the two differ only in where
+    ||Gamma phi|| multiplies, and so agree to rounding by construction.
     """
     if float(np.max(np.abs(frame.orth))) > 1e-10:
         raise ParameterError(
@@ -240,18 +243,20 @@ def dispersion_curvature_displaced(frame: DisplacedFrame):
     cont = _route_contour(params, frame.family.j, energy, frame.gap)
     solver = ResolventSolver(frame.k_op)
     target = gamma @ phi
-    target_r = solver.reduce(target)
+    space = solver.reduce(target)
 
+    # Gamma phi is ||Gamma phi|| e1 in its own space, so a product against
+    # it reads coefficient 0
     def node(z):
         # R phi = phi / (E - z): one solve, of Gamma phi, per node
-        g = solver.solve(z, target_r)
-        return (g / (energy - z), (target_r @ g) / (energy - z),
+        g = solver.solve(z, space)
+        return (g / (energy - z), (space.b0 * g[0]) / (energy - z),
                 1.0 / (energy - z) ** 2)
 
     acc, reduced, q2 = contour_sum(cont, node)
     aa, ga = q2 * (phi @ phi), q2 * (phi @ target)
-    acc_phi = solver.lift(acc) @ phi
-    sandwich = float(np.real(acc.conj() @ target_r))
+    acc_phi = space.lift(acc) @ phi
+    sandwich = float(np.real(space.b0 * acc.conj()[0]))
     scalar = float(frame.grad_energy[axis])
     cross = (scalar ** 2 * aa.real - scalar * ga.real
              - scalar * np.real(acc_phi))
@@ -338,19 +343,17 @@ def mass_scan(params_template: ModelParams, grid: ModeGrid, basis: FockBasis,
               allow_invalid: bool = False):
     """Cascade every (alpha, P) point and emit per-scale curvature rows.
 
-    Returns (rows, cascade states keyed by (alpha, P)).  Row-level failures
-    are annotated and the scan continues.  The effective mass is the
+    Returns the rows, in (alpha, P, scale) order.  Row-level failures are
+    annotated and the scan continues.  The effective mass is the
     inverse curvature of the displaced route.  Each cascade record gets
     one ``FiberFamily``, which the three routes and the FD gradient share.
     ``contour_nodes`` and ``allow_invalid`` go to ``run_cascade``.
     """
     rows: list[MassScanRow] = []
-    states: dict = {}
     for alpha in alphas:
         for p in p_list:
             p = np.asarray(p, dtype=float)
             params = replace(params_template, alpha=float(alpha), p_total=p)
-            key = (float(alpha), tuple(p))
             try:
                 state = run_cascade(params, grid, basis,
                                     contour_nodes=contour_nodes,
@@ -360,7 +363,6 @@ def mass_scan(params_template: ModelParams, grid: ModeGrid, basis: FockBasis,
                     alpha=float(alpha), j=-1, sigma=np.nan, p=p,
                     error=str(exc)))
                 continue
-            states[key] = state
             for rec in state.records:
                 row = MassScanRow(alpha=float(alpha), j=rec.j,
                                   sigma=rec.sigma, p=p, energy=rec.energy,
@@ -376,7 +378,7 @@ def mass_scan(params_template: ModelParams, grid: ModeGrid, basis: FockBasis,
                 except (CascadeError, ParameterError, RuntimeError) as exc:
                     row.error = str(exc)
                 rows.append(row)
-    return rows, states
+    return rows
 
 
 def scan_tail_summary(rows: list[MassScanRow], delta: float = 0.2) -> dict:
@@ -453,7 +455,8 @@ def _pull_through_pairs(psi, energy, family: FiberFamily, modes) -> dict:
         solver = ResolventSolver(family.h(params.p_total - grid.k[group[0]]))
         for m in group:
             w = sum(grid.eps_vec[m, i] * x_psi[i] for i in range(3))
-            x = solver.lift(solver.solve(energy - knorm, solver.reduce(w)))
+            space = solver.reduce(w)
+            x = space.lift(solver.solve(energy - knorm, space))
             coupling = np.sqrt(params.alpha * grid.weight[m] / knorm)
             pairs[m] = (ladder(family.basis, m)[0] @ psi,
                         -coupling * np.real(x))

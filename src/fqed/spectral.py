@@ -14,10 +14,11 @@ sum P v = -(r/M) sum_q exp(i theta_q) (H - z_q)^{-1} v.  Every contour
 integral in the package is this sum, evaluated by ``contour_sum`` on the
 upper half circle.
 
-Shifted solves work in a ``ResolventSolver``'s own coordinates, one
-Lanczos space per real right-hand side, where the operator is
-tridiagonal.  A contour node then costs a tridiagonal solve in the space;
-an integral reduces its vector once and lifts its sum once.  The resolvent
+Shifted solves work in a Lanczos space per real right-hand side, where the
+operator is tridiagonal: ``ResolventSolver.reduce`` starts the space of a
+vector, and a solve returns plain coefficient arrays in that space.  A
+contour node then costs a tridiagonal solve; an integral sums its nodes'
+coefficients and lifts the sum once.  The resolvent
 functions take the solver as their first argument and act on its
 operator.  The dense oracles, ``dense_spectrum`` and the perturbation
 series ``neumann_project``, take the operator itself.
@@ -195,23 +196,16 @@ def _tridiag_solve(d: np.ndarray, e: np.ndarray, z: complex,
     return x
 
 
-def _real_map(apply, y: np.ndarray) -> np.ndarray:
-    """A real linear map, given on real (n, k) column blocks, applied to a
-    real or complex vector: a complex y goes through as its real (n, 2)
-    view, so the map never meets complex data."""
-    if np.iscomplexobj(y):
-        out = apply(np.stack([y.real, y.imag], axis=1))
-        return out[:, 0] + 1j * out[:, 1]
-    return apply(y[:, None])[:, 0]
-
-
 class _KrylovSpace:
-    """Reorthogonalized Lanczos space for one real right-hand side.
+    """Reorthogonalized Lanczos space for one real right-hand side b.
 
-    The same basis serves every shift z: (op - z)^{-1} b is approximated by
-    V (T - z)^{-1} (||b|| e1), with the exact shifted residual available as
-    beta_k |y_k| so the space can be grown, up to ``KRYLOV_MAX`` vectors,
-    until ``KRYLOV_TOL`` holds for the shifts actually used.
+    The same basis V serves every shift z: (op - z)^{-1} b is approximated
+    by V (T - z)^{-1} (||b|| e1), with the exact shifted residual available
+    as beta_k |y_k| so the space can be grown, up to ``max_dim`` vectors,
+    until ``KRYLOV_TOL`` holds for the shifts actually used.  The space only
+    grows by appending basis vectors, so its coefficient arrays are padded
+    with zeros to ``max_dim``: padded coefficients stay exact at any later
+    size, and coefficients of one space add as plain arrays.
     """
 
     def __init__(self, op, b: np.ndarray):
@@ -251,7 +245,11 @@ class _KrylovSpace:
             self._basis[m + 1] = u / nb
 
     def solve(self, z: complex) -> np.ndarray:
-        """Coefficients of (op - z)^{-1} b in the basis, grown as needed."""
+        """Coefficients of (op - z)^{-1} b, grown as needed; a complex
+        array of length ``max_dim``, zero beyond the current size."""
+        out = np.zeros(self.max_dim, dtype=complex)
+        if self.b0 == 0.0:
+            return out
         if self.steps == 0:
             self._grow(min(KRYLOV_BLOCK, self.max_dim))
         while True:
@@ -267,114 +265,48 @@ class _KrylovSpace:
                     raise ConditioningError(
                         f"Krylov space of size {k} left shifted residual at "
                         f"{res / self.b0:.2e}")
-                return y
+                out[:k] = y
+                return out
             self._grow(min(k + KRYLOV_BLOCK, self.max_dim))
 
     def lift(self, c: np.ndarray) -> np.ndarray:
-        """V c with the real basis; c may be shorter than the space."""
-        basis = self._basis[:len(c)].T
-        return _real_map(lambda cols: basis @ cols, c)
-
-
-class _KrylovVector:
-    """A vector held as coefficients c in one Lanczos basis V: V c.
-
-    ``ResolventSolver.reduce`` starts one space per real right-hand side,
-    and a shifted solve keeps its result in that space.  Two vectors of the
-    space add after zero padding: a space only grows by appending basis
-    vectors, so a shorter coefficient vector is exact in the longer basis.
-    Contour sums therefore run on coefficients, and ``lift`` multiplies by
-    the basis once.
-    """
-
-    # numpy scalars and arrays defer to the operators below
-    __array_ufunc__ = None
-
-    def __init__(self, space: _KrylovSpace, coeffs: np.ndarray):
-        self.space = space
-        self.coeffs = coeffs
-
-    def _with(self, coeffs) -> "_KrylovVector":
-        return _KrylovVector(self.space, coeffs)
-
-    def _pair(self, other: "_KrylovVector"):
-        if other.space is not self.space:
-            raise ValueError("reduced vectors of different Krylov spaces")
-        return self.coeffs, other.coeffs
-
-    def __mul__(self, scalar) -> "_KrylovVector":
-        return self._with(self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "_KrylovVector":
-        return self._with(self.coeffs / scalar)
-
-    def __add__(self, other: "_KrylovVector") -> "_KrylovVector":
-        a, c = self._pair(other)
-        if len(a) < len(c):
-            a, c = c, a
-        a = a.astype(np.result_type(a, c))
-        a[:len(c)] += c
-        return self._with(a)
-
-    @property
-    def real(self) -> "_KrylovVector":
-        return self._with(self.coeffs.real)
-
-    def conj(self) -> "_KrylovVector":
-        return self._with(np.conj(self.coeffs))
-
-    def lift(self) -> np.ndarray:
-        return self.space.lift(self.coeffs)
-
-    def __matmul__(self, other: "_KrylovVector"):
-        """Bilinear product, as ``@`` of 1-D arrays, on coefficients."""
-        a, b = self._pair(other)
-        k = min(len(a), len(b))
-        return a[:k] @ b[:k]
+        """The full vector V c of coefficients c.  The real basis meets
+        real (k, 1) or (k, 2) column blocks only: a complex c goes through
+        as its real and imaginary parts."""
+        k = self.steps
+        basis = self._basis[:k].T
+        c = c[:k]
+        if np.iscomplexobj(c):
+            out = basis @ np.stack([c.real, c.imag], axis=1)
+            return out[:, 0] + 1j * out[:, 1]
+        return (basis @ c[:, None])[:, 0]
 
 
 class ResolventSolver:
-    """Reusable solver for (op - z)x = b at many shifts z, in its own
-    coordinates.
+    """Reusable solver for (op - z)x = b at many shifts z.
 
-    ``reduce(b)`` takes a vector to the solver's coordinates, ``solve(z, y)``
-    applies (op - z)^{-1} there, and ``lift(y)`` takes the result back.
-    Since each coordinate change is linear and real, a contour integral sums
-    its nodes' reduced solutions and lifts once.
-
-    ``reduce(b)`` starts a reorthogonalized Lanczos space for the real
-    vector b and carries it with its coefficients ||b|| e1; a shift solves
-    the space's tridiagonal T_b, growing the space as needed, and ``lift``
-    multiplies by its basis.  A solve takes only a freshly reduced vector,
-    since the space is built for its starting vector.
+    ``reduce(b)`` starts the Lanczos space of the real vector b, in which b
+    has the coefficients ||b|| e1 and the operator is tridiagonal;
+    ``solve(z, space)`` returns the coefficients of (op - z)^{-1} b there,
+    and ``space.lift`` multiplies coefficients by the basis.
     """
 
     def __init__(self, op):
         self._op = op.tocsr() if sp.issparse(op) else op
 
-    def reduce(self, b: np.ndarray) -> _KrylovVector:
-        """b in the solver's coordinates."""
+    def reduce(self, b: np.ndarray) -> _KrylovSpace:
+        """The Lanczos space of the right-hand side b."""
         b = np.asarray(b)
         if np.iscomplexobj(b):
             raise ValueError("a ResolventSolver reduces real vectors only: "
                              "its Lanczos space starts from one real vector")
-        space = _KrylovSpace(self._op, b)
-        return _KrylovVector(space, np.array([space.b0]))
+        return _KrylovSpace(self._op, b)
 
-    def solve(self, z: complex, y: _KrylovVector) -> _KrylovVector:
-        """(op - z)^{-1} applied to the reduced vector y, kept reduced."""
-        c = y.coeffs
-        if len(c) != 1:
-            raise ValueError("a Krylov solve takes a freshly reduced vector")
-        if c[0] == 0.0:
-            return y
-        return y._with(y.space.solve(z) * (c[0] / y.space.b0))
-
-    def lift(self, y: _KrylovVector) -> np.ndarray:
-        """The full vector of a reduced one."""
-        return y.lift()
+    def solve(self, z: complex, space: _KrylovSpace) -> np.ndarray:
+        """Coefficients of (op - z)^{-1} b in b's space."""
+        # kept as a method, not folded into the space: the benchmark tracer
+        # binds ResolventSolver.__init__ and .solve as its resolvent layer
+        return space.solve(z)
 
 
 def contour_sum(contour: Contour, node):
@@ -382,11 +314,10 @@ def contour_sum(contour: Contour, node):
 
     ``node`` must be conjugate-symmetric, node(conj z) = conj(node(z)), as
     every resolvent integrand of a real symmetric operator on real data is
-    (also in a ``ResolventSolver``'s real coordinates).  Only the upper half
+    (also on coefficients in a real Lanczos space).  Only the upper half
     circle is evaluated: the two real-axis nodes count once and the others
-    twice through their real part.  ``node`` may return a scalar, an array,
-    a reduced vector of a ``ResolventSolver`` or a tuple of these; the
-    result has the same form, complex.
+    twice through their real part.  ``node`` may return a scalar, an array
+    or a tuple of these; the result has the same form, complex.
     """
     points = contour.points
     weights = contour.projector_weights
@@ -407,12 +338,12 @@ def contour_project(solver: ResolventSolver, contour: Contour,
     """Spectral projection of v onto the eigenspace inside the contour.
 
     The solver's operator is real symmetric and ``v`` real, so the
-    projection is real.  The nodes sum in the solver's coordinates: one
-    reduce, one lift.
+    projection is real.  The nodes sum as coefficients in v's Lanczos
+    space: one reduce, one lift.
     """
-    v_r = solver.reduce(v)
-    acc = contour_sum(contour, lambda z: solver.solve(z, v_r))
-    return np.ascontiguousarray(solver.lift(acc.real))
+    space = solver.reduce(v)
+    acc = contour_sum(contour, lambda z: solver.solve(z, space))
+    return np.ascontiguousarray(space.lift(acc.real))
 
 
 def idempotence_defect(solver: ResolventSolver, contour: Contour,
@@ -504,8 +435,10 @@ def resolvent_sandwich(solver: ResolventSolver, contour: Contour, middle,
     psi / (E - z), so a node costs one solve; this requires the contour to
     be centered on psi's eigenvalue E.
     """
-    target_r = solver.reduce(middle @ psi)
+    space = solver.reduce(middle @ psi)
 
     def node(z):
-        return solver.solve(z, target_r) / (contour.center - z)
-    return float(np.real(contour_sum(contour, node).conj() @ target_r))
+        return solver.solve(z, space) / (contour.center - z)
+    # middle psi is ||middle psi|| e1 in its own space: the product reads
+    # coefficient 0
+    return float(np.real(space.b0 * contour_sum(contour, node).conj()[0]))

@@ -118,6 +118,15 @@ GOOD_BYTES = GOOD_CONFIG.encode()
     (GOOD_BYTES + b"krylov_tol = 1e-10\n", "krylov_tol"),
     (GOOD_BYTES + b"krylov_max = 1200\n", "krylov_max"),
     (GOOD_BYTES + b"mass_route = displaced\n", "mass_route"),
+    # values that a run would refuse, found without a solve
+    (GOOD_BYTES.replace(b"J = 2", b"J = 0"), "'J'"),
+    (GOOD_BYTES.replace(b"n_radial = 1", b"n_radial = 0"), "'n_radial'"),
+    (GOOD_BYTES.replace(b"c_max = 2", b"c_max = 0"), "'c_max'"),
+    (GOOD_BYTES.replace(b"n_max = 2", b"n_max = -1"), "'n_max'"),
+    (GOOD_BYTES.replace(b"angular_set = octahedral6", b"angular_set = foo"),
+     "'angular_set'"),
+    (GOOD_BYTES.replace(b"Lambda = 1.0", b"Lambda = 1e308"), "'Lambda'"),
+    (GOOD_BYTES.replace(b"Lambda = 1.0", b"Lambda = 0"), "'Lambda'"),
 ], ids=["non-numeric-alphas", "non-utf8", "odd-contour-nodes", "nan-alpha",
         "infinite-momentum", "removed-fd-gradient-key",
         "max-nodes-below-contour-nodes", "huge-contour-nodes",
@@ -127,7 +136,9 @@ GOOD_BYTES = GOOD_CONFIG.encode()
         "removed-dense-limit-key", "removed-dense-eig-cutoff-key",
         "removed-ground-tol-key", "removed-defect-tol-key",
         "removed-max-nodes-key", "removed-krylov-tol-key",
-        "removed-krylov-max-key", "removed-mass-route-key"])
+        "removed-krylov-max-key", "removed-mass-route-key", "zero-scales",
+        "zero-radial-cells", "zero-mode-cap", "negative-total-cap",
+        "unknown-angular-set", "huge-uv-cutoff", "zero-uv-cutoff"])
 def test_bad_config_exits_2_at_parse_time(tmp_path, capsys, data, key):
     path = tmp_path / "bad.cfg"
     path.write_bytes(data)

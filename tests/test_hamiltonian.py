@@ -260,8 +260,8 @@ def test_gradient_bridge_identity(small_setup):
 
     # left side: conjugate Pi(j) by the bridge displacement in closed form;
     # the ladder shift b -> b - df also leaves a c-number behind
-    f_hat = displacement_coeffs(g_prev, grid, range(j), alpha).amplitudes
-    f_new = displacement_coeffs(g_new, grid, range(j), alpha).amplitudes
+    f_hat = displacement_coeffs(g_prev, grid, range(j), alpha)
+    f_new = displacement_coeffs(g_new, grid, range(j), alpha)
     df = f_hat - f_new
     coupling = np.sqrt(grid.weight / grid.knorm)
     lhs = []
@@ -289,7 +289,7 @@ def test_weyl_vacuum_expectation_on_slice_shell(small_setup):
     params, grid, basis = small_setup
     g = np.array([0.1, 0.0, 0.0])
     ivec = weyl_vacuum_expectation(params, grid, [1], g)
-    f = displacement_coeffs(g, grid, [1], params.alpha).amplitudes
+    f = displacement_coeffs(g, grid, [1], params.alpha)
     coup = np.sqrt(grid.weight / grid.knorm)
     expected = np.array([
         np.sum(grid.k[:, i] * f ** 2)
@@ -302,7 +302,7 @@ def test_frame_energy_offset_consistency(small_setup):
     params, grid, basis = small_setup
     g = np.array([0.1, 0.02, 0.0])
     off = FiberFamily(params, grid, basis, 2).frame(g).offset
-    f = displacement_coeffs(g, grid, range(2), params.alpha).amplitudes
+    f = displacement_coeffs(g, grid, range(2), params.alpha)
     delta = direction_weights(grid, g)
     p = params.p_total
     expected = p @ p / 2 - (p - g) @ (p - g) / 2 \

@@ -125,8 +125,7 @@ def test_displaced_route_rejects_broken_centering(coupled_frame):
 
 def test_mass_scan_free_row():
     params, grid, basis = make_box(0.0, [0.1, 0.0, 0.0])
-    rows, states = mass_scan(params, grid, basis, [0.0],
-                             [[0.1, 0.0, 0.0]])
+    rows = mass_scan(params, grid, basis, [0.0], [[0.1, 0.0, 0.0]])
     assert len(rows) == 3
     for row in rows:
         assert row.error == ""
@@ -138,8 +137,7 @@ def test_mass_scan_free_row():
 
 def test_mass_scan_deviation_grows_with_coupling():
     params, grid, basis = make_box(1e-3, [0.1, 0.0, 0.0])
-    rows, _ = mass_scan(params, grid, basis, [1e-4, 1e-3],
-                        [[0.1, 0.0, 0.0]])
+    rows = mass_scan(params, grid, basis, [1e-4, 1e-3], [[0.1, 0.0, 0.0]])
     rows = [r for r in rows if r.j == 2]
     devs = [abs(r.m_r - 1.0) for r in rows]
     assert devs[1] > devs[0] > 0.0
@@ -153,7 +151,7 @@ def test_mass_scan_builds_two_families_per_record(tiny_setup,
     # one in the cascade step, one that the three routes and the FD
     # gradient share
     params, grid, basis = tiny_setup
-    rows, _ = mass_scan(params, grid, basis, [1e-3], [params.p_total])
+    rows = mass_scan(params, grid, basis, [1e-3], [params.p_total])
     assert [(r.j, r.error) for r in rows] == [(0, ""), (1, "")]
     assert sorted(family_builds) == [0, 0, 1, 1]
 
@@ -169,7 +167,7 @@ def test_scale_routes_rejects_another_scales_family(tiny_setup):
 def test_mass_scan_annotates_failed_rows():
     params, grid, basis = make_box(1e-3, [0.1, 0.0, 0.0])
     bad = dataclasses.replace(params, ir_floor_c=1e4)
-    rows, _ = mass_scan(bad, grid, basis, [1e-3], [[0.1, 0.0, 0.0]])
+    rows = mass_scan(bad, grid, basis, [1e-3], [[0.1, 0.0, 0.0]])
     assert len(rows) == 1
     assert "infrared floor" in rows[0].error
 
@@ -285,10 +283,11 @@ def test_curvature_momentum_quotients_reported():
 def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
     # 16 nodes: 9 node evaluations on the upper half circle.  Each route
     # takes R psi = psi / (E - z), so it reduces only its target and solves
-    # once per node; the direct route reads its sandwich on the reduced
-    # vector, and the displaced route lifts its integral once for the cross
-    # term.
+    # once per node; the direct route reads its sandwich from coefficient 0
+    # of the target's Lanczos space, and the displaced route lifts its
+    # integral once for the cross term.
     import fqed.observables as observables
+    import fqed.spectral as spectral
 
     params, grid, basis = tiny_setup
     monkeypatch.setattr(observables, "ROUTE_NODES", 16)
@@ -299,16 +298,17 @@ def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
     calls = []
     moves = []
 
-    def counted(name):
-        method = getattr(ResolventSolver, name)
+    def counted(owner, name):
+        method = getattr(owner, name)
 
         def wrapper(self, *args):
             (calls if name == "solve" else moves).append(name)
             return method(self, *args)
-        monkeypatch.setattr(ResolventSolver, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("solve", "reduce", "lift"):
-        counted(name)
+    for name in ("solve", "reduce"):
+        counted(ResolventSolver, name)
+    counted(spectral._KrylovSpace, "lift")
     routes = {
         "direct": lambda: dispersion_curvature_direct(
             family, psi=psi, energy=energy, gap=gap),

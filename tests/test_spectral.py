@@ -21,8 +21,9 @@ def seeded_symmetric(n, seed, scale=1.0, shift=0.0):
 
 
 def full_solve(solver, z, b):
-    """(op - z)^{-1} b through the solver's own coordinates."""
-    return solver.lift(solver.solve(z, solver.reduce(b)))
+    """(op - z)^{-1} b through b's Lanczos space."""
+    space = solver.reduce(b)
+    return space.lift(solver.solve(z, space))
 
 
 def test_contour_invariants():
@@ -145,6 +146,33 @@ def test_krylov_path_matches_dense_path():
     dense = np.linalg.solve(op.toarray() - z * np.eye(300), v)
     krylov = full_solve(ResolventSolver(op), z, v)
     assert np.linalg.norm(dense - krylov) / np.linalg.norm(dense) < 1e-8
+
+
+def test_contour_nodes_converging_at_different_sizes(monkeypatch):
+    # with small growth blocks the first node converges in a smaller space
+    # than the later ones; its coefficients, zero-padded to the space's
+    # largest size, still add exactly in the one integral
+    import fqed.spectral as spectral
+
+    monkeypatch.setattr(spectral, "KRYLOV_BLOCK", 8)
+    op = seeded_symmetric(300, seed=5) + sp.diags(np.linspace(0.0, 4.0, 300))
+    vals, vecs = dense_spectrum(op)
+    contour = Contour(vals[-1], 0.5 * (vals[-1] - vals[-2]))
+    v = np.sin(np.arange(300.0))
+    sizes = []
+    solve = spectral._KrylovSpace.solve
+
+    def counted(self, z):
+        out = solve(self, z)
+        assert len(out) == self.max_dim and not np.any(out[self.steps:])
+        sizes.append(self.steps)
+        return out
+
+    monkeypatch.setattr(spectral._KrylovSpace, "solve", counted)
+    projected = contour_project(ResolventSolver(op), contour, v)
+    exact = vecs[:, -1] * (vecs[:, -1] @ v)
+    assert sizes[0] < sizes[-1]
+    assert np.linalg.norm(projected - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 def test_contour_project_two_level():
@@ -270,9 +298,14 @@ def tiny_solver(tiny_setup):
 
 
 def test_lift_inverts_reduce(tiny_solver):
+    # b is ||b|| e1 in its own space, once a solve has built the space
     h, solver = tiny_solver
     b = np.cos(np.arange(h.shape[0]))
-    assert np.max(np.abs(solver.lift(solver.reduce(b)) - b)) <= 1e-14
+    space = solver.reduce(b)
+    coeffs = solver.solve(-1.0, space)
+    e1 = np.zeros(len(coeffs))
+    e1[0] = 1.0
+    assert np.max(np.abs(space.lift(space.b0 * e1) - b)) <= 1e-14
 
 
 def test_krylov_solver_rejects_complex_data(tiny_setup):
@@ -309,17 +342,20 @@ def test_checked_projection_moves_vectors_once_per_integral(tiny_solver,
                                                             monkeypatch):
     # a projection and its re-projection reduce and lift once each, at any
     # node count
+    import fqed.spectral as spectral
+
     h, solver = tiny_solver
     vals, _ = dense_spectrum(h)
     b = np.cos(np.arange(h.shape[0]))
     moves = []
-    for name in ("reduce", "lift"):
-        method = getattr(ResolventSolver, name)
+    for owner, name in ((ResolventSolver, "reduce"),
+                        (spectral._KrylovSpace, "lift")):
+        method = getattr(owner, name)
 
         def counted(self, y, _method=method, _name=name):
             moves.append(_name)
             return _method(self, y)
-        monkeypatch.setattr(ResolventSolver, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     counts = {}
     for nodes in (16, 64):
         moves.clear()
