@@ -163,12 +163,8 @@ def sector_ground(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     h = h_op if h_op is not None else FiberFamily(params, grid, basis, j).h(
         params.p_total if p is None else p)
     idx = basis.sector_indices(grid, j)
+    rec = ground_state(h[idx][:, idx])
     vec = np.zeros(basis.size)
-    if len(idx) == 1:
-        vec[idx[0]] = 1.0
-        return float(h[idx[0], idx[0]]), vec, np.nan
-    sub = h[idx][:, idx]
-    rec = ground_state(sub)
     vec[idx] = rec.vector
     return rec.energy, vec, rec.gap
 
@@ -178,12 +174,14 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
                 allow_invalid: bool = False) -> CascadeState:
     """Drive the construction from the UV cutoff down to the final scale.
 
-    Per step j -> j+1: project the running displaced-frame vector through
-    the contour of radius mu * sigma_{j+1} centered at the scale-j energy
-    (using the bridge Hamiltonian built from the scale-j gradient), solve
-    the finer fiber Hamiltonian, evaluate its gradient, and re-dress the
-    projected vector with one combined Weyl displacement.  A failed
-    parameter constraint raises unless ``allow_invalid`` is set.
+    One induction loop over j = 0..J.  The incoming vector is the vacuum
+    at scale 0 and, at every later scale, the previous vector projected
+    through the contour of radius mu * sigma_j centered at the previous
+    energy (using the bridge Hamiltonian built from the previous gradient).
+    Each scale then solves its fiber Hamiltonian on its sector and
+    evaluates the gradient; past scale 0 the projected vector is re-dressed
+    with one combined Weyl displacement.  A failed parameter constraint
+    raises unless ``allow_invalid`` is set.
     """
     cut = params.cutoffs
     if grid.cutoffs.n_scales < params.n_scales or not np.allclose(
@@ -201,69 +199,57 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
 
     state = CascadeState(params=params, grid=grid, basis=basis, report=report)
     p = params.p_total
+    for j in range(params.n_scales + 1):
+        # one family per scale, released when the next step replaces it
+        family = FiberFamily(params, grid, basis, j)
+        if j == 0:
+            # the induction starts from the vacuum at the UV cutoff
+            phi_hat = basis.vacuum()
+        else:
+            prev = state.records[-1]
+            try:
+                k_hat, _ = assemble_intermediate_hamiltonian(
+                    family, prev.grad_energy, prev.gamma_shift)
+                contour = Contour(prev.energy, params.mu * cut.sigma(j),
+                                  contour_nodes)
+                phi_hat, nodes_used, defect = contour_project_checked(
+                    ResolventSolver(k_hat), contour, prev.phi)
+            except ContourError as exc:
+                raise CascadeError(f"scale {j}: {exc}") from exc
 
-    # one family per scale, released when the next step replaces it
-    family = FiberFamily(params, grid, basis, 0)
-    h0 = family.h(p)
-    e0, psi0, _ = sector_ground(params, grid, basis, 0, h_op=h0)
-    grad0 = family.gradient(psi0, p)
-    phi0 = basis.vacuum()
-    pi0 = displaced_momentum_ops(family, grad0)
-    _, shift0, orth0 = center_operators(pi0, phi0)
-    state.records.append(ScaleRecord(
-        j=0, sigma=cut.sigma(0), energy=e0, grad_energy=grad0,
-        gap_sector=np.nan,
-        gap_next_sector=sector_ground(params, grid, basis, 1, h_op=h0)[2],
-        psi=psi0, phi=phi0, phi_norm=1.0, phi_hat_norm=1.0,
-        gamma_shift=shift0, gamma_orth=orth0,
-    ))
-
-    for j in range(params.n_scales):
-        prev = state.records[j]
-        family = FiberFamily(params, grid, basis, j + 1)
-        try:
-            k_hat, _ = assemble_intermediate_hamiltonian(
-                family, prev.grad_energy, prev.gamma_shift)
-            contour = Contour(prev.energy, params.mu * cut.sigma(j + 1),
-                              contour_nodes)
-            phi_hat, nodes_used, defect = contour_project_checked(
-                ResolventSolver(k_hat), contour, prev.phi)
-        except ContourError as exc:
-            raise CascadeError(f"scale {j + 1}: {exc}") from exc
-
-        h_next = family.h(p)
-        energy, psi, gap_sector = sector_ground(
-            params, grid, basis, j + 1, h_op=h_next)
+        h = family.h(p)
+        energy, psi, gap_sector = sector_ground(params, grid, basis, j,
+                                                h_op=h)
         if gap_sector < 1e-12:
             raise CascadeError(
-                f"scale {j + 1}: degenerate ground state, gap {gap_sector}")
+                f"scale {j}: degenerate ground state, gap {gap_sector}")
         grad = family.gradient(psi, p)
 
-        bridge = combined_displacement(grad, prev.grad_energy, grid,
-                                       range(j + 1), params.alpha)
-        try:
-            phi, wdefect = weyl_apply(bridge, basis, phi_hat)
-        except ArithmeticError as exc:
-            raise CascadeError(f"scale {j + 1}: {exc}") from exc
+        phi, step = phi_hat, {}
+        if j > 0:
+            bridge = combined_displacement(grad, prev.grad_energy, grid,
+                                           range(j), params.alpha)
+            try:
+                phi, wdefect = weyl_apply(bridge, basis, phi_hat)
+            except ArithmeticError as exc:
+                raise CascadeError(f"scale {j}: {exc}") from exc
+            step = dict(
+                step_norm=float(np.linalg.norm(phi_hat - prev.phi)),
+                energy_shift=prev.energy - energy,
+                grad_shift=float(np.linalg.norm(grad - prev.grad_energy)),
+                projector_nodes=nodes_used, projector_defect=defect,
+                weyl_defect=wdefect)
 
         pi = displaced_momentum_ops(family, grad)
         _, shift, orth = center_operators(pi, phi)
-        gap_next = sector_ground(params, grid, basis, j + 2,
-                                 h_op=h_next)[2] \
-            if j + 1 < params.n_scales else np.nan
-
+        gap_next = sector_ground(params, grid, basis, j + 1, h_op=h)[2] \
+            if j < params.n_scales else np.nan
         state.records.append(ScaleRecord(
-            j=j + 1, sigma=cut.sigma(j + 1), energy=energy, grad_energy=grad,
+            j=j, sigma=cut.sigma(j), energy=energy, grad_energy=grad,
             gap_sector=gap_sector, gap_next_sector=gap_next,
             psi=psi, phi=phi, phi_norm=float(np.linalg.norm(phi)),
             phi_hat_norm=float(np.linalg.norm(phi_hat)),
-            step_norm=float(np.linalg.norm(phi_hat - prev.phi)),
-            energy_shift=prev.energy - energy,
-            grad_shift=float(np.linalg.norm(grad - prev.grad_energy)),
-            gamma_shift=shift, gamma_orth=orth,
-            projector_nodes=nodes_used, projector_defect=defect,
-            weyl_defect=wdefect,
-        ))
+            gamma_shift=shift, gamma_orth=orth, **step))
     return state
 
 

@@ -33,9 +33,9 @@ from .fock import FockBasis, ResourceError, enumerate_basis
 from .hamiltonian import FiberFamily, ModelParams
 from .modes import ANGULAR_SETS, ModeGrid, ParameterError, build_grid
 from .observables import (SCAN_COLUMNS, energy_lipschitz_probe, mass_scan,
-                          pull_through_summary, resolvent_bound_probes,
-                          scale_routes, scan_csv, scan_tail_summary,
-                          soft_photon_probe)
+                          momentum_axis, pull_through_summary,
+                          resolvent_bound_probes, scale_routes, scan_csv,
+                          scan_tail_summary, soft_photon_probe)
 from .spectral import (DENSE_LIMIT, MAX_NODES, ConditioningError,
                        ContourError, SolverError, check_node_count)
 
@@ -221,6 +221,11 @@ def parse_config(path) -> RunConfig:
     alphas = _parse_numbers(get("alphas"), where("alphas"))
     p_list = [_parse_triple(t, f"{path}: key 'P_list'")
               for t in get("P_list").split(";") if t.strip()]
+    for p in p_list:
+        try:
+            momentum_axis(p)
+        except ParameterError as exc:
+            raise ConfigError(f"{where('P_list')}: {exc}") from exc
 
     return RunConfig(
         params=params, n_radial=num("n_radial", int, low=1),

@@ -479,13 +479,17 @@ def pull_through_summary(family: FiberFamily,
     relative residual array); a mode with b_m psi = 0 reads 0 when its
     right-hand side vanishes too and inf otherwise.  The aggregate weights
     each mode by its annihilation norm, so decoupled modes cannot dominate
-    through 0/0 ratios.
+    through 0/0 ratios.  At zero coupling the right-hand side is exactly 0
+    and the free ground state holds no photons, so every mode reads 0
+    without a solve.
     """
     params, grid = family.params, family.grid
+    active = np.nonzero(grid.active_mask(family.j))[0]
+    if params.alpha == 0.0:
+        return 0.0, np.zeros(len(active))
     if psi is None or energy is None:
         energy, psi, _ = sector_ground(params, grid, family.basis, family.j,
                                        h_op=family.h(params.p_total))
-    active = np.nonzero(grid.active_mask(family.j))[0]
     pairs = _pull_through_pairs(psi, energy, family, active)
     diff2 = 0.0
     lhs2 = 0.0

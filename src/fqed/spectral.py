@@ -148,22 +148,24 @@ def ground_state(op, tol: float = 1e-10,
 
     Problems up to ``dense_cutoff`` use the dense oracle directly (the
     cutoff is its only size limit); larger ones use the implicitly
-    restarted Lanczos solver with a deterministic start vector, so repeated
-    runs are bit-identical.
+    restarted Lanczos solver with a deterministic start vector and a
+    seeded generator for its restarts, so repeated runs are bit-identical.
+    The gap is NaN when no second eigenvalue is known: a 1 x 1 operator,
+    or a partial Lanczos result with one pair.
     """
     n = op.shape[0]
     if n <= max(dense_cutoff, 5):
         vals, vecs = dense_spectrum(op, dense_limit=n)
         energy = float(vals[0])
         vec = _fix_sign(np.ascontiguousarray(vecs[:, 0]))
-        gap = float(vals[1] - vals[0]) if n > 1 else 0.0
+        gap = float(vals[1] - vals[0]) if n > 1 else np.nan
         method = "dense"
     else:
         opc = op.tocsr() if sp.issparse(op) else sp.csr_matrix(op)
         try:
             vals, vecs = spla.eigsh(
                 opc, k=3, which="SA", v0=_deterministic_start(n),
-                tol=0, ncv=min(n - 1, 60))
+                tol=0, ncv=min(n - 1, 60), rng=np.random.default_rng(0))
         except spla.ArpackNoConvergence as exc:
             if len(exc.eigenvalues) == 0:
                 raise SolverError("Lanczos did not converge") from exc
@@ -367,7 +369,8 @@ def contour_project_checked(solver: ResolventSolver, contour: Contour,
     problem (the circle cuts through spectrum or encloses extra states on
     the sector of v).  When re-projection keeps less than half of Pv, the
     contour encloses none of v's spectrum and only quadrature leakage was
-    projected; more nodes only shrink that leakage, so this raises at once.
+    projected; more nodes only shrink that leakage, so this raises at once,
+    as it does when the projection is not finite.
     """
     current = contour
     while True:
@@ -377,12 +380,16 @@ def contour_project_checked(solver: ResolventSolver, contour: Contour,
             return pv, current.nodes, 0.0
         ppv = contour_project(solver, current, pv)
         kept = float(np.linalg.norm(ppv) / nrm)
+        defect = float(np.linalg.norm(ppv - pv) / nrm)
+        if not (np.isfinite(kept) and np.isfinite(defect)):
+            raise ContourError(
+                f"projection is not finite at {current.nodes} nodes: "
+                f"re-projection keeps {kept}, defect {defect}")
         if kept < 0.5:
             raise ContourError(
                 "contour encloses none of the vector's spectrum: "
                 f"re-projection keeps {kept:.2e} of the projected norm at "
                 f"{current.nodes} nodes")
-        defect = float(np.linalg.norm(ppv - pv) / nrm)
         if defect <= defect_tol:
             return pv, current.nodes, defect
         if current.nodes * 2 > max_nodes:

@@ -256,7 +256,7 @@ def test_cascade_refuses_degenerate_ground_state(small_setup, monkeypatch):
     monkeypatch.setattr(cascade, "sector_ground", closed_gap)
     params, grid, basis = small_setup
     with pytest.raises(CascadeError,
-                       match="scale 1: degenerate ground state, gap 0.0"):
+                       match="scale 0: degenerate ground state, gap 0.0"):
         run_cascade(params, grid, basis)
 
 

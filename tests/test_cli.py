@@ -127,6 +127,8 @@ GOOD_BYTES = GOOD_CONFIG.encode()
      "'angular_set'"),
     (GOOD_BYTES.replace(b"Lambda = 1.0", b"Lambda = 1e308"), "'Lambda'"),
     (GOOD_BYTES.replace(b"Lambda = 1.0", b"Lambda = 0"), "'Lambda'"),
+    (GOOD_BYTES.replace(b"P_list = 0.1 0 0", b"P_list = 0 0.2 0.1"),
+     "'P_list'"),
 ], ids=["non-numeric-alphas", "non-utf8", "odd-contour-nodes", "nan-alpha",
         "infinite-momentum", "removed-fd-gradient-key",
         "max-nodes-below-contour-nodes", "huge-contour-nodes",
@@ -138,7 +140,8 @@ GOOD_BYTES = GOOD_CONFIG.encode()
         "removed-max-nodes-key", "removed-krylov-tol-key",
         "removed-krylov-max-key", "removed-mass-route-key", "zero-scales",
         "zero-radial-cells", "zero-mode-cap", "negative-total-cap",
-        "unknown-angular-set", "huge-uv-cutoff", "zero-uv-cutoff"])
+        "unknown-angular-set", "huge-uv-cutoff", "zero-uv-cutoff",
+        "off-axis-momentum-list"])
 def test_bad_config_exits_2_at_parse_time(tmp_path, capsys, data, key):
     path = tmp_path / "bad.cfg"
     path.write_bytes(data)

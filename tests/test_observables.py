@@ -15,7 +15,8 @@ from fqed.observables import (cross_term_probe, dispersion_curvature_direct,
                               mass_scan, momentum_axis, pull_through_summary,
                               resolvent_bound_probes, scale_routes, scan_csv,
                               soft_photon_probe)
-from fqed.spectral import ResolventSolver, contour_sum, dense_spectrum
+from fqed.spectral import (ResolventSolver, contour_sum, dense_spectrum,
+                           ground_state)
 
 
 def make_box(alpha, p, n_scales=2, eps=0.25, n_max=2):
@@ -217,6 +218,20 @@ def test_pull_through_free_theory():
     agg, per_mode = pull_through_summary(FiberFamily(params, grid, basis, 1),
                                          psi=psi, energy=e)
     assert len(per_mode) == np.count_nonzero(grid.shell < 1)
+    assert agg == 0.0 and np.all(per_mode == 0.0)
+
+
+def test_pull_through_zero_coupling_reads_zero_for_a_lanczos_state():
+    # a Lanczos ground state of the free box carries photon components at
+    # rounding level against a right-hand side that is exactly 0
+    params, grid, basis = make_box(0.0, [0.1, 0.0, 0.0], n_scales=1)
+    family = FiberFamily(params, grid, basis, 1)
+    idx = basis.sector_indices(grid, 1)
+    rec = ground_state(family.h(params.p_total)[idx][:, idx], dense_cutoff=10)
+    assert rec.method == "lanczos"
+    psi = np.zeros(basis.size)
+    psi[idx] = rec.vector
+    agg, per_mode = pull_through_summary(family, psi=psi, energy=rec.energy)
     assert agg == 0.0 and np.all(per_mode == 0.0)
 
 

@@ -4,9 +4,9 @@ import scipy.sparse as sp
 
 from conftest import custom_grid
 from fqed.fock import enumerate_basis, number_diagonal
-from fqed.hamiltonian import ModelParams, assemble_h_fiber, \
+from fqed.hamiltonian import FiberFamily, ModelParams, assemble_h_fiber, \
     assemble_slice_interaction
-from fqed.modes import ParameterError
+from fqed.modes import ParameterError, build_grid
 from fqed.spectral import (Contour, ContourError, ResolventSolver,
                            SolverError, contour_project,
                            contour_project_checked, dense_spectrum,
@@ -55,6 +55,14 @@ def test_ground_state_identity_degenerate():
     assert rec.gap == pytest.approx(0.0, abs=1e-14)
 
 
+def test_ground_state_one_state_has_no_gap():
+    # a 1 x 1 operator has no second eigenvalue, so no gap to call
+    # degenerate
+    rec = ground_state(sp.identity(1, format="csr"))
+    assert rec.energy == 1.0 and rec.vector.tolist() == [1.0]
+    assert np.isnan(rec.gap) and not rec.degenerate
+
+
 def test_ground_state_free_theory(small_setup):
     params, grid, basis = small_setup
     free = ModelParams(alpha=0.0, epsilon=params.epsilon,
@@ -85,6 +93,21 @@ def test_ground_state_deterministic():
     r2 = ground_state(op, dense_cutoff=10)
     assert r1.energy == r2.energy
     assert r1.vector.tobytes() == r2.vector.tobytes()
+
+
+def test_lanczos_restarts_are_seeded():
+    # the scale-3 sector of the desk box at P = 0 (703 states, a Lanczos
+    # solve) meets a degenerate cluster, where ARPACK restarts from a
+    # random vector: the gap must come back bit-identical every time
+    params = ModelParams(alpha=1e-4, epsilon=0.3, mu=0.15, rho_minus=0.14,
+                         rho_plus=0.16, n_scales=3)
+    grid = build_grid(params.cutoffs, 1, "octahedral6")
+    basis = enumerate_basis(grid.n_modes, 2, 2)
+    h = FiberFamily(params, grid, basis, 3).h(params.p_total)
+    assert len(basis.sector_indices(grid, 3)) == basis.size == 703
+    recs = [ground_state(h) for _ in range(4)]
+    assert all(r.method == "lanczos" for r in recs)
+    assert len({r.gap for r in recs}) == 1
 
 
 def _arpack_stops_with(monkeypatch, vals, vecs):
@@ -226,6 +249,25 @@ def test_contour_project_checked_raises_on_enclosure_failure():
         contour_project_checked(ResolventSolver(op),
                                 Contour(0.5, 0.5 + 1e-12, 16), v,
                                 defect_tol=1e-10, max_nodes=32)
+
+
+def test_contour_project_checked_stops_on_a_nan_projection(monkeypatch):
+    # a NaN defect fails every comparison, so only an explicit finiteness
+    # check keeps the node doubling from running to max_nodes
+    import fqed.spectral as spectral
+
+    calls = []
+
+    def nan_projection(solver, contour, v):
+        calls.append(contour.nodes)
+        return np.full(len(v), np.nan)
+
+    monkeypatch.setattr(spectral, "contour_project", nan_projection)
+    op = sp.diags([0.0, 0.3, 5.0]).tocsr()
+    with pytest.raises(ContourError, match="not finite at 8 nodes"):
+        contour_project_checked(ResolventSolver(op), Contour(0.0, 0.25, 8),
+                                np.ones(3))
+    assert calls == [8, 8]
 
 
 def test_neumann_zero_perturbation(small_setup):
