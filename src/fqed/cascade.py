@@ -152,18 +152,23 @@ class CascadeState:
 
 
 def sector_ground(params: ModelParams, grid: ModeGrid, basis: FockBasis,
-                  j: int, p=None, h_op=None):
+                  j: int, p=None, h_op=None, pairs: int = 3,
+                  start: np.ndarray | None = None):
     """Ground pair of the scale-j Hamiltonian on its photon-content sector.
 
     The interaction at scale j leaves modes below the cutoff untouched, so
     the ground state has no photons on shells >= j; restricting to that
     sector makes the spectral gap the physical one and the solve cheaper.
-    Returns (energy, full-basis vector, sector gap).
+    ``pairs`` and the full-basis ``start``, restricted to the sector, go to
+    ``ground_state``; a start with no weight on the sector is no start.
+    Returns (energy, full-basis vector, sector gap); the gap is NaN for
+    ``pairs=1``.
     """
     h = h_op if h_op is not None else FiberFamily(params, grid, basis, j).h(
         params.p_total if p is None else p)
     idx = basis.sector_indices(grid, j)
-    rec = ground_state(h[idx][:, idx])
+    rec = ground_state(h[idx][:, idx], pairs=pairs,
+                       start=None if start is None else start[idx])
     vec = np.zeros(basis.size)
     vec[idx] = rec.vector
     return rec.energy, vec, rec.gap

@@ -29,7 +29,8 @@ from . import __version__
 from .cascade import (CONTOUR_NODES, CascadeError, convergence_report,
                       run_cascade, trace_csv, validate_params,
                       write_vector_file)
-from .fock import FockBasis, ResourceError, enumerate_basis
+from .fock import (FockBasis, ResourceError, check_basis_size,
+                   enumerate_basis)
 from .hamiltonian import FiberFamily, ModelParams
 from .modes import ANGULAR_SETS, ModeGrid, ParameterError, build_grid
 from .observables import (SCAN_COLUMNS, energy_lipschitz_probe, mass_scan,
@@ -254,11 +255,14 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     report = validate_params(cfg.params)
     print("parameter constraint report:")
     print(report.table())
-    if report.passed:
-        print("all constraints PASS")
-        return 0
-    print(f"FAILED: {report.first_failure().name}")
-    return 1
+    if not report.passed:
+        print(f"FAILED: {report.first_failure().name}")
+        return 1
+    # the basis size has a closed form: refuse what cascade would refuse
+    check_basis_size(cfg.build_grid().n_modes, cfg.n_max, cfg.c_max,
+                     cfg.basis_limit)
+    print("all constraints PASS")
+    return 0
 
 
 def cmd_grid_dump(cfg: RunConfig, args) -> int:
@@ -404,8 +408,13 @@ def _verify_lines(cfg: RunConfig, suite: str):
 
     if suite in ("calpha", "all"):
         c_emp, _ = energy_lipschitz_probe(family(last.j),
-                                          energy=last.energy)
-        yield (False, "energy-slope constant", 0.0 <= c_emp <= 0.45,
+                                          energy=last.energy, start=last.psi)
+        # the same supremum in the free theory, E(P) = |P|^2 / 2: negative
+        # at the dispersion minimum P = 0, where the window must admit it
+        c_free = float(np.max((grid.k @ params.p_total
+                               - 0.5 * grid.knorm ** 2) / grid.knorm))
+        yield (False, "energy-slope constant",
+               min(0.0, c_free) <= c_emp <= 0.45,
                f"C = {c_emp:.4f} (free-theory limit 1/3)")
 
     if suite in ("bounds", "all"):

@@ -43,6 +43,17 @@ def basis_size(n_modes: int, n_max: int, c_max: int) -> int:
     return int(sum(count))
 
 
+def check_basis_size(n_modes: int, n_max: int, c_max: int,
+                     size_limit: int = DEFAULT_SIZE_LIMIT) -> int:
+    """The basis size in closed form; raises ResourceError above
+    ``size_limit`` without enumerating anything."""
+    n_states = basis_size(n_modes, n_max, c_max)
+    if n_states > size_limit:
+        raise ResourceError(
+            f"basis would hold {n_states} states, above limit {size_limit}")
+    return n_states
+
+
 def _occupation_levels(n_modes: int, n_max: int, c_max: int):
     """Yield occupation tuples graded by total, reverse-lex within a level.
 
@@ -134,10 +145,7 @@ def enumerate_basis(n_modes: int, n_max: int, c_max: int,
         raise ParameterError("mode count and total cap must be nonnegative")
     if c_max < 1:
         raise ParameterError(f"per-mode cap must be >= 1, got {c_max}")
-    n_states = basis_size(n_modes, n_max, c_max)
-    if n_states > size_limit:
-        raise ResourceError(
-            f"basis would hold {n_states} states, above limit {size_limit}")
+    n_states = check_basis_size(n_modes, n_max, c_max, size_limit)
 
     occ = np.array(list(_occupation_levels(n_modes, n_max, c_max)),
                    dtype=np.int16).reshape(n_states, n_modes)

@@ -66,35 +66,41 @@ def momentum_axis(p: np.ndarray) -> int:
     return int(nz[0])
 
 
-def _ground_energy(family: FiberFamily, p) -> float:
-    """Sector ground energy of the family's H(p)."""
+def _ground_energy(family: FiberFamily, p, start) -> float:
+    """Sector ground energy of the family's H(p), from a one-pair solve
+    started from ``start`` (a full-basis vector, typically the cascade's
+    ground state at the family's P)."""
     e, _, _ = sector_ground(family.params, family.grid, family.basis,
-                            family.j, p=p, h_op=family.h(p))
+                            family.j, p=p, h_op=family.h(p), pairs=1,
+                            start=start)
     return e
 
 
-def energy_gradient_fd(family: FiberFamily,
-                       step: float = 1e-3) -> np.ndarray:
+def energy_gradient_fd(family: FiberFamily, step: float = 1e-3,
+                       start: np.ndarray | None = None) -> np.ndarray:
     """Central-difference gradient at the family's P; each energy is a
-    fresh sector solve.  ``FiberFamily.gradient`` is the expectation form
-    it checks."""
+    fresh one-pair sector solve started from ``start``.
+    ``FiberFamily.gradient`` is the expectation form it checks."""
     p = family.params.p_total
     out = np.zeros(3)
     for i in range(3):
         dp = np.zeros(3)
         dp[i] = step
-        out[i] = (_ground_energy(family, p + dp)
-                  - _ground_energy(family, p - dp)) / (2.0 * step)
+        out[i] = (_ground_energy(family, p + dp, start)
+                  - _ground_energy(family, p - dp, start)) / (2.0 * step)
     return out
 
 
 def dispersion_curvature_fd(family: FiberFamily, step: float = 5e-3,
-                            center: float | None = None) -> float:
+                            center: float | None = None,
+                            start: np.ndarray | None = None) -> float:
     """5-point second derivative of E along the momentum axis at the
     family's P.
 
     ``center``, when given, is the already known E(P) (the cascade's
-    energy), so only the four off-center points are solved.
+    energy), so only the four off-center points are solved; otherwise the
+    center is solved as the cascade solves it.  The off-center points are
+    one-pair solves started from ``start`` either way.
     """
     p = family.params.p_total
     axis = momentum_axis(p)
@@ -102,10 +108,11 @@ def dispersion_curvature_fd(family: FiberFamily, step: float = 5e-3,
     unit[axis] = 1.0
 
     def energy(t: float) -> float:
-        return _ground_energy(family, p + t * unit)
+        return _ground_energy(family, p + t * unit, start)
 
     if center is None:
-        center = energy(0.0)
+        center = sector_ground(family.params, family.grid, family.basis,
+                               family.j, p=p, h_op=family.h(p))[0]
     return (-energy(2 * step) + 16 * energy(step) - 30 * center
             + 16 * energy(-step) - energy(-2 * step)) / (12 * step ** 2)
 
@@ -172,17 +179,22 @@ class DisplacedFrame:
 
 
 def displaced_frame_ground(family: FiberFamily, grad_energy: np.ndarray,
-                           gamma_start: np.ndarray | None = None
+                           gamma_start: np.ndarray | None = None,
+                           phi_start: np.ndarray | None = None
                            ) -> DisplacedFrame:
     """Assemble the canonical frame of the family's scale and P, and polish
     the shift to self-consistency.
 
-    Starting from the closed-form chain value P - grad E - <W beta W*>_vac,
-    alternate (ground state of K(shift)) and (shift = expectation of the
-    displaced momentum observable) until the shift is stationary.  The
-    iteration contracts fast because the frame operator depends on the
-    shift only quadratically; each step is a linear update of K, and at
-    most five are taken.
+    Starting from ``gamma_start``, or else the closed-form chain value
+    P - grad E - <W beta W*>_vac, alternate (ground state of K(shift)) and
+    (shift = expectation of the displaced momentum observable) until the
+    shift is stationary.  The iteration contracts fast because the frame
+    operator depends on the shift only quadratically; each step is a
+    linear update of K, and at most five are taken.  Each polish step is a
+    one-pair solve started from the previous step's vector, the first from
+    ``phi_start`` (the cascade's running vector, when given); one two-pair
+    solve on the last K, started from the polished vector, then gives the
+    frame its energy, vector and the gap its route contour reads.
     """
     params, grid, basis, j = family.params, family.grid, family.basis, family.j
     g = np.asarray(grad_energy, dtype=float)
@@ -192,14 +204,18 @@ def displaced_frame_ground(family: FiberFamily, grad_energy: np.ndarray,
             params, grid, range(j), g)
     else:
         gamma = np.asarray(gamma_start, dtype=float).copy()
+    phi = phi_start
     for _ in range(5):
         k_op = frame_ops.k(gamma)
-        energy, phi, gap = sector_ground(params, grid, basis, j, h_op=k_op)
+        _, phi, _ = sector_ground(params, grid, basis, j, h_op=k_op,
+                                  pairs=1, start=phi)
         new = np.array([phi @ (frame_ops.pi[i] @ phi) for i in range(3)])
         move = float(np.max(np.abs(new - gamma)))
         gamma = new
         if move < 1e-13:
             break
+    energy, phi, gap = sector_ground(params, grid, basis, j, h_op=k_op,
+                                     pairs=2, start=phi)
     # centering on phi is exact up to rounding; k_op, whose ground state
     # phi is, was built at the shift before the last move, and K depends on
     # the shift through -shift . Pi, so k_op is K(shift) only to within
@@ -283,14 +299,17 @@ def scale_routes(family: FiberFamily, rec: ScaleRecord):
     Returns (FD curvature, direct route, double form, reduced form, cross
     term); the last three are the displaced route on the frame polished
     from the cascade's centering shift.  The FD stencil takes its center
-    from the cascade energy.
+    from the cascade energy, and its off-center solves and the frame
+    polish start from the cascade's vectors.
     """
     _check_scale(family, rec)
-    d2_fd = dispersion_curvature_fd(family, center=rec.energy)
+    d2_fd = dispersion_curvature_fd(family, center=rec.energy,
+                                    start=rec.psi)
     d2_direct = dispersion_curvature_direct(
         family, psi=rec.psi, energy=rec.energy, gap=rec.gap_sector)
     frame = displaced_frame_ground(family, rec.grad_energy,
-                                   gamma_start=rec.gamma_shift)
+                                   gamma_start=rec.gamma_shift,
+                                   phi_start=rec.phi)
     return (d2_fd, d2_direct, *dispersion_curvature_displaced(frame))
 
 
@@ -371,7 +390,7 @@ def mass_scan(params_template: ModelParams, grid: ModeGrid, basis: FockBasis,
                     family = FiberFamily(params, grid, basis, rec.j)
                     row.d2_fd, row.d2_direct, row.d2_displaced = \
                         scale_routes(family, rec)[:3]
-                    row.grad_fd = energy_gradient_fd(family)
+                    row.grad_fd = energy_gradient_fd(family, start=rec.psi)
                     row.m_r = 1.0 / row.d2_displaced
                     row.delta_hk = abs(row.d2_direct - row.d2_displaced)
                     row.delta_hf = abs(row.d2_direct - row.d2_fd)
@@ -506,22 +525,25 @@ def pull_through_summary(family: FiberFamily,
     return float(aggregate), per_mode
 
 
-def energy_lipschitz_probe(family: FiberFamily, energy: float | None = None):
+def energy_lipschitz_probe(family: FiberFamily, energy: float | None = None,
+                           start: np.ndarray | None = None):
     """Empirical slope constant sup_k (E(P) - E(P-k)) / |k| on the grid, at
     the family's scale and P.
 
-    Fresh ground solve per distinct grid momentum; the center E(P) is
-    ``energy`` when the caller holds it (the cascade's), else solved too.
+    Fresh one-pair ground solve per distinct grid momentum, started from
+    ``start``; the center E(P) is ``energy`` when the caller holds it (the
+    cascade's), else solved too.
     The bound's constant tends to the free-theory value (below 1/3 inside
     the momentum ball) as the coupling vanishes.  Returns (constant, table
     of (|k|, ratio)).
     """
     params, grid = family.params, family.grid
-    e0 = _ground_energy(family, params.p_total) if energy is None else energy
+    e0 = _ground_energy(family, params.p_total, start) if energy is None \
+        else energy
     table = []
     for group in _momentum_groups(grid, range(grid.n_modes)):
         m = group[0]
-        ek = _ground_energy(family, params.p_total - grid.k[m])
+        ek = _ground_energy(family, params.p_total - grid.k[m], start)
         table.append((float(grid.knorm[m]), float((e0 - ek)
                                                   / grid.knorm[m])))
     const = max(r for _, r in table)

@@ -143,39 +143,45 @@ def _deterministic_start(n: int) -> np.ndarray:
 
 
 def ground_state(op, tol: float = 1e-10,
-                 dense_cutoff: int = DENSE_EIG_CUTOFF) -> GroundStateRecord:
-    """Three lowest eigenpairs of a symmetric operator; returns the lowest.
+                 dense_cutoff: int = DENSE_EIG_CUTOFF, pairs: int = 3,
+                 start: np.ndarray | None = None) -> GroundStateRecord:
+    """Lowest eigenpair of a symmetric operator, from its ``pairs`` lowest.
 
     Problems up to ``dense_cutoff`` use the dense oracle directly (the
-    cutoff is its only size limit); larger ones use the implicitly
-    restarted Lanczos solver with a deterministic start vector and a
-    seeded generator for its restarts, so repeated runs are bit-identical.
-    The gap is NaN when no second eigenvalue is known: a 1 x 1 operator,
-    or a partial Lanczos result with one pair.
+    cutoff is its only size limit): the full spectrum, or with
+    ``pairs=1`` the lowest pair alone (LAPACK ``dsyevr`` on index range
+    [0, 0]).  Larger ones use the implicitly restarted Lanczos solver for
+    ``pairs`` pairs, started from ``start`` (a deterministic vector when it
+    is None or zero) with a seeded generator for its restarts, so repeated
+    runs are bit-identical.  Only the dense branch ignores ``start``.  The
+    gap is NaN when no second eigenvalue is known: ``pairs=1``, a 1 x 1
+    operator, or a partial Lanczos result with one pair.
     """
     n = op.shape[0]
     if n <= max(dense_cutoff, 5):
-        vals, vecs = dense_spectrum(op, dense_limit=n)
-        energy = float(vals[0])
-        vec = _fix_sign(np.ascontiguousarray(vecs[:, 0]))
-        gap = float(vals[1] - vals[0]) if n > 1 else np.nan
+        if pairs == 1:
+            vals, vecs = sla.eigh(_dense(op, n), subset_by_index=[0, 0])
+        else:
+            vals, vecs = dense_spectrum(op, dense_limit=n)
         method = "dense"
     else:
+        if start is None or not np.any(start):
+            start = _deterministic_start(n)
         opc = op.tocsr() if sp.issparse(op) else sp.csr_matrix(op)
         try:
             vals, vecs = spla.eigsh(
-                opc, k=3, which="SA", v0=_deterministic_start(n),
-                tol=0, ncv=min(n - 1, 60), rng=np.random.default_rng(0))
+                opc, k=pairs, which="SA", v0=start, tol=0,
+                ncv=min(n - 1, 60), rng=np.random.default_rng(0))
         except spla.ArpackNoConvergence as exc:
             if len(exc.eigenvalues) == 0:
                 raise SolverError("Lanczos did not converge") from exc
             vals, vecs = exc.eigenvalues, exc.eigenvectors
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-        energy = float(vals[0])
-        vec = _fix_sign(np.ascontiguousarray(vecs[:, 0]))
-        gap = float(vals[1] - vals[0]) if len(vals) > 1 else np.nan
         method = "lanczos"
+    energy = float(vals[0])
+    vec = _fix_sign(np.ascontiguousarray(vecs[:, 0]))
+    gap = float(vals[1] - vals[0]) if len(vals) > 1 else np.nan
     residual = float(np.linalg.norm(op @ vec - energy * vec))
     if residual > max(tol, 1e-13 * max(1.0, abs(energy))) * 100:
         raise SolverError(

@@ -164,6 +164,38 @@ def test_shipped_configs_parse(path):
     assert cfg.contour_nodes == 64 and not cfg.allow_invalid
 
 
+def desk_variant(tmp_path, **keys):
+    """demos/desk.cfg with the given keys' values replaced."""
+    text = (ROOT / "demos" / "desk.cfg").read_text()
+    for key, value in keys.items():
+        text, n = re.subn(rf"^{key}\s*=[^#\n]*", f"{key} = {value} ", text,
+                          flags=re.M)
+        assert n == 1
+    return write_config(tmp_path, text)
+
+
+def test_validate_refuses_a_basis_above_the_limit(tmp_path, capsys):
+    # the closed-form size is known before any enumeration, so validate
+    # exits as cascade would, without a traceback
+    path = desk_variant(tmp_path, n_max=40)
+    assert main(["validate", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: basis would hold")
+    assert "above limit 2000000" in captured.err
+    assert "all constraints PASS" not in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_verify_energy_slope_window_admits_the_dispersion_minimum(
+        tmp_path, capsys):
+    # at P = 0 the slope supremum is negative (free value -min|k|/2), and a
+    # correct run must pass the soft check
+    path = desk_variant(tmp_path, P="0 0 0", alpha="1e-4")
+    assert main(["verify", "--config", path, "--suite", "calpha"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] (soft) energy-slope constant: C = -0.0292" in out
+
+
 def test_grid_dump(tmp_path, capsys):
     path = write_config(tmp_path, GOOD_CONFIG)
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -363,6 +364,31 @@ def test_cross_term_probe_reads_an_off_eigenvector_phi(tiny_setup):
     off = cross_term_probe(moved)
     assert exact <= 1e-8
     assert off >= 1e-6
+
+
+@pytest.mark.parametrize("cutoff", [600, 10], ids=["dense", "lanczos"])
+def test_warm_polished_frame_keeps_its_gap_and_centering(small_setup,
+                                                         monkeypatch,
+                                                         cutoff):
+    # the polish runs one-pair solves started from the cascade's vector;
+    # one two-pair solve on the last K, started from the polished vector,
+    # gives the gap the route contour reads: the dense sector gap of K
+    import fqed.cascade as cascade
+
+    monkeypatch.setattr(cascade, "ground_state",
+                        functools.partial(ground_state, dense_cutoff=cutoff))
+    params, grid, basis = small_setup
+    rec = run_cascade(params, grid, basis).records[-1]
+    family = FiberFamily(params, grid, basis, rec.j)
+    frame = displaced_frame_ground(family, rec.grad_energy,
+                                   gamma_start=rec.gamma_shift,
+                                   phi_start=rec.phi)
+    idx = basis.sector_indices(grid, rec.j)
+    vals, _ = dense_spectrum(frame.k_op[idx][:, idx])
+    assert np.isfinite(frame.gap)
+    assert abs(frame.gap - (vals[1] - vals[0])) <= 1e-10
+    assert abs(frame.energy - vals[0]) <= 1e-12
+    assert float(np.max(np.abs(frame.orth))) <= 1e-10
 
 
 def test_fd_curvature_takes_its_center_from_the_cascade(small_setup,

@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import custom_grid
+from fqed.cascade import sector_ground
 from fqed.fock import enumerate_basis, number_diagonal
 from fqed.hamiltonian import FiberFamily, ModelParams, assemble_h_fiber, \
     assemble_slice_interaction
@@ -108,6 +111,88 @@ def test_lanczos_restarts_are_seeded():
     recs = [ground_state(h) for _ in range(4)]
     assert all(r.method == "lanczos" for r in recs)
     assert len({r.gap for r in recs}) == 1
+
+
+def _shifted_sector(small_setup, dp: float):
+    """Scale-2 sector of H(P + dp x) on the small box, dim 325."""
+    params, grid, basis = small_setup
+    idx = basis.sector_indices(grid, 2)
+    h = FiberFamily(params, grid, basis, 2).h(
+        params.p_total + np.array([dp, 0.0, 0.0]))
+    return h[idx][:, idx]
+
+
+@pytest.mark.parametrize("cutoff", [600, 10], ids=["dense", "lanczos"])
+def test_one_pair_solve_matches_the_three_pair_energy(small_setup, cutoff):
+    # an energy-only solve asks for the lowest pair alone, started from the
+    # ground state at a nearby momentum, as the FD stencil does
+    start = ground_state(_shifted_sector(small_setup, 0.0)).vector
+    op = _shifted_sector(small_setup, 5e-3)
+    full = ground_state(op, dense_cutoff=cutoff)
+    one = ground_state(op, dense_cutoff=cutoff, pairs=1, start=start)
+    assert one.method == full.method
+    assert abs(one.energy - full.energy) \
+        <= 1e-14 * max(1.0, abs(full.energy))
+    assert abs(abs(one.vector @ full.vector) - 1.0) < 1e-12
+    assert np.isnan(one.gap) and not one.degenerate
+
+
+def test_started_solves_are_deterministic(small_setup):
+    start = ground_state(_shifted_sector(small_setup, 0.0)).vector
+    op = _shifted_sector(small_setup, 5e-3)
+    r1, r2 = (ground_state(op, dense_cutoff=10, pairs=1, start=start)
+              for _ in range(2))
+    assert r1.method == "lanczos"
+    assert r1.energy == r2.energy
+    assert r1.vector.tobytes() == r2.vector.tobytes()
+    # a two-pair solve started from its own ground vector, as the frame
+    # polish ends, still finds the second pair: the gap is the dense one
+    vals, _ = dense_spectrum(op)
+    g1, g2 = (ground_state(op, dense_cutoff=10, pairs=2,
+                           start=r1.vector).gap for _ in range(2))
+    assert g1 == g2
+    assert abs(g1 - (vals[1] - vals[0])) <= 1e-10
+
+
+def test_started_lanczos_solve_keeps_the_seeded_generator(small_setup,
+                                                          monkeypatch):
+    # ARPACK draws restart vectors from the generator it is given; a start
+    # vector replaces only the first Lanczos vector, not that seed
+    import fqed.spectral as spectral
+
+    states = []
+    eigsh = spectral.spla.eigsh
+
+    def spy(*args, **kwargs):
+        states.append(kwargs["rng"].bit_generator.state)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "eigsh", spy)
+    op = _shifted_sector(small_setup, 5e-3)
+    start = np.ones(op.shape[0])
+    ground_state(op, dense_cutoff=10, pairs=1, start=start)
+    assert states == [np.random.default_rng(0).bit_generator.state]
+
+
+def test_sector_start_without_sector_weight_is_no_start(small_setup,
+                                                        monkeypatch):
+    # a start that vanishes on the sector falls back to the deterministic
+    # start, bit for bit; the Lanczos branch is the one that reads it
+    import fqed.cascade as cascade
+
+    monkeypatch.setattr(cascade, "ground_state",
+                        functools.partial(ground_state, dense_cutoff=10))
+    params, grid, basis = small_setup
+    idx = basis.sector_indices(grid, 1)
+    outside = np.ones(basis.size)
+    outside[idx] = 0.0
+    h = FiberFamily(params, grid, basis, 1).h(params.p_total)
+    plain = sector_ground(params, grid, basis, 1, h_op=h, pairs=1)
+    started = sector_ground(params, grid, basis, 1, h_op=h, pairs=1,
+                            start=outside)
+    assert started[0] == plain[0]
+    assert started[1].tobytes() == plain[1].tobytes()
+    assert np.isnan(started[2])
 
 
 def _arpack_stops_with(monkeypatch, vals, vecs):
