@@ -121,6 +121,7 @@ class FiberFamily:
                      for i in range(3)]
         self.eye = sp.identity(basis.size, format="csr")
         self.hf = sp.diags(number_diagonal(basis, grid.knorm))
+        self._frames: dict[bytes, FrameFamily] = {}
 
     @cached_property
     def h0(self) -> sp.csr_matrix:
@@ -147,9 +148,14 @@ class FiberFamily:
 
     def frame(self, grad_energy: np.ndarray) -> "FrameFamily":
         """Displaced-frame Hamiltonians for the gradient g at the family's
-        momentum P."""
-        k0, offset, pi = _frame_product_form(self, grad_energy, np.zeros(3))
-        return FrameFamily(pi, k0, offset, self.eye)
+        momentum P, built once per gradient: the frame polish and the
+        resolvent-bound probe of a cascade record share them."""
+        g = np.asarray(grad_energy, dtype=float)
+        key = g.tobytes()
+        if key not in self._frames:
+            k0, offset, pi = _frame_product_form(self, g, np.zeros(3))
+            self._frames[key] = FrameFamily(pi, k0, offset, self.eye)
+        return self._frames[key]
 
 
 @dataclass(frozen=True)

@@ -391,6 +391,9 @@ def mass_scan(params_template: ModelParams, grid: ModeGrid, basis: FockBasis,
                     row.d2_fd, row.d2_direct, row.d2_displaced = \
                         scale_routes(family, rec)[:3]
                     row.grad_fd = energy_gradient_fd(family, start=rec.psi)
+                    # the family, and the frame it keeps, go before the next
+                    # record builds its own
+                    del family
                     row.m_r = 1.0 / row.d2_displaced
                     row.delta_hk = abs(row.d2_direct - row.d2_displaced)
                     row.delta_hf = abs(row.d2_direct - row.d2_fd)

@@ -60,6 +60,17 @@ DENSE_LIMIT = 4000
 #: Below this dimension ground states are taken from the dense oracle.
 DENSE_EIG_CUTOFF = 600
 
+#: Residual, relative to the operator's row-sum norm (at least 1), at which
+#: a Davidson pair counts as converged; rounding leaves a residual of a few
+#: ulps of that norm.
+DAVIDSON_TOL = 1e-13
+
+#: Davidson search-space size that triggers a thick restart.
+DAVIDSON_MAX_DIM = 60
+
+#: Davidson iterations before a started solve gives up.
+DAVIDSON_MAX_ITER = 200
+
 #: Relative residual of a Krylov shifted solve.
 KRYLOV_TOL = 1e-10
 
@@ -142,35 +153,113 @@ def _deterministic_start(n: int) -> np.ndarray:
     return v0 / np.linalg.norm(v0)
 
 
+def _davidson(op, pairs: int, start: np.ndarray):
+    """The ``pairs`` lowest eigenpairs of a symmetric sparse operator by
+    block Davidson with the diagonal preconditioner, from ``start``.
+
+    The search space starts as ``start`` and the ``pairs + 2`` unit vectors
+    of the lowest diagonal entries (a stable sort), which give it weight on
+    levels that a start sharing the operator's symmetries cannot reach.
+    Each step takes the Rayleigh-Ritz pairs of the space and adds one
+    correction (diag - theta_i)^{-1} r_i per wanted pair whose residual is
+    above ``DAVIDSON_TOL`` times the operator's largest absolute row sum,
+    orthonormalized by two Gram-Schmidt passes; past ``DAVIDSON_MAX_DIM``
+    vectors the space restarts from its ``pairs + 2`` lowest Ritz vectors.
+    Nothing is random, so a solve is bit-identical on every run.  Returns
+    (values, vectors) ascending.
+    """
+    n = op.shape[0]
+    diag = op.diagonal()
+    tol = DAVIDSON_TOL * max(1.0, float(abs(op).sum(axis=1).max()))
+    cap = DAVIDSON_MAX_DIM
+    # one row per vector: rows past the space's size are never touched
+    basis = np.zeros((cap + pairs, n))
+    image = np.zeros((cap + pairs, n))
+    size = 0
+
+    def extend(vectors):
+        nonlocal size
+        first = size
+        for t in vectors:
+            scale = np.linalg.norm(t)
+            for _ in range(2):
+                t = t - basis[:size].T @ (basis[:size] @ t)
+            norm = np.linalg.norm(t)
+            if norm > 1e-10 * scale:
+                basis[size] = t / norm
+                size += 1
+        image[first:size] = (op @ basis[first:size].T).T
+        return size - first
+
+    lowest = np.argsort(diag, kind="stable")[:pairs + 2]
+    units = np.zeros((len(lowest), n))
+    units[np.arange(len(lowest)), lowest] = 1.0
+    extend([np.asarray(start, dtype=float), *units])
+    res = np.full(pairs, np.inf)
+    for step in range(1, DAVIDSON_MAX_ITER + 1):
+        ritz = basis[:size] @ image[:size].T
+        theta, coef = sla.eigh(0.5 * (ritz + ritz.T))
+        vecs = basis[:size].T @ coef[:, :pairs]
+        resid = image[:size].T @ coef[:, :pairs] - vecs * theta[:pairs]
+        res = np.linalg.norm(resid, axis=0)
+        open_ = np.flatnonzero(res > tol)
+        if len(open_) == 0:
+            return theta[:pairs], vecs
+        if size + len(open_) > cap:
+            keep = pairs + 2
+            basis[:keep] = coef[:, :keep].T @ basis[:size]
+            image[:keep] = coef[:, :keep].T @ image[:size]
+            size = keep
+        corrections = []
+        for i in open_:
+            denom = diag - theta[i]
+            # a diagonal entry at the Ritz value must not blow the
+            # correction up
+            denom[np.abs(denom) < 1e-12] = 1e-12
+            corrections.append(resid[:, i] / denom)
+        if extend(corrections) == 0:
+            break
+    raise SolverError(
+        f"Davidson stopped at residual {float(np.max(res)):.3e} (tolerance "
+        f"{tol:.1e}) after {step} iterations",
+        best_residual=float(np.max(res)))
+
+
 def ground_state(op, tol: float = 1e-10,
                  dense_cutoff: int = DENSE_EIG_CUTOFF, pairs: int = 3,
                  start: np.ndarray | None = None) -> GroundStateRecord:
     """Lowest eigenpair of a symmetric operator, from its ``pairs`` lowest.
 
-    Problems up to ``dense_cutoff`` use the dense oracle directly (the
-    cutoff is its only size limit): the full spectrum, or with
-    ``pairs=1`` the lowest pair alone (LAPACK ``dsyevr`` on index range
-    [0, 0]).  Larger ones use the implicitly restarted Lanczos solver for
-    ``pairs`` pairs, started from ``start`` (a deterministic vector when it
-    is None or zero) with a seeded generator for its restarts, so repeated
-    runs are bit-identical.  Only the dense branch ignores ``start``.  The
-    gap is NaN when no second eigenvalue is known: ``pairs=1``, a 1 x 1
-    operator, or a partial Lanczos result with one pair.
+    A solve given a nonzero ``start`` refines it by block Davidson with the
+    diagonal preconditioner (method ``"davidson"``, at any size above 5),
+    which raises ``SolverError`` at its iteration cap.  Cold solves (no
+    start, or a zero one) up to ``dense_cutoff`` use the dense oracle
+    directly (the cutoff is its only size limit): the full spectrum, or
+    with ``pairs=1`` the lowest pair alone (LAPACK ``dsyevr`` on index
+    range [0, 0]).  Larger cold ones use the implicitly restarted Lanczos
+    solver for ``pairs`` pairs from a fixed vector, with a seeded generator
+    for its restarts.  Every path is deterministic, so repeated runs are
+    bit-identical.  The gap is NaN when no second eigenvalue is known:
+    ``pairs=1``, a 1 x 1 operator, or a partial Lanczos result with one
+    pair.
     """
     n = op.shape[0]
-    if n <= max(dense_cutoff, 5):
+    started = n > 5 and start is not None and bool(np.any(start))
+    if not started and n <= max(dense_cutoff, 5):
         if pairs == 1:
             vals, vecs = sla.eigh(_dense(op, n), subset_by_index=[0, 0])
         else:
             vals, vecs = dense_spectrum(op, dense_limit=n)
         method = "dense"
+    elif started:
+        opc = op.tocsr() if sp.issparse(op) else sp.csr_matrix(op)
+        vals, vecs = _davidson(opc, pairs, start)
+        method = "davidson"
     else:
-        if start is None or not np.any(start):
-            start = _deterministic_start(n)
         opc = op.tocsr() if sp.issparse(op) else sp.csr_matrix(op)
         try:
             vals, vecs = spla.eigsh(
-                opc, k=pairs, which="SA", v0=start, tol=0,
+                opc, k=pairs, which="SA", v0=_deterministic_start(n), tol=0,
                 ncv=min(n - 1, 60), rng=np.random.default_rng(0))
         except spla.ArpackNoConvergence as exc:
             if len(exc.eigenvalues) == 0:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fqed.cli import ConfigError, main, parse_config
+from fqed.fock import ENTRY_LIMIT
 
 GOOD_CONFIG = """\
 # desk-scale sample
@@ -186,6 +187,21 @@ def test_validate_refuses_a_basis_above_the_limit(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_validate_refuses_an_enumeration_too_large_to_hold(tmp_path,
+                                                          capsys):
+    # J = 100 gives 721,801 states, inside basis_limit, but over 1200 modes:
+    # the occupation entries alone would need gigabytes to enumerate
+    path = desk_variant(tmp_path, J=100)
+    assert main(["validate", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "error: basis would hold 721801 states x 1200 modes = 866161200 "
+        "occupation entries")
+    assert f"above limit {ENTRY_LIMIT}" in captured.err
+    assert "all constraints PASS" not in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_verify_energy_slope_window_admits_the_dispersion_minimum(
         tmp_path, capsys):
     # at P = 0 the slope supremum is negative (free value -min|k|/2), and a
@@ -279,6 +295,28 @@ def test_krylov_residual_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_davidson_iteration_cap_exits_3_or_writes_error_rows(
+        tmp_path, capsys, monkeypatch):
+    # started ground-state solves that run out of Davidson iterations stop
+    # verify as a numerical failure and leave mass-scan with error rows;
+    # scale 0's one-state sector is solved densely and keeps its row
+    import fqed.spectral as spectral
+
+    monkeypatch.setattr(spectral, "DAVIDSON_MAX_ITER", 1)
+    path = write_config(tmp_path, GOOD_CONFIG)
+    assert main(["verify", "--config", path, "--suite", "identities"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: Davidson stopped at residual")
+    assert "Traceback" not in err
+    out = tmp_path / "out"
+    assert main(["mass-scan", "--config", path, "--out", str(out)]) == 3
+    rows = (out / "scan.csv").read_text().splitlines()[1:]
+    rows = [r.split(",") for r in rows if not r.startswith("#")]
+    assert [r[1] for r in rows] == ["0", "1", "2"] * 2
+    assert all(("Davidson stopped at residual" in r[-1]) == (r[1] != "0")
+               for r in rows)
+
+
 def test_mass_scan_empty_momentum_list_is_usage_error(tmp_path, capsys):
     text = GOOD_CONFIG.replace("P_list = 0.1 0 0", "P_list =")
     path = write_config(tmp_path, text)
@@ -324,6 +362,25 @@ def test_verify_builds_each_frame_solver_once(tmp_path, monkeypatch):
     path = write_config(tmp_path, GOOD_CONFIG)
     assert main(["verify", "--config", path, "--suite", "identities"]) == 0
     assert len(inits) == 2 + 2 * 3
+
+
+def test_verify_builds_each_frame_once_per_family_and_gradient(tmp_path,
+                                                              monkeypatch):
+    # the frame polish and the bounds probe of a record share one frame:
+    # the cascade's two bridge frames and one per record, no repeats
+    import fqed.hamiltonian as hamiltonian
+
+    builds = []
+    product_form = hamiltonian._frame_product_form
+
+    def counted(family, grad_energy, gamma_shift):
+        builds.append((id(family), np.asarray(grad_energy).tobytes()))
+        return product_form(family, grad_energy, gamma_shift)
+
+    monkeypatch.setattr(hamiltonian, "_frame_product_form", counted)
+    path = write_config(tmp_path, GOOD_CONFIG)
+    assert main(["verify", "--config", path, "--suite", "all"]) == 0
+    assert len(builds) == len(set(builds)) == 2 + 3
 
 
 def test_verify_identities_builds_two_families_per_record(tmp_path,

@@ -130,7 +130,7 @@ def test_one_pair_solve_matches_the_three_pair_energy(small_setup, cutoff):
     op = _shifted_sector(small_setup, 5e-3)
     full = ground_state(op, dense_cutoff=cutoff)
     one = ground_state(op, dense_cutoff=cutoff, pairs=1, start=start)
-    assert one.method == full.method
+    assert one.method == "davidson"
     assert abs(one.energy - full.energy) \
         <= 1e-14 * max(1.0, abs(full.energy))
     assert abs(abs(one.vector @ full.vector) - 1.0) < 1e-12
@@ -142,7 +142,7 @@ def test_started_solves_are_deterministic(small_setup):
     op = _shifted_sector(small_setup, 5e-3)
     r1, r2 = (ground_state(op, dense_cutoff=10, pairs=1, start=start)
               for _ in range(2))
-    assert r1.method == "lanczos"
+    assert r1.method == "davidson"
     assert r1.energy == r2.energy
     assert r1.vector.tobytes() == r2.vector.tobytes()
     # a two-pair solve started from its own ground vector, as the frame
@@ -154,10 +154,10 @@ def test_started_solves_are_deterministic(small_setup):
     assert abs(g1 - (vals[1] - vals[0])) <= 1e-10
 
 
-def test_started_lanczos_solve_keeps_the_seeded_generator(small_setup,
-                                                          monkeypatch):
-    # ARPACK draws restart vectors from the generator it is given; a start
-    # vector replaces only the first Lanczos vector, not that seed
+def test_started_solve_skips_arpack_and_a_cold_one_keeps_its_seed(
+        small_setup, monkeypatch):
+    # a started solve refines its start by Davidson, which draws no random
+    # numbers; a cold Lanczos solve still hands ARPACK the seeded generator
     import fqed.spectral as spectral
 
     states = []
@@ -170,8 +170,69 @@ def test_started_lanczos_solve_keeps_the_seeded_generator(small_setup,
     monkeypatch.setattr(spectral.spla, "eigsh", spy)
     op = _shifted_sector(small_setup, 5e-3)
     start = np.ones(op.shape[0])
-    ground_state(op, dense_cutoff=10, pairs=1, start=start)
+    assert ground_state(op, dense_cutoff=10, pairs=1,
+                        start=start).method == "davidson"
+    assert states == []
+    assert ground_state(op, dense_cutoff=10, pairs=1).method == "lanczos"
     assert states == [np.random.default_rng(0).bit_generator.state]
+
+
+@pytest.mark.parametrize("pairs", [1, 2])
+def test_started_solve_recovers_from_a_start_orthogonal_to_the_ground(
+        small_setup, pairs):
+    # the dense second eigenvector is an exact eigenvector with no weight on
+    # the ground state; the search space must still find the lowest pair
+    op = _shifted_sector(small_setup, 5e-3)
+    vals, vecs = dense_spectrum(op)
+    rec = ground_state(op, pairs=pairs, start=vecs[:, 1])
+    assert rec.method == "davidson"
+    assert abs(rec.energy - vals[0]) <= 1e-14 * max(1.0, abs(vals[0]))
+    assert abs(abs(rec.vector @ vecs[:, 0]) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_started_two_pair_solve_finds_a_degenerate_second_level(small_setup,
+                                                                 j):
+    # with P along x the +-y and +-z soft-photon states are degenerate, and
+    # a start with the ground state's symmetry has no weight on half of
+    # them: the gap must still be the dense one
+    params, grid, basis = small_setup
+    idx = basis.sector_indices(grid, j)
+    op = FiberFamily(params, grid, basis, j).h(params.p_total)[idx][:, idx]
+    vals, _ = dense_spectrum(op)
+    assert vals[2] - vals[1] < 1e-12 < vals[1] - vals[0]
+    start = ground_state(op).vector
+    rec = ground_state(op, pairs=2, start=start)
+    assert rec.method == "davidson"
+    assert abs(rec.gap - (vals[1] - vals[0])) <= 1e-10
+
+
+def test_davidson_thick_restart_keeps_the_lowest_pairs(small_setup,
+                                                      monkeypatch):
+    # a search space capped at 8 columns restarts every few steps from its
+    # lowest Ritz vectors and still converges to the dense pairs
+    import fqed.spectral as spectral
+
+    op = _shifted_sector(small_setup, 5e-3)
+    vals, vecs = dense_spectrum(op)
+    monkeypatch.setattr(spectral, "DAVIDSON_MAX_DIM", 8)
+    rec = ground_state(op, pairs=2, start=np.ones(op.shape[0]))
+    assert abs(rec.energy - vals[0]) <= 1e-14 * max(1.0, abs(vals[0]))
+    assert abs(rec.gap - (vals[1] - vals[0])) <= 1e-10
+    assert abs(abs(rec.vector @ vecs[:, 0]) - 1.0) <= 1e-12
+
+
+def test_davidson_iteration_cap_raises_with_the_residual(small_setup,
+                                                         monkeypatch):
+    import fqed.spectral as spectral
+
+    monkeypatch.setattr(spectral, "DAVIDSON_MAX_ITER", 1)
+    op = _shifted_sector(small_setup, 5e-3)
+    with pytest.raises(SolverError, match=r"Davidson stopped at residual "
+                                          r"\d\.\d{3}e-\d+") as exc:
+        ground_state(op, pairs=1, start=np.ones(op.shape[0]))
+    assert exc.value.best_residual > 1e-13
+    assert str(exc.value).endswith("after 1 iterations")
 
 
 def test_sector_start_without_sector_weight_is_no_start(small_setup,
