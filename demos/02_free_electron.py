@@ -12,9 +12,7 @@ from fqed.cascade import run_cascade
 from fqed.fock import enumerate_basis
 from fqed.hamiltonian import FiberFamily, ModelParams
 from fqed.modes import build_grid
-from fqed.observables import (dispersion_curvature_direct,
-                              dispersion_curvature_displaced,
-                              dispersion_curvature_fd, displaced_frame_ground)
+from fqed.observables import scale_routes
 
 params = ModelParams(alpha=0.0, epsilon=0.3, mu=0.15, rho_minus=0.14,
                      rho_plus=0.16, p_total=[0.2, 0.0, 0.0], n_scales=3)
@@ -30,11 +28,9 @@ for rec in state.records:
           f"{np.linalg.norm(rec.grad_energy - params.p_total):.3e}  "
           f"{step:.3e}")
 
-family = FiberFamily(params, grid, basis, 3)
-d2_fd = dispersion_curvature_fd(family)
-d2_h = dispersion_curvature_direct(family)
-frame = displaced_frame_ground(family, params.p_total)
-d2_k, d2_kr, _ = dispersion_curvature_displaced(frame)
+rec = state.records[-1]
+d2_fd, d2_h, d2_k, d2_kr, _ = scale_routes(
+    FiberFamily(params, grid, basis, rec.j), rec)
 print("\ncurvature routes at the final scale:")
 print(f"  finite differences : {d2_fd:.14f}")
 print(f"  direct resolvent   : {d2_h:.14f}")

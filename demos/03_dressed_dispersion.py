@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from fqed.cascade import sector_ground
+from fqed.cascade import run_cascade, sector_ground
 from fqed.fock import enumerate_basis
 from fqed.hamiltonian import FiberFamily, ModelParams
 from fqed.modes import build_grid
@@ -33,14 +33,18 @@ for pmag in np.linspace(0.0, 0.3, 7):
     print(f"  {pmag:.2f}   {e - e_origin:+.8f}    {grad[0]:+.6f}")
 
 print("\neffective mass vs coupling at P = 0.1 (curvature inverse):")
+# the cascade's first contour must enclose an energy shift of order
+# 6 * alpha, so the sweep runs on a wide-contour corner of the admissible
+# parameter region
+wide = dataclasses.replace(base, epsilon=0.32, mu=0.6, rho_minus=0.59,
+                           rho_plus=0.62)
+wide_grid = build_grid(wide.cutoffs, 1, "octahedral6")
+wide_basis = enumerate_basis(wide_grid.n_modes, 2, 2)
 for alpha in (1e-4, 1e-3, 5e-3, 1e-2):
-    params = ModelParams(alpha=alpha, epsilon=base.epsilon, mu=base.mu,
-                         rho_minus=base.rho_minus, rho_plus=base.rho_plus,
-                         p_total=[0.1, 0.0, 0.0], n_scales=base.n_scales)
-    e, psi, _ = sector_ground(params, grid, basis, j)
-    family = FiberFamily(params, grid, basis, j)
-    grad = family.gradient(psi, params.p_total)
-    frame = displaced_frame_ground(family, grad)
+    params = dataclasses.replace(wide, alpha=alpha)
+    rec = run_cascade(params, wide_grid, wide_basis).records[-1]
+    frame = displaced_frame_ground(
+        FiberFamily(params, wide_grid, wide_basis, rec.j), rec)
     d2, _, _ = dispersion_curvature_displaced(frame)
     m_r = 1.0 / d2
     print(f"  alpha = {alpha:7.0e}:  d2E = {d2:.8f}   m_r = {m_r:.8f}   "

@@ -25,7 +25,7 @@ state = run_cascade(params, grid, basis)
 
 print("soft-photon constants (max over modes of scaled ||b_m psi||):")
 for rec in state.records[1:]:
-    rep = soft_photon_probe(rec.psi, params, grid, basis, rec.j)
+    rep = soft_photon_probe(FiberFamily(params, grid, basis, rec.j), rec)
     print(f"  scale {rec.j}: C = {rep.empirical_c:.4f} over "
           f"{len(rep.mode_index)} active modes")
 
@@ -35,7 +35,8 @@ for n_max in (2, 3):
                         rho_plus=0.16, p_total=[0.1, 0.0, 0.0], n_scales=1)
     g1 = build_grid(small.cutoffs, 1, "octahedral6")
     b1 = enumerate_basis(g1.n_modes, n_max, n_max)
-    agg, per_mode = pull_through_summary(FiberFamily(small, g1, b1, 1))
+    rec = run_cascade(small, g1, b1).records[-1]
+    agg, per_mode = pull_through_summary(FiberFamily(small, g1, b1, 1), rec)
     print(f"  occupation cap {n_max}: residual = {agg:.4f} "
           f"(per-mode max {per_mode.max():.4f})")
 print("  the residual falls as the cap rises: it is pure truncation")
@@ -44,6 +45,8 @@ print("\nenergy-slope constant near the momentum-ball boundary:")
 for alpha in (0.0, 1e-4, 1e-3):
     probe = ModelParams(alpha=alpha, epsilon=0.3, mu=0.15, rho_minus=0.14,
                         rho_plus=0.16, p_total=[0.33, 0.0, 0.0], n_scales=3)
-    c_emp, table = energy_lipschitz_probe(FiberFamily(probe, grid, basis, 3))
+    rec = run_cascade(probe, grid, basis).records[-1]
+    c_emp, table = energy_lipschitz_probe(FiberFamily(probe, grid, basis, 3),
+                                          rec)
     print(f"  alpha = {alpha:7.0e}: C = {c_emp:.5f} "
           f"(over {len(table)} momentum transfers; free limit <= 1/3)")

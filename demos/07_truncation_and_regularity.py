@@ -7,13 +7,15 @@ the difference quotients of the curvature across a momentum grid, the raw
 material behind any regularity statement for the limiting dispersion.
 """
 
+import dataclasses
+
 import numpy as np
 
-from fqed.cascade import sector_ground
+from fqed.cascade import run_cascade, sector_ground
 from fqed.fock import enumerate_basis
-from fqed.hamiltonian import ModelParams
+from fqed.hamiltonian import FiberFamily, ModelParams
 from fqed.modes import build_grid
-from fqed.observables import curvature_momentum_quotients
+from fqed.observables import dispersion_curvature_direct
 
 params = ModelParams(alpha=5e-3, epsilon=0.3, mu=0.15, rho_minus=0.14,
                      rho_plus=0.16, p_total=[0.2, 0.0, 0.0], n_scales=1)
@@ -39,8 +41,14 @@ params2 = ModelParams(alpha=1e-3, epsilon=0.3, mu=0.15, rho_minus=0.14,
                       rho_plus=0.16, p_total=[0.1, 0.0, 0.0], n_scales=2)
 grid2 = build_grid(params2.cutoffs, 1, "octahedral6")
 basis2 = enumerate_basis(grid2.n_modes, 2, 2)
-ps, curvs, quotients = curvature_momentum_quotients(
-    params2, grid2, basis2, 2, np.linspace(0.02, 0.3, 8))
+ps = np.linspace(0.02, 0.3, 8)
+curvs = []
+for pmag in ps:
+    local = dataclasses.replace(params2, p_total=np.array([pmag, 0.0, 0.0]))
+    rec = run_cascade(local, grid2, basis2).records[-1]
+    curvs.append(dispersion_curvature_direct(
+        FiberFamily(local, grid2, basis2, rec.j), rec))
+quotients = np.abs(np.diff(curvs)) / np.diff(ps)
 for i, p in enumerate(ps):
     line = f"  P = {p:.3f}: d2E = {curvs[i]:.8f}"
     if i > 0:

@@ -390,7 +390,7 @@ def _verify_lines(cfg: RunConfig, suite: str):
     if suite in ("softphoton", "all"):
         consts = []
         for rec in state.records[1:]:
-            rep = soft_photon_probe(rec.psi, params, grid, basis, rec.j)
+            rep = soft_photon_probe(family(rec.j), rec)
             consts.append(rep.empirical_c)
             yield (False, f"soft-photon constant j={rec.j}", True,
                    f"C = {rep.empirical_c:.4f}")
@@ -401,14 +401,12 @@ def _verify_lines(cfg: RunConfig, suite: str):
 
     last = state.records[-1]
     if suite in ("pullthrough", "all"):
-        agg, _ = pull_through_summary(family(last.j), psi=last.psi,
-                                      energy=last.energy)
+        agg, _ = pull_through_summary(family(last.j), last)
         yield (False, f"pull-through aggregate j={last.j}", agg <= 0.05,
                f"residual = {agg:.4f} (target <= 0.05)")
 
     if suite in ("calpha", "all"):
-        c_emp, _ = energy_lipschitz_probe(family(last.j),
-                                          energy=last.energy, start=last.psi)
+        c_emp, _ = energy_lipschitz_probe(family(last.j), last)
         # the same supremum in the free theory, E(P) = |P|^2 / 2: negative
         # at the dispersion minimum P = 0, where the window must admit it
         c_free = float(np.max((grid.k @ params.p_total

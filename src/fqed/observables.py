@@ -4,7 +4,7 @@ soft-photon / pull-through / energy-slope / resolvent-bound probes.
 
 The three curvature routes are
   * finite differences of the ground energy over the total momentum
-    (5-point stencil of fresh solves; the center may be the cascade's),
+    (5-point stencil of fresh solves around the cascade's energy),
   * the direct resolvent route: 1 - 2 <Y psi, X psi> with X the momentum
     derivative of the fiber Hamiltonian and Y the clockwise contour
     integral of R X R around the ground energy,
@@ -20,11 +20,13 @@ agreement is the laboratory's headline measurement.  ``scale_routes``
 evaluates all three routes at one cascade scale and returns their five
 numbers; ``mass-scan`` and ``verify`` both go through it.
 
-The routes, the FD gradient and the pull-through, energy-slope and
-resolvent-bound probes take the scale's ``FiberFamily`` and evaluate it at
-its parameters' P, so one family serves every evaluation at a scale; the
-displaced route takes the ``DisplacedFrame`` polished on the family, which
-holds it.  The expectation-value gradient is ``FiberFamily.gradient``.
+Every route and probe of a scale takes that scale's ``FiberFamily`` and
+its cascade ``ScaleRecord``, checks that the two belong to one scale, and
+evaluates the family at its parameters' P: the record's energy, vectors,
+gap and centering shift are where each solve starts or what it reuses, so
+no route solves the scale's ground state again.  The displaced route takes
+the ``DisplacedFrame`` polished on the family, which holds it.  The
+expectation-value gradient is ``FiberFamily.gradient``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .bogoliubov import center_operators, weyl_vacuum_expectation
+from .bogoliubov import center_operators
 from .cascade import (CONTOUR_NODES, CascadeError, ScaleRecord, run_cascade,
                       sector_ground)
 from .fock import FockBasis, creation_sum, ladder
@@ -66,54 +68,56 @@ def momentum_axis(p: np.ndarray) -> int:
     return int(nz[0])
 
 
-def _ground_energy(family: FiberFamily, p, start) -> float:
+def _ground_energy(family: FiberFamily, rec: ScaleRecord, p) -> float:
     """Sector ground energy of the family's H(p), from a one-pair solve
-    started from ``start`` (a full-basis vector, typically the cascade's
-    ground state at the family's P)."""
+    started from the record's ground state ``psi`` at the family's P."""
     e, _, _ = sector_ground(family.params, family.grid, family.basis,
                             family.j, p=p, h_op=family.h(p), pairs=1,
-                            start=start)
+                            start=rec.psi)
     return e
 
 
-def energy_gradient_fd(family: FiberFamily, step: float = 1e-3,
-                       start: np.ndarray | None = None) -> np.ndarray:
+def _check_scale(family: FiberFamily, rec: ScaleRecord):
+    if family.j != rec.j:
+        raise ParameterError(
+            f"family of scale {family.j} given for the record of scale "
+            f"{rec.j}")
+
+
+def energy_gradient_fd(family: FiberFamily, rec: ScaleRecord,
+                       step: float = 1e-3) -> np.ndarray:
     """Central-difference gradient at the family's P; each energy is a
-    fresh one-pair sector solve started from ``start``.
+    fresh one-pair sector solve started from the record's ``psi``.
     ``FiberFamily.gradient`` is the expectation form it checks."""
+    _check_scale(family, rec)
     p = family.params.p_total
     out = np.zeros(3)
     for i in range(3):
         dp = np.zeros(3)
         dp[i] = step
-        out[i] = (_ground_energy(family, p + dp, start)
-                  - _ground_energy(family, p - dp, start)) / (2.0 * step)
+        out[i] = (_ground_energy(family, rec, p + dp)
+                  - _ground_energy(family, rec, p - dp)) / (2.0 * step)
     return out
 
 
-def dispersion_curvature_fd(family: FiberFamily, step: float = 5e-3,
-                            center: float | None = None,
-                            start: np.ndarray | None = None) -> float:
+def dispersion_curvature_fd(family: FiberFamily, rec: ScaleRecord,
+                            step: float = 5e-3) -> float:
     """5-point second derivative of E along the momentum axis at the
     family's P.
 
-    ``center``, when given, is the already known E(P) (the cascade's
-    energy), so only the four off-center points are solved; otherwise the
-    center is solved as the cascade solves it.  The off-center points are
-    one-pair solves started from ``start`` either way.
+    The center is the record's energy; the four off-center points are
+    one-pair solves started from the record's ``psi``.
     """
+    _check_scale(family, rec)
     p = family.params.p_total
     axis = momentum_axis(p)
     unit = np.zeros(3)
     unit[axis] = 1.0
 
     def energy(t: float) -> float:
-        return _ground_energy(family, p + t * unit, start)
+        return _ground_energy(family, rec, p + t * unit)
 
-    if center is None:
-        center = sector_ground(family.params, family.grid, family.basis,
-                               family.j, p=p, h_op=family.h(p))[0]
-    return (-energy(2 * step) + 16 * energy(step) - 30 * center
+    return (-energy(2 * step) + 16 * energy(step) - 30 * rec.energy
             + 16 * energy(-step) - energy(-2 * step)) / (12 * step ** 2)
 
 
@@ -133,26 +137,22 @@ def _route_contour(params: ModelParams, j: int, energy: float,
 
 
 def dispersion_curvature_direct(family: FiberFamily,
-                                psi: np.ndarray | None = None,
-                                energy: float | None = None,
-                                gap: float = np.nan) -> float:
+                                rec: ScaleRecord) -> float:
     """Curvature from the direct resolvent route in the bare frame.
 
     1 - 2 <oint_cw R [dH/dP] R psi dz / 2 pi i, [dH/dP] psi> at the
-    family's P along its axis, with psi the normalized ground state of the
-    family's scale (solved here unless given with its energy).  Exact for
-    the truncated model up to quadrature, which makes it the referee for
-    the displaced-frame route.
+    family's P along its axis, with psi the record's normalized ground
+    state, on a contour around its energy sized by its sector gap.  Exact
+    for the truncated model up to quadrature, which makes it the referee
+    for the displaced-frame route.
     """
+    _check_scale(family, rec)
     params = family.params
     h = family.h(params.p_total)
-    if psi is None or energy is None:
-        energy, psi, gap = sector_ground(params, family.grid, family.basis,
-                                         family.j, h_op=h)
-    psi = psi / np.linalg.norm(psi)
+    psi = rec.psi / np.linalg.norm(rec.psi)
     axis = momentum_axis(params.p_total)
     x_op = family.x(params.p_total)[axis]
-    cont = _route_contour(params, family.j, energy, gap)
+    cont = _route_contour(params, family.j, rec.energy, rec.gap_sector)
     return 1.0 - 2.0 * resolvent_sandwich(ResolventSolver(h), cont, x_op,
                                           psi)
 
@@ -178,33 +178,25 @@ class DisplacedFrame:
     orth: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
-def displaced_frame_ground(family: FiberFamily, grad_energy: np.ndarray,
-                           gamma_start: np.ndarray | None = None,
-                           phi_start: np.ndarray | None = None
-                           ) -> DisplacedFrame:
-    """Assemble the canonical frame of the family's scale and P, and polish
-    the shift to self-consistency.
+def displaced_frame_ground(family: FiberFamily,
+                           rec: ScaleRecord) -> DisplacedFrame:
+    """Assemble the canonical frame of the family's scale and P at the
+    record's gradient, and polish the shift to self-consistency.
 
-    Starting from ``gamma_start``, or else the closed-form chain value
-    P - grad E - <W beta W*>_vac, alternate (ground state of K(shift)) and
-    (shift = expectation of the displaced momentum observable) until the
-    shift is stationary.  The iteration contracts fast because the frame
-    operator depends on the shift only quadratically; each step is a
-    linear update of K, and at most five are taken.  Each polish step is a
-    one-pair solve started from the previous step's vector, the first from
-    ``phi_start`` (the cascade's running vector, when given); one two-pair
-    solve on the last K, started from the polished vector, then gives the
-    frame its energy, vector and the gap its route contour reads.
+    Starting from the record's centering shift, alternate (ground state of
+    K(shift)) and (shift = expectation of the displaced momentum
+    observable) until the shift is stationary.  The iteration contracts
+    fast because the frame operator depends on the shift only
+    quadratically; each step is a linear update of K, and at most five are
+    taken.  Each polish step is a one-pair solve started from the previous
+    step's vector, the first from the record's running vector ``phi``; one
+    two-pair solve on the last K, started from the polished vector, then
+    gives the frame its energy, vector and the gap its route contour reads.
     """
+    _check_scale(family, rec)
     params, grid, basis, j = family.params, family.grid, family.basis, family.j
-    g = np.asarray(grad_energy, dtype=float)
-    frame_ops = family.frame(g)
-    if gamma_start is None:
-        gamma = params.p_total - g - weyl_vacuum_expectation(
-            params, grid, range(j), g)
-    else:
-        gamma = np.asarray(gamma_start, dtype=float).copy()
-    phi = phi_start
+    frame_ops = family.frame(rec.grad_energy)
+    gamma, phi = rec.gamma_shift, rec.phi
     for _ in range(5):
         k_op = frame_ops.k(gamma)
         _, phi, _ = sector_ground(params, grid, basis, j, h_op=k_op,
@@ -221,8 +213,8 @@ def displaced_frame_ground(family: FiberFamily, grad_energy: np.ndarray,
     # the shift through -shift . Pi, so k_op is K(shift) only to within
     # that move (below 1e-13 unless the five-solve cap ended the loop)
     gamma_ops, shift, orth = center_operators(frame_ops.pi, phi)
-    return DisplacedFrame(family=family, grad_energy=g, k_op=k_op,
-                          energy=energy, gap=gap, phi=phi,
+    return DisplacedFrame(family=family, grad_energy=rec.grad_energy,
+                          k_op=k_op, energy=energy, gap=gap, phi=phi,
                           gamma_ops=gamma_ops, gamma_shift=shift, orth=orth)
 
 
@@ -285,31 +277,17 @@ def cross_term_probe(frame: DisplacedFrame) -> float:
     return dispersion_curvature_displaced(frame)[2]
 
 
-def _check_scale(family: FiberFamily, rec: ScaleRecord):
-    if family.j != rec.j:
-        raise ParameterError(
-            f"family of scale {family.j} given for the record of scale "
-            f"{rec.j}")
-
-
 def scale_routes(family: FiberFamily, rec: ScaleRecord):
     """The three curvature routes at one cascade scale, on that scale's
     family.
 
     Returns (FD curvature, direct route, double form, reduced form, cross
     term); the last three are the displaced route on the frame polished
-    from the cascade's centering shift.  The FD stencil takes its center
-    from the cascade energy, and its off-center solves and the frame
-    polish start from the cascade's vectors.
+    from the cascade's centering shift.
     """
-    _check_scale(family, rec)
-    d2_fd = dispersion_curvature_fd(family, center=rec.energy,
-                                    start=rec.psi)
-    d2_direct = dispersion_curvature_direct(
-        family, psi=rec.psi, energy=rec.energy, gap=rec.gap_sector)
-    frame = displaced_frame_ground(family, rec.grad_energy,
-                                   gamma_start=rec.gamma_shift,
-                                   phi_start=rec.phi)
+    d2_fd = dispersion_curvature_fd(family, rec)
+    d2_direct = dispersion_curvature_direct(family, rec)
+    frame = displaced_frame_ground(family, rec)
     return (d2_fd, d2_direct, *dispersion_curvature_displaced(frame))
 
 
@@ -390,7 +368,7 @@ def mass_scan(params_template: ModelParams, grid: ModeGrid, basis: FockBasis,
                     family = FiberFamily(params, grid, basis, rec.j)
                     row.d2_fd, row.d2_direct, row.d2_displaced = \
                         scale_routes(family, rec)[:3]
-                    row.grad_fd = energy_gradient_fd(family, start=rec.psi)
+                    row.grad_fd = energy_gradient_fd(family, rec)
                     # the family, and the frame it keeps, go before the next
                     # record builds its own
                     del family
@@ -434,21 +412,22 @@ class SoftPhotonReport:
     empirical_c: float
 
 
-def soft_photon_probe(psi: np.ndarray, params: ModelParams, grid: ModeGrid,
-                      basis: FockBasis, j: int) -> SoftPhotonReport:
+def soft_photon_probe(family: FiberFamily,
+                      rec: ScaleRecord) -> SoftPhotonReport:
     """Empirical constant in ||b_m psi|| <= C sqrt(alpha w_m) / |k_m|^(3/2).
 
-    Scans the active modes of a normalized scale-j ground state; the
+    Scans the active modes of the record's normalized ground state; the
     scaled constants should stay of one size across modes and scales.
     """
-    psi = np.asarray(psi, dtype=float)
-    psi = psi / np.linalg.norm(psi)
-    active = np.nonzero(grid.active_mask(j))[0]
+    _check_scale(family, rec)
+    params, grid = family.params, family.grid
+    psi = rec.psi / np.linalg.norm(rec.psi)
+    active = np.nonzero(grid.active_mask(rec.j))[0]
     b_norms = np.zeros(len(active))
     scaled = np.zeros(len(active))
     root = np.sqrt(params.alpha)
     for i, m in enumerate(active):
-        ann, _ = ladder(basis, int(m))
+        ann, _ = ladder(family.basis, int(m))
         b_norms[i] = np.linalg.norm(ann @ psi)
         if root > 0.0:
             scaled[i] = (b_norms[i] * grid.knorm[m] ** 1.5
@@ -466,30 +445,9 @@ def _momentum_groups(grid: ModeGrid, modes) -> list[list[int]]:
     return list(groups.values())
 
 
-def _pull_through_pairs(psi, energy, family: FiberFamily, modes) -> dict:
-    """{mode: (b_m psi, right-hand side)}, with one shifted solver for
-    H(P - k) per distinct photon momentum k."""
-    params, grid = family.params, family.grid
-    x_psi = [x @ psi for x in family.x(params.p_total)]
-    pairs = {}
-    for group in _momentum_groups(grid, modes):
-        knorm = float(grid.knorm[group[0]])
-        solver = ResolventSolver(family.h(params.p_total - grid.k[group[0]]))
-        for m in group:
-            w = sum(grid.eps_vec[m, i] * x_psi[i] for i in range(3))
-            space = solver.reduce(w)
-            x = space.lift(solver.solve(energy - knorm, space))
-            coupling = np.sqrt(params.alpha * grid.weight[m] / knorm)
-            pairs[m] = (ladder(family.basis, m)[0] @ psi,
-                        -coupling * np.real(x))
-    return pairs
-
-
-def pull_through_summary(family: FiberFamily,
-                         psi: np.ndarray | None = None,
-                         energy: float | None = None):
+def pull_through_summary(family: FiberFamily, rec: ScaleRecord):
     """Norm-aggregated pull-through residual over the active modes of the
-    family's scale, at its P.
+    family's scale, at its P, for the record's ground state.
 
     The pull-through identity
 
@@ -497,81 +455,65 @@ def pull_through_summary(family: FiberFamily,
                   (eps_m . dH/dP) psi
 
     holds exactly in the untruncated algebra; the measured residual
-    reflects occupation-cap truncation only.  Returns (aggregate, per-mode
-    relative residual array); a mode with b_m psi = 0 reads 0 when its
-    right-hand side vanishes too and inf otherwise.  The aggregate weights
-    each mode by its annihilation norm, so decoupled modes cannot dominate
-    through 0/0 ratios.  At zero coupling the right-hand side is exactly 0
-    and the free ground state holds no photons, so every mode reads 0
-    without a solve.
+    reflects occupation-cap truncation only.  One shifted solver for
+    H(P - k) serves both polarizations of each photon momentum k.  Returns
+    (aggregate, per-mode relative residual array); a mode with b_m psi = 0
+    reads 0 when its right-hand side vanishes too and inf otherwise.  The
+    aggregate weights each mode by its annihilation norm, so decoupled
+    modes cannot dominate through 0/0 ratios.  At zero coupling the
+    right-hand side is exactly 0 and the free ground state holds no
+    photons, so every mode reads 0 without a solve.
     """
+    _check_scale(family, rec)
     params, grid = family.params, family.grid
     active = np.nonzero(grid.active_mask(family.j))[0]
     if params.alpha == 0.0:
         return 0.0, np.zeros(len(active))
-    if psi is None or energy is None:
-        energy, psi, _ = sector_ground(params, grid, family.basis, family.j,
-                                       h_op=family.h(params.p_total))
-    pairs = _pull_through_pairs(psi, energy, family, active)
-    diff2 = 0.0
-    lhs2 = 0.0
-    per_mode = np.zeros(len(active))
-    for i, m in enumerate(active):
-        lhs, rhs = pairs[m]
-        d2 = float(np.linalg.norm(lhs - rhs) ** 2)
-        l2 = float(np.linalg.norm(lhs) ** 2)
-        diff2 += d2
-        lhs2 += l2
-        per_mode[i] = np.sqrt(d2 / l2) if l2 > 0.0 else \
-            (0.0 if d2 == 0.0 else np.inf)
+    psi = rec.psi
+    x_psi = [x @ psi for x in family.x(params.p_total)]
+    diff2 = lhs2 = 0.0
+    per_mode = []
+    # the polarizations of one k are adjacent modes, so the groups run in
+    # the order of active
+    for group in _momentum_groups(grid, active):
+        knorm = float(grid.knorm[group[0]])
+        solver = ResolventSolver(family.h(params.p_total - grid.k[group[0]]))
+        for m in group:
+            w = sum(grid.eps_vec[m, i] * x_psi[i] for i in range(3))
+            space = solver.reduce(w)
+            x = space.lift(solver.solve(rec.energy - knorm, space))
+            coupling = np.sqrt(params.alpha * grid.weight[m] / knorm)
+            lhs = ladder(family.basis, m)[0] @ psi
+            d2 = float(np.linalg.norm(lhs + coupling * np.real(x)) ** 2)
+            l2 = float(np.linalg.norm(lhs) ** 2)
+            diff2 += d2
+            lhs2 += l2
+            per_mode.append(np.sqrt(d2 / l2) if l2 > 0.0 else
+                            (0.0 if d2 == 0.0 else np.inf))
     aggregate = np.sqrt(diff2 / lhs2) if lhs2 > 0.0 else 0.0
-    return float(aggregate), per_mode
+    return float(aggregate), np.array(per_mode)
 
 
-def energy_lipschitz_probe(family: FiberFamily, energy: float | None = None,
-                           start: np.ndarray | None = None):
+def energy_lipschitz_probe(family: FiberFamily, rec: ScaleRecord):
     """Empirical slope constant sup_k (E(P) - E(P-k)) / |k| on the grid, at
     the family's scale and P.
 
-    Fresh one-pair ground solve per distinct grid momentum, started from
-    ``start``; the center E(P) is ``energy`` when the caller holds it (the
-    cascade's), else solved too.
-    The bound's constant tends to the free-theory value (below 1/3 inside
-    the momentum ball) as the coupling vanishes.  Returns (constant, table
-    of (|k|, ratio)).
+    E(P) is the record's energy; each E(P - k) is a fresh one-pair ground
+    solve, one per distinct grid momentum, started from the record's
+    ``psi``.  The bound's constant tends to the free-theory value (below
+    1/3 inside the momentum ball) as the coupling vanishes.  Returns
+    (constant, table of (|k|, ratio)).
     """
+    _check_scale(family, rec)
     params, grid = family.params, family.grid
-    e0 = _ground_energy(family, params.p_total, start) if energy is None \
-        else energy
     table = []
     for group in _momentum_groups(grid, range(grid.n_modes)):
         m = group[0]
-        ek = _ground_energy(family, params.p_total - grid.k[m], start)
-        table.append((float(grid.knorm[m]), float((e0 - ek)
-                                                  / grid.knorm[m])))
+        ek = _ground_energy(family, rec, params.p_total - grid.k[m])
+        table.append((float(grid.knorm[m]),
+                      float((rec.energy - ek) / grid.knorm[m])))
     const = max(r for _, r in table)
     return float(const), table
-
-
-def curvature_momentum_quotients(params: ModelParams, grid: ModeGrid,
-                                 basis: FockBasis, j: int, p_magnitudes):
-    """Difference quotients of the curvature across a momentum grid.
-
-    Reported, never asserted: the limiting curvature is expected to be
-    Hoelder in P with an unspecified exponent, so the table of
-    |d2E(p') - d2E(p)| / |p' - p| quotients is diagnostic output only.
-    Returns (p values, curvatures, quotients); each momentum gets its own
-    family.
-    """
-    ps = np.asarray(sorted(p_magnitudes), dtype=float)
-    curvatures = []
-    for pmag in ps:
-        local = replace(params, p_total=np.array([pmag, 0.0, 0.0]))
-        curvatures.append(dispersion_curvature_direct(
-            FiberFamily(local, grid, basis, j)))
-    curvatures = np.array(curvatures)
-    quotients = np.abs(np.diff(curvatures)) / np.diff(ps)
-    return ps, curvatures, quotients
 
 
 def resolvent_bound_probes(family: FiberFamily, rec: ScaleRecord):

@@ -71,6 +71,10 @@ DAVIDSON_MAX_DIM = 60
 #: Davidson iterations before a started solve gives up.
 DAVIDSON_MAX_ITER = 200
 
+#: Residual floor of a ground pair: ``ground_state`` raises above 100 times
+#: the larger of it and 1e-13 * max(1, |E|).
+GROUND_TOL = 1e-10
+
 #: Relative residual of a Krylov shifted solve.
 KRYLOV_TOL = 1e-10
 
@@ -225,8 +229,7 @@ def _davidson(op, pairs: int, start: np.ndarray):
         best_residual=float(np.max(res)))
 
 
-def ground_state(op, tol: float = 1e-10,
-                 dense_cutoff: int = DENSE_EIG_CUTOFF, pairs: int = 3,
+def ground_state(op, dense_cutoff: int = DENSE_EIG_CUTOFF, pairs: int = 3,
                  start: np.ndarray | None = None) -> GroundStateRecord:
     """Lowest eigenpair of a symmetric operator, from its ``pairs`` lowest.
 
@@ -272,9 +275,10 @@ def ground_state(op, tol: float = 1e-10,
     vec = _fix_sign(np.ascontiguousarray(vecs[:, 0]))
     gap = float(vals[1] - vals[0]) if len(vals) > 1 else np.nan
     residual = float(np.linalg.norm(op @ vec - energy * vec))
-    if residual > max(tol, 1e-13 * max(1.0, abs(energy))) * 100:
+    if residual > max(GROUND_TOL, 1e-13 * max(1.0, abs(energy))) * 100:
         raise SolverError(
-            f"ground-state residual {residual:.3e} above tolerance {tol:.1e}",
+            f"ground-state residual {residual:.3e} above tolerance "
+            f"{GROUND_TOL:.1e}",
             best_residual=residual)
     return GroundStateRecord(energy=energy, vector=vec, gap=gap,
                              residual=residual, method=method,

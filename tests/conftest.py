@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,15 @@ def tiny_setup():
     grid = build_grid(params.cutoffs, 1, "octahedral6")
     basis = enumerate_basis(grid.n_modes, 2, 2)
     return params, grid, basis
+
+
+@pytest.fixture(scope="session")
+def tiny_record(tiny_setup):
+    """The tiny box at alpha = 1e-3, where its cascade runs (at 1e-2 the
+    first step's contour misses the shifted energy), with the record of
+    its last scale: (params, grid, basis, record)."""
+    from fqed.cascade import run_cascade
+
+    params, grid, basis = tiny_setup
+    params = dataclasses.replace(params, alpha=1e-3)
+    return params, grid, basis, run_cascade(params, grid, basis).records[-1]

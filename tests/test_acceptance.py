@@ -21,9 +21,7 @@ from fqed.hamiltonian import (FiberFamily, ModelParams,
                               assemble_displaced_hamiltonian,
                               assemble_h_fiber, assemble_slice_interaction)
 from fqed.modes import build_grid
-from fqed.observables import (dispersion_curvature_direct,
-                              dispersion_curvature_displaced,
-                              dispersion_curvature_fd,
+from fqed.observables import (dispersion_curvature_displaced,
                               displaced_frame_ground, energy_gradient_fd,
                               energy_lipschitz_probe, momentum_axis,
                               pull_through_summary, scale_routes,
@@ -165,8 +163,7 @@ def mass_rows():
         states[alpha] = state
         rec = state.records[-1]
         frame = displaced_frame_ground(
-            FiberFamily(params, grid, basis, rec.j), rec.grad_energy,
-            gamma_start=rec.gamma_shift)
+            FiberFamily(params, grid, basis, rec.j), rec)
         d2_k, _, _ = dispersion_curvature_displaced(frame)
         rows[alpha] = 1.0 / d2_k
     return rows, states
@@ -180,10 +177,8 @@ def test_a01_free_theory_exactness(boxes):
     worst_g = max(np.max(np.abs(r.grad_energy - params.p_total))
                   for r in state.records)
     worst_step = max(r.step_norm for r in state.records[1:])
-    family = FiberFamily(params, grid, basis, 3)
-    d2 = [dispersion_curvature_fd(family), dispersion_curvature_direct(family)]
-    frame = displaced_frame_ground(family, params.p_total)
-    d2 += dispersion_curvature_displaced(frame)[:2]
+    rec = state.records[-1]
+    d2 = scale_routes(FiberFamily(params, grid, basis, rec.j), rec)[:4]
     worst_d2 = max(abs(v - 1.0) for v in d2)
     ok = (worst_e <= TOL_FREE_ENERGY and worst_g <= TOL_FREE_ENERGY
           and worst_d2 <= TOL_FREE_CURV and worst_step <= 1e-12)
@@ -269,10 +264,10 @@ def test_a05_feynman_hellmann_order(boxes):
         params = dataclasses.replace(boxes["p2"], alpha=alpha,
                                      p_total=np.array([pmag, 0, 0]))
         family = FiberFamily(params, grid, basis, 2)
-        _, psi, _ = sector_ground(params, grid, basis, 2)
-        fh = family.gradient(psi, params.p_total)
-        d_h = np.linalg.norm(energy_gradient_fd(family, step=2e-3) - fh)
-        d_h2 = np.linalg.norm(energy_gradient_fd(family, step=1e-3) - fh)
+        rec = run_cascade(params, grid, basis).records[2]
+        fh = rec.grad_energy
+        d_h = np.linalg.norm(energy_gradient_fd(family, rec, 2e-3) - fh)
+        d_h2 = np.linalg.norm(energy_gradient_fd(family, rec, 1e-3) - fh)
         ratios.append(d_h / d_h2)
     ok = all(FH_RATIO_WINDOW[0] < r < FH_RATIO_WINDOW[1] for r in ratios)
     report(5, ok, "gradient FD-vs-expectation halving ratios "
@@ -369,8 +364,9 @@ def test_a11_pull_through_residual():
         params = valid_box(5e-3, [0.1, 0, 0], 1)
         grid = build_grid(params.cutoffs, 1, "octahedral6")
         basis = enumerate_basis(grid.n_modes, n_max, n_max)
+        rec = run_cascade(params, grid, basis).records[1]
         aggs[n_max], _ = pull_through_summary(
-            FiberFamily(params, grid, basis, 1))
+            FiberFamily(params, grid, basis, 1), rec)
     ok = aggs[3] <= TOL_PULL_THROUGH and aggs[3] < aggs[2]
     report(11, ok, f"pull-through residual {aggs[3]:.4f} at cap 3 "
                    f"(tol {TOL_PULL_THROUGH}), decreasing from "
@@ -384,8 +380,8 @@ def test_a12_soft_photon_stability(boxes, headline):
                  if s.params.alpha == 1e-3 and s.params.p_total[0] == 0.2)
     consts = []
     for rec in state.records[1:]:
-        rep = soft_photon_probe(rec.psi, params, boxes["grid3"],
-                                boxes["basis3"], rec.j)
+        rep = soft_photon_probe(FiberFamily(params, boxes["grid3"],
+                                            boxes["basis3"], rec.j), rec)
         consts.append(rep.empirical_c)
     spread = max(consts) / min(consts)
     ok = spread <= SOFT_STABILITY
@@ -399,8 +395,9 @@ def test_a13_energy_slope_constant(boxes):
     values = {}
     for alpha in (0.0, 1e-4, 1e-3):
         params = valid_box(alpha, [0.33, 0, 0], 3)
+        rec = run_cascade(params, grid, basis).records[3]
         values[alpha], _ = energy_lipschitz_probe(
-            FiberFamily(params, grid, basis, 3))
+            FiberFamily(params, grid, basis, 3), rec)
     free_ok = values[0.0] <= 1.0 / 3.0 + 1e-10
     window_ok = C_ALPHA_WINDOW[0] <= values[1e-4] <= C_ALPHA_WINDOW[1]
     trend_ok = abs(values[1e-4] - values[0.0]) <= \

@@ -121,8 +121,7 @@ def test_cascade_energy_agrees_across_frames(cascade_state):
     params, grid, basis, state = cascade_state
     for rec in state.records[1:]:
         frame = displaced_frame_ground(
-            FiberFamily(params, grid, basis, rec.j), rec.grad_energy,
-            gamma_start=rec.gamma_shift)
+            FiberFamily(params, grid, basis, rec.j), rec)
         assert abs(frame.energy - rec.energy) < 1e-6
 
 

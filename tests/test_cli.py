@@ -418,6 +418,26 @@ def test_verify_bounds_skip_above_the_dense_limit(tmp_path, family_builds,
     assert sorted(family_builds) == [0, 1, 2]   # the cascade's own
 
 
+def test_verify_starts_every_observable_solve(tmp_path, monkeypatch):
+    # every route and probe evaluates its scale from the cascade record:
+    # each ground state they solve starts from its vectors, and the cold
+    # solves are run_cascade's own
+    import fqed.observables as observables
+    from fqed.cli import _verify_lines
+
+    starts = []
+    sector_ground = observables.sector_ground
+
+    def counted(*args, **kwargs):
+        starts.append(kwargs.get("start"))
+        return sector_ground(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "sector_ground", counted)
+    cfg = parse_config(write_config(tmp_path, GOOD_CONFIG))
+    assert list(_verify_lines(cfg, "all"))
+    assert starts and all(start is not None for start in starts)
+
+
 def test_verify_pull_through_reuses_the_cascade_ground_state(
         tmp_path, capsys, monkeypatch):
     # the probe runs on the final-scale ground state the cascade already

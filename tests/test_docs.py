@@ -1,14 +1,16 @@
-"""The documentation against the code it names, without running a demo:
-README's config-key table lists exactly the keys the parser accepts, with
-their defaults, its ``scan.csv`` header is the one the scan writes, its
-list of ``verify`` suites is the one the command accepts, every name a
-demo imports from ``fqed`` exists, and every call a demo makes to such a
-name binds to its signature."""
+"""The documentation against the code it names: README's config-key
+table lists exactly the keys the parser accepts, with their defaults, its
+``scan.csv`` header is the one the scan writes, its list of ``verify``
+suites is the one the command accepts, every name a demo imports from
+``fqed`` exists, every call a demo makes to such a name binds to its
+signature, and the demos that evaluate routes and probes from cascade
+records run to the end."""
 
 import ast
 import importlib
 import inspect
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -94,3 +96,11 @@ def test_demo_calls_bind(demo):
         except TypeError as exc:
             unbound.append(f"line {node.lineno}: {node.func.id}: {exc}")
     assert unbound == []
+
+
+@pytest.mark.parametrize("name", [
+    "02_free_electron.py", "03_dressed_dispersion.py",
+    "06_photon_probes.py", "07_truncation_and_regularity.py"])
+def test_demo_runs(name, capsys):
+    runpy.run_path(str(ROOT / "demos" / name), run_name="__main__")
+    assert capsys.readouterr().out

@@ -48,10 +48,10 @@ def test_gradient_fd_richardson_ratio():
     for alpha, p in ((1e-3, 0.1), (5e-3, 0.2)):
         params, grid, basis = make_box(alpha, [p, 0.0, 0.0])
         family = FiberFamily(params, grid, basis, 2)
-        e, psi, _ = sector_ground(params, grid, basis, 2)
-        fh = family.gradient(psi, params.p_total)
-        d_coarse = np.linalg.norm(energy_gradient_fd(family, step=2e-3) - fh)
-        d_fine = np.linalg.norm(energy_gradient_fd(family, step=1e-3) - fh)
+        rec = run_cascade(params, grid, basis).records[2]
+        fh = rec.grad_energy
+        d_coarse = np.linalg.norm(energy_gradient_fd(family, rec, 2e-3) - fh)
+        d_fine = np.linalg.norm(energy_gradient_fd(family, rec, 1e-3) - fh)
         assert 3.5 < d_coarse / d_fine < 4.5
 
 
@@ -64,11 +64,9 @@ def test_gradient_norm_below_one_on_box():
 
 def test_curvature_free_theory_all_routes():
     params, grid, basis = make_box(0.0, [0.1, 0.0, 0.0])
-    family = FiberFamily(params, grid, basis, 2)
-    d2_fd = dispersion_curvature_fd(family)
-    d2_h = dispersion_curvature_direct(family)
-    frame = displaced_frame_ground(family, np.array([0.1, 0.0, 0.0]))
-    d2_k, d2_kr, _ = dispersion_curvature_displaced(frame)
+    rec = run_cascade(params, grid, basis).records[2]
+    d2_fd, d2_h, d2_k, d2_kr, _ = scale_routes(
+        FiberFamily(params, grid, basis, 2), rec)
     for val in (d2_fd, d2_h, d2_k, d2_kr):
         assert abs(val - 1.0) <= 1e-10
 
@@ -76,11 +74,10 @@ def test_curvature_free_theory_all_routes():
 def test_curvature_scale0_is_unity():
     params, grid, basis = make_box(5e-3, [0.2, 0.0, 0.0])
     family = FiberFamily(params, grid, basis, 0)
-    d2_h = dispersion_curvature_direct(family)
+    rec = run_cascade(params, grid, basis).records[0]
+    d2_h = dispersion_curvature_direct(family, rec)
     assert abs(d2_h - 1.0) <= 1e-10
-    e, psi, _ = sector_ground(params, grid, basis, 0)
-    grad = family.gradient(psi, params.p_total)
-    frame = displaced_frame_ground(family, grad)
+    frame = displaced_frame_ground(family, rec)
     d2_k, d2_kr, _ = dispersion_curvature_displaced(frame)
     assert abs(d2_k - 1.0) <= 1e-10
     assert abs(d2_kr - 1.0) <= 1e-10
@@ -90,36 +87,34 @@ def test_curvature_scale0_is_unity():
 def coupled_frame():
     params, grid, basis = make_box(1e-3, [0.1, 0.0, 0.0])
     family = FiberFamily(params, grid, basis, 2)
-    e, psi, gap = sector_ground(params, grid, basis, 2)
-    grad = family.gradient(psi, params.p_total)
-    frame = displaced_frame_ground(family, grad)
-    return family, e, psi, gap, grad, frame
+    rec = run_cascade(params, grid, basis).records[2]
+    return family, rec, displaced_frame_ground(family, rec)
 
 
 def test_three_route_agreement(coupled_frame):
-    family, e, psi, gap, grad, frame = coupled_frame
-    d2_h = dispersion_curvature_direct(family, psi=psi, energy=e, gap=gap)
+    family, rec, frame = coupled_frame
+    d2_h = dispersion_curvature_direct(family, rec)
     d2_k, d2_kr, _ = dispersion_curvature_displaced(frame)
-    d2_fd = dispersion_curvature_fd(family)
+    d2_fd = dispersion_curvature_fd(family, rec)
     assert abs(d2_h - d2_k) <= 1e-5
     assert abs(d2_h - d2_fd) <= 1e-4
     assert abs(d2_k - d2_kr) <= 1e-8   # the single-resolvent reduction
 
 
 def test_frame_self_consistency(coupled_frame):
-    family, e, psi, gap, grad, frame = coupled_frame
+    family, rec, frame = coupled_frame
     assert np.max(np.abs(frame.orth)) < 1e-13
-    assert abs(frame.energy - e) < 1e-6
+    assert abs(frame.energy - rec.energy) < 1e-6
 
 
 def test_cross_term_probe_vanishes(coupled_frame):
-    family, e, psi, gap, grad, frame = coupled_frame
+    family, rec, frame = coupled_frame
     value = cross_term_probe(frame)
     assert value <= 1e-8
 
 
 def test_displaced_route_rejects_broken_centering(coupled_frame):
-    family, e, psi, gap, grad, frame = coupled_frame
+    family, rec, frame = coupled_frame
     broken = dataclasses.replace(frame, orth=np.array([1e-3, 0.0, 0.0]))
     with pytest.raises(ParameterError):
         dispersion_curvature_displaced(broken)
@@ -158,12 +153,35 @@ def test_mass_scan_builds_two_families_per_record(tiny_setup,
     assert sorted(family_builds) == [0, 0, 1, 1]
 
 
-def test_scale_routes_rejects_another_scales_family(tiny_setup):
+@pytest.mark.parametrize("route", [
+    energy_gradient_fd, dispersion_curvature_fd, dispersion_curvature_direct,
+    displaced_frame_ground, scale_routes, soft_photon_probe,
+    pull_through_summary, energy_lipschitz_probe, resolvent_bound_probes,
+], ids=lambda route: route.__name__)
+def test_scale_functions_reject_another_scales_family(tiny_record, route):
+    params, grid, basis, rec = tiny_record
+    with pytest.raises(ParameterError,
+                       match="scale 0 given for the record of scale 1"):
+        route(FiberFamily(params, grid, basis, 0), rec)
+
+
+def test_mass_scan_starts_every_observable_solve(tiny_setup, monkeypatch):
+    # every ground state a route or the FD gradient solves starts from the
+    # cascade's vectors; the cold solves are run_cascade's own
+    import fqed.observables as observables
+
+    starts = []
+    sector_ground_ = observables.sector_ground
+
+    def counted(*args, **kwargs):
+        starts.append(kwargs.get("start"))
+        return sector_ground_(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "sector_ground", counted)
     params, grid, basis = tiny_setup
-    params = dataclasses.replace(params, alpha=1e-3)
-    rec = run_cascade(params, grid, basis).records[1]
-    with pytest.raises(ParameterError, match="scale 0"):
-        scale_routes(FiberFamily(params, grid, basis, 0), rec)
+    rows = mass_scan(params, grid, basis, [1e-3], [params.p_total])
+    assert [(r.j, r.error) for r in rows] == [(0, ""), (1, "")]
+    assert starts and all(start is not None for start in starts)
 
 
 def test_mass_scan_annotates_failed_rows():
@@ -176,8 +194,8 @@ def test_mass_scan_annotates_failed_rows():
 
 def test_soft_photon_free_theory():
     params, grid, basis = make_box(0.0, [0.1, 0.0, 0.0])
-    _, psi, _ = sector_ground(params, grid, basis, 2)
-    rep = soft_photon_probe(psi, params, grid, basis, 2)
+    rec = run_cascade(params, grid, basis).records[2]
+    rep = soft_photon_probe(FiberFamily(params, grid, basis, 2), rec)
     assert np.all(rep.b_norm == 0.0)
     assert rep.empirical_c == 0.0
 
@@ -193,8 +211,9 @@ def test_soft_photon_single_mode_perturbative_oracle():
                          p_total=[0.2, 0.0, 0.0])
     h = assemble_h_fiber(params, grid, basis, 1)
     vals, vecs = dense_spectrum(h)
-    psi = vecs[:, 0]
-    rep = soft_photon_probe(psi, params, grid, basis, 1)
+    rec = run_cascade(params, grid, basis, allow_invalid=True).records[1]
+    rep = soft_photon_probe(FiberFamily(params, grid, basis, 1),
+                            dataclasses.replace(rec, psi=vecs[:, 0]))
     coupling = np.sqrt(alpha * 0.3 / 0.5)
     first_order = coupling * 0.2 / (vals[1] - vals[0])
     assert rep.b_norm[0] == pytest.approx(first_order, rel=2e-2)
@@ -206,7 +225,7 @@ def test_soft_photon_stability_across_scales():
     state = run_cascade(params, grid, basis, allow_invalid=True)
     consts = []
     for rec in state.records[1:]:
-        rep = soft_photon_probe(rec.psi, params, grid, basis, rec.j)
+        rep = soft_photon_probe(FiberFamily(params, grid, basis, rec.j), rec)
         consts.append(rep.empirical_c)
     assert max(consts) / min(consts) <= 2.0
 
@@ -215,9 +234,9 @@ def test_pull_through_free_theory():
     # both sides vanish on every mode; a nonzero right-hand side against
     # b_m psi = 0 would read inf
     params, grid, basis = make_box(0.0, [0.1, 0.0, 0.0])
-    e, psi, _ = sector_ground(params, grid, basis, 1)
+    rec = run_cascade(params, grid, basis).records[1]
     agg, per_mode = pull_through_summary(FiberFamily(params, grid, basis, 1),
-                                         psi=psi, energy=e)
+                                         rec)
     assert len(per_mode) == np.count_nonzero(grid.shell < 1)
     assert agg == 0.0 and np.all(per_mode == 0.0)
 
@@ -228,11 +247,14 @@ def test_pull_through_zero_coupling_reads_zero_for_a_lanczos_state():
     params, grid, basis = make_box(0.0, [0.1, 0.0, 0.0], n_scales=1)
     family = FiberFamily(params, grid, basis, 1)
     idx = basis.sector_indices(grid, 1)
-    rec = ground_state(family.h(params.p_total)[idx][:, idx], dense_cutoff=10)
-    assert rec.method == "lanczos"
+    pair = ground_state(family.h(params.p_total)[idx][:, idx],
+                        dense_cutoff=10)
+    assert pair.method == "lanczos"
     psi = np.zeros(basis.size)
-    psi[idx] = rec.vector
-    agg, per_mode = pull_through_summary(family, psi=psi, energy=rec.energy)
+    psi[idx] = pair.vector
+    rec = run_cascade(params, grid, basis).records[1]
+    agg, per_mode = pull_through_summary(
+        family, dataclasses.replace(rec, psi=psi, energy=pair.energy))
     assert agg == 0.0 and np.all(per_mode == 0.0)
 
 
@@ -241,8 +263,9 @@ def test_pull_through_residual_shrinks_with_caps():
     for n_max in (2, 3):
         params, grid, basis = make_box(5e-3, [0.1, 0.0, 0.0], n_scales=1,
                                        n_max=n_max)
+        rec = run_cascade(params, grid, basis).records[1]
         agg, per_mode = pull_through_summary(
-            FiberFamily(params, grid, basis, 1))
+            FiberFamily(params, grid, basis, 1), rec)
         aggregates[n_max] = agg
         assert np.all(per_mode[np.isfinite(per_mode)] >= 0.0)
     assert aggregates[3] < aggregates[2]
@@ -252,7 +275,9 @@ def test_pull_through_residual_shrinks_with_caps():
 def test_energy_slope_free_theory_analytic():
     params, grid, basis = make_box(0.0, [0.33, 0.0, 0.0], n_scales=2,
                                    eps=0.3)
-    c_emp, table = energy_lipschitz_probe(FiberFamily(params, grid, basis, 2))
+    rec = run_cascade(params, grid, basis, allow_invalid=True).records[2]
+    c_emp, table = energy_lipschitz_probe(FiberFamily(params, grid, basis, 2),
+                                          rec)
     # on-grid analytic value of the free dispersion slope
     p = params.p_total
     expected = max((p @ p / 2 - (p - grid.k[m]) @ (p - grid.k[m]) / 2)
@@ -286,17 +311,7 @@ def test_rotation_spot_check():
     assert max(energies) - min(energies) < 1e-12
 
 
-def test_curvature_momentum_quotients_reported():
-    from fqed.observables import curvature_momentum_quotients
-    params, grid, basis = make_box(1e-3, [0.1, 0.0, 0.0])
-    ps, curvs, quotients = curvature_momentum_quotients(
-        params, grid, basis, 2, [0.05, 0.1, 0.15])
-    assert len(ps) == 3 and len(quotients) == 2
-    assert np.all(np.isfinite(quotients))
-    assert np.all(curvs < 1.0)   # coupling softens the dispersion
-
-
-def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
+def test_each_route_solves_only_what_it_returns(tiny_record, monkeypatch):
     # 16 nodes: 9 node evaluations on the upper half circle.  Each route
     # takes R psi = psi / (E - z), so it reduces only its target and solves
     # once per node; the direct route reads its sandwich from coefficient 0
@@ -305,12 +320,10 @@ def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
     import fqed.observables as observables
     import fqed.spectral as spectral
 
-    params, grid, basis = tiny_setup
+    params, grid, basis, rec = tiny_record
     monkeypatch.setattr(observables, "ROUTE_NODES", 16)
     family = FiberFamily(params, grid, basis, 1)
-    energy, psi, gap = sector_ground(params, grid, basis, 1)
-    grad = family.gradient(psi, params.p_total)
-    frame = displaced_frame_ground(family, grad)
+    frame = displaced_frame_ground(family, rec)
     calls = []
     moves = []
 
@@ -326,8 +339,7 @@ def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
         counted(ResolventSolver, name)
     counted(spectral._KrylovSpace, "lift")
     routes = {
-        "direct": lambda: dispersion_curvature_direct(
-            family, psi=psi, energy=energy, gap=gap),
+        "direct": lambda: dispersion_curvature_direct(family, rec),
         "displaced": lambda: dispersion_curvature_displaced(frame),
         "cross": lambda: cross_term_probe(frame),
     }
@@ -345,16 +357,13 @@ def test_each_route_solves_only_what_it_returns(tiny_setup, monkeypatch):
                             "cross": ["lift", "reduce"]}
 
 
-def test_cross_term_probe_reads_an_off_eigenvector_phi(tiny_setup):
+def test_cross_term_probe_reads_an_off_eigenvector_phi(tiny_record):
     # the probe sees how far phi is from the frame's eigenvector: the route
     # takes R phi = phi / (E - z), but its <R Gamma R phi, phi> term reads
     # the lifted integral against phi itself, so moved off the eigenvector
     # by 1e-3 the probe reads far above a06's 1e-8
-    params, grid, basis = tiny_setup
-    family = FiberFamily(params, grid, basis, 1)
-    energy, psi, _ = sector_ground(params, grid, basis, 1)
-    frame = displaced_frame_ground(family,
-                                   family.gradient(psi, params.p_total))
+    params, grid, basis, rec = tiny_record
+    frame = displaced_frame_ground(FiberFamily(params, grid, basis, 1), rec)
     exact = cross_term_probe(frame)
     rng = np.random.default_rng(3)
     kick = rng.standard_normal(len(frame.phi))
@@ -379,10 +388,8 @@ def test_warm_polished_frame_keeps_its_gap_and_centering(small_setup,
                         functools.partial(ground_state, dense_cutoff=cutoff))
     params, grid, basis = small_setup
     rec = run_cascade(params, grid, basis).records[-1]
-    family = FiberFamily(params, grid, basis, rec.j)
-    frame = displaced_frame_ground(family, rec.grad_energy,
-                                   gamma_start=rec.gamma_shift,
-                                   phi_start=rec.phi)
+    frame = displaced_frame_ground(FiberFamily(params, grid, basis, rec.j),
+                                   rec)
     idx = basis.sector_indices(grid, rec.j)
     vals, _ = dense_spectrum(frame.k_op[idx][:, idx])
     assert np.isfinite(frame.gap)
@@ -393,8 +400,8 @@ def test_warm_polished_frame_keeps_its_gap_and_centering(small_setup,
 
 def test_fd_curvature_takes_its_center_from_the_cascade(small_setup,
                                                         monkeypatch):
-    # the cascade energy is the stencil's center bit for bit, so passing it
-    # saves one sector solve and changes nothing
+    # the cascade energy is the stencil's center, so only the four
+    # off-center points are solved, each started from the cascade's psi
     import fqed.observables as observables
 
     params, grid, basis = small_setup
@@ -403,28 +410,25 @@ def test_fd_curvature_takes_its_center_from_the_cascade(small_setup,
     sector_ground_ = observables.sector_ground
 
     def counted(*args, **kwargs):
-        calls.append(kwargs["p"])
+        calls.append((tuple(kwargs["p"]), kwargs["start"]))
         return sector_ground_(*args, **kwargs)
 
     monkeypatch.setattr(observables, "sector_ground", counted)
-    family = FiberFamily(params, grid, basis, rec.j)
-    fresh = dispersion_curvature_fd(family)
-    assert len(calls) == 5
-    calls.clear()
-    reused = dispersion_curvature_fd(family, center=rec.energy)
+    dispersion_curvature_fd(FiberFamily(params, grid, basis, rec.j), rec)
     assert len(calls) == 4
-    assert reused == fresh
+    assert tuple(params.p_total) not in [p for p, _ in calls]
+    assert all(start is rec.psi for _, start in calls)
 
 
-def test_pull_through_one_solver_per_photon_momentum(tiny_setup,
+def test_pull_through_one_solver_per_photon_momentum(tiny_record,
                                                      monkeypatch):
     # the two polarizations of each k share one H(P - k) solver, and each
     # per-mode residual matches an independent dense solve of
     # (H(P - k) + |k| - E) x = (eps_m . dH/dP) psi, with H(P - k) in product
     # form and dH/dP its central difference at unit step (exact, since H is
     # quadratic in P)
-    params, grid, basis = tiny_setup
-    energy, psi, _ = sector_ground(params, grid, basis, 1)
+    params, grid, basis, rec = tiny_record
+    energy, psi = rec.energy, rec.psi
     inits = []
     init = ResolventSolver.__init__
 
@@ -434,7 +438,7 @@ def test_pull_through_one_solver_per_photon_momentum(tiny_setup,
 
     monkeypatch.setattr(ResolventSolver, "__init__", counted)
     _, per_mode = pull_through_summary(FiberFamily(params, grid, basis, 1),
-                                       psi=psi, energy=energy)
+                                       rec)
     active = np.nonzero(grid.shell < 1)[0]
     assert len(inits) == len({tuple(grid.k[m]) for m in active}) \
         == len(active) // 2
@@ -484,17 +488,14 @@ def dense_displaced_route(frame):
             1.0 - 2.0 * float(reduced.real), float(abs(2.0 * cross)))
 
 
-def test_displaced_route_builds_one_krylov_space(tiny_setup, monkeypatch):
+def test_displaced_route_builds_one_krylov_space(tiny_record, monkeypatch):
     # the route reduces only Gamma phi and reads its cross term from the
     # same integral: one Lanczos space per call, and the same three values
     # as the dense double resolvent
     import fqed.spectral as spectral
 
-    params, grid, basis = tiny_setup
-    family = FiberFamily(params, grid, basis, 1)
-    energy, psi, _ = sector_ground(params, grid, basis, 1)
-    frame = displaced_frame_ground(family,
-                                   family.gradient(psi, params.p_total))
+    params, grid, basis, rec = tiny_record
+    frame = displaced_frame_ground(FiberFamily(params, grid, basis, 1), rec)
     dense = dense_displaced_route(frame)
     spaces = []
 
