@@ -185,8 +185,12 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
     energy (using the bridge Hamiltonian built from the previous gradient).
     Each scale then solves its fiber Hamiltonian on its sector and
     evaluates the gradient; past scale 0 the projected vector is re-dressed
-    with one combined Weyl displacement.  A failed parameter constraint
-    raises unless ``allow_invalid`` is set.
+    with one combined Weyl displacement.  The solves form one chain: scale
+    0's one-state sector is solved densely, each next-sector solve starts
+    from its scale's ground state, and each later sector solve starts from
+    the previous scale's next-sector vector, so every solve past the first
+    is a started Davidson solve.  A failed parameter constraint raises
+    unless ``allow_invalid`` is set.
     """
     cut = params.cutoffs
     if grid.cutoffs.n_scales < params.n_scales or not np.allclose(
@@ -204,6 +208,7 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
 
     state = CascadeState(params=params, grid=grid, basis=basis, report=report)
     p = params.p_total
+    start = None
     for j in range(params.n_scales + 1):
         # one family per scale, released when the next step replaces it
         family = FiberFamily(params, grid, basis, j)
@@ -224,7 +229,7 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
 
         h = family.h(p)
         energy, psi, gap_sector = sector_ground(params, grid, basis, j,
-                                                h_op=h)
+                                                h_op=h, start=start)
         if gap_sector < 1e-12:
             raise CascadeError(
                 f"scale {j}: degenerate ground state, gap {gap_sector}")
@@ -247,8 +252,11 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
 
         pi = displaced_momentum_ops(family, grad)
         _, shift, orth = center_operators(pi, phi)
-        gap_next = sector_ground(params, grid, basis, j + 1, h_op=h)[2] \
-            if j < params.n_scales else np.nan
+        gap_next = np.nan
+        if j < params.n_scales:
+            # the ground state of H_j on sector j + 1 starts scale j + 1
+            _, start, gap_next = sector_ground(params, grid, basis, j + 1,
+                                               h_op=h, start=psi)
         state.records.append(ScaleRecord(
             j=j, sigma=cut.sigma(j), energy=energy, grad_energy=grad,
             gap_sector=gap_sector, gap_next_sector=gap_next,

@@ -355,7 +355,7 @@ def mass_scan(params_template: ModelParams, grid: ModeGrid, basis: FockBasis,
                 state = run_cascade(params, grid, basis,
                                     contour_nodes=contour_nodes,
                                     allow_invalid=allow_invalid)
-            except (CascadeError, ParameterError) as exc:
+            except (CascadeError, ParameterError, RuntimeError) as exc:
                 rows.append(MassScanRow(
                     alpha=float(alpha), j=-1, sigma=np.nan, p=p,
                     error=str(exc)))

@@ -278,3 +278,84 @@ def test_cascade_stops_at_first_level_on_empty_enclosure(tiny_setup,
     with pytest.raises(CascadeError, match="encloses none"):
         run_cascade(params, grid, basis, allow_invalid=True)
     assert calls == [64, 64]
+
+
+def test_cascade_chains_its_ground_state_solves(small_setup, monkeypatch):
+    # past scale 0's one-state sector every solve is a Davidson solve: scale
+    # j's next-sector solve starts from its psi, and scale j + 1's sector
+    # solve from that solve's vector; no cold solve runs after the first
+    import fqed.cascade as cascade
+    import fqed.spectral as spectral
+
+    params, grid, basis = small_setup
+    solves, methods, dense = [], [], []
+    sector_ground, ground_state = cascade.sector_ground, cascade.ground_state
+    dense_spectrum = spectral.dense_spectrum
+
+    def recorded(params, grid, basis, j, **kwargs):
+        out = sector_ground(params, grid, basis, j, **kwargs)
+        solves.append((j, kwargs.get("start"), out[1]))
+        return out
+
+    def method(op, **kwargs):
+        rec = ground_state(op, **kwargs)
+        methods.append((op.shape[0], kwargs.get("start") is not None,
+                        rec.method))
+        return rec
+
+    def no_eigsh(*args, **kwargs):
+        raise AssertionError("cold ARPACK solve in the cascade")
+
+    def counted(op, *args, **kwargs):
+        dense.append(op.shape[0])
+        return dense_spectrum(op, *args, **kwargs)
+
+    monkeypatch.setattr(cascade, "sector_ground", recorded)
+    monkeypatch.setattr(cascade, "ground_state", method)
+    monkeypatch.setattr(spectral.spla, "eigsh", no_eigsh)
+    monkeypatch.setattr(spectral, "dense_spectrum", counted)
+    state = run_cascade(params, grid, basis)
+
+    assert [j for j, _, _ in solves] == [0, 1, 1, 2, 2]
+    assert methods == [(1, False, "dense"), (91, True, "davidson"),
+                       (91, True, "davidson"), (325, True, "davidson"),
+                       (325, True, "davidson")]
+    assert dense == [1]
+    assert solves[0][1] is None
+    for rec, (_, start, _) in zip(state.records, solves[1::2]):
+        assert start is rec.psi
+    for (_, _, vec), (_, start, _) in zip(solves[1::2], solves[2::2]):
+        assert start is vec
+
+
+@pytest.fixture(scope="module")
+def desk_box():
+    """demos/desk.cfg's box: J=3, 36 modes, caps 2/2, dim 703."""
+    from fqed.fock import enumerate_basis
+    from fqed.modes import build_grid
+
+    params = box(epsilon=0.3, mu=0.15, rho_minus=0.14, rho_plus=0.16,
+                 ir_floor_c=2.5, n_scales=3)
+    grid = build_grid(params.cutoffs, 1, "octahedral6")
+    return params, grid, enumerate_basis(grid.n_modes, 2, 2)
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 1e-3, 5e-3])
+@pytest.mark.parametrize("px", [0.05, 0.2])
+def test_warm_cascade_matches_cold_sector_solves(desk_box, alpha, px):
+    # the rows where an unguarded Davidson once missed a degenerate second
+    # level: every warm energy and gap equals a cold 3-pair solve
+    from fqed.cascade import sector_ground
+
+    params, grid, basis = desk_box
+    params = dataclasses.replace(params, alpha=alpha,
+                                 p_total=np.array([px, 0.0, 0.0]))
+    for rec in run_cascade(params, grid, basis).records:
+        h = FiberFamily(params, grid, basis, rec.j).h(params.p_total)
+        energy, _, gap = sector_ground(params, grid, basis, rec.j, h_op=h)
+        gap_next = sector_ground(params, grid, basis, rec.j + 1,
+                                 h_op=h)[2] if rec.j < params.n_scales \
+            else np.nan
+        np.testing.assert_allclose(
+            [rec.energy, rec.gap_sector, rec.gap_next_sector],
+            [energy, gap, gap_next], rtol=0, atol=1e-12)

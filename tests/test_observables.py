@@ -167,7 +167,7 @@ def test_scale_functions_reject_another_scales_family(tiny_record, route):
 
 def test_mass_scan_starts_every_observable_solve(tiny_setup, monkeypatch):
     # every ground state a route or the FD gradient solves starts from the
-    # cascade's vectors; the cold solves are run_cascade's own
+    # cascade's vectors
     import fqed.observables as observables
 
     starts = []
