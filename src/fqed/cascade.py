@@ -29,7 +29,7 @@ from .fock import FockBasis
 from .hamiltonian import (FiberFamily, ModelParams,
                           assemble_intermediate_hamiltonian)
 from .modes import ModeGrid, ParameterError
-from .spectral import (Contour, ContourError, ResolventSolver,
+from .spectral import (Contour, ContourError, ResolventSolver, SolverError,
                        contour_project_checked, ground_state)
 
 #: Trapezoid nodes of each step's first projection; doubled on a defect.
@@ -228,8 +228,11 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
                 raise CascadeError(f"scale {j}: {exc}") from exc
 
         h = family.h(p)
-        energy, psi, gap_sector = sector_ground(params, grid, basis, j,
-                                                h_op=h, start=start)
+        try:
+            energy, psi, gap_sector = sector_ground(params, grid, basis, j,
+                                                    h_op=h, start=start)
+        except SolverError as exc:
+            raise CascadeError(f"scale {j}: sector solve: {exc}") from exc
         if gap_sector < 1e-12:
             raise CascadeError(
                 f"scale {j}: degenerate ground state, gap {gap_sector}")
@@ -255,8 +258,12 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
         gap_next = np.nan
         if j < params.n_scales:
             # the ground state of H_j on sector j + 1 starts scale j + 1
-            _, start, gap_next = sector_ground(params, grid, basis, j + 1,
-                                               h_op=h, start=psi)
+            try:
+                _, start, gap_next = sector_ground(params, grid, basis, j + 1,
+                                                   h_op=h, start=psi)
+            except SolverError as exc:
+                raise CascadeError(
+                    f"scale {j}: next-sector solve: {exc}") from exc
         state.records.append(ScaleRecord(
             j=j, sigma=cut.sigma(j), energy=energy, grad_energy=grad,
             gap_sector=gap_sector, gap_next_sector=gap_next,

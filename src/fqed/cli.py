@@ -37,8 +37,8 @@ from .observables import (SCAN_COLUMNS, energy_lipschitz_probe, mass_scan,
                           momentum_axis, pull_through_summary,
                           resolvent_bound_probes, scale_routes, scan_csv,
                           scan_tail_summary, soft_photon_probe)
-from .spectral import (DENSE_LIMIT, MAX_NODES, ConditioningError,
-                       ContourError, SolverError, check_node_count)
+from .spectral import (MAX_NODES, ConditioningError, ContourError,
+                       SolverError, check_node_count)
 
 
 class ConfigError(ValueError):
@@ -178,11 +178,10 @@ def parse_config(path) -> RunConfig:
         txt = get(key)
         try:
             value = cast(txt)
-        except ValueError as exc:
+            if not np.isfinite(float(value)):
+                raise ValueError(f"expected a finite number, got {txt!r}")
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"{where(key)}: {exc}") from exc
-        if not np.isfinite(value):
-            raise ConfigError(
-                f"{where(key)}: expected a finite number, got {txt!r}")
         if low is not None and value < low:
             raise ConfigError(
                 f"{where(key)}: expected a value >= {low}, got {txt!r}")
@@ -209,6 +208,9 @@ def parse_config(path) -> RunConfig:
             n_scales=num("J", int, low=1))
     except ParameterError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    eps = params.epsilon   # the grid divides by every cutoff
+    if 0.0 < eps < 1.0 and lambda_uv * eps ** params.n_scales == 0.0:
+        raise ConfigError(f"{where('J')}: Lambda * epsilon**J underflows")
 
     contour_nodes = num("contour_nodes", int)
     try:
@@ -416,18 +418,12 @@ def _verify_lines(cfg: RunConfig, suite: str):
                f"C = {c_emp:.4f} (free-theory limit 1/3)")
 
     if suite in ("bounds", "all"):
-        if basis.size > DENSE_LIMIT:
-            yield (False, "resolvent bounds", True,
-                   f"dimension {basis.size} above dense limit "
-                   f"{DENSE_LIMIT}; absolute-value resolvents need the "
-                   "full eigendecomposition")
-        else:
-            for rec in state.records[:-1]:
-                consts = resolvent_bound_probes(family(rec.j), rec)
-                for name, c in zip(("C3", "C4", "C5"), consts):
-                    if np.isfinite(c):
-                        yield (False, f"bound {name} j={rec.j}", c >= 1.0,
-                               f"{name} = {c:.4f} (>= 1)")
+        for rec in state.records[:-1]:
+            consts = resolvent_bound_probes(family(rec.j), rec)
+            for name, c in zip(("C3", "C4", "C5"), consts):
+                if np.isfinite(c):
+                    yield (False, f"bound {name} j={rec.j}", c >= 1.0,
+                           f"{name} = {c:.4f} (>= 1)")
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:

@@ -38,15 +38,14 @@ ENTRY_LIMIT = int(2**30 / ENTRY_BYTES)
 
 def basis_size(n_modes: int, n_max: int, c_max: int) -> int:
     """Number of occupation vectors with the given caps (no enumeration)."""
+    n_max = min(n_max, n_modes * c_max)   # no state holds more quanta
     # count[t] = number of ways to fill the modes seen so far with total t
     count = np.zeros(n_max + 1, dtype=object)
     count[0] = 1
     for _ in range(n_modes):
-        new = np.zeros(n_max + 1, dtype=object)
-        for t in range(n_max + 1):
-            for c in range(min(c_max, t) + 1):
-                new[t] += count[t - c]
-        count = new
+        acc = np.cumsum(count)   # each mode sums a window of c_max + 1
+        count = acc.copy()
+        count[c_max + 1:] -= acc[:max(0, n_max - c_max)]
     return int(sum(count))
 
 
@@ -55,6 +54,9 @@ def check_basis_size(n_modes: int, n_max: int, c_max: int,
     """The basis size in closed form; raises ResourceError above
     ``size_limit`` states, or above ``ENTRY_LIMIT`` states x modes (the
     occupation entries enumeration holds), without enumerating anything."""
+    least = min(n_max, n_modes * c_max) + 1   # each total occurs
+    if least > size_limit or least * n_modes > ENTRY_LIMIT:
+        raise ResourceError(f"basis would hold at least {least} states")
     n_states = basis_size(n_modes, n_max, c_max)
     if n_states > size_limit:
         raise ResourceError(

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 
 from .bogoliubov import center_operators
 from .cascade import (CONTOUR_NODES, CascadeError, ScaleRecord, run_cascade,
@@ -43,7 +44,7 @@ from .cascade import (CONTOUR_NODES, CascadeError, ScaleRecord, run_cascade,
 from .fock import FockBasis, creation_sum, ladder
 from .hamiltonian import FiberFamily, ModelParams, slice_marginal_coeffs
 from .modes import ModeGrid, ParameterError
-from .spectral import (Contour, ResolventSolver, contour_sum, dense_spectrum,
+from .spectral import (Contour, ResolventSolver, contour_sum,
                        resolvent_sandwich)
 
 #: Trapezoid nodes of the at-scale curvature-route contours.
@@ -521,41 +522,37 @@ def resolvent_bound_probes(family: FiberFamily, rec: ScaleRecord):
     one cascade scale below the last, on that scale's family.
 
     Each is the largest, over three points z of the step contour, of
-    sum_n a_n / |lambda_n - z|^p over |sum_n a_n / (lambda_n - z)^p|, with
-    a_n = |<v_n, w>|^2 in the eigenpairs of the frame Hamiltonian K(shift):
-    p = 1 (C3) and p = 2 (C5) for w = Gamma phi, p = 1 (C4) for the slice
-    operator's creation part applied to Gamma phi.  As a_n >= 0, the
-    triangle inequality makes each finite constant at least 1, so a check
-    of C >= 1 cannot fail.  NaN where w vanishes, as at j = 0, where Gamma
-    annihilates the vacuum.  The eigendecomposition is dense.
+    sum_n a_n / |lambda_n - z|^p over |sum_n a_n / (lambda_n - z)^p|, p = 1
+    (C3) and p = 2 (C5) for w = Gamma phi, p = 1 (C4) for the slice
+    operator's creation part applied to Gamma phi.  The sums run over the
+    Gauss rule of w's Lanczos space in the frame Hamiltonian K(shift): the
+    Ritz values lambda_n, weighted by ||w||^2 times their eigenvectors'
+    squared first components.  As a_n >= 0, the triangle inequality makes
+    each finite constant at least 1, so a check of C >= 1 cannot fail.
+    NaN where w vanishes, as at j = 0, where Gamma annihilates the vacuum.
     """
     _check_scale(family, rec)
     params = family.params
     axis = momentum_axis(params.p_total)
     frame = family.frame(rec.grad_energy)
     gamma_ops, shift, _ = center_operators(frame.pi, rec.phi)
-    vals, vecs = dense_spectrum(frame.k(shift))
+    solver = ResolventSolver(frame.k(shift))
     w3 = gamma_ops[axis] @ rec.phi
-    lam_coeff = slice_marginal_coeffs(params, family.grid, rec.j,
-                                      rec.grad_energy)
-    w4 = creation_sum(family.basis, lam_coeff[axis]) @ w3
-
+    w4 = creation_sum(family.basis, slice_marginal_coeffs(
+        params, family.grid, rec.j, rec.grad_energy)[axis]) @ w3
     radius = params.mu * params.cutoffs.sigma(rec.j + 1)
-    best3 = best4 = best5 = np.nan
-    for angle in (0.0, 0.5 * np.pi, np.pi):
-        z = rec.energy + radius * np.exp(1j * angle)
-        inv = 1.0 / (vals - z)
+    points = rec.energy + radius * np.exp(0.5j * np.pi * np.arange(3))
 
-        def ratios(w):
-            wt = vecs.T @ w
-            plain = np.abs(np.sum(np.abs(wt) ** 2 * inv))
-            absval = np.sum(np.abs(wt) ** 2 / np.abs(vals - z))
-            plain2 = np.abs(np.sum(np.abs(wt) ** 2 * inv ** 2))
-            absval2 = np.sum(np.abs(wt) ** 2 / np.abs(vals - z) ** 2)
-            return absval / plain if plain > 0 else np.nan, \
-                absval2 / plain2 if plain2 > 0 else np.nan
+    def ratios(w):
+        space = solver.reduce(w)
+        if space.b0 == 0.0:
+            return np.nan, np.nan
+        for z in points:
+            solver.solve(z, space)
+        k = space.steps
+        nodes, vecs = eigh_tridiagonal(space.alpha[:k], space.beta[:k - 1])
+        a, inv = (space.b0 * vecs[0]) ** 2, 1.0 / (nodes[:, None] - points)
+        return [np.max(a @ abs(inv) ** p / abs(a @ inv ** p)) for p in (1, 2)]
 
-        r3, r5 = ratios(w3)
-        best3, best5 = np.fmax(best3, r3), np.fmax(best5, r5)
-        best4 = np.fmax(best4, ratios(w4)[0])
-    return float(best3), float(best4), float(best5)
+    (c3, c5), (c4, _) = ratios(w3), ratios(w4)
+    return c3, c4, c5

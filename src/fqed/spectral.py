@@ -27,7 +27,7 @@ series ``neumann_project``, take the operator itself.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -117,9 +117,6 @@ class Contour:
         """c_q with (1/2pi i) oint_cw f dz ~= sum_q c_q f(z_q)."""
         theta = 2.0 * np.pi * np.arange(self.nodes) / self.nodes
         return -(self.radius / self.nodes) * np.exp(1j * theta)
-
-    def with_nodes(self, nodes: int) -> "Contour":
-        return Contour(self.center, self.radius, nodes)
 
 
 @dataclass
@@ -495,7 +492,7 @@ def contour_project_checked(solver: ResolventSolver, contour: Contour,
             raise ContourError(
                 f"projector defect {defect:.3e} above {defect_tol:.1e} "
                 f"at {current.nodes} nodes")
-        current = current.with_nodes(current.nodes * 2)
+        current = replace(current, nodes=current.nodes * 2)
 
 
 def neumann_project(op, delta_h, contour: Contour, v: np.ndarray,

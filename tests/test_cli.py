@@ -3,9 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqed.cli import ConfigError, main, parse_config
 from fqed.fock import ENTRY_LIMIT
+from fqed.hamiltonian import FiberFamily
+from fqed.modes import ANGULAR_SETS
 
 GOOD_CONFIG = """\
 # desk-scale sample
@@ -128,6 +132,8 @@ GOOD_BYTES = GOOD_CONFIG.encode()
      "'angular_set'"),
     (GOOD_BYTES.replace(b"Lambda = 1.0", b"Lambda = 1e308"), "'Lambda'"),
     (GOOD_BYTES.replace(b"Lambda = 1.0", b"Lambda = 0"), "'Lambda'"),
+    (GOOD_BYTES.replace(b"J = 2", b"J = 2000"), "'J'"),
+    (GOOD_BYTES.replace(b"J = 2", b"J = 1" + b"0" * 30), "'J'"),
     (GOOD_BYTES.replace(b"P_list = 0.1 0 0", b"P_list = 0 0.2 0.1"),
      "'P_list'"),
 ], ids=["non-numeric-alphas", "non-utf8", "odd-contour-nodes", "nan-alpha",
@@ -142,6 +148,7 @@ GOOD_BYTES = GOOD_CONFIG.encode()
         "removed-krylov-max-key", "removed-mass-route-key", "zero-scales",
         "zero-radial-cells", "zero-mode-cap", "negative-total-cap",
         "unknown-angular-set", "huge-uv-cutoff", "zero-uv-cutoff",
+        "underflowing-last-cutoff", "scale-count-past-the-doubles",
         "off-axis-momentum-list"])
 def test_bad_config_exits_2_at_parse_time(tmp_path, capsys, data, key):
     path = tmp_path / "bad.cfg"
@@ -200,6 +207,80 @@ def test_validate_refuses_an_enumeration_too_large_to_hold(tmp_path,
     assert f"above limit {ENTRY_LIMIT}" in captured.err
     assert "all constraints PASS" not in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_validate_refuses_caps_too_large_to_count(tmp_path, capsys):
+    # every total up to the caps occurs, so a 31-digit cap is refused on
+    # that bound without an array of totals to count them in
+    path = desk_variant(tmp_path, n_max="1" + "0" * 30, c_max="1" + "0" * 30)
+    assert main(["validate", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: basis would hold at least {10 ** 30 + 1} states\n")
+    assert "Traceback" not in captured.out + captured.err
+
+
+_BAD_TEXT = st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e999",
+                             "0x10", "1,5", "--1", "1 2", "true"])
+_FLOAT_TEXT = st.one_of(st.floats().map(repr), _BAD_TEXT)
+_INT_TEXT = st.one_of(st.integers(-2, 6).map(str),
+                      st.integers(10 ** 6, 10 ** 40).map(str),
+                      st.floats(-10, 10).map(repr), _BAD_TEXT)
+#: Generated text per config key.  ``n_radial`` stays small: the grid has
+#: no size bound of its own.  ``basis_limit`` stays at most 3000 and is
+#: never removed, so a box that validates is small enough to build.
+_CONFIG_TEXT = {
+    **{key: _FLOAT_TEXT for key in (
+        "alpha", "epsilon", "mu", "rho_minus", "rho_plus", "C_alpha",
+        "ir_floor_C", "delta")},
+    "Lambda": st.one_of(_FLOAT_TEXT, st.sampled_from(
+        ["1e102", "5.6e102", "5.7e102", "1e-300", "1e308"])),
+    "P": st.one_of(st.lists(_FLOAT_TEXT, min_size=1, max_size=4)
+                   .map(" ".join), st.sampled_from(["0.3 0 0", "0 0 0"])),
+    "J": st.one_of(_INT_TEXT, st.integers(7, 3000).map(str)),
+    "n_max": _INT_TEXT,
+    "c_max": _INT_TEXT,
+    "n_radial": st.one_of(st.integers(-2, 3).map(str), _BAD_TEXT),
+    "contour_nodes": st.one_of(_INT_TEXT, st.integers(-10, 1100).map(str)),
+    "basis_limit": st.one_of(st.integers(-10, 3000).map(str), _BAD_TEXT),
+    "angular_set": st.sampled_from(ANGULAR_SETS + ("foo", "")),
+    "alphas": st.lists(_FLOAT_TEXT, max_size=3).map(" ".join),
+    "P_list": st.lists(_FLOAT_TEXT, max_size=4).map(" ".join),
+    "allow_invalid": st.sampled_from(["true", "false", "maybe"]),
+}
+
+
+@st.composite
+def _configs(draw):
+    """GOOD_CONFIG with basis_limit 3000 and one to three keys replaced by
+    generated text or, except basis_limit, removed."""
+    values = dict(line.split(" = ") for line in GOOD_CONFIG.splitlines()
+                  if " = " in line)
+    values["basis_limit"] = "3000"
+    keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_TEXT)), min_size=1,
+                         max_size=3, unique=True))
+    for key in keys:
+        text = _CONFIG_TEXT[key]
+        values[key] = draw(text if key == "basis_limit"
+                           else st.one_of(st.none(), text))
+    return "".join(f"{key} = {value}\n" for key, value in values.items()
+                   if value is not None)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(text=_configs())
+def test_validate_never_ends_in_a_traceback(tmp_path_factory, text):
+    # bad and extreme values exit 2 at parse time or 1 on a constraint; a
+    # config that validates builds its grid, basis and scale-0 H(P)
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_text(text)
+    code = main(["validate", "--config", str(path)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        cfg = parse_config(path)
+        grid = cfg.build_grid()
+        basis = cfg.build_basis(grid)
+        FiberFamily(cfg.params, grid, basis, 0).h(cfg.params.p_total)
 
 
 def test_verify_energy_slope_window_admits_the_dispersion_minimum(
@@ -300,21 +381,26 @@ def test_davidson_iteration_cap_exits_3_or_writes_error_rows(
     # started ground-state solves that run out of Davidson iterations stop
     # verify as a numerical failure and leave mass-scan with error rows;
     # the cascade's own solves past scale 0 are started, so each job's
-    # cascade fails and gives one j = -1 row
+    # cascade fails and gives one j = -1 row naming the failed solve's
+    # scale: scale 0's next-sector solve starts from an exact eigenvector
+    # (no interaction reaches sector 1 at scale 0), so scale 1's sector
+    # solve is the first to run out
     import fqed.spectral as spectral
 
     monkeypatch.setattr(spectral, "DAVIDSON_MAX_ITER", 1)
     path = write_config(tmp_path, GOOD_CONFIG)
     assert main(["verify", "--config", path, "--suite", "identities"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: Davidson stopped at residual")
+    assert err.startswith("numerical failure: scale 1: sector solve: "
+                          "Davidson stopped at residual")
     assert "Traceback" not in err
     out = tmp_path / "out"
     assert main(["mass-scan", "--config", path, "--out", str(out)]) == 3
     rows = (out / "scan.csv").read_text().splitlines()[1:]
     rows = [r.split(",") for r in rows if not r.startswith("#")]
     assert [r[1] for r in rows] == ["-1"] * 2
-    assert all("Davidson stopped at residual" in r[-1] for r in rows)
+    assert all(r[-1].startswith("scale 1: sector solve: ")
+               and "Davidson stopped at residual" in r[-1] for r in rows)
 
 
 def test_mass_scan_empty_momentum_list_is_usage_error(tmp_path, capsys):
@@ -405,17 +491,46 @@ def test_verify_all_builds_two_families_per_record(tmp_path, family_builds):
     assert sorted(family_builds) == [0, 0, 1, 1, 2, 2]
 
 
-def test_verify_bounds_skip_above_the_dense_limit(tmp_path, family_builds,
-                                                  monkeypatch):
+def test_verify_bounds_read_each_lanczos_space(tmp_path, family_builds,
+                                               monkeypatch):
+    # the bounds probe takes its constants from the Lanczos spaces of its
+    # two vectors at every size: past the cascade no dense spectrum, two
+    # spaces and one family per probed record
     import fqed.cli as cli
+    import fqed.observables as observables
+    import fqed.spectral as spectral
 
-    monkeypatch.setattr(cli, "DENSE_LIMIT", 10)
+    calls = {"dense": 0, "reduce": 0}
+    at_cascade_end = []
+    dense_spectrum = spectral.dense_spectrum
+    reduce = spectral.ResolventSolver.reduce
+    run_cascade = cli.run_cascade
+
+    def counted_dense(*args, **kwargs):
+        calls["dense"] += 1
+        return dense_spectrum(*args, **kwargs)
+
+    def counted_reduce(self, b):
+        calls["reduce"] += 1
+        return reduce(self, b)
+
+    def cascade(*args, **kwargs):
+        state = run_cascade(*args, **kwargs)
+        at_cascade_end.append(dict(calls))
+        return state
+
+    monkeypatch.setattr(spectral, "dense_spectrum", counted_dense)
+    monkeypatch.setattr(spectral.ResolventSolver, "reduce", counted_reduce)
+    monkeypatch.setattr(cli, "run_cascade", cascade)
+    assert not hasattr(observables, "dense_spectrum")
     cfg = parse_config(write_config(tmp_path, GOOD_CONFIG))
     lines = list(cli._verify_lines(cfg, "bounds"))
+    # Gamma annihilates the vacuum, so j = 0 has no bound lines
     assert [(name, passed) for _, name, passed, _ in lines] \
-        == [("resolvent bounds", True)]
-    assert "above dense limit 10" in lines[0][3]
-    assert sorted(family_builds) == [0, 1, 2]   # the cascade's own
+        == [(f"bound {c} j=1", True) for c in ("C3", "C4", "C5")]
+    assert calls["dense"] == at_cascade_end[0]["dense"]
+    assert calls["reduce"] - at_cascade_end[0]["reduce"] == 2 * 2
+    assert sorted(family_builds) == [0, 0, 1, 1, 2]
 
 
 def test_verify_starts_every_observable_solve(tmp_path, monkeypatch):

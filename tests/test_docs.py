@@ -3,8 +3,9 @@ table lists exactly the keys the parser accepts, with their defaults, its
 ``scan.csv`` header is the one the scan writes, its list of ``verify``
 suites is the one the command accepts, every name a demo imports from
 ``fqed`` exists, every call a demo makes to such a name binds to its
-signature, and the demos that evaluate routes and probes from cascade
-records run to the end."""
+signature, the demos that evaluate routes and probes from cascade
+records run to the end, and the benchmark's copy of the demo config is
+that config byte for byte."""
 
 import ast
 import importlib
@@ -27,6 +28,12 @@ def config_table() -> list[tuple[str, str]]:
     text = (ROOT / "README.md").read_text()
     section = text.split("### Config keys", 1)[1].split("\n#", 1)[0]
     return re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", section, re.M)
+
+
+def test_benchmark_desk_config_is_the_demo_config():
+    # the desk workloads measure the demo config itself
+    assert (ROOT / "perfbench" / "configs" / "desk.cfg").read_bytes() \
+        == (ROOT / "demos" / "desk.cfg").read_bytes()
 
 
 def test_readme_scan_header_matches_the_writer():

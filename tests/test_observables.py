@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import custom_grid
+from fqed.bogoliubov import center_operators
 from fqed.cascade import run_cascade, sector_ground
-from fqed.fock import enumerate_basis, ladder
-from fqed.hamiltonian import FiberFamily, ModelParams, assemble_h_fiber
+from fqed.fock import creation_sum, enumerate_basis, ladder
+from fqed.hamiltonian import (FiberFamily, ModelParams, assemble_h_fiber,
+                              slice_marginal_coeffs)
 from fqed.modes import ParameterError, build_grid
 from fqed.observables import (cross_term_probe, dispersion_curvature_direct,
                               dispersion_curvature_displaced,
@@ -298,6 +300,43 @@ def test_bounds_probe_reports():
     assert all(np.isfinite(c) and c >= 1.0 - 1e-12 for c in consts)
     with pytest.raises(ParameterError):
         resolvent_bound_probes(FiberFamily(params, grid, basis, 0), rec1)
+
+
+def dense_bound_constants(family, rec):
+    """(C3, C4, C5) from the full eigendecomposition of K(shift): each sum
+    over the eigenpairs with a_n = |<v_n, w>|^2."""
+    params = family.params
+    axis = momentum_axis(params.p_total)
+    frame = family.frame(rec.grad_energy)
+    gamma_ops, shift, _ = center_operators(frame.pi, rec.phi)
+    vals, vecs = dense_spectrum(frame.k(shift))
+    w3 = gamma_ops[axis] @ rec.phi
+    lam_coeff = slice_marginal_coeffs(params, family.grid, rec.j,
+                                      rec.grad_energy)
+    w4 = creation_sum(family.basis, lam_coeff[axis]) @ w3
+    radius = params.mu * params.cutoffs.sigma(rec.j + 1)
+    points = [rec.energy + radius * np.exp(1j * angle)
+              for angle in (0.0, 0.5 * np.pi, np.pi)]
+    consts = []
+    for w, p in ((w3, 1), (w4, 1), (w3, 2)):
+        a = (vecs.T @ w) ** 2
+        consts.append(max(np.sum(a / np.abs(vals - z) ** p)
+                          / abs(np.sum(a / (vals - z) ** p)) for z in points))
+    return consts
+
+
+def test_bounds_probe_matches_the_dense_oracle():
+    # the Gauss rule of each vector's Lanczos space integrates the same
+    # spectral sums as the full eigendecomposition
+    params, grid, basis = make_box(1e-3, [0.1, 0.0, 0.0], n_scales=3)
+    state = run_cascade(params, grid, basis)
+    rec0 = state.records[0]
+    assert all(np.isnan(c) for c in resolvent_bound_probes(
+        FiberFamily(params, grid, basis, 0), rec0))
+    for rec in state.records[1:-1]:
+        family = FiberFamily(params, grid, basis, rec.j)
+        assert resolvent_bound_probes(family, rec) == pytest.approx(
+            dense_bound_constants(family, rec), rel=1e-12, abs=0)
 
 
 def test_rotation_spot_check():
