@@ -18,7 +18,7 @@ from .spectral import (Contour, ContourError, GroundStateRecord,
                        contour_project_checked, contour_sum, dense_spectrum,
                        ground_state, idempotence_defect, neumann_project,
                        resolvent_sandwich)
-from .bogoliubov import (center_operators, combined_displacement,
+from .bogoliubov import (centered_momentum_vectors, combined_displacement,
                          displaced_momentum_ops, displacement_coeffs,
                          weyl_apply, weyl_vacuum_expectation)
 from .cascade import (CascadeError, CascadeState, ScaleRecord,

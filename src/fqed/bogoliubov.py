@@ -156,20 +156,20 @@ def displaced_momentum_ops(family, grad_energy: np.ndarray
             for i, beta in enumerate(family.beta)]
 
 
-def center_operators(pi_ops: list[sp.spmatrix], phi: np.ndarray
-                     ) -> tuple[list[sp.csr_matrix], np.ndarray, np.ndarray]:
-    """Subtract the phi-expectation from each component of Pi.
+def centered_momentum_vectors(pi_ops: list[sp.spmatrix], phi: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gamma phi for the mean-zero Gamma = Pi - shift, as vectors.
 
-    Returns (Gamma ops, shift, orth) with Gamma_i = Pi_i - shift_i and
-    orth_i = <phi, Gamma_i phi> / <phi, phi>, measured through the Gamma
-    built here: zero up to rounding.
+    Returns (gamma_phi, shift, orth): shift_i = <phi, Pi_i phi> / <phi,
+    phi>, row i of gamma_phi is Pi_i phi - shift_i phi, and orth_i = <phi,
+    gamma_phi_i> / <phi, phi>, zero up to the centering's rounding.
     """
     phi = np.asarray(phi, dtype=float)
     nrm2 = float(phi @ phi)
     if nrm2 <= 0.0:
         raise ParameterError("cannot center on a zero vector")
-    shift = np.array([float(phi @ (pi @ phi)) / nrm2 for pi in pi_ops])
-    eye = sp.identity(pi_ops[0].shape[0], format="csr")
-    gamma = [(pi_ops[i] - shift[i] * eye).tocsr() for i in range(3)]
-    orth = np.array([(phi @ (g @ phi)) / nrm2 for g in gamma])
-    return gamma, shift, orth
+    pi_phi = [pi @ phi for pi in pi_ops]
+    shift = np.array([float(phi @ v) for v in pi_phi]) / nrm2
+    gamma_phi = np.array([v - s * phi for v, s in zip(pi_phi, shift)])
+    orth = np.array([float(phi @ g) for g in gamma_phi]) / nrm2
+    return gamma_phi, shift, orth

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bogoliubov import (center_operators, combined_displacement,
+from .bogoliubov import (centered_momentum_vectors, combined_displacement,
                          displaced_momentum_ops, weyl_apply)
 from .fock import FockBasis
 from .hamiltonian import (FiberFamily, ModelParams,
@@ -57,10 +57,7 @@ class ConstraintReport:
         return all(c.passed for c in self.checks)
 
     def first_failure(self) -> ConstraintCheck | None:
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
+        return next((c for c in self.checks if not c.passed), None)
 
     def table(self) -> str:
         lines = []
@@ -185,12 +182,11 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
     energy (using the bridge Hamiltonian built from the previous gradient).
     Each scale then solves its fiber Hamiltonian on its sector and
     evaluates the gradient; past scale 0 the projected vector is re-dressed
-    with one combined Weyl displacement.  The solves form one chain: scale
-    0's one-state sector is solved densely, each next-sector solve starts
-    from its scale's ground state, and each later sector solve starts from
-    the previous scale's next-sector vector, so every solve past the first
-    is a started Davidson solve.  A failed parameter constraint raises
-    unless ``allow_invalid`` is set.
+    with one combined Weyl displacement.  The solves form one chain: each
+    next-sector solve starts from its scale's ground state, and each sector
+    solve past scale 0's one-state one from the previous scale's
+    next-sector vector.  A failed parameter constraint raises unless
+    ``allow_invalid`` is set.
     """
     cut = params.cutoffs
     if grid.cutoffs.n_scales < params.n_scales or not np.allclose(
@@ -254,7 +250,7 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
                 weyl_defect=wdefect)
 
         pi = displaced_momentum_ops(family, grad)
-        _, shift, orth = center_operators(pi, phi)
+        _, shift, orth = centered_momentum_vectors(pi, phi)
         gap_next = np.nan
         if j < params.n_scales:
             # the ground state of H_j on sector j + 1 starts scale j + 1
@@ -352,17 +348,14 @@ def trace_csv(state: CascadeState) -> str:
     buf = io.StringIO()
     buf.write(",".join(TRACE_COLUMNS) + "\n")
     for r in state.records:
-        row = [str(r.j), repr(float(r.sigma)), repr(float(r.energy))]
-        row += [repr(float(v)) for v in r.grad_energy]
-        row += [repr(float(r.gap_sector)), repr(float(r.gap_next_sector)),
-                repr(float(r.phi_norm)), repr(float(r.phi_hat_norm)),
-                repr(float(r.step_norm)), repr(float(r.energy_shift)),
-                repr(float(r.grad_shift))]
-        row += [repr(float(v)) for v in r.gamma_shift]
-        row += [repr(float(np.max(np.abs(r.gamma_orth)))),
-                str(int(r.projector_nodes)), repr(float(r.projector_defect)),
-                repr(float(r.weyl_defect))]
-        buf.write(",".join(row) + "\n")
+        row = [r.sigma, r.energy, *r.grad_energy, r.gap_sector,
+               r.gap_next_sector, r.phi_norm, r.phi_hat_norm, r.step_norm,
+               r.energy_shift, r.grad_shift, *r.gamma_shift,
+               np.max(np.abs(r.gamma_orth))]
+        cells = [str(r.j)] + [repr(float(v)) for v in row] + [
+            str(int(r.projector_nodes)), repr(float(r.projector_defect)),
+            repr(float(r.weyl_defect))]
+        buf.write(",".join(cells) + "\n")
     return buf.getvalue()
 
 

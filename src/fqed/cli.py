@@ -32,7 +32,8 @@ from .cascade import (CONTOUR_NODES, CascadeError, convergence_report,
 from .fock import (FockBasis, ResourceError, check_basis_size,
                    enumerate_basis)
 from .hamiltonian import FiberFamily, ModelParams
-from .modes import ANGULAR_SETS, ModeGrid, ParameterError, build_grid
+from .modes import (ANGULAR_SETS, ModeGrid, ParameterError, build_grid,
+                    check_mode_count)
 from .observables import (SCAN_COLUMNS, energy_lipschitz_probe, mass_scan,
                           momentum_axis, pull_through_summary,
                           resolvent_bound_probes, scale_routes, scan_csv,
@@ -260,9 +261,11 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     if not report.passed:
         print(f"FAILED: {report.first_failure().name}")
         return 1
-    # the basis size has a closed form: refuse what cascade would refuse
-    check_basis_size(cfg.build_grid().n_modes, cfg.n_max, cfg.c_max,
-                     cfg.basis_limit)
+    # the grid and basis sizes have closed forms: refuse what cascade would
+    # refuse, before building either
+    n_modes = check_mode_count(cfg.params.n_scales, cfg.n_radial,
+                               cfg.angular_set)
+    check_basis_size(n_modes, cfg.n_max, cfg.c_max, cfg.basis_limit)
     print("all constraints PASS")
     return 0
 

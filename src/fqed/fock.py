@@ -13,16 +13,13 @@ exactly on the sub-basis where no cap is saturated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .modes import ModeGrid, ParameterError
-
-
-class ResourceError(RuntimeError):
-    """Requested basis exceeds the configured hard size limit."""
+from .modes import ModeGrid, ParameterError, ResourceError
 
 
 #: Refuse to enumerate bases beyond this many states unless overridden.
@@ -49,25 +46,48 @@ def basis_size(n_modes: int, n_max: int, c_max: int) -> int:
     return int(sum(count))
 
 
+def _count_text(log_count: float) -> str:
+    """A count given by its natural log: exact below a million, else to
+    four digits (``7.194e9``)."""
+    if log_count < math.log(1e6):
+        return str(round(math.exp(log_count)))
+    e = math.floor(log_count / math.log(10))
+    mantissa = round(math.exp(log_count - e * math.log(10)), 3)
+    if mantissa >= 10.0:
+        mantissa, e = mantissa / 10.0, e + 1
+    return f"{mantissa:.3f}e{e}"
+
+
+def _check_count(log_states: float, n_modes: int, size_limit: int,
+                 bound: str = ""):
+    """ResourceError when e**log_states states are above ``size_limit``, or
+    times ``n_modes`` above ``ENTRY_LIMIT``; ``bound`` prefixes the count."""
+    states = bound + _count_text(log_states)
+    if size_limit < 1 or log_states > math.log(size_limit):
+        raise ResourceError(f"basis would hold {states} states, above limit "
+                            f"{size_limit}")
+    if log_states + math.log(max(n_modes, 1)) > math.log(ENTRY_LIMIT):
+        raise ResourceError(
+            f"basis would hold {states} states x {n_modes} modes, above "
+            f"limit {ENTRY_LIMIT} occupation entries")
+
+
 def check_basis_size(n_modes: int, n_max: int, c_max: int,
                      size_limit: int = DEFAULT_SIZE_LIMIT) -> int:
     """The basis size in closed form; raises ResourceError above
     ``size_limit`` states, or above ``ENTRY_LIMIT`` states x modes (the
-    occupation entries enumeration holds), without enumerating anything."""
-    least = min(n_max, n_modes * c_max) + 1   # each total occurs
-    if least > size_limit or least * n_modes > ENTRY_LIMIT:
-        raise ResourceError(f"basis would hold at least {least} states")
+    occupation entries enumeration holds), without enumerating anything.
+    Two lower bounds go first, in logarithms so that no huge count is
+    formed: with n = min(n_max, modes x c_max), every total up to n occurs,
+    and so does every choice of min(n, modes // 2) modes holding one
+    quantum each."""
+    n = min(n_max, n_modes * c_max)   # no state holds more quanta
+    k = min(n, n_modes // 2)
+    _check_count(max(math.log(n + 1), math.lgamma(n_modes + 1)
+                     - math.lgamma(k + 1) - math.lgamma(n_modes - k + 1)),
+                 n_modes, size_limit, "at least ")
     n_states = basis_size(n_modes, n_max, c_max)
-    if n_states > size_limit:
-        raise ResourceError(
-            f"basis would hold {n_states} states, above limit {size_limit}")
-    entries = n_states * n_modes
-    if entries > ENTRY_LIMIT:
-        raise ResourceError(
-            f"basis would hold {n_states} states x {n_modes} modes = "
-            f"{entries} occupation entries (about "
-            f"{entries * ENTRY_BYTES / 2**30:.1f} GiB to enumerate), above "
-            f"limit {ENTRY_LIMIT}")
+    _check_count(math.log(n_states), n_modes, size_limit)
     return n_states
 
 

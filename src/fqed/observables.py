@@ -22,11 +22,9 @@ numbers; ``mass-scan`` and ``verify`` both go through it.
 
 Every route and probe of a scale takes that scale's ``FiberFamily`` and
 its cascade ``ScaleRecord``, checks that the two belong to one scale, and
-evaluates the family at its parameters' P: the record's energy, vectors,
-gap and centering shift are where each solve starts or what it reuses, so
-no route solves the scale's ground state again.  The displaced route takes
-the ``DisplacedFrame`` polished on the family, which holds it.  The
-expectation-value gradient is ``FiberFamily.gradient``.
+evaluates the family at its parameters' P, starting each solve from what
+the record holds; the displaced route takes the ``DisplacedFrame``
+polished on the family.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .bogoliubov import center_operators
+from .bogoliubov import centered_momentum_vectors
 from .cascade import (CONTOUR_NODES, CascadeError, ScaleRecord, run_cascade,
                       sector_ground)
 from .fock import FockBasis, creation_sum, ladder
@@ -92,13 +90,9 @@ def energy_gradient_fd(family: FiberFamily, rec: ScaleRecord,
     ``FiberFamily.gradient`` is the expectation form it checks."""
     _check_scale(family, rec)
     p = family.params.p_total
-    out = np.zeros(3)
-    for i in range(3):
-        dp = np.zeros(3)
-        dp[i] = step
-        out[i] = (_ground_energy(family, rec, p + dp)
-                  - _ground_energy(family, rec, p - dp)) / (2.0 * step)
-    return out
+    return np.array([(_ground_energy(family, rec, p + dp)
+                      - _ground_energy(family, rec, p - dp)) / (2.0 * step)
+                     for dp in step * np.eye(3)])
 
 
 def dispersion_curvature_fd(family: FiberFamily, rec: ScaleRecord,
@@ -111,9 +105,7 @@ def dispersion_curvature_fd(family: FiberFamily, rec: ScaleRecord,
     """
     _check_scale(family, rec)
     p = family.params.p_total
-    axis = momentum_axis(p)
-    unit = np.zeros(3)
-    unit[axis] = 1.0
+    unit = np.eye(3)[momentum_axis(p)]
 
     def energy(t: float) -> float:
         return _ground_energy(family, rec, p + t * unit)
@@ -160,12 +152,12 @@ def dispersion_curvature_direct(family: FiberFamily,
 
 @dataclass
 class DisplacedFrame:
-    """Self-consistent canonical frame at one scale.
+    """Self-consistent canonical frame at one scale, polished on ``family``.
 
-    The shift is iterated to its fixed point: the frame Hamiltonian built
-    from it has ``phi`` as ground state, and the centered momentum
-    observable has exactly zero expectation in ``phi``.  ``family`` is the
-    scale's ``FiberFamily`` the frame was polished on.
+    ``phi`` is the ground state of ``k_op``, built at the fixed point of the
+    shift; ``gamma_phi`` is Gamma phi, whose expectation ``orth`` in phi is
+    zero up to rounding; ``gap`` is the record's sector gap, so both routes
+    size their contours from one gap.
     """
 
     family: FiberFamily = field(repr=False)
@@ -174,8 +166,7 @@ class DisplacedFrame:
     energy: float = np.nan
     gap: float = np.nan
     phi: np.ndarray = field(default=None, repr=False)
-    gamma_ops: list = field(default=None, repr=False)
-    gamma_shift: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    gamma_phi: np.ndarray = field(default=None, repr=False)
     orth: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
@@ -186,59 +177,50 @@ def displaced_frame_ground(family: FiberFamily,
 
     Starting from the record's centering shift, alternate (ground state of
     K(shift)) and (shift = expectation of the displaced momentum
-    observable) until the shift is stationary.  The iteration contracts
-    fast because the frame operator depends on the shift only
-    quadratically; each step is a linear update of K, and at most five are
-    taken.  Each polish step is a one-pair solve started from the previous
-    step's vector, the first from the record's running vector ``phi``; one
-    two-pair solve on the last K, started from the polished vector, then
-    gives the frame its energy, vector and the gap its route contour reads.
+    observable), at most five times, until the shift is stationary; K
+    depends on the shift only quadratically, so this contracts fast.  Each
+    step's one-pair solve, started from the previous vector (the first
+    from the record's ``phi``), is the polish's only kind of solve.
     """
     _check_scale(family, rec)
     params, grid, basis, j = family.params, family.grid, family.basis, family.j
     frame_ops = family.frame(rec.grad_energy)
-    gamma, phi = rec.gamma_shift, rec.phi
+    shift, phi = rec.gamma_shift, rec.phi
     for _ in range(5):
-        k_op = frame_ops.k(gamma)
-        _, phi, _ = sector_ground(params, grid, basis, j, h_op=k_op,
-                                  pairs=1, start=phi)
-        new = np.array([phi @ (frame_ops.pi[i] @ phi) for i in range(3)])
-        move = float(np.max(np.abs(new - gamma)))
-        gamma = new
+        k_op = frame_ops.k(shift)
+        energy, phi, _ = sector_ground(params, grid, basis, j, h_op=k_op,
+                                       pairs=1, start=phi)
+        gamma_phi, new, orth = centered_momentum_vectors(frame_ops.pi, phi)
+        move = float(np.max(np.abs(new - shift)))
+        shift = new
         if move < 1e-13:
             break
-    energy, phi, gap = sector_ground(params, grid, basis, j, h_op=k_op,
-                                     pairs=2, start=phi)
     # centering on phi is exact up to rounding; k_op, whose ground state
     # phi is, was built at the shift before the last move, and K depends on
     # the shift through -shift . Pi, so k_op is K(shift) only to within
     # that move (below 1e-13 unless the five-solve cap ended the loop)
-    gamma_ops, shift, orth = center_operators(frame_ops.pi, phi)
     return DisplacedFrame(family=family, grad_energy=rec.grad_energy,
-                          k_op=k_op, energy=energy, gap=gap, phi=phi,
-                          gamma_ops=gamma_ops, gamma_shift=shift, orth=orth)
+                          k_op=k_op, energy=energy, gap=rec.gap_sector,
+                          phi=phi, gamma_phi=gamma_phi, orth=orth)
 
 
 def dispersion_curvature_displaced(frame: DisplacedFrame):
-    """Curvature from the displaced-frame route: both forms and the cross
-    term, from one contour integral, at the P and scale of the frame's
-    family.
+    """Curvature from the displaced-frame route at the P and scale of the
+    frame's family: (double form, reduced form, cross term) from one
+    contour integral.
 
-    Evaluates 1 - 2 <oint R Gamma R phi, Gamma phi> with the centered
-    momentum observable Gamma and the frame ground state phi, and the
-    single-resolvent reduction 1 + (1/pi i) oint dzbar (E-zbar)^{-1}
-    <Gamma R Gamma phi, phi>.  The cross term is the magnitude of the mixed
-    contour terms of the expansion around the scalar s = grad E along the
-    axis, s^2 <R^2 phi, phi> - s <R^2 phi, Gamma phi> - s <R Gamma R phi,
-    phi>, which the eigenvalue equation annihilates: it is quadrature-plus-
-    residual noise when phi is the frame's ground state.  Returns
-    (double_form, reduced_form, cross_term).  The centering precondition
-    <phi, Gamma phi> = 0 is enforced before evaluation, since the cross
-    terms only cancel on it.  The resolvent on phi is the eigenvector
-    identity R phi = phi / (E - z), so a node solves only for Gamma phi.
-    With it the double form reads coefficient 0 of the same contour sum
-    that the reduced form accumulates: the two differ only in where
-    ||Gamma phi|| multiplies, and so agree to rounding by construction.
+    The double form is 1 - 2 <oint R Gamma R phi, Gamma phi> for the frame
+    ground state phi, the reduced form 1 + (1/pi i) oint dzbar
+    (E-zbar)^{-1} <Gamma R Gamma phi, phi>; Gamma phi is ``gamma_phi`` over
+    ||phi||, and <phi, Gamma phi> = 0 is enforced first.  By R phi = phi /
+    (E - z) a node solves only for Gamma phi, and the double form reads
+    coefficient 0 of the sum the reduced form accumulates, so the two agree
+    to rounding.  The cross term, the mixed terms s^2 <R^2 phi, phi> -
+    s <R^2 phi, Gamma phi> - s <R Gamma R phi, phi> around s = grad E along
+    the axis, is noise when phi is the frame's ground state.  Only its last
+    term is evaluated: the first two are numbers times the trapezoid sum of
+    (E - z)^-2 on a circle centered on E, a sum of e^{-i theta} over roots
+    of unity, which is zero up to rounding.
     """
     if float(np.max(np.abs(frame.orth))) > 1e-10:
         raise ParameterError(
@@ -246,29 +228,23 @@ def dispersion_curvature_displaced(frame: DisplacedFrame):
             "exceeds 1.0e-10")
     params = frame.family.params
     axis = momentum_axis(params.p_total)
-    phi = frame.phi / np.linalg.norm(frame.phi)
-    gamma = frame.gamma_ops[axis]
+    nrm = np.linalg.norm(frame.phi)
+    phi = frame.phi / nrm
     energy = frame.energy
     cont = _route_contour(params, frame.family.j, energy, frame.gap)
     solver = ResolventSolver(frame.k_op)
-    target = gamma @ phi
-    space = solver.reduce(target)
+    space = solver.reduce(frame.gamma_phi[axis] / nrm)
 
     # Gamma phi is ||Gamma phi|| e1 in its own space, so a product against
     # it reads coefficient 0
     def node(z):
         # R phi = phi / (E - z): one solve, of Gamma phi, per node
         g = solver.solve(z, space)
-        return (g / (energy - z), (space.b0 * g[0]) / (energy - z),
-                1.0 / (energy - z) ** 2)
+        return g / (energy - z), (space.b0 * g[0]) / (energy - z)
 
-    acc, reduced, q2 = contour_sum(cont, node)
-    aa, ga = q2 * (phi @ phi), q2 * (phi @ target)
-    acc_phi = space.lift(acc) @ phi
+    acc, reduced = contour_sum(cont, node)
     sandwich = float(np.real(space.b0 * acc.conj()[0]))
-    scalar = float(frame.grad_energy[axis])
-    cross = (scalar ** 2 * aa.real - scalar * ga.real
-             - scalar * np.real(acc_phi))
+    cross = -float(frame.grad_energy[axis]) * np.real(space.lift(acc) @ phi)
     return (1.0 - 2.0 * sandwich, 1.0 - 2.0 * float(reduced.real),
             float(abs(2.0 * cross)))
 
@@ -323,15 +299,10 @@ def scan_csv(rows: list[MassScanRow]) -> str:
     buf = io.StringIO()
     buf.write(",".join(SCAN_COLUMNS) + "\n")
     for r in rows:
-        cells = [repr(float(r.alpha)), str(r.j), repr(float(r.sigma))]
-        cells += [repr(float(v)) for v in r.p]
-        cells.append(repr(float(r.energy)))
-        cells += [repr(float(v)) for v in r.grad_fh]
-        cells += [repr(float(v)) for v in r.grad_fd]
-        cells += [repr(float(r.d2_fd)), repr(float(r.d2_direct)),
-                  repr(float(r.d2_displaced)), repr(float(r.m_r)),
-                  repr(float(r.delta_hk)), repr(float(r.delta_hf)),
-                  r.error]
+        values = [*r.p, r.energy, *r.grad_fh, *r.grad_fd, r.d2_fd,
+                  r.d2_direct, r.d2_displaced, r.m_r, r.delta_hk, r.delta_hf]
+        cells = [repr(float(r.alpha)), str(r.j), repr(float(r.sigma))] + [
+            repr(float(v)) for v in values] + [r.error]
         buf.write(",".join(cells) + "\n")
     return buf.getvalue()
 
@@ -455,15 +426,13 @@ def pull_through_summary(family: FiberFamily, rec: ScaleRecord):
         b_m psi = -sqrt(alpha w_m / |k_m|) (H(P-k_m) + |k_m| - E)^{-1}
                   (eps_m . dH/dP) psi
 
-    holds exactly in the untruncated algebra; the measured residual
-    reflects occupation-cap truncation only.  One shifted solver for
-    H(P - k) serves both polarizations of each photon momentum k.  Returns
-    (aggregate, per-mode relative residual array); a mode with b_m psi = 0
-    reads 0 when its right-hand side vanishes too and inf otherwise.  The
-    aggregate weights each mode by its annihilation norm, so decoupled
-    modes cannot dominate through 0/0 ratios.  At zero coupling the
-    right-hand side is exactly 0 and the free ground state holds no
-    photons, so every mode reads 0 without a solve.
+    holds exactly in the untruncated algebra, so the residual measures
+    occupation-cap truncation.  One shifted solver for H(P - k) serves both
+    polarizations of each photon momentum k.  Returns (aggregate, per-mode
+    relative residuals); a mode with b_m psi = 0 reads 0 when its right-hand
+    side vanishes too and inf otherwise.  The aggregate weights each mode by
+    its annihilation norm, so decoupled modes cannot dominate through 0/0
+    ratios.  At zero coupling every mode reads 0 without a solve.
     """
     _check_scale(family, rec)
     params, grid = family.params, family.grid
@@ -525,19 +494,18 @@ def resolvent_bound_probes(family: FiberFamily, rec: ScaleRecord):
     sum_n a_n / |lambda_n - z|^p over |sum_n a_n / (lambda_n - z)^p|, p = 1
     (C3) and p = 2 (C5) for w = Gamma phi, p = 1 (C4) for the slice
     operator's creation part applied to Gamma phi.  The sums run over the
-    Gauss rule of w's Lanczos space in the frame Hamiltonian K(shift): the
-    Ritz values lambda_n, weighted by ||w||^2 times their eigenvectors'
-    squared first components.  As a_n >= 0, the triangle inequality makes
-    each finite constant at least 1, so a check of C >= 1 cannot fail.
-    NaN where w vanishes, as at j = 0, where Gamma annihilates the vacuum.
+    Gauss rule of w's Lanczos space in K(shift): its Ritz values lambda_n,
+    weighted by ||w||^2 times their eigenvectors' squared first components,
+    so a_n >= 0 and each finite constant is at least 1.  NaN where w
+    vanishes, as at j = 0, where Gamma annihilates the vacuum.
     """
     _check_scale(family, rec)
     params = family.params
     axis = momentum_axis(params.p_total)
     frame = family.frame(rec.grad_energy)
-    gamma_ops, shift, _ = center_operators(frame.pi, rec.phi)
+    gamma_phi, shift, _ = centered_momentum_vectors(frame.pi, rec.phi)
     solver = ResolventSolver(frame.k(shift))
-    w3 = gamma_ops[axis] @ rec.phi
+    w3 = gamma_phi[axis]
     w4 = creation_sum(family.basis, slice_marginal_coeffs(
         params, family.grid, rec.j, rec.grad_energy)[axis]) @ w3
     radius = params.mu * params.cutoffs.sigma(rec.j + 1)

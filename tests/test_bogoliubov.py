@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import custom_grid
-from fqed.bogoliubov import (center_operators, combined_displacement,
+from fqed.bogoliubov import (centered_momentum_vectors, combined_displacement,
                              displaced_momentum_ops, displacement_coeffs,
                              displacement_generator, weyl_apply,
                              weyl_vacuum_expectation)
@@ -185,27 +185,54 @@ def test_pi_matches_numerical_conjugation_oracle(tiny_setup):
         assert diff[one_photon, 0].max() < 100.0 * fmax ** 3
 
 
-def test_center_operators_examples(small_setup):
+def test_center_operators_examples(small_setup, monkeypatch):
+    # the centering returns Gamma phi = Pi phi - shift phi as arrays and
+    # builds no sparse matrix: no identity, no Pi - shift I
+    import scipy.sparse._base as sparse_base
+
     params, grid, basis = small_setup
     pi0 = displaced_momentum_ops(FiberFamily(params, grid, basis, 0),
                                  params.p_total)
-    gamma, shift, orth = center_operators(pi0, basis.vacuum())
+    pi = displaced_momentum_ops(FiberFamily(params, grid, basis, 2),
+                                np.array([0.08, 0.0, 0.0]))
+    built = []
+    init = sparse_base._spbase.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparse_base._spbase, "__init__", counted)
+    vac = basis.vacuum()
+    gamma_phi, shift, orth = centered_momentum_vectors(pi0, vac)
+    rng = np.random.default_rng(4)
+    phi = rng.standard_normal(basis.size)
+    gamma_phi2, shift2, orth2 = centered_momentum_vectors(pi, phi)
+    assert built == []
+    monkeypatch.undo()
+
+    # at scale 0 nothing is displaced: Gamma is the free field momentum
     assert np.allclose(shift, 0.0, atol=1e-15)
     pf = FiberFamily(
         ModelParams(alpha=0.0, epsilon=params.epsilon,
                     n_scales=params.n_scales, p_total=params.p_total),
         grid, basis, 0).beta
+    for out in (gamma_phi, shift, orth, gamma_phi2, shift2, orth2):
+        assert type(out) is np.ndarray
+    assert gamma_phi.shape == gamma_phi2.shape == (3, basis.size)
     for i in range(3):
-        assert abs(gamma[i] - pf[i]).max() == 0.0
+        assert np.array_equal(gamma_phi[i], pf[i] @ vac)
 
-    rng = np.random.default_rng(4)
-    phi = rng.standard_normal(basis.size)
-    pi = displaced_momentum_ops(FiberFamily(params, grid, basis, 2),
-                                np.array([0.08, 0.0, 0.0]))
-    gamma, shift, orth = center_operators(pi, phi)
+    # elsewhere it is the dense Gamma = Pi - shift I applied to phi, and
+    # orth is read through it: zero to rounding
+    eye = np.eye(basis.size)
     for i in range(3):
-        assert orth[i] == (phi @ (gamma[i] @ phi)) / (phi @ phi)
-        assert abs(orth[i]) < 1e-12
+        assert shift2[i] == pytest.approx(
+            phi @ pi[i].toarray() @ phi / (phi @ phi), rel=1e-12)
+        dense = (pi[i].toarray() - shift2[i] * eye) @ phi
+        assert np.max(np.abs(gamma_phi2[i] - dense)) <= 1e-12
+        assert orth2[i] == (phi @ gamma_phi2[i]) / (phi @ phi)
+        assert abs(orth2[i]) < 1e-12
 
 
 def test_center_operators_rejects_zero_vector(small_setup):
@@ -213,7 +240,7 @@ def test_center_operators_rejects_zero_vector(small_setup):
     pi = displaced_momentum_ops(FiberFamily(params, grid, basis, 1),
                                 np.zeros(3))
     with pytest.raises(ParameterError):
-        center_operators(pi, np.zeros(basis.size))
+        centered_momentum_vectors(pi, np.zeros(basis.size))
 
 
 def test_weyl_vacuum_expectation_closed_form(small_setup):

@@ -92,17 +92,17 @@ def test_cascade_centering_holds_at_every_scale(cascade_state):
 
 def test_cascade_measures_centering_through_gamma(cascade_state):
     # the recorded centering is <phi, Gamma phi> / <phi, phi> read through
-    # the shifted operator itself, so it shows the rounding of the
-    # centering instead of the exact zero of <phi, Pi phi>/n - shift
+    # the vector Gamma phi = Pi phi - shift phi, so it shows the rounding of
+    # the centering instead of the exact zero of <phi, Pi phi>/n - shift
     params, grid, basis, state = cascade_state
-    eye = sp.identity(basis.size, format="csr")
     measured = []
     for rec in state.records:
         pi = displaced_momentum_ops(FiberFamily(params, grid, basis, rec.j),
                                     rec.grad_energy)
         phi = rec.phi
-        orth = [(phi @ ((pi[i] - rec.gamma_shift[i] * eye).tocsr() @ phi))
-                / float(phi @ phi) for i in range(3)]
+        nrm2 = float(phi @ phi)
+        orth = [float(phi @ (pi[i] @ phi - rec.gamma_shift[i] * phi)) / nrm2
+                for i in range(3)]
         assert np.array_equal(rec.gamma_orth, orth)
         measured += orth
     assert np.any(np.array(measured) != 0.0)

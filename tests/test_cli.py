@@ -1,15 +1,16 @@
 import re
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fqed.cli import ConfigError, main, parse_config
 from fqed.fock import ENTRY_LIMIT
 from fqed.hamiltonian import FiberFamily
-from fqed.modes import ANGULAR_SETS
+from fqed.modes import ANGULAR_SETS, MODE_LIMIT
 
 GOOD_CONFIG = """\
 # desk-scale sample
@@ -197,14 +198,14 @@ def test_validate_refuses_a_basis_above_the_limit(tmp_path, capsys):
 def test_validate_refuses_an_enumeration_too_large_to_hold(tmp_path,
                                                           capsys):
     # J = 100 gives 721,801 states, inside basis_limit, but over 1200 modes:
-    # the occupation entries alone would need gigabytes to enumerate
+    # the C(1200, 2) states with two singly occupied modes alone would need
+    # gigabytes of occupation entries to enumerate
     path = desk_variant(tmp_path, J=100)
     assert main(["validate", "--config", path]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith(
-        "error: basis would hold 721801 states x 1200 modes = 866161200 "
-        "occupation entries")
-    assert f"above limit {ENTRY_LIMIT}" in captured.err
+    assert captured.err == (
+        "error: basis would hold at least 719400 states x 1200 modes, "
+        f"above limit {ENTRY_LIMIT} occupation entries\n")
     assert "all constraints PASS" not in captured.out
     assert "Traceback" not in captured.out + captured.err
 
@@ -215,8 +216,41 @@ def test_validate_refuses_caps_too_large_to_count(tmp_path, capsys):
     path = desk_variant(tmp_path, n_max="1" + "0" * 30, c_max="1" + "0" * 30)
     assert main(["validate", "--config", path]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith(
-        f"error: basis would hold at least {10 ** 30 + 1} states\n")
+    assert captured.err == (
+        "error: basis would hold at least 1.000e30 states, above limit "
+        "2000000\n")
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("keys, message", [
+    # 108,000 and 1,080,000 modes: the C(modes, 2) states with two singly
+    # occupied modes pass basis_limit
+    (dict(n_radial=3000), "basis would hold at least 5.832e9 states"),
+    (dict(n_radial=30000), "basis would hold at least 5.832e11 states"),
+    # the totals bound passes (10,001 states), but 5,004 singly occupied
+    # modes of 10,008 give a count of 3,011 digits, which is never formed
+    (dict(n_radial=278, n_max=10000, c_max=1),
+     "basis would hold at least 4.073e3010 states"),
+    # one state at n_max = 0: the grid bounds itself
+    (dict(n_radial=10**7, n_max=0),
+     f"grid would hold 360000000 modes, above limit {MODE_LIMIT}"),
+], ids=["n_radial-3000", "n_radial-30000", "single-occupancy", "n_max-0"])
+def test_validate_sizes_a_run_before_building_it(tmp_path, capsys,
+                                                 monkeypatch, keys, message):
+    # the sizes have closed forms, so validate refuses within a second
+    # and builds no grid
+    import fqed.cli as cli
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("validate built a grid")
+
+    monkeypatch.setattr(cli, "build_grid", no_grid)
+    path = desk_variant(tmp_path, **keys)
+    start = time.perf_counter()
+    assert main(["validate", "--config", path]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
     assert "Traceback" not in captured.out + captured.err
 
 
@@ -226,9 +260,8 @@ _FLOAT_TEXT = st.one_of(st.floats().map(repr), _BAD_TEXT)
 _INT_TEXT = st.one_of(st.integers(-2, 6).map(str),
                       st.integers(10 ** 6, 10 ** 40).map(str),
                       st.floats(-10, 10).map(repr), _BAD_TEXT)
-#: Generated text per config key.  ``n_radial`` stays small: the grid has
-#: no size bound of its own.  ``basis_limit`` stays at most 3000 and is
-#: never removed, so a box that validates is small enough to build.
+#: Generated text per config key.  ``basis_limit`` stays at most 3000 and
+#: is never removed, so a box that validates is small enough to build.
 _CONFIG_TEXT = {
     **{key: _FLOAT_TEXT for key in (
         "alpha", "epsilon", "mu", "rho_minus", "rho_plus", "C_alpha",
@@ -240,7 +273,8 @@ _CONFIG_TEXT = {
     "J": st.one_of(_INT_TEXT, st.integers(7, 3000).map(str)),
     "n_max": _INT_TEXT,
     "c_max": _INT_TEXT,
-    "n_radial": st.one_of(st.integers(-2, 3).map(str), _BAD_TEXT),
+    "n_radial": st.one_of(st.integers(-2, 3).map(str),
+                          st.integers(4, 10 ** 12).map(str), _BAD_TEXT),
     "contour_nodes": st.one_of(_INT_TEXT, st.integers(-10, 1100).map(str)),
     "basis_limit": st.one_of(st.integers(-10, 3000).map(str), _BAD_TEXT),
     "angular_set": st.sampled_from(ANGULAR_SETS + ("foo", "")),
@@ -267,8 +301,18 @@ def _configs(draw):
                    if value is not None)
 
 
+def _good_with(**keys) -> str:
+    text = GOOD_CONFIG + "basis_limit = 3000\n"
+    for key, value in keys.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    return text
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(text=_configs())
+@example(text=_good_with(n_radial=10 ** 3, n_max=0))
+@example(text=_good_with(n_radial=10 ** 9, n_max=0))
+@example(text=_good_with(n_radial=10 ** 4, n_max=1))
 def test_validate_never_ends_in_a_traceback(tmp_path_factory, text):
     # bad and extreme values exit 2 at parse time or 1 on a constraint; a
     # config that validates builds its grid, basis and scale-0 H(P)

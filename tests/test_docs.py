@@ -4,8 +4,9 @@ table lists exactly the keys the parser accepts, with their defaults, its
 suites is the one the command accepts, every name a demo imports from
 ``fqed`` exists, every call a demo makes to such a name binds to its
 signature, the demos that evaluate routes and probes from cascade
-records run to the end, and the benchmark's copy of the demo config is
-that config byte for byte."""
+records run to the end, the benchmark's copy of the demo config is that
+config byte for byte, and every solver constant README gives a value for
+has that value in the code."""
 
 import ast
 import importlib
@@ -28,6 +29,31 @@ def config_table() -> list[tuple[str, str]]:
     text = (ROOT / "README.md").read_text()
     section = text.split("### Config keys", 1)[1].split("\n#", 1)[0]
     return re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", section, re.M)
+
+
+def module_constant(name: str):
+    """The value an fqed module binds to ``name``."""
+    values = [vars(module)[name] for module in (
+        importlib.import_module(f"fqed.{m}") for m in (
+            "modes", "fock", "hamiltonian", "spectral", "bogoliubov",
+            "cascade", "observables", "cli")) if name in vars(module)]
+    assert values, f"README names {name}, which no module defines"
+    return values[0]
+
+
+def test_readme_solver_constants_match_the_code():
+    # `NAME = value` pairs, and the values printed beside a constant named
+    # in parentheses, as in "up to 4000 states (`DENSE_LIMIT`)"
+    text = (ROOT / "README.md").read_text()
+    pairs = re.findall(r"`([A-Z][A-Z0-9_]+) = ([^`]+)`", text)
+    beside = re.findall(r"(\d+)(?:\s+\w+)?\s+\(`([A-Z][A-Z0-9_]+)`\)", text)
+    assert {name for _, name in beside} == {"DENSE_EIG_CUTOFF",
+                                            "DENSE_LIMIT"}
+    assert len(pairs) >= 7
+    shown = pairs + [(name, value) for value, name in beside]
+    wrong = [(name, value, module_constant(name)) for name, value in shown
+             if ast.literal_eval(value) != module_constant(name)]
+    assert wrong == []
 
 
 def test_benchmark_desk_config_is_the_demo_config():

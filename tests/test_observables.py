@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from conftest import custom_grid
-from fqed.bogoliubov import center_operators
 from fqed.cascade import run_cascade, sector_ground
 from fqed.fock import creation_sum, enumerate_basis, ladder
 from fqed.hamiltonian import (FiberFamily, ModelParams, assemble_h_fiber,
@@ -302,15 +301,23 @@ def test_bounds_probe_reports():
         resolvent_bound_probes(FiberFamily(params, grid, basis, 0), rec1)
 
 
+def dense_centering(pi, phi):
+    """(shift, Gamma) with Gamma = Pi - shift I as dense matrices: the
+    centering built as operators, independent of the library's vectors."""
+    shift = np.array([phi @ (p @ phi) for p in pi]) / (phi @ phi)
+    eye = np.eye(len(phi))
+    return shift, [p.toarray() - s * eye for p, s in zip(pi, shift)]
+
+
 def dense_bound_constants(family, rec):
     """(C3, C4, C5) from the full eigendecomposition of K(shift): each sum
     over the eigenpairs with a_n = |<v_n, w>|^2."""
     params = family.params
     axis = momentum_axis(params.p_total)
     frame = family.frame(rec.grad_energy)
-    gamma_ops, shift, _ = center_operators(frame.pi, rec.phi)
+    shift, gamma = dense_centering(frame.pi, rec.phi)
     vals, vecs = dense_spectrum(frame.k(shift))
-    w3 = gamma_ops[axis] @ rec.phi
+    w3 = gamma[axis] @ rec.phi
     lam_coeff = slice_marginal_coeffs(params, family.grid, rec.j,
                                       rec.grad_energy)
     w4 = creation_sum(family.basis, lam_coeff[axis]) @ w3
@@ -418,9 +425,9 @@ def test_cross_term_probe_reads_an_off_eigenvector_phi(tiny_record):
 def test_warm_polished_frame_keeps_its_gap_and_centering(small_setup,
                                                          monkeypatch,
                                                          cutoff):
-    # the polish runs one-pair solves started from the cascade's vector;
-    # one two-pair solve on the last K, started from the polished vector,
-    # gives the gap the route contour reads: the dense sector gap of K
+    # the polish ends on a one-pair solve, which gives the frame its
+    # energy: the dense sector ground energy of its K; the gap the route
+    # contour reads is the record's sector gap
     import fqed.cascade as cascade
 
     monkeypatch.setattr(cascade, "ground_state",
@@ -431,10 +438,37 @@ def test_warm_polished_frame_keeps_its_gap_and_centering(small_setup,
                                    rec)
     idx = basis.sector_indices(grid, rec.j)
     vals, _ = dense_spectrum(frame.k_op[idx][:, idx])
-    assert np.isfinite(frame.gap)
-    assert abs(frame.gap - (vals[1] - vals[0])) <= 1e-10
+    assert np.isfinite(frame.gap) and frame.gap == rec.gap_sector
     assert abs(frame.energy - vals[0]) <= 1e-12
     assert float(np.max(np.abs(frame.orth))) <= 1e-10
+
+
+def test_frame_polish_takes_only_started_one_pair_solves(small_setup,
+                                                         monkeypatch):
+    # every solve of the polish is a one-pair solve started from the
+    # previous vector, the first from the record's phi
+    import fqed.observables as observables
+
+    params, grid, basis = small_setup
+    rec = run_cascade(params, grid, basis).records[-1]
+    calls = []
+    sector_ground_ = observables.sector_ground
+
+    def counted(*args, **kwargs):
+        out = sector_ground_(*args, **kwargs)
+        calls.append((kwargs["pairs"], kwargs["start"], out[1]))
+        return out
+
+    monkeypatch.setattr(observables, "sector_ground", counted)
+    frame = displaced_frame_ground(FiberFamily(params, grid, basis, rec.j),
+                                   rec)
+    assert 1 <= len(calls) <= 5
+    assert all(pairs == 1 for pairs, _, _ in calls)
+    starts = [start for _, start, _ in calls]
+    assert starts[0] is rec.phi
+    assert all(start is prev for start, (_, _, prev)
+               in zip(starts[1:], calls))
+    assert frame.phi is calls[-1][2]
 
 
 def test_fd_curvature_takes_its_center_from_the_cascade(small_setup,
@@ -498,14 +532,16 @@ def test_pull_through_one_solver_per_photon_momentum(tiny_record,
 
 def dense_displaced_route(frame):
     """The displaced route's (double form, reduced form, cross term) with
-    both resolvents applied as dense solves at every node, assuming nothing
-    of phi."""
+    both resolvents applied as dense solves at every node and Gamma built
+    as a dense matrix, assuming nothing of phi."""
     import fqed.observables as observables
 
     params = frame.family.params
     axis = momentum_axis(params.p_total)
     phi = frame.phi / np.linalg.norm(frame.phi)
-    gamma = frame.gamma_ops[axis]
+    _, gammas = dense_centering(
+        frame.family.frame(frame.grad_energy).pi, phi)
+    gamma = gammas[axis]
     target = gamma @ phi
     energy = frame.energy
     k = frame.k_op.toarray()

@@ -145,8 +145,8 @@ def test_started_solves_are_deterministic(small_setup):
     assert r1.method == "davidson"
     assert r1.energy == r2.energy
     assert r1.vector.tobytes() == r2.vector.tobytes()
-    # a two-pair solve started from its own ground vector, as the frame
-    # polish ends, still finds the second pair: the gap is the dense one
+    # a two-pair solve started from its own ground vector still finds the
+    # second pair: the gap is the dense one
     vals, _ = dense_spectrum(op)
     g1, g2 = (ground_state(op, dense_cutoff=10, pairs=2,
                            start=r1.vector).gap for _ in range(2))
