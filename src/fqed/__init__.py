@@ -22,8 +22,8 @@ from .bogoliubov import (centered_momentum_vectors, combined_displacement,
                          displaced_momentum_ops, displacement_coeffs,
                          weyl_apply, weyl_vacuum_expectation)
 from .cascade import (CascadeError, CascadeState, ScaleRecord,
-                      convergence_report, run_cascade, sector_ground,
-                      trace_csv, validate_params)
+                      cascade_scales, convergence_report, open_cascade,
+                      run_cascade, sector_ground, trace_csv, validate_params)
 from .observables import (MassScanRow, cross_term_probe,
                           dispersion_curvature_direct,
                           dispersion_curvature_displaced,

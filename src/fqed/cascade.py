@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import io
 import struct
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bogoliubov import (centered_momentum_vectors, combined_displacement,
-                         displaced_momentum_ops, weyl_apply)
+                         weyl_apply)
 from .fock import FockBasis
 from .hamiltonian import (FiberFamily, ModelParams,
                           assemble_intermediate_hamiltonian)
@@ -171,23 +173,11 @@ def sector_ground(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     return rec.energy, vec, rec.gap
 
 
-def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
-                contour_nodes: int = CONTOUR_NODES,
-                allow_invalid: bool = False) -> CascadeState:
-    """Drive the construction from the UV cutoff down to the final scale.
-
-    One induction loop over j = 0..J.  The incoming vector is the vacuum
-    at scale 0 and, at every later scale, the previous vector projected
-    through the contour of radius mu * sigma_j centered at the previous
-    energy (using the bridge Hamiltonian built from the previous gradient).
-    Each scale then solves its fiber Hamiltonian on its sector and
-    evaluates the gradient; past scale 0 the projected vector is re-dressed
-    with one combined Weyl displacement.  The solves form one chain: each
-    next-sector solve starts from its scale's ground state, and each sector
-    solve past scale 0's one-state one from the previous scale's
-    next-sector vector.  A failed parameter constraint raises unless
-    ``allow_invalid`` is set.
-    """
+def open_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
+                 allow_invalid: bool = False) -> CascadeState:
+    """The cascade's state before its first scale, once the grid is seen to
+    span the cutoff sequence and the parameter constraints are checked.  A
+    failed constraint raises unless ``allow_invalid`` is set."""
     cut = params.cutoffs
     if grid.cutoffs.n_scales < params.n_scales or not np.allclose(
             grid.cutoffs.sigmas[:params.n_scales + 1],
@@ -201,71 +191,116 @@ def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
         raise ParameterError(
             f"parameter constraint failed: {bad.name} ({bad.detail}); "
             "set allow_invalid to run anyway")
+    return CascadeState(params=params, grid=grid, basis=basis, report=report)
 
-    state = CascadeState(params=params, grid=grid, basis=basis, report=report)
-    p = params.p_total
+
+def cascade_scales(state: CascadeState, *,
+                   contour_nodes: int = CONTOUR_NODES
+                   ) -> Iterator[tuple[FiberFamily, ScaleRecord]]:
+    """Drive the construction from the UV cutoff down to the final scale,
+    yielding each scale's ``FiberFamily`` with its record as it is built.
+
+    One induction loop over j = 0..J.  The incoming vector is the vacuum
+    at scale 0 and, at every later scale, the previous vector projected
+    through the contour of radius mu * sigma_j centered at the previous
+    energy (using the bridge Hamiltonian built from the previous gradient).
+    Each scale then solves its fiber Hamiltonian on its sector and
+    evaluates the gradient; past scale 0 the projected vector is re-dressed
+    with one combined Weyl displacement.  The solves form one chain: each
+    next-sector solve starts from its scale's ground state, and each sector
+    solve past scale 0's one-state one from the previous scale's
+    next-sector vector.
+
+    Each record is appended to ``state.records`` before it is yielded with
+    its family, which keeps H(0) and the frame whose Pi centred the record;
+    the step's bridge operator, H(P) and contour solver are gone by then.
+    The generator drops the family when it resumes, so a consumer that
+    drops it too holds one scale's operators at a time.
+    """
     start = None
-    for j in range(params.n_scales + 1):
-        # one family per scale, released when the next step replaces it
-        family = FiberFamily(params, grid, basis, j)
-        if j == 0:
-            # the induction starts from the vacuum at the UV cutoff
-            phi_hat = basis.vacuum()
-        else:
-            prev = state.records[-1]
-            try:
-                k_hat, _ = assemble_intermediate_hamiltonian(
-                    family, prev.grad_energy, prev.gamma_shift)
-                contour = Contour(prev.energy, params.mu * cut.sigma(j),
-                                  contour_nodes)
-                phi_hat, nodes_used, defect = contour_project_checked(
-                    ResolventSolver(k_hat), contour, prev.phi)
-            except ContourError as exc:
-                raise CascadeError(f"scale {j}: {exc}") from exc
+    for j in range(state.params.n_scales + 1):
+        family, rec, start = _cascade_step(state, j, start, contour_nodes)
+        state.records.append(rec)
+        yield family, rec
+        del family
 
-        h = family.h(p)
+
+def _cascade_step(state: CascadeState, j: int, start: np.ndarray | None,
+                  contour_nodes: int):
+    """Scale j of the induction: (family, record, the next scale's start)."""
+    params, grid, basis = state.params, state.grid, state.basis
+    cut = params.cutoffs
+    p = params.p_total
+    family = FiberFamily(params, grid, basis, j)
+    if j == 0:
+        # the induction starts from the vacuum at the UV cutoff
+        phi_hat = basis.vacuum()
+    else:
+        prev = state.records[-1]
         try:
-            energy, psi, gap_sector = sector_ground(params, grid, basis, j,
-                                                    h_op=h, start=start)
+            k_hat, _ = assemble_intermediate_hamiltonian(
+                family, prev.grad_energy, prev.gamma_shift)
+            contour = Contour(prev.energy, params.mu * cut.sigma(j),
+                              contour_nodes)
+            phi_hat, nodes_used, defect = contour_project_checked(
+                ResolventSolver(k_hat), contour, prev.phi)
+        except ContourError as exc:
+            raise CascadeError(f"scale {j}: {exc}") from exc
+        del k_hat   # the bridge operator serves the projection only
+
+    h = family.h(p)
+    try:
+        energy, psi, gap_sector = sector_ground(params, grid, basis, j,
+                                                h_op=h, start=start)
+    except SolverError as exc:
+        raise CascadeError(f"scale {j}: sector solve: {exc}") from exc
+    if gap_sector < 1e-12:
+        raise CascadeError(
+            f"scale {j}: degenerate ground state, gap {gap_sector}")
+    grad = family.gradient(psi, p)
+
+    phi, step = phi_hat, {}
+    if j > 0:
+        bridge = combined_displacement(grad, prev.grad_energy, grid,
+                                       range(j), params.alpha)
+        try:
+            phi, wdefect = weyl_apply(bridge, basis, phi_hat)
+        except ArithmeticError as exc:
+            raise CascadeError(f"scale {j}: {exc}") from exc
+        step = dict(
+            step_norm=float(np.linalg.norm(phi_hat - prev.phi)),
+            energy_shift=prev.energy - energy,
+            grad_shift=float(np.linalg.norm(grad - prev.grad_energy)),
+            projector_nodes=nodes_used, projector_defect=defect,
+            weyl_defect=wdefect)
+
+    # the frame's Pi, kept in the family for the frame polish and probes
+    _, shift, orth = centered_momentum_vectors(family.frame(grad).pi, phi)
+    gap_next, next_start = np.nan, None
+    if j < params.n_scales:
+        # the ground state of H_j on sector j + 1 starts scale j + 1
+        try:
+            _, next_start, gap_next = sector_ground(
+                params, grid, basis, j + 1, h_op=h, start=psi)
         except SolverError as exc:
-            raise CascadeError(f"scale {j}: sector solve: {exc}") from exc
-        if gap_sector < 1e-12:
             raise CascadeError(
-                f"scale {j}: degenerate ground state, gap {gap_sector}")
-        grad = family.gradient(psi, p)
+                f"scale {j}: next-sector solve: {exc}") from exc
+    rec = ScaleRecord(
+        j=j, sigma=cut.sigma(j), energy=energy, grad_energy=grad,
+        gap_sector=gap_sector, gap_next_sector=gap_next,
+        psi=psi, phi=phi, phi_norm=float(np.linalg.norm(phi)),
+        phi_hat_norm=float(np.linalg.norm(phi_hat)),
+        gamma_shift=shift, gamma_orth=orth, **step)
+    return family, rec, next_start
 
-        phi, step = phi_hat, {}
-        if j > 0:
-            bridge = combined_displacement(grad, prev.grad_energy, grid,
-                                           range(j), params.alpha)
-            try:
-                phi, wdefect = weyl_apply(bridge, basis, phi_hat)
-            except ArithmeticError as exc:
-                raise CascadeError(f"scale {j}: {exc}") from exc
-            step = dict(
-                step_norm=float(np.linalg.norm(phi_hat - prev.phi)),
-                energy_shift=prev.energy - energy,
-                grad_shift=float(np.linalg.norm(grad - prev.grad_energy)),
-                projector_nodes=nodes_used, projector_defect=defect,
-                weyl_defect=wdefect)
 
-        pi = displaced_momentum_ops(family, grad)
-        _, shift, orth = centered_momentum_vectors(pi, phi)
-        gap_next = np.nan
-        if j < params.n_scales:
-            # the ground state of H_j on sector j + 1 starts scale j + 1
-            try:
-                _, start, gap_next = sector_ground(params, grid, basis, j + 1,
-                                                   h_op=h, start=psi)
-            except SolverError as exc:
-                raise CascadeError(
-                    f"scale {j}: next-sector solve: {exc}") from exc
-        state.records.append(ScaleRecord(
-            j=j, sigma=cut.sigma(j), energy=energy, grad_energy=grad,
-            gap_sector=gap_sector, gap_next_sector=gap_next,
-            psi=psi, phi=phi, phi_norm=float(np.linalg.norm(phi)),
-            phi_hat_norm=float(np.linalg.norm(phi_hat)),
-            gamma_shift=shift, gamma_orth=orth, **step))
+def run_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
+                contour_nodes: int = CONTOUR_NODES,
+                allow_invalid: bool = False) -> CascadeState:
+    """The whole cascade: ``open_cascade``, then every scale of
+    ``cascade_scales``, each family dropped as soon as it is yielded."""
+    state = open_cascade(params, grid, basis, allow_invalid=allow_invalid)
+    deque(cascade_scales(state, contour_nodes=contour_nodes), maxlen=0)
     return state
 
 

@@ -17,7 +17,6 @@ Exit codes: 0 ok, 1 assertion or constraint failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import sys
 from dataclasses import dataclass, field
@@ -26,12 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cascade import (CONTOUR_NODES, CascadeError, convergence_report,
-                      run_cascade, trace_csv, validate_params,
-                      write_vector_file)
+from .cascade import (CONTOUR_NODES, CascadeError, cascade_scales,
+                      convergence_report, open_cascade, run_cascade,
+                      trace_csv, validate_params, write_vector_file)
 from .fock import (FockBasis, ResourceError, check_basis_size,
                    enumerate_basis)
-from .hamiltonian import FiberFamily, ModelParams
+from .hamiltonian import ModelParams
 from .modes import (ANGULAR_SETS, ModeGrid, ParameterError, build_grid,
                     check_mode_count)
 from .observables import (SCAN_COLUMNS, energy_lipschitz_probe, mass_scan,
@@ -349,17 +348,17 @@ _SUITES = ("identities", "gaps", "softphoton", "pullthrough", "calpha",
 def _verify_lines(cfg: RunConfig, suite: str):
     """Yield (hard, name, passed, detail) tuples for the selected suite.
 
-    Each scale's ``FiberFamily`` is built once, on first use, and shared by
-    every route and probe at that scale.
+    Each scale's ``FiberFamily`` is the one the cascade built, kept and
+    shared by every route and probe at that scale.
     """
     grid = cfg.build_grid()
     basis = cfg.build_basis(grid)
     params = cfg.params
-    state = run_cascade(params, grid, basis,
-                        contour_nodes=cfg.contour_nodes,
-                        allow_invalid=cfg.allow_invalid)
+    state = open_cascade(params, grid, basis,
+                         allow_invalid=cfg.allow_invalid)
+    family = {rec.j: fam for fam, rec in cascade_scales(
+        state, contour_nodes=cfg.contour_nodes)}
     cut = params.cutoffs
-    family = functools.cache(lambda j: FiberFamily(params, grid, basis, j))
 
     if suite in ("identities", "all"):
         for rec in state.records:
@@ -367,7 +366,7 @@ def _verify_lines(cfg: RunConfig, suite: str):
             yield (True, f"gamma-orthogonality j={rec.j}", orth <= 1e-10,
                    f"max |<phi,Gamma phi>| = {orth:.2e} (tol 1e-10)")
         for rec in state.records:
-            d2f, d2h, d2k, d2kr, cross = scale_routes(family(rec.j), rec)
+            d2f, d2h, d2k, d2kr, cross = scale_routes(family[rec.j], rec)
             yield (True, f"route H vs K j={rec.j}", abs(d2h - d2k) <= 1e-5,
                    f"|{d2h:.8f} - {d2k:.8f}| = {abs(d2h - d2k):.2e} "
                    "(tol 1e-5)")
@@ -395,7 +394,7 @@ def _verify_lines(cfg: RunConfig, suite: str):
     if suite in ("softphoton", "all"):
         consts = []
         for rec in state.records[1:]:
-            rep = soft_photon_probe(family(rec.j), rec)
+            rep = soft_photon_probe(family[rec.j], rec)
             consts.append(rep.empirical_c)
             yield (False, f"soft-photon constant j={rec.j}", True,
                    f"C = {rep.empirical_c:.4f}")
@@ -406,12 +405,12 @@ def _verify_lines(cfg: RunConfig, suite: str):
 
     last = state.records[-1]
     if suite in ("pullthrough", "all"):
-        agg, _ = pull_through_summary(family(last.j), last)
+        agg, _ = pull_through_summary(family[last.j], last)
         yield (False, f"pull-through aggregate j={last.j}", agg <= 0.05,
                f"residual = {agg:.4f} (target <= 0.05)")
 
     if suite in ("calpha", "all"):
-        c_emp, _ = energy_lipschitz_probe(family(last.j), last)
+        c_emp, _ = energy_lipschitz_probe(family[last.j], last)
         # the same supremum in the free theory, E(P) = |P|^2 / 2: negative
         # at the dispersion minimum P = 0, where the window must admit it
         c_free = float(np.max((grid.k @ params.p_total
@@ -422,7 +421,7 @@ def _verify_lines(cfg: RunConfig, suite: str):
 
     if suite in ("bounds", "all"):
         for rec in state.records[:-1]:
-            consts = resolvent_bound_probes(family(rec.j), rec)
+            consts = resolvent_bound_probes(family[rec.j], rec)
             for name, c in zip(("C3", "C4", "C5"), consts):
                 if np.isfinite(c):
                     yield (False, f"bound {name} j={rec.j}", c >= 1.0,

@@ -72,20 +72,30 @@ def _check_count(log_states: float, n_modes: int, size_limit: int,
             f"limit {ENTRY_LIMIT} occupation entries")
 
 
+def _log_binomial(n: int, k: int) -> float:
+    """ln C(n, k) for 0 <= k <= n."""
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
 def check_basis_size(n_modes: int, n_max: int, c_max: int,
                      size_limit: int = DEFAULT_SIZE_LIMIT) -> int:
     """The basis size in closed form; raises ResourceError above
     ``size_limit`` states, or above ``ENTRY_LIMIT`` states x modes (the
     occupation entries enumeration holds), without enumerating anything.
-    Two lower bounds go first, in logarithms so that no huge count is
-    formed: with n = min(n_max, modes x c_max), every total up to n occurs,
-    and so does every choice of min(n, modes // 2) modes holding one
-    quantum each."""
+    Three lower bounds go first, in turn and in logarithms so that no huge
+    count is formed: with n = min(n_max, modes x c_max), every total up to
+    n occurs; so does every choice of min(n, modes // 2) modes holding one
+    quantum each; and so does every composition of t = min(n, c_max)
+    quanta over the modes, C(t + modes - 1, t) of them, since no part
+    exceeds the cap."""
     n = min(n_max, n_modes * c_max)   # no state holds more quanta
+    _check_count(math.log(n + 1), n_modes, size_limit, "at least ")
     k = min(n, n_modes // 2)
-    _check_count(max(math.log(n + 1), math.lgamma(n_modes + 1)
-                     - math.lgamma(k + 1) - math.lgamma(n_modes - k + 1)),
-                 n_modes, size_limit, "at least ")
+    _check_count(_log_binomial(n_modes, k), n_modes, size_limit, "at least ")
+    # t is below size_limit now, so its log-gamma is finite
+    t = min(n, c_max)
+    _check_count(_log_binomial(t + n_modes - 1, t) if t else 0.0, n_modes,
+                 size_limit, "at least ")
     n_states = basis_size(n_modes, n_max, c_max)
     _check_count(math.log(n_states), n_modes, size_limit)
     return n_states

@@ -98,6 +98,14 @@ def _symmetrize(op: sp.spmatrix) -> sp.csr_matrix:
     return (0.5 * (op + op.T)).tocsr()
 
 
+def _canonical(op: sp.csr_matrix) -> sp.csr_matrix:
+    """``op`` with its column indices sorted in place.  The linear updates
+    of a family add canonical operators to it, which scipy then merges
+    row by row into canonical results, sector slices included."""
+    op.sum_duplicates()
+    return op
+
+
 class FiberFamily:
     """The scale-j fiber Hamiltonians at every total momentum P:
 
@@ -127,7 +135,8 @@ class FiberFamily:
     def h0(self) -> sp.csr_matrix:
         # built on first use: a cascade step needs beta for its bridge
         # operator before it needs any H(P)
-        return _symmetrize(0.5 * sum(b @ b for b in self.beta) + self.hf)
+        return _canonical(
+            _symmetrize(0.5 * sum(b @ b for b in self.beta) + self.hf))
 
     def h(self, p) -> sp.csr_matrix:
         return _linear_update(self.h0, self.beta, p, self.eye)
@@ -146,29 +155,53 @@ class FiberFamily:
         return np.array([p[i] - psi @ (self.beta[i] @ psi) / nrm2
                          for i in range(3)])
 
-    def frame(self, grad_energy: np.ndarray) -> "FrameFamily":
+    def frame(self, grad_energy: np.ndarray,
+              keep: bool = True) -> "FrameFamily":
         """Displaced-frame Hamiltonians for the gradient g at the family's
-        momentum P, built once per gradient: the frame polish and the
-        resolvent-bound probe of a cascade record share them."""
+        momentum P.  A kept frame is built once per gradient: the cascade's
+        centring, the frame polish and the resolvent-bound probe of a
+        record share it.  ``keep=False`` builds a frame the family does not
+        hold, as the cascade's one-use bridge frame is."""
         g = np.asarray(grad_energy, dtype=float)
         key = g.tobytes()
-        if key not in self._frames:
-            k0, offset, pi = _frame_product_form(self, g, np.zeros(3))
-            self._frames[key] = FrameFamily(pi, k0, offset, self.eye)
-        return self._frames[key]
+        if key in self._frames:
+            return self._frames[key]
+        # the offset |P|^2/2 - |P - g|^2/2 - sum_active |k| delta f^2 takes
+        # the Weyl amplitudes f of Pi, keeping the canonical form
+        # self-consistent
+        grid, p = self.grid, self.params.p_total
+        delta = direction_weights(grid, g)
+        f = displacement_coeffs(g, grid, range(self.j), self.params.alpha)
+        frame = FrameFamily(
+            pi=displaced_momentum_ops(self, g),
+            number=sp.diags(number_diagonal(self.basis, grid.knorm * delta)),
+            offset=float(p @ p / 2.0 - (p - g) @ (p - g) / 2.0
+                         - np.sum(grid.knorm * delta * f ** 2)),
+            eye=self.eye)
+        if keep:
+            self._frames[key] = frame
+        return frame
 
 
 @dataclass(frozen=True)
 class FrameFamily:
     """Displaced-frame Hamiltonians at one scale, gradient and momentum:
 
-        K(gamma) = K(0) - gamma . Pi + |gamma|^2/2.
+        K(gamma) = K(0) - gamma . Pi + |gamma|^2/2,
+
+    with K(0) the product form (1/2) Pi^2 + ``number`` + ``offset``, built
+    on first use; ``number`` is sum_m |k_m| delta_m n_m.  The frame holds
+    its pieces, not its family.
     """
 
     pi: list = field(repr=False)
-    k0: sp.csr_matrix = field(repr=False)
+    number: sp.spmatrix = field(repr=False)
     offset: float
     eye: sp.csr_matrix = field(repr=False)
+
+    @cached_property
+    def k0(self) -> sp.csr_matrix:
+        return _canonical(_frame_product_form(self, np.zeros(3)))
 
     def k(self, gamma_shift) -> sp.csr_matrix:
         return _linear_update(self.k0, self.pi, gamma_shift, self.eye)
@@ -211,24 +244,13 @@ def assemble_slice_interaction(params: ModelParams, grid: ModeGrid,
     return _symmetrize(0.5 * root * cross + 0.5 * params.alpha * square)
 
 
-def _frame_product_form(family: FiberFamily, grad_energy: np.ndarray,
-                        gamma_shift):
-    """(K, offset, Pi) of the frame at the family's P, in product form.
-    The offset |P|^2/2 - |P - g|^2/2 - sum_active |k| delta f^2 takes the
-    Weyl amplitudes f of Pi, keeping the canonical form self-consistent."""
-    params, grid, eye = family.params, family.grid, family.eye
-    p = params.p_total
-    g = np.asarray(grad_energy, dtype=float)
-    pi = displaced_momentum_ops(family, g)
-    delta = direction_weights(grid, g)
-    f = displacement_coeffs(g, grid, range(family.j), params.alpha)
-    offset = float(p @ p / 2.0 - (p - g) @ (p - g) / 2.0
-                   - np.sum(grid.knorm * delta * f ** 2))
-    number = sp.diags(number_diagonal(family.basis, grid.knorm * delta))
+def _frame_product_form(frame: FrameFamily, gamma_shift) -> sp.csr_matrix:
+    """K = (1/2) sum_i (Pi_i - gamma_shift_i)^2 + number + offset of the
+    frame, in product form."""
     gamma_shift = np.asarray(gamma_shift, dtype=float).reshape(3)
-    gam = [pi[i] - gamma_shift[i] * eye for i in range(3)]
-    k_op = 0.5 * sum(gi @ gi for gi in gam) + number + offset * eye
-    return _symmetrize(k_op), offset, pi
+    gam = [frame.pi[i] - gamma_shift[i] * frame.eye for i in range(3)]
+    return _symmetrize(0.5 * sum(gi @ gi for gi in gam) + frame.number
+                       + frame.offset * frame.eye)
 
 
 def assemble_displaced_hamiltonian(
@@ -241,9 +263,8 @@ def assemble_displaced_hamiltonian(
         + offset in product form, the reference for ``FrameFamily.k``; with
     the ground-state expectation of Pi as shift, Pi - shift is Gamma.
     """
-    k_op, offset, _ = _frame_product_form(
-        FiberFamily(params, grid, basis, j), grad_energy, gamma_shift)
-    return k_op, offset
+    frame = FiberFamily(params, grid, basis, j).frame(grad_energy)
+    return _frame_product_form(frame, gamma_shift), frame.offset
 
 
 def slice_marginal_coeffs(params: ModelParams, grid: ModeGrid,
@@ -286,14 +307,15 @@ def assemble_intermediate_hamiltonian(
 
     with Gamma, the slice operators L and the scalar shift I evaluated with
     the previous gradient g.  Gamma + L is the scale-j Pi(g) less the
-    previous shift, so Khat(j) is ``family.frame(g).k(gamma_prev - I)``.
+    previous shift, so Khat(j) is ``family.frame(g).k(gamma_prev - I)``,
+    on a frame the family does not keep: it serves this one operator.
     Returns (Khat, offset_hat).
     """
     if family.j < 1:
         raise ParameterError("intermediate frame needs j >= 1")
     ivec = weyl_vacuum_expectation(family.params, family.grid,
                                    [family.j - 1], grad_energy_prev)
-    frame = family.frame(grad_energy_prev)
+    frame = family.frame(grad_energy_prev, keep=False)
     return frame.k(np.asarray(gamma_shift_prev) - ivec), frame.offset
 
 

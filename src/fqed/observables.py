@@ -37,8 +37,8 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from .bogoliubov import centered_momentum_vectors
-from .cascade import (CONTOUR_NODES, CascadeError, ScaleRecord, run_cascade,
-                      sector_ground)
+from .cascade import (CONTOUR_NODES, CascadeError, ScaleRecord,
+                      cascade_scales, open_cascade, sector_ground)
 from .fock import FockBasis, creation_sum, ladder
 from .hamiltonian import FiberFamily, ModelParams, slice_marginal_coeffs
 from .modes import ModeGrid, ParameterError
@@ -307,49 +307,58 @@ def scan_csv(rows: list[MassScanRow]) -> str:
     return buf.getvalue()
 
 
+def _scan_row(family: FiberFamily, rec: ScaleRecord) -> MassScanRow:
+    """The scan row of one cascade scale; a route failure is the row's
+    error."""
+    params = family.params
+    row = MassScanRow(alpha=params.alpha, j=rec.j, sigma=rec.sigma,
+                      p=params.p_total, energy=rec.energy,
+                      grad_fh=rec.grad_energy)
+    try:
+        row.d2_fd, row.d2_direct, row.d2_displaced = \
+            scale_routes(family, rec)[:3]
+        row.grad_fd = energy_gradient_fd(family, rec)
+        row.m_r = 1.0 / row.d2_displaced
+        row.delta_hk = abs(row.d2_direct - row.d2_displaced)
+        row.delta_hf = abs(row.d2_direct - row.d2_fd)
+    except (CascadeError, ParameterError, RuntimeError) as exc:
+        row.error = str(exc)
+    return row
+
+
 def mass_scan(params_template: ModelParams, grid: ModeGrid, basis: FockBasis,
               alphas, p_list, contour_nodes: int = CONTOUR_NODES,
               allow_invalid: bool = False):
     """Cascade every (alpha, P) point and emit per-scale curvature rows.
 
-    Returns the rows, in (alpha, P, scale) order.  Row-level failures are
-    annotated and the scan continues.  The effective mass is the
-    inverse curvature of the displaced route.  Each cascade record gets
-    one ``FiberFamily``, which the three routes and the FD gradient share.
-    ``contour_nodes`` and ``allow_invalid`` go to ``run_cascade``.
+    Returns the rows, in (alpha, P, scale) order.  Each scale's three
+    routes and FD gradient run on the family the cascade hands over, as
+    soon as the scale is built; the family goes before the next scale is
+    built.  A route failure is its row's error; a cascade failure makes
+    the job's rows one ``j = -1`` row with the error, and the scan
+    continues.  The effective mass is the inverse curvature of the
+    displaced route.  ``contour_nodes`` and ``allow_invalid`` go to the
+    cascade.
     """
     rows: list[MassScanRow] = []
     for alpha in alphas:
         for p in p_list:
             p = np.asarray(p, dtype=float)
             params = replace(params_template, alpha=float(alpha), p_total=p)
+            job = []
             try:
-                state = run_cascade(params, grid, basis,
-                                    contour_nodes=contour_nodes,
-                                    allow_invalid=allow_invalid)
-            except (CascadeError, ParameterError, RuntimeError) as exc:
-                rows.append(MassScanRow(
-                    alpha=float(alpha), j=-1, sigma=np.nan, p=p,
-                    error=str(exc)))
-                continue
-            for rec in state.records:
-                row = MassScanRow(alpha=float(alpha), j=rec.j,
-                                  sigma=rec.sigma, p=p, energy=rec.energy,
-                                  grad_fh=rec.grad_energy)
-                try:
-                    family = FiberFamily(params, grid, basis, rec.j)
-                    row.d2_fd, row.d2_direct, row.d2_displaced = \
-                        scale_routes(family, rec)[:3]
-                    row.grad_fd = energy_gradient_fd(family, rec)
-                    # the family, and the frame it keeps, go before the next
-                    # record builds its own
+                state = open_cascade(params, grid, basis,
+                                     allow_invalid=allow_invalid)
+                for family, rec in cascade_scales(
+                        state, contour_nodes=contour_nodes):
+                    job.append(_scan_row(family, rec))
+                    # the family, and the frame it keeps, go before the
+                    # cascade builds the next scale
                     del family
-                    row.m_r = 1.0 / row.d2_displaced
-                    row.delta_hk = abs(row.d2_direct - row.d2_displaced)
-                    row.delta_hf = abs(row.d2_direct - row.d2_fd)
-                except (CascadeError, ParameterError, RuntimeError) as exc:
-                    row.error = str(exc)
-                rows.append(row)
+            except (CascadeError, ParameterError, RuntimeError) as exc:
+                job = [MassScanRow(alpha=float(alpha), j=-1, sigma=np.nan,
+                                   p=p, error=str(exc))]
+            rows.extend(job)
     return rows
 
 

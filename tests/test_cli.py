@@ -503,9 +503,10 @@ def test_verify_builds_each_frame_once_per_family_and_gradient(tmp_path,
     builds = []
     product_form = hamiltonian._frame_product_form
 
-    def counted(family, grad_energy, gamma_shift):
-        builds.append((id(family), np.asarray(grad_energy).tobytes()))
-        return product_form(family, grad_energy, gamma_shift)
+    def counted(frame, gamma_shift):
+        # the offset and number operator tell the scale and gradient apart
+        builds.append((frame.offset, frame.number.diagonal().tobytes()))
+        return product_form(frame, gamma_shift)
 
     monkeypatch.setattr(hamiltonian, "_frame_product_form", counted)
     path = write_config(tmp_path, GOOD_CONFIG)
@@ -513,33 +514,34 @@ def test_verify_builds_each_frame_once_per_family_and_gradient(tmp_path,
     assert len(builds) == len(set(builds)) == 2 + 3
 
 
-def test_verify_identities_builds_two_families_per_record(tmp_path,
-                                                         family_builds):
-    # one in the cascade step and one for the three routes of each scale
+def test_verify_identities_builds_one_family_per_record(tmp_path,
+                                                        family_builds):
+    # the three routes of each scale run on the family its cascade step
+    # built
     from fqed.cli import _verify_lines
 
     cfg = parse_config(write_config(tmp_path,
                                     GOOD_CONFIG.replace("J = 2", "J = 1")))
     lines = list(_verify_lines(cfg, "identities"))
     assert lines and all(passed for _, _, passed, _ in lines)
-    assert sorted(family_builds) == [0, 0, 1, 1]
+    assert family_builds == [0, 1]
 
 
-def test_verify_all_builds_two_families_per_record(tmp_path, family_builds):
+def test_verify_all_builds_one_family_per_record(tmp_path, family_builds):
     # the routes, the last scale's probes and the bounds probes share the
-    # one family verify builds per record
+    # family the cascade built for each record
     from fqed.cli import _verify_lines
 
     cfg = parse_config(write_config(tmp_path, GOOD_CONFIG))
     assert list(_verify_lines(cfg, "all"))
-    assert sorted(family_builds) == [0, 0, 1, 1, 2, 2]
+    assert family_builds == [0, 1, 2]
 
 
 def test_verify_bounds_read_each_lanczos_space(tmp_path, family_builds,
                                                monkeypatch):
     # the bounds probe takes its constants from the Lanczos spaces of its
     # two vectors at every size: past the cascade no dense spectrum, two
-    # spaces and one family per probed record
+    # spaces per probed record, and no family but the cascade's
     import fqed.cli as cli
     import fqed.observables as observables
     import fqed.spectral as spectral
@@ -548,7 +550,7 @@ def test_verify_bounds_read_each_lanczos_space(tmp_path, family_builds,
     at_cascade_end = []
     dense_spectrum = spectral.dense_spectrum
     reduce = spectral.ResolventSolver.reduce
-    run_cascade = cli.run_cascade
+    cascade_scales = cli.cascade_scales
 
     def counted_dense(*args, **kwargs):
         calls["dense"] += 1
@@ -559,13 +561,12 @@ def test_verify_bounds_read_each_lanczos_space(tmp_path, family_builds,
         return reduce(self, b)
 
     def cascade(*args, **kwargs):
-        state = run_cascade(*args, **kwargs)
+        yield from cascade_scales(*args, **kwargs)
         at_cascade_end.append(dict(calls))
-        return state
 
     monkeypatch.setattr(spectral, "dense_spectrum", counted_dense)
     monkeypatch.setattr(spectral.ResolventSolver, "reduce", counted_reduce)
-    monkeypatch.setattr(cli, "run_cascade", cascade)
+    monkeypatch.setattr(cli, "cascade_scales", cascade)
     assert not hasattr(observables, "dense_spectrum")
     cfg = parse_config(write_config(tmp_path, GOOD_CONFIG))
     lines = list(cli._verify_lines(cfg, "bounds"))
@@ -574,13 +575,13 @@ def test_verify_bounds_read_each_lanczos_space(tmp_path, family_builds,
         == [(f"bound {c} j=1", True) for c in ("C3", "C4", "C5")]
     assert calls["dense"] == at_cascade_end[0]["dense"]
     assert calls["reduce"] - at_cascade_end[0]["reduce"] == 2 * 2
-    assert sorted(family_builds) == [0, 0, 1, 1, 2]
+    assert family_builds == [0, 1, 2]
 
 
 def test_verify_starts_every_observable_solve(tmp_path, monkeypatch):
     # every route and probe evaluates its scale from the cascade record:
     # each ground state they solve starts from its vectors, and the cold
-    # solves are run_cascade's own
+    # solves are the cascade's own
     import fqed.observables as observables
     from fqed.cli import _verify_lines
 

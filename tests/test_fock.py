@@ -80,6 +80,19 @@ def test_size_limit_enforced():
         enumerate_basis(30, 4, 4, size_limit=1000)
 
 
+def test_check_basis_size_refuses_on_the_compositions_bound(monkeypatch):
+    # every composition of 1,999,999 quanta over 12 modes fits the caps, so
+    # the 8.551e66 states are refused without counting them
+    import fqed.fock as fock
+
+    def no_count(*args):
+        raise AssertionError("basis_size was called")
+
+    monkeypatch.setattr(fock, "basis_size", no_count)
+    with pytest.raises(ResourceError, match="at least 5.131e61 states"):
+        fock.check_basis_size(12, 1999999, 1999999)
+
+
 def test_bad_caps_rejected():
     with pytest.raises(ParameterError):
         enumerate_basis(2, 1, 0)

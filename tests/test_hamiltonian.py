@@ -417,3 +417,24 @@ def test_frame_bridge_on_random_boxes(tiny_setup, alpha, p, g, gamma):
     dk = delta_k_interaction(params, grid, basis, 1, gamma_ops, g)
     bridge = k_prev + dk + (off_hat - off_prev) * family.eye
     assert abs(k_hat - bridge).max() <= 1e-12
+
+
+def test_family_operators_are_canonical(small_setup):
+    # H(0) and K(0) are sorted once when built, so every H(P), K(gamma) and
+    # sector slice merges into canonical CSR; the product forms are oracles
+    # and keep the storage their products give
+    params, grid, basis = small_setup
+    family = FiberFamily(params, grid, basis, 2)
+    g, gamma = np.array([0.09, 0.01, 0.0]), np.array([0.002, 0.0, -0.001])
+    frame = family.frame(g)
+    idx = basis.sector_indices(grid, 2)
+    ops = {"h0": family.h0, "h": family.h(params.p_total),
+           "k0": frame.k0, "k": frame.k(gamma)}
+    ops.update({f"{name}[sector]": op[idx][:, idx]
+                for name, op in list(ops.items())})
+    assert {name: op.has_canonical_format for name, op in ops.items()} \
+        == dict.fromkeys(ops, True)
+    oracles = (assemble_h_fiber(params, grid, basis, 2),
+               assemble_displaced_hamiltonian(params, grid, basis, 2, g,
+                                              gamma)[0])
+    assert not any(op.has_canonical_format for op in oracles)

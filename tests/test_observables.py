@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import custom_grid
-from fqed.cascade import run_cascade, sector_ground
+from fqed.cascade import (cascade_scales, open_cascade, run_cascade,
+                          sector_ground)
 from fqed.fock import creation_sum, enumerate_basis, ladder
 from fqed.hamiltonian import (FiberFamily, ModelParams, assemble_h_fiber,
                               slice_marginal_coeffs)
@@ -144,14 +145,42 @@ def test_mass_scan_deviation_grows_with_coupling():
         assert r.delta_hf <= 1e-4
 
 
-def test_mass_scan_builds_two_families_per_record(tiny_setup,
-                                                  family_builds):
-    # one in the cascade step, one that the three routes and the FD
-    # gradient share
+def test_mass_scan_builds_one_family_per_record(tiny_setup, family_builds):
+    # the three routes and the FD gradient share the family the cascade
+    # step built
     params, grid, basis = tiny_setup
     rows = mass_scan(params, grid, basis, [1e-3], [params.p_total])
     assert [(r.j, r.error) for r in rows] == [(0, ""), (1, "")]
-    assert sorted(family_builds) == [0, 0, 1, 1]
+    assert family_builds == [0, 1]
+
+
+def test_mass_scan_drops_the_rows_of_a_job_whose_cascade_fails():
+    # demo 03's box: at alpha = 1e-2 the first step's contour misses the
+    # shifted energy after scale 0's routes have run; the job gives only
+    # its error row
+    params = ModelParams(alpha=1e-3, epsilon=0.3, mu=0.15, rho_minus=0.14,
+                         rho_plus=0.16, p_total=[0.1, 0.0, 0.0], n_scales=2)
+    grid = build_grid(params.cutoffs, 1, "octahedral6")
+    basis = enumerate_basis(grid.n_modes, 2, 2)
+    rows = mass_scan(params, grid, basis, [1e-3, 1e-2], [params.p_total])
+    assert [(r.alpha, r.j) for r in rows] \
+        == [(1e-3, 0), (1e-3, 1), (1e-3, 2), (1e-2, -1)]
+    assert [r.error for r in rows[:3]] == ["", "", ""]
+    assert rows[3].error.startswith("scale 1: contour encloses none")
+
+
+def test_handed_off_family_carries_no_cascade_state(tiny_setup):
+    # the routes and the FD gradient read the cascade's family bit for bit
+    # as they read a fresh one
+    params, grid, basis = tiny_setup
+    params = dataclasses.replace(params, alpha=1e-3)
+    state = open_cascade(params, grid, basis)
+    for family, rec in cascade_scales(state):
+        fresh = FiberFamily(params, grid, basis, rec.j)
+        assert scale_routes(family, rec) == scale_routes(fresh, rec)
+        assert np.array_equal(energy_gradient_fd(family, rec),
+                              energy_gradient_fd(fresh, rec))
+    assert [rec.j for rec in state.records] == [0, 1]
 
 
 @pytest.mark.parametrize("route", [
