@@ -17,8 +17,11 @@ Exit codes: 0 ok, 1 assertion or constraint failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
+import importlib
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -255,16 +258,19 @@ def _out_path(cfg: RunConfig, args, name: str) -> Path:
 
 def cmd_validate(cfg: RunConfig, args) -> int:
     report = validate_params(cfg.params)
+    if report.passed:
+        # the grid and basis sizes have closed forms: refuse what cascade
+        # would refuse before building either; the step enclosure then
+        # reads the grid, which is as small as cascade's own
+        n_modes = check_mode_count(cfg.params.n_scales, cfg.n_radial,
+                                   cfg.angular_set)
+        check_basis_size(n_modes, cfg.n_max, cfg.c_max, cfg.basis_limit)
+        report = validate_params(cfg.params, cfg.build_grid())
     print("parameter constraint report:")
     print(report.table())
     if not report.passed:
         print(f"FAILED: {report.first_failure().name}")
         return 1
-    # the grid and basis sizes have closed forms: refuse what cascade would
-    # refuse, before building either
-    n_modes = check_mode_count(cfg.params.n_scales, cfg.n_radial,
-                               cfg.angular_set)
-    check_basis_size(n_modes, cfg.n_max, cfg.c_max, cfg.basis_limit)
     print("all constraints PASS")
     return 0
 
@@ -449,7 +455,39 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     return 0
 
 
+#: The OpenBLAS builds bundled with numpy and scipy, as (package, library
+#: glob, thread-count setter); each package loads its own.
+_BLAS_POOLS = (
+    ("numpy", "libscipy_openblas64_*", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "libscipy_openblas-*", "scipy_openblas_set_num_threads"),
+)
+
+
+def _pin_blas_threads():
+    """Pin numpy's and scipy's OpenBLAS pools to one thread.
+
+    BLAS rounds a product differently at different thread counts, so a
+    command's outputs would depend on the machine's core count and on the
+    ``OPENBLAS_NUM_THREADS`` it inherits.  The pools are already loaded,
+    so each is set through its own library's setter.  A pool whose
+    library or setter is not found is left as it is, with a warning.
+    """
+    for package, pattern, setter in _BLAS_POOLS:
+        libs = Path(importlib.import_module(package).__file__).parent.parent
+        found = sorted((libs / f"{package}.libs").glob(pattern))
+        try:
+            set_threads = getattr(ctypes.CDLL(str(found[0])), setter)
+        except (IndexError, OSError, AttributeError):
+            warnings.warn(f"cannot pin {package}'s BLAS to one thread "
+                          f"({setter} not found); outputs may depend on the "
+                          "BLAS thread count", RuntimeWarning, stacklevel=2)
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
 def main(argv=None) -> int:
+    _pin_blas_threads()
     parser = argparse.ArgumentParser(
         prog="fqed",
         description="infrared-cascade laboratory for momentum-fiber QED "

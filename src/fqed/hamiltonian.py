@@ -26,6 +26,16 @@ transformed Hamiltonian takes the form
 with Gamma a mean-zero vector operator.  No numerical exponentials enter
 operator assembly; the exponentials appear only when transporting state
 vectors (see bogoliubov.weyl_apply).
+
+Both H(P) and K(gamma) are squares, (1/2) sum_i (F_i - c_i)^2 + diag(d) +
+s, with F = beta, c = P or F = Pi, c = gamma.  Neither is assembled: a
+``FactorOp`` applies one from its stacked factors, and each family
+restricts its factors to a photon-content sector once.  Every scale-j
+factor maps sectors j and j + 1 into themselves, so the restriction of
+the square is the square of the restricted factors.  ``FactorOp.tocsr``
+assembles the product form for the solves that need the matrix itself;
+``assemble_h_fiber`` and ``assemble_displaced_hamiltonian`` build it
+independently, as the references the tests compare against.
 """
 
 from __future__ import annotations
@@ -98,21 +108,96 @@ def _symmetrize(op: sp.spmatrix) -> sp.csr_matrix:
     return (0.5 * (op + op.T)).tocsr()
 
 
-def _canonical(op: sp.csr_matrix) -> sp.csr_matrix:
-    """``op`` with its column indices sorted in place.  The linear updates
-    of a family add canonical operators to it, which scipy then merges
-    row by row into canonical results, sector slices included."""
-    op.sum_duplicates()
-    return op
+class _Factors:
+    """The pieces of (1/2) sum_i (F_i - c_i)^2 + diag(d) + s that do not
+    depend on c or s: the three symmetric factors F_i stacked into one
+    (3n, n) CSR and half its transpose, the diagonal d, and the diagonals
+    of each F_i and of its off-diagonal square, from which ``FactorOp``
+    reads its own diagonal.  ``sector(idx)`` restricts them once per index
+    set.
+    """
+
+    def __init__(self, stacked: sp.csr_matrix, d: np.ndarray):
+        n = len(d)
+        stacked.sum_duplicates()
+        self.size, self.stacked, self.d = n, stacked, d
+        # halving is exact, so (1/2) F^T (F x) rounds as F^T (F x) does
+        self.half_t = (0.5 * stacked.T).tocsr()
+        coo = stacked.tocoo()
+        on = coo.col == coo.row % n
+        diag_f = np.zeros(3 * n)
+        diag_f[coo.row[on]] = coo.data[on]
+        self.diag_f = diag_f.reshape(3, n)
+        self.off_sq = np.bincount(coo.row[~on], weights=coo.data[~on] ** 2,
+                                  minlength=3 * n).reshape(3, n)
+        self._sectors: dict[bytes, _Factors] = {}
+
+    def sector(self, idx: np.ndarray) -> "_Factors":
+        """The factors restricted to the states ``idx`` (ascending).  The
+        restriction of the square is the square of the restrictions when
+        every F_i maps the span of ``idx`` into itself, as each scale-j
+        factor does on sectors j and j + 1.  The whole basis is ``self``."""
+        idx = np.asarray(idx)
+        if len(idx) == self.size and np.array_equal(idx,
+                                                    np.arange(self.size)):
+            return self
+        key = idx.tobytes()
+        if key not in self._sectors:
+            rows = np.concatenate([idx + i * self.size for i in range(3)])
+            self._sectors[key] = _Factors(self.stacked[rows][:, idx],
+                                          self.d[idx])
+        return self._sectors[key]
+
+
+class FactorOp:
+    """The operator (1/2) sum_i (F_i - c_i)^2 + diag(d) + s, applied from
+    its factors: one application, to a vector or an (n, k) block, is two
+    sparse products with the stacked factors.  ``tocsr()`` assembles the
+    product form, for the solves that need the matrix itself.
+    """
+
+    def __init__(self, factors: _Factors, c, s: float = 0.0):
+        self.factors = factors
+        self.c = np.asarray(c, dtype=float).reshape(3)
+        self.s = float(s)
+        self.shape = (factors.size, factors.size)
+        self._scalar = factors.d + (self.s + 0.5 * float(self.c @ self.c))
+
+    def __matmul__(self, x):
+        # (1/2) sum_i F_i (F_i x) - sum_i c_i F_i x + (|c|^2/2 + d + s) x
+        f = self.factors
+        x = np.asarray(x)
+        z = f.stacked @ x
+        out = f.half_t @ z
+        out -= (self.c @ z.reshape(3, -1)).reshape(x.shape)
+        out += self._scalar.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        f = self.factors
+        return (0.5 * np.sum(f.off_sq + (f.diag_f - self.c[:, None]) ** 2,
+                             axis=0) + f.d + self.s)
+
+    def sector(self, idx: np.ndarray) -> "FactorOp":
+        """The operator on the states ``idx``, a sector its factors map
+        into itself."""
+        return FactorOp(self.factors.sector(idx), self.c, self.s)
+
+    def tocsr(self) -> sp.csr_matrix:
+        f = self.factors
+        g = f.stacked - sp.vstack([ci * sp.identity(f.size, format="csr")
+                                   for ci in self.c], format="csr")
+        return _symmetrize(0.5 * (g.T @ g) + sp.diags(f.d + self.s))
 
 
 class FiberFamily:
     """The scale-j fiber Hamiltonians at every total momentum P:
 
-        H(P) = H(0) + |P|^2/2 - P . beta,      dH/dP_i = P_i - beta_i,
+        H(P) = (1/2) sum_i (P_i - beta_i)^2 + Hf,   dH/dP_i = P_i - beta_i,
 
-    with beta_i = Pf_i - sqrt(alpha) A_i (interaction on shells 0..j-1).
-    All pieces are exactly symmetric, so every H(P) is too.
+    with beta_i = Pf_i - sqrt(alpha) A_i (interaction on shells 0..j-1),
+    each H(P) a ``FactorOp`` on the family's stacked beta.  Every beta_i is
+    exactly symmetric, so every H(P) is too.
     """
 
     def __init__(self, params: ModelParams, grid: ModeGrid,
@@ -128,18 +213,17 @@ class FiberFamily:
                       - np.sqrt(params.alpha) * a[i]).tocsr()
                      for i in range(3)]
         self.eye = sp.identity(basis.size, format="csr")
-        self.hf = sp.diags(number_diagonal(basis, grid.knorm))
+        self.hf = number_diagonal(basis, grid.knorm)
         self._frames: dict[bytes, FrameFamily] = {}
 
     @cached_property
-    def h0(self) -> sp.csr_matrix:
+    def _factors(self) -> _Factors:
         # built on first use: a cascade step needs beta for its bridge
         # operator before it needs any H(P)
-        return _canonical(
-            _symmetrize(0.5 * sum(b @ b for b in self.beta) + self.hf))
+        return _Factors(sp.vstack(self.beta, format="csr"), self.hf)
 
-    def h(self, p) -> sp.csr_matrix:
-        return _linear_update(self.h0, self.beta, p, self.eye)
+    def h(self, p) -> FactorOp:
+        return FactorOp(self._factors, p)
 
     def x(self, p) -> list[sp.csr_matrix]:
         p = np.asarray(p, dtype=float)
@@ -174,10 +258,9 @@ class FiberFamily:
         f = displacement_coeffs(g, grid, range(self.j), self.params.alpha)
         frame = FrameFamily(
             pi=displaced_momentum_ops(self, g),
-            number=sp.diags(number_diagonal(self.basis, grid.knorm * delta)),
+            number=number_diagonal(self.basis, grid.knorm * delta),
             offset=float(p @ p / 2.0 - (p - g) @ (p - g) / 2.0
-                         - np.sum(grid.knorm * delta * f ** 2)),
-            eye=self.eye)
+                         - np.sum(grid.knorm * delta * f ** 2)))
         if keep:
             self._frames[key] = frame
         return frame
@@ -187,34 +270,23 @@ class FiberFamily:
 class FrameFamily:
     """Displaced-frame Hamiltonians at one scale, gradient and momentum:
 
-        K(gamma) = K(0) - gamma . Pi + |gamma|^2/2,
+        K(gamma) = (1/2) sum_i (Pi_i - gamma_i)^2 + number + offset,
 
-    with K(0) the product form (1/2) Pi^2 + ``number`` + ``offset``, built
-    on first use; ``number`` is sum_m |k_m| delta_m n_m.  The frame holds
-    its pieces, not its family.
+    each a ``FactorOp`` on the stacked Pi, built on first use; ``number``
+    is the diagonal of sum_m |k_m| delta_m n_m.  The frame holds its
+    pieces, not its family.
     """
 
     pi: list = field(repr=False)
-    number: sp.spmatrix = field(repr=False)
+    number: np.ndarray = field(repr=False)
     offset: float
-    eye: sp.csr_matrix = field(repr=False)
 
     @cached_property
-    def k0(self) -> sp.csr_matrix:
-        return _canonical(_frame_product_form(self, np.zeros(3)))
+    def _factors(self) -> _Factors:
+        return _Factors(sp.vstack(self.pi, format="csr"), self.number)
 
-    def k(self, gamma_shift) -> sp.csr_matrix:
-        return _linear_update(self.k0, self.pi, gamma_shift, self.eye)
-
-
-def _linear_update(op0, ops, v, eye) -> sp.csr_matrix:
-    """op0 + |v|^2/2 - v . ops: (1/2) sum_i (ops_i - v_i)^2 + rest, from
-    its value op0 at v = 0."""
-    v = np.asarray(v, dtype=float).reshape(3)
-    out = op0 + (0.5 * float(v @ v)) * eye
-    for i in np.flatnonzero(v):
-        out = out - v[i] * ops[i]
-    return out.tocsr()
+    def k(self, gamma_shift) -> FactorOp:
+        return FactorOp(self._factors, gamma_shift, self.offset)
 
 
 def assemble_h_fiber(params: ModelParams, grid: ModeGrid, basis: FockBasis,
@@ -224,7 +296,8 @@ def assemble_h_fiber(params: ModelParams, grid: ModeGrid, basis: FockBasis,
     family = FiberFamily(params, grid, basis, j)
     p = params.p_total if p is None else np.asarray(p, dtype=float)
     grad = [(p[i] * family.eye - family.beta[i]).tocsr() for i in range(3)]
-    return _symmetrize(0.5 * sum(m @ m for m in grad) + family.hf)
+    return _symmetrize(0.5 * sum(m @ m for m in grad)
+                       + sp.diags(family.hf))
 
 
 def assemble_slice_interaction(params: ModelParams, grid: ModeGrid,
@@ -244,15 +317,6 @@ def assemble_slice_interaction(params: ModelParams, grid: ModeGrid,
     return _symmetrize(0.5 * root * cross + 0.5 * params.alpha * square)
 
 
-def _frame_product_form(frame: FrameFamily, gamma_shift) -> sp.csr_matrix:
-    """K = (1/2) sum_i (Pi_i - gamma_shift_i)^2 + number + offset of the
-    frame, in product form."""
-    gamma_shift = np.asarray(gamma_shift, dtype=float).reshape(3)
-    gam = [frame.pi[i] - gamma_shift[i] * frame.eye for i in range(3)]
-    return _symmetrize(0.5 * sum(gi @ gi for gi in gam) + frame.number
-                       + frame.offset * frame.eye)
-
-
 def assemble_displaced_hamiltonian(
         params: ModelParams, grid: ModeGrid, basis: FockBasis, j: int,
         grad_energy: np.ndarray,
@@ -264,7 +328,12 @@ def assemble_displaced_hamiltonian(
     the ground-state expectation of Pi as shift, Pi - shift is Gamma.
     """
     frame = FiberFamily(params, grid, basis, j).frame(grad_energy)
-    return _frame_product_form(frame, gamma_shift), frame.offset
+    gamma_shift = np.asarray(gamma_shift, dtype=float).reshape(3)
+    eye = sp.identity(basis.size, format="csr")
+    gam = [frame.pi[i] - gamma_shift[i] * eye for i in range(3)]
+    return _symmetrize(0.5 * sum(gi @ gi for gi in gam)
+                       + sp.diags(frame.number) + frame.offset * eye), \
+        frame.offset
 
 
 def slice_marginal_coeffs(params: ModelParams, grid: ModeGrid,
@@ -298,7 +367,7 @@ def slice_marginal_ops(params: ModelParams, grid: ModeGrid, basis: FockBasis,
 
 def assemble_intermediate_hamiltonian(
         family: FiberFamily, grad_energy_prev: np.ndarray,
-        gamma_shift_prev: np.ndarray) -> tuple[sp.csr_matrix, float]:
+        gamma_shift_prev: np.ndarray) -> tuple[FactorOp, float]:
     """Scale-j Hamiltonian (j = ``family.j``) seen through the scale-(j-1)
     displacement.
 

@@ -33,14 +33,14 @@ import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from .bogoliubov import centered_momentum_vectors
 from .cascade import (CONTOUR_NODES, CascadeError, ScaleRecord,
                       cascade_scales, open_cascade, sector_ground)
 from .fock import FockBasis, creation_sum, ladder
-from .hamiltonian import FiberFamily, ModelParams, slice_marginal_coeffs
+from .hamiltonian import (FactorOp, FiberFamily, ModelParams,
+                          slice_marginal_coeffs)
 from .modes import ModeGrid, ParameterError
 from .spectral import (Contour, ResolventSolver, contour_sum,
                        resolvent_sandwich)
@@ -162,7 +162,7 @@ class DisplacedFrame:
 
     family: FiberFamily = field(repr=False)
     grad_energy: np.ndarray
-    k_op: sp.csr_matrix = field(repr=False)
+    k_op: FactorOp = field(repr=False)
     energy: float = np.nan
     gap: float = np.nan
     phi: np.ndarray = field(default=None, repr=False)

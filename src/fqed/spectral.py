@@ -60,9 +60,9 @@ DENSE_LIMIT = 4000
 #: Below this dimension ground states are taken from the dense oracle.
 DENSE_EIG_CUTOFF = 600
 
-#: Residual, relative to the operator's row-sum norm (at least 1), at which
-#: a Davidson pair counts as converged; rounding leaves a residual of a few
-#: ulps of that norm.
+#: Residual, relative to the operator's max |diagonal| (at least 1), at
+#: which a Davidson pair counts as converged; rounding leaves a residual of
+#: a few ulps of the operator's norm, which that entry bounds from below.
 DAVIDSON_TOL = 1e-13
 
 #: Davidson search-space size that triggers a thick restart.
@@ -76,13 +76,17 @@ DAVIDSON_MAX_ITER = 200
 GROUND_TOL = 1e-10
 
 #: Relative residual of a Krylov shifted solve.
-KRYLOV_TOL = 1e-10
+KRYLOV_TOL = 1e-13
 
 #: Largest Krylov space per right-hand side.
 KRYLOV_MAX = 1200
 
 #: Lanczos vectors added each time a Krylov space grows.
-KRYLOV_BLOCK = 60
+KRYLOV_BLOCK = 8
+
+#: Norm below which a Lanczos step's new vector (of a unit one) ends the
+#: space as invariant.
+_BREAKDOWN = 1e-14
 
 #: Node count at which projector node doubling gives up.
 MAX_NODES = 512
@@ -131,12 +135,19 @@ class GroundStateRecord:
     degenerate: bool = False
 
 
+def _csr(op) -> sp.csr_matrix:
+    """``op`` as a CSR matrix: a sparse or factored operator by its
+    ``tocsr``, which assembles a factored one's product form."""
+    return op.tocsr() if hasattr(op, "tocsr") else sp.csr_matrix(op)
+
+
 def _dense(op, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
     n = op.shape[0]
     if n > dense_limit:
         raise ResourceWarning(
             f"dense oracle limited to {dense_limit}, operator is {n}")
-    return op.toarray() if sp.issparse(op) else np.asarray(op, dtype=float)
+    return op.tocsr().toarray() if hasattr(op, "tocsr") \
+        else np.asarray(op, dtype=float)
 
 
 def dense_spectrum(op, dense_limit: int = DENSE_LIMIT):
@@ -155,15 +166,17 @@ def _deterministic_start(n: int) -> np.ndarray:
 
 
 def _davidson(op, pairs: int, start: np.ndarray):
-    """The ``pairs`` lowest eigenpairs of a symmetric sparse operator by
-    block Davidson with the diagonal preconditioner, from ``start``.
+    """The ``pairs`` lowest eigenpairs of a symmetric operator (anything
+    with ``shape``, ``diagonal()`` and ``@`` on (n, k) blocks) by block
+    Davidson with the diagonal preconditioner, from ``start``.
 
     The search space starts as ``start`` and the ``pairs + 2`` unit vectors
     of the lowest diagonal entries (a stable sort), which give it weight on
     levels that a start sharing the operator's symmetries cannot reach.
     Each step takes the Rayleigh-Ritz pairs of the space and adds one
     correction (diag - theta_i)^{-1} r_i per wanted pair whose residual is
-    above ``DAVIDSON_TOL`` times the operator's largest absolute row sum,
+    above ``DAVIDSON_TOL`` times the operator's largest absolute diagonal
+    entry (at least 1),
     orthonormalized by two Gram-Schmidt passes; past ``DAVIDSON_MAX_DIM``
     vectors the space restarts from its ``pairs + 2`` lowest Ritz vectors.
     Nothing is random, so a solve is bit-identical on every run.  Returns
@@ -171,7 +184,7 @@ def _davidson(op, pairs: int, start: np.ndarray):
     """
     n = op.shape[0]
     diag = op.diagonal()
-    tol = DAVIDSON_TOL * max(1.0, float(abs(op).sum(axis=1).max()))
+    tol = DAVIDSON_TOL * max(1.0, float(np.max(np.abs(diag))))
     cap = DAVIDSON_MAX_DIM
     # one row per vector: rows past the space's size are never touched
     basis = np.zeros((cap + pairs, n))
@@ -241,7 +254,9 @@ def ground_state(op, dense_cutoff: int = DENSE_EIG_CUTOFF, pairs: int = 3,
     for its restarts.  Every path is deterministic, so repeated runs are
     bit-identical.  The gap is NaN when no second eigenvalue is known:
     ``pairs=1``, a 1 x 1 operator, or a partial Lanczos result with one
-    pair.
+    pair.  ``op`` may be a dense array, a sparse matrix or a factored
+    operator (``hamiltonian.FactorOp``); only the cold paths assemble a
+    factored one, through its ``tocsr``.
     """
     n = op.shape[0]
     started = n > 5 and start is not None and bool(np.any(start))
@@ -252,15 +267,16 @@ def ground_state(op, dense_cutoff: int = DENSE_EIG_CUTOFF, pairs: int = 3,
             vals, vecs = dense_spectrum(op, dense_limit=n)
         method = "dense"
     elif started:
-        opc = op.tocsr() if sp.issparse(op) else sp.csr_matrix(op)
-        vals, vecs = _davidson(opc, pairs, start)
+        # a matrix goes in as CSR; a factored operator is applied as it
+        # is, never assembled
+        matrix = sp.issparse(op) or isinstance(op, np.ndarray)
+        vals, vecs = _davidson(_csr(op) if matrix else op, pairs, start)
         method = "davidson"
     else:
-        opc = op.tocsr() if sp.issparse(op) else sp.csr_matrix(op)
         try:
             vals, vecs = spla.eigsh(
-                opc, k=pairs, which="SA", v0=_deterministic_start(n), tol=0,
-                ncv=min(n - 1, 60), rng=np.random.default_rng(0))
+                _csr(op), k=pairs, which="SA", v0=_deterministic_start(n),
+                tol=0, ncv=min(n - 1, 60), rng=np.random.default_rng(0))
         except spla.ArpackNoConvergence as exc:
             if len(exc.eigenvalues) == 0:
                 raise SolverError("Lanczos did not converge") from exc
@@ -337,7 +353,7 @@ class _KrylovSpace:
             nb = float(np.linalg.norm(u))
             self.beta[m] = nb
             self.steps = m + 1
-            if nb < 1e-14 or self.steps >= self.max_dim:
+            if nb < _BREAKDOWN or self.steps >= self.max_dim:
                 self.exhausted = True
                 return
             self._basis[m + 1] = u / nb
@@ -359,7 +375,10 @@ class _KrylovSpace:
             res = self.beta[k - 1] * abs(y[-1])
             converged = res <= KRYLOV_TOL * self.b0
             if converged or self.exhausted:
-                if not converged and self.beta[k - 1] > 1e-12 * self.b0:
+                # an invariant space solves exactly, up to the rounding
+                # of its last step; only a space cut at its size limit
+                # fails
+                if not converged and self.beta[k - 1] >= _BREAKDOWN:
                     raise ConditioningError(
                         f"Krylov space of size {k} left shifted residual at "
                         f"{res / self.b0:.2e}")

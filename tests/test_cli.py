@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -87,6 +90,29 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert "scale-ratio window" in out
 
 
+def test_validate_refuses_a_step_its_contour_cannot_enclose(tmp_path,
+                                                           capsys):
+    # demo 03's box at alpha = 1e-2: the five parameter relations hold, but
+    # the first energy step, about 6 alpha, is past the step contour's
+    # radius mu * sigma_1 = 0.045, where cascade would exit 3 at scale 1
+    demo03 = dict(alpha="1e-2", epsilon="0.3", mu="0.15", rho_minus="0.14",
+                  rho_plus="0.16", P="0.1 0 0", J="2")
+    path = desk_variant(tmp_path, **demo03)
+    assert main(["validate", "--config", path]) == 1
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 5
+    assert "FAIL  step enclosure       |dE_1| / (mu*sigma_1) = 1.261 < 0.85" \
+        in out
+    assert out.endswith("FAILED: step enclosure\n")
+    assert main(["cascade", "--config", path,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "parameter constraint failed: step enclosure" \
+        in capsys.readouterr().err
+    # at alpha = 5e-3, the largest of the shipped scans, the step fits
+    path = desk_variant(tmp_path, **{**demo03, "alpha": "5e-3"})
+    assert main(["validate", "--config", path]) == 0
+
+
 def test_missing_key_exits_2(tmp_path, capsys):
     text = GOOD_CONFIG.replace("alpha = 1e-3\n", "")
     path = write_config(tmp_path, text)
@@ -171,6 +197,28 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_shipped_configs_parse(path):
     cfg = parse_config(path)
     assert cfg.contour_nodes == 64 and not cfg.allow_invalid
+
+
+@pytest.mark.parametrize("command, output", [("mass-scan", "scan.csv"),
+                                             ("cascade", "trace.csv")])
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command,
+                                                        output):
+    # a command pins numpy's and scipy's BLAS pools to one thread, so the
+    # thread count the environment asks for changes no output byte
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / threads
+        run = subprocess.run(
+            [sys.executable, "-m", "fqed.cli", command, "--config",
+             str(ROOT / "demos" / "desk.cfg"), "--out", str(out)],
+            env=env, capture_output=True, check=True)
+        assert b"cannot pin" not in run.stderr
+        written.append((out / output).read_bytes())
+    assert written[0] == written[1]
 
 
 def desk_variant(tmp_path, **keys):
@@ -496,19 +544,24 @@ def test_verify_builds_each_frame_solver_once(tmp_path, monkeypatch):
 
 def test_verify_builds_each_frame_once_per_family_and_gradient(tmp_path,
                                                               monkeypatch):
-    # the frame polish and the bounds probe of a record share one frame:
-    # the cascade's two bridge frames and one per record, no repeats
+    # the frame polish and the bounds probe of a record share one frame,
+    # whose factors are stacked once: the cascade's two bridge frames and
+    # one per record, no repeats
+    from functools import cached_property
+
     import fqed.hamiltonian as hamiltonian
 
     builds = []
-    product_form = hamiltonian._frame_product_form
+    stack = hamiltonian.FrameFamily._factors.func
 
-    def counted(frame, gamma_shift):
-        # the offset and number operator tell the scale and gradient apart
-        builds.append((frame.offset, frame.number.diagonal().tobytes()))
-        return product_form(frame, gamma_shift)
+    def counted(frame):
+        # the offset and number diagonal tell the scale and gradient apart
+        builds.append((frame.offset, frame.number.tobytes()))
+        return stack(frame)
 
-    monkeypatch.setattr(hamiltonian, "_frame_product_form", counted)
+    prop = cached_property(counted)
+    prop.__set_name__(hamiltonian.FrameFamily, "_factors")
+    monkeypatch.setattr(hamiltonian.FrameFamily, "_factors", prop)
     path = write_config(tmp_path, GOOD_CONFIG)
     assert main(["verify", "--config", path, "--suite", "all"]) == 0
     assert len(builds) == len(set(builds)) == 2 + 3

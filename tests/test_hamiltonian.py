@@ -208,7 +208,7 @@ def test_intermediate_equals_displaced_at_free_coupling(small_setup):
                                                gamma)
     k_hat, _ = assemble_intermediate_hamiltonian(
         FiberFamily(free, grid, basis, 2), g, gamma)
-    assert np.abs(k_hat - k_prev).max() < 1e-14
+    assert np.abs(k_hat.tocsr() - k_prev).max() < 1e-14
 
 
 def test_frame_bridge_identity(small_setup):
@@ -227,7 +227,7 @@ def test_frame_bridge_identity(small_setup):
     eye = sp.identity(basis.size, format="csr")
     gamma_ops = [pi[i] - gamma[i] * eye for i in range(3)]
     dk = delta_k_interaction(params, grid, basis, 2, gamma_ops, g)
-    lhs = k_hat - off_hat * eye + off_prev * eye - k_prev
+    lhs = k_hat.tocsr() - off_hat * eye + off_prev * eye - k_prev
     assert abs(lhs - dk).max() < 1e-12
 
 
@@ -349,13 +349,28 @@ def tiny_family(tiny_setup, alpha, p, j):
     return params, FiberFamily(params, grid, basis, j)
 
 
+def assert_factor_form_matches(op, ref):
+    """The FactorOp ``op`` against the product form ``ref``: its action on
+    a vector and on an (n, 4) block, and its diagonal, agree to 1e-14
+    relative, and its own product form agrees entrywise to 1e-14."""
+    block = np.random.default_rng(7).standard_normal((ref.shape[0], 4))
+    for x in (block[:, 0], block):
+        scale = np.max(abs(ref) @ np.abs(x))
+        assert np.max(np.abs(op @ x - ref @ x)) <= 1e-14 * scale
+    diag = ref.diagonal()
+    assert np.max(np.abs(op.diagonal() - diag)) \
+        <= 1e-14 * np.max(np.abs(diag))
+    assert abs(op.tocsr() - ref).max() <= 1e-14
+
+
 @settings(max_examples=40, deadline=None)
 @given(ALPHAS, MOMENTA, st.integers(0, 1))
 def test_family_h_equals_product_form(tiny_setup, alpha, p, j):
-    # H(0) + |P|^2/2 - P . beta == sym((1/2) sum_i (P_i - beta_i)^2 + Hf)
+    # (1/2) sum_i (beta_i - P_i)^2 + Hf applied from its factors
+    # == sym((1/2) sum_i (P_i - beta_i)^2 + Hf)
     params, family = tiny_family(tiny_setup, alpha, p, j)
     ref = assemble_h_fiber(params, family.grid, family.basis, j, p=p)
-    assert abs(family.h(p) - ref).max() <= 1e-14
+    assert_factor_form_matches(family.h(p), ref)
 
 
 @settings(max_examples=15, deadline=None)
@@ -379,13 +394,14 @@ def test_family_gradient_matches_finite_differences(tiny_setup, tiny_record,
 @given(ALPHAS, MOMENTA, st.integers(0, 1), GRADIENTS, SHIFTS)
 def test_frame_family_k_equals_product_form(tiny_setup, alpha, p, j, g,
                                             gamma):
-    # K(0) - gamma . Pi + |gamma|^2/2 == the assembled canonical form
+    # (1/2) sum_i (Pi_i - gamma_i)^2 + number + offset applied from its
+    # factors == the assembled canonical form
     params, family = tiny_family(tiny_setup, alpha, p, j)
     frame = family.frame(g)
     ref, offset = assemble_displaced_hamiltonian(
         params, family.grid, family.basis, j, g, gamma)
     assert frame.offset == offset
-    assert abs(frame.k(gamma) - ref).max() <= 1e-14
+    assert_factor_form_matches(frame.k(gamma), ref)
 
 
 @settings(max_examples=40, deadline=None)
@@ -416,25 +432,60 @@ def test_frame_bridge_on_random_boxes(tiny_setup, alpha, p, g, gamma):
     gamma_ops = [pi[i] - gamma[i] * family.eye for i in range(3)]
     dk = delta_k_interaction(params, grid, basis, 1, gamma_ops, g)
     bridge = k_prev + dk + (off_hat - off_prev) * family.eye
-    assert abs(k_hat - bridge).max() <= 1e-12
+    assert abs(k_hat.tocsr() - bridge).max() <= 1e-12
 
 
-def test_family_operators_are_canonical(small_setup):
-    # H(0) and K(0) are sorted once when built, so every H(P), K(gamma) and
-    # sector slice merges into canonical CSR; the product forms are oracles
-    # and keep the storage their products give
+def test_scale_factors_map_sectors_j_and_j_plus_1_into_themselves(
+        small_setup):
+    # the restriction of a square is the square of the restrictions only
+    # if no factor leaks out of the sector: every entry of beta_i and Pi_i
+    # between a sector-j or sector-(j + 1) state and a state outside is 0
     params, grid, basis = small_setup
-    family = FiberFamily(params, grid, basis, 2)
-    g, gamma = np.array([0.09, 0.01, 0.0]), np.array([0.002, 0.0, -0.001])
-    frame = family.frame(g)
-    idx = basis.sector_indices(grid, 2)
-    ops = {"h0": family.h0, "h": family.h(params.p_total),
-           "k0": frame.k0, "k": frame.k(gamma)}
-    ops.update({f"{name}[sector]": op[idx][:, idx]
-                for name, op in list(ops.items())})
-    assert {name: op.has_canonical_format for name, op in ops.items()} \
-        == dict.fromkeys(ops, True)
-    oracles = (assemble_h_fiber(params, grid, basis, 2),
-               assemble_displaced_hamiltonian(params, grid, basis, 2, g,
-                                              gamma)[0])
-    assert not any(op.has_canonical_format for op in oracles)
+    g = np.array([0.09, 0.01, 0.0])
+    for j in range(params.n_scales + 1):
+        family = FiberFamily(params, grid, basis, j)
+        for s in range(j, min(j + 1, params.n_scales) + 1):
+            inside = np.zeros(basis.size, dtype=bool)
+            inside[basis.sector_indices(grid, s)] = True
+            for op in family.beta + family.frame(g).pi:
+                assert op[~inside][:, inside].count_nonzero() == 0
+                assert op[inside][:, ~inside].count_nonzero() == 0
+
+
+def test_family_sectors_are_built_once(small_setup, monkeypatch):
+    # every H(P) of a family shares one set of sector factors per sector,
+    # and so does every K(gamma) of a frame; the whole basis is the
+    # family's own factors, not a copy
+    from fqed import hamiltonian
+
+    builds = []
+    init = hamiltonian._Factors.__init__
+
+    def counted(self, stacked, d):
+        builds.append(len(d))
+        init(self, stacked, d)
+
+    monkeypatch.setattr(hamiltonian._Factors, "__init__", counted)
+    params, grid, basis = small_setup
+    family = FiberFamily(params, grid, basis, 1)
+    frame = family.frame(np.array([0.09, 0.01, 0.0]))
+    idx = {s: basis.sector_indices(grid, s) for s in (1, 2)}
+    assert len(idx[2]) == basis.size > len(idx[1])
+    zero = np.zeros(3)
+    for _ in range(2):
+        hs = [family.h(p).sector(idx[s]) for p in (params.p_total, zero)
+              for s in (1, 2)]
+        ks = [frame.k(gamma).sector(idx[1])
+              for gamma in (zero, np.array([0.002, 0.0, -0.001]))]
+    assert builds == [basis.size, len(idx[1]), basis.size, len(idx[1])]
+    assert hs[0].factors is hs[2].factors is not family.h(zero).factors
+    assert hs[1].factors is hs[3].factors is family.h(zero).factors
+    assert ks[0].factors is ks[1].factors
+    # the sector operator is the full one on the sector's states
+    v = np.zeros(basis.size)
+    v[idx[1]] = np.random.default_rng(3).standard_normal(len(idx[1]))
+    for op in (family.h(params.p_total), frame.k(np.array([0.01, 0, 0]))):
+        full = op @ v
+        assert np.max(np.abs(full[idx[1]] - op.sector(idx[1]) @ v[idx[1]])) \
+            <= 1e-15 * np.max(np.abs(full))
+        assert np.all(np.delete(full, idx[1]) == 0.0)

@@ -8,8 +8,9 @@ from conftest import custom_grid
 from fqed.cascade import (cascade_scales, open_cascade, run_cascade,
                           sector_ground)
 from fqed.fock import creation_sum, enumerate_basis, ladder
-from fqed.hamiltonian import (FiberFamily, ModelParams, assemble_h_fiber,
-                              slice_marginal_coeffs)
+from fqed.hamiltonian import (FiberFamily, ModelParams,
+                              assemble_displaced_hamiltonian,
+                              assemble_h_fiber, slice_marginal_coeffs)
 from fqed.modes import ParameterError, build_grid
 from fqed.observables import (cross_term_probe, dispersion_curvature_direct,
                               dispersion_curvature_displaced,
@@ -154,19 +155,32 @@ def test_mass_scan_builds_one_family_per_record(tiny_setup, family_builds):
     assert family_builds == [0, 1]
 
 
-def test_mass_scan_drops_the_rows_of_a_job_whose_cascade_fails():
-    # demo 03's box: at alpha = 1e-2 the first step's contour misses the
-    # shifted energy after scale 0's routes have run; the job gives only
+def test_mass_scan_drops_the_rows_of_a_job_whose_cascade_fails(
+        monkeypatch):
+    # demo 03's box: the second job's first Weyl transport, at scale 1,
+    # loses norm after its scale 0's routes have run; the job gives only
     # its error row
+    import fqed.cascade as cascade
+
+    transport, calls = cascade.weyl_apply, []
+
+    def lossy(f, basis, v):
+        calls.append(len(f))
+        if len(calls) == 3:   # a J = 2 job transports at scales 1 and 2
+            raise ArithmeticError("Weyl transport lost norm 1.000e-03")
+        return transport(f, basis, v)
+
+    monkeypatch.setattr(cascade, "weyl_apply", lossy)
     params = ModelParams(alpha=1e-3, epsilon=0.3, mu=0.15, rho_minus=0.14,
                          rho_plus=0.16, p_total=[0.1, 0.0, 0.0], n_scales=2)
     grid = build_grid(params.cutoffs, 1, "octahedral6")
     basis = enumerate_basis(grid.n_modes, 2, 2)
-    rows = mass_scan(params, grid, basis, [1e-3, 1e-2], [params.p_total])
+    rows = mass_scan(params, grid, basis, [1e-3, 5e-3], [params.p_total])
     assert [(r.alpha, r.j) for r in rows] \
-        == [(1e-3, 0), (1e-3, 1), (1e-3, 2), (1e-2, -1)]
+        == [(1e-3, 0), (1e-3, 1), (1e-3, 2), (5e-3, -1)]
     assert [r.error for r in rows[:3]] == ["", "", ""]
-    assert rows[3].error.startswith("scale 1: contour encloses none")
+    assert rows[3].error == "scale 1: Weyl transport lost norm 1.000e-03"
+    assert len(calls) == 3
 
 
 def test_handed_off_family_carries_no_cascade_state(tiny_setup):
@@ -277,7 +291,7 @@ def test_pull_through_zero_coupling_reads_zero_for_a_lanczos_state():
     params, grid, basis = make_box(0.0, [0.1, 0.0, 0.0], n_scales=1)
     family = FiberFamily(params, grid, basis, 1)
     idx = basis.sector_indices(grid, 1)
-    pair = ground_state(family.h(params.p_total)[idx][:, idx],
+    pair = ground_state(family.h(params.p_total).sector(idx),
                         dense_cutoff=10)
     assert pair.method == "lanczos"
     psi = np.zeros(basis.size)
@@ -466,10 +480,33 @@ def test_warm_polished_frame_keeps_its_gap_and_centering(small_setup,
     frame = displaced_frame_ground(FiberFamily(params, grid, basis, rec.j),
                                    rec)
     idx = basis.sector_indices(grid, rec.j)
-    vals, _ = dense_spectrum(frame.k_op[idx][:, idx])
+    vals, _ = dense_spectrum(frame.k_op.sector(idx))
     assert np.isfinite(frame.gap) and frame.gap == rec.gap_sector
     assert abs(frame.energy - vals[0]) <= 1e-12
     assert float(np.max(np.abs(frame.orth))) <= 1e-10
+
+
+def test_only_scale_0_sectors_assemble_their_operator(small_setup,
+                                                     monkeypatch):
+    # the cascade and every route apply H(P) and K(gamma) from their
+    # factors; the product form is assembled only for the cold solves of
+    # scale 0's one-state sector
+    from fqed import hamiltonian
+
+    shapes = []
+    tocsr = hamiltonian.FactorOp.tocsr
+
+    def counted(op):
+        shapes.append(op.shape)
+        return tocsr(op)
+
+    monkeypatch.setattr(hamiltonian.FactorOp, "tocsr", counted)
+    params, grid, basis = small_setup
+    assert len(basis.sector_indices(grid, 0)) == 1
+    for family, rec in cascade_scales(open_cascade(params, grid, basis)):
+        scale_routes(family, rec)
+        energy_gradient_fd(family, rec)
+    assert shapes and set(shapes) == {(1, 1)}
 
 
 def test_frame_polish_takes_only_started_one_pair_solves(small_setup,
@@ -573,7 +610,10 @@ def dense_displaced_route(frame):
     gamma = gammas[axis]
     target = gamma @ phi
     energy = frame.energy
-    k = frame.k_op.toarray()
+    # the product-form oracle of the frame operator, at the shift of k_op
+    k = assemble_displaced_hamiltonian(
+        params, frame.family.grid, frame.family.basis, frame.family.j,
+        frame.grad_energy, frame.k_op.c)[0].toarray()
 
     def node(z):
         # g = R Gamma phi, a = R phi, y = R Gamma a; R is complex symmetric,
