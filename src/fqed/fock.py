@@ -33,16 +33,24 @@ ENTRY_BYTES = 133 * 2**20 / (45_151 * 300)
 ENTRY_LIMIT = int(2**30 / ENTRY_BYTES)
 
 
-def basis_size(n_modes: int, n_max: int, c_max: int) -> int:
-    """Number of occupation vectors with the given caps (no enumeration)."""
-    n_max = min(n_max, n_modes * c_max)   # no state holds more quanta
-    # count[t] = number of ways to fill the modes seen so far with total t
-    count = np.zeros(n_max + 1, dtype=object)
+def _mode_counts(n_modes: int, n: int, c_max: int, dtype=object):
+    """Yield count_k for k = 0..n_modes modes: count_k[t] is the number of
+    ways to fill k modes with t quanta, t = 0..n, none above ``c_max``."""
+    count = np.zeros(n + 1, dtype=dtype)
     count[0] = 1
+    yield count
     for _ in range(n_modes):
         acc = np.cumsum(count)   # each mode sums a window of c_max + 1
         count = acc.copy()
-        count[c_max + 1:] -= acc[:max(0, n_max - c_max)]
+        count[c_max + 1:] -= acc[:max(0, n - c_max)]
+        yield count
+
+
+def basis_size(n_modes: int, n_max: int, c_max: int) -> int:
+    """Number of occupation vectors with the given caps (no enumeration)."""
+    n_max = min(n_max, n_modes * c_max)   # no state holds more quanta
+    for count in _mode_counts(n_modes, n_max, c_max):
+        pass
     return int(sum(count))
 
 
@@ -161,13 +169,11 @@ class FockBasis:
         return self.occupations.sum(axis=1)
 
     def index_of(self, occ) -> int:
-        key = np.asarray(occ, dtype=np.int16).tobytes()
-        try:
-            return self._index[key]
-        except AttributeError:
-            self._index = {row.tobytes(): i
-                           for i, row in enumerate(self.occupations)}
-            return self._index[key]
+        hit = np.flatnonzero(np.all(self.occupations == np.asarray(occ),
+                                    axis=1))
+        if len(hit) == 0:
+            raise KeyError(f"occupation {tuple(occ)} is not in the basis")
+        return int(hit[0])
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.size)
@@ -185,6 +191,62 @@ class FockBasis:
         return self.restricted_indices(grid.active_mask(j))
 
 
+#: Occupation entries per block of states the raise table is built from.
+_RAISE_BLOCK = 1 << 16
+
+
+def _raise_table(occ: np.ndarray, n_max: int, c_max: int):
+    """(src, dst, mode, amp) of every in-basis raise of the enumerated
+    occupations ``occ``, ordered by source, then mode.
+
+    The target's index is its rank, in closed form.  A level lists its
+    states in descending lexicographic order, so the states of level T
+    before an occupation n are counted position by position: at position
+    i, with R_i quanta from i on, those that agree before i and hold more
+    than n_i at i number S(k, R_i - n_i - 1) - S(k, R_i - c_max - 1), with
+    k = modes - 1 - i and S(k, r) the number of ways to fill k modes with
+    at most r quanta.  Raising mode m leaves the terms after m as they are
+    and gives the terms up to m one more quantum to place, so one prefix
+    and one suffix sum per state give the rank of every raise.  The counts
+    are exact integers, none above the basis size; states go through in
+    blocks, so the temporaries stay O(states x modes).
+    """
+    n_states, n_modes = occ.shape
+    n = min(n_max, n_modes * c_max)
+    counts = list(_mode_counts(n_modes, n, c_max, dtype=np.int64))
+    # cum[k, r + 1] = S(k, r); column 0 stands for every r < 0
+    cum = np.zeros((n_modes, n + 2), dtype=np.int64)
+    for k in range(n_modes):
+        cum[k, 1:] = np.cumsum(counts[k])
+    first = np.zeros(n + 2, dtype=np.int64)   # index of each level's first
+    first[1:] = np.cumsum(counts[n_modes])
+    # levels are graded, so the states with room to raise come first
+    n_src = int(first[min(n_max, n + 1)])
+    mode = np.arange(n_modes)
+    k = n_modes - 1 - mode
+
+    def fillings(r):
+        return cum[k, np.maximum(r + 1, 0)]
+
+    parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)]
+    block = max(1, _RAISE_BLOCK // max(n_modes, 1))
+    for lo in range(0, n_src, block):
+        o = occ[lo:min(lo + block, n_src)].astype(np.int64)
+        total = o.sum(axis=1)
+        rest = total[:, None] - (np.cumsum(o, axis=1) - o)
+        more = fillings(rest - o - 1)
+        term = more - fillings(rest - c_max - 1)
+        up = fillings(rest - o) - fillings(rest - c_max)
+        at = more - fillings(rest - c_max)
+        dst = (first[total + 1][:, None] + (np.cumsum(up, axis=1) - up) + at
+               + (term.sum(axis=1)[:, None] - np.cumsum(term, axis=1)))
+        ok = o < c_max
+        src = np.broadcast_to(np.arange(lo, lo + len(o))[:, None], o.shape)
+        parts.append((src[ok], dst[ok], np.broadcast_to(mode, o.shape)[ok],
+                      np.sqrt(o[ok] + 1.0)))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
 def enumerate_basis(n_modes: int, n_max: int, c_max: int,
                     size_limit: int = DEFAULT_SIZE_LIMIT) -> FockBasis:
     """Build the truncated occupation basis; vacuum is state 0."""
@@ -196,33 +258,10 @@ def enumerate_basis(n_modes: int, n_max: int, c_max: int,
 
     occ = np.array(list(_occupation_levels(n_modes, n_max, c_max)),
                    dtype=np.int16).reshape(n_states, n_modes)
-    index = {row.tobytes(): i for i, row in enumerate(occ)}
-    totals = occ.sum(axis=1)
-
-    src, dst, mode, amp = [], [], [], []
-    for s in range(n_states):
-        if totals[s] >= n_max:
-            continue
-        row = occ[s]
-        for m in range(n_modes):
-            if row[m] >= c_max:
-                continue
-            row[m] += 1
-            dst.append(index[row.tobytes()])
-            row[m] -= 1
-            src.append(s)
-            mode.append(m)
-            amp.append(np.sqrt(row[m] + 1.0))
-
-    basis = FockBasis(
-        n_modes=n_modes, n_max=n_max, c_max=c_max, occupations=occ,
-        raise_src=np.asarray(src, dtype=np.int64),
-        raise_dst=np.asarray(dst, dtype=np.int64),
-        raise_mode=np.asarray(mode, dtype=np.int64),
-        raise_amp=np.asarray(amp, dtype=float),
-    )
-    basis._index = index
-    return basis
+    src, dst, mode, amp = _raise_table(occ, n_max, c_max)
+    return FockBasis(n_modes=n_modes, n_max=n_max, c_max=c_max,
+                     occupations=occ, raise_src=src, raise_dst=dst,
+                     raise_mode=mode, raise_amp=amp)
 
 
 def ladder(basis: FockBasis, m: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -234,6 +273,15 @@ def ladder(basis: FockBasis, m: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         (basis.raise_amp[sel], (basis.raise_dst[sel], basis.raise_src[sel])),
         shape=(basis.size, basis.size)).tocsr()
     return create.T.tocsr(), create
+
+
+def annihilate(basis: FockBasis, m: int, v: np.ndarray) -> np.ndarray:
+    """annihilate_m v, read off the raise table: the transpose of
+    create_m, which ``ladder`` builds as a matrix."""
+    sel = basis.raise_mode == m
+    out = np.zeros(basis.size)
+    out[basis.raise_src[sel]] = basis.raise_amp[sel] * v[basis.raise_dst[sel]]
+    return out
 
 
 def creation_sum(basis: FockBasis, coeff: np.ndarray) -> sp.csr_matrix:

@@ -28,14 +28,19 @@ operator assembly; the exponentials appear only when transporting state
 vectors (see bogoliubov.weyl_apply).
 
 Both H(P) and K(gamma) are squares, (1/2) sum_i (F_i - c_i)^2 + diag(d) +
-s, with F = beta, c = P or F = Pi, c = gamma.  Neither is assembled: a
-``FactorOp`` applies one from its stacked factors, and each family
-restricts its factors to a photon-content sector once.  Every scale-j
-factor maps sectors j and j + 1 into themselves, so the restriction of
-the square is the square of the restricted factors.  ``FactorOp.tocsr``
-assembles the product form for the solves that need the matrix itself;
+s, with F = beta, c = P or F = Pi, c = gamma.  Each factor is field-linear,
+F_i = diag(D_i) + sum_m C_im (create_m + annihilate_m): D = Pf for both,
+C = -sqrt(alpha) sqrt(w/|k|) eps on the shells below j for beta, less
+k f for Pi.  One COO -> CSR pass over the basis's raise table builds the
+three stacked factors of any (D, C) and their half transpose, on the whole
+basis or on a photon-content sector, which each family builds once.
+Every scale-j factor maps sectors j and j + 1 into themselves, so the
+restriction of the square is the square of the restricted factors.
+Neither square is assembled: a ``FactorOp`` applies one from its stacked
+factors.  ``FactorOp.tocsr`` assembles the product form for the oracles;
 ``assemble_h_fiber`` and ``assemble_displaced_hamiltonian`` build it
-independently, as the references the tests compare against.
+independently, from ``assemble_field``, as the references the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -46,8 +51,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .bogoliubov import (displaced_momentum_ops, displacement_coeffs,
-                         weyl_vacuum_expectation)
+from .bogoliubov import displacement_coeffs, weyl_vacuum_expectation
 from .fock import FockBasis, linear_field, number_diagonal
 from .modes import CutoffSequence, ModeGrid, ParameterError, direction_weights
 
@@ -110,42 +114,89 @@ def _symmetrize(op: sp.spmatrix) -> sp.csr_matrix:
 
 class _Factors:
     """The pieces of (1/2) sum_i (F_i - c_i)^2 + diag(d) + s that do not
-    depend on c or s: the three symmetric factors F_i stacked into one
-    (3n, n) CSR and half its transpose, the diagonal d, and the diagonals
-    of each F_i and of its off-diagonal square, from which ``FactorOp``
-    reads its own diagonal.  ``sector(idx)`` restricts them once per index
-    set.
+    depend on c or s, for the field-linear factors
+
+        F_i = diag(D_i) + sum_m C_im (create_m + annihilate_m)
+
+    on the states ``idx`` of ``basis`` (all of them when ``idx`` is None):
+    the three F_i stacked into one (3n, n) CSR and half its transpose, the
+    diagonal d, and the diagonals of each F_i (D itself) and of its
+    off-diagonal square, from which ``FactorOp`` reads its own diagonal.
+
+    One COO -> CSR pass over the basis's raise table builds both: the
+    entries are listed as the raises into each state, the diagonal, then
+    the raises out of it, which is ascending column order within every row
+    (the table runs by ascending source, and a source's targets ascend
+    with its mode), and the zero entries are dropped.  Each F_i is
+    symmetric, so the transpose is the same entries with row and column
+    swapped back.  ``sector(idx)`` builds the factors of a set of states
+    once.
     """
 
-    def __init__(self, stacked: sp.csr_matrix, d: np.ndarray):
+    def __init__(self, basis: FockBasis, diag: np.ndarray,
+                 coeffs: np.ndarray, d: np.ndarray, idx=None):
+        src, dst, mode = basis.raise_src, basis.raise_dst, basis.raise_mode
+        amp = basis.raise_amp
+        if idx is not None:
+            pos = np.full(basis.size, -1)
+            pos[idx] = np.arange(len(idx))
+            keep = (pos[src] >= 0) & (pos[dst] >= 0)
+            src, dst = pos[src[keep]], pos[dst[keep]]
+            mode, amp = mode[keep], amp[keep]
         n = len(d)
-        stacked.sum_duplicates()
-        self.size, self.stacked, self.d = n, stacked, d
-        # halving is exact, so (1/2) F^T (F x) rounds as F^T (F x) does
-        self.half_t = (0.5 * stacked.T).tocsr()
-        coo = stacked.tocoo()
-        on = coo.col == coo.row % n
-        diag_f = np.zeros(3 * n)
-        diag_f[coo.row[on]] = coo.data[on]
-        self.diag_f = diag_f.reshape(3, n)
-        self.off_sq = np.bincount(coo.row[~on], weights=coo.data[~on] ** 2,
-                                  minlength=3 * n).reshape(3, n)
+        self.basis, self.idx, self.coeffs = basis, idx, coeffs
+        self.size, self.d, self.diag_f = n, d, diag
+        index = np.int32 if 3 * (n + 2 * len(src)) < 2 ** 31 else np.int64
+        line_rows = np.concatenate([dst, np.arange(n), src]).astype(index)
+        line_cols = np.concatenate([src, np.arange(n), dst]).astype(index)
+        self.off_sq = np.empty((3, n))
+        parts = []
+        for i in range(3):
+            off = coeffs[i, mode] * amp
+            # a row's off-diagonal squares, summed in its column order
+            self.off_sq[i] = np.bincount(
+                np.concatenate([dst, src]),
+                weights=np.concatenate([off, off]) ** 2, minlength=n)
+            vals = np.concatenate([off, diag[i], off])
+            kept = vals != 0.0
+            parts.append((vals[kept], line_rows[kept], line_cols[kept]))
+        data, rows, cols = (np.concatenate(q) for q in zip(*parts))
+        block = np.repeat(np.arange(3, dtype=index) * n,
+                          [len(q[0]) for q in parts])
+        self.stacked = sp.csr_matrix((data, (rows + block, cols)),
+                                     shape=(3 * n, n))
+        # row s of the transpose holds row s of F_0, F_1, F_2 in turn, at
+        # columns shifted by 0, n, 2n; halving is exact, so (1/2) F^T (F x)
+        # rounds as F^T (F x) does
+        self.half_t = sp.csr_matrix((0.5 * data, (rows, cols + block)),
+                                    shape=(n, 3 * n))
         self._sectors: dict[bytes, _Factors] = {}
 
+    @cached_property
+    def rows(self) -> list[sp.csr_matrix]:
+        """F_0, F_1, F_2 as views of the stacked rows."""
+        m, n = self.stacked, self.size
+        return [sp.csr_matrix(
+            (m.data[m.indptr[i * n]:m.indptr[(i + 1) * n]],
+             m.indices[m.indptr[i * n]:m.indptr[(i + 1) * n]],
+             m.indptr[i * n:(i + 1) * n + 1] - m.indptr[i * n]),
+            shape=(n, n)) for i in range(3)]
+
     def sector(self, idx: np.ndarray) -> "_Factors":
-        """The factors restricted to the states ``idx`` (ascending).  The
-        restriction of the square is the square of the restrictions when
-        every F_i maps the span of ``idx`` into itself, as each scale-j
-        factor does on sectors j and j + 1.  The whole basis is ``self``."""
+        """The factors on the states ``idx`` (ascending, of these
+        factors' states).  The restriction of the square is the square of
+        the restrictions when every F_i maps the span of ``idx`` into
+        itself, as each scale-j factor does on sectors j and j + 1.  The
+        whole set of states is ``self``."""
         idx = np.asarray(idx)
         if len(idx) == self.size and np.array_equal(idx,
                                                     np.arange(self.size)):
             return self
         key = idx.tobytes()
         if key not in self._sectors:
-            rows = np.concatenate([idx + i * self.size for i in range(3)])
-            self._sectors[key] = _Factors(self.stacked[rows][:, idx],
-                                          self.d[idx])
+            self._sectors[key] = _Factors(
+                self.basis, self.diag_f[:, idx], self.coeffs, self.d[idx],
+                idx if self.idx is None else self.idx[idx])
         return self._sectors[key]
 
 
@@ -153,7 +204,7 @@ class FactorOp:
     """The operator (1/2) sum_i (F_i - c_i)^2 + diag(d) + s, applied from
     its factors: one application, to a vector or an (n, k) block, is two
     sparse products with the stacked factors.  ``tocsr()`` assembles the
-    product form, for the solves that need the matrix itself.
+    product form, for the oracles and the benchmark's tracer.
     """
 
     def __init__(self, factors: _Factors, c, s: float = 0.0):
@@ -196,8 +247,10 @@ class FiberFamily:
         H(P) = (1/2) sum_i (P_i - beta_i)^2 + Hf,   dH/dP_i = P_i - beta_i,
 
     with beta_i = Pf_i - sqrt(alpha) A_i (interaction on shells 0..j-1),
-    each H(P) a ``FactorOp`` on the family's stacked beta.  Every beta_i is
-    exactly symmetric, so every H(P) is too.
+    each H(P) a ``FactorOp`` on the family's stacked beta: the factors of
+    diagonal Pf and coefficients -sqrt(alpha) sqrt(w_m/|k_m|) eps_m on the
+    shells below j.  Every beta_i is exactly symmetric, so every H(P) is
+    too.
     """
 
     def __init__(self, params: ModelParams, grid: ModeGrid,
@@ -208,26 +261,24 @@ class FiberFamily:
         if basis.n_modes != grid.n_modes:
             raise ParameterError("basis and grid mode counts differ")
         self.params, self.grid, self.basis, self.j = params, grid, basis, j
-        a = assemble_field(grid, basis, range(j))
-        self.beta = [(sp.diags(number_diagonal(basis, grid.k[:, i]))
-                      - np.sqrt(params.alpha) * a[i]).tocsr()
-                     for i in range(3)]
-        self.eye = sp.identity(basis.size, format="csr")
+        self.pf = np.stack([number_diagonal(basis, grid.k[:, i])
+                            for i in range(3)])
+        self.coeffs = (-np.sqrt(params.alpha)
+                       * _coupling_coeff(grid, grid.shell_mask(range(j)))
+                       * grid.eps_vec.T)
         self.hf = number_diagonal(basis, grid.knorm)
         self._frames: dict[bytes, FrameFamily] = {}
 
     @cached_property
     def _factors(self) -> _Factors:
-        # built on first use: a cascade step needs beta for its bridge
-        # operator before it needs any H(P)
-        return _Factors(sp.vstack(self.beta, format="csr"), self.hf)
+        return _Factors(self.basis, self.pf, self.coeffs, self.hf)
+
+    @property
+    def beta(self) -> list[sp.csr_matrix]:
+        return self._factors.rows
 
     def h(self, p) -> FactorOp:
         return FactorOp(self._factors, p)
-
-    def x(self, p) -> list[sp.csr_matrix]:
-        p = np.asarray(p, dtype=float)
-        return [(p[i] * self.eye - self.beta[i]).tocsr() for i in range(3)]
 
     def gradient(self, psi: np.ndarray, p) -> np.ndarray:
         """P - <beta>_psi: the energy gradient of an eigenvector of H(P)."""
@@ -236,8 +287,8 @@ class FiberFamily:
         if nrm2 <= 0.0:
             raise ParameterError("gradient of an empty state")
         p = np.asarray(p, dtype=float)
-        return np.array([p[i] - psi @ (self.beta[i] @ psi) / nrm2
-                         for i in range(3)])
+        beta_psi = (self._factors.stacked @ psi).reshape(3, -1)
+        return np.array([p[i] - psi @ beta_psi[i] / nrm2 for i in range(3)])
 
     def frame(self, grad_energy: np.ndarray,
               keep: bool = True) -> "FrameFamily":
@@ -257,7 +308,7 @@ class FiberFamily:
         delta = direction_weights(grid, g)
         f = displacement_coeffs(g, grid, range(self.j), self.params.alpha)
         frame = FrameFamily(
-            pi=displaced_momentum_ops(self, g),
+            basis=self.basis, pf=self.pf, coeffs=self.coeffs - grid.k.T * f,
             number=number_diagonal(self.basis, grid.knorm * delta),
             offset=float(p @ p / 2.0 - (p - g) @ (p - g) / 2.0
                          - np.sum(grid.knorm * delta * f ** 2)))
@@ -272,32 +323,49 @@ class FrameFamily:
 
         K(gamma) = (1/2) sum_i (Pi_i - gamma_i)^2 + number + offset,
 
-    each a ``FactorOp`` on the stacked Pi, built on first use; ``number``
-    is the diagonal of sum_m |k_m| delta_m n_m.  The frame holds its
-    pieces, not its family.
+    each a ``FactorOp`` on the stacked Pi, built on first use: the
+    factors of diagonal ``pf`` (the family's Pf) and coefficients
+    ``coeffs``, beta's less k_m f_m.  ``number`` is the diagonal of
+    sum_m |k_m| delta_m n_m.  The frame holds its pieces, not its family.
     """
 
-    pi: list = field(repr=False)
+    basis: FockBasis = field(repr=False)
+    pf: np.ndarray = field(repr=False)
+    coeffs: np.ndarray = field(repr=False)
     number: np.ndarray = field(repr=False)
     offset: float
 
     @cached_property
     def _factors(self) -> _Factors:
-        return _Factors(sp.vstack(self.pi, format="csr"), self.number)
+        return _Factors(self.basis, self.pf, self.coeffs, self.number)
+
+    @property
+    def pi(self) -> list[sp.csr_matrix]:
+        return self._factors.rows
 
     def k(self, gamma_shift) -> FactorOp:
         return FactorOp(self._factors, gamma_shift, self.offset)
+
+
+def _field_momentum(params: ModelParams, grid: ModeGrid, basis: FockBasis,
+                    j: int) -> list[sp.csr_matrix]:
+    """beta_i = Pf_i - sqrt(alpha) A_i from the ladder algebra
+    (``assemble_field``), independent of the one-pass factors."""
+    a = assemble_field(grid, basis, range(j))
+    return [(sp.diags(number_diagonal(basis, grid.k[:, i]))
+             - np.sqrt(params.alpha) * a[i]).tocsr() for i in range(3)]
 
 
 def assemble_h_fiber(params: ModelParams, grid: ModeGrid, basis: FockBasis,
                      j: int, p=None) -> sp.csr_matrix:
     """Fiber Hamiltonian at scale j in product form, the reference for
     ``FiberFamily.h``."""
-    family = FiberFamily(params, grid, basis, j)
     p = params.p_total if p is None else np.asarray(p, dtype=float)
-    grad = [(p[i] * family.eye - family.beta[i]).tocsr() for i in range(3)]
+    eye = sp.identity(basis.size, format="csr")
+    grad = [(p[i] * eye - beta).tocsr()
+            for i, beta in enumerate(_field_momentum(params, grid, basis, j))]
     return _symmetrize(0.5 * sum(m @ m for m in grad)
-                       + sp.diags(family.hf))
+                       + sp.diags(number_diagonal(basis, grid.knorm)))
 
 
 def assemble_slice_interaction(params: ModelParams, grid: ModeGrid,
@@ -309,7 +377,9 @@ def assemble_slice_interaction(params: ModelParams, grid: ModeGrid,
     """
     if j + 1 > params.n_scales:
         raise ParameterError(f"slice {j}->{j + 1} exceeds the cutoff sequence")
-    x = FiberFamily(params, grid, basis, j).x(params.p_total)
+    eye = sp.identity(basis.size, format="csr")
+    x = [params.p_total[i] * eye - beta
+         for i, beta in enumerate(_field_momentum(params, grid, basis, j))]
     a = assemble_field(grid, basis, [j])
     root = np.sqrt(params.alpha)
     cross = sum(x[i] @ a[i] + a[i] @ x[i] for i in range(3))
@@ -330,7 +400,10 @@ def assemble_displaced_hamiltonian(
     frame = FiberFamily(params, grid, basis, j).frame(grad_energy)
     gamma_shift = np.asarray(gamma_shift, dtype=float).reshape(3)
     eye = sp.identity(basis.size, format="csr")
-    gam = [frame.pi[i] - gamma_shift[i] * eye for i in range(3)]
+    f = displacement_coeffs(grad_energy, grid, range(j), params.alpha)
+    pi = [beta - linear_field(basis, grid.k[:, i] * f)
+          for i, beta in enumerate(_field_momentum(params, grid, basis, j))]
+    gam = [pi[i] - gamma_shift[i] * eye for i in range(3)]
     return _symmetrize(0.5 * sum(gi @ gi for gi in gam)
                        + sp.diags(frame.number) + frame.offset * eye), \
         frame.offset

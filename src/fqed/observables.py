@@ -38,7 +38,7 @@ from scipy.linalg import eigh_tridiagonal
 from .bogoliubov import centered_momentum_vectors
 from .cascade import (CONTOUR_NODES, CascadeError, ScaleRecord,
                       cascade_scales, open_cascade, sector_ground)
-from .fock import FockBasis, creation_sum, ladder
+from .fock import FockBasis, annihilate, creation_sum
 from .hamiltonian import (FactorOp, FiberFamily, ModelParams,
                           slice_marginal_coeffs)
 from .modes import ModeGrid, ParameterError
@@ -141,13 +141,14 @@ def dispersion_curvature_direct(family: FiberFamily,
     """
     _check_scale(family, rec)
     params = family.params
-    h = family.h(params.p_total)
-    psi = rec.psi / np.linalg.norm(rec.psi)
+    # H(P) and beta map sector j, where psi lives, into itself
+    idx = family.basis.sector_indices(family.grid, family.j)
+    h = family.h(params.p_total).sector(idx)
+    psi = rec.psi[idx] / np.linalg.norm(rec.psi[idx])
     axis = momentum_axis(params.p_total)
-    x_op = family.x(params.p_total)[axis]
+    x_psi = params.p_total[axis] * psi - h.factors.rows[axis] @ psi
     cont = _route_contour(params, family.j, rec.energy, rec.gap_sector)
-    return 1.0 - 2.0 * resolvent_sandwich(ResolventSolver(h), cont, x_op,
-                                          psi)
+    return 1.0 - 2.0 * resolvent_sandwich(ResolventSolver(h), cont, x_psi)
 
 
 @dataclass
@@ -209,8 +210,9 @@ def dispersion_curvature_displaced(frame: DisplacedFrame):
     frame's family: (double form, reduced form, cross term) from one
     contour integral.
 
-    The double form is 1 - 2 <oint R Gamma R phi, Gamma phi> for the frame
-    ground state phi, the reduced form 1 + (1/pi i) oint dzbar
+    The route runs on sector j, where phi lives and which K maps into
+    itself.  The double form is 1 - 2 <oint R Gamma R phi, Gamma phi> for
+    the frame ground state phi, the reduced form 1 + (1/pi i) oint dzbar
     (E-zbar)^{-1} <Gamma R Gamma phi, phi>; Gamma phi is ``gamma_phi`` over
     ||phi||, and <phi, Gamma phi> = 0 is enforced first.  By R phi = phi /
     (E - z) a node solves only for Gamma phi, and the double form reads
@@ -226,14 +228,17 @@ def dispersion_curvature_displaced(frame: DisplacedFrame):
         raise ParameterError(
             f"centering violated: <phi, Gamma phi> = {frame.orth} "
             "exceeds 1.0e-10")
-    params = frame.family.params
+    family = frame.family
+    params = family.params
     axis = momentum_axis(params.p_total)
-    nrm = np.linalg.norm(frame.phi)
-    phi = frame.phi / nrm
+    idx = family.basis.sector_indices(family.grid, family.j)
+    phi = frame.phi[idx]
+    nrm = np.linalg.norm(phi)
+    phi = phi / nrm
     energy = frame.energy
-    cont = _route_contour(params, frame.family.j, energy, frame.gap)
-    solver = ResolventSolver(frame.k_op)
-    space = solver.reduce(frame.gamma_phi[axis] / nrm)
+    cont = _route_contour(params, family.j, energy, frame.gap)
+    solver = ResolventSolver(frame.k_op.sector(idx))
+    space = solver.reduce(frame.gamma_phi[axis][idx] / nrm)
 
     # Gamma phi is ||Gamma phi|| e1 in its own space, so a product against
     # it reads coefficient 0
@@ -408,8 +413,7 @@ def soft_photon_probe(family: FiberFamily,
     scaled = np.zeros(len(active))
     root = np.sqrt(params.alpha)
     for i, m in enumerate(active):
-        ann, _ = ladder(family.basis, int(m))
-        b_norms[i] = np.linalg.norm(ann @ psi)
+        b_norms[i] = np.linalg.norm(annihilate(family.basis, int(m), psi))
         if root > 0.0:
             scaled[i] = (b_norms[i] * grid.knorm[m] ** 1.5
                          / (root * np.sqrt(grid.weight[m])))
@@ -449,7 +453,8 @@ def pull_through_summary(family: FiberFamily, rec: ScaleRecord):
     if params.alpha == 0.0:
         return 0.0, np.zeros(len(active))
     psi = rec.psi
-    x_psi = [x @ psi for x in family.x(params.p_total)]
+    x_psi = [params.p_total[i] * psi - beta @ psi
+             for i, beta in enumerate(family.beta)]
     diff2 = lhs2 = 0.0
     per_mode = []
     # the polarizations of one k are adjacent modes, so the groups run in
@@ -462,7 +467,7 @@ def pull_through_summary(family: FiberFamily, rec: ScaleRecord):
             space = solver.reduce(w)
             x = space.lift(solver.solve(rec.energy - knorm, space))
             coupling = np.sqrt(params.alpha * grid.weight[m] / knorm)
-            lhs = ladder(family.basis, m)[0] @ psi
+            lhs = annihilate(family.basis, m, psi)
             d2 = float(np.linalg.norm(lhs + coupling * np.real(x)) ** 2)
             l2 = float(np.linalg.norm(lhs) ** 2)
             diff2 += d2

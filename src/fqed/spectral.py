@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -135,19 +136,59 @@ class GroundStateRecord:
     degenerate: bool = False
 
 
+#: Identity columns a factored operator is applied to at a time when it is
+#: made dense.
+_DENSE_BLOCK = 256
+
+
 def _csr(op) -> sp.csr_matrix:
-    """``op`` as a CSR matrix: a sparse or factored operator by its
-    ``tocsr``, which assembles a factored one's product form."""
-    return op.tocsr() if hasattr(op, "tocsr") else sp.csr_matrix(op)
+    return op.tocsr() if sp.issparse(op) else sp.csr_matrix(op)
 
 
 def _dense(op, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
+    """``op`` as a dense array.  A factored operator (anything else with
+    ``shape`` and ``@``) is applied to the identity's columns, a block at
+    a time, and symmetrized, so it is never assembled in product form."""
     n = op.shape[0]
     if n > dense_limit:
         raise ResourceWarning(
             f"dense oracle limited to {dense_limit}, operator is {n}")
-    return op.tocsr().toarray() if hasattr(op, "tocsr") \
-        else np.asarray(op, dtype=float)
+    if sp.issparse(op):
+        return op.toarray()
+    if isinstance(op, np.ndarray):
+        return np.asarray(op, dtype=float)
+    out = np.empty((n, n))
+    for lo in range(0, n, _DENSE_BLOCK):
+        cols = np.eye(n, min(_DENSE_BLOCK, n - lo), -lo)
+        out[:, lo:lo + cols.shape[1]] = op @ cols
+    out += out.T.copy()
+    out *= 0.5
+    return out
+
+
+@lru_cache(maxsize=None)
+def _syevr_work(n: int) -> tuple[int, int]:
+    """The (lwork, liwork) that ``scipy.linalg.eigh`` passes to ``dsyevr``
+    for an n x n lower triangle; other sizes change the rounding."""
+    work, iwork, info = lapack.dsyevr_lwork(n, lower=1)
+    if info != 0:
+        raise ValueError(f"dsyevr workspace query failed: {info}")
+    return int(work), int(iwork)
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of the symmetric ``a`` (its lower triangle), ascending:
+    ``scipy.linalg.eigh(a)`` bit for bit, without its per-call checks."""
+    n = a.shape[0]
+    if not np.isfinite(a).all():
+        raise SolverError("Rayleigh-Ritz matrix is not finite")
+    lwork, liwork = _syevr_work(n)
+    w, v, _, _, info = lapack.dsyevr(a, compute_v=1, range="A", lower=1,
+                                     lwork=lwork, liwork=liwork,
+                                     overwrite_a=1)
+    if info != 0:
+        raise SolverError(f"dsyevr failed: {info}")
+    return w, v
 
 
 def dense_spectrum(op, dense_limit: int = DENSE_LIMIT):
@@ -173,7 +214,8 @@ def _davidson(op, pairs: int, start: np.ndarray):
     The search space starts as ``start`` and the ``pairs + 2`` unit vectors
     of the lowest diagonal entries (a stable sort), which give it weight on
     levels that a start sharing the operator's symmetries cannot reach.
-    Each step takes the Rayleigh-Ritz pairs of the space and adds one
+    Each step takes the Rayleigh-Ritz pairs of the space (LAPACK
+    ``dsyevr``, called as ``scipy.linalg.eigh`` calls it) and adds one
     correction (diag - theta_i)^{-1} r_i per wanted pair whose residual is
     above ``DAVIDSON_TOL`` times the operator's largest absolute diagonal
     entry (at least 1),
@@ -212,7 +254,7 @@ def _davidson(op, pairs: int, start: np.ndarray):
     res = np.full(pairs, np.inf)
     for step in range(1, DAVIDSON_MAX_ITER + 1):
         ritz = basis[:size] @ image[:size].T
-        theta, coef = sla.eigh(0.5 * (ritz + ritz.T))
+        theta, coef = _eigh(0.5 * (ritz + ritz.T))
         vecs = basis[:size].T @ coef[:, :pairs]
         resid = image[:size].T @ coef[:, :pairs] - vecs * theta[:pairs]
         res = np.linalg.norm(resid, axis=0)
@@ -255,11 +297,13 @@ def ground_state(op, dense_cutoff: int = DENSE_EIG_CUTOFF, pairs: int = 3,
     bit-identical.  The gap is NaN when no second eigenvalue is known:
     ``pairs=1``, a 1 x 1 operator, or a partial Lanczos result with one
     pair.  ``op`` may be a dense array, a sparse matrix or a factored
-    operator (``hamiltonian.FactorOp``); only the cold paths assemble a
-    factored one, through its ``tocsr``.
+    operator (``hamiltonian.FactorOp``), which every path only applies:
+    the dense one to the identity's columns (``_dense``).
     """
     n = op.shape[0]
     started = n > 5 and start is not None and bool(np.any(start))
+    # a matrix goes in as CSR; a factored operator is applied as it is
+    matrix = sp.issparse(op) or isinstance(op, np.ndarray)
     if not started and n <= max(dense_cutoff, 5):
         if pairs == 1:
             vals, vecs = sla.eigh(_dense(op, n), subset_by_index=[0, 0])
@@ -267,15 +311,15 @@ def ground_state(op, dense_cutoff: int = DENSE_EIG_CUTOFF, pairs: int = 3,
             vals, vecs = dense_spectrum(op, dense_limit=n)
         method = "dense"
     elif started:
-        # a matrix goes in as CSR; a factored operator is applied as it
-        # is, never assembled
-        matrix = sp.issparse(op) or isinstance(op, np.ndarray)
         vals, vecs = _davidson(_csr(op) if matrix else op, pairs, start)
         method = "davidson"
     else:
+        a = _csr(op) if matrix else spla.LinearOperator(
+            op.shape, matvec=op.__matmul__, matmat=op.__matmul__,
+            dtype=float)
         try:
             vals, vecs = spla.eigsh(
-                _csr(op), k=pairs, which="SA", v0=_deterministic_start(n),
+                a, k=pairs, which="SA", v0=_deterministic_start(n),
                 tol=0, ncv=min(n - 1, 60), rng=np.random.default_rng(0))
         except spla.ArpackNoConvergence as exc:
             if len(exc.eigenvalues) == 0:
@@ -546,9 +590,10 @@ def neumann_project(op, delta_h, contour: Contour, v: np.ndarray,
     return terms.sum(axis=0), norms
 
 
-def resolvent_sandwich(solver: ResolventSolver, contour: Contour, middle,
-                       psi: np.ndarray) -> float:
-    """S = < (1/2pi i) oint_cw R(z) middle R(z) psi dz , middle psi >.
+def resolvent_sandwich(solver: ResolventSolver, contour: Contour,
+                       middle_psi: np.ndarray) -> float:
+    """S = < (1/2pi i) oint_cw R(z) middle R(z) psi dz , middle psi >,
+    given ``middle_psi`` = middle psi.
 
     For a normalized eigenvector psi of the solver's operator enclosed
     alone by the contour, S equals sum_{m != 0} |<m| middle |0>|^2 /
@@ -557,7 +602,7 @@ def resolvent_sandwich(solver: ResolventSolver, contour: Contour, middle,
     psi / (E - z), so a node costs one solve; this requires the contour to
     be centered on psi's eigenvalue E.
     """
-    space = solver.reduce(middle @ psi)
+    space = solver.reduce(middle_psi)
 
     def node(z):
         return solver.solve(z, space) / (contour.center - z)

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from fqed.fock import (ResourceError, basis_size, enumerate_basis, ladder,
-                       linear_field, number_diagonal, symmetry_defect)
+from fqed.fock import (ResourceError, annihilate, basis_size,
+                       enumerate_basis, ladder, linear_field, number_diagonal,
+                       symmetry_defect)
 from fqed.modes import CutoffSequence, ParameterError, build_grid
 
 
@@ -91,6 +92,69 @@ def test_check_basis_size_refuses_on_the_compositions_bound(monkeypatch):
     monkeypatch.setattr(fock, "basis_size", no_count)
     with pytest.raises(ResourceError, match="at least 5.131e61 states"):
         fock.check_basis_size(12, 1999999, 1999999)
+
+
+def loop_raise_table(basis):
+    """The raise table by a double loop over states and modes, each target
+    looked up by its occupation: the reference for the closed-form ranks."""
+    occ = basis.occupations.copy()
+    index = {row.tobytes(): i for i, row in enumerate(occ)}
+    src, dst, mode, amp = [], [], [], []
+    for s, total in enumerate(occ.sum(axis=1)):
+        if total >= basis.n_max:
+            continue
+        row = occ[s]
+        for m in range(basis.n_modes):
+            if row[m] >= basis.c_max:
+                continue
+            row[m] += 1
+            dst.append(index[row.tobytes()])
+            row[m] -= 1
+            src.append(s)
+            mode.append(m)
+            amp.append(np.sqrt(row[m] + 1.0))
+    return (np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
+            np.asarray(mode, dtype=np.int64), np.asarray(amp, dtype=float))
+
+
+@pytest.mark.parametrize("m,n,c", [
+    (0, 2, 1), (1, 0, 3), (1, 4, 2), (2, 1, 1), (3, 7, 2), (4, 3, 5),
+    (5, 2, 2), (6, 4, 1), (8, 3, 3), (12, 2, 2), (36, 3, 3)])
+def test_raise_table_matches_the_loop_oracle(m, n, c):
+    # caps above, at and below the reachable total, one and many modes;
+    # the arrays are byte-identical, dtypes included
+    basis = enumerate_basis(m, n, c)
+    got = (basis.raise_src, basis.raise_dst, basis.raise_mode,
+           basis.raise_amp)
+    for ref, arr in zip(loop_raise_table(basis), got):
+        assert arr.dtype == ref.dtype
+        assert arr.tobytes() == ref.tobytes()
+
+
+def test_raise_table_over_blocks_of_states(monkeypatch):
+    # states go through in blocks; a block of 7 occupation entries holds
+    # one state, the smallest block
+    import fqed.fock as fock
+
+    ref = enumerate_basis(5, 3, 2)
+    monkeypatch.setattr(fock, "_RAISE_BLOCK", 7)
+    basis = enumerate_basis(5, 3, 2)
+    for name in ("raise_src", "raise_dst", "raise_mode", "raise_amp"):
+        assert getattr(basis, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def test_annihilate_from_the_raise_table_matches_ladder():
+    basis = enumerate_basis(4, 3, 2)
+    v = np.random.default_rng(5).standard_normal(basis.size)
+    for m in range(4):
+        assert np.array_equal(annihilate(basis, m, v), ladder(basis, m)[0] @ v)
+
+
+def test_index_of_refuses_a_state_outside_the_basis():
+    basis = enumerate_basis(2, 2, 1)
+    assert basis.index_of((1, 1)) == 3
+    with pytest.raises(KeyError):
+        basis.index_of((2, 0))
 
 
 def test_bad_caps_rejected():

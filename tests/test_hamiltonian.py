@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -324,12 +325,13 @@ def test_assembled_operators_are_symmetric(small_setup):
 
 def test_family_x_vacuum_expectation(small_setup):
     params, grid, basis = small_setup
-    x = FiberFamily(params, grid, basis, 1).x(params.p_total)
+    beta = FiberFamily(params, grid, basis, 1).beta
     v = basis.vacuum()
     for i in range(3):
-        # photon momentum annihilates the vacuum; the field part is
-        # off-diagonal, so only the scalar survives
-        assert v @ (x[i] @ v) == pytest.approx(params.p_total[i], abs=1e-14)
+        # X_i v = P_i v - beta_i v; photon momentum annihilates the vacuum
+        # and the field part is off-diagonal, so only the scalar survives
+        x_v = params.p_total[i] * v - beta[i] @ v
+        assert v @ x_v == pytest.approx(params.p_total[i], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +431,61 @@ def test_frame_bridge_on_random_boxes(tiny_setup, alpha, p, g, gamma):
     k_hat, off_hat = assemble_intermediate_hamiltonian(
         FiberFamily(params, grid, basis, 1), g, gamma)
     pi = displaced_momentum_ops(family, g)
-    gamma_ops = [pi[i] - gamma[i] * family.eye for i in range(3)]
+    eye = sp.identity(basis.size, format="csr")
+    gamma_ops = [pi[i] - gamma[i] * eye for i in range(3)]
     dk = delta_k_interaction(params, grid, basis, 1, gamma_ops, g)
-    bridge = k_prev + dk + (off_hat - off_prev) * family.eye
+    bridge = k_prev + dk + (off_hat - off_prev) * eye
     assert abs(k_hat.tocsr() - bridge).max() <= 1e-12
+
+
+def ladder_factors(params, grid, basis, j, g=None):
+    """beta_i, or Pi_i at the gradient g, summed mode by mode from
+    ``fock.ladder`` pairs, explicit zeros removed."""
+    from fqed.fock import ladder, number_diagonal
+
+    f = np.zeros(grid.n_modes) if g is None else displacement_coeffs(
+        g, grid, range(j), params.alpha)
+    coupling = np.sqrt(grid.weight / grid.knorm)
+    ops = [sp.diags(number_diagonal(basis, grid.k[:, i])).tocsr()
+           for i in range(3)]
+    for m in range(grid.n_modes):
+        ann, cre = ladder(basis, m)
+        for i in range(3):
+            c = -grid.k[m, i] * f[m]
+            if grid.shell[m] < j:
+                c -= np.sqrt(params.alpha) * coupling[m] * grid.eps_vec[m, i]
+            ops[i] = ops[i] + c * (ann + cre)
+    for op in ops:
+        op.eliminate_zeros()
+    return ops
+
+
+@settings(max_examples=12, deadline=None)
+@given(ALPHAS, st.integers(0, 2), GRADIENTS)
+def test_one_pass_factors_match_the_ladder_algebra(small_setup, alpha, j,
+                                                   g):
+    # beta and Pi, on the whole basis and on sectors j and j + 1: the same
+    # entries as the ladder sums, each within 1e-15 relative, and no
+    # stored zero (alpha = 0 zeroes every field coefficient)
+    params, grid, basis = small_setup
+    params = dataclasses.replace(params, alpha=alpha)
+    family = FiberFamily(params, grid, basis, j)
+    frame = family.frame(g)
+    for ref, factors in ((ladder_factors(params, grid, basis, j),
+                          family.h(params.p_total).factors),
+                         (ladder_factors(params, grid, basis, j, g),
+                          frame.k(np.zeros(3)).factors)):
+        for s in range(j, min(j + 1, params.n_scales) + 1):
+            idx = basis.sector_indices(grid, s)
+            for rows, ops in ((factors.rows, ref),
+                              (factors.sector(idx).rows,
+                               [op[idx][:, idx] for op in ref])):
+                for got, want in zip(rows, ops):
+                    assert np.all(got.data != 0.0)
+                    assert np.array_equal(got.indptr, want.indptr)
+                    assert np.array_equal(got.indices, want.indices)
+                    assert np.all(np.abs(got.data - want.data)
+                                  <= 1e-15 * np.abs(want.data))
 
 
 def test_scale_factors_map_sectors_j_and_j_plus_1_into_themselves(
@@ -461,9 +514,9 @@ def test_family_sectors_are_built_once(small_setup, monkeypatch):
     builds = []
     init = hamiltonian._Factors.__init__
 
-    def counted(self, stacked, d):
+    def counted(self, basis, diag, coeffs, d, idx=None):
         builds.append(len(d))
-        init(self, stacked, d)
+        init(self, basis, diag, coeffs, d, idx)
 
     monkeypatch.setattr(hamiltonian._Factors, "__init__", counted)
     params, grid, basis = small_setup

@@ -489,8 +489,8 @@ def test_warm_polished_frame_keeps_its_gap_and_centering(small_setup,
 def test_only_scale_0_sectors_assemble_their_operator(small_setup,
                                                      monkeypatch):
     # the cascade and every route apply H(P) and K(gamma) from their
-    # factors; the product form is assembled only for the cold solves of
-    # scale 0's one-state sector
+    # factors: even the dense cold solves of scale 0's one-state sector
+    # apply the operator, and no product form is assembled
     from fqed import hamiltonian
 
     shapes = []
@@ -506,7 +506,7 @@ def test_only_scale_0_sectors_assemble_their_operator(small_setup,
     for family, rec in cascade_scales(open_cascade(params, grid, basis)):
         scale_routes(family, rec)
         energy_gradient_fd(family, rec)
-    assert shapes and set(shapes) == {(1, 1)}
+    assert shapes == []
 
 
 def test_frame_polish_takes_only_started_one_pair_solves(small_setup,

@@ -236,6 +236,41 @@ def test_davidson_iteration_cap_raises_with_the_residual(small_setup,
     assert str(exc.value).endswith("after 1 iterations")
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 44, 45, 62])
+def test_davidson_eigen_step_equals_scipy_eigh(n):
+    # the Rayleigh-Ritz step calls dsyevr with the workspace eigh passes,
+    # so its pairs are eigh's bit for bit (other sizes differ from 45 on)
+    from scipy.linalg import eigh
+
+    import fqed.spectral as spectral
+
+    a = seeded_symmetric(n, seed=n).toarray()
+    w, v = spectral._eigh(a.copy())
+    w_ref, v_ref = eigh(a)
+    assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+    a[0, 0] = np.nan
+    with pytest.raises(SolverError, match="not finite"):
+        spectral._eigh(a)
+
+
+def test_factored_operator_is_never_assembled(small_setup, monkeypatch):
+    # the dense oracle applies the operator to identity columns, in blocks
+    # of 256 (two at dim 325), and the cold Lanczos solve applies it too
+    import fqed.spectral as spectral
+    from fqed.hamiltonian import FactorOp
+
+    op = _shifted_sector(small_setup, 5e-3)
+    ref = op.tocsr().toarray()
+    monkeypatch.setattr(FactorOp, "tocsr", None)
+    dense = spectral._dense(op)
+    assert np.array_equal(dense, dense.T)
+    assert np.max(np.abs(dense - ref)) <= 1e-14
+    vals, _ = dense_spectrum(ref)
+    for rec in (ground_state(op), ground_state(op, dense_cutoff=10)):
+        assert abs(rec.energy - vals[0]) <= 1e-12
+        assert abs(rec.gap - (vals[1] - vals[0])) <= 1e-10
+
+
 def test_sector_start_without_sector_weight_is_no_start(small_setup,
                                                         monkeypatch):
     # a start that vanishes on the sector falls back to the deterministic
@@ -491,7 +526,7 @@ def test_resolvent_sandwich_spectral_oracle():
     x_op = sp.csr_matrix((x_dense + x_dense.T) / 2)
     psi = vecs[:, 0]
     contour = Contour(vals[0], 0.4 * (vals[1] - vals[0]), 64)
-    s = resolvent_sandwich(ResolventSolver(op), contour, x_op, psi)
+    s = resolvent_sandwich(ResolventSolver(op), contour, x_op @ psi)
     elements = vecs.T @ (x_op @ psi)
     oracle = np.sum(elements[1:] ** 2 / (vals[1:] - vals[0]))
     assert abs(s - oracle) < 1e-10 * max(1.0, abs(oracle))
