@@ -76,15 +76,6 @@ _DEFAULTS = {
 }
 
 
-def _parse_bool(text: str, where: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{where}: expected a boolean, got {text!r}")
-
-
 def _parse_numbers(text: str, where: str) -> list[float]:
     """Whitespace-separated finite numbers."""
     try:
@@ -190,6 +181,15 @@ def parse_config(path) -> RunConfig:
                 f"{where(key)}: expected a value >= {low}, got {txt!r}")
         return value
 
+    def boolean(key: str) -> bool:
+        low = get(key).strip().lower()
+        if low in ("true", "1", "yes", "on"):
+            return True
+        if low in ("false", "0", "no", "off"):
+            return False
+        raise ConfigError(
+            f"{where(key)}: expected a boolean, got {get(key)!r}")
+
     lambda_uv = num("Lambda")
     if not 0.0 < lambda_uv < _LAMBDA_MAX:
         raise ConfigError(
@@ -225,7 +225,7 @@ def parse_config(path) -> RunConfig:
                           f"max_nodes {MAX_NODES}")
 
     alphas = _parse_numbers(get("alphas"), where("alphas"))
-    p_list = [_parse_triple(t, f"{path}: key 'P_list'")
+    p_list = [_parse_triple(t, where("P_list"))
               for t in get("P_list").split(";") if t.strip()]
     for p in p_list:
         try:
@@ -236,11 +236,11 @@ def parse_config(path) -> RunConfig:
     return RunConfig(
         params=params, n_radial=num("n_radial", int, low=1),
         angular_set=angular_set, n_max=num("n_max", int, low=0),
-        c_max=num("c_max", int, low=1), basis_limit=num("basis_limit", int),
-        contour_nodes=contour_nodes,
-        allow_invalid=_parse_bool(get("allow_invalid"), "allow_invalid"),
+        c_max=num("c_max", int, low=1),
+        basis_limit=num("basis_limit", int, low=1),
+        contour_nodes=contour_nodes, allow_invalid=boolean("allow_invalid"),
         alphas=alphas, p_list=p_list, out_dir=get("out_dir"),
-        dump_vectors=_parse_bool(get("dump_vectors"), "dump_vectors"),
+        dump_vectors=boolean("dump_vectors"),
         delta=num("delta"), sha256=hashlib.sha256(raw).hexdigest(),
     )
 

@@ -4,6 +4,8 @@ States are occupation vectors n over a fixed mode set, kept when the total
 occupation stays below ``n_max`` and every single mode stays below ``c_max``.
 Enumeration is graded: by total occupation first, then reverse-lexicographic
 within a level, so the vacuum is state 0 and the ordering is reproducible.
+It is one pass, level by level: each state of level T + 1 is written at the
+closed-form rank of the raise into it from level T.
 
 Truncation semantics: a ladder amplitude that would leave the basis is
 dropped (not reflected).  Creation operators are therefore exact transposes
@@ -25,9 +27,19 @@ from .modes import ModeGrid, ParameterError, ResourceError
 #: Refuse to enumerate bases beyond this many states unless overridden.
 DEFAULT_SIZE_LIMIT = 2_000_000
 
-#: Bytes the enumeration holds per (state, mode) occupation entry at its
-#: peak: 133 MiB under ``tracemalloc`` for 45,151 states x 300 modes.
-ENTRY_BYTES = 133 * 2**20 / (45_151 * 300)
+#: Occupation entries per block of states the basis is built from.
+_RAISE_BLOCK = 1 << 16
+
+#: Bytes the enumeration holds at its peak per (state, mode) occupation
+#: entry: 54.2 MiB under ``tracemalloc`` for 45,151 states x 300 modes.
+ENTRY_BYTES = 4.2
+
+#: Bytes it holds per raise: 500.1 MiB for the 7,864,320 raises of
+#: 10 modes at caps 30 and 3 (four 8-byte arrays, twice when joined).
+RAISE_BYTES = 67
+
+#: Bytes of one block's temporaries: eight 8-byte arrays of its entries.
+BLOCK_BYTES = 64 * _RAISE_BLOCK
 
 #: Largest states x modes product enumerated: about 1 GiB at that rate.
 ENTRY_LIMIT = int(2**30 / ENTRY_BYTES)
@@ -85,17 +97,28 @@ def _log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+def _raise_count(n_modes: int, n_max: int, c_max: int) -> int:
+    """Number of in-basis raises: each mode takes a quantum in every state
+    below the top total n, except the B(modes - 1, n - 1 - c_max) that
+    hold it full, with B = ``basis_size``."""
+    n = min(n_max, n_modes * c_max)
+    if n == 0:
+        return 0
+    full = basis_size(n_modes - 1, n - 1 - c_max, c_max) if n > c_max else 0
+    return n_modes * (basis_size(n_modes, n - 1, c_max) - full)
+
+
 def check_basis_size(n_modes: int, n_max: int, c_max: int,
                      size_limit: int = DEFAULT_SIZE_LIMIT) -> int:
-    """The basis size in closed form; raises ResourceError above
-    ``size_limit`` states, or above ``ENTRY_LIMIT`` states x modes (the
-    occupation entries enumeration holds), without enumerating anything.
-    Three lower bounds go first, in turn and in logarithms so that no huge
-    count is formed: with n = min(n_max, modes x c_max), every total up to
-    n occurs; so does every choice of min(n, modes // 2) modes holding one
-    quantum each; and so does every composition of t = min(n, c_max)
-    quanta over the modes, C(t + modes - 1, t) of them, since no part
-    exceeds the cap."""
+    """The basis size in closed form; raises ResourceError, without
+    enumerating, above ``size_limit`` states or ``ENTRY_LIMIT`` states x
+    modes, or where the occupations, raises and one block's temporaries
+    would take more than 1 GiB.  Three lower bounds go first, in turn and in
+    logarithms so that no huge count is formed: with n = min(n_max,
+    modes x c_max), every total up to n occurs; so does every choice of
+    min(n, modes // 2) modes holding one quantum each; and so does every
+    composition of t = min(n, c_max) quanta over the modes,
+    C(t + modes - 1, t) of them, since no part exceeds the cap."""
     n = min(n_max, n_modes * c_max)   # no state holds more quanta
     _check_count(math.log(n + 1), n_modes, size_limit, "at least ")
     k = min(n, n_modes // 2)
@@ -106,40 +129,14 @@ def check_basis_size(n_modes: int, n_max: int, c_max: int,
                  size_limit, "at least ")
     n_states = basis_size(n_modes, n_max, c_max)
     _check_count(math.log(n_states), n_modes, size_limit)
+    n_raises = _raise_count(n_modes, n_max, c_max)
+    held = ENTRY_BYTES * n_states * n_modes + RAISE_BYTES * n_raises
+    if held + BLOCK_BYTES > 2**30:
+        raise ResourceError(
+            f"basis would hold {_count_text(math.log(n_states))} states x "
+            f"{n_modes} modes and {n_raises} raises, "
+            f"{held / 2**30:.2f} GiB to enumerate, above 1 GiB")
     return n_states
-
-
-def _occupation_levels(n_modes: int, n_max: int, c_max: int):
-    """Yield occupation tuples graded by total, reverse-lex within a level.
-
-    Within a level each tuple follows from the one before: the rightmost
-    entry with room after it gives up one quantum, and the entries after
-    it are refilled greedily from the left.  The walk is a loop, so the
-    mode count is not bounded by the interpreter's recursion limit.
-    """
-    def fill(occ, start, amount):
-        """Greedy fill from ``start``; the index of the last filled entry."""
-        while amount > 0:
-            occ[start] = min(amount, c_max)
-            amount -= occ[start]
-            start += 1
-        return start - 1
-
-    for total in range(min(n_max, n_modes * c_max) + 1):
-        occ = [0] * n_modes
-        last = fill(occ, 0, total)
-        while True:
-            yield tuple(occ)
-            rest, i = 0, last
-            while i >= 0 and (occ[i] == 0
-                              or rest >= (n_modes - 1 - i) * c_max):
-                rest += occ[i]
-                i -= 1
-            if i < 0:
-                break
-            occ[i] -= 1
-            occ[i + 1:last + 1] = [0] * (last - i)
-            last = fill(occ, i + 1, rest + 1)
 
 
 @dataclass
@@ -191,15 +188,11 @@ class FockBasis:
         return self.restricted_indices(grid.active_mask(j))
 
 
-#: Occupation entries per block of states the raise table is built from.
-_RAISE_BLOCK = 1 << 16
+def _build_levels(n_modes: int, n_max: int, c_max: int):
+    """The occupations, and (src, dst, mode, amp) of every in-basis raise
+    ordered by source, then mode, built level by level.
 
-
-def _raise_table(occ: np.ndarray, n_max: int, c_max: int):
-    """(src, dst, mode, amp) of every in-basis raise of the enumerated
-    occupations ``occ``, ordered by source, then mode.
-
-    The target's index is its rank, in closed form.  A level lists its
+    A raise's target index is its rank, in closed form.  A level lists its
     states in descending lexicographic order, so the states of level T
     before an occupation n are counted position by position: at position
     i, with R_i quanta from i on, those that agree before i and hold more
@@ -207,11 +200,13 @@ def _raise_table(occ: np.ndarray, n_max: int, c_max: int):
     k = modes - 1 - i and S(k, r) the number of ways to fill k modes with
     at most r quanta.  Raising mode m leaves the terms after m as they are
     and gives the terms up to m one more quantum to place, so one prefix
-    and one suffix sum per state give the rank of every raise.  The counts
-    are exact integers, none above the basis size; states go through in
-    blocks, so the temporaries stay O(states x modes).
+    and one suffix sum per state give the rank of every raise.  Level T's
+    raises write level T + 1, each state once: from the raise at or past
+    its source's last occupied mode, the one lowering of its own last
+    occupied mode.  The counts are exact integers, none above the basis
+    size; a level goes through in blocks, so the temporaries stay
+    O(states x modes).
     """
-    n_states, n_modes = occ.shape
     n = min(n_max, n_modes * c_max)
     counts = list(_mode_counts(n_modes, n, c_max, dtype=np.int64))
     # cum[k, r + 1] = S(k, r); column 0 stands for every r < 0
@@ -220,31 +215,37 @@ def _raise_table(occ: np.ndarray, n_max: int, c_max: int):
         cum[k, 1:] = np.cumsum(counts[k])
     first = np.zeros(n + 2, dtype=np.int64)   # index of each level's first
     first[1:] = np.cumsum(counts[n_modes])
-    # levels are graded, so the states with room to raise come first
-    n_src = int(first[min(n_max, n + 1)])
     mode = np.arange(n_modes)
     k = n_modes - 1 - mode
 
     def fillings(r):
         return cum[k, np.maximum(r + 1, 0)]
 
+    occ = np.zeros((int(first[-1]), n_modes), dtype=np.int16)
     parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)]
     block = max(1, _RAISE_BLOCK // max(n_modes, 1))
-    for lo in range(0, n_src, block):
-        o = occ[lo:min(lo + block, n_src)].astype(np.int64)
-        total = o.sum(axis=1)
-        rest = total[:, None] - (np.cumsum(o, axis=1) - o)
-        more = fillings(rest - o - 1)
-        term = more - fillings(rest - c_max - 1)
-        up = fillings(rest - o) - fillings(rest - c_max)
-        at = more - fillings(rest - c_max)
-        dst = (first[total + 1][:, None] + (np.cumsum(up, axis=1) - up) + at
-               + (term.sum(axis=1)[:, None] - np.cumsum(term, axis=1)))
-        ok = o < c_max
-        src = np.broadcast_to(np.arange(lo, lo + len(o))[:, None], o.shape)
-        parts.append((src[ok], dst[ok], np.broadcast_to(mode, o.shape)[ok],
-                      np.sqrt(o[ok] + 1.0)))
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    # the top level raises nothing
+    for total in range(n):
+        end = int(first[total + 1])   # level T + 1 starts here
+        for lo in range(int(first[total]), end, block):
+            o = occ[lo:min(lo + block, end)].astype(np.int64)
+            rest = total - (np.cumsum(o, axis=1) - o)
+            more = fillings(rest - o - 1)
+            term = more - fillings(rest - c_max - 1)
+            up = fillings(rest - o) - fillings(rest - c_max)
+            at = more - fillings(rest - c_max)
+            dst = (end + (np.cumsum(up, axis=1) - up) + at
+                   + (term.sum(axis=1)[:, None] - np.cumsum(term, axis=1)))
+            ok = o < c_max
+            row, m = np.nonzero(ok & (rest == o))   # nothing past m
+            occ[dst[row, m]] = occ[lo + row]
+            occ[dst[row, m], m] += 1
+            src = np.broadcast_to(np.arange(lo, lo + len(o))[:, None],
+                                  o.shape)
+            parts.append((src[ok], dst[ok],
+                          np.broadcast_to(mode, o.shape)[ok],
+                          np.sqrt(o[ok] + 1.0)))
+    return (occ,) + tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def enumerate_basis(n_modes: int, n_max: int, c_max: int,
@@ -254,11 +255,8 @@ def enumerate_basis(n_modes: int, n_max: int, c_max: int,
         raise ParameterError("mode count and total cap must be nonnegative")
     if c_max < 1:
         raise ParameterError(f"per-mode cap must be >= 1, got {c_max}")
-    n_states = check_basis_size(n_modes, n_max, c_max, size_limit)
-
-    occ = np.array(list(_occupation_levels(n_modes, n_max, c_max)),
-                   dtype=np.int16).reshape(n_states, n_modes)
-    src, dst, mode, amp = _raise_table(occ, n_max, c_max)
+    check_basis_size(n_modes, n_max, c_max, size_limit)
+    occ, src, dst, mode, amp = _build_levels(n_modes, n_max, c_max)
     return FockBasis(n_modes=n_modes, n_max=n_max, c_max=c_max,
                      occupations=occ, raise_src=src, raise_dst=dst,
                      raise_mode=mode, raise_amp=amp)

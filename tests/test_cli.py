@@ -163,6 +163,7 @@ GOOD_BYTES = GOOD_CONFIG.encode()
     (GOOD_BYTES.replace(b"J = 2", b"J = 1" + b"0" * 30), "'J'"),
     (GOOD_BYTES.replace(b"P_list = 0.1 0 0", b"P_list = 0 0.2 0.1"),
      "'P_list'"),
+    (GOOD_BYTES + b"basis_limit = 0\n", "'basis_limit'"),
 ], ids=["non-numeric-alphas", "non-utf8", "odd-contour-nodes", "nan-alpha",
         "infinite-momentum", "removed-fd-gradient-key",
         "max-nodes-below-contour-nodes", "huge-contour-nodes",
@@ -176,7 +177,7 @@ GOOD_BYTES = GOOD_CONFIG.encode()
         "zero-radial-cells", "zero-mode-cap", "negative-total-cap",
         "unknown-angular-set", "huge-uv-cutoff", "zero-uv-cutoff",
         "underflowing-last-cutoff", "scale-count-past-the-doubles",
-        "off-axis-momentum-list"])
+        "off-axis-momentum-list", "zero-basis-limit"])
 def test_bad_config_exits_2_at_parse_time(tmp_path, capsys, data, key):
     path = tmp_path / "bad.cfg"
     path.write_bytes(data)
@@ -185,6 +186,23 @@ def test_bad_config_exits_2_at_parse_time(tmp_path, capsys, data, key):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("allow_invalid = maybe",
+     "key 'allow_invalid': expected a boolean, got 'maybe'"),
+    ("dump_vectors = 2", "key 'dump_vectors': expected a boolean, got '2'"),
+    ("P_list = 0.1 0 0; 0.2 0",
+     "key 'P_list': expected 3 numbers, got ' 0.2 0'"),
+], ids=["allow_invalid", "dump_vectors", "P_list"])
+def test_config_errors_name_the_line(tmp_path, capsys, line, message):
+    # the error names the file and the line the key is set on
+    text = GOOD_CONFIG.replace("P_list = 0.1 0 0\n", "") + line + "\n"
+    path = write_config(tmp_path, text)
+    lineno = text.splitlines().index(line) + 1
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {path}:{lineno}: {message}\n")
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -255,6 +273,21 @@ def test_validate_refuses_an_enumeration_too_large_to_hold(tmp_path,
         "error: basis would hold at least 719400 states x 1200 modes, "
         f"above limit {ENTRY_LIMIT} occupation entries\n")
     assert "all constraints PASS" not in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_validate_refuses_a_raise_table_too_large_to_hold(tmp_path,
+                                                         capsys):
+    # 3,103,152 states x 12 modes pass basis_limit and ENTRY_LIMIT, but
+    # their 22,293,816 raises would take about 1.5 GiB to build
+    path = desk_variant(tmp_path, J=1, n_max=14, c_max=3)
+    with open(path, "a") as f:
+        f.write("basis_limit = 5000000\n")
+    assert main(["validate", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "error: basis would hold 3.103e6 states x 12 modes and 22293816 "
+        "raises")
     assert "Traceback" not in captured.out + captured.err
 
 

@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fqed.fock import (ResourceError, annihilate, basis_size,
+from fqed.fock import (ResourceError, _raise_count, annihilate, basis_size,
                        enumerate_basis, ladder, linear_field, number_diagonal,
                        symmetry_defect)
 from fqed.modes import CutoffSequence, ParameterError, build_grid
@@ -57,14 +58,17 @@ def test_graded_ordering():
     assert totals[0] == 0
 
 
-def test_enumeration_order_matches_product_oracle():
-    # graded by total, reverse-lexicographic within a level
-    n_modes, n_max, c_max = 4, 3, 2
-    oracle = sorted((occ for occ in itertools.product(range(c_max + 1),
-                                                      repeat=n_modes)
-                     if sum(occ) <= n_max),
-                    key=lambda occ: (sum(occ), [-n for n in occ]))
-    basis = enumerate_basis(n_modes, n_max, c_max)
+@pytest.mark.parametrize("m,n,c", [
+    (0, 2, 1), (1, 0, 3), (1, 4, 2), (2, 1, 1), (3, 7, 2), (4, 3, 2),
+    (4, 3, 5), (5, 2, 2), (6, 4, 1), (8, 3, 3)])
+def test_enumeration_order_matches_product_oracle(m, n, c):
+    # graded by total, reverse-lexicographic within a level: a sort of the
+    # product set, which shares nothing with the closed-form ranks
+    oracle = sorted((occ for occ in itertools.product(range(c + 1),
+                                                      repeat=m)
+                     if sum(occ) <= n),
+                    key=lambda occ: (sum(occ), [-k for k in occ]))
+    basis = enumerate_basis(m, n, c)
     assert [tuple(row) for row in basis.occupations] == oracle
 
 
@@ -92,6 +96,37 @@ def test_check_basis_size_refuses_on_the_compositions_bound(monkeypatch):
     monkeypatch.setattr(fock, "basis_size", no_count)
     with pytest.raises(ResourceError, match="at least 5.131e61 states"):
         fock.check_basis_size(12, 1999999, 1999999)
+
+
+def test_check_basis_size_refuses_a_raise_table_over_budget(monkeypatch):
+    # 67.0M occupation entries are under ENTRY_LIMIT, but the 44.6M raises
+    # would take about 3 GiB; refused before anything is built
+    import fqed.fock as fock
+
+    def no_build(*args):
+        raise AssertionError("the basis was built")
+
+    monkeypatch.setattr(fock, "_build_levels", no_build)
+    assert 14 * fock.basis_size(14, 28, 2) < fock.ENTRY_LIMIT
+    with pytest.raises(ResourceError, match="44641044 raises"):
+        fock.enumerate_basis(14, 28, 2, size_limit=5_000_000)
+
+
+@pytest.mark.parametrize("m,n,c", [(36, 3, 3), (300, 2, 1)])
+def test_enumeration_budget_bounds_the_peak(m, n, c):
+    # the bytes check_basis_size charges are at least what the build holds
+    import fqed.fock as fock
+
+    charged = (fock.ENTRY_BYTES * basis_size(m, n, c) * m
+               + fock.RAISE_BYTES * _raise_count(m, n, c)
+               + fock.BLOCK_BYTES)
+    tracemalloc.start()
+    try:
+        enumerate_basis(m, n, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= charged
 
 
 def loop_raise_table(basis):
@@ -129,17 +164,21 @@ def test_raise_table_matches_the_loop_oracle(m, n, c):
     for ref, arr in zip(loop_raise_table(basis), got):
         assert arr.dtype == ref.dtype
         assert arr.tobytes() == ref.tobytes()
+    assert len(basis.raise_src) == _raise_count(m, n, c)
 
 
-def test_raise_table_over_blocks_of_states(monkeypatch):
-    # states go through in blocks; a block of 7 occupation entries holds
-    # one state, the smallest block
+@pytest.mark.parametrize("block", [7, 12, 40])
+def test_basis_over_blocks_of_states(monkeypatch, block):
+    # a level goes through in blocks: a block of 7 occupation entries
+    # holds one state, the smallest block, and at 12 and 40 entries the
+    # 15 states of level 2 take eight and two blocks
     import fqed.fock as fock
 
     ref = enumerate_basis(5, 3, 2)
-    monkeypatch.setattr(fock, "_RAISE_BLOCK", 7)
+    monkeypatch.setattr(fock, "_RAISE_BLOCK", block)
     basis = enumerate_basis(5, 3, 2)
-    for name in ("raise_src", "raise_dst", "raise_mode", "raise_amp"):
+    for name in ("occupations", "raise_src", "raise_dst", "raise_mode",
+                 "raise_amp"):
         assert getattr(basis, name).tobytes() == getattr(ref, name).tobytes()
 
 
