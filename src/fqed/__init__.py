@@ -7,7 +7,7 @@ from .modes import (CutoffSequence, ModeGrid, ParameterError, build_grid,
                     direction_weights, polarization_frame)
 from .fock import (FockBasis, ResourceError, enumerate_basis, ladder,
                    linear_field)
-from .hamiltonian import (FactorOp, FiberFamily, FrameFamily, ModelParams,
+from .hamiltonian import (FactorOp, FiberFamily, ModelParams,
                           assemble_field, assemble_h_fiber,
                           assemble_displaced_hamiltonian,
                           assemble_intermediate_hamiltonian,

@@ -146,19 +146,23 @@ def displaced_momentum_ops(family, grad_energy: np.ndarray
 
         Pi_i = beta_i - sum_{m active} k_m^i f_m (create_m + annihilate_m),
 
-    with beta taken from the scale's ``hamiltonian.FiberFamily``.  The vacuum
-    expectation of every Pi_i vanishes identically.
+    with beta from the ladder algebra at the scale of the ``FiberFamily``
+    ``family``, not from its factors: an oracle for ``family.frame``.  The
+    vacuum expectation of every Pi_i vanishes identically.
     """
+    from .hamiltonian import _field_momentum   # hamiltonian imports us
     grid = family.grid
     f = displacement_coeffs(grad_energy, grid, range(family.j),
                             family.params.alpha)
-    return [(beta - linear_field(family.basis, grid.k[:, i] * f)).tocsr()
-            for i, beta in enumerate(family.beta)]
+    beta = _field_momentum(family.params, grid, family.basis, family.j)
+    return [(b - linear_field(family.basis, grid.k[:, i] * f)).tocsr()
+            for i, b in enumerate(beta)]
 
 
-def centered_momentum_vectors(pi_ops: list[sp.spmatrix], phi: np.ndarray
+def centered_momentum_vectors(pi_phi: np.ndarray, phi: np.ndarray
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gamma phi for the mean-zero Gamma = Pi - shift, as vectors.
+    """Gamma phi for the mean-zero Gamma = Pi - shift, as vectors, from the
+    (3, n) product ``pi_phi`` = Pi phi.
 
     Returns (gamma_phi, shift, orth): shift_i = <phi, Pi_i phi> / <phi,
     phi>, row i of gamma_phi is Pi_i phi - shift_i phi, and orth_i = <phi,
@@ -168,7 +172,6 @@ def centered_momentum_vectors(pi_ops: list[sp.spmatrix], phi: np.ndarray
     nrm2 = float(phi @ phi)
     if nrm2 <= 0.0:
         raise ParameterError("cannot center on a zero vector")
-    pi_phi = [pi @ phi for pi in pi_ops]
     shift = np.array([float(phi @ v) for v in pi_phi]) / nrm2
     gamma_phi = np.array([v - s * phi for v, s in zip(pi_phi, shift)])
     orth = np.array([float(phi @ g) for g in gamma_phi]) / nrm2

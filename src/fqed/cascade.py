@@ -257,8 +257,8 @@ def cascade_scales(state: CascadeState, *,
     next-sector vector.
 
     Each record is appended to ``state.records`` before it is yielded with
-    its family, which keeps its stacked beta factors, their sector
-    restrictions and the frame whose Pi centred the record;
+    its family, which keeps its factors, their sector restrictions and
+    the frame factors whose Pi centred the record;
     the step's bridge operator, H(P) and contour solver are gone by then.
     The generator drops the family when it resumes, so a consumer that
     drops it too holds one scale's operators at a time.
@@ -321,7 +321,8 @@ def _cascade_step(state: CascadeState, j: int, start: np.ndarray | None,
             weyl_defect=wdefect)
 
     # the frame's Pi, kept in the family for the frame polish and probes
-    _, shift, orth = centered_momentum_vectors(family.frame(grad).pi, phi)
+    _, shift, orth = centered_momentum_vectors(
+        family.frame(grad).apply(phi), phi)
     gap_next, next_start = np.nan, None
     if j < params.n_scales:
         # the ground state of H_j on sector j + 1 starts scale j + 1

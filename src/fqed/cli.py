@@ -225,6 +225,9 @@ def parse_config(path) -> RunConfig:
                           f"max_nodes {MAX_NODES}")
 
     alphas = _parse_numbers(get("alphas"), where("alphas"))
+    if any(a < 0.0 for a in alphas):
+        raise ConfigError(f"{where('alphas')}: expected couplings >= 0, "
+                          f"got {get('alphas')!r}")
     p_list = [_parse_triple(t, where("P_list"))
               for t in get("P_list").split(";") if t.strip()]
     for p in p_list:

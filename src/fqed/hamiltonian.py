@@ -31,13 +31,14 @@ Both H(P) and K(gamma) are squares, (1/2) sum_i (F_i - c_i)^2 + diag(d) +
 s, with F = beta, c = P or F = Pi, c = gamma.  Each factor is field-linear,
 F_i = diag(D_i) + sum_m C_im (create_m + annihilate_m): D = Pf for both,
 C = -sqrt(alpha) sqrt(w/|k|) eps on the shells below j for beta, less
-k f for Pi.  One COO -> CSR pass over the basis's raise table builds the
-three stacked factors of any (D, C) and their half transpose, on the whole
-basis or on a photon-content sector, which each family builds once.
+k f for Pi.  A ``_Factors`` of (D, C, d, s) is built by one COO -> CSR
+pass over the basis's raise table, on the whole basis or on a sector: a
+family's factors are beta's, its ``frame(g)`` those of Pi(g), and every
+first moment (P - beta, Pi - <Pi>) is one stacked product, ``apply``.
 Every scale-j factor maps sectors j and j + 1 into themselves, so the
 restriction of the square is the square of the restricted factors.
-Neither square is assembled: a ``FactorOp`` applies one from its stacked
-factors.  ``FactorOp.tocsr`` assembles the product form for the oracles;
+Neither square is assembled: a ``FactorOp`` applies one from its factors.
+``FactorOp.tocsr`` assembles the product form for the oracles;
 ``assemble_h_fiber`` and ``assemble_displaced_hamiltonian`` build it
 independently, from ``assemble_field``, as the references the tests
 compare against.
@@ -114,14 +115,15 @@ def _symmetrize(op: sp.spmatrix) -> sp.csr_matrix:
 
 class _Factors:
     """The pieces of (1/2) sum_i (F_i - c_i)^2 + diag(d) + s that do not
-    depend on c or s, for the field-linear factors
+    depend on c, for the field-linear factors
 
         F_i = diag(D_i) + sum_m C_im (create_m + annihilate_m)
 
     on the states ``idx`` of ``basis`` (all of them when ``idx`` is None):
     the three F_i stacked into one (3n, n) CSR and half its transpose, the
-    diagonal d, and the diagonals of each F_i (D itself) and of its
-    off-diagonal square, from which ``FactorOp`` reads its own diagonal.
+    diagonal d, the scalar s, and the diagonals of each F_i (D itself) and
+    of its off-diagonal square, from which ``FactorOp`` reads its own
+    diagonal.
 
     One COO -> CSR pass over the basis's raise table builds both: the
     entries are listed as the raises into each state, the diagonal, then
@@ -134,7 +136,8 @@ class _Factors:
     """
 
     def __init__(self, basis: FockBasis, diag: np.ndarray,
-                 coeffs: np.ndarray, d: np.ndarray, idx=None):
+                 coeffs: np.ndarray, d: np.ndarray, s: float = 0.0,
+                 idx=None):
         src, dst, mode = basis.raise_src, basis.raise_dst, basis.raise_mode
         amp = basis.raise_amp
         if idx is not None:
@@ -145,7 +148,7 @@ class _Factors:
             mode, amp = mode[keep], amp[keep]
         n = len(d)
         self.basis, self.idx, self.coeffs = basis, idx, coeffs
-        self.size, self.d, self.diag_f = n, d, diag
+        self.size, self.d, self.s, self.diag_f = n, d, float(s), diag
         index = np.int32 if 3 * (n + 2 * len(src)) < 2 ** 31 else np.int64
         line_rows = np.concatenate([dst, np.arange(n), src]).astype(index)
         line_cols = np.concatenate([src, np.arange(n), dst]).astype(index)
@@ -172,15 +175,9 @@ class _Factors:
                                     shape=(n, 3 * n))
         self._sectors: dict[bytes, _Factors] = {}
 
-    @cached_property
-    def rows(self) -> list[sp.csr_matrix]:
-        """F_0, F_1, F_2 as views of the stacked rows."""
-        m, n = self.stacked, self.size
-        return [sp.csr_matrix(
-            (m.data[m.indptr[i * n]:m.indptr[(i + 1) * n]],
-             m.indices[m.indptr[i * n]:m.indptr[(i + 1) * n]],
-             m.indptr[i * n:(i + 1) * n + 1] - m.indptr[i * n]),
-            shape=(n, n)) for i in range(3)]
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """F v, the (3, n) array of rows F_i v: one product with the stack."""
+        return (self.stacked @ v).reshape(3, -1)
 
     def sector(self, idx: np.ndarray) -> "_Factors":
         """The factors on the states ``idx`` (ascending, of these
@@ -196,23 +193,22 @@ class _Factors:
         if key not in self._sectors:
             self._sectors[key] = _Factors(
                 self.basis, self.diag_f[:, idx], self.coeffs, self.d[idx],
-                idx if self.idx is None else self.idx[idx])
+                self.s, idx if self.idx is None else self.idx[idx])
         return self._sectors[key]
 
 
 class FactorOp:
-    """The operator (1/2) sum_i (F_i - c_i)^2 + diag(d) + s, applied from
-    its factors: one application, to a vector or an (n, k) block, is two
-    sparse products with the stacked factors.  ``tocsr()`` assembles the
+    """The operator (1/2) sum_i (F_i - c_i)^2 + diag(d) + s of ``factors``
+    at the shift c: one application, to a vector or an (n, k) block, is
+    two sparse products with the stacked factors.  ``tocsr()`` assembles the
     product form, for the oracles and the benchmark's tracer.
     """
 
-    def __init__(self, factors: _Factors, c, s: float = 0.0):
+    def __init__(self, factors: _Factors, c):
         self.factors = factors
         self.c = np.asarray(c, dtype=float).reshape(3)
-        self.s = float(s)
         self.shape = (factors.size, factors.size)
-        self._scalar = factors.d + (self.s + 0.5 * float(self.c @ self.c))
+        self._scalar = factors.d + (factors.s + 0.5 * float(self.c @ self.c))
 
     def __matmul__(self, x):
         # (1/2) sum_i F_i (F_i x) - sum_i c_i F_i x + (|c|^2/2 + d + s) x
@@ -227,18 +223,18 @@ class FactorOp:
     def diagonal(self) -> np.ndarray:
         f = self.factors
         return (0.5 * np.sum(f.off_sq + (f.diag_f - self.c[:, None]) ** 2,
-                             axis=0) + f.d + self.s)
+                             axis=0) + f.d + f.s)
 
     def sector(self, idx: np.ndarray) -> "FactorOp":
         """The operator on the states ``idx``, a sector its factors map
         into itself."""
-        return FactorOp(self.factors.sector(idx), self.c, self.s)
+        return FactorOp(self.factors.sector(idx), self.c)
 
     def tocsr(self) -> sp.csr_matrix:
         f = self.factors
         g = f.stacked - sp.vstack([ci * sp.identity(f.size, format="csr")
                                    for ci in self.c], format="csr")
-        return _symmetrize(0.5 * (g.T @ g) + sp.diags(f.d + self.s))
+        return _symmetrize(0.5 * (g.T @ g) + sp.diags(f.d + f.s))
 
 
 class FiberFamily:
@@ -247,10 +243,10 @@ class FiberFamily:
         H(P) = (1/2) sum_i (P_i - beta_i)^2 + Hf,   dH/dP_i = P_i - beta_i,
 
     with beta_i = Pf_i - sqrt(alpha) A_i (interaction on shells 0..j-1),
-    each H(P) a ``FactorOp`` on the family's stacked beta: the factors of
-    diagonal Pf and coefficients -sqrt(alpha) sqrt(w_m/|k_m|) eps_m on the
-    shells below j.  Every beta_i is exactly symmetric, so every H(P) is
-    too.
+    each H(P) a ``FactorOp`` on ``factors``, those of beta: diagonal Pf
+    and coefficients -sqrt(alpha) sqrt(w_m/|k_m|) eps_m on the shells
+    below j, with d = Hf.  Every beta_i is exactly symmetric, so every H(P)
+    is too.
     """
 
     def __init__(self, params: ModelParams, grid: ModeGrid,
@@ -267,18 +263,14 @@ class FiberFamily:
                        * _coupling_coeff(grid, grid.shell_mask(range(j)))
                        * grid.eps_vec.T)
         self.hf = number_diagonal(basis, grid.knorm)
-        self._frames: dict[bytes, FrameFamily] = {}
+        self._frames: dict[bytes, _Factors] = {}
 
     @cached_property
-    def _factors(self) -> _Factors:
+    def factors(self) -> _Factors:
         return _Factors(self.basis, self.pf, self.coeffs, self.hf)
 
-    @property
-    def beta(self) -> list[sp.csr_matrix]:
-        return self._factors.rows
-
     def h(self, p) -> FactorOp:
-        return FactorOp(self._factors, p)
+        return FactorOp(self.factors, p)
 
     def gradient(self, psi: np.ndarray, p) -> np.ndarray:
         """P - <beta>_psi: the energy gradient of an eigenvector of H(P)."""
@@ -287,64 +279,35 @@ class FiberFamily:
         if nrm2 <= 0.0:
             raise ParameterError("gradient of an empty state")
         p = np.asarray(p, dtype=float)
-        beta_psi = (self._factors.stacked @ psi).reshape(3, -1)
+        beta_psi = self.factors.apply(psi)
         return np.array([p[i] - psi @ beta_psi[i] / nrm2 for i in range(3)])
 
-    def frame(self, grad_energy: np.ndarray,
-              keep: bool = True) -> "FrameFamily":
-        """Displaced-frame Hamiltonians for the gradient g at the family's
-        momentum P.  A kept frame is built once per gradient: the cascade's
-        centring, the frame polish and the resolvent-bound probe of a
-        record share it.  ``keep=False`` builds a frame the family does not
-        hold, as the cascade's one-use bridge frame is."""
+    def frame(self, grad_energy: np.ndarray) -> _Factors:
+        """The displaced frame for the gradient g at the family's momentum
+        P, as the factors of its K(gamma) = ``FactorOp(frame, gamma)``,
+        built once per gradient: the cascade's centring, the frame polish
+        and the resolvent-bound probe of a record share it."""
         g = np.asarray(grad_energy, dtype=float)
         key = g.tobytes()
-        if key in self._frames:
-            return self._frames[key]
-        # the offset |P|^2/2 - |P - g|^2/2 - sum_active |k| delta f^2 takes
-        # the Weyl amplitudes f of Pi, keeping the canonical form
-        # self-consistent
-        grid, p = self.grid, self.params.p_total
-        delta = direction_weights(grid, g)
-        f = displacement_coeffs(g, grid, range(self.j), self.params.alpha)
-        frame = FrameFamily(
-            basis=self.basis, pf=self.pf, coeffs=self.coeffs - grid.k.T * f,
-            number=number_diagonal(self.basis, grid.knorm * delta),
-            offset=float(p @ p / 2.0 - (p - g) @ (p - g) / 2.0
-                         - np.sum(grid.knorm * delta * f ** 2)))
-        if keep:
-            self._frames[key] = frame
-        return frame
+        if key not in self._frames:
+            self._frames[key] = _frame_factors(self, g)
+        return self._frames[key]
 
 
-@dataclass(frozen=True)
-class FrameFamily:
-    """Displaced-frame Hamiltonians at one scale, gradient and momentum:
-
-        K(gamma) = (1/2) sum_i (Pi_i - gamma_i)^2 + number + offset,
-
-    each a ``FactorOp`` on the stacked Pi, built on first use: the
-    factors of diagonal ``pf`` (the family's Pf) and coefficients
-    ``coeffs``, beta's less k_m f_m.  ``number`` is the diagonal of
-    sum_m |k_m| delta_m n_m.  The frame holds its pieces, not its family.
-    """
-
-    basis: FockBasis = field(repr=False)
-    pf: np.ndarray = field(repr=False)
-    coeffs: np.ndarray = field(repr=False)
-    number: np.ndarray = field(repr=False)
-    offset: float
-
-    @cached_property
-    def _factors(self) -> _Factors:
-        return _Factors(self.basis, self.pf, self.coeffs, self.number)
-
-    @property
-    def pi(self) -> list[sp.csr_matrix]:
-        return self._factors.rows
-
-    def k(self, gamma_shift) -> FactorOp:
-        return FactorOp(self._factors, gamma_shift, self.offset)
+def _frame_factors(family: FiberFamily, g: np.ndarray) -> _Factors:
+    """The factors of K(gamma) = (1/2) sum_i (Pi_i - gamma_i)^2 + sum_m |k_m|
+    delta_m n_m + offset, the frame of ``family`` at the gradient g: Pi's
+    coefficients are beta's less k_m f_m, and the offset
+    |P|^2/2 - |P - g|^2/2 - sum_active |k| delta f^2 takes the same Weyl
+    amplitudes f, keeping the canonical form self-consistent."""
+    grid, p = family.grid, family.params.p_total
+    delta = direction_weights(grid, g)
+    f = displacement_coeffs(g, grid, range(family.j), family.params.alpha)
+    return _Factors(
+        family.basis, family.pf, family.coeffs - grid.k.T * f,
+        number_diagonal(family.basis, grid.knorm * delta),
+        float(p @ p / 2.0 - (p - g) @ (p - g) / 2.0
+              - np.sum(grid.knorm * delta * f ** 2)))
 
 
 def _field_momentum(params: ModelParams, grid: ModeGrid, basis: FockBasis,
@@ -394,8 +357,9 @@ def assemble_displaced_hamiltonian(
     """Canonical-form Hamiltonian K at scale j, plus its scalar offset.
 
     K = (1/2) sum_i (Pi_i - gamma_shift_i)^2 + sum_m |k_m| delta_m n_m
-        + offset in product form, the reference for ``FrameFamily.k``; with
-    the ground-state expectation of Pi as shift, Pi - shift is Gamma.
+        + offset in product form, the reference for ``FactorOp`` on
+    ``FiberFamily.frame``; with the ground-state expectation of Pi as
+    shift, Pi - shift is Gamma.
     """
     frame = FiberFamily(params, grid, basis, j).frame(grad_energy)
     gamma_shift = np.asarray(gamma_shift, dtype=float).reshape(3)
@@ -405,8 +369,7 @@ def assemble_displaced_hamiltonian(
           for i, beta in enumerate(_field_momentum(params, grid, basis, j))]
     gam = [pi[i] - gamma_shift[i] * eye for i in range(3)]
     return _symmetrize(0.5 * sum(gi @ gi for gi in gam)
-                       + sp.diags(frame.number) + frame.offset * eye), \
-        frame.offset
+                       + sp.diags(frame.d) + frame.s * eye), frame.s
 
 
 def slice_marginal_coeffs(params: ModelParams, grid: ModeGrid,
@@ -449,16 +412,16 @@ def assemble_intermediate_hamiltonian(
 
     with Gamma, the slice operators L and the scalar shift I evaluated with
     the previous gradient g.  Gamma + L is the scale-j Pi(g) less the
-    previous shift, so Khat(j) is ``family.frame(g).k(gamma_prev - I)``,
-    on a frame the family does not keep: it serves this one operator.
-    Returns (Khat, offset_hat).
+    previous shift, so Khat(j) is K(gamma_prev - I) on the frame of g, built
+    without the family's cache: it serves this one operator.  Returns
+    (Khat, offset_hat).
     """
     if family.j < 1:
         raise ParameterError("intermediate frame needs j >= 1")
     ivec = weyl_vacuum_expectation(family.params, family.grid,
                                    [family.j - 1], grad_energy_prev)
-    frame = family.frame(grad_energy_prev, keep=False)
-    return frame.k(np.asarray(gamma_shift_prev) - ivec), frame.offset
+    frame = _frame_factors(family, np.asarray(grad_energy_prev, dtype=float))
+    return FactorOp(frame, np.asarray(gamma_shift_prev) - ivec), frame.s
 
 
 def delta_k_interaction(params: ModelParams, grid: ModeGrid, basis: FockBasis,

@@ -146,7 +146,7 @@ def dispersion_curvature_direct(family: FiberFamily,
     h = family.h(params.p_total).sector(idx)
     psi = rec.psi[idx] / np.linalg.norm(rec.psi[idx])
     axis = momentum_axis(params.p_total)
-    x_psi = params.p_total[axis] * psi - h.factors.rows[axis] @ psi
+    x_psi = params.p_total[axis] * psi - h.factors.apply(psi)[axis]
     cont = _route_contour(params, family.j, rec.energy, rec.gap_sector)
     return 1.0 - 2.0 * resolvent_sandwich(ResolventSolver(h), cont, x_psi)
 
@@ -185,13 +185,14 @@ def displaced_frame_ground(family: FiberFamily,
     """
     _check_scale(family, rec)
     params, grid, basis, j = family.params, family.grid, family.basis, family.j
-    frame_ops = family.frame(rec.grad_energy)
+    frame = family.frame(rec.grad_energy)
     shift, phi = rec.gamma_shift, rec.phi
     for _ in range(5):
-        k_op = frame_ops.k(shift)
+        k_op = FactorOp(frame, shift)
         energy, phi, _ = sector_ground(params, grid, basis, j, h_op=k_op,
                                        pairs=1, start=phi)
-        gamma_phi, new, orth = centered_momentum_vectors(frame_ops.pi, phi)
+        gamma_phi, new, orth = centered_momentum_vectors(frame.apply(phi),
+                                                         phi)
         move = float(np.max(np.abs(new - shift)))
         shift = new
         if move < 1e-13:
@@ -453,8 +454,7 @@ def pull_through_summary(family: FiberFamily, rec: ScaleRecord):
     if params.alpha == 0.0:
         return 0.0, np.zeros(len(active))
     psi = rec.psi
-    x_psi = [params.p_total[i] * psi - beta @ psi
-             for i, beta in enumerate(family.beta)]
+    x_psi = params.p_total[:, None] * psi - family.factors.apply(psi)
     diff2 = lhs2 = 0.0
     per_mode = []
     # the polarizations of one k are adjacent modes, so the groups run in
@@ -517,8 +517,9 @@ def resolvent_bound_probes(family: FiberFamily, rec: ScaleRecord):
     params = family.params
     axis = momentum_axis(params.p_total)
     frame = family.frame(rec.grad_energy)
-    gamma_phi, shift, _ = centered_momentum_vectors(frame.pi, rec.phi)
-    solver = ResolventSolver(frame.k(shift))
+    gamma_phi, shift, _ = centered_momentum_vectors(frame.apply(rec.phi),
+                                                    rec.phi)
+    solver = ResolventSolver(FactorOp(frame, shift))
     w3 = gamma_phi[axis]
     w4 = creation_sum(family.basis, slice_marginal_coeffs(
         params, family.grid, rec.j, rec.grad_energy)[axis]) @ w3

@@ -8,7 +8,7 @@ from fqed.bogoliubov import (centered_momentum_vectors, combined_displacement,
                              displacement_generator, weyl_apply,
                              weyl_vacuum_expectation)
 from fqed.fock import enumerate_basis
-from fqed.hamiltonian import FiberFamily, ModelParams
+from fqed.hamiltonian import FiberFamily, ModelParams, _field_momentum
 from fqed.modes import ParameterError
 
 
@@ -145,12 +145,29 @@ def test_combined_displacement_composition(small_setup):
 
 
 def test_pi_reduces_to_field_momentum_at_zero_gradient(small_setup):
+    # the oracle's Pi(0) is the ladder algebra's beta, and the frame of the
+    # zero gradient has the family's own factors
     params, grid, basis = small_setup
     family = FiberFamily(params, grid, basis, 2)
     pi = displaced_momentum_ops(family, np.zeros(3))
-    beta = family.beta
+    beta = _field_momentum(params, grid, basis, 2)
     for i in range(3):
         assert abs(pi[i] - beta[i]).max() == 0.0
+    frame = family.frame(np.zeros(3))
+    assert abs(frame.stacked - family.factors.stacked).max() == 0.0
+
+
+def test_pi_oracle_does_not_read_the_factors(small_setup):
+    # the oracle is built from the ladder algebra, so it cannot follow a
+    # change to the factors it is compared with
+    params, grid, basis = small_setup
+    g = np.array([0.1, 0.05, 0.0])
+    family = FiberFamily(params, grid, basis, 2)
+    family.factors.stacked.data *= 2.0
+    pi = displaced_momentum_ops(family, g)
+    want = displaced_momentum_ops(FiberFamily(params, grid, basis, 2), g)
+    for got, ref in zip(pi, want):
+        assert abs(got - ref).max() == 0.0
 
 
 def test_pi_vacuum_expectation_vanishes(small_setup):
@@ -168,9 +185,8 @@ def test_pi_matches_numerical_conjugation_oracle(tiny_setup):
     g = np.array([0.12, 0.0, 0.04])
     field = displacement_coeffs(g, grid, range(1), params.alpha)
     w = sla.expm(displacement_generator(field, basis).toarray())
-    family = FiberFamily(params, grid, basis, 1)
-    beta = family.beta
-    pi = displaced_momentum_ops(family, g)
+    beta = _field_momentum(params, grid, basis, 1)
+    pi = displaced_momentum_ops(FiberFamily(params, grid, basis, 1), g)
     vac = basis.vacuum()
     fmax = np.abs(field).max()
     one_photon = basis.totals == 1
@@ -186,15 +202,16 @@ def test_pi_matches_numerical_conjugation_oracle(tiny_setup):
 
 
 def test_center_operators_examples(small_setup, monkeypatch):
-    # the centering returns Gamma phi = Pi phi - shift phi as arrays and
-    # builds no sparse matrix: no identity, no Pi - shift I
+    # the centering returns Gamma phi = Pi phi - shift phi as arrays from
+    # the frame's one product Pi phi and builds no sparse matrix: no
+    # identity, no Pi - shift I
     import scipy.sparse._base as sparse_base
 
     params, grid, basis = small_setup
-    pi0 = displaced_momentum_ops(FiberFamily(params, grid, basis, 0),
-                                 params.p_total)
-    pi = displaced_momentum_ops(FiberFamily(params, grid, basis, 2),
-                                np.array([0.08, 0.0, 0.0]))
+    g = np.array([0.08, 0.0, 0.0])
+    frame0 = FiberFamily(params, grid, basis, 0).frame(params.p_total)
+    frame = FiberFamily(params, grid, basis, 2).frame(g)
+    pi = displaced_momentum_ops(FiberFamily(params, grid, basis, 2), g)
     built = []
     init = sparse_base._spbase.__init__
 
@@ -204,19 +221,21 @@ def test_center_operators_examples(small_setup, monkeypatch):
 
     monkeypatch.setattr(sparse_base._spbase, "__init__", counted)
     vac = basis.vacuum()
-    gamma_phi, shift, orth = centered_momentum_vectors(pi0, vac)
+    gamma_phi, shift, orth = centered_momentum_vectors(frame0.apply(vac),
+                                                       vac)
     rng = np.random.default_rng(4)
     phi = rng.standard_normal(basis.size)
-    gamma_phi2, shift2, orth2 = centered_momentum_vectors(pi, phi)
+    gamma_phi2, shift2, orth2 = centered_momentum_vectors(frame.apply(phi),
+                                                          phi)
     assert built == []
     monkeypatch.undo()
 
     # at scale 0 nothing is displaced: Gamma is the free field momentum
     assert np.allclose(shift, 0.0, atol=1e-15)
-    pf = FiberFamily(
+    pf = _field_momentum(
         ModelParams(alpha=0.0, epsilon=params.epsilon,
                     n_scales=params.n_scales, p_total=params.p_total),
-        grid, basis, 0).beta
+        grid, basis, 0)
     for out in (gamma_phi, shift, orth, gamma_phi2, shift2, orth2):
         assert type(out) is np.ndarray
     assert gamma_phi.shape == gamma_phi2.shape == (3, basis.size)
@@ -237,10 +256,9 @@ def test_center_operators_examples(small_setup, monkeypatch):
 
 def test_center_operators_rejects_zero_vector(small_setup):
     params, grid, basis = small_setup
-    pi = displaced_momentum_ops(FiberFamily(params, grid, basis, 1),
-                                np.zeros(3))
     with pytest.raises(ParameterError):
-        centered_momentum_vectors(pi, np.zeros(basis.size))
+        centered_momentum_vectors(np.zeros((3, basis.size)),
+                                  np.zeros(basis.size))
 
 
 def test_weyl_vacuum_expectation_closed_form(small_setup):
@@ -257,7 +275,7 @@ def test_weyl_vacuum_expectation_closed_form(small_setup):
     # direct dense oracle on the tiny basis
     field = displacement_coeffs(g, grid, range(2), params.alpha)
     w = sla.expm(displacement_generator(field, basis).toarray())
-    beta = FiberFamily(params, grid, basis, 2).beta
+    beta = _field_momentum(params, grid, basis, 2)
     vac = basis.vacuum()
     dense = np.array([vac @ (w @ beta[i].toarray() @ w.T) @ vac
                       for i in range(3)])

@@ -188,6 +188,22 @@ def test_bad_config_exits_2_at_parse_time(tmp_path, capsys, data, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "mass-scan"])
+def test_negative_alphas_entry_exits_2_at_parse_time(tmp_path, capsys,
+                                                     command):
+    # a negative coupling in the scan list is refused before any job runs,
+    # as a negative alpha is
+    text = GOOD_CONFIG.replace("alphas = 1e-4 1e-3", "alphas = 1e-3 -1e-3")
+    path = write_config(tmp_path, text)
+    lineno = text.splitlines().index("alphas = 1e-3 -1e-3") + 1
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {path}:{lineno}: key 'alphas': expected couplings "
+        ">= 0, got '1e-3 -1e-3'\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("allow_invalid = maybe",
      "key 'allow_invalid': expected a boolean, got 'maybe'"),
@@ -580,21 +596,17 @@ def test_verify_builds_each_frame_once_per_family_and_gradient(tmp_path,
     # the frame polish and the bounds probe of a record share one frame,
     # whose factors are stacked once: the cascade's two bridge frames and
     # one per record, no repeats
-    from functools import cached_property
-
     import fqed.hamiltonian as hamiltonian
 
     builds = []
-    stack = hamiltonian.FrameFamily._factors.func
+    build = hamiltonian._frame_factors
 
-    def counted(frame):
-        # the offset and number diagonal tell the scale and gradient apart
-        builds.append((frame.offset, frame.number.tobytes()))
-        return stack(frame)
+    def counted(family, g):
+        # the scale and the gradient tell the frames apart
+        builds.append((family.j, g.tobytes()))
+        return build(family, g)
 
-    prop = cached_property(counted)
-    prop.__set_name__(hamiltonian.FrameFamily, "_factors")
-    monkeypatch.setattr(hamiltonian.FrameFamily, "_factors", prop)
+    monkeypatch.setattr(hamiltonian, "_frame_factors", counted)
     path = write_config(tmp_path, GOOD_CONFIG)
     assert main(["verify", "--config", path, "--suite", "all"]) == 0
     assert len(builds) == len(set(builds)) == 2 + 3

@@ -10,7 +10,8 @@ from conftest import custom_grid
 from fqed.bogoliubov import (displaced_momentum_ops, displacement_coeffs,
                              weyl_vacuum_expectation)
 from fqed.fock import enumerate_basis
-from fqed.hamiltonian import (FiberFamily, ModelParams,
+from fqed.hamiltonian import (FactorOp, FiberFamily, ModelParams,
+                              _field_momentum,
                               assemble_displaced_hamiltonian,
                               assemble_field, assemble_h_fiber,
                               assemble_intermediate_hamiltonian,
@@ -188,7 +189,7 @@ def test_displaced_ground_energy_matches_bare_frame():
     h = assemble_h_fiber(params, grid, basis, 1)
     vals_h, vecs_h = dense_spectrum(h)
     psi = vecs_h[:, 0]
-    beta = FiberFamily(params, grid, basis, 1).beta
+    beta = _field_momentum(params, grid, basis, 1)
     grad = np.array([params.p_total[i] - psi @ (beta[i] @ psi)
                      for i in range(3)])
     gamma = params.p_total - grad - weyl_vacuum_expectation(
@@ -302,7 +303,7 @@ def test_weyl_vacuum_expectation_on_slice_shell(small_setup):
 def test_frame_energy_offset_consistency(small_setup):
     params, grid, basis = small_setup
     g = np.array([0.1, 0.02, 0.0])
-    off = FiberFamily(params, grid, basis, 2).frame(g).offset
+    off = FiberFamily(params, grid, basis, 2).frame(g).s
     f = displacement_coeffs(g, grid, range(2), params.alpha)
     delta = direction_weights(grid, g)
     p = params.p_total
@@ -325,13 +326,13 @@ def test_assembled_operators_are_symmetric(small_setup):
 
 def test_family_x_vacuum_expectation(small_setup):
     params, grid, basis = small_setup
-    beta = FiberFamily(params, grid, basis, 1).beta
     v = basis.vacuum()
+    # X_i v = P_i v - beta_i v; photon momentum annihilates the vacuum and
+    # the field part is off-diagonal, so only the scalar survives
+    x_v = (params.p_total[:, None] * v
+           - FiberFamily(params, grid, basis, 1).factors.apply(v))
     for i in range(3):
-        # X_i v = P_i v - beta_i v; photon momentum annihilates the vacuum
-        # and the field part is off-diagonal, so only the scalar survives
-        x_v = params.p_total[i] * v - beta[i] @ v
-        assert v @ x_v == pytest.approx(params.p_total[i], abs=1e-14)
+        assert v @ x_v[i] == pytest.approx(params.p_total[i], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +403,8 @@ def test_frame_family_k_equals_product_form(tiny_setup, alpha, p, j, g,
     frame = family.frame(g)
     ref, offset = assemble_displaced_hamiltonian(
         params, family.grid, family.basis, j, g, gamma)
-    assert frame.offset == offset
-    assert_factor_form_matches(frame.k(gamma), ref)
+    assert frame.s == offset
+    assert_factor_form_matches(FactorOp(frame, gamma), ref)
 
 
 @settings(max_examples=40, deadline=None)
@@ -470,22 +471,22 @@ def test_one_pass_factors_match_the_ladder_algebra(small_setup, alpha, j,
     params, grid, basis = small_setup
     params = dataclasses.replace(params, alpha=alpha)
     family = FiberFamily(params, grid, basis, j)
-    frame = family.frame(g)
     for ref, factors in ((ladder_factors(params, grid, basis, j),
-                          family.h(params.p_total).factors),
+                          family.factors),
                          (ladder_factors(params, grid, basis, j, g),
-                          frame.k(np.zeros(3)).factors)):
+                          family.frame(g))):
         for s in range(j, min(j + 1, params.n_scales) + 1):
             idx = basis.sector_indices(grid, s)
-            for rows, ops in ((factors.rows, ref),
-                              (factors.sector(idx).rows,
-                               [op[idx][:, idx] for op in ref])):
-                for got, want in zip(rows, ops):
-                    assert np.all(got.data != 0.0)
-                    assert np.array_equal(got.indptr, want.indptr)
-                    assert np.array_equal(got.indices, want.indices)
-                    assert np.all(np.abs(got.data - want.data)
-                                  <= 1e-15 * np.abs(want.data))
+            for got, ops in ((factors.stacked, ref),
+                             (factors.sector(idx).stacked,
+                              [op[idx][:, idx] for op in ref])):
+                # the stack is F_0, F_1, F_2 one under the other
+                want = sp.vstack(ops, format="csr")
+                assert np.all(got.data != 0.0)
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+                assert np.all(np.abs(got.data - want.data)
+                              <= 1e-15 * np.abs(want.data))
 
 
 def test_scale_factors_map_sectors_j_and_j_plus_1_into_themselves(
@@ -500,23 +501,26 @@ def test_scale_factors_map_sectors_j_and_j_plus_1_into_themselves(
         for s in range(j, min(j + 1, params.n_scales) + 1):
             inside = np.zeros(basis.size, dtype=bool)
             inside[basis.sector_indices(grid, s)] = True
-            for op in family.beta + family.frame(g).pi:
-                assert op[~inside][:, inside].count_nonzero() == 0
-                assert op[inside][:, ~inside].count_nonzero() == 0
+            # row r of every F_i is a row of the stack
+            rows = np.tile(inside, 3)
+            for op in (family.factors.stacked, family.frame(g).stacked):
+                assert op[~rows][:, inside].count_nonzero() == 0
+                assert op[rows][:, ~inside].count_nonzero() == 0
 
 
 def test_family_sectors_are_built_once(small_setup, monkeypatch):
     # every H(P) of a family shares one set of sector factors per sector,
     # and so does every K(gamma) of a frame; the whole basis is the
-    # family's own factors, not a copy
+    # family's own factors, not a copy, and a frame's factors are built
+    # when the frame is
     from fqed import hamiltonian
 
     builds = []
     init = hamiltonian._Factors.__init__
 
-    def counted(self, basis, diag, coeffs, d, idx=None):
+    def counted(self, basis, diag, coeffs, d, s=0.0, idx=None):
         builds.append(len(d))
-        init(self, basis, diag, coeffs, d, idx)
+        init(self, basis, diag, coeffs, d, s, idx)
 
     monkeypatch.setattr(hamiltonian._Factors, "__init__", counted)
     params, grid, basis = small_setup
@@ -528,16 +532,16 @@ def test_family_sectors_are_built_once(small_setup, monkeypatch):
     for _ in range(2):
         hs = [family.h(p).sector(idx[s]) for p in (params.p_total, zero)
               for s in (1, 2)]
-        ks = [frame.k(gamma).sector(idx[1])
+        ks = [FactorOp(frame, gamma).sector(idx[1])
               for gamma in (zero, np.array([0.002, 0.0, -0.001]))]
-    assert builds == [basis.size, len(idx[1]), basis.size, len(idx[1])]
+    assert builds == [basis.size, basis.size, len(idx[1]), len(idx[1])]
     assert hs[0].factors is hs[2].factors is not family.h(zero).factors
     assert hs[1].factors is hs[3].factors is family.h(zero).factors
     assert ks[0].factors is ks[1].factors
     # the sector operator is the full one on the sector's states
     v = np.zeros(basis.size)
     v[idx[1]] = np.random.default_rng(3).standard_normal(len(idx[1]))
-    for op in (family.h(params.p_total), frame.k(np.array([0.01, 0, 0]))):
+    for op in (family.h(params.p_total), FactorOp(frame, [0.01, 0, 0])):
         full = op @ v
         assert np.max(np.abs(full[idx[1]] - op.sector(idx[1]) @ v[idx[1]])) \
             <= 1e-15 * np.max(np.abs(full))

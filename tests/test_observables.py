@@ -8,6 +8,7 @@ from conftest import custom_grid
 from fqed.cascade import (cascade_scales, open_cascade, run_cascade,
                           sector_ground)
 from fqed.fock import creation_sum, enumerate_basis, ladder
+from fqed.bogoliubov import displaced_momentum_ops
 from fqed.hamiltonian import (FiberFamily, ModelParams,
                               assemble_displaced_hamiltonian,
                               assemble_h_fiber, slice_marginal_coeffs)
@@ -357,9 +358,11 @@ def dense_bound_constants(family, rec):
     over the eigenpairs with a_n = |<v_n, w>|^2."""
     params = family.params
     axis = momentum_axis(params.p_total)
-    frame = family.frame(rec.grad_energy)
-    shift, gamma = dense_centering(frame.pi, rec.phi)
-    vals, vecs = dense_spectrum(frame.k(shift))
+    shift, gamma = dense_centering(
+        displaced_momentum_ops(family, rec.grad_energy), rec.phi)
+    vals, vecs = dense_spectrum(assemble_displaced_hamiltonian(
+        params, family.grid, family.basis, family.j, rec.grad_energy,
+        shift)[0])
     w3 = gamma[axis] @ rec.phi
     lam_coeff = slice_marginal_coeffs(params, family.grid, rec.j,
                                       rec.grad_energy)
@@ -606,7 +609,7 @@ def dense_displaced_route(frame):
     axis = momentum_axis(params.p_total)
     phi = frame.phi / np.linalg.norm(frame.phi)
     _, gammas = dense_centering(
-        frame.family.frame(frame.grad_energy).pi, phi)
+        displaced_momentum_ops(frame.family, frame.grad_energy), phi)
     gamma = gammas[axis]
     target = gamma @ phi
     energy = frame.energy
