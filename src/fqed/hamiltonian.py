@@ -52,7 +52,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .bogoliubov import displacement_coeffs, weyl_vacuum_expectation
+from .bogoliubov import (displaced_momentum_ops, displacement_coeffs,
+                         weyl_vacuum_expectation)
 from .fock import FockBasis, linear_field, number_diagonal
 from .modes import CutoffSequence, ModeGrid, ParameterError, direction_weights
 
@@ -358,18 +359,23 @@ def assemble_displaced_hamiltonian(
 
     K = (1/2) sum_i (Pi_i - gamma_shift_i)^2 + sum_m |k_m| delta_m n_m
         + offset in product form, the reference for ``FactorOp`` on
-    ``FiberFamily.frame``; with the ground-state expectation of Pi as
-    shift, Pi - shift is Gamma.
+    ``FiberFamily.frame``, built without its factors: Pi from
+    ``displaced_momentum_ops``, the number diagonal and the offset in
+    closed form; with the ground-state expectation of Pi as shift,
+    Pi - shift is Gamma.
     """
-    frame = FiberFamily(params, grid, basis, j).frame(grad_energy)
+    g = np.asarray(grad_energy, dtype=float)
     gamma_shift = np.asarray(gamma_shift, dtype=float).reshape(3)
     eye = sp.identity(basis.size, format="csr")
-    f = displacement_coeffs(grad_energy, grid, range(j), params.alpha)
-    pi = [beta - linear_field(basis, grid.k[:, i] * f)
-          for i, beta in enumerate(_field_momentum(params, grid, basis, j))]
+    pi = displaced_momentum_ops(FiberFamily(params, grid, basis, j), g)
     gam = [pi[i] - gamma_shift[i] * eye for i in range(3)]
+    p, delta = params.p_total, direction_weights(grid, g)
+    f = displacement_coeffs(g, grid, range(j), params.alpha)
+    offset = float(p @ p / 2.0 - (p - g) @ (p - g) / 2.0
+                   - np.sum(grid.knorm * delta * f ** 2))
     return _symmetrize(0.5 * sum(gi @ gi for gi in gam)
-                       + sp.diags(frame.d) + frame.s * eye), frame.s
+                       + sp.diags(number_diagonal(basis, grid.knorm * delta))
+                       + offset * eye), offset
 
 
 def slice_marginal_coeffs(params: ModelParams, grid: ModeGrid,

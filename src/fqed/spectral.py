@@ -22,6 +22,11 @@ coefficients and lifts the sum once.  The resolvent
 functions take the solver as their first argument and act on its
 operator.  The dense oracles, ``dense_spectrum`` and the perturbation
 series ``neumann_project``, take the operator itself.
+
+An operator is anything with ``shape`` and ``@`` on vectors and (n, k)
+blocks, and ``diagonal()`` for Davidson: an array, a sparse matrix or a
+``hamiltonian.FactorOp``.  Every solver applies the operator it is given;
+none converts it or branches on its type.
 """
 
 from __future__ import annotations
@@ -32,11 +37,10 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .modes import ParameterError
+from .modes import ParameterError, ResourceError
 
 
 class SolverError(RuntimeError):
@@ -136,27 +140,22 @@ class GroundStateRecord:
     degenerate: bool = False
 
 
-#: Identity columns a factored operator is applied to at a time when it is
-#: made dense.
+#: Identity columns an operator is applied to at a time when it is made
+#: dense.
 _DENSE_BLOCK = 256
 
 
-def _csr(op) -> sp.csr_matrix:
-    return op.tocsr() if sp.issparse(op) else sp.csr_matrix(op)
-
-
 def _dense(op, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
-    """``op`` as a dense array.  A factored operator (anything else with
-    ``shape`` and ``@``) is applied to the identity's columns, a block at
-    a time, and symmetrized, so it is never assembled in product form."""
+    """``op`` as a new dense array: an array is copied, any other operator
+    applied to the identity's columns, a block at a time, and symmetrized
+    (exact for an exactly symmetric matrix).  Raises ``ResourceError``
+    above ``dense_limit`` states, before allocating."""
     n = op.shape[0]
     if n > dense_limit:
-        raise ResourceWarning(
+        raise ResourceError(
             f"dense oracle limited to {dense_limit}, operator is {n}")
-    if sp.issparse(op):
-        return op.toarray()
     if isinstance(op, np.ndarray):
-        return np.asarray(op, dtype=float)
+        return np.array(op, dtype=float)
     out = np.empty((n, n))
     for lo in range(0, n, _DENSE_BLOCK):
         cols = np.eye(n, min(_DENSE_BLOCK, n - lo), -lo)
@@ -181,7 +180,7 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``scipy.linalg.eigh(a)`` bit for bit, without its per-call checks."""
     n = a.shape[0]
     if not np.isfinite(a).all():
-        raise SolverError("Rayleigh-Ritz matrix is not finite")
+        raise SolverError("symmetric eigenproblem matrix is not finite")
     lwork, liwork = _syevr_work(n)
     w, v, _, _, info = lapack.dsyevr(a, compute_v=1, range="A", lower=1,
                                      lwork=lwork, liwork=liwork,
@@ -192,18 +191,8 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dense_spectrum(op, dense_limit: int = DENSE_LIMIT):
-    """Full symmetric eigendecomposition; the testing oracle."""
-    return sla.eigh(_dense(op, dense_limit))
-
-
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    peak = int(np.argmax(np.abs(v)))
-    return -v if v[peak] < 0.0 else v
-
-
-def _deterministic_start(n: int) -> np.ndarray:
-    v0 = 1.0 / (1.0 + np.arange(n))
-    return v0 / np.linalg.norm(v0)
+    """All eigenpairs, ascending, by one ``_eigh`` call; the dense oracle."""
+    return _eigh(_dense(op, dense_limit))
 
 
 def _davidson(op, pairs: int, start: np.ndarray):
@@ -289,37 +278,31 @@ def ground_state(op, dense_cutoff: int = DENSE_EIG_CUTOFF, pairs: int = 3,
     diagonal preconditioner (method ``"davidson"``, at any size above 5),
     which raises ``SolverError`` at its iteration cap.  Cold solves (no
     start, or a zero one) up to ``dense_cutoff`` use the dense oracle
-    directly (the cutoff is its only size limit): the full spectrum, or
-    with ``pairs=1`` the lowest pair alone (LAPACK ``dsyevr`` on index
-    range [0, 0]).  Larger cold ones use the implicitly restarted Lanczos
-    solver for ``pairs`` pairs from a fixed vector, with a seeded generator
-    for its restarts.  Every path is deterministic, so repeated runs are
-    bit-identical.  The gap is NaN when no second eigenvalue is known:
-    ``pairs=1``, a 1 x 1 operator, or a partial Lanczos result with one
-    pair.  ``op`` may be a dense array, a sparse matrix or a factored
-    operator (``hamiltonian.FactorOp``), which every path only applies:
-    the dense one to the identity's columns (``_dense``).
+    directly (the cutoff is its only size limit): ``dense_spectrum``, of
+    which the lowest ``pairs`` pairs are kept.  Larger cold ones use the
+    implicitly restarted Lanczos solver for ``pairs`` pairs from a fixed
+    vector, with a seeded generator for its restarts.  Every path is
+    deterministic, so repeated runs are bit-identical.  The gap is NaN
+    when no second eigenvalue is known: ``pairs=1``, a 1 x 1 operator, or
+    a partial Lanczos result with one pair.  Every path only applies the
+    symmetric ``op``, the dense one to the identity's columns (``_dense``).
     """
     n = op.shape[0]
     started = n > 5 and start is not None and bool(np.any(start))
-    # a matrix goes in as CSR; a factored operator is applied as it is
-    matrix = sp.issparse(op) or isinstance(op, np.ndarray)
     if not started and n <= max(dense_cutoff, 5):
-        if pairs == 1:
-            vals, vecs = sla.eigh(_dense(op, n), subset_by_index=[0, 0])
-        else:
-            vals, vecs = dense_spectrum(op, dense_limit=n)
+        vals, vecs = dense_spectrum(op, dense_limit=n)
+        vals, vecs = vals[:pairs], vecs[:, :pairs]
         method = "dense"
     elif started:
-        vals, vecs = _davidson(_csr(op) if matrix else op, pairs, start)
+        vals, vecs = _davidson(op, pairs, start)
         method = "davidson"
     else:
-        a = _csr(op) if matrix else spla.LinearOperator(
-            op.shape, matvec=op.__matmul__, matmat=op.__matmul__,
-            dtype=float)
+        a = spla.LinearOperator(op.shape, matvec=op.__matmul__,
+                                matmat=op.__matmul__, dtype=float)
+        v0 = 1.0 / (1.0 + np.arange(n))
         try:
             vals, vecs = spla.eigsh(
-                a, k=pairs, which="SA", v0=_deterministic_start(n),
+                a, k=pairs, which="SA", v0=v0 / np.linalg.norm(v0),
                 tol=0, ncv=min(n - 1, 60), rng=np.random.default_rng(0))
         except spla.ArpackNoConvergence as exc:
             if len(exc.eigenvalues) == 0:
@@ -329,7 +312,8 @@ def ground_state(op, dense_cutoff: int = DENSE_EIG_CUTOFF, pairs: int = 3,
         vals, vecs = vals[order], vecs[:, order]
         method = "lanczos"
     energy = float(vals[0])
-    vec = _fix_sign(np.ascontiguousarray(vecs[:, 0]))
+    vec = np.ascontiguousarray(vecs[:, 0])
+    vec = -vec if vec[np.argmax(np.abs(vec))] < 0.0 else vec
     gap = float(vals[1] - vals[0]) if len(vals) > 1 else np.nan
     residual = float(np.linalg.norm(op @ vec - energy * vec))
     if residual > max(GROUND_TOL, 1e-13 * max(1.0, abs(energy))) * 100:
@@ -444,7 +428,7 @@ class _KrylovSpace:
 
 
 class ResolventSolver:
-    """Reusable solver for (op - z)x = b at many shifts z.
+    """Reusable solver for (op - z)x = b at many shifts z; applies op as is.
 
     ``reduce(b)`` starts the Lanczos space of the real vector b, in which b
     has the coefficients ||b|| e1 and the operator is tridiagonal;
@@ -453,7 +437,7 @@ class ResolventSolver:
     """
 
     def __init__(self, op):
-        self._op = op.tocsr() if sp.issparse(op) else op
+        self._op = op
 
     def reduce(self, b: np.ndarray) -> _KrylovSpace:
         """The Lanczos space of the right-hand side b."""

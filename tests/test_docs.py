@@ -5,8 +5,9 @@ suites is the one the command accepts, every name a demo imports from
 ``fqed`` exists, every call a demo makes to such a name binds to its
 signature, the demos that evaluate routes and probes from cascade
 records run to the end, the benchmark's copy of the demo config is that
-config byte for byte, and every solver constant README gives a value for
-has that value in the code."""
+config byte for byte, every solver constant README gives a value for
+has that value in the code, and no module of the package imports a name
+it never uses."""
 
 import ast
 import importlib
@@ -22,6 +23,7 @@ from fqed.observables import SCAN_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+MODULES = sorted((ROOT / "src" / "fqed").glob("*.py"))
 
 
 def config_table() -> list[tuple[str, str]]:
@@ -129,6 +131,30 @@ def test_demo_calls_bind(demo):
         except TypeError as exc:
             unbound.append(f"line {node.lineno}: {node.func.id}: {exc}")
     assert unbound == []
+
+
+def test_modules_use_every_name_they_import():
+    # a module-level import binds a name the module reads; __init__.py's
+    # imports are its re-exports
+    unused = []
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0]
+                         for a in node.names]
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}: {name}"
+                       for name in bound if name not in read]
+    assert unused == []
 
 
 @pytest.mark.parametrize("name", [

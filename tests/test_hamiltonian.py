@@ -407,6 +407,28 @@ def test_frame_family_k_equals_product_form(tiny_setup, alpha, p, j, g,
     assert_factor_form_matches(FactorOp(frame, gamma), ref)
 
 
+def test_k_reference_does_not_read_the_frame_factors(tiny_setup,
+                                                      monkeypatch):
+    # the product-form reference for K(gamma) builds Pi, the number
+    # diagonal and the offset itself, not from the factors it checks
+    import fqed.hamiltonian as hamiltonian
+
+    params, grid, basis = tiny_setup
+    params = dataclasses.replace(params, alpha=5e-3,
+                                 p_total=np.array([0.2, 0.0, 0.1]))
+    g = np.array([0.15, 0.05, 0.0])
+    frame = FiberFamily(params, grid, basis, 1).frame(g)
+
+    def no_factors(*args, **kwargs):
+        raise AssertionError("reference read the frame's factors")
+
+    monkeypatch.setattr(hamiltonian, "_frame_factors", no_factors)
+    ref, offset = assemble_displaced_hamiltonian(params, grid, basis, 1, g,
+                                                 np.zeros(3))
+    assert offset == frame.s
+    assert_factor_form_matches(FactorOp(frame, np.zeros(3)), ref)
+
+
 @settings(max_examples=40, deadline=None)
 @given(ALPHAS, MOMENTA)
 def test_slice_telescoping_on_random_boxes(tiny_setup, alpha, p):

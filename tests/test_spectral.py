@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,22 +254,62 @@ def test_davidson_eigen_step_equals_scipy_eigh(n):
         spectral._eigh(a)
 
 
+class _Unconvertible(sp.csr_matrix):
+    """A sparse matrix that refuses to be converted."""
+
+    def tocsr(self, copy=False):
+        raise AssertionError("sparse operator converted to CSR")
+
+    def toarray(self, order=None, out=None):
+        raise AssertionError("sparse operator converted to an array")
+
+
 def test_factored_operator_is_never_assembled(small_setup, monkeypatch):
-    # the dense oracle applies the operator to identity columns, in blocks
-    # of 256 (two at dim 325), and the cold Lanczos solve applies it too
+    # every path applies the operator it is given: the dense one to identity
+    # columns, in blocks of 256 (two at dim 325), a started Davidson solve,
+    # a cold Lanczos solve and a contour projection; a factored operator is
+    # never assembled and a sparse matrix never converted
     import fqed.spectral as spectral
     from fqed.hamiltonian import FactorOp
 
-    op = _shifted_sector(small_setup, 5e-3)
-    ref = op.tocsr().toarray()
+    factored = _shifted_sector(small_setup, 5e-3)
+    ref = factored.tocsr().toarray()
+    matrix = _Unconvertible(factored.tocsr())
     monkeypatch.setattr(FactorOp, "tocsr", None)
-    dense = spectral._dense(op)
-    assert np.array_equal(dense, dense.T)
-    assert np.max(np.abs(dense - ref)) <= 1e-14
-    vals, _ = dense_spectrum(ref)
-    for rec in (ground_state(op), ground_state(op, dense_cutoff=10)):
-        assert abs(rec.energy - vals[0]) <= 1e-12
-        assert abs(rec.gap - (vals[1] - vals[0])) <= 1e-10
+    vals, vecs = dense_spectrum(ref)
+    contour = Contour(vals[0], 0.5 * (vals[1] - vals[0]))
+    v = np.ones(len(ref))
+    for op in (factored, matrix):
+        dense = spectral._dense(op)
+        assert np.array_equal(dense, dense.T)
+        assert np.max(np.abs(dense - ref)) <= 1e-14
+        for rec in (ground_state(op), ground_state(op, dense_cutoff=10),
+                    ground_state(op, start=v)):
+            assert abs(rec.energy - vals[0]) <= 1e-12
+            assert abs(rec.gap - (vals[1] - vals[0])) <= 1e-10
+        pv = contour_project(ResolventSolver(op), contour, v)
+        assert np.max(np.abs(pv - vecs[:, 0] * (vecs[:, 0] @ v))) <= 1e-10
+    # an exactly symmetric matrix applied to identity columns is its array
+    assert np.array_equal(spectral._dense(matrix), ref)
+
+
+def test_dense_size_guard_raises_before_allocating():
+    import fqed.spectral as spectral
+    from fqed.modes import ResourceError
+
+    limit = spectral.DENSE_LIMIT + 1
+
+    class ShapeOnly:
+        shape = (limit, limit)
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match=f"limited to {limit - 1}"):
+            dense_spectrum(ShapeOnly())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sector_start_without_sector_weight_is_no_start(small_setup,
