@@ -56,6 +56,13 @@ def displacement_generator(f: np.ndarray,
     return (c - c.T).tocsr()
 
 
+def _one_norm(gen: sp.spmatrix) -> float:
+    """The 1-norm of ``gen``, its largest absolute column sum, by the
+    formula of ``scipy.sparse.linalg.norm(gen, 1)``, which would import
+    ``scipy.linalg``."""
+    return abs(gen).sum(axis=0).max()
+
+
 def _expm_apply(gen: sp.spmatrix, v: np.ndarray, tol: float = 1e-15,
                 max_terms: int = 60) -> np.ndarray:
     """Deterministic exp(gen) @ v by scaled Taylor summation.
@@ -64,7 +71,7 @@ def _expm_apply(gen: sp.spmatrix, v: np.ndarray, tol: float = 1e-15,
     step count and term count depend only on the inputs, so repeated runs
     are bit-identical.
     """
-    nrm = sp.linalg.norm(gen, 1) if gen.nnz else 0.0
+    nrm = _one_norm(gen)
     steps = max(1, int(np.ceil(nrm / 0.5)))
     out = np.array(v, dtype=float, copy=True)
     for _ in range(steps):

@@ -459,7 +459,11 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 
 #: The OpenBLAS builds bundled with numpy and scipy, as (package, library
-#: glob, thread-count setter); each package loads its own.
+#: glob, thread-count setter); each package loads its own.  Every eigensolve
+#: and product a command makes runs in numpy's.  Scipy's runs only the dense
+#: oracles and the cold ARPACK solves, which import ``scipy.linalg`` where
+#: they run; it is pinned all the same (loading it costs about 1.5 MiB), so
+#: that a program reaching them is deterministic too.
 _BLAS_POOLS = (
     ("numpy", "libscipy_openblas64_*", "scipy_openblas_set_num_threads64_"),
     ("scipy", "libscipy_openblas-*", "scipy_openblas_set_num_threads"),
@@ -471,9 +475,10 @@ def _pin_blas_threads():
 
     BLAS rounds a product differently at different thread counts, so a
     command's outputs would depend on the machine's core count and on the
-    ``OPENBLAS_NUM_THREADS`` it inherits.  The pools are already loaded,
-    so each is set through its own library's setter.  A pool whose
-    library or setter is not found is left as it is, with a warning.
+    ``OPENBLAS_NUM_THREADS`` it inherits.  Each pool is set through its
+    own library's setter, which loads the library if its package has not
+    yet.  A pool whose library or setter is not found is left as it is,
+    with a warning.
     """
     for package, pattern, setter in _BLAS_POOLS:
         libs = Path(importlib.import_module(package).__file__).parent.parent

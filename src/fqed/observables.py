@@ -33,7 +33,6 @@ import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .bogoliubov import centered_momentum_vectors
 from .cascade import (CONTOUR_NODES, CascadeError, ScaleRecord,
@@ -532,8 +531,7 @@ def resolvent_bound_probes(family: FiberFamily, rec: ScaleRecord):
             return np.nan, np.nan
         for z in points:
             solver.solve(z, space)
-        k = space.steps
-        nodes, vecs = eigh_tridiagonal(space.alpha[:k], space.beta[:k - 1])
+        nodes, vecs = space.ritz()
         a, inv = (space.b0 * vecs[0]) ** 2, 1.0 / (nodes[:, None] - points)
         return [np.max(a @ abs(inv) ** p / abs(a @ inv ** p)) for p in (1, 2)]
 

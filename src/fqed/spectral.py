@@ -15,9 +15,10 @@ integral in the package is this sum, evaluated by ``contour_sum`` on the
 upper half circle.
 
 Shifted solves work in a Lanczos space per real right-hand side, where the
-operator is tridiagonal: ``ResolventSolver.reduce`` starts the space of a
-vector, and a solve returns plain coefficient arrays in that space.  A
-contour node then costs a tridiagonal solve; an integral sums its nodes'
+operator is a symmetric tridiagonal T = S diag(theta) S^T:
+``ResolventSolver.reduce`` starts the space of a vector, and a solve returns
+plain coefficient arrays in that space, read from T's Ritz pairs.  A
+contour node then costs one product with S; an integral sums its nodes'
 coefficients and lifts the sum once.  The resolvent
 functions take the solver as their first argument and act on its
 operator.  The dense oracles, ``dense_spectrum`` and the perturbation
@@ -27,18 +28,22 @@ An operator is anything with ``shape`` and ``@`` on vectors and (n, k)
 blocks, and ``diagonal()`` for Davidson: an array, a sparse matrix or a
 ``hamiltonian.FactorOp``.  Every solver applies the operator it is given;
 none converts it or branches on its type.
+
+Every eigensolve a command makes is one ``numpy.linalg.eigh`` call
+(``_eigh``): Davidson's Rayleigh-Ritz step, the cold dense ground states
+and the Ritz pairs of every Krylov space.  The dense oracles and the cold
+ARPACK solves above ``DENSE_EIG_CUTOFF``, which no command reaches, use
+scipy's LAPACK, imported inside the function that runs them: a command
+loads neither ``scipy.linalg`` nor ``scipy.sparse.linalg``, and an oracle
+checks the production path with another driver from another library.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from .modes import ParameterError, ResourceError
 
@@ -86,8 +91,14 @@ KRYLOV_TOL = 1e-13
 #: Largest Krylov space per right-hand side.
 KRYLOV_MAX = 1200
 
-#: Lanczos vectors added each time a Krylov space grows.
+#: Lanczos vectors added each time a Krylov space grows, up to
+#: ``KRYLOV_LINEAR_MAX`` vectors.
 KRYLOV_BLOCK = 8
+
+#: Krylov space size past which a space doubles when it grows: each size
+#: costs one O(k^3) eigendecomposition of its tridiagonal, so growing to
+#: ``KRYLOV_MAX`` costs a bounded multiple of the last one.
+KRYLOV_LINEAR_MAX = 128
 
 #: Norm below which a Lanczos step's new vector (of a unit one) ends the
 #: space as invariant.
@@ -165,34 +176,24 @@ def _dense(op, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _syevr_work(n: int) -> tuple[int, int]:
-    """The (lwork, liwork) that ``scipy.linalg.eigh`` passes to ``dsyevr``
-    for an n x n lower triangle; other sizes change the rounding."""
-    work, iwork, info = lapack.dsyevr_lwork(n, lower=1)
-    if info != 0:
-        raise ValueError(f"dsyevr workspace query failed: {info}")
-    return int(work), int(iwork)
-
-
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs of the symmetric ``a`` (its lower triangle), ascending:
-    ``scipy.linalg.eigh(a)`` bit for bit, without its per-call checks."""
-    n = a.shape[0]
+    """All eigenpairs of the symmetric ``a`` (its lower triangle), ascending,
+    by ``numpy.linalg.eigh``; raises ``SolverError`` when ``a`` is not
+    finite, where LAPACK's result is undefined."""
     if not np.isfinite(a).all():
         raise SolverError("symmetric eigenproblem matrix is not finite")
-    lwork, liwork = _syevr_work(n)
-    w, v, _, _, info = lapack.dsyevr(a, compute_v=1, range="A", lower=1,
-                                     lwork=lwork, liwork=liwork,
-                                     overwrite_a=1)
-    if info != 0:
-        raise SolverError(f"dsyevr failed: {info}")
-    return w, v
+    return np.linalg.eigh(a)
 
 
 def dense_spectrum(op, dense_limit: int = DENSE_LIMIT):
-    """All eigenpairs, ascending, by one ``_eigh`` call; the dense oracle."""
-    return _eigh(_dense(op, dense_limit))
+    """All eigenpairs, ascending, by ``scipy.linalg.eigh`` (LAPACK
+    ``dsyevr`` in scipy's OpenBLAS); the dense oracle.  No command calls
+    it: it checks the production eigensolves (``_eigh``) with another
+    driver from another library, and imports it here so that a command
+    never loads ``scipy.linalg``."""
+    from scipy.linalg import eigh
+
+    return eigh(_dense(op, dense_limit))
 
 
 def _davidson(op, pairs: int, start: np.ndarray):
@@ -203,12 +204,11 @@ def _davidson(op, pairs: int, start: np.ndarray):
     The search space starts as ``start`` and the ``pairs + 2`` unit vectors
     of the lowest diagonal entries (a stable sort), which give it weight on
     levels that a start sharing the operator's symmetries cannot reach.
-    Each step takes the Rayleigh-Ritz pairs of the space (LAPACK
-    ``dsyevr``, called as ``scipy.linalg.eigh`` calls it) and adds one
-    correction (diag - theta_i)^{-1} r_i per wanted pair whose residual is
-    above ``DAVIDSON_TOL`` times the operator's largest absolute diagonal
-    entry (at least 1),
-    orthonormalized by two Gram-Schmidt passes; past ``DAVIDSON_MAX_DIM``
+    Each step takes the Rayleigh-Ritz pairs of the space (``_eigh``) and
+    adds one correction (diag - theta_i)^{-1} r_i per wanted pair whose
+    residual is above ``DAVIDSON_TOL`` times the operator's largest
+    absolute diagonal entry (at least 1), orthonormalized by two
+    Gram-Schmidt passes; past ``DAVIDSON_MAX_DIM``
     vectors the space restarts from its ``pairs + 2`` lowest Ritz vectors.
     Nothing is random, so a solve is bit-identical on every run.  Returns
     (values, vectors) ascending.
@@ -277,26 +277,31 @@ def ground_state(op, dense_cutoff: int = DENSE_EIG_CUTOFF, pairs: int = 3,
     A solve given a nonzero ``start`` refines it by block Davidson with the
     diagonal preconditioner (method ``"davidson"``, at any size above 5),
     which raises ``SolverError`` at its iteration cap.  Cold solves (no
-    start, or a zero one) up to ``dense_cutoff`` use the dense oracle
-    directly (the cutoff is its only size limit): ``dense_spectrum``, of
-    which the lowest ``pairs`` pairs are kept.  Larger cold ones use the
-    implicitly restarted Lanczos solver for ``pairs`` pairs from a fixed
-    vector, with a seeded generator for its restarts.  Every path is
-    deterministic, so repeated runs are bit-identical.  The gap is NaN
-    when no second eigenvalue is known: ``pairs=1``, a 1 x 1 operator, or
-    a partial Lanczos result with one pair.  Every path only applies the
-    symmetric ``op``, the dense one to the identity's columns (``_dense``).
+    start, or a zero one) up to ``dense_cutoff`` take the whole spectrum
+    by one ``numpy.linalg.eigh`` (``_eigh``) of the dense operator (the
+    cutoff is its only size limit), of which the lowest ``pairs`` pairs
+    are kept.  Larger cold
+    ones use scipy's implicitly restarted Lanczos solver (ARPACK) for
+    ``pairs`` pairs from a fixed vector, with a seeded generator for its
+    restarts; no command reaches that branch, which imports scipy where it
+    runs.  Every path is deterministic, so repeated runs are bit-identical.
+    The gap is NaN when no second eigenvalue is known: ``pairs=1``, a 1 x 1
+    operator, or a partial Lanczos result with one pair.  Every path only
+    applies the symmetric ``op``, the dense one to the identity's columns
+    (``_dense``).
     """
     n = op.shape[0]
     started = n > 5 and start is not None and bool(np.any(start))
     if not started and n <= max(dense_cutoff, 5):
-        vals, vecs = dense_spectrum(op, dense_limit=n)
+        vals, vecs = _eigh(_dense(op, dense_limit=n))
         vals, vecs = vals[:pairs], vecs[:, :pairs]
         method = "dense"
     elif started:
         vals, vecs = _davidson(op, pairs, start)
         method = "davidson"
     else:
+        import scipy.sparse.linalg as spla
+
         a = spla.LinearOperator(op.shape, matvec=op.__matmul__,
                                 matmat=op.__matmul__, dtype=float)
         v0 = 1.0 / (1.0 + np.arange(n))
@@ -326,28 +331,21 @@ def ground_state(op, dense_cutoff: int = DENSE_EIG_CUTOFF, pairs: int = 3,
                              degenerate=bool(gap < 1e-12))
 
 
-def _tridiag_solve(d: np.ndarray, e: np.ndarray, z: complex,
-                   y: np.ndarray) -> np.ndarray:
-    """(T - z)^{-1} y for the symmetric tridiagonal T with diagonal ``d``
-    and complex off-diagonal ``e``."""
-    if len(d) == 1:
-        return y.astype(complex) / (d[0] - z)
-    _, _, _, x, info = lapack.zgtsv(e, d - z, e, y)
-    if info != 0:
-        raise ConditioningError(f"tridiagonal solve failed: {info}")
-    return x
-
-
 class _KrylovSpace:
     """Reorthogonalized Lanczos space for one real right-hand side b.
 
     The same basis V serves every shift z: (op - z)^{-1} b is approximated
-    by V (T - z)^{-1} (||b|| e1), with the exact shifted residual available
-    as beta_k |y_k| so the space can be grown, up to ``max_dim`` vectors,
-    until ``KRYLOV_TOL`` holds for the shifts actually used.  The space only
-    grows by appending basis vectors, so its coefficient arrays are padded
-    with zeros to ``max_dim``: padded coefficients stay exact at any later
-    size, and coefficients of one space add as plain arrays.
+    by V (T - z)^{-1} (||b|| e1) for the space's tridiagonal T.  A solve
+    reads that from T's Ritz pairs T = S diag(theta) S^T (``ritz``, one
+    ``numpy.linalg.eigh`` per size the space reaches) as S (||b|| S^T e1 /
+    (theta - z)), whose last entry y_k gives the exact shifted residual
+    beta_k |y_k|, so the space can be grown, up to ``max_dim`` vectors,
+    until ``KRYLOV_TOL`` holds for the shifts actually used.  It grows by
+    ``KRYLOV_BLOCK`` vectors at a time up to ``KRYLOV_LINEAR_MAX`` and
+    doubles past it.  The space only grows by appending basis vectors, so
+    its coefficient arrays are padded with zeros to ``max_dim``: padded
+    coefficients stay exact at any later size, and coefficients of one
+    space add as plain arrays.
     """
 
     def __init__(self, op, b: np.ndarray):
@@ -362,6 +360,7 @@ class _KrylovSpace:
                                 len(b)))
         if not self.exhausted:
             self._basis[0] = np.asarray(b, dtype=float) / self.b0
+        self._ritz = None
 
     def _grow(self, target: int):
         while self.steps < target and not self.exhausted:
@@ -386,9 +385,23 @@ class _KrylovSpace:
                 return
             self._basis[m + 1] = u / nb
 
+    def ritz(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Ritz values theta, ascending, and the eigenvectors S of the
+        space's tridiagonal T = S diag(theta) S^T at its current size;
+        decomposed once per size."""
+        k = self.steps
+        if self._ritz is None or len(self._ritz[0]) != k:
+            t = np.zeros((k, k))
+            i = np.arange(k)
+            t[i, i] = self.alpha[:k]
+            t[i[1:], i[:-1]] = self.beta[:k - 1]
+            self._ritz = _eigh(t)
+        return self._ritz
+
     def solve(self, z: complex) -> np.ndarray:
         """Coefficients of (op - z)^{-1} b, grown as needed; a complex
-        array of length ``max_dim``, zero beyond the current size."""
+        array of length ``max_dim``, zero beyond the current size.  Raises
+        ``ConditioningError`` when a Ritz value lies on z."""
         out = np.zeros(self.max_dim, dtype=complex)
         if self.b0 == 0.0:
             return out
@@ -396,10 +409,13 @@ class _KrylovSpace:
             self._grow(min(KRYLOV_BLOCK, self.max_dim))
         while True:
             k = self.steps
-            rhs = np.zeros(k)
-            rhs[0] = self.b0
-            y = _tridiag_solve(self.alpha[:k],
-                               self.beta[:k - 1].astype(complex), z, rhs)
+            theta, s = self.ritz()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                y = s @ (self.b0 * s[0] / (theta - z))
+            if not np.isfinite(y).all():
+                raise ConditioningError(
+                    f"shifted solve at z = {z} is singular: a Ritz value of "
+                    f"the size-{k} Krylov space lies on it")
             res = self.beta[k - 1] * abs(y[-1])
             converged = res <= KRYLOV_TOL * self.b0
             if converged or self.exhausted:
@@ -412,7 +428,8 @@ class _KrylovSpace:
                         f"{res / self.b0:.2e}")
                 out[:k] = y
                 return out
-            self._grow(min(k + KRYLOV_BLOCK, self.max_dim))
+            grown = k + KRYLOV_BLOCK if k < KRYLOV_LINEAR_MAX else 2 * k
+            self._grow(min(grown, self.max_dim))
 
     def lift(self, c: np.ndarray) -> np.ndarray:
         """The full vector V c of coefficients c.  The real basis meets
@@ -550,18 +567,21 @@ def neumann_project(op, delta_h, contour: Contour, v: np.ndarray,
     Term n applies (op - z)^{-1} [ -delta_h (op - z)^{-1} ]^n under the
     contour integral; the sum converges to the direct projection with the
     perturbed operator when the series terms decay.  Each node factors
-    op - z once and takes the n_terms + 1 solves from the factors.
+    op - z once (scipy's LU, imported here) and takes the n_terms + 1
+    solves from the factors.
     Returns (partial sum, per-term norms).
     """
+    from scipy.linalg import lu_factor, lu_solve
+
     a = _dense(op)
     eye = np.eye(len(a))
     minus_dh = -delta_h
 
     def node(z):
-        lu = sla.lu_factor(a - z * eye)
-        ys = [sla.lu_solve(lu, v)]
+        lu = lu_factor(a - z * eye)
+        ys = [lu_solve(lu, v)]
         for _ in range(n_terms):
-            ys.append(sla.lu_solve(lu, minus_dh @ ys[-1]))
+            ys.append(lu_solve(lu, minus_dh @ ys[-1]))
         return tuple(ys)
 
     terms = np.array([t.real for t in contour_sum(contour, node)])

@@ -108,6 +108,22 @@ def test_weyl_matches_dense_expm_oracle(tiny_setup):
     assert np.linalg.norm(out - expected) < 1e-12
 
 
+@pytest.mark.parametrize("g", [[0.15, 0.05, 0.0], [0.3, 0.0, 0.0],
+                               [0.0, 0.0, 0.0]])
+def test_one_norm_is_scipys_bit_for_bit(small_setup, g):
+    # the Taylor step count reads the 1-norm, so the transport is the same
+    # bits as with scipy's sparse norm
+    from scipy.sparse.linalg import norm
+
+    from fqed.bogoliubov import _one_norm
+
+    params, grid, basis = small_setup
+    field = displacement_coeffs(np.array(g), grid, range(2), params.alpha)
+    gen = displacement_generator(field, basis)
+    want = norm(gen, 1)
+    assert np.float64(_one_norm(gen)).tobytes() == np.float64(want).tobytes()
+
+
 def test_weyl_transport_is_orthogonal(small_setup):
     params, grid, basis = small_setup
     field = displacement_coeffs(np.array([0.3, 0, 0]), grid, range(2), 0.05)

@@ -284,13 +284,15 @@ def test_cascade_chains_its_ground_state_solves(small_setup, monkeypatch):
     # past scale 0's one-state sector every solve is a Davidson solve: scale
     # j's next-sector solve starts from its psi, and scale j + 1's sector
     # solve from that solve's vector; no cold solve runs after the first
+    import scipy.sparse.linalg
+
     import fqed.cascade as cascade
     import fqed.spectral as spectral
 
     params, grid, basis = small_setup
     solves, methods, dense = [], [], []
     sector_ground, ground_state = cascade.sector_ground, cascade.ground_state
-    dense_spectrum = spectral.dense_spectrum
+    to_dense = spectral._dense
 
     def recorded(params, grid, basis, j, **kwargs):
         out = sector_ground(params, grid, basis, j, **kwargs)
@@ -308,12 +310,13 @@ def test_cascade_chains_its_ground_state_solves(small_setup, monkeypatch):
 
     def counted(op, *args, **kwargs):
         dense.append(op.shape[0])
-        return dense_spectrum(op, *args, **kwargs)
+        return to_dense(op, *args, **kwargs)
 
     monkeypatch.setattr(cascade, "sector_ground", recorded)
     monkeypatch.setattr(cascade, "ground_state", method)
-    monkeypatch.setattr(spectral.spla, "eigsh", no_eigsh)
-    monkeypatch.setattr(spectral, "dense_spectrum", counted)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_eigsh)
+    # every dense solve, production or oracle, makes the operator dense
+    monkeypatch.setattr(spectral, "_dense", counted)
     state = run_cascade(params, grid, basis)
 
     assert [j for j, _, _ in solves] == [0, 1, 1, 2, 2]

@@ -255,6 +255,28 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command,
     assert written[0] == written[1]
 
 
+def test_commands_load_no_scipy_linalg(tmp_path):
+    # every eigensolve and shifted solve of a command runs in numpy's
+    # LAPACK: only the test oracles and the cold ARPACK solves, which no
+    # command reaches, import scipy.linalg or scipy.sparse.linalg
+    path = write_config(tmp_path, GOOD_CONFIG)
+    script = f"""
+import sys
+from fqed.cli import main
+for argv in (["mass-scan"], ["verify", "--suite", "all"]):
+    assert main([*argv, "--config", {path!r}, "--out", {str(tmp_path)!r}]) == 0
+    print(argv[0], sorted(m for m in ("scipy.linalg", "scipy.sparse.linalg")
+                          if m in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert [ln for ln in run.stdout.splitlines()
+            if ln.startswith(("mass-scan ", "verify "))] \
+        == ["mass-scan []", "verify []"]
+
+
 def desk_variant(tmp_path, **keys):
     """demos/desk.cfg with the given keys' values replaced."""
     text = (ROOT / "demos" / "desk.cfg").read_text()
@@ -646,13 +668,14 @@ def test_verify_bounds_read_each_lanczos_space(tmp_path, family_builds,
 
     calls = {"dense": 0, "reduce": 0}
     at_cascade_end = []
-    dense_spectrum = spectral.dense_spectrum
+    to_dense = spectral._dense
     reduce = spectral.ResolventSolver.reduce
     cascade_scales = cli.cascade_scales
 
+    # every dense solve, production or oracle, makes the operator dense
     def counted_dense(*args, **kwargs):
         calls["dense"] += 1
-        return dense_spectrum(*args, **kwargs)
+        return to_dense(*args, **kwargs)
 
     def counted_reduce(self, b):
         calls["reduce"] += 1
@@ -662,7 +685,7 @@ def test_verify_bounds_read_each_lanczos_space(tmp_path, family_builds,
         yield from cascade_scales(*args, **kwargs)
         at_cascade_end.append(dict(calls))
 
-    monkeypatch.setattr(spectral, "dense_spectrum", counted_dense)
+    monkeypatch.setattr(spectral, "_dense", counted_dense)
     monkeypatch.setattr(spectral.ResolventSolver, "reduce", counted_reduce)
     monkeypatch.setattr(cli, "cascade_scales", cascade)
     assert not hasattr(observables, "dense_spectrum")

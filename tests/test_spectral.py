@@ -160,16 +160,16 @@ def test_started_solve_skips_arpack_and_a_cold_one_keeps_its_seed(
         small_setup, monkeypatch):
     # a started solve refines its start by Davidson, which draws no random
     # numbers; a cold Lanczos solve still hands ARPACK the seeded generator
-    import fqed.spectral as spectral
+    import scipy.sparse.linalg
 
     states = []
-    eigsh = spectral.spla.eigsh
+    eigsh = scipy.sparse.linalg.eigsh
 
     def spy(*args, **kwargs):
         states.append(kwargs["rng"].bit_generator.state)
         return eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(spectral.spla, "eigsh", spy)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
     op = _shifted_sector(small_setup, 5e-3)
     start = np.ones(op.shape[0])
     assert ground_state(op, dense_cutoff=10, pairs=1,
@@ -239,15 +239,13 @@ def test_davidson_iteration_cap_raises_with_the_residual(small_setup,
 
 @pytest.mark.parametrize("n", [1, 2, 7, 44, 45, 62])
 def test_davidson_eigen_step_equals_scipy_eigh(n):
-    # the Rayleigh-Ritz step calls dsyevr with the workspace eigh passes,
-    # so its pairs are eigh's bit for bit (other sizes differ from 45 on)
-    from scipy.linalg import eigh
-
+    # every production eigensolve is numpy.linalg.eigh behind a finiteness
+    # check, bit for bit
     import fqed.spectral as spectral
 
     a = seeded_symmetric(n, seed=n).toarray()
     w, v = spectral._eigh(a.copy())
-    w_ref, v_ref = eigh(a)
+    w_ref, v_ref = np.linalg.eigh(a)
     assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
     a[0, 0] = np.nan
     with pytest.raises(SolverError, match="not finite"):
@@ -335,12 +333,12 @@ def test_sector_start_without_sector_weight_is_no_start(small_setup,
 
 def _arpack_stops_with(monkeypatch, vals, vecs):
     """Make the Lanczos solver give up with the given partial pairs."""
-    import fqed.spectral as spectral
+    import scipy.sparse.linalg
 
     def stopped(*args, **kwargs):
-        raise spectral.spla.ArpackNoConvergence("stopped", vals, vecs)
+        raise scipy.sparse.linalg.ArpackNoConvergence("stopped", vals, vecs)
 
-    monkeypatch.setattr(spectral.spla, "eigsh", stopped)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stopped)
 
 
 def test_ground_state_lanczos_no_pairs_raises(monkeypatch):
@@ -438,6 +436,80 @@ def test_contour_nodes_converging_at_different_sizes(monkeypatch):
     exact = vecs[:, -1] * (vecs[:, -1] @ v)
     assert sizes[0] < sizes[-1]
     assert np.linalg.norm(projected - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 64])
+@pytest.mark.parametrize("z", [2.0 + 0.5j, 1.5 - 0.25j, -0.5, 4.5],
+                         ids=["upper", "lower", "axis-below", "axis-above"])
+def test_ritz_solve_matches_a_dense_tridiagonal_solve(k, z):
+    # grown to all k vectors of a diagonal operator with k distinct levels,
+    # the space's Ritz solve S (b0 S^T e1 / (theta - z)) is (T - z)^{-1}
+    # b0 e1 of its tridiagonal T, off the real axis and on it
+    op = sp.diags(np.linspace(0.0, 4.0, k)).tocsr()
+    space = ResolventSolver(op).reduce(np.cos(np.arange(k)) + 2.0)
+    space._grow(k)
+    coeffs = space.solve(z)
+    assert space.steps == k
+    t = (np.diag(space.alpha[:k]) + np.diag(space.beta[:k - 1], 1)
+         + np.diag(space.beta[:k - 1], -1))
+    rhs = np.zeros(k)
+    rhs[0] = space.b0
+    exact = np.linalg.solve(t - z * np.eye(k), rhs)
+    assert np.linalg.norm(coeffs[:k] - exact) <= 1e-13 * np.linalg.norm(exact)
+
+
+def test_ritz_solve_on_a_ritz_value_raises():
+    # e1 is an eigenvector of diag(1, 5): its space is the one Ritz value
+    # 1.0, exactly the real-axis node c + r of this contour
+    from fqed.spectral import ConditioningError
+
+    op = sp.diags([1.0, 5.0]).tocsr()
+    with pytest.raises(ConditioningError, match="singular"):
+        contour_project(ResolventSolver(op), Contour(0.5, 0.5, 8),
+                        np.array([1.0, 0.0]))
+
+
+def test_unit_weight_contour_filter_has_its_closed_form():
+    # on M nodes the trapezoid rule weights eigenvalue theta of the
+    # projected operator by 1 / (1 - ((theta - c) / r)^M), 1 deep inside
+    # the circle and small far outside
+    levels = np.array([-0.7, -0.2, 0.5, 1.2, 1.5, 2.5])
+    contour = Contour(0.1, 1.0, 8)
+    v = np.linspace(1.0, 2.0, len(levels))
+    pv = contour_project(ResolventSolver(sp.diags(levels).tocsr()), contour,
+                         v)
+    filt = 1.0 / (1.0 - ((levels - contour.center) / contour.radius) ** 8)
+    assert np.max(np.abs(pv - filt * v)) <= 1e-13 * np.max(np.abs(v))
+
+
+def test_space_grown_to_its_cap_decomposes_a_bounded_number_of_times(
+        monkeypatch):
+    # a shift 1e-6 off the real axis inside a dense spectrum never
+    # converges, so the space grows to its cap: 8 vectors at a time to
+    # KRYLOV_LINEAR_MAX, then doubling, one eigendecomposition per size
+    # (at KRYLOV_MAX = 1200: 16 sizes to 128, then 256, 512, 1024 and 1200;
+    # the cap is lowered here to keep the test fast)
+    import fqed.spectral as spectral
+
+    sizes = []
+    eigh = spectral._eigh
+
+    def counted(a):
+        sizes.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(spectral, "_eigh", counted)
+    monkeypatch.setattr(spectral, "KRYLOV_MAX", 600)
+    n = 601
+    space = ResolventSolver(sp.diags(np.linspace(0.0, 1.0, n)).tocsr()
+                            ).reduce(np.ones(n))
+    with pytest.raises(spectral.ConditioningError, match="size 600"):
+        space.solve(0.5 + 1e-6j)
+    assert sizes == [*range(8, 129, 8), 256, 512, 600]
+    # the full space is decomposed once for all its shifts
+    with pytest.raises(spectral.ConditioningError):
+        space.solve(0.5 + 1e-6j)
+    assert len(sizes) == 19
 
 
 def test_contour_project_two_level():
