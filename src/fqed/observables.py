@@ -42,7 +42,7 @@ from .hamiltonian import (FactorOp, FiberFamily, ModelParams,
                           slice_marginal_coeffs)
 from .modes import ModeGrid, ParameterError
 from .spectral import (Contour, ResolventSolver, contour_sum,
-                       resolvent_sandwich)
+                       resolvent_sandwich, shifted_solve)
 
 #: Trapezoid nodes of the at-scale curvature-route contours.
 ROUTE_NODES = 64
@@ -440,12 +440,15 @@ def pull_through_summary(family: FiberFamily, rec: ScaleRecord):
                   (eps_m . dH/dP) psi
 
     holds exactly in the untruncated algebra, so the residual measures
-    occupation-cap truncation.  One shifted solver for H(P - k) serves both
-    polarizations of each photon momentum k.  Returns (aggregate, per-mode
-    relative residuals); a mode with b_m psi = 0 reads 0 when its right-hand
-    side vanishes too and inf otherwise.  The aggregate weights each mode by
-    its annihilation norm, so decoupled modes cannot dominate through 0/0
-    ratios.  At zero coupling every mode reads 0 without a solve.
+    occupation-cap truncation.  Each mode is one diagonally preconditioned
+    CG solve (``shifted_solve``) at the shift E - |k|, which the
+    energy-slope bound puts below the spectrum of H(P - k); one H(P - k)
+    and its diagonal serve both polarizations of each photon momentum k.
+    Returns (aggregate, per-mode relative residuals); a mode with b_m psi =
+    0 reads 0 when its right-hand side vanishes too and inf otherwise.  The
+    aggregate weights each mode by its annihilation norm, so decoupled
+    modes cannot dominate through 0/0 ratios.  At zero coupling every mode
+    reads 0 without a solve.
     """
     _check_scale(family, rec)
     params, grid = family.params, family.grid
@@ -460,14 +463,14 @@ def pull_through_summary(family: FiberFamily, rec: ScaleRecord):
     # the order of active
     for group in _momentum_groups(grid, active):
         knorm = float(grid.knorm[group[0]])
-        solver = ResolventSolver(family.h(params.p_total - grid.k[group[0]]))
-        for m in group:
-            w = sum(grid.eps_vec[m, i] * x_psi[i] for i in range(3))
-            space = solver.reduce(w)
-            x = space.lift(solver.solve(rec.energy - knorm, space))
+        w = np.stack([sum(grid.eps_vec[m, i] * x_psi[i] for i in range(3))
+                      for m in group], axis=1)
+        xs = shifted_solve(family.h(params.p_total - grid.k[group[0]]),
+                           rec.energy - knorm, w)
+        for m, x in zip(group, xs.T):
             coupling = np.sqrt(params.alpha * grid.weight[m] / knorm)
             lhs = annihilate(family.basis, m, psi)
-            d2 = float(np.linalg.norm(lhs + coupling * np.real(x)) ** 2)
+            d2 = float(np.linalg.norm(lhs + coupling * x) ** 2)
             l2 = float(np.linalg.norm(lhs) ** 2)
             diff2 += d2
             lhs2 += l2

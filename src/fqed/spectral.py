@@ -14,20 +14,25 @@ sum P v = -(r/M) sum_q exp(i theta_q) (H - z_q)^{-1} v.  Every contour
 integral in the package is this sum, evaluated by ``contour_sum`` on the
 upper half circle.
 
-Shifted solves work in a Lanczos space per real right-hand side, where the
-operator is a symmetric tridiagonal T = S diag(theta) S^T:
+Shifted solves take one of two Krylov methods.  Contour integrals and the
+Gauss rule, which need many complex shifts of one right-hand side or the
+Ritz pairs themselves, work in a Lanczos space per real right-hand side,
+where the operator is a symmetric tridiagonal T = S diag(theta) S^T:
 ``ResolventSolver.reduce`` starts the space of a vector, and a solve returns
 plain coefficient arrays in that space, read from T's Ritz pairs.  A
 contour node then costs one product with S; an integral sums its nodes'
-coefficients and lifts the sum once.  The resolvent
-functions take the solver as their first argument and act on its
-operator.  The dense oracles, ``dense_spectrum`` and the perturbation
-series ``neumann_project``, take the operator itself.
+coefficients and lifts the sum once.  One real shift below the spectrum
+makes op - shift positive definite, and ``shifted_solve`` takes it by
+conjugate gradients with the diagonal preconditioner, a few products and
+O(n) memory per right-hand side.  The resolvent functions take the solver
+as their first argument and act on its operator.  The dense oracles,
+``dense_spectrum`` and the perturbation series ``neumann_project``, take
+the operator itself.
 
 An operator is anything with ``shape`` and ``@`` on vectors and (n, k)
-blocks, and ``diagonal()`` for Davidson: an array, a sparse matrix or a
-``hamiltonian.FactorOp``.  Every solver applies the operator it is given;
-none converts it or branches on its type.
+blocks, and ``diagonal()`` for Davidson and CG: an array, a sparse matrix
+or a ``hamiltonian.FactorOp``.  Every solver applies the operator it is
+given; none converts it or branches on its type.
 
 Every eigensolve a command makes is one ``numpy.linalg.eigh`` call
 (``_eigh``): Davidson's Rayleigh-Ritz step, the cold dense ground states
@@ -49,7 +54,7 @@ from .modes import ParameterError, ResourceError
 
 
 class SolverError(RuntimeError):
-    """Iterative eigensolver failed to reach the requested residual."""
+    """Iterative solver failed to reach the requested residual."""
 
     def __init__(self, message: str, best_residual: float = np.nan):
         super().__init__(message)
@@ -85,10 +90,11 @@ DAVIDSON_MAX_ITER = 200
 #: the larger of it and 1e-13 * max(1, |E|).
 GROUND_TOL = 1e-10
 
-#: Relative residual of a Krylov shifted solve.
+#: Relative residual of a Krylov shifted solve, Lanczos or CG.
 KRYLOV_TOL = 1e-13
 
-#: Largest Krylov space per right-hand side.
+#: Largest Krylov space per right-hand side, and the most operator
+#: products a CG solve (``shifted_solve``) makes per right-hand side.
 KRYLOV_MAX = 1200
 
 #: Lanczos vectors added each time a Krylov space grows, up to
@@ -329,6 +335,61 @@ def ground_state(op, dense_cutoff: int = DENSE_EIG_CUTOFF, pairs: int = 3,
     return GroundStateRecord(energy=energy, vector=vec, gap=gap,
                              residual=residual, method=method,
                              degenerate=bool(gap < 1e-12))
+
+
+def shifted_solve(op, shift: float, b: np.ndarray) -> np.ndarray:
+    """(op - shift)^{-1} b for a real ``shift`` below the spectrum of the
+    symmetric ``op`` (anything with ``shape``, ``diagonal()`` and ``@``),
+    by conjugate gradients with the diagonal preconditioner diag(op) -
+    shift (Hestenes & Stiefel, J. Res. NBS 49, 1952).
+
+    ``b`` is a vector or an (n, k) block whose columns share the
+    diagonal; each column is one solve from x = 0, so a zero column gives
+    zeros, and stops when its CG residual is at most ``KRYLOV_TOL`` times
+    its norm.  Nothing is random, so a solve is bit-identical on every
+    run.  Raises ``ConditioningError`` when a diagonal entry of op - shift
+    or a curvature p . (op - shift) p is not positive, either of which
+    puts the shift inside the spectrum, and ``SolverError`` with the best
+    relative residual when a column takes ``KRYLOV_MAX`` products.
+    """
+    b = np.asarray(b, dtype=float)
+    precond = op.diagonal() - shift
+    if not np.all(precond > 0.0):
+        raise ConditioningError(
+            f"shift {shift} is not below the spectrum: the shifted operator "
+            f"has diagonal entry {float(np.min(precond)):.3e}")
+    cols = b.reshape(len(b), -1)
+    out = np.zeros_like(cols)
+    for x, rhs in zip(out.T, cols.T):
+        b_norm = float(np.linalg.norm(rhs))
+        if b_norm == 0.0:
+            continue
+        r = rhs.copy()
+        p = r / precond
+        rz, best = float(r @ p), 1.0
+        for _ in range(KRYLOV_MAX):
+            q = op @ p - shift * p
+            curv = float(p @ q)
+            if not curv > 0.0:
+                raise ConditioningError(
+                    f"shift {shift} is not below the spectrum: CG met "
+                    f"curvature {curv:.3e}")
+            step = rz / curv
+            x += step * p
+            r -= step * q
+            res = float(np.linalg.norm(r)) / b_norm
+            best = min(best, res)
+            if res <= KRYLOV_TOL:
+                break
+            z = r / precond
+            rz, rz_old = float(r @ z), rz
+            p = z + (rz / rz_old) * p
+        else:
+            raise SolverError(
+                f"CG at shift {shift} stopped at relative residual "
+                f"{best:.3e} (tolerance {KRYLOV_TOL:.1e}) after {KRYLOV_MAX} "
+                "products", best_residual=best)
+    return out.reshape(b.shape)
 
 
 class _KrylovSpace:

@@ -739,6 +739,35 @@ def test_verify_pull_through_reuses_the_cascade_ground_state(
     assert calls == []
 
 
+def test_verify_pull_through_builds_no_krylov_space(tmp_path, monkeypatch):
+    # past the cascade, whose contour projections grow Lanczos spaces, the
+    # probe solves every mode by CG: no Krylov space
+    import fqed.cli as cli
+    import fqed.spectral as spectral
+
+    spaces = []
+    at_cascade_end = []
+    cascade_scales = cli.cascade_scales
+
+    class CountedSpace(spectral._KrylovSpace):
+        def __init__(self, *args):
+            spaces.append(len(args[1]))
+            super().__init__(*args)
+
+    def cascade(*args, **kwargs):
+        yield from cascade_scales(*args, **kwargs)
+        at_cascade_end.append(len(spaces))
+
+    monkeypatch.setattr(spectral, "_KrylovSpace", CountedSpace)
+    monkeypatch.setattr(cli, "cascade_scales", cascade)
+    cfg = parse_config(write_config(tmp_path, GOOD_CONFIG))
+    lines = list(cli._verify_lines(cfg, "pullthrough"))
+    assert [(name, passed) for _, name, passed, _ in lines] \
+        == [("pull-through aggregate j=2", True)]
+    assert at_cascade_end[0] > 0
+    assert len(spaces) == at_cascade_end[0]
+
+
 def test_verify_lipschitz_probe_reuses_the_cascade_energy(
         tmp_path, capsys, monkeypatch):
     # the slope probe takes E(P) from the cascade's final scale and solves

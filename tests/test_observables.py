@@ -564,26 +564,27 @@ def test_fd_curvature_takes_its_center_from_the_cascade(small_setup,
 
 def test_pull_through_one_solver_per_photon_momentum(tiny_record,
                                                      monkeypatch):
-    # the two polarizations of each k share one H(P - k) solver, and each
+    # the two polarizations of each k share one H(P - k) operator, and each
     # per-mode residual matches an independent dense solve of
     # (H(P - k) + |k| - E) x = (eps_m . dH/dP) psi, with H(P - k) in product
     # form and dH/dP its central difference at unit step (exact, since H is
     # quadratic in P)
     params, grid, basis, rec = tiny_record
     energy, psi = rec.energy, rec.psi
-    inits = []
-    init = ResolventSolver.__init__
+    built = []
+    h = FiberFamily.h
 
-    def counted(self, op):
-        inits.append(op.shape)
-        init(self, op)
+    def counted(self, p):
+        built.append(tuple(params.p_total - p))
+        return h(self, p)
 
-    monkeypatch.setattr(ResolventSolver, "__init__", counted)
+    monkeypatch.setattr(FiberFamily, "h", counted)
     _, per_mode = pull_through_summary(FiberFamily(params, grid, basis, 1),
                                        rec)
     active = np.nonzero(grid.shell < 1)[0]
-    assert len(inits) == len({tuple(grid.k[m]) for m in active}) \
-        == len(active) // 2
+    momenta = {tuple(grid.k[m]) for m in active}
+    assert len(built) == len(set(built)) == len(momenta) == len(active) // 2
+    assert all(np.allclose(k, grid.k[m]) for k, m in zip(built, active[::2]))
     p = params.p_total
     dh_psi = [(assemble_h_fiber(params, grid, basis, 1, p=p + e)
                - assemble_h_fiber(params, grid, basis, 1, p=p - e)) @ psi / 2
@@ -597,6 +598,28 @@ def test_pull_through_one_solver_per_photon_momentum(tiny_record,
         lhs = ladder(basis, int(m))[0] @ psi
         expected = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
         assert per_mode[i] == pytest.approx(expected, rel=1e-12)
+
+
+def test_pull_through_work_is_a_few_products_per_mode(tiny_record,
+                                                     monkeypatch):
+    # each mode is one preconditioned CG solve at a shift below the
+    # spectrum, a handful of operator products (8 per mode here); a
+    # Lanczos space per mode would take several times that
+    from fqed.hamiltonian import FactorOp
+
+    params, grid, basis, rec = tiny_record
+    columns = []
+    matmul = FactorOp.__matmul__
+
+    def counted(self, x):
+        columns.append(1 if np.ndim(x) == 1 else np.shape(x)[1])
+        return matmul(self, x)
+
+    monkeypatch.setattr(FactorOp, "__matmul__", counted)
+    _, per_mode = pull_through_summary(FiberFamily(params, grid, basis, 1),
+                                       rec)
+    assert len(per_mode) == 12
+    assert sum(columns) <= 12 * len(per_mode)
 
 
 def dense_displaced_route(frame):

@@ -11,11 +11,11 @@ from fqed.fock import enumerate_basis, number_diagonal
 from fqed.hamiltonian import FiberFamily, ModelParams, assemble_h_fiber, \
     assemble_slice_interaction
 from fqed.modes import ParameterError, build_grid
-from fqed.spectral import (Contour, ContourError, ResolventSolver,
-                           SolverError, contour_project,
+from fqed.spectral import (Contour, ConditioningError, ContourError,
+                           ResolventSolver, SolverError, contour_project,
                            contour_project_checked, dense_spectrum,
                            ground_state, idempotence_defect, neumann_project,
-                           resolvent_sandwich)
+                           resolvent_sandwich, shifted_solve)
 
 
 def seeded_symmetric(n, seed, scale=1.0, shift=0.0):
@@ -409,6 +409,91 @@ def test_krylov_path_matches_dense_path():
     dense = np.linalg.solve(op.toarray() - z * np.eye(300), v)
     krylov = full_solve(ResolventSolver(op), z, v)
     assert np.linalg.norm(dense - krylov) / np.linalg.norm(dense) < 1e-8
+
+
+def coupled_diagonal(n=120):
+    """A diagonal from 1 to 5 plus a dense symmetric coupling of norm about
+    0.1, as an array: H's free part plus a weak interaction."""
+    return np.diag(np.linspace(1.0, 5.0, n)) \
+        + seeded_symmetric(n, seed=3, scale=0.05).toarray()
+
+
+def _check_shifted_solve(op, dense, shift, b):
+    import fqed.spectral as spectral
+
+    x = shifted_solve(op, shift, b)
+    assert x.shape == b.shape
+    shifted = dense - shift * np.eye(len(dense))
+    expected = np.linalg.solve(shifted, b)
+    for xi, ei, bi in zip(x.reshape(len(b), -1).T,
+                          expected.reshape(len(b), -1).T,
+                          b.reshape(len(b), -1).T):
+        assert np.linalg.norm(xi - ei) <= 1e-12 * np.linalg.norm(ei)
+        assert np.linalg.norm(shifted @ xi - bi) \
+            <= 2 * spectral.KRYLOV_TOL * np.linalg.norm(bi)
+
+
+def test_shifted_solve_matches_a_dense_solve_on_a_factor_operator(
+        small_setup):
+    # each column of a block is its own solve; the shift sits below the
+    # lowest eigenvalue as E - |k| does in the pull-through probe
+    op = _shifted_sector(small_setup, 5e-3)
+    dense = op.tocsr().toarray()
+    low = np.linalg.eigvalsh(dense)[0]
+    n = op.shape[0]
+    b = np.stack([np.cos(np.arange(n)), np.sin(np.arange(n)) ** 3], axis=1)
+    _check_shifted_solve(op, dense, low - 0.3, b)
+    _check_shifted_solve(op, dense, low - 0.3, b[:, 0])
+
+
+def test_shifted_solve_matches_a_dense_solve_on_an_array():
+    a = coupled_diagonal()
+    assert np.linalg.eigvalsh(a)[0] > 0.5
+    _check_shifted_solve(a, a, 0.5, np.cos(np.arange(len(a))))
+
+
+def test_shifted_solve_of_zero_is_exactly_zero():
+    # a zero column beside a solved one stays zero and leaves its
+    # neighbour's solve as it is alone
+    a = coupled_diagonal()
+    assert not np.any(shifted_solve(a, 0.5, np.zeros(len(a))))
+    b = np.zeros((len(a), 2))
+    b[:, 1] = 1.0
+    x = shifted_solve(a, 0.5, b)
+    assert not np.any(x[:, 0])
+    assert np.array_equal(x[:, 1], shifted_solve(a, 0.5, b[:, 1]))
+
+
+def test_shifted_solve_inside_the_spectrum_raises():
+    # every diagonal entry lies above the shift, but the uniform direction
+    # is pulled 2 below it: CG meets a negative curvature
+    n = 40
+    a = np.diag(np.linspace(1.0, 2.0, n)) - 0.05 * np.ones((n, n))
+    assert np.linalg.eigvalsh(a)[0] < 0.0 < np.min(np.diag(a))
+    with pytest.raises(ConditioningError,
+                       match=r"shift 0\.0 is not below the spectrum: CG "
+                             r"met curvature"):
+        shifted_solve(a, 0.0, np.ones(n))
+
+
+@pytest.mark.parametrize("shift", [1.0, 1.5])
+def test_shifted_solve_with_a_diagonal_entry_at_the_shift_raises(shift):
+    a = coupled_diagonal()
+    np.fill_diagonal(a, np.linspace(1.0, 5.0, len(a)))
+    with pytest.raises(ConditioningError,
+                       match=f"shift {shift} is not below the spectrum: the "
+                             "shifted operator has diagonal entry"):
+        shifted_solve(a, shift, np.cos(np.arange(len(a))))
+
+
+def test_shifted_solve_product_cap_raises_with_the_residual(monkeypatch):
+    import fqed.spectral as spectral
+
+    monkeypatch.setattr(spectral, "KRYLOV_MAX", 2)
+    a = coupled_diagonal()
+    with pytest.raises(SolverError, match="after 2 products") as exc:
+        shifted_solve(a, 0.5, np.cos(np.arange(len(a))))
+    assert spectral.KRYLOV_TOL < exc.value.best_residual < 1.0
 
 
 def test_contour_nodes_converging_at_different_sizes(monkeypatch):
