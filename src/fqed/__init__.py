@@ -15,8 +15,8 @@ from .hamiltonian import (FactorOp, FiberFamily, ModelParams,
                           slice_marginal_ops)
 from .spectral import (Contour, ContourError, GroundStateRecord,
                        ResolventSolver, SolverError, contour_project,
-                       contour_project_checked, contour_sum, dense_spectrum,
-                       ground_state, idempotence_defect, neumann_project,
+                       contour_project_checked, dense_spectrum, ground_state,
+                       idempotence_defect, neumann_project,
                        resolvent_sandwich)
 from .bogoliubov import (centered_momentum_vectors, combined_displacement,
                          displaced_momentum_ops, displacement_coeffs,

@@ -358,8 +358,12 @@ def _verify_lines(cfg: RunConfig, suite: str):
     """Yield (hard, name, passed, detail) tuples for the selected suite.
 
     Each scale's ``FiberFamily`` is the one the cascade built, kept and
-    shared by every route and probe at that scale.
+    shared by every route and probe at that scale.  The curvature routes
+    and the bounds probe run along P's axis, so their suites refuse an
+    off-axis P before the cascade.
     """
+    if suite in ("identities", "bounds", "all"):
+        momentum_axis(cfg.params.p_total)
     grid = cfg.build_grid()
     basis = cfg.build_basis(grid)
     params = cfg.params

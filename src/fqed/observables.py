@@ -41,8 +41,8 @@ from .fock import FockBasis, annihilate, creation_sum
 from .hamiltonian import (FactorOp, FiberFamily, ModelParams,
                           slice_marginal_coeffs)
 from .modes import ModeGrid, ParameterError
-from .spectral import (Contour, ResolventSolver, contour_sum,
-                       resolvent_sandwich, shifted_solve)
+from .spectral import (Contour, ResolventSolver, resolvent_sandwich,
+                       shifted_solve)
 
 #: Trapezoid nodes of the at-scale curvature-route contours.
 ROUTE_NODES = 64
@@ -215,14 +215,15 @@ def dispersion_curvature_displaced(frame: DisplacedFrame):
     the frame ground state phi, the reduced form 1 + (1/pi i) oint dzbar
     (E-zbar)^{-1} <Gamma R Gamma phi, phi>; Gamma phi is ``gamma_phi`` over
     ||phi||, and <phi, Gamma phi> = 0 is enforced first.  By R phi = phi /
-    (E - z) a node solves only for Gamma phi, and the double form reads
-    coefficient 0 of the sum the reduced form accumulates, so the two agree
-    to rounding.  The cross term, the mixed terms s^2 <R^2 phi, phi> -
-    s <R^2 phi, Gamma phi> - s <R Gamma R phi, phi> around s = grad E along
-    the axis, is noise when phi is the frame's ground state.  Only its last
-    term is evaluated: the first two are numbers times the trapezoid sum of
-    (E - z)^-2 on a circle centered on E, a sum of e^{-i theta} over roots
-    of unity, which is zero up to rounding.
+    (E - z) the integral solves only for Gamma phi, and the double form
+    reads coefficient 0 of the integral whose last row is the reduced form,
+    so the two agree to rounding.  The cross term, the mixed terms
+    s^2 <R^2 phi, phi> - s <R^2 phi, Gamma phi> - s <R Gamma R phi, phi>
+    around s = grad E along the axis, is noise when phi is the frame's
+    ground state.  Only its last term is evaluated: the first two are
+    numbers times the trapezoid sum of (E - z)^-2 on a circle centered on
+    E, a sum of e^{-i theta} over roots of unity, which is zero up to
+    rounding.
     """
     if float(np.max(np.abs(frame.orth))) > 1e-10:
         raise ParameterError(
@@ -239,18 +240,16 @@ def dispersion_curvature_displaced(frame: DisplacedFrame):
     cont = _route_contour(params, family.j, energy, frame.gap)
     solver = ResolventSolver(frame.k_op.sector(idx))
     space = solver.reduce(frame.gamma_phi[axis][idx] / nrm)
-
-    # Gamma phi is ||Gamma phi|| e1 in its own space, so a product against
-    # it reads coefficient 0
-    def node(z):
-        # R phi = phi / (E - z): one solve, of Gamma phi, per node
-        g = solver.solve(z, space)
-        return g / (energy - z), (space.b0 * g[0]) / (energy - z)
-
-    acc, reduced = contour_sum(cont, node)
-    sandwich = float(np.real(space.b0 * acc.conj()[0]))
-    cross = -float(frame.grad_energy[axis]) * np.real(space.lift(acc) @ phi)
-    return (1.0 - 2.0 * sandwich, 1.0 - 2.0 * float(reduced.real),
+    z = cont.upper
+    # R phi = phi / (E - z): one solve, of Gamma phi, at all nodes.  Gamma
+    # phi is ||Gamma phi|| e1 in its own space, so a product against it
+    # reads coefficient 0, and the reduced form's integrand is a last row
+    g = solver.solve(z, space)
+    acc = cont.integrate(np.vstack([g, space.b0 * g[:1]]) / (energy - z))
+    sandwich = float(space.b0 * acc[0].real)
+    lifted = space.lift(acc[:-1].real)
+    cross = -float(frame.grad_energy[axis]) * (lifted @ phi)
+    return (1.0 - 2.0 * sandwich, 1.0 - 2.0 * float(acc[-1].real),
             float(abs(2.0 * cross)))
 
 
@@ -532,8 +531,7 @@ def resolvent_bound_probes(family: FiberFamily, rec: ScaleRecord):
         space = solver.reduce(w)
         if space.b0 == 0.0:
             return np.nan, np.nan
-        for z in points:
-            solver.solve(z, space)
+        solver.solve(points, space)
         nodes, vecs = space.ritz()
         a, inv = (space.b0 * vecs[0]) ** 2, 1.0 / (nodes[:, None] - points)
         return [np.max(a @ abs(inv) ** p / abs(a @ inv ** p)) for p in (1, 2)]

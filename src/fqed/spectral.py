@@ -11,17 +11,18 @@ the ground-state projector is
 over a clockwise circle enclosing only the ground energy; with nodes
 z_q = c + r exp(i theta_q) listed counterclockwise this becomes the weighted
 sum P v = -(r/M) sum_q exp(i theta_q) (H - z_q)^{-1} v.  Every contour
-integral in the package is this sum, evaluated by ``contour_sum`` on the
-upper half circle.
+integral in the package is this sum: ``Contour.integrate`` takes the
+integrand on the contour's upper half circle (``Contour.upper``), where a
+conjugate-symmetric integrand is known on the whole.
 
 Shifted solves take one of two Krylov methods.  Contour integrals and the
 Gauss rule, which need many complex shifts of one right-hand side or the
 Ritz pairs themselves, work in a Lanczos space per real right-hand side,
 where the operator is a symmetric tridiagonal T = S diag(theta) S^T:
 ``ResolventSolver.reduce`` starts the space of a vector, and a solve returns
-plain coefficient arrays in that space, read from T's Ritz pairs.  A
-contour node then costs one product with S; an integral sums its nodes'
-coefficients and lifts the sum once.  One real shift below the spectrum
+plain coefficient arrays in that space, read from T's Ritz pairs, for all
+of a contour's nodes at one size.  An integral is then one solve, one
+``integrate`` and one lift of the sum.  One real shift below the spectrum
 makes op - shift positive definite, and ``shifted_solve`` takes it by
 conjugate gradients with the diagonal preconditioner, a few products and
 O(n) memory per right-hand side.  The resolvent functions take the solver
@@ -134,15 +135,31 @@ class Contour:
         check_node_count(self.nodes)
 
     @property
-    def points(self) -> np.ndarray:
-        theta = 2.0 * np.pi * np.arange(self.nodes) / self.nodes
-        return self.center + self.radius * np.exp(1j * theta)
+    def _phases(self) -> np.ndarray:
+        """exp(i theta_q), theta_q = 2 pi q / M, for q = 0 ... M/2."""
+        theta = 2.0 * np.pi * np.arange(self.nodes // 2 + 1) / self.nodes
+        return np.exp(1j * theta)
 
     @property
-    def projector_weights(self) -> np.ndarray:
-        """c_q with (1/2pi i) oint_cw f dz ~= sum_q c_q f(z_q)."""
-        theta = 2.0 * np.pi * np.arange(self.nodes) / self.nodes
-        return -(self.radius / self.nodes) * np.exp(1j * theta)
+    def upper(self) -> np.ndarray:
+        """The M/2 + 1 nodes z_q = c + r exp(i theta_q) of the upper half
+        circle, from c + r to c - r."""
+        return self.center + self.radius * self._phases
+
+    def integrate(self, values: np.ndarray) -> np.ndarray:
+        """(1/2pi i) oint_cw f dz by the trapezoid rule sum_q c_q f(z_q),
+        c_q = -(r/M) exp(i theta_q), over the whole circle, given f on
+        ``upper`` along the last axis of ``values``.
+
+        f must be conjugate-symmetric, f(conj z) = conj(f(z)), as every
+        resolvent integrand of a real symmetric operator on real data is
+        (also on coefficients in a real Lanczos space): the two real-axis
+        nodes count once and the others twice through their real part.
+        Returns the complex integral of each leading index.
+        """
+        terms = values * (-(self.radius / self.nodes) * self._phases)
+        return (terms[..., 0] + terms[..., -1]
+                + 2.0 * terms[..., 1:-1].real.sum(axis=-1))
 
 
 @dataclass
@@ -401,12 +418,10 @@ class _KrylovSpace:
     ``numpy.linalg.eigh`` per size the space reaches) as S (||b|| S^T e1 /
     (theta - z)), whose last entry y_k gives the exact shifted residual
     beta_k |y_k|, so the space can be grown, up to ``max_dim`` vectors,
-    until ``KRYLOV_TOL`` holds for the shifts actually used.  It grows by
+    until ``KRYLOV_TOL`` holds for every shift of a solve.  It grows by
     ``KRYLOV_BLOCK`` vectors at a time up to ``KRYLOV_LINEAR_MAX`` and
-    doubles past it.  The space only grows by appending basis vectors, so
-    its coefficient arrays are padded with zeros to ``max_dim``: padded
-    coefficients stay exact at any later size, and coefficients of one
-    space add as plain arrays.
+    doubles past it.  A solve answers all its shifts at one size, so the
+    coefficients of a contour's nodes add as plain arrays.
     """
 
     def __init__(self, op, b: np.ndarray):
@@ -459,25 +474,33 @@ class _KrylovSpace:
             self._ritz = _eigh(t)
         return self._ritz
 
-    def solve(self, z: complex) -> np.ndarray:
-        """Coefficients of (op - z)^{-1} b, grown as needed; a complex
-        array of length ``max_dim``, zero beyond the current size.  Raises
-        ``ConditioningError`` when a Ritz value lies on z."""
-        out = np.zeros(self.max_dim, dtype=complex)
+    def solve(self, z) -> np.ndarray:
+        """Coefficients of (op - z)^{-1} b for a shift or an array of
+        shifts, grown until every shift meets ``KRYLOV_TOL`` at one size k:
+        the complex (k,) + shape(z) block S (b0 S^T e1 / (theta - z)), or
+        zeros of size 1 when b = 0.  Raises ``ConditioningError`` when a
+        Ritz value lies on a shift."""
+        z = np.asarray(z)
         if self.b0 == 0.0:
-            return out
+            return np.zeros((1,) + z.shape, dtype=complex)
         if self.steps == 0:
             self._grow(min(KRYLOV_BLOCK, self.max_dim))
+        shifts = z.reshape(-1).astype(complex)
         while True:
             k = self.steps
             theta, s = self.ritz()
             with np.errstate(divide="ignore", invalid="ignore"):
-                y = s @ (self.b0 * s[0] / (theta - z))
-            if not np.isfinite(y).all():
+                w = (self.b0 * s[0])[:, None] / (theta[:, None] - shifts)
+            # one real product: S meets w's real and imaginary parts as a
+            # (k, 2m) block, with no complex copy of S
+            y = (s @ w.view(float)).view(complex)
+            singular = ~np.isfinite(y).all(axis=0)
+            if singular.any():
                 raise ConditioningError(
-                    f"shifted solve at z = {z} is singular: a Ritz value of "
-                    f"the size-{k} Krylov space lies on it")
-            res = self.beta[k - 1] * abs(y[-1])
+                    f"shifted solve at z = {shifts[singular][0]} is "
+                    f"singular: a Ritz value of the size-{k} Krylov space "
+                    "lies on it")
+            res = float(np.max(self.beta[k - 1] * np.abs(y[-1])))
             converged = res <= KRYLOV_TOL * self.b0
             if converged or self.exhausted:
                 # an invariant space solves exactly, up to the rounding
@@ -487,22 +510,14 @@ class _KrylovSpace:
                     raise ConditioningError(
                         f"Krylov space of size {k} left shifted residual at "
                         f"{res / self.b0:.2e}")
-                out[:k] = y
-                return out
+                return y.reshape((k,) + z.shape)
             grown = k + KRYLOV_BLOCK if k < KRYLOV_LINEAR_MAX else 2 * k
             self._grow(min(grown, self.max_dim))
 
     def lift(self, c: np.ndarray) -> np.ndarray:
-        """The full vector V c of coefficients c.  The real basis meets
-        real (k, 1) or (k, 2) column blocks only: a complex c goes through
-        as its real and imaginary parts."""
-        k = self.steps
-        basis = self._basis[:k].T
-        c = c[:k]
-        if np.iscomplexobj(c):
-            out = basis @ np.stack([c.real, c.imag], axis=1)
-            return out[:, 0] + 1j * out[:, 1]
-        return (basis @ c[:, None])[:, 0]
+        """The full vector V c of real coefficients c, a (k, 1) block for
+        the real basis."""
+        return (self._basis[:len(c)].T @ c[:, None])[:, 0]
 
 
 class ResolventSolver:
@@ -510,8 +525,9 @@ class ResolventSolver:
 
     ``reduce(b)`` starts the Lanczos space of the real vector b, in which b
     has the coefficients ||b|| e1 and the operator is tridiagonal;
-    ``solve(z, space)`` returns the coefficients of (op - z)^{-1} b there,
-    and ``space.lift`` multiplies coefficients by the basis.
+    ``solve(z, space)`` returns the coefficients of (op - z)^{-1} b there
+    for a shift or an array of shifts, all at one size, and ``space.lift``
+    multiplies real coefficients by the basis.
     """
 
     def __init__(self, op):
@@ -525,35 +541,12 @@ class ResolventSolver:
                              "its Lanczos space starts from one real vector")
         return _KrylovSpace(self._op, b)
 
-    def solve(self, z: complex, space: _KrylovSpace) -> np.ndarray:
-        """Coefficients of (op - z)^{-1} b in b's space."""
+    def solve(self, z, space: _KrylovSpace) -> np.ndarray:
+        """Coefficients of (op - z)^{-1} b in b's space, a (k,) + shape(z)
+        array for the space's size k."""
         # kept as a method, not folded into the space: the benchmark tracer
         # binds ResolventSolver.__init__ and .solve as its resolvent layer
         return space.solve(z)
-
-
-def contour_sum(contour: Contour, node):
-    """Trapezoid sum  sum_q c_q node(z_q)  over the whole circle.
-
-    ``node`` must be conjugate-symmetric, node(conj z) = conj(node(z)), as
-    every resolvent integrand of a real symmetric operator on real data is
-    (also on coefficients in a real Lanczos space).  Only the upper half
-    circle is evaluated: the two real-axis nodes count once and the others
-    twice through their real part.  ``node`` may return a scalar, an array
-    or a tuple of these; the result has the same form, complex.
-    """
-    points = contour.points
-    weights = contour.projector_weights
-    half = contour.nodes // 2
-    acc = None
-    for q in [0, half, *range(1, half)]:
-        out = node(points[q])
-        terms = [weights[q] * t
-                 for t in (out if isinstance(out, tuple) else (out,))]
-        if 0 < q < half:
-            terms = [2.0 * t.real for t in terms]
-        acc = terms if acc is None else [a + t for a, t in zip(acc, terms)]
-    return tuple(acc) if isinstance(out, tuple) else acc[0]
 
 
 def contour_project(solver: ResolventSolver, contour: Contour,
@@ -562,10 +555,10 @@ def contour_project(solver: ResolventSolver, contour: Contour,
 
     The solver's operator is real symmetric and ``v`` real, so the
     projection is real.  The nodes sum as coefficients in v's Lanczos
-    space: one reduce, one lift.
+    space: one reduce, one solve at all nodes, one lift.
     """
     space = solver.reduce(v)
-    acc = contour_sum(contour, lambda z: solver.solve(z, space))
+    acc = contour.integrate(solver.solve(contour.upper, space))
     return np.ascontiguousarray(space.lift(acc.real))
 
 
@@ -643,9 +636,11 @@ def neumann_project(op, delta_h, contour: Contour, v: np.ndarray,
         ys = [lu_solve(lu, v)]
         for _ in range(n_terms):
             ys.append(lu_solve(lu, minus_dh @ ys[-1]))
-        return tuple(ys)
+        return ys
 
-    terms = np.array([t.real for t in contour_sum(contour, node)])
+    # (term, state, node)
+    values = np.stack([node(z) for z in contour.upper], axis=-1)
+    terms = contour.integrate(values).real
     norms = np.linalg.norm(terms, axis=1)
     tail = norms[norms > 0]
     if len(tail) > 2 and tail[-1] >= tail[-2]:
@@ -664,13 +659,12 @@ def resolvent_sandwich(solver: ResolventSolver, contour: Contour,
     alone by the contour, S equals sum_{m != 0} |<m| middle |0>|^2 /
     (E_m - E_0), the reduced-resolvent sum of second-order perturbation
     theory.  The inner resolvent is the eigenvector identity R(z) psi =
-    psi / (E - z), so a node costs one solve; this requires the contour to
-    be centered on psi's eigenvalue E.
+    psi / (E - z), so the integral is one solve of middle psi at all the
+    nodes; this requires the contour to be centered on psi's eigenvalue E.
     """
     space = solver.reduce(middle_psi)
-
-    def node(z):
-        return solver.solve(z, space) / (contour.center - z)
+    z = contour.upper
+    acc = contour.integrate(solver.solve(z, space) / (contour.center - z))
     # middle psi is ||middle psi|| e1 in its own space: the product reads
     # coefficient 0
-    return float(np.real(space.b0 * contour_sum(contour, node).conj()[0]))
+    return float(space.b0 * acc[0].real)

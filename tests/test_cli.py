@@ -587,6 +587,32 @@ def test_verify_gaps_suite_passes(tmp_path, capsys):
     assert "[PASS]" in out and "FAIL" not in out.replace("failures", "")
 
 
+@pytest.mark.parametrize("suite", ["identities", "bounds", "all"])
+def test_verify_refuses_an_off_axis_momentum_before_the_cascade(
+        tmp_path, capsys, monkeypatch, suite):
+    # the routes and the bounds probe need an axis-aligned P: no line is
+    # printed and no cascade opened before the refusal
+    import fqed.cli as cli
+
+    opened = []
+    open_cascade = cli.open_cascade
+
+    def counted(*args, **kwargs):
+        opened.append(suite)
+        return open_cascade(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "open_cascade", counted)
+    path = write_config(tmp_path,
+                        GOOD_CONFIG.replace("P = 0.1 0 0", "P = 0.1 0.1 0"))
+    assert main(["verify", "--config", path, "--suite", suite]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "not axis-aligned" in err
+    assert opened == []
+    # the gap suite reads no axis and still runs
+    assert main(["verify", "--config", path, "--suite", "gaps"]) == 0
+    assert opened == [suite]
+
+
 def test_verify_identities_free_theory(tmp_path, capsys):
     text = GOOD_CONFIG.replace("alpha = 1e-3", "alpha = 0.0")
     path = write_config(tmp_path, text)

@@ -20,8 +20,7 @@ from fqed.observables import (cross_term_probe, dispersion_curvature_direct,
                               mass_scan, momentum_axis, pull_through_summary,
                               resolvent_bound_probes, scale_routes, scan_csv,
                               soft_photon_probe)
-from fqed.spectral import (ResolventSolver, contour_sum, dense_spectrum,
-                           ground_state)
+from fqed.spectral import ResolventSolver, dense_spectrum, ground_state
 
 
 def make_box(alpha, p, n_scales=2, eps=0.25, n_max=2):
@@ -404,11 +403,11 @@ def test_rotation_spot_check():
 
 
 def test_each_route_solves_only_what_it_returns(tiny_record, monkeypatch):
-    # 16 nodes: 9 node evaluations on the upper half circle.  Each route
-    # takes R psi = psi / (E - z), so it reduces only its target and solves
-    # once per node; the direct route reads its sandwich from coefficient 0
-    # of the target's Lanczos space, and the displaced route lifts its
-    # integral once for the cross term.
+    # 16 nodes: 9 on the upper half circle, all answered by one solve.
+    # Each route takes R psi = psi / (E - z), so it reduces only its target
+    # and solves once for all nodes; the direct route reads its sandwich
+    # from coefficient 0 of the target's Lanczos space, and the displaced
+    # route lifts its integral once for the cross term.
     import fqed.observables as observables
     import fqed.spectral as spectral
 
@@ -423,7 +422,10 @@ def test_each_route_solves_only_what_it_returns(tiny_record, monkeypatch):
         method = getattr(owner, name)
 
         def wrapper(self, *args):
-            (calls if name == "solve" else moves).append(name)
+            if name == "solve":
+                calls.append(np.shape(args[0]))
+            else:
+                moves.append(name)
             return method(self, *args)
         monkeypatch.setattr(owner, name, wrapper)
 
@@ -441,9 +443,10 @@ def test_each_route_solves_only_what_it_returns(tiny_record, monkeypatch):
         calls.clear()
         moves.clear()
         route()
-        counts[name] = len(calls)
+        counts[name] = list(calls)
         applications[name] = sorted(moves)
-    assert counts == {"direct": 9, "displaced": 9, "cross": 9}
+    # one solve per route, of all 9 nodes
+    assert counts == {"direct": [(9,)], "displaced": [(9,)], "cross": [(9,)]}
     assert applications == {"direct": ["reduce"],
                             "displaced": ["lift", "reduce"],
                             "cross": ["lift", "reduce"]}
@@ -647,11 +650,14 @@ def dense_displaced_route(frame):
         shifted = k - z * np.eye(len(phi))
         g, a = np.linalg.solve(shifted, np.stack([target, phi], axis=1)).T
         y = np.linalg.solve(shifted, gamma @ a)
-        return y, (target @ g) / (energy - z), a @ a, g @ a
+        return [*y, (target @ g) / (energy - z), a @ a, g @ a]
 
     contour = observables._route_contour(params, frame.family.j, energy,
                                          frame.gap)
-    acc, reduced, aa, ga = contour_sum(contour, node)
+    # solved node by node, stacked one column per node
+    integral = contour.integrate(
+        np.array([node(z) for z in contour.upper]).T)
+    acc, (reduced, aa, ga) = integral[:-3], integral[-3:]
     s = float(frame.grad_energy[axis])
     cross = s ** 2 * aa.real - s * ga.real - s * np.real(acc @ phi)
     return (1.0 - 2.0 * float(np.real(acc.conj() @ target)),

@@ -25,9 +25,11 @@ def seeded_symmetric(n, seed, scale=1.0, shift=0.0):
 
 
 def full_solve(solver, z, b):
-    """(op - z)^{-1} b through b's Lanczos space."""
+    """(op - z)^{-1} b through b's Lanczos space, lifted as real and
+    imaginary parts."""
     space = solver.reduce(b)
-    return space.lift(solver.solve(z, space))
+    c = solver.solve(z, space)
+    return space.lift(c.real) + 1j * space.lift(c.imag)
 
 
 def test_contour_invariants():
@@ -38,8 +40,56 @@ def test_contour_invariants():
     with pytest.raises(ParameterError):
         Contour(0.0, 1.0, nodes=6)
     c = Contour(1.0, 0.5, nodes=8)
-    assert len(c.points) == 8
-    assert np.allclose(np.abs(c.points - 1.0), 0.5)
+    # M/2 + 1 nodes on the upper half circle, counterclockwise from c + r
+    # to c - r
+    assert len(c.upper) == 5
+    assert np.allclose(np.abs(c.upper - 1.0), 0.5)
+    assert np.all(c.upper.imag >= 0.0)
+    assert np.all(np.diff(np.angle(c.upper - 1.0)) > 0.0)
+    assert np.allclose(c.upper[[0, -1]], [1.5, 0.5], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("nodes", [8, 16, 64])
+def test_integrate_matches_the_full_circle_trapezoid_rule(nodes):
+    # a conjugate-symmetric f, known on the upper half circle, gives the
+    # sum over all M nodes of c_q f(z_q), c_q = -(r/M) exp(i theta_q)
+    contour = Contour(0.3, 0.7, nodes)
+    levels = np.array([-0.2, 0.1, 0.5, 1.5, 2.0])
+    weights = np.linspace(1.0, 2.0, len(levels))
+
+    def f(z):
+        return np.array([*(weights / (levels - z)),
+                         np.sum(weights / (levels - z) ** 2),
+                         z ** 3 - 2.0 * z])
+
+    full = np.zeros(len(levels) + 2, dtype=complex)
+    for q in range(nodes):
+        phase = np.exp(2j * np.pi * q / nodes)
+        full += -(contour.radius / nodes) * phase \
+            * f(contour.center + contour.radius * phase)
+    half = contour.integrate(
+        np.array([f(z) for z in contour.upper]).T)
+    assert half.shape == full.shape
+    assert np.linalg.norm(half - full) <= 1e-15 * np.linalg.norm(full)
+
+
+def test_array_solve_matches_scalar_solves_at_its_size():
+    # one solve answers every shift at one size; a scalar solve at that
+    # size gives the same column
+    op = seeded_symmetric(300, seed=5) + sp.diags(np.linspace(0.0, 4.0, 300))
+    space = ResolventSolver(op).reduce(np.sin(np.arange(300.0)))
+    z = Contour(5.0, 0.5, 16).upper.reshape(3, 3)
+    block = space.solve(z)
+    k = space.steps
+    assert block.shape == (k, 3, 3)
+    for idx in np.ndindex(z.shape):
+        col = space.solve(z[idx])
+        assert space.steps == k and col.shape == (k,)
+        assert np.linalg.norm(block[(slice(None), *idx)] - col) \
+            <= 1e-14 * np.linalg.norm(col)
+    # b = 0 answers zeros that read at coefficient 0
+    zero = ResolventSolver(op).reduce(np.zeros(300)).solve(z)
+    assert zero.shape == (1, 3, 3) and not np.any(zero)
 
 
 def test_dense_spectrum_field_energies():
@@ -497,9 +547,9 @@ def test_shifted_solve_product_cap_raises_with_the_residual(monkeypatch):
 
 
 def test_contour_nodes_converging_at_different_sizes(monkeypatch):
-    # with small growth blocks the first node converges in a smaller space
-    # than the later ones; its coefficients, zero-padded to the space's
-    # largest size, still add exactly in the one integral
+    # with small growth blocks the first node alone converges in a smaller
+    # space than the whole contour; one integral makes one solve, which
+    # answers every node at the one size where all have converged
     import fqed.spectral as spectral
 
     monkeypatch.setattr(spectral, "KRYLOV_BLOCK", 8)
@@ -507,19 +557,23 @@ def test_contour_nodes_converging_at_different_sizes(monkeypatch):
     vals, vecs = dense_spectrum(op)
     contour = Contour(vals[-1], 0.5 * (vals[-1] - vals[-2]))
     v = np.sin(np.arange(300.0))
-    sizes = []
+    first = ResolventSolver(op).reduce(v)
+    first.solve(contour.upper[0])
+    solves = []
     solve = spectral._KrylovSpace.solve
 
     def counted(self, z):
         out = solve(self, z)
-        assert len(out) == self.max_dim and not np.any(out[self.steps:])
-        sizes.append(self.steps)
+        solves.append((np.shape(z), out.shape, self.steps))
         return out
 
     monkeypatch.setattr(spectral._KrylovSpace, "solve", counted)
     projected = contour_project(ResolventSolver(op), contour, v)
     exact = vecs[:, -1] * (vecs[:, -1] @ v)
-    assert sizes[0] < sizes[-1]
+    [(shape, out_shape, size)] = solves
+    assert shape == (contour.nodes // 2 + 1,)
+    assert out_shape == (size,) + shape
+    assert first.steps < size
     assert np.linalg.norm(projected - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
