@@ -31,7 +31,7 @@ from .fock import FockBasis
 from .hamiltonian import (FactorOp, FiberFamily, ModelParams,
                           assemble_intermediate_hamiltonian)
 from .modes import ModeGrid, ParameterError
-from .spectral import (Contour, ContourError, ResolventSolver, SolverError,
+from .spectral import (Contour, ContourError, SolverError,
                        contour_project_checked, ground_state)
 
 #: Trapezoid nodes of each step's first projection; doubled on a defect.
@@ -66,6 +66,14 @@ class ConstraintReport:
 
     def first_failure(self) -> ConstraintCheck | None:
         return next((c for c in self.checks if not c.passed), None)
+
+    def require(self):
+        """Raise ``ParameterError`` naming the first failed constraint."""
+        bad = self.first_failure()
+        if bad is not None:
+            raise ParameterError(
+                f"parameter constraint failed: {bad.name} ({bad.detail}); "
+                "set allow_invalid to run anyway")
 
     def table(self) -> str:
         lines = []
@@ -231,11 +239,8 @@ def open_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
             "grid does not span the cascade's cutoff sequence; rebuild it "
             "from the same parameters")
     report = validate_params(params, grid)
-    if not report.passed and not allow_invalid:
-        bad = report.first_failure()
-        raise ParameterError(
-            f"parameter constraint failed: {bad.name} ({bad.detail}); "
-            "set allow_invalid to run anyway")
+    if not allow_invalid:
+        report.require()
     return CascadeState(params=params, grid=grid, basis=basis, report=report)
 
 
@@ -258,8 +263,8 @@ def cascade_scales(state: CascadeState, *,
 
     Each record is appended to ``state.records`` before it is yielded with
     its family, which keeps its factors, their sector restrictions and
-    the frame factors whose Pi centred the record;
-    the step's bridge operator, H(P) and contour solver are gone by then.
+    the frame factors whose Pi centred the record; the step's bridge
+    operator, H(P) and the projection's Lanczos spaces are gone by then.
     The generator drops the family when it resumes, so a consumer that
     drops it too holds one scale's operators at a time.
     """
@@ -289,7 +294,7 @@ def _cascade_step(state: CascadeState, j: int, start: np.ndarray | None,
             contour = Contour(prev.energy, params.mu * cut.sigma(j),
                               contour_nodes)
             phi_hat, nodes_used, defect = contour_project_checked(
-                ResolventSolver(k_hat), contour, prev.phi)
+                k_hat, contour, prev.phi)
         except ContourError as exc:
             raise CascadeError(f"scale {j}: {exc}") from exc
         del k_hat   # the bridge operator serves the projection only

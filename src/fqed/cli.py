@@ -22,7 +22,8 @@ import hashlib
 import importlib
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +317,17 @@ def cmd_mass_scan(cfg: RunConfig, args) -> int:
         print("usage error: config key 'P_list' is empty", file=sys.stderr)
         return 2
     grid = cfg.build_grid()
+    if not cfg.allow_invalid:
+        # a failed constraint refuses the scan before any basis or cascade,
+        # as it refuses `cascade`; the library annotates the point's row
+        for alpha, p in product(cfg.alphas, cfg.p_list):
+            point = replace(cfg.params, alpha=alpha, p_total=p)
+            try:
+                validate_params(point, grid).require()
+            except ParameterError as exc:
+                p_txt = " ".join(repr(float(x)) for x in p)
+                raise ParameterError(
+                    f"scan point alpha={alpha!r} P=({p_txt}): {exc}") from exc
     basis = cfg.build_basis(grid)
     rows = mass_scan(cfg.params, grid, basis, cfg.alphas, cfg.p_list,
                      contour_nodes=cfg.contour_nodes,

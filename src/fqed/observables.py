@@ -147,7 +147,7 @@ def dispersion_curvature_direct(family: FiberFamily,
     axis = momentum_axis(params.p_total)
     x_psi = params.p_total[axis] * psi - h.factors.apply(psi)[axis]
     cont = _route_contour(params, family.j, rec.energy, rec.gap_sector)
-    return 1.0 - 2.0 * resolvent_sandwich(ResolventSolver(h), cont, x_psi)
+    return 1.0 - 2.0 * resolvent_sandwich(h, cont, x_psi)
 
 
 @dataclass
@@ -238,13 +238,13 @@ def dispersion_curvature_displaced(frame: DisplacedFrame):
     phi = phi / nrm
     energy = frame.energy
     cont = _route_contour(params, family.j, energy, frame.gap)
-    solver = ResolventSolver(frame.k_op.sector(idx))
-    space = solver.reduce(frame.gamma_phi[axis][idx] / nrm)
+    space = ResolventSolver(frame.k_op.sector(idx),
+                            frame.gamma_phi[axis][idx] / nrm)
     z = cont.upper
     # R phi = phi / (E - z): one solve, of Gamma phi, at all nodes.  Gamma
     # phi is ||Gamma phi|| e1 in its own space, so a product against it
     # reads coefficient 0, and the reduced form's integrand is a last row
-    g = solver.solve(z, space)
+    g = space.solve(z)
     acc = cont.integrate(np.vstack([g, space.b0 * g[:1]]) / (energy - z))
     sandwich = float(space.b0 * acc[0].real)
     lifted = space.lift(acc[:-1].real)
@@ -520,7 +520,7 @@ def resolvent_bound_probes(family: FiberFamily, rec: ScaleRecord):
     frame = family.frame(rec.grad_energy)
     gamma_phi, shift, _ = centered_momentum_vectors(frame.apply(rec.phi),
                                                     rec.phi)
-    solver = ResolventSolver(FactorOp(frame, shift))
+    k_op = FactorOp(frame, shift)
     w3 = gamma_phi[axis]
     w4 = creation_sum(family.basis, slice_marginal_coeffs(
         params, family.grid, rec.j, rec.grad_energy)[axis]) @ w3
@@ -528,10 +528,10 @@ def resolvent_bound_probes(family: FiberFamily, rec: ScaleRecord):
     points = rec.energy + radius * np.exp(0.5j * np.pi * np.arange(3))
 
     def ratios(w):
-        space = solver.reduce(w)
+        space = ResolventSolver(k_op, w)
         if space.b0 == 0.0:
             return np.nan, np.nan
-        solver.solve(points, space)
+        space.solve(points)
         nodes, vecs = space.ritz()
         a, inv = (space.b0 * vecs[0]) ** 2, 1.0 / (nodes[:, None] - points)
         return [np.max(a @ abs(inv) ** p / abs(a @ inv ** p)) for p in (1, 2)]

@@ -18,17 +18,17 @@ conjugate-symmetric integrand is known on the whole.
 Shifted solves take one of two Krylov methods.  Contour integrals and the
 Gauss rule, which need many complex shifts of one right-hand side or the
 Ritz pairs themselves, work in a Lanczos space per real right-hand side,
-where the operator is a symmetric tridiagonal T = S diag(theta) S^T:
-``ResolventSolver.reduce`` starts the space of a vector, and a solve returns
-plain coefficient arrays in that space, read from T's Ritz pairs, for all
-of a contour's nodes at one size.  An integral is then one solve, one
-``integrate`` and one lift of the sum.  One real shift below the spectrum
-makes op - shift positive definite, and ``shifted_solve`` takes it by
-conjugate gradients with the diagonal preconditioner, a few products and
-O(n) memory per right-hand side.  The resolvent functions take the solver
-as their first argument and act on its operator.  The dense oracles,
-``dense_spectrum`` and the perturbation series ``neumann_project``, take
-the operator itself.
+where the operator is a symmetric tridiagonal T = S diag(theta) S^T.
+``ResolventSolver(op, b)`` is the space of b.  Its solve returns plain
+coefficient arrays in that space, read from T's Ritz pairs, for all of a
+contour's nodes at one size.  An integral is then one space, one solve,
+one ``integrate`` and one lift of the sum.  One real shift below the
+spectrum makes op - shift positive definite, and ``shifted_solve`` takes
+it by conjugate gradients with the diagonal preconditioner, a few
+products and O(n) memory per right-hand side.  The resolvent functions
+start their own spaces and take the operator as their first argument, as
+``ground_state``, ``shifted_solve`` and the dense oracles
+(``dense_spectrum`` and the perturbation series ``neumann_project``) do.
 
 An operator is anything with ``shape`` and ``@`` on vectors and (n, k)
 blocks, and ``diagonal()`` for Davidson and CG: an array, a sparse matrix
@@ -409,8 +409,9 @@ def shifted_solve(op, shift: float, b: np.ndarray) -> np.ndarray:
     return out.reshape(b.shape)
 
 
-class _KrylovSpace:
-    """Reorthogonalized Lanczos space for one real right-hand side b.
+class ResolventSolver:
+    """Solver of (op - z)x = b at many shifts z: the reorthogonalized
+    Lanczos space of one real right-hand side b; applies op as is.
 
     The same basis V serves every shift z: (op - z)^{-1} b is approximated
     by V (T - z)^{-1} (||b|| e1) for the space's tridiagonal T.  A solve
@@ -421,10 +422,15 @@ class _KrylovSpace:
     until ``KRYLOV_TOL`` holds for every shift of a solve.  It grows by
     ``KRYLOV_BLOCK`` vectors at a time up to ``KRYLOV_LINEAR_MAX`` and
     doubles past it.  A solve answers all its shifts at one size, so the
-    coefficients of a contour's nodes add as plain arrays.
+    coefficients of a contour's nodes add as plain arrays, and ``lift``
+    multiplies real coefficients by the basis.
     """
 
     def __init__(self, op, b: np.ndarray):
+        b = np.asarray(b)
+        if np.iscomplexobj(b):
+            raise ValueError("a ResolventSolver reduces real vectors only: "
+                             "its Lanczos space starts from one real vector")
         self.op = op
         self.b0 = float(np.linalg.norm(b))
         self.max_dim = max(1, min(KRYLOV_MAX, len(b)))
@@ -520,61 +526,31 @@ class _KrylovSpace:
         return (self._basis[:len(c)].T @ c[:, None])[:, 0]
 
 
-class ResolventSolver:
-    """Reusable solver for (op - z)x = b at many shifts z; applies op as is.
+def contour_project(op, contour: Contour, v: np.ndarray) -> np.ndarray:
+    """Spectral projection of v onto the eigenspace of ``op`` inside the
+    contour.
 
-    ``reduce(b)`` starts the Lanczos space of the real vector b, in which b
-    has the coefficients ||b|| e1 and the operator is tridiagonal;
-    ``solve(z, space)`` returns the coefficients of (op - z)^{-1} b there
-    for a shift or an array of shifts, all at one size, and ``space.lift``
-    multiplies real coefficients by the basis.
+    ``op`` is real symmetric and ``v`` real, so the projection is real.
+    The nodes sum as coefficients in v's Lanczos space: one space, one
+    solve at all nodes, one lift.
     """
-
-    def __init__(self, op):
-        self._op = op
-
-    def reduce(self, b: np.ndarray) -> _KrylovSpace:
-        """The Lanczos space of the right-hand side b."""
-        b = np.asarray(b)
-        if np.iscomplexobj(b):
-            raise ValueError("a ResolventSolver reduces real vectors only: "
-                             "its Lanczos space starts from one real vector")
-        return _KrylovSpace(self._op, b)
-
-    def solve(self, z, space: _KrylovSpace) -> np.ndarray:
-        """Coefficients of (op - z)^{-1} b in b's space, a (k,) + shape(z)
-        array for the space's size k."""
-        # kept as a method, not folded into the space: the benchmark tracer
-        # binds ResolventSolver.__init__ and .solve as its resolvent layer
-        return space.solve(z)
-
-
-def contour_project(solver: ResolventSolver, contour: Contour,
-                    v: np.ndarray) -> np.ndarray:
-    """Spectral projection of v onto the eigenspace inside the contour.
-
-    The solver's operator is real symmetric and ``v`` real, so the
-    projection is real.  The nodes sum as coefficients in v's Lanczos
-    space: one reduce, one solve at all nodes, one lift.
-    """
-    space = solver.reduce(v)
-    acc = contour.integrate(solver.solve(contour.upper, space))
+    space = ResolventSolver(op, v)
+    acc = contour.integrate(space.solve(contour.upper))
     return np.ascontiguousarray(space.lift(acc.real))
 
 
-def idempotence_defect(solver: ResolventSolver, contour: Contour,
-                       v: np.ndarray) -> float:
+def idempotence_defect(op, contour: Contour, v: np.ndarray) -> float:
     """Relative defect ||P(Pv) - Pv|| / ||Pv|| of the quadrature projector."""
-    pv = contour_project(solver, contour, v)
+    pv = contour_project(op, contour, v)
     nrm = np.linalg.norm(pv)
     if nrm == 0.0:
         return 0.0
-    ppv = contour_project(solver, contour, pv)
+    ppv = contour_project(op, contour, pv)
     return float(np.linalg.norm(ppv - pv) / nrm)
 
 
-def contour_project_checked(solver: ResolventSolver, contour: Contour,
-                            v: np.ndarray, defect_tol: float = 1e-8,
+def contour_project_checked(op, contour: Contour, v: np.ndarray,
+                            defect_tol: float = 1e-8,
                             max_nodes: int = MAX_NODES):
     """Projection with node doubling until the idempotence defect passes.
 
@@ -588,11 +564,11 @@ def contour_project_checked(solver: ResolventSolver, contour: Contour,
     """
     current = contour
     while True:
-        pv = contour_project(solver, current, v)
+        pv = contour_project(op, current, v)
         nrm = np.linalg.norm(pv)
         if nrm == 0.0:
             return pv, current.nodes, 0.0
-        ppv = contour_project(solver, current, pv)
+        ppv = contour_project(op, current, pv)
         kept = float(np.linalg.norm(ppv) / nrm)
         defect = float(np.linalg.norm(ppv - pv) / nrm)
         if not (np.isfinite(kept) and np.isfinite(defect)):
@@ -650,21 +626,20 @@ def neumann_project(op, delta_h, contour: Contour, v: np.ndarray,
     return terms.sum(axis=0), norms
 
 
-def resolvent_sandwich(solver: ResolventSolver, contour: Contour,
-                       middle_psi: np.ndarray) -> float:
+def resolvent_sandwich(op, contour: Contour, middle_psi: np.ndarray) -> float:
     """S = < (1/2pi i) oint_cw R(z) middle R(z) psi dz , middle psi >,
     given ``middle_psi`` = middle psi.
 
-    For a normalized eigenvector psi of the solver's operator enclosed
-    alone by the contour, S equals sum_{m != 0} |<m| middle |0>|^2 /
-    (E_m - E_0), the reduced-resolvent sum of second-order perturbation
-    theory.  The inner resolvent is the eigenvector identity R(z) psi =
-    psi / (E - z), so the integral is one solve of middle psi at all the
-    nodes; this requires the contour to be centered on psi's eigenvalue E.
+    For a normalized eigenvector psi of ``op`` enclosed alone by the
+    contour, S equals sum_{m != 0} |<m| middle |0>|^2 / (E_m - E_0), the
+    reduced-resolvent sum of second-order perturbation theory.  The inner
+    resolvent is the eigenvector identity R(z) psi = psi / (E - z), so the
+    integral is one solve of middle psi at all the nodes; this requires
+    the contour to be centered on psi's eigenvalue E.
     """
-    space = solver.reduce(middle_psi)
+    space = ResolventSolver(op, middle_psi)
     z = contour.upper
-    acc = contour.integrate(solver.solve(z, space) / (contour.center - z))
+    acc = contour.integrate(space.solve(z) / (contour.center - z))
     # middle psi is ||middle psi|| e1 in its own space: the product reads
     # coefficient 0
     return float(space.b0 * acc[0].real)

@@ -14,7 +14,7 @@ from fqed.hamiltonian import (FiberFamily, ModelParams,
                               delta_k_interaction)
 from fqed.modes import ParameterError
 from fqed.observables import displaced_frame_ground
-from fqed.spectral import Contour, ResolventSolver, contour_project
+from fqed.spectral import Contour, contour_project
 
 
 def box(**kw):
@@ -175,7 +175,7 @@ def test_displaced_projection_paths_agree(small_setup):
     from fqed.spectral import neumann_project
     series, norms = neumann_project(k_prev, dk, contour, rec.phi,
                                     n_terms=4)
-    direct = contour_project(ResolventSolver(k_prev + dk), contour, rec.phi)
+    direct = contour_project(k_prev + dk, contour, rec.phi)
     assert np.linalg.norm(series - direct) <= 1e-6
     assert norms[3] / norms[2] < 0.5
 
@@ -270,9 +270,9 @@ def test_cascade_stops_at_first_level_on_empty_enclosure(tiny_setup,
     calls = []
     project = spectral.contour_project
 
-    def counted(solver, contour, v):
+    def counted(op, contour, v):
         calls.append(contour.nodes)
-        return project(solver, contour, v)
+        return project(op, contour, v)
 
     monkeypatch.setattr(spectral, "contour_project", counted)
     with pytest.raises(CascadeError, match="encloses none"):

@@ -566,6 +566,47 @@ def test_davidson_iteration_cap_exits_3_or_writes_error_rows(
                and "Davidson stopped at residual" in r[-1] for r in rows)
 
 
+def test_mass_scan_refuses_a_point_that_fails_a_constraint(tmp_path, capsys,
+                                                          monkeypatch):
+    # alpha = 2e-2 puts the infrared floor 2.5 sqrt(alpha) above epsilon:
+    # the scan exits 1, as cascade does, before any basis or cascade and
+    # with no scan.csv; allow_invalid runs the point, whose step contour
+    # then misses the ground state, a numerical failure on its row
+    import fqed.cli as cli
+    import fqed.observables as observables
+
+    built = []
+    build_basis = cli.RunConfig.build_basis
+    open_cascade = observables.open_cascade
+
+    def counted_basis(self, grid):
+        built.append("basis")
+        return build_basis(self, grid)
+
+    def counted_cascade(*args, **kwargs):
+        built.append("cascade")
+        return open_cascade(*args, **kwargs)
+
+    monkeypatch.setattr(cli.RunConfig, "build_basis", counted_basis)
+    monkeypatch.setattr(observables, "open_cascade", counted_cascade)
+    text = GOOD_CONFIG.replace("J = 2", "J = 1").replace(
+        "alphas = 1e-4 1e-3", "alphas = 1e-3 2e-2")
+    out = tmp_path / "out"
+    path = write_config(tmp_path, text)
+    assert main(["mass-scan", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scan point alpha=0.02 P=(0.1 0.0 0.0): "
+                          "parameter constraint failed: infrared floor")
+    assert built == [] and not (out / "scan.csv").exists()
+    path = write_config(tmp_path, text + "allow_invalid = true\n")
+    assert main(["mass-scan", "--config", path, "--out", str(out)]) == 3
+    assert built == ["basis", "cascade", "cascade"]
+    rows = [r.split(",") for r in (out / "scan.csv").read_text().splitlines()
+            if r.startswith("0.02,")]
+    assert [r[1] for r in rows] == ["-1"]
+    assert rows[0][-1].startswith("scale 1: contour encloses none")
+
+
 def test_mass_scan_empty_momentum_list_is_usage_error(tmp_path, capsys):
     text = GOOD_CONFIG.replace("P_list = 0.1 0 0", "P_list =")
     path = write_config(tmp_path, text)
@@ -621,22 +662,23 @@ def test_verify_identities_free_theory(tmp_path, capsys):
 
 
 def test_verify_builds_each_frame_solver_once(tmp_path, monkeypatch):
-    # the displaced route reads its cross term from its own integral on the
-    # frame's one solver: one per cascade step plus one H and one K solver
+    # the displaced route reads its cross term from its own integral in
+    # one Lanczos space: two per cascade step (the projection and its
+    # re-projection, at the first node count) plus one H and one K space
     # per scale
     from fqed.spectral import ResolventSolver
 
     inits = []
     init = ResolventSolver.__init__
 
-    def counted(self, op):
+    def counted(self, op, b):
         inits.append(op.shape)
-        init(self, op)
+        init(self, op, b)
 
     monkeypatch.setattr(ResolventSolver, "__init__", counted)
     path = write_config(tmp_path, GOOD_CONFIG)
     assert main(["verify", "--config", path, "--suite", "identities"]) == 0
-    assert len(inits) == 2 + 2 * 3
+    assert len(inits) == 2 * 2 + 2 * 3
 
 
 def test_verify_builds_each_frame_once_per_family_and_gradient(tmp_path,
@@ -692,10 +734,10 @@ def test_verify_bounds_read_each_lanczos_space(tmp_path, family_builds,
     import fqed.observables as observables
     import fqed.spectral as spectral
 
-    calls = {"dense": 0, "reduce": 0}
+    calls = {"dense": 0, "spaces": 0}
     at_cascade_end = []
     to_dense = spectral._dense
-    reduce = spectral.ResolventSolver.reduce
+    init = spectral.ResolventSolver.__init__
     cascade_scales = cli.cascade_scales
 
     # every dense solve, production or oracle, makes the operator dense
@@ -703,16 +745,16 @@ def test_verify_bounds_read_each_lanczos_space(tmp_path, family_builds,
         calls["dense"] += 1
         return to_dense(*args, **kwargs)
 
-    def counted_reduce(self, b):
-        calls["reduce"] += 1
-        return reduce(self, b)
+    def counted_init(self, op, b):
+        calls["spaces"] += 1
+        init(self, op, b)
 
     def cascade(*args, **kwargs):
         yield from cascade_scales(*args, **kwargs)
         at_cascade_end.append(dict(calls))
 
     monkeypatch.setattr(spectral, "_dense", counted_dense)
-    monkeypatch.setattr(spectral.ResolventSolver, "reduce", counted_reduce)
+    monkeypatch.setattr(spectral.ResolventSolver, "__init__", counted_init)
     monkeypatch.setattr(cli, "cascade_scales", cascade)
     assert not hasattr(observables, "dense_spectrum")
     cfg = parse_config(write_config(tmp_path, GOOD_CONFIG))
@@ -721,7 +763,7 @@ def test_verify_bounds_read_each_lanczos_space(tmp_path, family_builds,
     assert [(name, passed) for _, name, passed, _ in lines] \
         == [(f"bound {c} j=1", True) for c in ("C3", "C4", "C5")]
     assert calls["dense"] == at_cascade_end[0]["dense"]
-    assert calls["reduce"] - at_cascade_end[0]["reduce"] == 2 * 2
+    assert calls["spaces"] - at_cascade_end[0]["spaces"] == 2 * 2
     assert family_builds == [0, 1, 2]
 
 
@@ -774,17 +816,17 @@ def test_verify_pull_through_builds_no_krylov_space(tmp_path, monkeypatch):
     spaces = []
     at_cascade_end = []
     cascade_scales = cli.cascade_scales
+    init = spectral.ResolventSolver.__init__
 
-    class CountedSpace(spectral._KrylovSpace):
-        def __init__(self, *args):
-            spaces.append(len(args[1]))
-            super().__init__(*args)
+    def counted(self, op, b):
+        spaces.append(len(b))
+        init(self, op, b)
 
     def cascade(*args, **kwargs):
         yield from cascade_scales(*args, **kwargs)
         at_cascade_end.append(len(spaces))
 
-    monkeypatch.setattr(spectral, "_KrylovSpace", CountedSpace)
+    monkeypatch.setattr(spectral.ResolventSolver, "__init__", counted)
     monkeypatch.setattr(cli, "cascade_scales", cascade)
     cfg = parse_config(write_config(tmp_path, GOOD_CONFIG))
     lines = list(cli._verify_lines(cfg, "pullthrough"))

@@ -6,7 +6,8 @@ suites is the one the command accepts, every name a demo imports from
 signature, the demos that evaluate routes and probes from cascade
 records run to the end, the benchmark's copy of the demo config is that
 config byte for byte, every solver constant README gives a value for
-has that value in the code, and no module of the package imports a name
+has that value in the code, every ``Name.attr`` README quotes of a module
+or a module's name exists, and no module of the package imports a name
 it never uses."""
 
 import ast
@@ -56,6 +57,26 @@ def test_readme_solver_constants_match_the_code():
     wrong = [(name, value, module_constant(name)) for name, value in shown
              if ast.literal_eval(value) != module_constant(name)]
     assert wrong == []
+
+
+def test_readme_names_only_attributes_that_exist():
+    # `Name.attr` in a code span, where Name is an fqed module or a name
+    # one binds: `fock.ENTRY_LIMIT`, `FiberFamily.gradient`; file names
+    # such as `scan.csv` name neither
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(),
+                  flags=re.S)
+    modules = {path.stem: importlib.import_module(f"fqed.{path.stem}")
+               for path in MODULES if path.stem != "__init__"}
+    owners = dict(modules)
+    for module in modules.values():
+        owners.update({k: v for k, v in vars(module).items()
+                       if k not in owners})
+    quoted = [pair for span in re.findall(r"`([^`]+)`", text)
+              for pair in re.findall(r"(?<![\w.])(\w+)\.(\w+)", span)
+              if pair[0] in owners]
+    assert len(quoted) >= 5
+    assert [f"{name}.{attr}" for name, attr in quoted
+            if not hasattr(owners[name], attr)] == []
 
 
 def test_benchmark_desk_config_is_the_demo_config():

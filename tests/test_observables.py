@@ -404,12 +404,11 @@ def test_rotation_spot_check():
 
 def test_each_route_solves_only_what_it_returns(tiny_record, monkeypatch):
     # 16 nodes: 9 on the upper half circle, all answered by one solve.
-    # Each route takes R psi = psi / (E - z), so it reduces only its target
-    # and solves once for all nodes; the direct route reads its sandwich
-    # from coefficient 0 of the target's Lanczos space, and the displaced
-    # route lifts its integral once for the cross term.
+    # Each route takes R psi = psi / (E - z), so it starts a Lanczos space
+    # only for its target and solves once for all nodes; the direct route
+    # reads its sandwich from coefficient 0 of the target's Lanczos space,
+    # and the displaced route lifts its integral once for the cross term.
     import fqed.observables as observables
-    import fqed.spectral as spectral
 
     params, grid, basis, rec = tiny_record
     monkeypatch.setattr(observables, "ROUTE_NODES", 16)
@@ -429,9 +428,8 @@ def test_each_route_solves_only_what_it_returns(tiny_record, monkeypatch):
             return method(self, *args)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("solve", "reduce"):
+    for name in ("solve", "__init__", "lift"):
         counted(ResolventSolver, name)
-    counted(spectral._KrylovSpace, "lift")
     routes = {
         "direct": lambda: dispersion_curvature_direct(family, rec),
         "displaced": lambda: dispersion_curvature_displaced(frame),
@@ -447,9 +445,9 @@ def test_each_route_solves_only_what_it_returns(tiny_record, monkeypatch):
         applications[name] = sorted(moves)
     # one solve per route, of all 9 nodes
     assert counts == {"direct": [(9,)], "displaced": [(9,)], "cross": [(9,)]}
-    assert applications == {"direct": ["reduce"],
-                            "displaced": ["lift", "reduce"],
-                            "cross": ["lift", "reduce"]}
+    assert applications == {"direct": ["__init__"],
+                            "displaced": ["__init__", "lift"],
+                            "cross": ["__init__", "lift"]}
 
 
 def test_cross_term_probe_reads_an_off_eigenvector_phi(tiny_record):
@@ -665,22 +663,20 @@ def dense_displaced_route(frame):
 
 
 def test_displaced_route_builds_one_krylov_space(tiny_record, monkeypatch):
-    # the route reduces only Gamma phi and reads its cross term from the
-    # same integral: one Lanczos space per call, and the same three values
-    # as the dense double resolvent
-    import fqed.spectral as spectral
-
+    # the route starts a space only for Gamma phi and reads its cross term
+    # from the same integral: one Lanczos space per call, and the same three
+    # values as the dense double resolvent
     params, grid, basis, rec = tiny_record
     frame = displaced_frame_ground(FiberFamily(params, grid, basis, 1), rec)
     dense = dense_displaced_route(frame)
     spaces = []
+    init = ResolventSolver.__init__
 
-    class CountedSpace(spectral._KrylovSpace):
-        def __init__(self, *args):
-            spaces.append(len(args[1]))
-            super().__init__(*args)
+    def counted(self, op, b):
+        spaces.append(len(b))
+        init(self, op, b)
 
-    monkeypatch.setattr(spectral, "_KrylovSpace", CountedSpace)
+    monkeypatch.setattr(ResolventSolver, "__init__", counted)
     d2_k, d2_kr, cross = dispersion_curvature_displaced(frame)
     assert spaces == [basis.size]
     assert cross <= 1e-8 and dense[2] <= 1e-8

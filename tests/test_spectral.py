@@ -24,11 +24,11 @@ def seeded_symmetric(n, seed, scale=1.0, shift=0.0):
     return sp.csr_matrix(scale * (a + a.T) / 2 + shift * np.eye(n))
 
 
-def full_solve(solver, z, b):
+def full_solve(op, z, b):
     """(op - z)^{-1} b through b's Lanczos space, lifted as real and
     imaginary parts."""
-    space = solver.reduce(b)
-    c = solver.solve(z, space)
+    space = ResolventSolver(op, b)
+    c = space.solve(z)
     return space.lift(c.real) + 1j * space.lift(c.imag)
 
 
@@ -77,7 +77,7 @@ def test_array_solve_matches_scalar_solves_at_its_size():
     # one solve answers every shift at one size; a scalar solve at that
     # size gives the same column
     op = seeded_symmetric(300, seed=5) + sp.diags(np.linspace(0.0, 4.0, 300))
-    space = ResolventSolver(op).reduce(np.sin(np.arange(300.0)))
+    space = ResolventSolver(op, np.sin(np.arange(300.0)))
     z = Contour(5.0, 0.5, 16).upper.reshape(3, 3)
     block = space.solve(z)
     k = space.steps
@@ -88,7 +88,7 @@ def test_array_solve_matches_scalar_solves_at_its_size():
         assert np.linalg.norm(block[(slice(None), *idx)] - col) \
             <= 1e-14 * np.linalg.norm(col)
     # b = 0 answers zeros that read at coefficient 0
-    zero = ResolventSolver(op).reduce(np.zeros(300)).solve(z)
+    zero = ResolventSolver(op, np.zeros(300)).solve(z)
     assert zero.shape == (1, 3, 3) and not np.any(zero)
 
 
@@ -335,7 +335,7 @@ def test_factored_operator_is_never_assembled(small_setup, monkeypatch):
                     ground_state(op, start=v)):
             assert abs(rec.energy - vals[0]) <= 1e-12
             assert abs(rec.gap - (vals[1] - vals[0])) <= 1e-10
-        pv = contour_project(ResolventSolver(op), contour, v)
+        pv = contour_project(op, contour, v)
         assert np.max(np.abs(pv - vecs[:, 0] * (vecs[:, 0] @ v))) <= 1e-10
     # an exactly symmetric matrix applied to identity columns is its array
     assert np.array_equal(spectral._dense(matrix), ref)
@@ -424,7 +424,7 @@ def test_invariant_krylov_space_solves_a_small_right_hand_side():
 
     op = sp.diags([0.0, 1.0, 2.0, 3.0, 4.0]).tocsr()
     b = 1e-3 * (np.eye(5)[1] + 5e-15 * np.eye(5)[3])
-    space = ResolventSolver(op).reduce(b)
+    space = ResolventSolver(op, b)
     z = 1.01
     coeffs = space.solve(z)
     assert space.steps == 1 and space.exhausted
@@ -438,7 +438,7 @@ def test_resolvent_diagonal_oracle():
     d = np.array([0.0, 0.5, 2.0, 5.0])
     op = sp.diags(d).tocsr()
     v = np.array([1.0, 2.0, -1.0, 0.5])
-    x = full_solve(ResolventSolver(op), -1.0, v)
+    x = full_solve(op, -1.0, v)
     assert np.allclose(x.real, v / (d + 1.0), atol=1e-13)
 
 
@@ -446,7 +446,7 @@ def test_resolvent_defining_property_and_dense_inverse():
     op = seeded_symmetric(80, seed=11) + sp.diags(np.linspace(0, 3, 80))
     v = np.cos(np.arange(80.0))
     z = 1.5 + 0.25j
-    x = full_solve(ResolventSolver(op), z, v)
+    x = full_solve(op, z, v)
     assert np.linalg.norm(op @ x - z * x - v) / np.linalg.norm(v) < 1e-10
     dense = np.linalg.solve(op.toarray() - z * np.eye(80), v)
     assert np.linalg.norm(x - dense) / np.linalg.norm(dense) < 1e-10
@@ -457,7 +457,7 @@ def test_krylov_path_matches_dense_path():
     v = np.sin(np.arange(300.0))
     z = 0.3 + 0.1j
     dense = np.linalg.solve(op.toarray() - z * np.eye(300), v)
-    krylov = full_solve(ResolventSolver(op), z, v)
+    krylov = full_solve(op, z, v)
     assert np.linalg.norm(dense - krylov) / np.linalg.norm(dense) < 1e-8
 
 
@@ -557,18 +557,18 @@ def test_contour_nodes_converging_at_different_sizes(monkeypatch):
     vals, vecs = dense_spectrum(op)
     contour = Contour(vals[-1], 0.5 * (vals[-1] - vals[-2]))
     v = np.sin(np.arange(300.0))
-    first = ResolventSolver(op).reduce(v)
+    first = ResolventSolver(op, v)
     first.solve(contour.upper[0])
     solves = []
-    solve = spectral._KrylovSpace.solve
+    solve = ResolventSolver.solve
 
     def counted(self, z):
         out = solve(self, z)
         solves.append((np.shape(z), out.shape, self.steps))
         return out
 
-    monkeypatch.setattr(spectral._KrylovSpace, "solve", counted)
-    projected = contour_project(ResolventSolver(op), contour, v)
+    monkeypatch.setattr(ResolventSolver, "solve", counted)
+    projected = contour_project(op, contour, v)
     exact = vecs[:, -1] * (vecs[:, -1] @ v)
     [(shape, out_shape, size)] = solves
     assert shape == (contour.nodes // 2 + 1,)
@@ -585,7 +585,7 @@ def test_ritz_solve_matches_a_dense_tridiagonal_solve(k, z):
     # the space's Ritz solve S (b0 S^T e1 / (theta - z)) is (T - z)^{-1}
     # b0 e1 of its tridiagonal T, off the real axis and on it
     op = sp.diags(np.linspace(0.0, 4.0, k)).tocsr()
-    space = ResolventSolver(op).reduce(np.cos(np.arange(k)) + 2.0)
+    space = ResolventSolver(op, np.cos(np.arange(k)) + 2.0)
     space._grow(k)
     coeffs = space.solve(z)
     assert space.steps == k
@@ -604,8 +604,7 @@ def test_ritz_solve_on_a_ritz_value_raises():
 
     op = sp.diags([1.0, 5.0]).tocsr()
     with pytest.raises(ConditioningError, match="singular"):
-        contour_project(ResolventSolver(op), Contour(0.5, 0.5, 8),
-                        np.array([1.0, 0.0]))
+        contour_project(op, Contour(0.5, 0.5, 8), np.array([1.0, 0.0]))
 
 
 def test_unit_weight_contour_filter_has_its_closed_form():
@@ -615,8 +614,7 @@ def test_unit_weight_contour_filter_has_its_closed_form():
     levels = np.array([-0.7, -0.2, 0.5, 1.2, 1.5, 2.5])
     contour = Contour(0.1, 1.0, 8)
     v = np.linspace(1.0, 2.0, len(levels))
-    pv = contour_project(ResolventSolver(sp.diags(levels).tocsr()), contour,
-                         v)
+    pv = contour_project(sp.diags(levels).tocsr(), contour, v)
     filt = 1.0 / (1.0 - ((levels - contour.center) / contour.radius) ** 8)
     assert np.max(np.abs(pv - filt * v)) <= 1e-13 * np.max(np.abs(v))
 
@@ -640,8 +638,8 @@ def test_space_grown_to_its_cap_decomposes_a_bounded_number_of_times(
     monkeypatch.setattr(spectral, "_eigh", counted)
     monkeypatch.setattr(spectral, "KRYLOV_MAX", 600)
     n = 601
-    space = ResolventSolver(sp.diags(np.linspace(0.0, 1.0, n)).tocsr()
-                            ).reduce(np.ones(n))
+    space = ResolventSolver(sp.diags(np.linspace(0.0, 1.0, n)).tocsr(),
+                            np.ones(n))
     with pytest.raises(spectral.ConditioningError, match="size 600"):
         space.solve(0.5 + 1e-6j)
     assert sizes == [*range(8, 129, 8), 256, 512, 600]
@@ -654,7 +652,7 @@ def test_space_grown_to_its_cap_decomposes_a_bounded_number_of_times(
 def test_contour_project_two_level():
     op = sp.diags([0.0, 1.0]).tocsr()
     v = np.array([1.0, 1.0])
-    out = contour_project(ResolventSolver(op), Contour(0.0, 0.4, 64), v)
+    out = contour_project(op, Contour(0.0, 0.4, 64), v)
     assert np.allclose(out, [1.0, 0.0], atol=1e-12)
 
 
@@ -672,11 +670,10 @@ def test_contour_projector_idempotent_and_matches_dense(small_setup):
     assert np.sum(np.abs(vals - contour.center) < contour.radius) == 1
     rng = np.random.default_rng(0)
     v = rng.standard_normal(len(idx))
-    solver = ResolventSolver(sub)
-    projected = contour_project(solver, contour, v)
+    projected = contour_project(sub, contour, v)
     exact = vecs[:, 0] * (vecs[:, 0] @ v)
     assert np.linalg.norm(projected - exact) <= 1e-8 * np.linalg.norm(v)
-    assert idempotence_defect(solver, contour, v) <= 2e-8
+    assert idempotence_defect(sub, contour, v) <= 2e-8
     assert v @ projected >= -1e-10
 
 
@@ -685,8 +682,8 @@ def test_contour_project_checked_doubles_nodes():
     op = sp.diags([0.0, 0.3, 5.0]).tocsr()
     v = np.ones(3)
     contour = Contour(0.0, 0.25, 8)
-    out, nodes, defect = contour_project_checked(ResolventSolver(op), contour,
-                                                 v, defect_tol=1e-8,
+    out, nodes, defect = contour_project_checked(op, contour, v,
+                                                 defect_tol=1e-8,
                                                  max_nodes=1024)
     assert nodes > 8
     assert defect <= 1e-8
@@ -699,8 +696,7 @@ def test_contour_project_checked_raises_on_enclosure_failure():
     with pytest.raises(ContourError):
         # projector onto a 2-dim eigenspace is idempotent, so use a circle
         # that CUTS the spectrum instead
-        contour_project_checked(ResolventSolver(op),
-                                Contour(0.5, 0.5 + 1e-12, 16), v,
+        contour_project_checked(op, Contour(0.5, 0.5 + 1e-12, 16), v,
                                 defect_tol=1e-10, max_nodes=32)
 
 
@@ -711,15 +707,14 @@ def test_contour_project_checked_stops_on_a_nan_projection(monkeypatch):
 
     calls = []
 
-    def nan_projection(solver, contour, v):
+    def nan_projection(op, contour, v):
         calls.append(contour.nodes)
         return np.full(len(v), np.nan)
 
     monkeypatch.setattr(spectral, "contour_project", nan_projection)
     op = sp.diags([0.0, 0.3, 5.0]).tocsr()
     with pytest.raises(ContourError, match="not finite at 8 nodes"):
-        contour_project_checked(ResolventSolver(op), Contour(0.0, 0.25, 8),
-                                np.ones(3))
+        contour_project_checked(op, Contour(0.0, 0.25, 8), np.ones(3))
     assert calls == [8, 8]
 
 
@@ -733,7 +728,7 @@ def test_neumann_zero_perturbation(small_setup):
     v = np.full(len(idx), 1.0 / np.sqrt(len(idx)))
     zero = sp.csr_matrix(sub.shape)
     series, norms = neumann_project(sub, zero, contour, v, n_terms=3)
-    direct = contour_project(ResolventSolver(sub), contour, v)
+    direct = contour_project(sub, contour, v)
     assert np.linalg.norm(series - direct) < 1e-12
     assert np.all(norms[1:] < 1e-14)
 
@@ -750,7 +745,7 @@ def test_neumann_matches_direct_projection(small_setup):
     psi1 = np.zeros(basis.size)
     psi1[basis.sector_indices(grid, 1)] = rec1.vector
     series, norms = neumann_project(h1, dh, contour, psi1, n_terms=4)
-    direct = contour_project(ResolventSolver(h1 + dh), contour, psi1)
+    direct = contour_project(h1 + dh, contour, psi1)
     assert np.linalg.norm(series - direct) <= 1e-6
     ratios = norms[1:] / norms[:-1]
     assert ratios[2] < 0.5
@@ -778,26 +773,25 @@ def test_resolvent_sandwich_spectral_oracle():
     x_op = sp.csr_matrix((x_dense + x_dense.T) / 2)
     psi = vecs[:, 0]
     contour = Contour(vals[0], 0.4 * (vals[1] - vals[0]), 64)
-    s = resolvent_sandwich(ResolventSolver(op), contour, x_op @ psi)
+    s = resolvent_sandwich(op, contour, x_op @ psi)
     elements = vecs.T @ (x_op @ psi)
     oracle = np.sum(elements[1:] ** 2 / (vals[1:] - vals[0]))
     assert abs(s - oracle) < 1e-10 * max(1.0, abs(oracle))
 
 
 @pytest.fixture
-def tiny_solver(tiny_setup):
-    """H(P) of the tiny box (dim 91) with its solver."""
+def tiny_h(tiny_setup):
+    """H(P) of the tiny box (dim 91)."""
     params, grid, basis = tiny_setup
-    h = assemble_h_fiber(params, grid, basis, 1)
-    return h, ResolventSolver(h)
+    return assemble_h_fiber(params, grid, basis, 1)
 
 
-def test_lift_inverts_reduce(tiny_solver):
+def test_lift_inverts_reduce(tiny_h):
     # b is ||b|| e1 in its own space, once a solve has built the space
-    h, solver = tiny_solver
+    h = tiny_h
     b = np.cos(np.arange(h.shape[0]))
-    space = solver.reduce(b)
-    coeffs = solver.solve(-1.0, space)
+    space = ResolventSolver(h, b)
+    coeffs = space.solve(-1.0)
     e1 = np.zeros(len(coeffs))
     e1[0] = 1.0
     assert np.max(np.abs(space.lift(space.b0 * e1) - b)) <= 1e-14
@@ -806,56 +800,53 @@ def test_lift_inverts_reduce(tiny_solver):
 def test_krylov_solver_rejects_complex_data(tiny_setup):
     # a Lanczos space is built for one real starting vector
     params, grid, basis = tiny_setup
-    solver = ResolventSolver(assemble_h_fiber(params, grid, basis, 1))
+    h = assemble_h_fiber(params, grid, basis, 1)
     b = np.cos(np.arange(basis.size)) + 1j * np.sin(np.arange(basis.size))
     with pytest.raises(ValueError, match="real vectors only"):
-        solver.reduce(b)
+        ResolventSolver(h, b)
 
 
-def test_reduced_solve_satisfies_the_shifted_equation(tiny_solver):
-    h, solver = tiny_solver
+def test_reduced_solve_satisfies_the_shifted_equation(tiny_h):
+    h = tiny_h
     vals, _ = dense_spectrum(h)
     b = np.cos(np.arange(h.shape[0]))
     for z in (vals[0] + 0.3j, 0.5 * (vals[0] + vals[1]),
               vals[0] - 0.1 + 0.05j):
-        x = full_solve(solver, z, b)
+        x = full_solve(h, z, b)
         assert np.linalg.norm(h @ x - z * x - b) <= 1e-12 * np.linalg.norm(b)
 
 
-def test_reduced_projector_matches_eigenprojector(tiny_solver):
-    h, solver = tiny_solver
+def test_reduced_projector_matches_eigenprojector(tiny_h):
+    h = tiny_h
     vals, vecs = dense_spectrum(h)
     contour = Contour(vals[0], 0.4 * (vals[1] - vals[0]), 64)
     b = np.cos(np.arange(h.shape[0]))
-    projected = contour_project(solver, contour, b)
+    projected = contour_project(h, contour, b)
     exact = vecs[:, 0] * (vecs[:, 0] @ b)
     assert np.linalg.norm(projected - exact) <= 1e-12 * np.linalg.norm(b)
-    assert not np.any(contour_project(solver, contour, 0.0 * b))
+    assert not np.any(contour_project(h, contour, 0.0 * b))
 
 
-def test_checked_projection_moves_vectors_once_per_integral(tiny_solver,
+def test_checked_projection_moves_vectors_once_per_integral(tiny_h,
                                                             monkeypatch):
-    # a projection and its re-projection reduce and lift once each, at any
-    # node count
-    import fqed.spectral as spectral
-
-    h, solver = tiny_solver
+    # a projection and its re-projection start one Lanczos space and lift
+    # once each, at any node count
+    h = tiny_h
     vals, _ = dense_spectrum(h)
     b = np.cos(np.arange(h.shape[0]))
     moves = []
-    for owner, name in ((ResolventSolver, "reduce"),
-                        (spectral._KrylovSpace, "lift")):
-        method = getattr(owner, name)
+    for name in ("__init__", "lift"):
+        method = getattr(ResolventSolver, name)
 
-        def counted(self, y, _method=method, _name=name):
+        def counted(self, *args, _method=method, _name=name):
             moves.append(_name)
-            return _method(self, y)
-        monkeypatch.setattr(owner, name, counted)
+            return _method(self, *args)
+        monkeypatch.setattr(ResolventSolver, name, counted)
     counts = {}
     for nodes in (16, 64):
         moves.clear()
         contour = Contour(vals[0], 0.1 * (vals[1] - vals[0]), nodes)
-        _, used, _ = contour_project_checked(solver, contour, b)
+        _, used, _ = contour_project_checked(h, contour, b)
         assert used == nodes
         counts[nodes] = sorted(moves)
-    assert counts[16] == counts[64] == ["lift"] * 2 + ["reduce"] * 2
+    assert counts[16] == counts[64] == ["__init__"] * 2 + ["lift"] * 2
