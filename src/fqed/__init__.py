@@ -16,8 +16,7 @@ from .hamiltonian import (FactorOp, FiberFamily, ModelParams,
 from .spectral import (Contour, ContourError, GroundStateRecord,
                        ResolventSolver, SolverError, contour_project,
                        contour_project_checked, dense_spectrum, ground_state,
-                       idempotence_defect, neumann_project,
-                       resolvent_sandwich)
+                       idempotence_defect, neumann_project)
 from .bogoliubov import (centered_momentum_vectors, combined_displacement,
                          displaced_momentum_ops, displacement_coeffs,
                          weyl_apply, weyl_vacuum_expectation)

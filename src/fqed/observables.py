@@ -5,16 +5,19 @@ soft-photon / pull-through / energy-slope / resolvent-bound probes.
 The three curvature routes are
   * finite differences of the ground energy over the total momentum
     (5-point stencil of fresh solves around the cascade's energy),
-  * the direct resolvent route: 1 - 2 <Y psi, X psi> with X the momentum
-    derivative of the fiber Hamiltonian and Y the clockwise contour
-    integral of R X R around the ground energy,
+  * the direct resolvent route: 1 - 2 <x, X psi> with X the momentum
+    derivative of the fiber Hamiltonian and x = (H - E)^{-1} Q X psi the
+    reduced resolvent on the complement of psi (Q = 1 - psi psi^T).  By
+    the residue at E it is the clockwise contour integral of R X R psi
+    around the ground energy; one projected CG solves it as the
+    Sternheimer equation,
   * the displaced route: the same quantity evaluated in the canonical
     frame with the mean-zero momentum observable replacing X, together
-    with its single-resolvent reduction and the cross term (the mixed
-    scalar-times-observable contour terms the eigenvalue equation
-    annihilates), all three from one contour integral.
+    with its single-resolvent reduction, which is the same value, and the
+    cross term (the mixed scalar-times-observable contour terms the
+    eigenvalue equation annihilates), all three from one such solve.
 
-For an exact eigenpair the first two agree to quadrature precision; the
+For an exact eigenpair the first two agree up to the stencil's error; the
 displaced route deviates only by basis-truncation effects, and that
 agreement is the laboratory's headline measurement.  ``scale_routes``
 evaluates all three routes at one cascade scale and returns their five
@@ -41,11 +44,7 @@ from .fock import FockBasis, annihilate, creation_sum
 from .hamiltonian import (FactorOp, FiberFamily, ModelParams,
                           slice_marginal_coeffs)
 from .modes import ModeGrid, ParameterError
-from .spectral import (Contour, ResolventSolver, resolvent_sandwich,
-                       shifted_solve)
-
-#: Trapezoid nodes of the at-scale curvature-route contours.
-ROUTE_NODES = 64
+from .spectral import ResolventSolver, shifted_solve
 
 
 def momentum_axis(p: np.ndarray) -> int:
@@ -113,30 +112,16 @@ def dispersion_curvature_fd(family: FiberFamily, rec: ScaleRecord,
             + 16 * energy(-step) - energy(-2 * step)) / (12 * step ** 2)
 
 
-def _route_contour(params: ModelParams, j: int, energy: float,
-                   gap: float) -> Contour:
-    """Contour for at-scale curvature routes: centered on the ground energy.
-
-    The radius defaults to half the minus-fraction of the running cutoff;
-    when the measured sector gap is known and larger, 0.45 * gap is used
-    instead for better conditioning (any radius inside the gap encloses only
-    the ground state and yields the same integral).
-    """
-    radius = 0.5 * params.rho_minus * params.cutoffs.sigma(j)
-    if np.isfinite(gap) and gap > 0.0:
-        radius = max(radius, 0.45 * gap)
-    return Contour(energy, radius, ROUTE_NODES)
-
-
 def dispersion_curvature_direct(family: FiberFamily,
                                 rec: ScaleRecord) -> float:
     """Curvature from the direct resolvent route in the bare frame.
 
-    1 - 2 <oint_cw R [dH/dP] R psi dz / 2 pi i, [dH/dP] psi> at the
-    family's P along its axis, with psi the record's normalized ground
-    state, on a contour around its energy sized by its sector gap.  Exact
-    for the truncated model up to quadrature, which makes it the referee
-    for the displaced-frame route.
+    1 - 2 <x, X psi> at the family's P along its axis, X = P - beta the
+    momentum derivative of H(P), psi the record's normalized ground state
+    and x = (H - E)^{-1} Q X psi its reduced resolvent, one projected CG
+    solve (``shifted_solve``) preconditioned down to the record's sector
+    gap.  Exact for the truncated model up to the solve's residual, which
+    makes it the referee for the displaced-frame route.
     """
     _check_scale(family, rec)
     params = family.params
@@ -146,8 +131,8 @@ def dispersion_curvature_direct(family: FiberFamily,
     psi = rec.psi[idx] / np.linalg.norm(rec.psi[idx])
     axis = momentum_axis(params.p_total)
     x_psi = params.p_total[axis] * psi - h.factors.apply(psi)[axis]
-    cont = _route_contour(params, family.j, rec.energy, rec.gap_sector)
-    return 1.0 - 2.0 * resolvent_sandwich(h, cont, x_psi)
+    x = shifted_solve(h, rec.energy, x_psi, psi=psi, gap=rec.gap_sector)
+    return 1.0 - 2.0 * float(x @ x_psi)
 
 
 @dataclass
@@ -157,7 +142,7 @@ class DisplacedFrame:
     ``phi`` is the ground state of ``k_op``, built at the fixed point of the
     shift; ``gamma_phi`` is Gamma phi, whose expectation ``orth`` in phi is
     zero up to rounding; ``gap`` is the record's sector gap, so both routes
-    size their contours from one gap.
+    floor their preconditioners at one gap.
     """
 
     family: FiberFamily = field(repr=False)
@@ -208,49 +193,41 @@ def displaced_frame_ground(family: FiberFamily,
 def dispersion_curvature_displaced(frame: DisplacedFrame):
     """Curvature from the displaced-frame route at the P and scale of the
     frame's family: (double form, reduced form, cross term) from one
-    contour integral.
+    solve.
 
     The route runs on sector j, where phi lives and which K maps into
     itself.  The double form is 1 - 2 <oint R Gamma R phi, Gamma phi> for
     the frame ground state phi, the reduced form 1 + (1/pi i) oint dzbar
     (E-zbar)^{-1} <Gamma R Gamma phi, phi>; Gamma phi is ``gamma_phi`` over
     ||phi||, and <phi, Gamma phi> = 0 is enforced first.  By R phi = phi /
-    (E - z) the integral solves only for Gamma phi, and the double form
-    reads coefficient 0 of the integral whose last row is the reduced form,
-    so the two agree to rounding.  The cross term, the mixed terms
-    s^2 <R^2 phi, phi> - s <R^2 phi, Gamma phi> - s <R Gamma R phi, phi>
-    around s = grad E along the axis, is noise when phi is the frame's
-    ground state.  Only its last term is evaluated: the first two are
-    numbers times the trapezoid sum of (E - z)^-2 on a circle centered on
-    E, a sum of e^{-i theta} over roots of unity, which is zero up to
-    rounding.
+    (E - z) both integrals are 1 - 2 <x, Gamma phi> with x = (K - E)^{-1}
+    Q Gamma phi the reduced resolvent on the complement of phi, one
+    projected CG solve preconditioned down to the frame's gap, so the two
+    forms are one value.  The cross term, the mixed terms s^2 <R^2 phi,
+    phi> - s <R^2 phi, Gamma phi> - s <R Gamma R phi, phi> around s = grad
+    E along the axis, is noise when phi is the frame's ground state.  On a
+    circle centered on E the first two are numbers times the trapezoid sum
+    of (E - z)^-2, a sum of e^{-i theta} over roots of unity, which is
+    zero; the last, whose integral keeps the reduced resolvent of phi's
+    own eigen-residual, is -s <(K - E) phi, x>.
     """
     if float(np.max(np.abs(frame.orth))) > 1e-10:
         raise ParameterError(
             f"centering violated: <phi, Gamma phi> = {frame.orth} "
             "exceeds 1.0e-10")
     family = frame.family
-    params = family.params
-    axis = momentum_axis(params.p_total)
+    axis = momentum_axis(family.params.p_total)
     idx = family.basis.sector_indices(family.grid, family.j)
     phi = frame.phi[idx]
     nrm = np.linalg.norm(phi)
     phi = phi / nrm
-    energy = frame.energy
-    cont = _route_contour(params, family.j, energy, frame.gap)
-    space = ResolventSolver(frame.k_op.sector(idx),
-                            frame.gamma_phi[axis][idx] / nrm)
-    z = cont.upper
-    # R phi = phi / (E - z): one solve, of Gamma phi, at all nodes.  Gamma
-    # phi is ||Gamma phi|| e1 in its own space, so a product against it
-    # reads coefficient 0, and the reduced form's integrand is a last row
-    g = space.solve(z)
-    acc = cont.integrate(np.vstack([g, space.b0 * g[:1]]) / (energy - z))
-    sandwich = float(space.b0 * acc[0].real)
-    lifted = space.lift(acc[:-1].real)
-    cross = -float(frame.grad_energy[axis]) * (lifted @ phi)
-    return (1.0 - 2.0 * sandwich, 1.0 - 2.0 * float(acc[-1].real),
-            float(abs(2.0 * cross)))
+    k_op = frame.k_op.sector(idx)
+    w = frame.gamma_phi[axis][idx] / nrm
+    x = shifted_solve(k_op, frame.energy, w, psi=phi, gap=frame.gap)
+    value = 1.0 - 2.0 * float(x @ w)
+    residual = k_op @ phi - frame.energy * phi
+    cross = -float(frame.grad_energy[axis]) * float(residual @ x)
+    return value, value, float(abs(2.0 * cross))
 
 
 def cross_term_probe(frame: DisplacedFrame) -> float:

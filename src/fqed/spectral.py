@@ -15,20 +15,23 @@ integral in the package is this sum: ``Contour.integrate`` takes the
 integrand on the contour's upper half circle (``Contour.upper``), where a
 conjugate-symmetric integrand is known on the whole.
 
-Shifted solves take one of two Krylov methods.  Contour integrals and the
-Gauss rule, which need many complex shifts of one right-hand side or the
-Ritz pairs themselves, work in a Lanczos space per real right-hand side,
-where the operator is a symmetric tridiagonal T = S diag(theta) S^T.
-``ResolventSolver(op, b)`` is the space of b.  Its solve returns plain
-coefficient arrays in that space, read from T's Ritz pairs, for all of a
-contour's nodes at one size.  An integral is then one space, one solve,
-one ``integrate`` and one lift of the sum.  One real shift below the
-spectrum makes op - shift positive definite, and ``shifted_solve`` takes
-it by conjugate gradients with the diagonal preconditioner, a few
-products and O(n) memory per right-hand side.  The resolvent functions
-start their own spaces and take the operator as their first argument, as
-``ground_state``, ``shifted_solve`` and the dense oracles
-(``dense_spectrum`` and the perturbation series ``neumann_project``) do.
+Shifted solves take one of two Krylov methods.  The cascade's contour
+integrals and the bounds probe's Gauss rule, which need many complex
+shifts of one right-hand side or the Ritz pairs themselves, work in a
+Lanczos space per real right-hand side, where the operator is a symmetric
+tridiagonal T = S diag(theta) S^T.  ``ResolventSolver(op, b)`` is the
+space of b.  Its solve returns plain coefficient arrays in that space,
+read from T's Ritz pairs, for all of a contour's nodes at one size.  An
+integral is then one space, one solve, one ``integrate`` and one lift of
+the sum.  One real shift below the spectrum makes op - shift positive
+definite, and so does the shift at an eigenvalue on the complement of its
+eigenvector, where the curvature routes solve for the reduced resolvent.
+``shifted_solve`` takes both by conjugate gradients with the diagonal
+preconditioner, a few products and O(n) memory per right-hand side.  The
+resolvent functions start their own spaces and take the operator as their
+first argument, as ``ground_state``, ``shifted_solve`` and the dense
+oracles (``dense_spectrum`` and the perturbation series
+``neumann_project``) do.
 
 An operator is anything with ``shape`` and ``@`` on vectors and (n, k)
 blocks, and ``diagonal()`` for Davidson and CG: an array, a sparse matrix
@@ -354,38 +357,69 @@ def ground_state(op, dense_cutoff: int = DENSE_EIG_CUTOFF, pairs: int = 3,
                              degenerate=bool(gap < 1e-12))
 
 
-def shifted_solve(op, shift: float, b: np.ndarray) -> np.ndarray:
+def shifted_solve(op, shift: float, b: np.ndarray,
+                  psi: np.ndarray | None = None,
+                  gap: float = np.nan) -> np.ndarray:
     """(op - shift)^{-1} b for a real ``shift`` below the spectrum of the
     symmetric ``op`` (anything with ``shape``, ``diagonal()`` and ``@``),
     by conjugate gradients with the diagonal preconditioner diag(op) -
     shift (Hestenes & Stiefel, J. Res. NBS 49, 1952).
 
+    Given a unit eigenvector ``psi`` of ``op`` at ``shift``, it solves on
+    the complement of psi instead: the reduced resolvent (op - shift)^{-1}
+    Q b with Q = 1 - psi psi^T, the Sternheimer equation of second-order
+    perturbation theory (Sternheimer, Phys. Rev. 96, 951, 1954).  The
+    right-hand side, every preconditioned residual and every product are
+    projected by Q, where op - shift is at least the spectral ``gap``
+    above psi's level; the preconditioner is floored at ``gap``, so that a
+    basis state close to psi, whose diagonal sits near the shift, does not
+    amplify rounding.
+
     ``b`` is a vector or an (n, k) block whose columns share the
-    diagonal; each column is one solve from x = 0, so a zero column gives
-    zeros, and stops when its CG residual is at most ``KRYLOV_TOL`` times
-    its norm.  Nothing is random, so a solve is bit-identical on every
-    run.  Raises ``ConditioningError`` when a diagonal entry of op - shift
-    or a curvature p . (op - shift) p is not positive, either of which
-    puts the shift inside the spectrum, and ``SolverError`` with the best
-    relative residual when a column takes ``KRYLOV_MAX`` products.
+    diagonal; each column is one solve from x = 0, so a zero column (on
+    psi's complement, with ``psi``) gives zeros, and stops when its CG
+    residual is at most ``KRYLOV_TOL`` times its norm.  When every column
+    is zero, as Q b is on a one-state space, the zeros return before the
+    preconditioner is checked.  ``b`` is never written to.  Nothing is
+    random, so a solve is bit-identical on every run.  Raises
+    ``ConditioningError`` when a diagonal entry of the preconditioner
+    (NaN for an unknown ``gap``) or a curvature p . (op - shift) p is not
+    positive, either of which puts the shift inside the spectrum, and
+    ``SolverError`` with the best relative residual when a column takes
+    ``KRYLOV_MAX`` products.
     """
     b = np.asarray(b, dtype=float)
+    cols = b.reshape(len(b), -1)
+    if psi is not None:
+        # twice (Parlett's "twice is enough"): one pass leaves rounding
+        # along psi of the size of b, which is all of Q b when b lies
+        # close to psi
+        for _ in range(2):
+            cols = cols - np.outer(psi, psi @ cols)
+
+    def project(v):
+        return v if psi is None else v - (psi @ v) * psi
+
+    out = np.zeros_like(cols)
+    if not np.any(cols):
+        return out.reshape(b.shape)
     precond = op.diagonal() - shift
+    if psi is not None:
+        precond = np.maximum(precond, gap)
     if not np.all(precond > 0.0):
         raise ConditioningError(
             f"shift {shift} is not below the spectrum: the shifted operator "
             f"has diagonal entry {float(np.min(precond)):.3e}")
-    cols = b.reshape(len(b), -1)
-    out = np.zeros_like(cols)
     for x, rhs in zip(out.T, cols.T):
         b_norm = float(np.linalg.norm(rhs))
         if b_norm == 0.0:
             continue
+        # a copy: CG updates its residual in place
         r = rhs.copy()
-        p = r / precond
+        p = project(r / precond)
         rz, best = float(r @ p), 1.0
         for _ in range(KRYLOV_MAX):
-            q = op @ p - shift * p
+            q = project(op @ p - shift * p)
             curv = float(p @ q)
             if not curv > 0.0:
                 raise ConditioningError(
@@ -398,7 +432,7 @@ def shifted_solve(op, shift: float, b: np.ndarray) -> np.ndarray:
             best = min(best, res)
             if res <= KRYLOV_TOL:
                 break
-            z = r / precond
+            z = project(r / precond)
             rz, rz_old = float(r @ z), rz
             p = z + (rz / rz_old) * p
         else:
@@ -624,22 +658,3 @@ def neumann_project(op, delta_h, contour: Contour, v: np.ndarray,
             "perturbation-series terms stopped decreasing; coupling too "
             "large for the gap", RuntimeWarning, stacklevel=2)
     return terms.sum(axis=0), norms
-
-
-def resolvent_sandwich(op, contour: Contour, middle_psi: np.ndarray) -> float:
-    """S = < (1/2pi i) oint_cw R(z) middle R(z) psi dz , middle psi >,
-    given ``middle_psi`` = middle psi.
-
-    For a normalized eigenvector psi of ``op`` enclosed alone by the
-    contour, S equals sum_{m != 0} |<m| middle |0>|^2 / (E_m - E_0), the
-    reduced-resolvent sum of second-order perturbation theory.  The inner
-    resolvent is the eigenvector identity R(z) psi = psi / (E - z), so the
-    integral is one solve of middle psi at all the nodes; this requires
-    the contour to be centered on psi's eigenvalue E.
-    """
-    space = ResolventSolver(op, middle_psi)
-    z = contour.upper
-    acc = contour.integrate(space.solve(z) / (contour.center - z))
-    # middle psi is ||middle psi|| e1 in its own space: the product reads
-    # coefficient 0
-    return float(space.b0 * acc[0].real)

@@ -662,23 +662,31 @@ def test_verify_identities_free_theory(tmp_path, capsys):
 
 
 def test_verify_builds_each_frame_solver_once(tmp_path, monkeypatch):
-    # the displaced route reads its cross term from its own integral in
-    # one Lanczos space: two per cascade step (the projection and its
-    # re-projection, at the first node count) plus one H and one K space
-    # per scale
+    # the cascade's Lanczos spaces are the only ones: two per cascade step
+    # (the projection and its re-projection, at the first node count); each
+    # route is one projected CG solve, one H and one K solve per scale
+    import fqed.observables as observables
     from fqed.spectral import ResolventSolver
 
-    inits = []
+    inits, routes = [], []
     init = ResolventSolver.__init__
+    solve = observables.shifted_solve
 
     def counted(self, op, b):
         inits.append(op.shape)
         init(self, op, b)
 
+    def counted_solve(op, shift, b, **kwargs):
+        if kwargs.get("psi") is not None:
+            routes.append(op.shape)
+        return solve(op, shift, b, **kwargs)
+
     monkeypatch.setattr(ResolventSolver, "__init__", counted)
+    monkeypatch.setattr(observables, "shifted_solve", counted_solve)
     path = write_config(tmp_path, GOOD_CONFIG)
     assert main(["verify", "--config", path, "--suite", "identities"]) == 0
-    assert len(inits) == 2 * 2 + 2 * 3
+    assert len(inits) == 2 * 2
+    assert len(routes) == 2 * 3
 
 
 def test_verify_builds_each_frame_once_per_family_and_gradient(tmp_path,

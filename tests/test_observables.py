@@ -20,7 +20,8 @@ from fqed.observables import (cross_term_probe, dispersion_curvature_direct,
                               mass_scan, momentum_axis, pull_through_summary,
                               resolvent_bound_probes, scale_routes, scan_csv,
                               soft_photon_probe)
-from fqed.spectral import ResolventSolver, dense_spectrum, ground_state
+from fqed.spectral import (Contour, ResolventSolver, SolverError,
+                           dense_spectrum, ground_state, shifted_solve)
 
 
 def make_box(alpha, p, n_scales=2, eps=0.25, n_max=2):
@@ -402,70 +403,106 @@ def test_rotation_spot_check():
     assert max(energies) - min(energies) < 1e-12
 
 
-def test_each_route_solves_only_what_it_returns(tiny_record, monkeypatch):
-    # 16 nodes: 9 on the upper half circle, all answered by one solve.
-    # Each route takes R psi = psi / (E - z), so it starts a Lanczos space
-    # only for its target and solves once for all nodes; the direct route
-    # reads its sandwich from coefficient 0 of the target's Lanczos space,
-    # and the displaced route lifts its integral once for the cross term.
+def counted_route_work(monkeypatch):
+    """(CG solves, Lanczos spaces) the routes start while the test runs:
+    each solve as (shape of b, whether it is projected), each space as
+    its length."""
     import fqed.observables as observables
 
+    solves, spaces = [], []
+    solve = observables.shifted_solve
+    init = ResolventSolver.__init__
+
+    def counted_solve(op, shift, b, **kwargs):
+        solves.append((np.shape(b), kwargs.get("psi") is not None))
+        return solve(op, shift, b, **kwargs)
+
+    def counted_init(self, op, b):
+        spaces.append(len(b))
+        init(self, op, b)
+
+    monkeypatch.setattr(observables, "shifted_solve", counted_solve)
+    monkeypatch.setattr(ResolventSolver, "__init__", counted_init)
+    return solves, spaces
+
+
+def test_each_route_solves_only_what_it_returns(tiny_record, monkeypatch):
+    # each route is one projected CG solve of its target on the complement
+    # of its ground vector and starts no Lanczos space; the displaced
+    # route reads its cross term from the same solve
     params, grid, basis, rec = tiny_record
-    monkeypatch.setattr(observables, "ROUTE_NODES", 16)
     family = FiberFamily(params, grid, basis, 1)
     frame = displaced_frame_ground(family, rec)
-    calls = []
-    moves = []
-
-    def counted(owner, name):
-        method = getattr(owner, name)
-
-        def wrapper(self, *args):
-            if name == "solve":
-                calls.append(np.shape(args[0]))
-            else:
-                moves.append(name)
-            return method(self, *args)
-        monkeypatch.setattr(owner, name, wrapper)
-
-    for name in ("solve", "__init__", "lift"):
-        counted(ResolventSolver, name)
+    solves, spaces = counted_route_work(monkeypatch)
     routes = {
         "direct": lambda: dispersion_curvature_direct(family, rec),
         "displaced": lambda: dispersion_curvature_displaced(frame),
         "cross": lambda: cross_term_probe(frame),
     }
     counts = {}
-    applications = {}
     for name, route in routes.items():
-        calls.clear()
-        moves.clear()
+        solves.clear()
         route()
-        counts[name] = list(calls)
-        applications[name] = sorted(moves)
-    # one solve per route, of all 9 nodes
-    assert counts == {"direct": [(9,)], "displaced": [(9,)], "cross": [(9,)]}
-    assert applications == {"direct": ["__init__"],
-                            "displaced": ["__init__", "lift"],
-                            "cross": ["__init__", "lift"]}
+        counts[name] = list(solves)
+    n = len(basis.sector_indices(grid, 1))
+    # one solve per route, of one vector on the sector
+    assert counts == {name: [((n,), True)] for name in routes}
+    assert spaces == []
 
 
-def test_cross_term_probe_reads_an_off_eigenvector_phi(tiny_record):
-    # the probe sees how far phi is from the frame's eigenvector: the route
-    # takes R phi = phi / (E - z), but its <R Gamma R phi, phi> term reads
-    # the lifted integral against phi itself, so moved off the eigenvector
-    # by 1e-3 the probe reads far above a06's 1e-8
-    params, grid, basis, rec = tiny_record
-    frame = displaced_frame_ground(FiberFamily(params, grid, basis, 1), rec)
-    exact = cross_term_probe(frame)
+def off_eigenvector_frame(frame, size):
+    """``frame`` with phi moved off the eigenvector by ``size`` times its
+    norm, along a fixed direction orthogonal to it; Gamma phi, the shift
+    and the energy stay the eigenvector's."""
     rng = np.random.default_rng(3)
     kick = rng.standard_normal(len(frame.phi))
     kick -= frame.phi * (frame.phi @ kick) / (frame.phi @ frame.phi)
-    kick *= 1e-3 * np.linalg.norm(frame.phi) / np.linalg.norm(kick)
-    moved = dataclasses.replace(frame, phi=frame.phi + kick)
-    off = cross_term_probe(moved)
-    assert exact <= 1e-8
-    assert off >= 1e-6
+    kick *= size * np.linalg.norm(frame.phi) / np.linalg.norm(kick)
+    return dataclasses.replace(frame, phi=frame.phi + kick)
+
+
+@pytest.mark.parametrize("size", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6],
+                         ids=lambda size: f"{size:.0e}")
+def test_cross_term_probe_reads_an_off_eigenvector_phi(tiny_record, size):
+    # the probe sees how far phi is from the frame's eigenvector: its
+    # cross term -s <(K - E) phi, x> reads phi's own eigen-residual, so
+    # moved off the eigenvector it grows linearly with the kick (far above
+    # a06's 1e-8 at 1e-3), and it reads what the contour integral of the
+    # cross term's eigenvector form reads to within a factor of 2 (0.81 of
+    # it here); the whole double resolvent's mixed terms read about twice
+    # that form off the eigenvector
+    params, grid, basis, rec = tiny_record
+    frame = displaced_frame_ground(FiberFamily(params, grid, basis, 1), rec)
+    off = cross_term_probe(off_eigenvector_frame(frame, size))
+    doubled = cross_term_probe(off_eigenvector_frame(frame, 2 * size))
+    dense = dense_displaced_route(off_eigenvector_frame(frame, size))[3]
+    assert cross_term_probe(frame) <= 1e-8
+    assert off >= 1e-3 * size
+    assert 1.9 <= doubled / off <= 2.1
+    assert 0.5 <= off / dense <= 2.0
+
+
+def test_route_cg_at_its_product_cap_is_the_rows_error(tiny_record,
+                                                       monkeypatch):
+    # a route's CG that runs out of products raises the numerical failure
+    # with its best residual, and the scan row reports it as its error
+    import fqed.spectral as spectral
+    from fqed.observables import _scan_row
+
+    params, grid, basis, rec = tiny_record
+    family = FiberFamily(params, grid, basis, 1)
+    frame = displaced_frame_ground(family, rec)
+    monkeypatch.setattr(spectral, "KRYLOV_MAX", 2)
+    for route in (lambda: dispersion_curvature_direct(family, rec),
+                  lambda: dispersion_curvature_displaced(frame)):
+        with pytest.raises(SolverError, match="after 2 products") as exc:
+            route()
+        assert spectral.KRYLOV_TOL < exc.value.best_residual < 1.0
+    row = _scan_row(family, rec)
+    assert row.error.startswith("CG at shift ")
+    assert "after 2 products" in row.error
+    assert "Traceback" not in row.error
+    assert np.isnan(row.d2_direct) and np.isnan(row.m_r)
 
 
 @pytest.mark.parametrize("cutoff", [600, 10], ids=["dense", "lanczos"])
@@ -624,11 +661,16 @@ def test_pull_through_work_is_a_few_products_per_mode(tiny_record,
 
 
 def dense_displaced_route(frame):
-    """The displaced route's (double form, reduced form, cross term) with
-    both resolvents applied as dense solves at every node and Gamma built
-    as a dense matrix, assuming nothing of phi."""
-    import fqed.observables as observables
+    """The displaced route's (double form, reduced form, cross term) as a
+    contour integral with both resolvents applied as dense solves at every
+    node and Gamma built as a dense matrix, assuming nothing of phi; and,
+    fourth, the cross term's eigenvector form, which takes R phi = phi /
+    (E - z) and keeps only -s <oint R Gamma phi / (E - z), phi>.
 
+    The 64-node circle is centered on the frame's energy, with radius half
+    the minus-fraction of the running cutoff, or 0.45 times the frame's
+    gap where that is larger: inside the gap it encloses the ground level
+    alone."""
     params = frame.family.params
     axis = momentum_axis(params.p_total)
     phi = frame.phi / np.linalg.norm(frame.phi)
@@ -648,36 +690,117 @@ def dense_displaced_route(frame):
         shifted = k - z * np.eye(len(phi))
         g, a = np.linalg.solve(shifted, np.stack([target, phi], axis=1)).T
         y = np.linalg.solve(shifted, gamma @ a)
-        return [*y, (target @ g) / (energy - z), a @ a, g @ a]
+        return [*y, *(g / (energy - z)), (target @ g) / (energy - z),
+                a @ a, g @ a]
 
-    contour = observables._route_contour(params, frame.family.j, energy,
-                                         frame.gap)
+    radius = 0.5 * params.rho_minus * params.cutoffs.sigma(frame.family.j)
+    if np.isfinite(frame.gap) and frame.gap > 0.0:
+        radius = max(radius, 0.45 * frame.gap)
+    contour = Contour(energy, radius, 64)
     # solved node by node, stacked one column per node
     integral = contour.integrate(
         np.array([node(z) for z in contour.upper]).T)
-    acc, (reduced, aa, ga) = integral[:-3], integral[-3:]
+    n = len(phi)
+    acc, single = integral[:n], integral[n:2 * n]
+    reduced, aa, ga = integral[2 * n:]
     s = float(frame.grad_energy[axis])
     cross = s ** 2 * aa.real - s * ga.real - s * np.real(acc @ phi)
     return (1.0 - 2.0 * float(np.real(acc.conj() @ target)),
-            1.0 - 2.0 * float(reduced.real), float(abs(2.0 * cross)))
+            1.0 - 2.0 * float(reduced.real), float(abs(2.0 * cross)),
+            float(abs(2.0 * s * np.real(single @ phi))))
 
 
 def test_displaced_route_builds_one_krylov_space(tiny_record, monkeypatch):
-    # the route starts a space only for Gamma phi and reads its cross term
-    # from the same integral: one Lanczos space per call, and the same three
-    # values as the dense double resolvent
+    # the route is one projected CG solve of Gamma phi, the Krylov space of
+    # its conjugate gradients, and reads its cross term from the same
+    # solve: no Lanczos space, and the same three values as the dense
+    # double resolvent's contour integral
     params, grid, basis, rec = tiny_record
     frame = displaced_frame_ground(FiberFamily(params, grid, basis, 1), rec)
     dense = dense_displaced_route(frame)
-    spaces = []
-    init = ResolventSolver.__init__
-
-    def counted(self, op, b):
-        spaces.append(len(b))
-        init(self, op, b)
-
-    monkeypatch.setattr(ResolventSolver, "__init__", counted)
+    solves, spaces = counted_route_work(monkeypatch)
     d2_k, d2_kr, cross = dispersion_curvature_displaced(frame)
-    assert spaces == [basis.size]
+    assert spaces == []
+    assert solves == [((len(basis.sector_indices(grid, 1)),), True)]
     assert cross <= 1e-8 and dense[2] <= 1e-8
     assert abs(d2_k - dense[0]) <= 1e-8 and abs(d2_kr - dense[1]) <= 1e-8
+
+
+def sum_over_states(dense_op, vector):
+    """sum_{m > 0} <v_m, w>^2 / (lambda_m - lambda_0) over one dense eigh of
+    ``dense_op``, with w = ``vector(v_0)``: the reduced resolvent of second-
+    order perturbation theory."""
+    vals, vecs = np.linalg.eigh(dense_op)
+    elements = vecs.T @ vector(vecs[:, 0])
+    return float(np.sum(elements[1:] ** 2 / (vals[1:] - vals[0])))
+
+
+def test_route_columns_match_the_sum_over_states(small_setup):
+    # a dense twin of the route columns: every mass_scan row's d2E_H and
+    # d2E_K against the sum over the states of its sector H(P) and its
+    # frame K, from the product-form references; dH/dP is the central
+    # difference of H(P), which is quadratic in P
+    params, grid, basis = small_setup
+    alphas, p = [1e-3, 5e-3], params.p_total
+    axis = momentum_axis(p)
+    unit = np.eye(3)[axis]
+    rows = mass_scan(params, grid, basis, alphas, [p])
+    assert [(r.alpha, r.j, r.error) for r in rows] \
+        == [(a, j, "") for a in alphas for j in range(3)]
+    twins = []
+    for alpha in alphas:
+        job = dataclasses.replace(params, alpha=alpha)
+        for family, rec in cascade_scales(open_cascade(job, grid, basis)):
+            idx = basis.sector_indices(grid, rec.j)
+            sector = np.ix_(idx, idx)
+
+            def h(q):
+                return assemble_h_fiber(job, grid, basis, rec.j,
+                                        p=q).toarray()[sector]
+
+            x_op = 0.5 * (h(p + unit) - h(p - unit))
+            d2_h = 1.0 - 2.0 * sum_over_states(h(p), lambda v: x_op @ v)
+            frame = displaced_frame_ground(family, rec)
+            k = assemble_displaced_hamiltonian(
+                job, grid, basis, rec.j, rec.grad_energy,
+                frame.k_op.c)[0].toarray()
+            pi = displaced_momentum_ops(family, rec.grad_energy)
+
+            def gamma_v(v):
+                full = np.zeros(basis.size)
+                full[idx] = v
+                _, gammas = dense_centering(pi, full)
+                return (gammas[axis] @ full)[idx]
+
+            d2_k = 1.0 - 2.0 * sum_over_states(k[sector], gamma_v)
+            twins.append((d2_h, d2_k))
+    assert len(twins) == len(rows)
+    for row, (d2_h, d2_k) in zip(rows, twins):
+        assert abs(row.d2_direct - d2_h) <= 1e-12
+        assert abs(row.d2_displaced - d2_k) <= 1e-12
+
+
+def test_small_gap_route_is_the_reduced_resolvent(small_setup):
+    # a gap that verify's gap check refuses, as allow_invalid lets
+    # through: the excited level lies inside the route radius 0.5 rho_-
+    # sigma_j that a contour integral used, which then lost that level's
+    # term; the projected solve reads the whole sum over states
+    params = small_setup[0]
+    radius = 0.5 * params.rho_minus * params.cutoffs.sigma(2)
+    levels = np.concatenate([[0.0, 0.3 * radius], np.linspace(1.0, 2.0, 38)])
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((40, 40)))
+    a = q @ np.diag(levels) @ q.T
+    a = 0.5 * (a + a.T)
+    vals, vecs = np.linalg.eigh(a)
+    assert 0.0 < vals[1] - vals[0] < radius
+    w = np.cos(np.arange(40))
+    oracle = sum_over_states(a, lambda v: w)
+    x = shifted_solve(a, vals[0], w, psi=vecs[:, 0], gap=vals[1] - vals[0])
+    assert abs(x @ w - oracle) <= 1e-12 * oracle
+    contour = Contour(vals[0], radius, 64)
+    enclosing = contour.integrate(np.array(
+        [w @ np.linalg.solve(a - z * np.eye(40), w) / (vals[0] - z)
+         for z in contour.upper])).real
+    lost = (vecs[:, 1] @ w) ** 2 / (vals[1] - vals[0])
+    assert abs(enclosing - (oracle - lost)) <= 1e-10 * oracle
+    assert lost > 1e-3 * oracle

@@ -15,7 +15,7 @@ from fqed.spectral import (Contour, ConditioningError, ContourError,
                            ResolventSolver, SolverError, contour_project,
                            contour_project_checked, dense_spectrum,
                            ground_state, idempotence_defect, neumann_project,
-                           resolvent_sandwich, shifted_solve)
+                           shifted_solve)
 
 
 def seeded_symmetric(n, seed, scale=1.0, shift=0.0):
@@ -546,6 +546,56 @@ def test_shifted_solve_product_cap_raises_with_the_residual(monkeypatch):
     assert spectral.KRYLOV_TOL < exc.value.best_residual < 1.0
 
 
+@pytest.mark.parametrize("projected", [False, True],
+                         ids=["below-spectrum", "on-complement"])
+def test_shifted_solve_leaves_b_unchanged(projected):
+    # CG updates its residual in place, from a copy of b, with or without
+    # the projection
+    a = coupled_diagonal()
+    vals, vecs = np.linalg.eigh(a)
+    kwargs = dict(psi=vecs[:, 0], gap=vals[1] - vals[0]) if projected else {}
+    shift = vals[0] if projected else 0.5
+    b = np.stack([np.cos(np.arange(len(a))), np.sin(np.arange(len(a)))],
+                 axis=1)
+    for rhs in (b, b[:, 0], np.asfortranarray(b)):
+        before = rhs.copy()
+        x = shifted_solve(a, shift, rhs, **kwargs)
+        assert np.any(x)
+        assert np.array_equal(rhs, before)
+
+
+def test_projected_shifted_solve_matches_the_reduced_resolvent():
+    # on the complement of the ground vector, at the ground energy: the
+    # solve is (a - E)^{-1} Q b, orthogonal to psi, for each column
+    a = coupled_diagonal()
+    vals, vecs = np.linalg.eigh(a)
+    psi = vecs[:, 0]
+    b = np.stack([np.cos(np.arange(len(a))), psi], axis=1)
+    x = shifted_solve(a, vals[0], b, psi=psi, gap=vals[1] - vals[0])
+    reduced = vecs[:, 1:] @ np.diag(1.0 / (vals[1:] - vals[0])) \
+        @ vecs[:, 1:].T
+    expected = reduced @ b[:, 0]
+    assert np.linalg.norm(x[:, 0] - expected) \
+        <= 1e-12 * np.linalg.norm(expected)
+    assert abs(x[:, 0] @ psi) <= 1e-14 * np.linalg.norm(expected)
+    # b = psi projects to rounding, not to exact zero
+    assert np.linalg.norm(x[:, 1]) <= 1e-12
+
+
+def test_projected_solve_on_one_state_is_zero_before_the_gap_is_read():
+    # a one-state sector has no second level, so its gap is NaN; Q b is
+    # exactly zero there, and the solve returns zeros without a
+    # preconditioner, whose floor at a NaN gap would refuse it
+    a = np.array([[0.7]])
+    x = shifted_solve(a, 0.7, np.array([2.5]), psi=np.array([1.0]),
+                      gap=np.nan)
+    assert np.array_equal(x, [0.0])
+    b = np.cos(np.arange(3.0))
+    a3 = np.diag([0.7, 1.0, 1.5])
+    with pytest.raises(ConditioningError, match="diagonal entry nan"):
+        shifted_solve(a3, 0.7, b, psi=np.eye(3)[0], gap=np.nan)
+
+
 def test_contour_nodes_converging_at_different_sizes(monkeypatch):
     # with small growth blocks the first node alone converges in a smaller
     # space than the whole contour; one integral makes one solve, which
@@ -766,15 +816,18 @@ def test_neumann_warns_on_divergence():
 
 
 def test_resolvent_sandwich_spectral_oracle():
+    # <(H - E)^{-1} Q X psi, X psi> by the projected solve is the
+    # reduced-resolvent sum of second-order perturbation theory
     op = seeded_symmetric(60, seed=21) + sp.diags(np.linspace(0, 3, 60))
     vals, vecs = dense_spectrum(op)
     rng = np.random.default_rng(1)
     x_dense = rng.standard_normal((60, 60))
     x_op = sp.csr_matrix((x_dense + x_dense.T) / 2)
     psi = vecs[:, 0]
-    contour = Contour(vals[0], 0.4 * (vals[1] - vals[0]), 64)
-    s = resolvent_sandwich(op, contour, x_op @ psi)
-    elements = vecs.T @ (x_op @ psi)
+    x_psi = x_op @ psi
+    s = shifted_solve(op, vals[0], x_psi, psi=psi,
+                      gap=vals[1] - vals[0]) @ x_psi
+    elements = vecs.T @ x_psi
     oracle = np.sum(elements[1:] ** 2 / (vals[1:] - vals[0]))
     assert abs(s - oracle) < 1e-10 * max(1.0, abs(oracle))
 
