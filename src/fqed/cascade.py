@@ -256,10 +256,10 @@ def cascade_scales(state: CascadeState, *,
     energy (using the bridge Hamiltonian built from the previous gradient).
     Each scale then solves its fiber Hamiltonian on its sector and
     evaluates the gradient; past scale 0 the projected vector is re-dressed
-    with one combined Weyl displacement.  The solves form one chain: each
-    next-sector solve starts from its scale's ground state, and each sector
-    solve past scale 0's one-state one from the previous scale's
-    next-sector vector.
+    with one combined Weyl displacement.  The solves form one chain of
+    started Davidson solves: scale 0's one-state sector solve starts from
+    the vacuum, each next-sector solve from its scale's ground state, and
+    each later sector solve from the previous scale's next-sector vector.
 
     Each record is appended to ``state.records`` before it is yielded with
     its family, which keeps its factors, their sector restrictions and
@@ -268,7 +268,7 @@ def cascade_scales(state: CascadeState, *,
     The generator drops the family when it resumes, so a consumer that
     drops it too holds one scale's operators at a time.
     """
-    start = None
+    start = state.basis.vacuum()
     for j in range(state.params.n_scales + 1):
         family, rec, start = _cascade_step(state, j, start, contour_nodes)
         state.records.append(rec)
@@ -276,7 +276,7 @@ def cascade_scales(state: CascadeState, *,
         del family
 
 
-def _cascade_step(state: CascadeState, j: int, start: np.ndarray | None,
+def _cascade_step(state: CascadeState, j: int, start: np.ndarray,
                   contour_nodes: int):
     """Scale j of the induction: (family, record, the next scale's start)."""
     params, grid, basis = state.params, state.grid, state.basis

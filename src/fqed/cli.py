@@ -474,27 +474,24 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     return 0
 
 
-#: The OpenBLAS builds bundled with numpy and scipy, as (package, library
-#: glob, thread-count setter); each package loads its own.  Every eigensolve
-#: and product a command makes runs in numpy's.  Scipy's runs only the dense
-#: oracles and the cold ARPACK solves, which import ``scipy.linalg`` where
-#: they run; it is pinned all the same (loading it costs about 1.5 MiB), so
-#: that a program reaching them is deterministic too.
+#: The OpenBLAS pools a command runs, as (package, library glob,
+#: thread-count setter): numpy's, in which every product and eigensolve a
+#: command makes runs.  Scipy bundles another OpenBLAS, which only the
+#: dense oracles and the cold ARPACK solves load, where they import
+#: ``scipy.linalg``; no command loads or pins it.
 _BLAS_POOLS = (
     ("numpy", "libscipy_openblas64_*", "scipy_openblas_set_num_threads64_"),
-    ("scipy", "libscipy_openblas-*", "scipy_openblas_set_num_threads"),
 )
 
 
 def _pin_blas_threads():
-    """Pin numpy's and scipy's OpenBLAS pools to one thread.
+    """Pin numpy's OpenBLAS pool to one thread.
 
     BLAS rounds a product differently at different thread counts, so a
     command's outputs would depend on the machine's core count and on the
-    ``OPENBLAS_NUM_THREADS`` it inherits.  Each pool is set through its
-    own library's setter, which loads the library if its package has not
-    yet.  A pool whose library or setter is not found is left as it is,
-    with a warning.
+    ``OPENBLAS_NUM_THREADS`` it inherits.  The pool is set through its
+    library's setter.  A pool whose library or setter is not found is left
+    as it is, with a warning.
     """
     for package, pattern, setter in _BLAS_POOLS:
         libs = Path(importlib.import_module(package).__file__).parent.parent

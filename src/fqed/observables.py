@@ -203,13 +203,17 @@ def dispersion_curvature_displaced(frame: DisplacedFrame):
     (E - z) both integrals are 1 - 2 <x, Gamma phi> with x = (K - E)^{-1}
     Q Gamma phi the reduced resolvent on the complement of phi, one
     projected CG solve preconditioned down to the frame's gap, so the two
-    forms are one value.  The cross term, the mixed terms s^2 <R^2 phi,
-    phi> - s <R^2 phi, Gamma phi> - s <R Gamma R phi, phi> around s = grad
-    E along the axis, is noise when phi is the frame's ground state.  On a
-    circle centered on E the first two are numbers times the trapezoid sum
-    of (E - z)^-2, a sum of e^{-i theta} over roots of unity, which is
-    zero; the last, whose integral keeps the reduced resolvent of phi's
-    own eigen-residual, is -s <(K - E) phi, x>.
+    forms are one value.  The cross term is the residual term |2 s <(K -
+    E) phi, x>|, s = grad E along the axis, which is zero when phi is an
+    eigenvector of K.  It is what the one solve reads of the mixed terms
+    s^2 <R^2 phi, phi> - s <R^2 phi, Gamma phi> - s <R Gamma R phi, phi>:
+    on a circle centered on E the first two are numbers times the
+    trapezoid sum of (E - z)^-2, a sum of e^{-i theta} over roots of unity,
+    which is zero, and it keeps the reduced resolvent of phi's own
+    eigen-residual in the last.  Off the eigenvector it is not the whole
+    mixed sum: with phi kicked off it on a 91-state box it read about 0.41
+    of the dense double-resolvent mixed terms.  a06's bound and the 1e-8
+    bound of ``verify``'s ``cross-term`` lines check this reading.
     """
     if float(np.max(np.abs(frame.orth))) > 1e-10:
         raise ParameterError(
@@ -419,7 +423,7 @@ def pull_through_summary(family: FiberFamily, rec: ScaleRecord):
     occupation-cap truncation.  Each mode is one diagonally preconditioned
     CG solve (``shifted_solve``) at the shift E - |k|, which the
     energy-slope bound puts below the spectrum of H(P - k); one H(P - k)
-    and its diagonal serve both polarizations of each photon momentum k.
+    serves both polarizations of each photon momentum k.
     Returns (aggregate, per-mode relative residuals); a mode with b_m psi =
     0 reads 0 when its right-hand side vanishes too and inf otherwise.  The
     aggregate weights each mode by its annihilation norm, so decoupled
@@ -439,11 +443,10 @@ def pull_through_summary(family: FiberFamily, rec: ScaleRecord):
     # the order of active
     for group in _momentum_groups(grid, active):
         knorm = float(grid.knorm[group[0]])
-        w = np.stack([sum(grid.eps_vec[m, i] * x_psi[i] for i in range(3))
-                      for m in group], axis=1)
-        xs = shifted_solve(family.h(params.p_total - grid.k[group[0]]),
-                           rec.energy - knorm, w)
-        for m, x in zip(group, xs.T):
+        h = family.h(params.p_total - grid.k[group[0]])
+        for m in group:
+            w = sum(grid.eps_vec[m, i] * x_psi[i] for i in range(3))
+            x = shifted_solve(h, rec.energy - knorm, w)
             coupling = np.sqrt(params.alpha * grid.weight[m] / knorm)
             lhs = annihilate(family.basis, m, psi)
             d2 = float(np.linalg.norm(lhs + coupling * x) ** 2)

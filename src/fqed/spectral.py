@@ -27,10 +27,10 @@ the sum.  One real shift below the spectrum makes op - shift positive
 definite, and so does the shift at an eigenvalue on the complement of its
 eigenvector, where the curvature routes solve for the reduced resolvent.
 ``shifted_solve`` takes both by conjugate gradients with the diagonal
-preconditioner, a few products and O(n) memory per right-hand side.  The
-resolvent functions start their own spaces and take the operator as their
-first argument, as ``ground_state``, ``shifted_solve`` and the dense
-oracles (``dense_spectrum`` and the perturbation series
+preconditioner, a few products and O(n) memory for its one right-hand
+side.  The resolvent functions start their own spaces and take the
+operator as their first argument, as ``ground_state``, ``shifted_solve``
+and the dense oracles (``dense_spectrum`` and the perturbation series
 ``neumann_project``) do.
 
 An operator is anything with ``shape`` and ``@`` on vectors and (n, k)
@@ -38,13 +38,15 @@ blocks, and ``diagonal()`` for Davidson and CG: an array, a sparse matrix
 or a ``hamiltonian.FactorOp``.  Every solver applies the operator it is
 given; none converts it or branches on its type.
 
-Every eigensolve a command makes is one ``numpy.linalg.eigh`` call
-(``_eigh``): Davidson's Rayleigh-Ritz step, the cold dense ground states
-and the Ritz pairs of every Krylov space.  The dense oracles and the cold
-ARPACK solves above ``DENSE_EIG_CUTOFF``, which no command reaches, use
-scipy's LAPACK, imported inside the function that runs them: a command
-loads neither ``scipy.linalg`` nor ``scipy.sparse.linalg``, and an oracle
-checks the production path with another driver from another library.
+Every ground state a command makes is a Davidson solve started from a
+vector the run holds, and every eigensolve it makes is one
+``numpy.linalg.eigh`` call (``_eigh``): Davidson's Rayleigh-Ritz step and
+the Ritz pairs of every Krylov space.  The cold ground states, dense up to
+``DENSE_EIG_CUTOFF`` and by ARPACK above it, serve direct callers only.
+ARPACK and the dense oracles use scipy's LAPACK, imported inside the
+function that runs them: a command loads neither ``scipy.linalg`` nor
+``scipy.sparse.linalg``, nor scipy's OpenBLAS, and an oracle checks the
+production path with another driver from another library.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class ContourError(RuntimeError):
 #: Dense-path threshold for full diagonalization oracles.
 DENSE_LIMIT = 4000
 
-#: Below this dimension ground states are taken from the dense oracle.
+#: Up to this dimension cold ground states are taken from a dense eigh.
 DENSE_EIG_CUTOFF = 600
 
 #: Residual, relative to the operator's max |diagonal| (at least 1), at
@@ -98,7 +100,7 @@ GROUND_TOL = 1e-10
 KRYLOV_TOL = 1e-13
 
 #: Largest Krylov space per right-hand side, and the most operator
-#: products a CG solve (``shifted_solve``) makes per right-hand side.
+#: products a CG solve (``shifted_solve``) makes.
 KRYLOV_MAX = 1200
 
 #: Lanczos vectors added each time a Krylov space grows, up to
@@ -301,30 +303,27 @@ def ground_state(op, dense_cutoff: int = DENSE_EIG_CUTOFF, pairs: int = 3,
     """Lowest eigenpair of a symmetric operator, from its ``pairs`` lowest.
 
     A solve given a nonzero ``start`` refines it by block Davidson with the
-    diagonal preconditioner (method ``"davidson"``, at any size above 5),
-    which raises ``SolverError`` at its iteration cap.  Cold solves (no
-    start, or a zero one) up to ``dense_cutoff`` take the whole spectrum
-    by one ``numpy.linalg.eigh`` (``_eigh``) of the dense operator (the
-    cutoff is its only size limit), of which the lowest ``pairs`` pairs
-    are kept.  Larger cold
-    ones use scipy's implicitly restarted Lanczos solver (ARPACK) for
-    ``pairs`` pairs from a fixed vector, with a seeded generator for its
-    restarts; no command reaches that branch, which imports scipy where it
-    runs.  Every path is deterministic, so repeated runs are bit-identical.
+    diagonal preconditioner (method ``"davidson"``) at any size, which
+    raises ``SolverError`` at its iteration cap; every solve a command makes
+    is one.  Cold solves (no start, or a zero one), which only direct
+    callers make, take the whole spectrum up to ``dense_cutoff`` states
+    (and always up to 5, which ARPACK cannot take) by one
+    ``numpy.linalg.eigh`` (``_eigh``) of the dense operator (``_dense``),
+    of which the lowest ``pairs`` pairs are kept.  Larger cold ones use
+    scipy's implicitly restarted Lanczos solver (ARPACK) for ``pairs``
+    pairs from a fixed vector, with a seeded generator for its restarts,
+    imported where it runs.  Every path is deterministic, so repeated runs are bit-identical.
     The gap is NaN when no second eigenvalue is known: ``pairs=1``, a 1 x 1
-    operator, or a partial Lanczos result with one pair.  Every path only
-    applies the symmetric ``op``, the dense one to the identity's columns
-    (``_dense``).
+    operator, or a partial Lanczos result with one pair.
     """
     n = op.shape[0]
-    started = n > 5 and start is not None and bool(np.any(start))
-    if not started and n <= max(dense_cutoff, 5):
+    if start is not None and np.any(start):
+        vals, vecs = _davidson(op, pairs, start)
+        method = "davidson"
+    elif n <= max(dense_cutoff, 5):
         vals, vecs = _eigh(_dense(op, dense_limit=n))
         vals, vecs = vals[:pairs], vecs[:, :pairs]
         method = "dense"
-    elif started:
-        vals, vecs = _davidson(op, pairs, start)
-        method = "davidson"
     else:
         import scipy.sparse.linalg as spla
 
@@ -375,34 +374,31 @@ def shifted_solve(op, shift: float, b: np.ndarray,
     basis state close to psi, whose diagonal sits near the shift, does not
     amplify rounding.
 
-    ``b`` is a vector or an (n, k) block whose columns share the
-    diagonal; each column is one solve from x = 0, so a zero column (on
-    psi's complement, with ``psi``) gives zeros, and stops when its CG
-    residual is at most ``KRYLOV_TOL`` times its norm.  When every column
-    is zero, as Q b is on a one-state space, the zeros return before the
-    preconditioner is checked.  ``b`` is never written to.  Nothing is
-    random, so a solve is bit-identical on every run.  Raises
-    ``ConditioningError`` when a diagonal entry of the preconditioner
-    (NaN for an unknown ``gap``) or a curvature p . (op - shift) p is not
-    positive, either of which puts the shift inside the spectrum, and
-    ``SolverError`` with the best relative residual when a column takes
+    The solve starts from x = 0, so a zero ``b`` (a zero Q b, with
+    ``psi``) gives zeros; it stops when its CG residual is at most
+    ``KRYLOV_TOL`` times the norm of b.  A zero Q b, as on a one-state
+    space, returns before the preconditioner is checked.  ``b`` is never
+    written to.  Nothing is random, so a solve is bit-identical on every
+    run.  Raises ``ConditioningError`` when a diagonal entry of the
+    preconditioner (NaN for an unknown ``gap``) or a curvature p . (op -
+    shift) p is not positive, either of which puts the shift inside the
+    spectrum, and ``SolverError`` with the best relative residual after
     ``KRYLOV_MAX`` products.
     """
     b = np.asarray(b, dtype=float)
-    cols = b.reshape(len(b), -1)
     if psi is not None:
         # twice (Parlett's "twice is enough"): one pass leaves rounding
         # along psi of the size of b, which is all of Q b when b lies
         # close to psi
         for _ in range(2):
-            cols = cols - np.outer(psi, psi @ cols)
+            b = b - (psi @ b) * psi
 
     def project(v):
         return v if psi is None else v - (psi @ v) * psi
 
-    out = np.zeros_like(cols)
-    if not np.any(cols):
-        return out.reshape(b.shape)
+    x = np.zeros_like(b)
+    if not np.any(b):
+        return x
     precond = op.diagonal() - shift
     if psi is not None:
         precond = np.maximum(precond, gap)
@@ -410,37 +406,32 @@ def shifted_solve(op, shift: float, b: np.ndarray,
         raise ConditioningError(
             f"shift {shift} is not below the spectrum: the shifted operator "
             f"has diagonal entry {float(np.min(precond)):.3e}")
-    for x, rhs in zip(out.T, cols.T):
-        b_norm = float(np.linalg.norm(rhs))
-        if b_norm == 0.0:
-            continue
-        # a copy: CG updates its residual in place
-        r = rhs.copy()
-        p = project(r / precond)
-        rz, best = float(r @ p), 1.0
-        for _ in range(KRYLOV_MAX):
-            q = project(op @ p - shift * p)
-            curv = float(p @ q)
-            if not curv > 0.0:
-                raise ConditioningError(
-                    f"shift {shift} is not below the spectrum: CG met "
-                    f"curvature {curv:.3e}")
-            step = rz / curv
-            x += step * p
-            r -= step * q
-            res = float(np.linalg.norm(r)) / b_norm
-            best = min(best, res)
-            if res <= KRYLOV_TOL:
-                break
-            z = project(r / precond)
-            rz, rz_old = float(r @ z), rz
-            p = z + (rz / rz_old) * p
-        else:
-            raise SolverError(
-                f"CG at shift {shift} stopped at relative residual "
-                f"{best:.3e} (tolerance {KRYLOV_TOL:.1e}) after {KRYLOV_MAX} "
-                "products", best_residual=best)
-    return out.reshape(b.shape)
+    b_norm = float(np.linalg.norm(b))
+    # a copy: CG updates its residual in place
+    r = b.copy()
+    p = project(r / precond)
+    rz, best = float(r @ p), 1.0
+    for _ in range(KRYLOV_MAX):
+        q = project(op @ p - shift * p)
+        curv = float(p @ q)
+        if not curv > 0.0:
+            raise ConditioningError(
+                f"shift {shift} is not below the spectrum: CG met "
+                f"curvature {curv:.3e}")
+        step = rz / curv
+        x += step * p
+        r -= step * q
+        res = float(np.linalg.norm(r)) / b_norm
+        best = min(best, res)
+        if res <= KRYLOV_TOL:
+            return x
+        z = project(r / precond)
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    raise SolverError(
+        f"CG at shift {shift} stopped at relative residual {best:.3e} "
+        f"(tolerance {KRYLOV_TOL:.1e}) after {KRYLOV_MAX} products",
+        best_residual=best)
 
 
 class ResolventSolver:

@@ -281,9 +281,9 @@ def test_cascade_stops_at_first_level_on_empty_enclosure(tiny_setup,
 
 
 def test_cascade_chains_its_ground_state_solves(small_setup, monkeypatch):
-    # past scale 0's one-state sector every solve is a Davidson solve: scale
-    # j's next-sector solve starts from its psi, and scale j + 1's sector
-    # solve from that solve's vector; no cold solve runs after the first
+    # every solve is a started Davidson solve: scale 0's from the vacuum,
+    # scale j's next-sector solve from its psi, and scale j + 1's sector
+    # solve from that solve's vector; no solve is cold or dense
     import scipy.sparse.linalg
 
     import fqed.cascade as cascade
@@ -320,11 +320,11 @@ def test_cascade_chains_its_ground_state_solves(small_setup, monkeypatch):
     state = run_cascade(params, grid, basis)
 
     assert [j for j, _, _ in solves] == [0, 1, 1, 2, 2]
-    assert methods == [(1, False, "dense"), (91, True, "davidson"),
+    assert methods == [(1, True, "davidson"), (91, True, "davidson"),
                        (91, True, "davidson"), (325, True, "davidson"),
                        (325, True, "davidson")]
-    assert dense == [1]
-    assert solves[0][1] is None
+    assert dense == []
+    assert np.array_equal(solves[0][1], basis.vacuum())
     for rec, (_, start, _) in zip(state.records, solves[1::2]):
         assert start is rec.psi
     for (_, _, vec), (_, start, _) in zip(solves[1::2], solves[2::2]):

@@ -237,8 +237,9 @@ def test_shipped_configs_parse(path):
                                              ("cascade", "trace.csv")])
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command,
                                                         output):
-    # a command pins numpy's and scipy's BLAS pools to one thread, so the
-    # thread count the environment asks for changes no output byte
+    # a command pins numpy's BLAS pool, the only one it runs, to one
+    # thread, so the thread count the environment asks for changes no
+    # output byte
     written = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -258,15 +259,22 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command,
 def test_commands_load_no_scipy_linalg(tmp_path):
     # every eigensolve and shifted solve of a command runs in numpy's
     # LAPACK: only the test oracles and the cold ARPACK solves, which no
-    # command reaches, import scipy.linalg or scipy.sparse.linalg
+    # command reaches, import scipy.linalg or scipy.sparse.linalg or map
+    # scipy's OpenBLAS (libscipy_openblas-*, where numpy's is
+    # libscipy_openblas64_*); the library check needs /proc/self/maps
     path = write_config(tmp_path, GOOD_CONFIG)
     script = f"""
 import sys
+from pathlib import Path
 from fqed.cli import main
+maps = Path("/proc/self/maps")
 for argv in (["mass-scan"], ["verify", "--suite", "all"]):
     assert main([*argv, "--config", {path!r}, "--out", {str(tmp_path)!r}]) == 0
-    print(argv[0], sorted(m for m in ("scipy.linalg", "scipy.sparse.linalg")
-                          if m in sys.modules))
+    loaded = [m for m in ("scipy.linalg", "scipy.sparse.linalg")
+              if m in sys.modules]
+    if maps.exists() and "libscipy_openblas-" in maps.read_text():
+        loaded.append("libscipy_openblas-")
+    print(argv[0], sorted(loaded))
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
@@ -275,6 +283,43 @@ for argv in (["mass-scan"], ["verify", "--suite", "all"]):
     assert [ln for ln in run.stdout.splitlines()
             if ln.startswith(("mass-scan ", "verify "))] \
         == ["mass-scan []", "verify []"]
+
+
+def test_commands_solve_every_ground_state_by_started_davidson(
+        tmp_path, monkeypatch):
+    # mass-scan and verify make every ground state by a Davidson solve
+    # started from a vector the run holds, scale 0's from the vacuum: no
+    # cold solve, and no operator made dense
+    import fqed.cascade as cascade
+    import fqed.spectral as spectral
+    from fqed.cli import _verify_lines
+    from fqed.observables import mass_scan
+
+    methods, dense = [], []
+    ground_state, to_dense = cascade.ground_state, spectral._dense
+
+    def recorded(op, **kwargs):
+        rec = ground_state(op, **kwargs)
+        methods.append((kwargs.get("start") is not None, rec.method))
+        return rec
+
+    def counted(op, *args, **kwargs):
+        dense.append(op.shape[0])
+        return to_dense(op, *args, **kwargs)
+
+    monkeypatch.setattr(cascade, "ground_state", recorded)
+    monkeypatch.setattr(spectral, "_dense", counted)
+    cfg = parse_config(write_config(tmp_path, GOOD_CONFIG))
+    grid = cfg.build_grid()
+    rows = mass_scan(cfg.params, grid, cfg.build_basis(grid), cfg.alphas,
+                     cfg.p_list)
+    assert rows and all(r.error == "" for r in rows)
+    scan_solves = len(methods)
+    lines = list(_verify_lines(cfg, "all"))
+    assert lines and all(passed for hard, _, passed, _ in lines if hard)
+    assert 0 < scan_solves < len(methods)
+    assert set(methods) == {(True, "davidson")}
+    assert dense == []
 
 
 def desk_variant(tmp_path, **keys):
@@ -777,8 +822,7 @@ def test_verify_bounds_read_each_lanczos_space(tmp_path, family_builds,
 
 def test_verify_starts_every_observable_solve(tmp_path, monkeypatch):
     # every route and probe evaluates its scale from the cascade record:
-    # each ground state they solve starts from its vectors, and the cold
-    # solves are the cascade's own
+    # each ground state they solve starts from its vectors
     import fqed.observables as observables
     from fqed.cli import _verify_lines
 

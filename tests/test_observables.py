@@ -735,29 +735,76 @@ def sum_over_states(dense_op, vector):
     return float(np.sum(elements[1:] ** 2 / (vals[1:] - vals[0])))
 
 
-def test_route_columns_match_the_sum_over_states(small_setup):
+@pytest.fixture(scope="module")
+def small_scan(small_setup):
+    """``mass_scan`` on the small box at two couplings: (alphas, rows)."""
+    params, grid, basis = small_setup
+    alphas = [1e-3, 5e-3]
+    rows = mass_scan(params, grid, basis, alphas, [params.p_total])
+    assert [(r.alpha, r.j, r.error) for r in rows] \
+        == [(a, j, "") for a in alphas for j in range(3)]
+    return alphas, rows
+
+
+def sector_h(params, grid, basis, j):
+    """q -> the dense H(q) of scale j on its sector, from the product-form
+    reference."""
+    sector = np.ix_(*2 * [basis.sector_indices(grid, j)])
+    return lambda q: assemble_h_fiber(params, grid, basis, j,
+                                      p=q).toarray()[sector]
+
+
+def test_scan_energy_columns_match_a_dense_eigh(small_setup, small_scan):
+    # a dense twin of E, gE_FH, gE_FD and d2E_fd: every mass_scan row
+    # against a dense eigh of its sector H(P) at each stencil momentum,
+    # with the production steps and formulas; the j = 0 rows are one-state
+    # Davidson solves.  Bounds: 1e-12 on E and gE_FH, 1e-11 on gE_FD
+    # (1/(2h) = 500 times an energy's rounding) and 1e-10 on d2E_fd (the
+    # stencil's 1/(12 h^2))
+    params, grid, basis = small_setup
+    p = params.p_total
+    unit = np.eye(3)[momentum_axis(p)]
+    for row in small_scan[1]:
+        h = sector_h(dataclasses.replace(params, alpha=row.alpha), grid,
+                     basis, row.j)
+
+        def energy(q):
+            return np.linalg.eigvalsh(h(q))[0]
+
+        vals, vecs = np.linalg.eigh(h(p))
+        v = vecs[:, 0]
+        # dH/dP_i as the central difference of the quadratic H(P)
+        grad_fh = [v @ (0.5 * (h(p + e) - h(p - e))) @ v for e in np.eye(3)]
+        step = 1e-3
+        grad_fd = [(energy(p + dp) - energy(p - dp)) / (2.0 * step)
+                   for dp in step * np.eye(3)]
+        t = 5e-3
+        d2_fd = (-energy(p + 2 * t * unit) + 16 * energy(p + t * unit)
+                 - 30 * vals[0] + 16 * energy(p - t * unit)
+                 - energy(p - 2 * t * unit)) / (12 * t ** 2)
+        assert abs(row.energy - vals[0]) <= 1e-12
+        assert np.max(np.abs(row.grad_fh - grad_fh)) <= 1e-12
+        assert np.max(np.abs(row.grad_fd - grad_fd)) <= 1e-11
+        assert abs(row.d2_fd - d2_fd) <= 1e-10
+
+
+def test_route_columns_match_the_sum_over_states(small_setup, small_scan):
     # a dense twin of the route columns: every mass_scan row's d2E_H and
     # d2E_K against the sum over the states of its sector H(P) and its
     # frame K, from the product-form references; dH/dP is the central
     # difference of H(P), which is quadratic in P
     params, grid, basis = small_setup
-    alphas, p = [1e-3, 5e-3], params.p_total
+    p = params.p_total
     axis = momentum_axis(p)
     unit = np.eye(3)[axis]
-    rows = mass_scan(params, grid, basis, alphas, [p])
-    assert [(r.alpha, r.j, r.error) for r in rows] \
-        == [(a, j, "") for a in alphas for j in range(3)]
+    alphas, rows = small_scan
     twins = []
     for alpha in alphas:
         job = dataclasses.replace(params, alpha=alpha)
         for family, rec in cascade_scales(open_cascade(job, grid, basis)):
             idx = basis.sector_indices(grid, rec.j)
             sector = np.ix_(idx, idx)
-
-            def h(q):
-                return assemble_h_fiber(job, grid, basis, rec.j,
-                                        p=q).toarray()[sector]
-
+            h = sector_h(job, grid, basis, rec.j)
             x_op = 0.5 * (h(p + unit) - h(p - unit))
             d2_h = 1.0 - 2.0 * sum_over_states(h(p), lambda v: x_op @ v)
             frame = displaced_frame_ground(family, rec)

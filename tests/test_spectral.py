@@ -475,25 +475,21 @@ def _check_shifted_solve(op, dense, shift, b):
     assert x.shape == b.shape
     shifted = dense - shift * np.eye(len(dense))
     expected = np.linalg.solve(shifted, b)
-    for xi, ei, bi in zip(x.reshape(len(b), -1).T,
-                          expected.reshape(len(b), -1).T,
-                          b.reshape(len(b), -1).T):
-        assert np.linalg.norm(xi - ei) <= 1e-12 * np.linalg.norm(ei)
-        assert np.linalg.norm(shifted @ xi - bi) \
-            <= 2 * spectral.KRYLOV_TOL * np.linalg.norm(bi)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.linalg.norm(shifted @ x - b) \
+        <= 2 * spectral.KRYLOV_TOL * np.linalg.norm(b)
 
 
 def test_shifted_solve_matches_a_dense_solve_on_a_factor_operator(
         small_setup):
-    # each column of a block is its own solve; the shift sits below the
-    # lowest eigenvalue as E - |k| does in the pull-through probe
+    # the shift sits below the lowest eigenvalue as E - |k| does in the
+    # pull-through probe
     op = _shifted_sector(small_setup, 5e-3)
     dense = op.tocsr().toarray()
     low = np.linalg.eigvalsh(dense)[0]
     n = op.shape[0]
-    b = np.stack([np.cos(np.arange(n)), np.sin(np.arange(n)) ** 3], axis=1)
-    _check_shifted_solve(op, dense, low - 0.3, b)
-    _check_shifted_solve(op, dense, low - 0.3, b[:, 0])
+    for b in (np.cos(np.arange(n)), np.sin(np.arange(n)) ** 3):
+        _check_shifted_solve(op, dense, low - 0.3, b)
 
 
 def test_shifted_solve_matches_a_dense_solve_on_an_array():
@@ -503,15 +499,11 @@ def test_shifted_solve_matches_a_dense_solve_on_an_array():
 
 
 def test_shifted_solve_of_zero_is_exactly_zero():
-    # a zero column beside a solved one stays zero and leaves its
-    # neighbour's solve as it is alone
+    # CG starts from x = 0, where a zero b leaves it
     a = coupled_diagonal()
-    assert not np.any(shifted_solve(a, 0.5, np.zeros(len(a))))
-    b = np.zeros((len(a), 2))
-    b[:, 1] = 1.0
-    x = shifted_solve(a, 0.5, b)
-    assert not np.any(x[:, 0])
-    assert np.array_equal(x[:, 1], shifted_solve(a, 0.5, b[:, 1]))
+    x = shifted_solve(a, 0.5, np.zeros(len(a)))
+    assert x.shape == (len(a),) and not np.any(x)
+    _check_shifted_solve(a, a, 0.5, np.ones(len(a)))
 
 
 def test_shifted_solve_inside_the_spectrum_raises():
@@ -557,7 +549,10 @@ def test_shifted_solve_leaves_b_unchanged(projected):
     shift = vals[0] if projected else 0.5
     b = np.stack([np.cos(np.arange(len(a))), np.sin(np.arange(len(a)))],
                  axis=1)
-    for rhs in (b, b[:, 0], np.asfortranarray(b)):
+    # the columns of a C-ordered block are strided, a Fortran-ordered
+    # block's are not
+    assert not b[:, 0].flags.c_contiguous
+    for rhs in (*b.T, *np.asfortranarray(b).T):
         before = rhs.copy()
         x = shifted_solve(a, shift, rhs, **kwargs)
         assert np.any(x)
@@ -566,20 +561,20 @@ def test_shifted_solve_leaves_b_unchanged(projected):
 
 def test_projected_shifted_solve_matches_the_reduced_resolvent():
     # on the complement of the ground vector, at the ground energy: the
-    # solve is (a - E)^{-1} Q b, orthogonal to psi, for each column
+    # solve is (a - E)^{-1} Q b, orthogonal to psi
     a = coupled_diagonal()
     vals, vecs = np.linalg.eigh(a)
     psi = vecs[:, 0]
-    b = np.stack([np.cos(np.arange(len(a))), psi], axis=1)
-    x = shifted_solve(a, vals[0], b, psi=psi, gap=vals[1] - vals[0])
+    kwargs = dict(psi=psi, gap=vals[1] - vals[0])
+    b = np.cos(np.arange(len(a)))
+    x = shifted_solve(a, vals[0], b, **kwargs)
     reduced = vecs[:, 1:] @ np.diag(1.0 / (vals[1:] - vals[0])) \
         @ vecs[:, 1:].T
-    expected = reduced @ b[:, 0]
-    assert np.linalg.norm(x[:, 0] - expected) \
-        <= 1e-12 * np.linalg.norm(expected)
-    assert abs(x[:, 0] @ psi) <= 1e-14 * np.linalg.norm(expected)
+    expected = reduced @ b
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert abs(x @ psi) <= 1e-14 * np.linalg.norm(expected)
     # b = psi projects to rounding, not to exact zero
-    assert np.linalg.norm(x[:, 1]) <= 1e-12
+    assert np.linalg.norm(shifted_solve(a, vals[0], psi, **kwargs)) <= 1e-12
 
 
 def test_projected_solve_on_one_state_is_zero_before_the_gap_is_read():

@@ -64,7 +64,8 @@ def test_installed_tracer_records_annotated_spans(child, small_setup):
     assert all("nodes" in n for n in attrs["spectral.contour"])
     assert [n["h_fiber"] for n in attrs["hamiltonian.assemble"]
             if n is not None] == [True]
-    assert "spectral.ground_state_dense" in attrs
+    # every cascade solve is a started Davidson solve
+    assert "spectral.ground_state_davidson" in attrs
     assert "spectral.resolvent_init" in attrs
     # no wrapper is left installed
     for module, before in saved:
