@@ -245,9 +245,9 @@ def _davidson(op, pairs: int, start: np.ndarray):
     diag = op.diagonal()
     tol = DAVIDSON_TOL * max(1.0, float(np.max(np.abs(diag))))
     cap = DAVIDSON_MAX_DIM
-    # one row per vector: rows past the space's size are never touched
-    basis = np.zeros((cap + pairs, n))
-    image = np.zeros((cap + pairs, n))
+    # one row per vector, never zero-filled: rows past size are never read
+    basis = np.empty((cap + pairs, n))
+    image = np.empty((cap + pairs, n))
     size = 0
 
     def extend(vectors):
@@ -445,10 +445,12 @@ class ResolventSolver:
     (theta - z)), whose last entry y_k gives the exact shifted residual
     beta_k |y_k|, so the space can be grown, up to ``max_dim`` vectors,
     until ``KRYLOV_TOL`` holds for every shift of a solve.  It grows by
-    ``KRYLOV_BLOCK`` vectors at a time up to ``KRYLOV_LINEAR_MAX`` and
-    doubles past it.  A solve answers all its shifts at one size, so the
-    coefficients of a contour's nodes add as plain arrays, and ``lift``
-    multiplies real coefficients by the basis.
+    ``KRYLOV_BLOCK`` vectors at a time up to ``KRYLOV_LINEAR_MAX`` in one
+    basis buffer of ``KRYLOV_LINEAR_MAX + 1`` rows (or ``max_dim + 1``),
+    never zero-filled, and doubles past it, the only growth that
+    reallocates; rows past the space are never read.  A solve answers all
+    its shifts at one size, so the coefficients of a contour's nodes add as
+    plain arrays, and ``lift`` multiplies real coefficients by the basis.
     """
 
     def __init__(self, op, b: np.ndarray):
@@ -461,21 +463,21 @@ class ResolventSolver:
         self.max_dim = max(1, min(KRYLOV_MAX, len(b)))
         self.exhausted = self.b0 == 0.0
         self.steps = 0
-        self.alpha = np.zeros(self.max_dim)
-        self.beta = np.zeros(self.max_dim)
-        self._basis = np.zeros((min(KRYLOV_BLOCK + 1, self.max_dim + 1),
+        self.alpha, self.beta = np.zeros((2, self.max_dim))
+        self._basis = np.empty((min(KRYLOV_LINEAR_MAX, self.max_dim) + 1,
                                 len(b)))
-        if not self.exhausted:
-            self._basis[0] = np.asarray(b, dtype=float) / self.b0
+        # b = 0 lifts its zero coefficient by this row
+        self._basis[0] = (0.0 if self.exhausted
+                          else np.asarray(b, dtype=float) / self.b0)
         self._ritz = None
 
     def _grow(self, target: int):
+        if target >= len(self._basis) and not self.exhausted:
+            basis = np.empty((target + 1, self._basis.shape[1]))
+            basis[:self.steps + 1] = self._basis[:self.steps + 1]
+            self._basis = basis
         while self.steps < target and not self.exhausted:
             m = self.steps
-            if m + 1 >= self._basis.shape[0]:
-                extra = np.zeros((min(2 * (m + 1), self.max_dim + 1) - (m + 1),
-                                  self._basis.shape[1]))
-                self._basis = np.vstack([self._basis, extra])
             v = self._basis[m]
             u = self.op @ v
             if m > 0:
@@ -498,10 +500,8 @@ class ResolventSolver:
         decomposed once per size."""
         k = self.steps
         if self._ritz is None or len(self._ritz[0]) != k:
-            t = np.zeros((k, k))
-            i = np.arange(k)
-            t[i, i] = self.alpha[:k]
-            t[i[1:], i[:-1]] = self.beta[:k - 1]
+            t = np.diag(self.alpha[:k])
+            t[np.arange(1, k), np.arange(k - 1)] = self.beta[:k - 1]
             self._ritz = _eigh(t)
         return self._ritz
 

@@ -694,6 +694,120 @@ def test_space_grown_to_its_cap_decomposes_a_bounded_number_of_times(
     assert len(sizes) == 19
 
 
+def _with_poisoned_empty(monkeypatch, run):
+    """run() while ``numpy.empty`` fills every float array with NaN, so
+    that a read of a workspace row the solver never wrote shows in its
+    result."""
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind in "fc":
+            out.fill(np.nan)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "empty", poisoned)
+        return run()
+
+
+def _restarting_davidson():
+    # a random coupling over a narrow diagonal: the preconditioner helps
+    # little, and the space restarts past DAVIDSON_MAX_DIM
+    import fqed.spectral as spectral
+
+    n = 200
+    op = seeded_symmetric(n, seed=7) + sp.diags(np.linspace(0.0, 1.0, n))
+    return spectral._davidson(op, 3, np.ones(n))
+
+
+def _lanczos_past_the_linear_phase():
+    # a real shift 0.01 below a dense spectrum converges past
+    # KRYLOV_LINEAR_MAX vectors: the space doubles once, to 256
+    import fqed.spectral as spectral
+
+    n = 600
+    space = ResolventSolver(sp.diags(np.linspace(0.0, 1.0, n)).tocsr(),
+                            np.ones(n))
+    coeffs = space.solve(np.array([-0.01, 0.5 + 0.6j]))
+    assert space.steps > spectral.KRYLOV_LINEAR_MAX
+    return tuple(space.lift(part[:, i]) for i in range(2)
+                 for part in (coeffs.real, coeffs.imag))
+
+
+def _vacuum_projection(small_setup):
+    params, grid, basis = small_setup
+    h = assemble_h_fiber(params, grid, basis, 2)
+    rec = ground_state(h)
+    contour = Contour(rec.energy, 0.5 * rec.gap, 64)
+    return (contour_project(h, contour, basis.vacuum()),)
+
+
+def test_solvers_never_read_an_unwritten_workspace_row(small_setup,
+                                                       monkeypatch):
+    # the Davidson and Lanczos workspaces are never zero-filled: results
+    # with NaN in every unwritten row are the results themselves, bit for
+    # bit
+    import fqed.spectral as spectral
+
+    sizes = []
+    eigh = spectral._eigh
+
+    def counted(a):
+        sizes.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(spectral, "_eigh", counted)
+    cases = [_restarting_davidson, _lanczos_past_the_linear_phase,
+             functools.partial(_vacuum_projection, small_setup)]
+    for case in cases:
+        sizes.clear()
+        clean = case()
+        if case is _restarting_davidson:
+            assert any(b < a for a, b in zip(sizes, sizes[1:]))
+        poisoned = _with_poisoned_empty(monkeypatch, case)
+        assert [a.tobytes() for a in poisoned] == [a.tobytes() for a in clean]
+        assert all(np.isfinite(a).all() for a in clean)
+
+
+def test_zero_right_hand_side_projects_and_lifts_to_exact_zeros(
+        monkeypatch):
+    # b = 0 makes no Lanczos step: lift multiplies the written zero row 0
+    # by the zero coefficient, whatever the buffer held
+    n = 50
+    op = sp.diags(np.linspace(0.0, 1.0, n)).tocsr()
+    contour = Contour(0.25, 0.1, 16)
+
+    def zero_results():
+        space = ResolventSolver(op, np.zeros(n))
+        coeffs = space.solve(contour.upper)
+        return (contour_project(op, contour, np.zeros(n)),
+                space.lift(coeffs.real[:, 0]), space.lift(coeffs.imag[:, 0]))
+
+    for out in _with_poisoned_empty(monkeypatch, zero_results):
+        assert out.shape == (n,) and not np.any(out)
+
+
+def test_space_grown_to_the_linear_phase_holds_one_buffer():
+    # the basis is one buffer of KRYLOV_LINEAR_MAX + 1 rows; growing to
+    # that many vectors allocates it once and copies no row, adding only a
+    # few vector temporaries
+    import fqed.spectral as spectral
+
+    n = 2000
+    op = sp.diags(np.linspace(0.0, 1.0, n)).tocsr()
+    b = np.ones(n)
+    tracemalloc.start()
+    try:
+        space = ResolventSolver(op, b)
+        space._grow(spectral.KRYLOV_LINEAR_MAX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.steps == spectral.KRYLOV_LINEAR_MAX
+    assert peak <= (spectral.KRYLOV_LINEAR_MAX + 9) * n * 8
+
+
 def test_contour_project_two_level():
     op = sp.diags([0.0, 1.0]).tocsr()
     v = np.array([1.0, 1.0])
