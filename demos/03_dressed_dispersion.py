@@ -29,7 +29,7 @@ print("   P        E(P) - E(0)     dE/dP (expectation)")
 for pmag in np.linspace(0.0, 0.3, 7):
     params = dataclasses.replace(base, p_total=[pmag, 0.0, 0.0])
     e, psi, _ = sector_ground(params, grid, basis, j)
-    grad = FiberFamily(params, grid, basis, j).gradient(psi, params.p_total)
+    grad = FiberFamily(params, grid, basis, j).gradient(psi)
     print(f"  {pmag:.2f}   {e - e_origin:+.8f}    {grad[0]:+.6f}")
 
 print("\neffective mass vs coupling at P = 0.1 (curvature inverse):")

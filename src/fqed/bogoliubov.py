@@ -24,6 +24,11 @@ import scipy.sparse as sp
 from .fock import FockBasis, creation_sum, linear_field
 from .modes import ModeGrid, ParameterError, direction_weights
 
+#: A transport step sums Taylor terms until one falls to this share of the
+#: step's norm plus 1, or up to this many terms.
+_TAYLOR_TOL = 1e-15
+_TAYLOR_TERMS = 60
+
 
 def displacement_coeffs(grad_energy: np.ndarray, grid: ModeGrid, shells,
                         alpha: float) -> np.ndarray:
@@ -63,8 +68,7 @@ def _one_norm(gen: sp.spmatrix) -> float:
     return abs(gen).sum(axis=0).max()
 
 
-def _expm_apply(gen: sp.spmatrix, v: np.ndarray, tol: float = 1e-15,
-                max_terms: int = 60) -> np.ndarray:
+def _expm_apply(gen: sp.spmatrix, v: np.ndarray) -> np.ndarray:
     """Deterministic exp(gen) @ v by scaled Taylor summation.
 
     The generator norm is halved until the series converges quickly; the
@@ -78,10 +82,10 @@ def _expm_apply(gen: sp.spmatrix, v: np.ndarray, tol: float = 1e-15,
         term = out.copy()
         acc = out.copy()
         scale = np.linalg.norm(acc) + 1.0
-        for n in range(1, max_terms + 1):
+        for n in range(1, _TAYLOR_TERMS + 1):
             term = gen @ term / (n * steps)
             acc += term
-            if np.linalg.norm(term) <= tol * scale:
+            if np.linalg.norm(term) <= _TAYLOR_TOL * scale:
                 break
         out = acc
     return out

@@ -281,7 +281,6 @@ def _cascade_step(state: CascadeState, j: int, start: np.ndarray,
     """Scale j of the induction: (family, record, the next scale's start)."""
     params, grid, basis = state.params, state.grid, state.basis
     cut = params.cutoffs
-    p = params.p_total
     family = FiberFamily(params, grid, basis, j)
     if j == 0:
         # the induction starts from the vacuum at the UV cutoff
@@ -289,7 +288,7 @@ def _cascade_step(state: CascadeState, j: int, start: np.ndarray,
     else:
         prev = state.records[-1]
         try:
-            k_hat, _ = assemble_intermediate_hamiltonian(
+            k_hat = assemble_intermediate_hamiltonian(
                 family, prev.grad_energy, prev.gamma_shift)
             contour = Contour(prev.energy, params.mu * cut.sigma(j),
                               contour_nodes)
@@ -299,7 +298,7 @@ def _cascade_step(state: CascadeState, j: int, start: np.ndarray,
             raise CascadeError(f"scale {j}: {exc}") from exc
         del k_hat   # the bridge operator serves the projection only
 
-    h = family.h(p)
+    h = family.h(params.p_total)
     try:
         energy, psi, gap_sector = sector_ground(params, grid, basis, j,
                                                 h_op=h, start=start)
@@ -308,7 +307,7 @@ def _cascade_step(state: CascadeState, j: int, start: np.ndarray,
     if gap_sector < 1e-12:
         raise CascadeError(
             f"scale {j}: degenerate ground state, gap {gap_sector}")
-    grad = family.gradient(psi, p)
+    grad = family.gradient(psi)
 
     phi, step = phi_hat, {}
     if j > 0:
@@ -471,4 +470,6 @@ def read_vector_file(path) -> np.ndarray:
         data = np.frombuffer(fh.read(8 * dim), dtype="<f8")
         if data.size != dim:
             raise ValueError(f"{path}: truncated payload")
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the payload")
         return data.astype(float)

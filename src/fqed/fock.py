@@ -177,15 +177,10 @@ class FockBasis:
         v[0] = 1.0
         return v
 
-    def restricted_indices(self, allowed: np.ndarray) -> np.ndarray:
-        """Indices of states occupying only modes where ``allowed`` is True."""
-        allowed = np.asarray(allowed, dtype=bool)
-        mask = self.occupations[:, ~allowed].sum(axis=1) == 0
-        return np.nonzero(mask)[0]
-
     def sector_indices(self, grid: ModeGrid, j: int) -> np.ndarray:
         """States with no photons below the scale-``j`` cutoff (shells >= j)."""
-        return self.restricted_indices(grid.active_mask(j))
+        mask = self.occupations[:, ~grid.active_mask(j)].sum(axis=1) == 0
+        return np.nonzero(mask)[0]
 
 
 def _build_levels(n_modes: int, n_max: int, c_max: int):

@@ -273,13 +273,13 @@ class FiberFamily:
     def h(self, p) -> FactorOp:
         return FactorOp(self.factors, p)
 
-    def gradient(self, psi: np.ndarray, p) -> np.ndarray:
-        """P - <beta>_psi: the energy gradient of an eigenvector of H(P)."""
+    def gradient(self, psi: np.ndarray) -> np.ndarray:
+        """P - <beta>_psi: dE/dP at an eigenvector psi of the family's H(P)."""
         psi = np.asarray(psi, dtype=float)
         nrm2 = float(psi @ psi)
         if nrm2 <= 0.0:
             raise ParameterError("gradient of an empty state")
-        p = np.asarray(p, dtype=float)
+        p = self.params.p_total
         beta_psi = self.factors.apply(psi)
         return np.array([p[i] - psi @ beta_psi[i] / nrm2 for i in range(3)])
 
@@ -409,7 +409,7 @@ def slice_marginal_ops(params: ModelParams, grid: ModeGrid, basis: FockBasis,
 
 def assemble_intermediate_hamiltonian(
         family: FiberFamily, grad_energy_prev: np.ndarray,
-        gamma_shift_prev: np.ndarray) -> tuple[FactorOp, float]:
+        gamma_shift_prev: np.ndarray) -> FactorOp:
     """Scale-j Hamiltonian (j = ``family.j``) seen through the scale-(j-1)
     displacement.
 
@@ -419,15 +419,15 @@ def assemble_intermediate_hamiltonian(
     with Gamma, the slice operators L and the scalar shift I evaluated with
     the previous gradient g.  Gamma + L is the scale-j Pi(g) less the
     previous shift, so Khat(j) is K(gamma_prev - I) on the frame of g, built
-    without the family's cache: it serves this one operator.  Returns
-    (Khat, offset_hat).
+    without the family's cache: it serves this one operator.  Its offset
+    offset_hat is the operator's ``factors.s``.
     """
     if family.j < 1:
         raise ParameterError("intermediate frame needs j >= 1")
     ivec = weyl_vacuum_expectation(family.params, family.grid,
                                    [family.j - 1], grad_energy_prev)
     frame = _frame_factors(family, np.asarray(grad_energy_prev, dtype=float))
-    return FactorOp(frame, np.asarray(gamma_shift_prev) - ivec), frame.s
+    return FactorOp(frame, np.asarray(gamma_shift_prev) - ivec)
 
 
 def delta_k_interaction(params: ModelParams, grid: ModeGrid, basis: FockBasis,

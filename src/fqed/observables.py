@@ -402,12 +402,10 @@ def soft_photon_probe(family: FiberFamily,
                             empirical_c=c_emp)
 
 
-def _momentum_groups(grid: ModeGrid, modes) -> list[list[int]]:
-    """Modes grouped by photon momentum k (its polarizations), in order."""
-    groups: dict = {}
-    for m in modes:
-        groups.setdefault(tuple(np.round(grid.k[m], 12)), []).append(int(m))
-    return list(groups.values())
+def _momentum_groups(modes) -> np.ndarray:
+    """``modes``, all or an active prefix, in rows of the two polarizations
+    of one photon momentum: ``ModeGrid`` orders polarization innermost."""
+    return np.reshape(modes, (-1, 2))
 
 
 def pull_through_summary(family: FiberFamily, rec: ScaleRecord):
@@ -439,9 +437,7 @@ def pull_through_summary(family: FiberFamily, rec: ScaleRecord):
     x_psi = params.p_total[:, None] * psi - family.factors.apply(psi)
     diff2 = lhs2 = 0.0
     per_mode = []
-    # the polarizations of one k are adjacent modes, so the groups run in
-    # the order of active
-    for group in _momentum_groups(grid, active):
+    for group in _momentum_groups(active):
         knorm = float(grid.knorm[group[0]])
         h = family.h(params.p_total - grid.k[group[0]])
         for m in group:
@@ -472,7 +468,7 @@ def energy_lipschitz_probe(family: FiberFamily, rec: ScaleRecord):
     _check_scale(family, rec)
     params, grid = family.params, family.grid
     table = []
-    for group in _momentum_groups(grid, range(grid.n_modes)):
+    for group in _momentum_groups(np.arange(grid.n_modes)):
         m = group[0]
         ek = _ground_energy(family, rec, params.p_total - grid.k[m])
         table.append((float(grid.knorm[m]),

@@ -119,6 +119,9 @@ _BREAKDOWN = 1e-14
 #: Node count at which projector node doubling gives up.
 MAX_NODES = 512
 
+#: Idempotence defect at which projector node doubling stops.
+PROJECTOR_TOL = 1e-8
+
 
 def check_node_count(nodes: int, name: str = "contour nodes"):
     """The trapezoid rule's node count must be even and at least 8."""
@@ -574,18 +577,17 @@ def idempotence_defect(op, contour: Contour, v: np.ndarray) -> float:
     return float(np.linalg.norm(ppv - pv) / nrm)
 
 
-def contour_project_checked(op, contour: Contour, v: np.ndarray,
-                            defect_tol: float = 1e-8,
-                            max_nodes: int = MAX_NODES):
+def contour_project_checked(op, contour: Contour, v: np.ndarray):
     """Projection with node doubling until the idempotence defect passes.
 
     Returns (projected vector, nodes used, defect).  Raises ContourError if
-    the defect cannot be brought below tolerance, which signals an enclosure
-    problem (the circle cuts through spectrum or encloses extra states on
-    the sector of v).  When re-projection keeps less than half of Pv, the
-    contour encloses none of v's spectrum and only quadrature leakage was
-    projected; more nodes only shrink that leakage, so this raises at once,
-    as it does when the projection is not finite.
+    ``MAX_NODES`` nodes leave the defect above ``PROJECTOR_TOL``, which
+    signals an enclosure problem (the circle cuts through spectrum or
+    encloses extra states on the sector of v).  When re-projection keeps
+    less than half of Pv, the contour encloses none of v's spectrum and
+    only quadrature leakage was projected; more nodes only shrink that
+    leakage, so this raises at once, as it does when the projection is not
+    finite.
     """
     current = contour
     while True:
@@ -605,11 +607,11 @@ def contour_project_checked(op, contour: Contour, v: np.ndarray,
                 "contour encloses none of the vector's spectrum: "
                 f"re-projection keeps {kept:.2e} of the projected norm at "
                 f"{current.nodes} nodes")
-        if defect <= defect_tol:
+        if defect <= PROJECTOR_TOL:
             return pv, current.nodes, defect
-        if current.nodes * 2 > max_nodes:
+        if current.nodes * 2 > MAX_NODES:
             raise ContourError(
-                f"projector defect {defect:.3e} above {defect_tol:.1e} "
+                f"projector defect {defect:.3e} above {PROJECTOR_TOL:.1e} "
                 f"at {current.nodes} nodes")
         current = replace(current, nodes=current.nodes * 2)
 

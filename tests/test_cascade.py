@@ -160,9 +160,10 @@ def test_displaced_projection_paths_agree(small_setup):
     rec = state.records[1]
     k_prev, off_prev = assemble_displaced_hamiltonian(
         params, grid, basis, 1, rec.grad_energy, rec.gamma_shift)
-    k_hat, off_hat = assemble_intermediate_hamiltonian(
+    k_hat = assemble_intermediate_hamiltonian(
         FiberFamily(params, grid, basis, 2), rec.grad_energy,
         rec.gamma_shift)
+    off_hat = k_hat.factors.s
     contour = Contour(rec.energy, params.mu * params.cutoffs.sigma(2), 64)
     pi = displaced_momentum_ops(FiberFamily(params, grid, basis, 1),
                                 rec.grad_energy)
@@ -241,6 +242,14 @@ def test_vector_sidecar_roundtrip(tmp_path):
         bad = tmp_path / "bad.fqed"
         bad.write_bytes(b"NOPE" + data[4:])
         read_vector_file(bad)
+
+
+def test_vector_sidecar_refuses_trailing_bytes(tmp_path):
+    path = tmp_path / "phi.fqed"
+    write_vector_file(path, np.arange(3.0))
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match="trailing bytes"):
+        read_vector_file(path)
 
 
 def test_cascade_refuses_degenerate_ground_state(small_setup, monkeypatch):

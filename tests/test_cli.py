@@ -510,6 +510,34 @@ def test_grid_dump(tmp_path, capsys):
     assert "# config_sha256:" in text
 
 
+@pytest.mark.parametrize("via", ["--out", "out_dir"])
+@pytest.mark.parametrize("command", ["grid-dump", "cascade", "mass-scan"])
+def test_output_directory_that_cannot_be_made_exits_2_before_a_run(
+        tmp_path, capsys, monkeypatch, command, via):
+    # the directory is made before any grid is built, so no cascade runs,
+    # and the refusal is one usage line, not a traceback
+    import fqed.cli as cli
+
+    built = []
+    build_grid = cli.RunConfig.build_grid
+
+    def counted_grid(self):
+        built.append("grid")
+        return build_grid(self)
+
+    monkeypatch.setattr(cli.RunConfig, "build_grid", counted_grid)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    text = GOOD_CONFIG + (f"out_dir = {out}\n" if via == "out_dir" else "")
+    argv = [command, "--config", write_config(tmp_path, text)]
+    assert main(argv + (["--out", out] if via == "--out" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: output directory {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert built == []
+
+
 def test_cascade_outputs_and_determinism(tmp_path):
     path = write_config(tmp_path, GOOD_CONFIG + "dump_vectors = true\n")
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -815,6 +843,10 @@ def test_verify_bounds_read_each_lanczos_space(tmp_path, family_builds,
     # Gamma annihilates the vacuum, so j = 0 has no bound lines
     assert [(name, passed) for _, name, passed, _ in lines] \
         == [(f"bound {c} j=1", True) for c in ("C3", "C4", "C5")]
+    # each line reports its constant's value and holds it to no bound
+    details = [detail for *_, detail in lines]
+    assert all(re.fullmatch(rf"{c} = \d+\.\d{{4}}", d)
+               for c, d in zip(("C3", "C4", "C5"), details))
     assert calls["dense"] == at_cascade_end[0]["dense"]
     assert calls["spaces"] - at_cascade_end[0]["spaces"] == 2 * 2
     assert family_builds == [0, 1, 2]

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqed.modes import (CutoffSequence, ParameterError, build_grid,
-                        direction_weights, polarization_frame)
+from fqed.modes import (ANGULAR_SETS, CutoffSequence, ParameterError,
+                        build_grid, direction_weights, polarization_frame)
 
 
 def test_cutoff_sequence_values():
@@ -135,6 +135,19 @@ def test_grid_mode_ordering_and_masks():
     assert grid.active_mask(0).sum() == 0
     assert grid.active_mask(1).sum() == 12
     assert grid.shell_mask([1]).sum() == 12
+
+
+@pytest.mark.parametrize("n_radial", [1, 2, 3])
+@pytest.mark.parametrize("angular_set", ANGULAR_SETS)
+def test_polarizations_of_one_momentum_are_adjacent_modes(angular_set,
+                                                          n_radial):
+    # the probes group modes by photon momentum as the pairs (2i, 2i + 1):
+    # polarizations 1 and 2 of one k, bit for bit, and no other pair has it
+    grid = build_grid(CutoffSequence(1.0, 0.25, 3), n_radial, angular_set)
+    first, second = np.arange(grid.n_modes).reshape(-1, 2).T
+    assert np.all(grid.lam[first] == 1) and np.all(grid.lam[second] == 2)
+    assert grid.k[first].tobytes() == grid.k[second].tobytes()
+    assert len(np.unique(grid.k[first], axis=0)) == len(first)
 
 
 def test_grid_csv_dump():

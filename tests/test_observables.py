@@ -43,7 +43,7 @@ def test_momentum_axis():
 def test_gradient_free_theory():
     params, grid, basis = make_box(0.0, [0.2, 0.0, 0.0])
     e, psi, _ = sector_ground(params, grid, basis, 2)
-    grad = FiberFamily(params, grid, basis, 2).gradient(psi, params.p_total)
+    grad = FiberFamily(params, grid, basis, 2).gradient(psi)
     assert np.allclose(grad, [0.2, 0.0, 0.0], atol=1e-14)
 
 
@@ -62,7 +62,7 @@ def test_gradient_fd_richardson_ratio():
 def test_gradient_norm_below_one_on_box():
     params, grid, basis = make_box(5e-3, [0.2, 0.0, 0.0])
     _, psi, _ = sector_ground(params, grid, basis, 2)
-    grad = FiberFamily(params, grid, basis, 2).gradient(psi, params.p_total)
+    grad = FiberFamily(params, grid, basis, 2).gradient(psi)
     assert np.linalg.norm(grad) < 1.0
 
 

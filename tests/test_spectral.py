@@ -836,32 +836,37 @@ def test_contour_projector_idempotent_and_matches_dense(small_setup):
     assert v @ projected >= -1e-10
 
 
-def test_contour_project_checked_doubles_nodes():
+def test_contour_project_checked_doubles_nodes(monkeypatch):
     # eigenvalue close to the circle: 8 nodes cannot resolve it, doubling can
+    import fqed.spectral as spectral
+
+    monkeypatch.setattr(spectral, "PROJECTOR_TOL", 1e-8)
+    monkeypatch.setattr(spectral, "MAX_NODES", 1024)
     op = sp.diags([0.0, 0.3, 5.0]).tocsr()
     v = np.ones(3)
     contour = Contour(0.0, 0.25, 8)
-    out, nodes, defect = contour_project_checked(op, contour, v,
-                                                 defect_tol=1e-8,
-                                                 max_nodes=1024)
+    out, nodes, defect = contour_project_checked(op, contour, v)
     assert nodes > 8
     assert defect <= 1e-8
     assert np.allclose(out, [1.0, 0.0, 0.0], atol=1e-7)
 
 
-def test_contour_project_checked_raises_on_enclosure_failure():
+def test_contour_project_checked_raises_on_enclosure_failure(monkeypatch):
+    import fqed.spectral as spectral
+
+    monkeypatch.setattr(spectral, "PROJECTOR_TOL", 1e-10)
+    monkeypatch.setattr(spectral, "MAX_NODES", 32)
     op = sp.diags([0.0, 1e-9, 5.0]).tocsr()   # two states inside any circle
     v = np.array([1.0, 1.0, 0.3])
     with pytest.raises(ContourError):
         # projector onto a 2-dim eigenspace is idempotent, so use a circle
         # that CUTS the spectrum instead
-        contour_project_checked(op, Contour(0.5, 0.5 + 1e-12, 16), v,
-                                defect_tol=1e-10, max_nodes=32)
+        contour_project_checked(op, Contour(0.5, 0.5 + 1e-12, 16), v)
 
 
 def test_contour_project_checked_stops_on_a_nan_projection(monkeypatch):
     # a NaN defect fails every comparison, so only an explicit finiteness
-    # check keeps the node doubling from running to max_nodes
+    # check keeps the node doubling from running to MAX_NODES
     import fqed.spectral as spectral
 
     calls = []
