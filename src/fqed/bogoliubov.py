@@ -19,9 +19,9 @@ directional dispersion factor.  Two pathways coexist on purpose:
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fock import FockBasis, creation_sum, linear_field
+from .csr import CSR
+from .fock import FockBasis, linear_field
 from .modes import ModeGrid, ParameterError, direction_weights
 
 #: A transport step sums Taylor terms until one falls to this share of the
@@ -54,21 +54,27 @@ def displacement_coeffs(grad_energy: np.ndarray, grid: ModeGrid, shells,
         0.0)
 
 
-def displacement_generator(f: np.ndarray,
-                           basis: FockBasis) -> sp.csr_matrix:
-    """Antisymmetric generator sum_m f_m (create_m - annihilate_m)."""
-    c = creation_sum(basis, f)
-    return (c - c.T).tocsr()
+def displacement_generator(f: np.ndarray, basis: FockBasis) -> CSR:
+    """Antisymmetric generator sum_m f_m (create_m - annihilate_m): the
+    entries +-f_m sqrt(n_m + 1) of each raise and its transpose, the zero
+    ones dropped, as scipy's c - c.T drops them."""
+    v = np.asarray(f, dtype=float)[basis.raise_mode] * basis.raise_amp
+    kept = v != 0.0
+    src, dst = basis.raise_src[kept], basis.raise_dst[kept]
+    return CSR(np.concatenate([v[kept], -v[kept]]),
+               np.concatenate([dst, src]), np.concatenate([src, dst]),
+               (basis.size, basis.size))
 
 
-def _one_norm(gen: sp.spmatrix) -> float:
-    """The 1-norm of ``gen``, its largest absolute column sum, by the
-    formula of ``scipy.sparse.linalg.norm(gen, 1)``, which would import
-    ``scipy.linalg``."""
-    return abs(gen).sum(axis=0).max()
+def _one_norm(gen: CSR) -> float:
+    """The 1-norm of ``gen``, its largest absolute column sum, each column
+    summed over its entries in row order, as
+    ``scipy.sparse.linalg.norm(gen, 1)`` sums it."""
+    return np.bincount(gen.indices, weights=np.abs(gen.data),
+                       minlength=gen.shape[1]).max()
 
 
-def _expm_apply(gen: sp.spmatrix, v: np.ndarray) -> np.ndarray:
+def _expm_apply(gen: CSR, v: np.ndarray) -> np.ndarray:
     """Deterministic exp(gen) @ v by scaled Taylor summation.
 
     The generator norm is halved until the series converges quickly; the
@@ -147,8 +153,7 @@ def weyl_vacuum_expectation(params, grid: ModeGrid, shells,
     ])
 
 
-def displaced_momentum_ops(family, grad_energy: np.ndarray
-                           ) -> list[sp.csr_matrix]:
+def displaced_momentum_ops(family, grad_energy: np.ndarray) -> list:
     """Closed form of the conjugated, vacuum-centered field momentum Pi.
 
     Conjugation shifts each active ladder operator by its displacement
@@ -158,8 +163,9 @@ def displaced_momentum_ops(family, grad_energy: np.ndarray
         Pi_i = beta_i - sum_{m active} k_m^i f_m (create_m + annihilate_m),
 
     with beta from the ladder algebra at the scale of the ``FiberFamily``
-    ``family``, not from its factors: an oracle for ``family.frame``.  The
-    vacuum expectation of every Pi_i vanishes identically.
+    ``family``, not from its factors: an oracle for ``family.frame``, as
+    ``scipy.sparse`` matrices.  The vacuum expectation of every Pi_i
+    vanishes identically.
     """
     from .hamiltonian import _field_momentum   # hamiltonian imports us
     grid = family.grid

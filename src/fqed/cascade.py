@@ -460,13 +460,20 @@ def write_vector_file(path, vec: np.ndarray):
 
 
 def read_vector_file(path) -> np.ndarray:
+    """The vector of a sidecar; ``ValueError`` for anything else."""
+    def header(fh, fmt):
+        raw = fh.read(struct.calcsize(fmt))
+        if len(raw) != struct.calcsize(fmt):
+            raise ValueError(f"{path}: truncated header")
+        return struct.unpack(fmt, raw)[0]
+
     with open(path, "rb") as fh:
         if fh.read(4) != _SIDECAR_MAGIC:
             raise ValueError(f"{path}: bad magic, not a vector sidecar")
-        version = struct.unpack("<I", fh.read(4))[0]
+        version = header(fh, "<I")
         if version != _SIDECAR_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        dim = struct.unpack("<Q", fh.read(8))[0]
+        dim = header(fh, "<Q")
         data = np.frombuffer(fh.read(8 * dim), dtype="<f8")
         if data.size != dim:
             raise ValueError(f"{path}: truncated payload")

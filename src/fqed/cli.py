@@ -257,13 +257,17 @@ def _metadata_block(cfg: RunConfig) -> str:
             f"# fqed_version: {__version__}\n")
 
 
-def _out_dir(cfg: RunConfig, args) -> Path:
-    """The output directory, created before a command builds anything."""
+def _out_dir(cfg: RunConfig, args, files) -> Path:
+    """The output directory, created before a command builds anything,
+    where none of the ``files`` the command writes is a directory."""
     out = Path(args.out if args.out else cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"output directory {out}: {exc.strerror}") from exc
+    for name in files:
+        if (out / name).is_dir():
+            raise UsageError(f"output file {out / name} is a directory")
     return out
 
 
@@ -287,7 +291,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
 
 
 def cmd_grid_dump(cfg: RunConfig, args) -> int:
-    path = _out_dir(cfg, args) / "grid.csv"
+    path = _out_dir(cfg, args, ["grid.csv"]) / "grid.csv"
     grid = cfg.build_grid()
     path.write_text(grid.dump_csv() + _metadata_block(cfg))
     print(f"wrote {path} ({grid.n_modes} modes)")
@@ -295,7 +299,13 @@ def cmd_grid_dump(cfg: RunConfig, args) -> int:
 
 
 def cmd_cascade(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg, args)
+    scales = range(cfg.params.n_scales + 1)
+    files = ["trace.csv"]
+    if len(scales) >= 4:
+        files.append("convergence.txt")
+    if cfg.dump_vectors:
+        files += [f"phi_{j:03d}.fqed" for j in scales]
+    out = _out_dir(cfg, args, files)
     grid = cfg.build_grid()
     basis = cfg.build_basis(grid)
     state = run_cascade(cfg.params, grid, basis,
@@ -321,7 +331,7 @@ def cmd_mass_scan(cfg: RunConfig, args) -> int:
         raise UsageError("config key 'alphas' is empty")
     if not cfg.p_list:
         raise UsageError("config key 'P_list' is empty")
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg, args, ["scan.csv", "scan.gp"])
     grid = cfg.build_grid()
     if not cfg.allow_invalid:
         # a failed constraint refuses the scan before any basis or cascade,
@@ -489,6 +499,8 @@ def _pin_blas_threads():
     not found, the pool is left as it is, with a warning.  Scipy bundles
     another OpenBLAS, which only the dense oracles and the cold ARPACK
     solves load, where they import ``scipy.linalg``; no command pins it.
+    Of scipy a command loads only the CSR kernels' extension (``csr``),
+    which links no BLAS.
     """
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     found = sorted(libs.glob("libscipy_openblas64_*"))

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import CSR
 from .modes import ModeGrid, ParameterError, ResourceError
 
 
@@ -156,6 +156,8 @@ class FockBasis:
     raise_dst: np.ndarray = field(repr=False)
     raise_mode: np.ndarray = field(repr=False)
     raise_amp: np.ndarray = field(repr=False)
+    _sectors: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def size(self) -> int:
@@ -178,9 +180,15 @@ class FockBasis:
         return v
 
     def sector_indices(self, grid: ModeGrid, j: int) -> np.ndarray:
-        """States with no photons below the scale-``j`` cutoff (shells >= j)."""
-        mask = self.occupations[:, ~grid.active_mask(j)].sum(axis=1) == 0
-        return np.nonzero(mask)[0]
+        """States with no photons below the scale-``j`` cutoff (shells >= j),
+        ascending; found once per scale and active-mode set, and read-only."""
+        active = grid.active_mask(j)
+        key = (j, active.tobytes())
+        if key not in self._sectors:
+            idx = np.flatnonzero(self.occupations[:, ~active].sum(axis=1) == 0)
+            idx.flags.writeable = False
+            self._sectors[key] = idx
+        return self._sectors[key]
 
 
 def _build_levels(n_modes: int, n_max: int, c_max: int):
@@ -260,8 +268,11 @@ def enumerate_basis(n_modes: int, n_max: int, c_max: int,
                      raise_mode=mode, raise_amp=amp)
 
 
-def ladder(basis: FockBasis, m: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(annihilate_m, create_m) as sparse matrices; annihilate = create.T."""
+def ladder(basis: FockBasis, m: int):
+    """(annihilate_m, create_m) as ``scipy.sparse`` matrices, annihilate =
+    create.T; an oracle, which imports ``scipy.sparse`` here."""
+    import scipy.sparse as sp
+
     if not 0 <= m < basis.n_modes:
         raise IndexError(f"mode index {m} out of range")
     sel = basis.raise_mode == m
@@ -280,18 +291,18 @@ def annihilate(basis: FockBasis, m: int, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def creation_sum(basis: FockBasis, coeff: np.ndarray) -> sp.csr_matrix:
-    """Sum_m coeff[m] * create_m as one sparse matrix."""
+def creation_sum(basis: FockBasis, coeff: np.ndarray) -> CSR:
+    """Sum_m coeff[m] * create_m as one sparse matrix, zero entries kept."""
     coeff = np.asarray(coeff, dtype=float)
     data = coeff[basis.raise_mode] * basis.raise_amp
-    return sp.coo_matrix(
-        (data, (basis.raise_dst, basis.raise_src)),
-        shape=(basis.size, basis.size)).tocsr()
+    return CSR(data, basis.raise_dst, basis.raise_src,
+               (basis.size, basis.size))
 
 
-def linear_field(basis: FockBasis, coeff: np.ndarray) -> sp.csr_matrix:
-    """Symmetric field combination Sum_m coeff[m] (create_m + annihilate_m)."""
-    c = creation_sum(basis, coeff)
+def linear_field(basis: FockBasis, coeff: np.ndarray):
+    """Symmetric field combination Sum_m coeff[m] (create_m + annihilate_m)
+    as a ``scipy.sparse`` matrix; an oracle."""
+    c = creation_sum(basis, coeff).tocsr()
     return (c + c.T).tocsr()
 
 
@@ -300,7 +311,8 @@ def number_diagonal(basis: FockBasis, fvals: np.ndarray) -> np.ndarray:
     return basis.occupations @ np.asarray(fvals, dtype=float)
 
 
-def symmetry_defect(op: sp.spmatrix) -> float:
-    """Largest entrywise asymmetry |A - A.T|; 0 for exactly symmetric ops."""
+def symmetry_defect(op) -> float:
+    """Largest entrywise asymmetry |A - A.T| of a ``scipy.sparse`` matrix;
+    0 for exactly symmetric ops."""
     d = (op - op.T).tocoo()
     return float(np.max(np.abs(d.data))) if d.nnz else 0.0

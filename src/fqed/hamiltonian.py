@@ -31,8 +31,8 @@ Both H(P) and K(gamma) are squares, (1/2) sum_i (F_i - c_i)^2 + diag(d) +
 s, with F = beta, c = P or F = Pi, c = gamma.  Each factor is field-linear,
 F_i = diag(D_i) + sum_m C_im (create_m + annihilate_m): D = Pf for both,
 C = -sqrt(alpha) sqrt(w/|k|) eps on the shells below j for beta, less
-k f for Pi.  A ``_Factors`` of (D, C, d, s) is built by one COO -> CSR
-pass over the basis's raise table, on the whole basis or on a sector: a
+k f for Pi.  A ``_Factors`` of (D, C, d, s) is one ``csr.CSR`` build
+over the basis's raise table, on the whole basis or on a sector: a
 family's factors are beta's, its ``frame(g)`` those of Pi(g), and every
 first moment (P - beta, Pi - <Pi>) is one stacked product, ``apply``.
 Every scale-j factor maps sectors j and j + 1 into themselves, so the
@@ -41,7 +41,8 @@ Neither square is assembled: a ``FactorOp`` applies one from its factors.
 ``FactorOp.tocsr`` assembles the product form for the oracles;
 ``assemble_h_fiber`` and ``assemble_displaced_hamiltonian`` build it
 independently, from ``assemble_field``, as the references the tests
-compare against.
+compare against.  The oracles are ``scipy.sparse`` matrices, and each
+imports ``scipy.sparse`` where it runs, so that no command loads it.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bogoliubov import (displaced_momentum_ops, displacement_coeffs,
                          weyl_vacuum_expectation)
+from .csr import CSR
 from .fock import FockBasis, linear_field, number_diagonal
 from .modes import CutoffSequence, ModeGrid, ParameterError, direction_weights
 
@@ -97,9 +98,9 @@ def _coupling_coeff(grid: ModeGrid, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, c, 0.0)
 
 
-def assemble_field(grid: ModeGrid, basis: FockBasis,
-                   shells) -> list[sp.csr_matrix]:
-    """Transverse field components A_i over the given shells.
+def assemble_field(grid: ModeGrid, basis: FockBasis, shells) -> list:
+    """Transverse field components A_i over the given shells, as
+    ``scipy.sparse`` matrices; an oracle.
 
     A_i = sum_m sqrt(w_m/|k_m|) eps_m^i (create_m + annihilate_m); the
     sqrt(w) factor carries the continuum measure.  An empty shell range
@@ -110,7 +111,8 @@ def assemble_field(grid: ModeGrid, basis: FockBasis,
     return [linear_field(basis, c * grid.eps_vec[:, i]) for i in range(3)]
 
 
-def _symmetrize(op: sp.spmatrix) -> sp.csr_matrix:
+def _symmetrize(op):
+    """(op + op.T) / 2 of a ``scipy.sparse`` matrix, as CSR."""
     return (0.5 * (op + op.T)).tocsr()
 
 
@@ -126,14 +128,11 @@ class _Factors:
     of its off-diagonal square, from which ``FactorOp`` reads its own
     diagonal.
 
-    One COO -> CSR pass over the basis's raise table builds both: the
-    entries are listed as the raises into each state, the diagonal, then
-    the raises out of it, which is ascending column order within every row
-    (the table runs by ascending source, and a source's targets ascend
-    with its mode), and the zero entries are dropped.  Each F_i is
-    symmetric, so the transpose is the same entries with row and column
-    swapped back.  ``sector(idx)`` builds the factors of a set of states
-    once.
+    One ``CSR`` over the basis's raise table holds each: the entries are
+    the raises into each state, the diagonal and the raises out of it, the
+    zero ones dropped.  Each F_i is symmetric, so the transpose is the same
+    entries with row and column swapped back.  ``sector(idx)`` builds the
+    factors of a set of states once.
     """
 
     def __init__(self, basis: FockBasis, diag: np.ndarray,
@@ -167,13 +166,11 @@ class _Factors:
         data, rows, cols = (np.concatenate(q) for q in zip(*parts))
         block = np.repeat(np.arange(3, dtype=index) * n,
                           [len(q[0]) for q in parts])
-        self.stacked = sp.csr_matrix((data, (rows + block, cols)),
-                                     shape=(3 * n, n))
+        self.stacked = CSR(data, rows + block, cols, (3 * n, n))
         # row s of the transpose holds row s of F_0, F_1, F_2 in turn, at
         # columns shifted by 0, n, 2n; halving is exact, so (1/2) F^T (F x)
         # rounds as F^T (F x) does
-        self.half_t = sp.csr_matrix((0.5 * data, (rows, cols + block)),
-                                    shape=(n, 3 * n))
+        self.half_t = CSR(0.5 * data, rows, cols + block, (n, 3 * n))
         self._sectors: dict[bytes, _Factors] = {}
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -231,10 +228,14 @@ class FactorOp:
         into itself."""
         return FactorOp(self.factors.sector(idx), self.c)
 
-    def tocsr(self) -> sp.csr_matrix:
+    def tocsr(self):
+        """The product form as a ``scipy.sparse`` matrix."""
+        import scipy.sparse as sp
+
         f = self.factors
-        g = f.stacked - sp.vstack([ci * sp.identity(f.size, format="csr")
-                                   for ci in self.c], format="csr")
+        eye = sp.identity(f.size, format="csr")
+        g = f.stacked.tocsr() - sp.vstack([ci * eye for ci in self.c],
+                                          format="csr")
         return _symmetrize(0.5 * (g.T @ g) + sp.diags(f.d + f.s))
 
 
@@ -312,18 +313,22 @@ def _frame_factors(family: FiberFamily, g: np.ndarray) -> _Factors:
 
 
 def _field_momentum(params: ModelParams, grid: ModeGrid, basis: FockBasis,
-                    j: int) -> list[sp.csr_matrix]:
+                    j: int) -> list:
     """beta_i = Pf_i - sqrt(alpha) A_i from the ladder algebra
     (``assemble_field``), independent of the one-pass factors."""
+    import scipy.sparse as sp
+
     a = assemble_field(grid, basis, range(j))
     return [(sp.diags(number_diagonal(basis, grid.k[:, i]))
              - np.sqrt(params.alpha) * a[i]).tocsr() for i in range(3)]
 
 
 def assemble_h_fiber(params: ModelParams, grid: ModeGrid, basis: FockBasis,
-                     j: int, p=None) -> sp.csr_matrix:
+                     j: int, p=None):
     """Fiber Hamiltonian at scale j in product form, the reference for
     ``FiberFamily.h``."""
+    import scipy.sparse as sp
+
     p = params.p_total if p is None else np.asarray(p, dtype=float)
     eye = sp.identity(basis.size, format="csr")
     grad = [(p[i] * eye - beta).tocsr()
@@ -333,12 +338,14 @@ def assemble_h_fiber(params: ModelParams, grid: ModeGrid, basis: FockBasis,
 
 
 def assemble_slice_interaction(params: ModelParams, grid: ModeGrid,
-                               basis: FockBasis, j: int) -> sp.csr_matrix:
+                               basis: FockBasis, j: int):
     """Interaction picked up when the cutoff drops from scale j to j+1.
 
     sqrt(alpha) * sym(grad_P H . a) + (alpha/2) a^2 with ``a`` the shell-j
     field; satisfies H(j+1) = H(j) + slice entrywise on the common basis.
     """
+    import scipy.sparse as sp
+
     if j + 1 > params.n_scales:
         raise ParameterError(f"slice {j}->{j + 1} exceeds the cutoff sequence")
     eye = sp.identity(basis.size, format="csr")
@@ -354,7 +361,7 @@ def assemble_slice_interaction(params: ModelParams, grid: ModeGrid,
 def assemble_displaced_hamiltonian(
         params: ModelParams, grid: ModeGrid, basis: FockBasis, j: int,
         grad_energy: np.ndarray,
-        gamma_shift: np.ndarray) -> tuple[sp.csr_matrix, float]:
+        gamma_shift: np.ndarray) -> tuple:
     """Canonical-form Hamiltonian K at scale j, plus its scalar offset.
 
     K = (1/2) sum_i (Pi_i - gamma_shift_i)^2 + sum_m |k_m| delta_m n_m
@@ -364,6 +371,8 @@ def assemble_displaced_hamiltonian(
     closed form; with the ground-state expectation of Pi as shift,
     Pi - shift is Gamma.
     """
+    import scipy.sparse as sp
+
     g = np.asarray(grad_energy, dtype=float)
     gamma_shift = np.asarray(gamma_shift, dtype=float).reshape(3)
     eye = sp.identity(basis.size, format="csr")
@@ -401,8 +410,9 @@ def slice_marginal_coeffs(params: ModelParams, grid: ModeGrid,
 
 def slice_marginal_ops(params: ModelParams, grid: ModeGrid, basis: FockBasis,
                        slice_shell: int,
-                       grad_energy: np.ndarray) -> list[sp.csr_matrix]:
-    """Linear slice operators L_i = sum_m coeff_m^i (create_m + annihilate_m)."""
+                       grad_energy: np.ndarray) -> list:
+    """Linear slice operators L_i = sum_m coeff_m^i (create_m + annihilate_m)
+    as ``scipy.sparse`` matrices; an oracle."""
     coeffs = slice_marginal_coeffs(params, grid, slice_shell, grad_energy)
     return [linear_field(basis, coeffs[i]) for i in range(3)]
 
@@ -431,8 +441,8 @@ def assemble_intermediate_hamiltonian(
 
 
 def delta_k_interaction(params: ModelParams, grid: ModeGrid, basis: FockBasis,
-                        j: int, gamma_prev_ops: list[sp.spmatrix],
-                        grad_energy_prev: np.ndarray) -> sp.csr_matrix:
+                        j: int, gamma_prev_ops: list,
+                        grad_energy_prev: np.ndarray):
     """Frame-bridge perturbation between scales j-1 and j.
 
     (1/2) sym(Gamma . (L + I)) + (1/2) (L + I)^2, assembled with the same
@@ -442,6 +452,8 @@ def delta_k_interaction(params: ModelParams, grid: ModeGrid, basis: FockBasis,
 
     holds entrywise.
     """
+    import scipy.sparse as sp
+
     g = np.asarray(grad_energy_prev, dtype=float)
     lam = slice_marginal_ops(params, grid, basis, j - 1, g)
     ivec = weyl_vacuum_expectation(params, grid, [j - 1], g)

@@ -34,9 +34,10 @@ and the dense oracles (``dense_spectrum`` and the perturbation series
 ``neumann_project``) do.
 
 An operator is anything with ``shape`` and ``@`` on vectors and (n, k)
-blocks, and ``diagonal()`` for Davidson and CG: an array, a sparse matrix
-or a ``hamiltonian.FactorOp``.  Every solver applies the operator it is
-given; none converts it or branches on its type.
+blocks, and ``diagonal()`` for Davidson and CG: an array, a scipy sparse
+matrix or a ``hamiltonian.FactorOp``, whose products are ``csr.CSR``
+products.  Every solver applies the operator it is given; none converts it
+or branches on its type.
 
 Every ground state a command makes is a Davidson solve started from a
 vector the run holds, and every eigensolve it makes is one
@@ -46,7 +47,9 @@ the Ritz pairs of every Krylov space.  The cold ground states, dense up to
 ARPACK and the dense oracles use scipy's LAPACK, imported inside the
 function that runs them: a command loads neither ``scipy.linalg`` nor
 ``scipy.sparse.linalg``, nor scipy's OpenBLAS, and an oracle checks the
-production path with another driver from another library.
+production path with another driver from another library.  Of scipy a
+command loads only the compiled CSR kernels (``csr``), not the
+``scipy.sparse`` package.
 """
 
 from __future__ import annotations
@@ -243,8 +246,17 @@ def _davidson(op, pairs: int, start: np.ndarray):
     vectors the space restarts from its ``pairs + 2`` lowest Ritz vectors.
     Nothing is random, so a solve is bit-identical on every run.  Returns
     (values, vectors) ascending.
+
+    A one-state operator returns at once: its one pair is the Rayleigh
+    quotient b (op b) of the normalized start b = +-1 and the vector [1],
+    the arithmetic of the loop's first step, whose unit vectors collapse
+    onto b and whose residual is zero.
     """
     n = op.shape[0]
+    if n == 1:
+        b = np.asarray(start, dtype=float)
+        b = b / np.linalg.norm(b)
+        return b * (op @ b), np.ones((1, 1))
     diag = op.diagonal()
     tol = DAVIDSON_TOL * max(1.0, float(np.max(np.abs(diag))))
     cap = DAVIDSON_MAX_DIM

@@ -252,6 +252,17 @@ def test_vector_sidecar_refuses_trailing_bytes(tmp_path):
         read_vector_file(path)
 
 
+@pytest.mark.parametrize("size", [4, 6, 8, 12, 15])
+def test_vector_sidecar_refuses_a_short_header(tmp_path, size):
+    # a file cut inside the version or the dimension is refused as every
+    # other bad sidecar is, with ValueError, not struct.error
+    path = tmp_path / "phi.fqed"
+    write_vector_file(path, np.arange(3.0))
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(ValueError, match="truncated header"):
+        read_vector_file(path)
+
+
 def test_cascade_refuses_degenerate_ground_state(small_setup, monkeypatch):
     import fqed.cascade as cascade
 

@@ -258,10 +258,12 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command,
 
 def test_commands_load_no_scipy_linalg(tmp_path):
     # every eigensolve and shifted solve of a command runs in numpy's
-    # LAPACK: only the test oracles and the cold ARPACK solves, which no
-    # command reaches, import scipy.linalg or scipy.sparse.linalg or map
-    # scipy's OpenBLAS (libscipy_openblas-*, where numpy's is
-    # libscipy_openblas64_*); the library check needs /proc/self/maps
+    # LAPACK and every sparse product in scipy's CSR kernels, loaded
+    # without the scipy.sparse package: only the test oracles and the cold
+    # ARPACK solves, which no command reaches, import scipy.sparse,
+    # scipy.linalg or scipy.sparse.linalg or map scipy's OpenBLAS
+    # (libscipy_openblas-*, where numpy's is libscipy_openblas64_*); the
+    # library check needs /proc/self/maps
     path = write_config(tmp_path, GOOD_CONFIG)
     script = f"""
 import sys
@@ -270,8 +272,8 @@ from fqed.cli import main
 maps = Path("/proc/self/maps")
 for argv in (["mass-scan"], ["verify", "--suite", "all"]):
     assert main([*argv, "--config", {path!r}, "--out", {str(tmp_path)!r}]) == 0
-    loaded = [m for m in ("scipy.linalg", "scipy.sparse.linalg")
-              if m in sys.modules]
+    loaded = [m for m in ("scipy.sparse", "scipy.linalg",
+                          "scipy.sparse.linalg") if m in sys.modules]
     if maps.exists() and "libscipy_openblas-" in maps.read_text():
         loaded.append("libscipy_openblas-")
     print(argv[0], sorted(loaded))
@@ -535,6 +537,40 @@ def test_output_directory_that_cannot_be_made_exits_2_before_a_run(
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: output directory {out}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert built == []
+
+
+@pytest.mark.parametrize("command,name", [
+    ("grid-dump", "grid.csv"), ("mass-scan", "scan.csv"),
+    ("mass-scan", "scan.gp"), ("cascade", "trace.csv")])
+def test_output_file_that_is_a_directory_exits_2_before_a_run(
+        tmp_path, capsys, monkeypatch, command, name):
+    # an output file that is an existing directory cannot be written: the
+    # command refuses it with one usage line before it builds a grid, so
+    # no cascade runs and no traceback follows a finished run
+    import fqed.cli as cli
+
+    built = []
+    build_grid = cli.RunConfig.build_grid
+
+    def counted_grid(self):
+        built.append("grid")
+        return build_grid(self)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cascade ran")
+
+    monkeypatch.setattr(cli.RunConfig, "build_grid", counted_grid)
+    monkeypatch.setattr(cli, "mass_scan", no_run)
+    monkeypatch.setattr(cli, "run_cascade", no_run)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = [command, "--config", write_config(tmp_path, GOOD_CONFIG),
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"usage error: output file {out / name} is a directory\n"
+    assert "Traceback" not in err
     assert built == []
 
 

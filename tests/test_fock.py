@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -264,6 +265,29 @@ def test_sector_restriction():
     occ = basis.occupations[idx1]
     assert np.all(occ[:, grid.shell >= 1] == 0)
     assert len(idx1) == basis_size(12, 2, 2)
+
+
+def test_sector_indices_are_found_once_and_read_only():
+    # one array per scale and active-mode set, shared by every caller, so
+    # no caller may write to it; a grid of the same mode count with other
+    # active modes at the same scale gets its own sector
+    cut = CutoffSequence(1.0, 0.25, 2)
+    grid = build_grid(cut, 1, "octahedral6")
+    basis = enumerate_basis(grid.n_modes, 2, 2)
+    for j in range(3):
+        idx = basis.sector_indices(grid, j)
+        want = np.flatnonzero(
+            basis.occupations[:, grid.shell >= j].sum(axis=1) == 0)
+        assert np.array_equal(idx, want)
+        assert basis.sector_indices(grid, j) is idx
+        with pytest.raises(ValueError):
+            idx[0] = 1
+    flipped = dataclasses.replace(grid, shell=grid.shell[::-1].copy())
+    idx = basis.sector_indices(flipped, 1)
+    want = np.flatnonzero(
+        basis.occupations[:, flipped.shell >= 1].sum(axis=1) == 0)
+    assert np.array_equal(idx, want)
+    assert not np.array_equal(idx, basis.sector_indices(grid, 1))
 
 
 def test_number_diagonal():

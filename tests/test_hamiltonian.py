@@ -527,7 +527,8 @@ def test_scale_factors_map_sectors_j_and_j_plus_1_into_themselves(
             inside[basis.sector_indices(grid, s)] = True
             # row r of every F_i is a row of the stack
             rows = np.tile(inside, 3)
-            for op in (family.factors.stacked, family.frame(g).stacked):
+            for stack in (family.factors.stacked, family.frame(g).stacked):
+                op = stack.tocsr()
                 assert op[~rows][:, inside].count_nonzero() == 0
                 assert op[rows][:, ~inside].count_nonzero() == 0
 

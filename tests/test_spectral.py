@@ -287,6 +287,30 @@ def test_davidson_iteration_cap_raises_with_the_residual(small_setup,
     assert str(exc.value).endswith("after 1 iterations")
 
 
+@pytest.mark.parametrize("start", [1.0, -2.5, 3e-7])
+@pytest.mark.parametrize("pairs", [1, 3])
+def test_one_state_davidson_is_the_loops_first_step(small_setup, start,
+                                                   pairs):
+    # the j = 0 sector is the vacuum alone: the early return must give the
+    # bits of the loop's one step, where the start is normalized, its image
+    # taken as a (1, 1) block and Rayleigh-Ritz solved by eigh, and whose
+    # residual is zero
+    params, grid, basis = small_setup
+    idx = basis.sector_indices(grid, 0)
+    op = FiberFamily(params, grid, basis, 0).h(params.p_total).sector(idx)
+    assert op.shape == (1, 1)
+    b = np.array([start]) / np.linalg.norm([start])
+    image = (op @ b[None, :].T).T
+    ritz = b[None, :] @ image.T
+    theta, coef = np.linalg.eigh(0.5 * (ritz + ritz.T))
+    vec = b[:, None] @ coef
+    assert np.all(image.T @ coef - vec * theta == 0.0)
+    rec = ground_state(op, pairs=pairs, start=np.array([start]))
+    assert rec.method == "davidson" and np.isnan(rec.gap)
+    assert np.float64(rec.energy).tobytes() == theta[0].tobytes()
+    assert rec.vector.tobytes() == np.abs(vec[:, 0]).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 44, 45, 62])
 def test_davidson_eigen_step_equals_scipy_eigh(n):
     # every production eigensolve is numpy.linalg.eigh behind a finiteness
