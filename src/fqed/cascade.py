@@ -257,9 +257,10 @@ def cascade_scales(state: CascadeState, *,
     Each scale then solves its fiber Hamiltonian on its sector and
     evaluates the gradient; past scale 0 the projected vector is re-dressed
     with one combined Weyl displacement.  The solves form one chain of
-    started Davidson solves: scale 0's one-state sector solve starts from
-    the vacuum, each next-sector solve from its scale's ground state, and
-    each later sector solve from the previous scale's next-sector vector.
+    started Davidson solves of two pairs each, the ground pair and the gap
+    the record keeps: scale 0's one-state sector solve starts from the
+    vacuum, each next-sector solve from its scale's ground state, and each
+    later sector solve from the previous scale's next-sector vector.
 
     Each record is appended to ``state.records`` before it is yielded with
     its family, which keeps its factors, their sector restrictions and
@@ -301,7 +302,7 @@ def _cascade_step(state: CascadeState, j: int, start: np.ndarray,
     h = family.h(params.p_total)
     try:
         energy, psi, gap_sector = sector_ground(params, grid, basis, j,
-                                                h_op=h, start=start)
+                                                h_op=h, pairs=2, start=start)
     except SolverError as exc:
         raise CascadeError(f"scale {j}: sector solve: {exc}") from exc
     if gap_sector < 1e-12:
@@ -332,7 +333,7 @@ def _cascade_step(state: CascadeState, j: int, start: np.ndarray,
         # the ground state of H_j on sector j + 1 starts scale j + 1
         try:
             _, next_start, gap_next = sector_ground(
-                params, grid, basis, j + 1, h_op=h, start=psi)
+                params, grid, basis, j + 1, h_op=h, pairs=2, start=psi)
         except SolverError as exc:
             raise CascadeError(
                 f"scale {j}: next-sector solve: {exc}") from exc

@@ -93,10 +93,13 @@ def energy_gradient_fd(family: FiberFamily, rec: ScaleRecord,
                      for dp in step * np.eye(3)])
 
 
-def dispersion_curvature_fd(family: FiberFamily, rec: ScaleRecord,
-                            step: float = 5e-3) -> float:
+#: Momentum step of the 5-point curvature stencil.
+FD_CURVATURE_STEP = 5e-3
+
+
+def dispersion_curvature_fd(family: FiberFamily, rec: ScaleRecord) -> float:
     """5-point second derivative of E along the momentum axis at the
-    family's P.
+    family's P, with step ``FD_CURVATURE_STEP``.
 
     The center is the record's energy; the four off-center points are
     one-pair solves started from the record's ``psi``.
@@ -104,12 +107,13 @@ def dispersion_curvature_fd(family: FiberFamily, rec: ScaleRecord,
     _check_scale(family, rec)
     p = family.params.p_total
     unit = np.eye(3)[momentum_axis(p)]
+    h = FD_CURVATURE_STEP
 
     def energy(t: float) -> float:
         return _ground_energy(family, rec, p + t * unit)
 
-    return (-energy(2 * step) + 16 * energy(step) - 30 * rec.energy
-            + 16 * energy(-step) - energy(-2 * step)) / (12 * step ** 2)
+    return (-energy(2 * h) + 16 * energy(h) - 30 * rec.energy
+            + 16 * energy(-h) - energy(-2 * h)) / (12 * h ** 2)
 
 
 def dispersion_curvature_direct(family: FiberFamily,

@@ -244,6 +244,10 @@ def _davidson(op, pairs: int, start: np.ndarray):
     absolute diagonal entry (at least 1), orthonormalized by two
     Gram-Schmidt passes; past ``DAVIDSON_MAX_DIM``
     vectors the space restarts from its ``pairs + 2`` lowest Ritz vectors.
+    The Rayleigh-Ritz matrix V A V^T is kept between steps and grows by
+    rows: each new vector adds its row against the whole space, mirrored
+    into the column, and a restart leaves diag(theta) of the kept Ritz
+    values.  Its buffer doubles as the space grows.
     Nothing is random, so a solve is bit-identical on every run.  Returns
     (values, vectors) ascending.
 
@@ -263,40 +267,52 @@ def _davidson(op, pairs: int, start: np.ndarray):
     # one row per vector, never zero-filled: rows past size are never read
     basis = np.empty((cap + pairs, n))
     image = np.empty((cap + pairs, n))
+    # the space's Rayleigh-Ritz matrix, kept between steps
+    ritz = np.empty((0, 0))
     size = 0
 
     def extend(vectors):
-        nonlocal size
+        nonlocal size, ritz
         first = size
         for t in vectors:
-            scale = np.linalg.norm(t)
+            scale = np.sqrt(np.dot(t, t))
             for _ in range(2):
-                t = t - basis[:size].T @ (basis[:size] @ t)
-            norm = np.linalg.norm(t)
+                t = t - np.dot(np.dot(basis[:size], t), basis[:size])
+            norm = np.sqrt(np.dot(t, t))
             if norm > 1e-10 * scale:
                 basis[size] = t / norm
                 size += 1
         image[first:size] = (op @ basis[first:size].T).T
+        if size > len(ritz):
+            m = min(max(2 * len(ritz), size), cap + pairs)
+            grown = np.empty((m, m))
+            grown[:first, :first] = ritz[:first, :first]
+            ritz = grown
+        rows = np.dot(basis[first:size], image[:size].T)
+        ritz[first:size, :size] = rows
+        ritz[:first, first:size] = rows[:, :first].T
         return size - first
 
     lowest = np.argsort(diag, kind="stable")[:pairs + 2]
     units = np.zeros((len(lowest), n))
     units[np.arange(len(lowest)), lowest] = 1.0
     extend([np.asarray(start, dtype=float), *units])
+    del units   # only seeds the space: not held while the space grows
     res = np.full(pairs, np.inf)
     for step in range(1, DAVIDSON_MAX_ITER + 1):
-        ritz = basis[:size] @ image[:size].T
-        theta, coef = _eigh(0.5 * (ritz + ritz.T))
-        vecs = basis[:size].T @ coef[:, :pairs]
-        resid = image[:size].T @ coef[:, :pairs] - vecs * theta[:pairs]
-        res = np.linalg.norm(resid, axis=0)
+        theta, coef = _eigh(ritz[:size, :size])
+        wanted = coef[:, :pairs].T
+        vecs = np.dot(wanted, basis[:size])
+        resid = np.dot(wanted, image[:size]) - theta[:pairs, None] * vecs
+        res = np.sqrt([np.dot(r, r) for r in resid])
         open_ = np.flatnonzero(res > tol)
         if len(open_) == 0:
-            return theta[:pairs], vecs
+            return theta[:pairs], vecs.T
         if size + len(open_) > cap:
             keep = pairs + 2
             basis[:keep] = coef[:, :keep].T @ basis[:size]
             image[:keep] = coef[:, :keep].T @ image[:size]
+            ritz[:keep, :keep] = np.diag(theta[:keep])
             size = keep
         corrections = []
         for i in open_:
@@ -304,7 +320,7 @@ def _davidson(op, pairs: int, start: np.ndarray):
             # a diagonal entry at the Ritz value must not blow the
             # correction up
             denom[np.abs(denom) < 1e-12] = 1e-12
-            corrections.append(resid[:, i] / denom)
+            corrections.append(resid[i] / denom)
         if extend(corrections) == 0:
             break
     raise SolverError(
