@@ -5,20 +5,13 @@ extraction."""
 
 from .modes import (CutoffSequence, ModeGrid, ParameterError, build_grid,
                     direction_weights, polarization_frame)
-from .fock import (FockBasis, ResourceError, enumerate_basis, ladder,
-                   linear_field)
+from .fock import FockBasis, ResourceError, enumerate_basis
 from .hamiltonian import (FactorOp, FiberFamily, ModelParams,
-                          assemble_field, assemble_h_fiber,
-                          assemble_displaced_hamiltonian,
-                          assemble_intermediate_hamiltonian,
-                          assemble_slice_interaction, delta_k_interaction,
-                          slice_marginal_ops)
+                          assemble_intermediate_hamiltonian)
 from .spectral import (Contour, ContourError, GroundStateRecord,
                        ResolventSolver, SolverError, contour_project,
-                       contour_project_checked, dense_spectrum, ground_state,
-                       idempotence_defect, neumann_project)
-from .bogoliubov import (centered_momentum_vectors, combined_displacement,
-                         displaced_momentum_ops, displacement_coeffs,
+                       contour_project_checked, ground_state)
+from .bogoliubov import (combined_displacement, displacement_coeffs,
                          weyl_apply, weyl_vacuum_expectation)
 from .cascade import (CascadeError, CascadeState, ScaleRecord,
                       cascade_scales, convergence_report, open_cascade,

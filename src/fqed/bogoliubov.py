@@ -165,7 +165,8 @@ def displaced_momentum_ops(family, grad_energy: np.ndarray) -> list:
     with beta from the ladder algebra at the scale of the ``FiberFamily``
     ``family``, not from its factors: an oracle for ``family.frame``, as
     ``scipy.sparse`` matrices.  The vacuum expectation of every Pi_i
-    vanishes identically.
+    vanishes identically; centring Pi on a state phi, Pi - <Pi>_phi, is
+    ``family.frame(g).center(phi)``.
     """
     from .hamiltonian import _field_momentum   # hamiltonian imports us
     grid = family.grid
@@ -175,21 +176,3 @@ def displaced_momentum_ops(family, grad_energy: np.ndarray) -> list:
     return [(b - linear_field(family.basis, grid.k[:, i] * f)).tocsr()
             for i, b in enumerate(beta)]
 
-
-def centered_momentum_vectors(pi_phi: np.ndarray, phi: np.ndarray
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gamma phi for the mean-zero Gamma = Pi - shift, as vectors, from the
-    (3, n) product ``pi_phi`` = Pi phi.
-
-    Returns (gamma_phi, shift, orth): shift_i = <phi, Pi_i phi> / <phi,
-    phi>, row i of gamma_phi is Pi_i phi - shift_i phi, and orth_i = <phi,
-    gamma_phi_i> / <phi, phi>, zero up to the centering's rounding.
-    """
-    phi = np.asarray(phi, dtype=float)
-    nrm2 = float(phi @ phi)
-    if nrm2 <= 0.0:
-        raise ParameterError("cannot center on a zero vector")
-    shift = np.array([float(phi @ v) for v in pi_phi]) / nrm2
-    gamma_phi = np.array([v - s * phi for v, s in zip(pi_phi, shift)])
-    orth = np.array([float(phi @ g) for g in gamma_phi]) / nrm2
-    return gamma_phi, shift, orth

@@ -18,6 +18,7 @@ cascade's convergence hinges on.
 from __future__ import annotations
 
 import io
+import os
 import struct
 from collections import deque
 from collections.abc import Iterator
@@ -25,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bogoliubov import (centered_momentum_vectors, combined_displacement,
-                         weyl_apply)
+from .bogoliubov import combined_displacement, weyl_apply
 from .fock import FockBasis
 from .hamiltonian import (FactorOp, FiberFamily, ModelParams,
                           assemble_intermediate_hamiltonian)
@@ -326,8 +326,7 @@ def _cascade_step(state: CascadeState, j: int, start: np.ndarray,
             weyl_defect=wdefect)
 
     # the frame's Pi, kept in the family for the frame polish and probes
-    _, shift, orth = centered_momentum_vectors(
-        family.frame(grad).apply(phi), phi)
+    _, shift, orth = family.frame(grad).center(phi)
     gap_next, next_start = np.nan, None
     if j < params.n_scales:
         # the ground state of H_j on sector j + 1 starts scale j + 1
@@ -475,9 +474,10 @@ def read_vector_file(path) -> np.ndarray:
         if version != _SIDECAR_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         dim = header(fh, "<Q")
-        data = np.frombuffer(fh.read(8 * dim), dtype="<f8")
-        if data.size != dim:
+        # checked before reading: a huge dim must not size the read
+        if 8 * dim > os.fstat(fh.fileno()).st_size - fh.tell():
             raise ValueError(f"{path}: truncated payload")
+        data = np.frombuffer(fh.read(8 * dim), dtype="<f8")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the payload")
         return data.astype(float)

@@ -33,8 +33,8 @@ F_i = diag(D_i) + sum_m C_im (create_m + annihilate_m): D = Pf for both,
 C = -sqrt(alpha) sqrt(w/|k|) eps on the shells below j for beta, less
 k f for Pi.  A ``_Factors`` of (D, C, d, s) is one ``csr.CSR`` build
 over the basis's raise table, on the whole basis or on a sector: a
-family's factors are beta's, its ``frame(g)`` those of Pi(g), and every
-first moment (P - beta, Pi - <Pi>) is one stacked product, ``apply``.
+family's factors are beta's, its ``frame(g)`` those of Pi(g), and each
+first moment (<beta> in P - <beta>, <Pi> in Pi - <Pi>) is ``center``.
 Every scale-j factor maps sectors j and j + 1 into themselves, so the
 restriction of the square is the square of the restricted factors.
 Neither square is assembled: a ``FactorOp`` applies one from its factors.
@@ -177,6 +177,19 @@ class _Factors:
         """F v, the (3, n) array of rows F_i v: one product with the stack."""
         return (self.stacked @ v).reshape(3, -1)
 
+    def center(self, v: np.ndarray) -> tuple:
+        """(F v - <F> v, <F>, orth) from one product: <F_i> = <v, F_i v> /
+        <v, v>, and orth_i = <v, row i> / <v, v> is zero to rounding."""
+        v = np.asarray(v, dtype=float)
+        nrm2 = float(v @ v)
+        if nrm2 <= 0.0:
+            raise ParameterError("cannot center on a zero vector")
+        fv = self.apply(v)
+        mean = np.array([float(v @ row) for row in fv]) / nrm2
+        centred = np.array([row - m * v for row, m in zip(fv, mean)])
+        orth = np.array([float(v @ row) for row in centred]) / nrm2
+        return centred, mean, orth
+
     def sector(self, idx: np.ndarray) -> "_Factors":
         """The factors on the states ``idx`` (ascending, of these
         factors' states).  The restriction of the square is the square of
@@ -276,13 +289,7 @@ class FiberFamily:
 
     def gradient(self, psi: np.ndarray) -> np.ndarray:
         """P - <beta>_psi: dE/dP at an eigenvector psi of the family's H(P)."""
-        psi = np.asarray(psi, dtype=float)
-        nrm2 = float(psi @ psi)
-        if nrm2 <= 0.0:
-            raise ParameterError("gradient of an empty state")
-        p = self.params.p_total
-        beta_psi = self.factors.apply(psi)
-        return np.array([p[i] - psi @ beta_psi[i] / nrm2 for i in range(3)])
+        return self.params.p_total - self.factors.center(psi)[1]
 
     def frame(self, grad_energy: np.ndarray) -> _Factors:
         """The displaced frame for the gradient g at the family's momentum

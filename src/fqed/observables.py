@@ -37,7 +37,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bogoliubov import centered_momentum_vectors
 from .cascade import (CONTOUR_NODES, CascadeError, ScaleRecord,
                       cascade_scales, open_cascade, sector_ground)
 from .fock import FockBasis, annihilate, creation_sum
@@ -179,8 +178,7 @@ def displaced_frame_ground(family: FiberFamily,
         k_op = FactorOp(frame, shift)
         energy, phi, _ = sector_ground(params, grid, basis, j, h_op=k_op,
                                        pairs=1, start=phi)
-        gamma_phi, new, orth = centered_momentum_vectors(frame.apply(phi),
-                                                         phi)
+        gamma_phi, new, orth = frame.center(phi)
         move = float(np.max(np.abs(new - shift)))
         shift = new
         if move < 1e-13:
@@ -366,7 +364,10 @@ def scan_tail_summary(rows: list[MassScanRow], delta: float = 0.2) -> dict:
         entry = {"last_scale_value": float(d2[-1]), "tail_estimate": 0.0}
         if len(d2) >= 2:
             diff = abs(d2[-1] - d2[-2])
-            ratio = (fam[-1].sigma / fam[-2].sigma) ** (1.0 - 2.0 * delta)
+            try:
+                ratio = (fam[-1].sigma / fam[-2].sigma) ** (1.0 - 2.0 * delta)
+            except OverflowError:   # past the float range: no geometric tail
+                ratio = np.inf
             entry["tail_estimate"] = float(diff * ratio / (1.0 - ratio)) \
                 if 0.0 < ratio < 1.0 else float(diff)
         out[key] = entry
@@ -498,8 +499,7 @@ def resolvent_bound_probes(family: FiberFamily, rec: ScaleRecord):
     params = family.params
     axis = momentum_axis(params.p_total)
     frame = family.frame(rec.grad_energy)
-    gamma_phi, shift, _ = centered_momentum_vectors(frame.apply(rec.phi),
-                                                    rec.phi)
+    gamma_phi, shift, _ = frame.center(rec.phi)
     k_op = FactorOp(frame, shift)
     w3 = gamma_phi[axis]
     w4 = creation_sum(family.basis, slice_marginal_coeffs(

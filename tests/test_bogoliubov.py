@@ -3,10 +3,9 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import custom_grid
-from fqed.bogoliubov import (centered_momentum_vectors, combined_displacement,
-                             displaced_momentum_ops, displacement_coeffs,
-                             displacement_generator, weyl_apply,
-                             weyl_vacuum_expectation)
+from fqed.bogoliubov import (combined_displacement, displaced_momentum_ops,
+                             displacement_coeffs, displacement_generator,
+                             weyl_apply, weyl_vacuum_expectation)
 from fqed.fock import enumerate_basis
 from fqed.hamiltonian import FiberFamily, ModelParams, _field_momentum
 from fqed.modes import ParameterError
@@ -238,12 +237,10 @@ def test_center_operators_examples(small_setup, monkeypatch):
 
     monkeypatch.setattr(sparse_base._spbase, "__init__", counted)
     vac = basis.vacuum()
-    gamma_phi, shift, orth = centered_momentum_vectors(frame0.apply(vac),
-                                                       vac)
+    gamma_phi, shift, orth = frame0.center(vac)
     rng = np.random.default_rng(4)
     phi = rng.standard_normal(basis.size)
-    gamma_phi2, shift2, orth2 = centered_momentum_vectors(frame.apply(phi),
-                                                          phi)
+    gamma_phi2, shift2, orth2 = frame.center(phi)
     assert built == []
     monkeypatch.undo()
 
@@ -274,8 +271,8 @@ def test_center_operators_examples(small_setup, monkeypatch):
 def test_center_operators_rejects_zero_vector(small_setup):
     params, grid, basis = small_setup
     with pytest.raises(ParameterError):
-        centered_momentum_vectors(np.zeros((3, basis.size)),
-                                  np.zeros(basis.size))
+        FiberFamily(params, grid, basis, 2).frame(np.zeros(3)).center(
+            np.zeros(basis.size))
 
 
 def test_weyl_vacuum_expectation_closed_form(small_setup):

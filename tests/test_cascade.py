@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -113,6 +114,34 @@ def test_cascade_norm_lower_bound(cascade_state):
     for rec in state.records:
         assert rec.phi_norm ** 2 > 2.0 / 3.0
         assert rec.phi_norm <= 1.0 + 1e-12
+
+
+def test_cascade_vectors_of_scale_j_vanish_outside_sector_j(small_setup,
+                                                            monkeypatch):
+    # modes below the running cutoff stay empty: psi, phi and the
+    # projected phi_hat (read at the Weyl step's input) of scale j have
+    # exact zeros on every state with a photon in a shell >= j
+    import fqed.cascade as cascade
+
+    params, grid, basis = small_setup
+    weyl_apply = cascade.weyl_apply
+    phi_hats = []
+
+    def captured(f, basis, vec):
+        phi_hats.append(vec.copy())
+        return weyl_apply(f, basis, vec)
+
+    monkeypatch.setattr(cascade, "weyl_apply", captured)
+    state = run_cascade(params, grid, basis)
+    assert len(phi_hats) == params.n_scales
+    steps = [(rec.j, rec.psi) for rec in state.records]
+    steps += [(rec.j, rec.phi) for rec in state.records]
+    steps += list(enumerate(phi_hats, start=1))
+    for j, vec in steps:
+        outside = np.ones(basis.size, dtype=bool)
+        outside[basis.sector_indices(grid, j)] = False
+        assert np.all(vec[outside] == 0.0)
+        assert np.any(vec[~outside] != 0.0)
 
 
 def test_cascade_energy_agrees_across_frames(cascade_state):
@@ -249,6 +278,19 @@ def test_vector_sidecar_refuses_trailing_bytes(tmp_path):
     write_vector_file(path, np.arange(3.0))
     path.write_bytes(path.read_bytes() + bytes(8))
     with pytest.raises(ValueError, match="trailing bytes"):
+        read_vector_file(path)
+
+
+@pytest.mark.parametrize("dim", [4, 2 ** 40, 2 ** 61])
+def test_vector_sidecar_refuses_a_dimension_the_file_cannot_hold(tmp_path,
+                                                                 dim):
+    # the header is checked against the file's size before any read, so a
+    # huge dim is a ValueError, not a MemoryError or an OverflowError
+    path = tmp_path / "phi.fqed"
+    write_vector_file(path, np.arange(3.0))
+    data = path.read_bytes()
+    path.write_bytes(data[:8] + struct.pack("<Q", dim) + data[16:])
+    with pytest.raises(ValueError, match="truncated payload"):
         read_vector_file(path)
 
 

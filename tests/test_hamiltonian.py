@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import custom_grid
-from fqed.bogoliubov import (displaced_momentum_ops, displacement_coeffs,
+from fqed.bogoliubov import (combined_displacement, displaced_momentum_ops,
+                             displacement_coeffs, displacement_generator,
                              weyl_vacuum_expectation)
 from fqed.fock import enumerate_basis
 from fqed.hamiltonian import (FactorOp, FiberFamily, ModelParams,
@@ -517,18 +518,28 @@ def test_scale_factors_map_sectors_j_and_j_plus_1_into_themselves(
         small_setup):
     # the restriction of a square is the square of the restrictions only
     # if no factor leaks out of the sector: every entry of beta_i and Pi_i
-    # between a sector-j or sector-(j + 1) state and a state outside is 0
+    # between a sector-j or sector-(j + 1) state and a state outside is 0,
+    # and so is every entry of the step's bridge factors and of its Weyl
+    # generator
     params, grid, basis = small_setup
     g = np.array([0.09, 0.01, 0.0])
+    g_prev, shift_prev = np.array([0.05, 0.02, 0.0]), np.array([1e-3, 0, 0])
     for j in range(params.n_scales + 1):
         family = FiberFamily(params, grid, basis, j)
+        ops = [family.factors.stacked, family.frame(g).stacked]
+        if j > 0:
+            ops.append(assemble_intermediate_hamiltonian(
+                family, g_prev, shift_prev).factors.stacked)
+            ops.append(displacement_generator(combined_displacement(
+                g, g_prev, grid, range(j), params.alpha), basis))
+        ops = [op.tocsr() for op in ops]
+        assert all(op.count_nonzero() > 0 for op in ops)
         for s in range(j, min(j + 1, params.n_scales) + 1):
             inside = np.zeros(basis.size, dtype=bool)
             inside[basis.sector_indices(grid, s)] = True
-            # row r of every F_i is a row of the stack
-            rows = np.tile(inside, 3)
-            for stack in (family.factors.stacked, family.frame(g).stacked):
-                op = stack.tocsr()
+            for op in ops:
+                # row r of every F_i is a row of the stack
+                rows = np.tile(inside, op.shape[0] // basis.size)
                 assert op[~rows][:, inside].count_nonzero() == 0
                 assert op[rows][:, ~inside].count_nonzero() == 0
 

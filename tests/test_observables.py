@@ -13,13 +13,14 @@ from fqed.hamiltonian import (FiberFamily, ModelParams,
                               assemble_displaced_hamiltonian,
                               assemble_h_fiber, slice_marginal_coeffs)
 from fqed.modes import ParameterError, build_grid
-from fqed.observables import (cross_term_probe, dispersion_curvature_direct,
+from fqed.observables import (MassScanRow, cross_term_probe,
+                              dispersion_curvature_direct,
                               dispersion_curvature_displaced,
                               dispersion_curvature_fd, displaced_frame_ground,
                               energy_gradient_fd, energy_lipschitz_probe,
                               mass_scan, momentum_axis, pull_through_summary,
                               resolvent_bound_probes, scale_routes, scan_csv,
-                              soft_photon_probe)
+                              scan_tail_summary, soft_photon_probe)
 from fqed.spectral import (Contour, ResolventSolver, SolverError,
                            dense_spectrum, ground_state, shifted_solve)
 
@@ -134,6 +135,21 @@ def test_mass_scan_free_row():
         assert row.energy == pytest.approx(0.005, abs=1e-12)
     text = scan_csv(rows)
     assert text.splitlines()[0].startswith("alpha,j,sigma,Px")
+
+
+@pytest.mark.parametrize("delta", [1000.0, -1000.0])
+def test_scan_tail_summary_takes_the_difference_for_any_delta(delta):
+    # sigma ratio 0.3 to the power 1 - 2 delta leaves the float range at
+    # delta = 1000 and underflows to 0 at -1000: both take the plain
+    # difference instead of the geometric tail
+    p = np.array([0.2, 0.0, 0.0])
+    rows = [MassScanRow(alpha=1e-3, j=j, sigma=0.3 ** j, p=p,
+                        d2_displaced=d2)
+            for j, d2 in ((1, 0.9), (2, 0.95))]
+    tail = scan_tail_summary(rows, delta=delta)
+    entry = tail[(1e-3, (0.2, 0.0, 0.0))]
+    assert entry["last_scale_value"] == 0.95
+    assert entry["tail_estimate"] == abs(0.95 - 0.9)
 
 
 def test_mass_scan_deviation_grows_with_coupling():
