@@ -96,7 +96,7 @@ def predicted_energy_steps(params: ModelParams,
                              / (|k_m| + |k_m|^2/2 - k_m . g).
     """
     g, alpha = params.p_total, params.alpha
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         coupling = alpha * grid.weight / grid.knorm
         per_mode = 0.5 * coupling - coupling * (grid.eps_vec @ g) ** 2 / (
             grid.knorm + 0.5 * grid.knorm ** 2 - grid.k @ g)
@@ -154,7 +154,7 @@ def validate_params(params: ModelParams,
 
     if grid is not None:
         radii = p.mu * p.cutoffs.sigmas[1:]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ratio = np.abs(predicted_energy_steps(p, grid)) / radii
         worst = int(np.argmax(np.nan_to_num(ratio, nan=np.inf)))
         checks.append(ConstraintCheck(
@@ -196,7 +196,6 @@ class CascadeState:
     params: ModelParams
     grid: ModeGrid
     basis: FockBasis
-    report: ConstraintReport
     records: list[ScaleRecord] = field(default_factory=list)
 
 
@@ -238,10 +237,9 @@ def open_cascade(params: ModelParams, grid: ModeGrid, basis: FockBasis, *,
         raise ParameterError(
             "grid does not span the cascade's cutoff sequence; rebuild it "
             "from the same parameters")
-    report = validate_params(params, grid)
     if not allow_invalid:
-        report.require()
-    return CascadeState(params=params, grid=grid, basis=basis, report=report)
+        validate_params(params, grid).require()
+    return CascadeState(params=params, grid=grid, basis=basis)
 
 
 def cascade_scales(state: CascadeState, *,
@@ -365,7 +363,6 @@ class ConvergenceReport:
     grad_shifts: np.ndarray
     step_exponent: float
     energy_exponent: float
-    energy_ratio: np.ndarray
     shift_constants: np.ndarray
     delta: float
 
@@ -410,15 +407,13 @@ def convergence_report(state: CascadeState,
 
     step_exp = _loglinear_slope(j, steps)
     energy_exp = _loglinear_slope(j, de)
-    ratio = np.full(len(de), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio[1:] = np.where(de[:-1] > 0, de[1:] / de[:-1], np.nan)
         c1 = de / (alpha * eps ** (j - 1)) if alpha > 0 \
             else np.full(len(de), np.nan)
     return ConvergenceReport(
         scales=j, step_norms=steps, energy_shifts=de, grad_shifts=dg,
         step_exponent=step_exp, energy_exponent=energy_exp,
-        energy_ratio=ratio, shift_constants=c1, delta=delta)
+        shift_constants=c1, delta=delta)
 
 
 TRACE_COLUMNS = [

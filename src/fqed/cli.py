@@ -134,7 +134,7 @@ def parse_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
 
@@ -239,6 +239,12 @@ def parse_config(path) -> RunConfig:
             momentum_axis(p)
         except ParameterError as exc:
             raise ConfigError(f"{where('P_list')}: {exc}") from exc
+    # a repeated point would merge two jobs into one tail family
+    for key, points in (("alphas", alphas),
+                        ("P_list", [tuple(p) for p in p_list])):
+        if len(set(points)) < len(points):
+            raise ConfigError(f"{where(key)}: expected distinct scan "
+                              f"points, got {get(key)!r}")
 
     return RunConfig(
         params=params, n_radial=num("n_radial", int, low=1),

@@ -140,7 +140,6 @@ class ModeGrid:
 
     cutoffs: CutoffSequence
     n_radial: int
-    angular_set: str
     k: np.ndarray = field(repr=False)          # (M, 3)
     knorm: np.ndarray = field(repr=False)      # (M,)
     khat: np.ndarray = field(repr=False)       # (M, 3)
@@ -225,8 +224,8 @@ def build_grid(cutoffs: CutoffSequence, n_radial: int = 1,
             (n_modes,) + tail)
 
     return ModeGrid(
-        cutoffs=cutoffs, n_radial=n_radial, angular_set=angular_set,
-        k=per_mode(r_c[..., None] * pts[:, None], (3,)), knorm=per_mode(r_c),
+        cutoffs=cutoffs, n_radial=n_radial, knorm=per_mode(r_c),
+        k=per_mode(r_c[..., None] * pts[:, None], (3,)),
         khat=per_mode(pts[:, None], (3,)),
         shell=per_mode(np.arange(cutoffs.n_scales)[:, None, None, None]),
         weight=per_mode(w_rad * aw[:, None]), lam=per_mode(np.array([1, 2])),

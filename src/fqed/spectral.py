@@ -182,7 +182,6 @@ class GroundStateRecord:
     gap: float
     residual: float
     method: str
-    degenerate: bool = False
 
 
 #: Identity columns an operator is applied to at a time when it is made
@@ -219,7 +218,7 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(a)
 
 
-def dense_spectrum(op, dense_limit: int = DENSE_LIMIT):
+def dense_spectrum(op):
     """All eigenpairs, ascending, by ``scipy.linalg.eigh`` (LAPACK
     ``dsyevr`` in scipy's OpenBLAS); the dense oracle.  No command calls
     it: it checks the production eigensolves (``_eigh``) with another
@@ -227,7 +226,7 @@ def dense_spectrum(op, dense_limit: int = DENSE_LIMIT):
     never loads ``scipy.linalg``."""
     from scipy.linalg import eigh
 
-    return eigh(_dense(op, dense_limit))
+    return eigh(_dense(op))
 
 
 def _davidson(op, pairs: int, start: np.ndarray):
@@ -247,7 +246,7 @@ def _davidson(op, pairs: int, start: np.ndarray):
     The Rayleigh-Ritz matrix V A V^T is kept between steps and grows by
     rows: each new vector adds its row against the whole space, mirrored
     into the column, and a restart leaves diag(theta) of the kept Ritz
-    values.  Its buffer doubles as the space grows.
+    values.
     Nothing is random, so a solve is bit-identical on every run.  Returns
     (values, vectors) ascending.
 
@@ -264,15 +263,15 @@ def _davidson(op, pairs: int, start: np.ndarray):
     diag = op.diagonal()
     tol = DAVIDSON_TOL * max(1.0, float(np.max(np.abs(diag))))
     cap = DAVIDSON_MAX_DIM
-    # one row per vector, never zero-filled: rows past size are never read
+    # one row per vector, never zero-filled: rows past size are never read;
+    # the space's Rayleigh-Ritz matrix is kept between steps
     basis = np.empty((cap + pairs, n))
     image = np.empty((cap + pairs, n))
-    # the space's Rayleigh-Ritz matrix, kept between steps
-    ritz = np.empty((0, 0))
+    ritz = np.empty((cap + pairs, cap + pairs))
     size = 0
 
     def extend(vectors):
-        nonlocal size, ritz
+        nonlocal size
         first = size
         for t in vectors:
             scale = np.sqrt(np.dot(t, t))
@@ -283,11 +282,6 @@ def _davidson(op, pairs: int, start: np.ndarray):
                 basis[size] = t / norm
                 size += 1
         image[first:size] = (op @ basis[first:size].T).T
-        if size > len(ritz):
-            m = min(max(2 * len(ritz), size), cap + pairs)
-            grown = np.empty((m, m))
-            grown[:first, :first] = ritz[:first, :first]
-            ritz = grown
         rows = np.dot(basis[first:size], image[:size].T)
         ritz[first:size, :size] = rows
         ritz[:first, first:size] = rows[:, :first].T
@@ -383,8 +377,7 @@ def ground_state(op, dense_cutoff: int = DENSE_EIG_CUTOFF, pairs: int = 3,
             f"{GROUND_TOL:.1e}",
             best_residual=residual)
     return GroundStateRecord(energy=energy, vector=vec, gap=gap,
-                             residual=residual, method=method,
-                             degenerate=bool(gap < 1e-12))
+                             residual=residual, method=method)
 
 
 def shifted_solve(op, shift: float, b: np.ndarray,

@@ -23,8 +23,7 @@ def custom_grid(k_list, weights, shells, lams=None, eps_list=None,
     if cutoffs is None:
         cutoffs = CutoffSequence(1.0, 0.25, max(shells) + 1)
     return ModeGrid(
-        cutoffs=cutoffs, n_radial=1, angular_set="custom",
-        k=k, knorm=knorm, khat=khat,
+        cutoffs=cutoffs, n_radial=1, k=k, knorm=knorm, khat=khat,
         shell=np.array(shells, dtype=int), weight=np.array(weights),
         lam=np.array(lams, dtype=int), eps_vec=np.array(eps_list))
 

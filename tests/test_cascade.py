@@ -223,7 +223,7 @@ def test_convergence_report_fields(cascade_state):
     assert len(rep.scales) == 3
     # shifts decay between the quadratic and linear envelopes of the
     # running cutoff
-    ratios = rep.energy_ratio[1:]
+    ratios = rep.energy_shifts[1:] / rep.energy_shifts[:-1]
     eps = params3.epsilon
     assert np.all(ratios > eps ** 2 / 3.0)
     assert np.all(ratios < 3.0 * eps)
@@ -424,3 +424,76 @@ def test_warm_cascade_matches_cold_sector_solves(desk_box, alpha, px):
         np.testing.assert_allclose(
             [rec.energy, rec.gap_sector, rec.gap_next_sector],
             [energy, gap, gap_next], rtol=0, atol=1e-12)
+
+
+def test_cascade_steps_match_their_dense_twins(small_setup, monkeypatch):
+    # each step of run_cascade against a dense path: the projection by the
+    # dense eigendecomposition of the captured bridge operator, weighted by
+    # the trapezoid filter W(lambda) at the nodes used; the Weyl bridge by
+    # scipy's expm of the generator built from the ladder oracle; and each
+    # record's frame polish by the same loop and five-solve cap on dense
+    # ground states of K(shift).  Bounds 1e-12: relative on vectors,
+    # absolute on energies and shifts
+    import scipy.linalg
+
+    import fqed.cascade as cascade
+    from fqed.fock import ladder
+    from fqed.hamiltonian import FactorOp
+    from fqed.spectral import dense_spectrum
+
+    params, grid, basis = small_setup
+    project, weyl_apply = cascade.contour_project_checked, cascade.weyl_apply
+    projections, bridges = [], []
+
+    def captured_projection(op, contour, v):
+        out = project(op, contour, v)
+        projections.append((op, contour, v.copy(), out[0], out[1]))
+        return out
+
+    def captured_bridge(f, basis, v):
+        out = weyl_apply(f, basis, v)
+        bridges.append((f.copy(), v.copy(), out[0]))
+        return out
+
+    monkeypatch.setattr(cascade, "contour_project_checked",
+                        captured_projection)
+    monkeypatch.setattr(cascade, "weyl_apply", captured_bridge)
+    state = run_cascade(params, grid, basis)
+    assert len(projections) == len(bridges) == params.n_scales
+
+    def close(vec, ref):
+        assert np.linalg.norm(vec - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    for op, contour, v, pv, nodes in projections:
+        lam, vecs = dense_spectrum(op)
+        used = dataclasses.replace(contour, nodes=nodes)
+        weights = used.integrate(1.0 / (lam[:, None] - used.upper)).real
+        close(pv, vecs @ (weights * (vecs.T @ v)))
+
+    for f, v, out in bridges:
+        gen = np.zeros((basis.size, basis.size))
+        for m in np.flatnonzero(f):
+            down, up = ladder(basis, m)
+            gen += f[m] * (up - down).toarray()
+        close(out, scipy.linalg.expm(gen) @ v)
+
+    for rec in state.records:
+        family = FiberFamily(params, grid, basis, rec.j)
+        frame = family.frame(rec.grad_energy)
+        idx = basis.sector_indices(grid, rec.j)
+        shift = rec.gamma_shift
+        for _ in range(5):
+            lam, vecs = dense_spectrum(FactorOp(frame, shift).sector(idx))
+            phi = np.zeros(basis.size)
+            phi[idx] = vecs[:, 0]
+            if phi[np.argmax(np.abs(phi))] < 0.0:   # ground_state's sign
+                phi = -phi
+            _, new, _ = frame.center(phi)
+            move = float(np.max(np.abs(new - shift)))
+            shift = new
+            if move < 1e-13:
+                break
+        polished = displaced_frame_ground(family, rec)
+        assert abs(polished.energy - lam[0]) <= 1e-12
+        close(polished.phi, phi)
+        assert np.max(np.abs(frame.center(polished.phi)[1] - shift)) <= 1e-12

@@ -3,6 +3,8 @@ import re
 import subprocess
 import sys
 import time
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +72,20 @@ def test_parse_rejects_unknown_and_duplicate_keys(tmp_path):
         parse_config(write_config(tmp_path, GOOD_CONFIG + "typo_key = 1\n"))
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config(write_config(tmp_path, GOOD_CONFIG + "alpha = 2e-3\n"))
+
+
+def test_parse_config_with_a_byte_order_mark(tmp_path, capsys):
+    # a UTF-8 byte-order mark is no part of the first key; the hash stays
+    # over the file's bytes
+    good = parse_config(write_config(tmp_path, GOOD_CONFIG))
+    path = tmp_path / "bom.cfg"
+    for text in (GOOD_CONFIG, GOOD_CONFIG.split("\n", 1)[1]):
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        cfg = parse_config(path)
+        assert cfg.sha256 != good.sha256
+        assert repr(replace(cfg, sha256="")) == repr(replace(good, sha256=""))
+        assert main(["validate", "--config", str(path)]) == 0
+    assert "all constraints PASS" in capsys.readouterr().out
 
 
 def test_parse_bad_momentum(tmp_path):
@@ -164,6 +180,11 @@ GOOD_BYTES = GOOD_CONFIG.encode()
     (GOOD_BYTES.replace(b"P_list = 0.1 0 0", b"P_list = 0 0.2 0.1"),
      "'P_list'"),
     (GOOD_BYTES + b"basis_limit = 0\n", "'basis_limit'"),
+    # a repeated scan point, compared as a float, would merge two jobs
+    (GOOD_BYTES.replace(b"alphas = 1e-4 1e-3", b"alphas = 1e-3 0.001"),
+     "'alphas'"),
+    (GOOD_BYTES.replace(b"P_list = 0.1 0 0", b"P_list = 0.1 0 0; 0.1 -0 0.0"),
+     "'P_list'"),
 ], ids=["non-numeric-alphas", "non-utf8", "odd-contour-nodes", "nan-alpha",
         "infinite-momentum", "removed-fd-gradient-key",
         "max-nodes-below-contour-nodes", "huge-contour-nodes",
@@ -177,7 +198,8 @@ GOOD_BYTES = GOOD_CONFIG.encode()
         "zero-radial-cells", "zero-mode-cap", "negative-total-cap",
         "unknown-angular-set", "huge-uv-cutoff", "zero-uv-cutoff",
         "underflowing-last-cutoff", "scale-count-past-the-doubles",
-        "off-axis-momentum-list", "zero-basis-limit"])
+        "off-axis-momentum-list", "zero-basis-limit", "repeated-alpha",
+        "repeated-momentum"])
 def test_bad_config_exits_2_at_parse_time(tmp_path, capsys, data, key):
     path = tmp_path / "bad.cfg"
     path.write_bytes(data)
@@ -714,6 +736,20 @@ def test_mass_scan_refuses_a_point_that_fails_a_constraint(tmp_path, capsys,
             if r.startswith("0.02,")]
     assert [r[1] for r in rows] == ["-1"]
     assert rows[0][-1].startswith("scale 1: contour encloses none")
+
+
+@pytest.mark.parametrize("command", ["mass-scan", "verify"])
+def test_zero_contour_fraction_fails_its_constraint_without_a_warning(
+        tmp_path, capsys, command):
+    # mu = 0 gives the step contours radius 0: the enclosure ratio is
+    # infinite, which fails the check, and numpy must not warn about it
+    path = desk_variant(tmp_path, mu=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "parameter constraint failed: ordering chain" \
+        in capsys.readouterr().err
 
 
 def test_mass_scan_empty_momentum_list_is_usage_error(tmp_path, capsys):

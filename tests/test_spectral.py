@@ -106,16 +106,15 @@ def test_ground_state_identity_degenerate():
     op = sp.identity(40, format="csr")
     rec = ground_state(op)
     assert rec.energy == pytest.approx(1.0, abs=1e-14)
-    assert rec.degenerate
+    assert rec.gap < 1e-12
     assert rec.gap == pytest.approx(0.0, abs=1e-14)
 
 
 def test_ground_state_one_state_has_no_gap():
-    # a 1 x 1 operator has no second eigenvalue, so no gap to call
-    # degenerate
+    # a 1 x 1 operator has no second eigenvalue, so no gap
     rec = ground_state(sp.identity(1, format="csr"))
     assert rec.energy == 1.0 and rec.vector.tolist() == [1.0]
-    assert np.isnan(rec.gap) and not rec.degenerate
+    assert np.isnan(rec.gap) and not rec.gap < 1e-12
 
 
 def test_ground_state_free_theory(small_setup):
@@ -187,7 +186,7 @@ def test_one_pair_solve_matches_the_three_pair_energy(small_setup, cutoff):
     assert abs(one.energy - full.energy) \
         <= 1e-14 * max(1.0, abs(full.energy))
     assert abs(abs(one.vector @ full.vector) - 1.0) < 1e-12
-    assert np.isnan(one.gap) and not one.degenerate
+    assert np.isnan(one.gap) and not one.gap < 1e-12
 
 
 def test_started_solves_are_deterministic(small_setup):
@@ -473,7 +472,7 @@ def test_ground_state_lanczos_partial_pair(monkeypatch):
     rec = ground_state(op, dense_cutoff=10)
     assert rec.method == "lanczos"
     assert rec.energy == vals[0]
-    assert np.isnan(rec.gap) and not rec.degenerate
+    assert np.isnan(rec.gap) and not rec.gap < 1e-12
     assert rec.residual < 1e-12
     _arpack_stops_with(monkeypatch, vals[:1], vecs[:, 1:2])
     with pytest.raises(SolverError, match="residual") as exc:
