@@ -147,7 +147,8 @@ def validate_params(params: ModelParams,
         f"{p.rho_minus} > 3*{p.mu}*{p.epsilon} = {triple:.4g}",
         p.rho_minus - triple))
 
-    pnorm = float(np.linalg.norm(p.p_total))
+    with np.errstate(over="ignore"):
+        pnorm = float(np.linalg.norm(p.p_total))
     checks.append(ConstraintCheck(
         "momentum ball", pnorm < 1.0 / 3.0,
         f"|P| = {pnorm:.4g} < 1/3", 1.0 / 3.0 - pnorm))

@@ -6,6 +6,9 @@ duplicate-free triplets, with rows ascending and columns ascending within
 a row.  Its products call scipy's ``csr_matvec`` and ``csr_matvecs`` into
 zeroed output, as ``scipy.sparse`` itself does for a vector and for an
 (n, k) block, so every product is bit-identical to the scipy matrix's.
+The same arrays are the compressed columns of the transpose, so
+``transpose_matmul`` calls ``csc_matvec`` and ``csc_matvecs`` on them, as
+scipy's ``m.T @ x`` does, and no transpose is ever stored.
 
 The kernels live in the extension ``scipy/sparse/_sparsetools``, which is
 loaded here from its file, so that no command pays for the ``scipy.sparse``
@@ -58,8 +61,8 @@ class CSR:
 
     ``data``, ``indices`` and ``indptr`` are scipy's arrays for the same
     triplets, explicit zeros kept, with 32-bit indices where they fit.
-    ``@`` takes a vector, an (n, 1) column or an (n, k) block, as scipy's
-    ``@`` does.
+    ``@`` and ``transpose_matmul`` take a vector, an (n, 1) column or an
+    (n, k) block, as scipy's ``@`` does.
     """
 
     def __init__(self, data, rows, cols, shape: tuple[int, int]):
@@ -99,26 +102,37 @@ class CSR:
             self.shape[0], self.indptr, self.indices))
 
     def __matmul__(self, x):
+        return self._product(x, False)
+
+    def transpose_matmul(self, x):
+        """The transpose's product ``m.T @ x``, by the compressed-column
+        kernels on these same arrays."""
+        return self._product(x, True)
+
+    def _product(self, x, transpose: bool):
         x = np.asarray(x)
         if np.iscomplexobj(x):
             raise TypeError("a CSR product takes real operands only")
         x = np.ascontiguousarray(x, dtype=float)
-        m, n = self.shape
+        # m output rows from n operand rows
+        m, n = self.shape[::-1] if transpose else self.shape
+        matvec, matvecs = ((_sparsetools.csc_matvec, _sparsetools.csc_matvecs)
+                           if transpose else
+                           (_sparsetools.csr_matvec, _sparsetools.csr_matvecs))
         if x.shape == (n,):
             out = np.zeros(m)
-            _sparsetools.csr_matvec(m, n, self.indptr, self.indices,
-                                    self.data, x, out)
+            matvec(m, n, self.indptr, self.indices, self.data, x, out)
             return out
         if x.shape == (n, 1):
-            return (self @ x.reshape(n)).reshape(m, 1)
+            return self._product(x.reshape(n), transpose).reshape(m, 1)
         if x.ndim == 2 and x.shape[0] == n:
             out = np.zeros((m, x.shape[1]))
-            _sparsetools.csr_matvecs(m, n, x.shape[1], self.indptr,
-                                     self.indices, self.data, x.reshape(-1),
-                                     out.reshape(-1))
+            matvecs(m, n, x.shape[1], self.indptr, self.indices, self.data,
+                    x.reshape(-1), out.reshape(-1))
             return out
-        raise ValueError(f"matmul: a {m} x {n} CSR cannot take an operand "
-                         f"of shape {x.shape}")
+        which = "the transpose of a" if transpose else "a"
+        raise ValueError(f"matmul: {which} {self.shape[0]} x {self.shape[1]} "
+                         f"CSR cannot take an operand of shape {x.shape}")
 
     def tocsr(self):
         """The same matrix as a ``scipy.sparse.csr_matrix``, sharing these

@@ -123,16 +123,16 @@ class _Factors:
         F_i = diag(D_i) + sum_m C_im (create_m + annihilate_m)
 
     on the states ``idx`` of ``basis`` (all of them when ``idx`` is None):
-    the three F_i stacked into one (3n, n) CSR and half its transpose, the
-    diagonal d, the scalar s, and the diagonals of each F_i (D itself) and
-    of its off-diagonal square, from which ``FactorOp`` reads its own
-    diagonal.
+    the three F_i stacked into one (3n, n) CSR, the diagonal d, the scalar
+    s, and the diagonals of each F_i (D itself) and of its off-diagonal
+    square, from which ``FactorOp`` reads its own diagonal.
 
-    One ``CSR`` over the basis's raise table holds each: the entries are
+    The one ``CSR`` is built over the basis's raise table: the entries are
     the raises into each state, the diagonal and the raises out of it, the
-    zero ones dropped.  Each F_i is symmetric, so the transpose is the same
-    entries with row and column swapped back.  ``sector(idx)`` builds the
-    factors of a set of states once.
+    zero ones dropped.  Its arrays are also the compressed columns of the
+    (n, 3n) transpose, which ``CSR.transpose_matmul`` applies, so no
+    transpose is stored.  ``sector(idx)`` builds the factors of a set of
+    states once.
     """
 
     def __init__(self, basis: FockBasis, diag: np.ndarray,
@@ -162,15 +162,11 @@ class _Factors:
                 weights=np.concatenate([off, off]) ** 2, minlength=n)
             vals = np.concatenate([off, diag[i], off])
             kept = vals != 0.0
-            parts.append((vals[kept], line_rows[kept], line_cols[kept]))
+            rows = line_rows[kept]
+            rows += i * n   # F_i is rows i n .. (i + 1) n - 1 of the stack
+            parts.append((vals[kept], rows, line_cols[kept]))
         data, rows, cols = (np.concatenate(q) for q in zip(*parts))
-        block = np.repeat(np.arange(3, dtype=index) * n,
-                          [len(q[0]) for q in parts])
-        self.stacked = CSR(data, rows + block, cols, (3 * n, n))
-        # row s of the transpose holds row s of F_0, F_1, F_2 in turn, at
-        # columns shifted by 0, n, 2n; halving is exact, so (1/2) F^T (F x)
-        # rounds as F^T (F x) does
-        self.half_t = CSR(0.5 * data, rows, cols + block, (n, 3 * n))
+        self.stacked = CSR(data, rows, cols, (3 * n, n))
         self._sectors: dict[bytes, _Factors] = {}
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -211,8 +207,9 @@ class _Factors:
 class FactorOp:
     """The operator (1/2) sum_i (F_i - c_i)^2 + diag(d) + s of ``factors``
     at the shift c: one application, to a vector or an (n, k) block, is
-    two sparse products with the stacked factors.  ``tocsr()`` assembles the
-    product form, for the oracles and the benchmark's tracer.
+    two sparse products with the stacked factors, F x and then F^T (F x)
+    on the same arrays.  ``tocsr()`` assembles the product form, for the
+    oracles and the benchmark's tracer.
     """
 
     def __init__(self, factors: _Factors, c):
@@ -226,7 +223,9 @@ class FactorOp:
         f = self.factors
         x = np.asarray(x)
         z = f.stacked @ x
-        out = f.half_t @ z
+        out = f.stacked.transpose_matmul(z)
+        # halving is exact, so (1/2) F^T (F x) rounds as F^T (F x) does
+        out *= 0.5
         out -= (self.c @ z.reshape(3, -1)).reshape(x.shape)
         out += self._scalar.reshape((-1,) + (1,) * (x.ndim - 1)) * x
         return out

@@ -738,18 +738,32 @@ def test_mass_scan_refuses_a_point_that_fails_a_constraint(tmp_path, capsys,
     assert rows[0][-1].startswith("scale 1: contour encloses none")
 
 
-@pytest.mark.parametrize("command", ["mass-scan", "verify"])
+@pytest.mark.parametrize("command, keys, failed", [
+    ("mass-scan", {"mu": 0}, "ordering chain"),
+    ("verify", {"mu": 0}, "ordering chain"),
+    ("validate", {"P": "1e200 0 0"}, "momentum ball"),
+    ("cascade", {"P": "1e200 0 0"}, "momentum ball"),
+    ("verify", {"P": "1e200 0 0"}, "momentum ball"),
+    ("mass-scan", {"P_list": "1e200 0 0"}, "momentum ball"),
+], ids=["mass-scan", "verify", "validate-P-overflow", "cascade-P-overflow",
+        "verify-P-overflow", "mass-scan-P-overflow"])
 def test_zero_contour_fraction_fails_its_constraint_without_a_warning(
-        tmp_path, capsys, command):
+        tmp_path, capsys, command, keys, failed):
     # mu = 0 gives the step contours radius 0: the enclosure ratio is
-    # infinite, which fails the check, and numpy must not warn about it
-    path = desk_variant(tmp_path, mu=0)
+    # infinite, which fails the check, and numpy must not warn about it;
+    # nor about |P| when P's square overflows: |P| = inf fails the ball
+    path = desk_variant(tmp_path, **keys)
+    args = [command, "--config", path]
+    if command != "validate":
+        args += ["--out", str(tmp_path / "out")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([command, "--config", path,
-                     "--out", str(tmp_path / "out")]) == 1
-    assert "parameter constraint failed: ordering chain" \
-        in capsys.readouterr().err
+        assert main(args) == 1
+    captured = capsys.readouterr()
+    if command == "validate":
+        assert f"FAILED: {failed}" in captured.out
+    else:
+        assert f"parameter constraint failed: {failed}" in captured.err
 
 
 def test_mass_scan_empty_momentum_list_is_usage_error(tmp_path, capsys):
